@@ -3,8 +3,9 @@
 Subpackages: geom (math primitives), simworld (rigid-body sim), sensing
 (synthetic depth), qpsolve (dense QP), mpc (stance force controller),
 swingctl (manipulation leg), policy (object-centric actions), register
-(pose estimation), orchestrator (manipulation state machine), harness
-(benchmarks and CLI).
+(pose estimation), orchestrator (manipulation state machine and episode
+loop), harness (tasks, policy providers and evaluation protocols), cli
+(command-line entry point).
 """
 
 __version__ = "0.1.0"

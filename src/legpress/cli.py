@@ -122,7 +122,8 @@ def cmd_simcheck(args) -> int:
     # friction cone at every contact of a sliding box
     shape = Box((0.08, 0.06, 0.05))
     obj = SimObject.from_shape(shape, RigidTransform.identity())
-    obj.pose = rest_pose_on_ground(shape, contact=cfg.contact, mass=obj.mass)
+    obj.pose = rest_pose_on_ground(shape, contact=cfg.contact, mass=obj.mass,
+                                   gravity=cfg.sim.gravity)
     obj.linear_velocity[:] = (0.4, 0.1, 0.0)
     w = standing_world(cfg, objects=[obj])
     ok = True

@@ -14,7 +14,7 @@ Schema (all values SI):
                  knee_limits (2)
     [contact]    k_normal, d_normal, friction, regularization_velocity
     [camera]     width, height, horizontal_fov_deg, offset (3), pitch_deg,
-                 object_points, background_points
+                 object_points
     [mpc]        horizon, dt, state_weights (13), force_weight, friction,
                  f_min, f_max, force_update_period, stand_height
     [swing]      kp, kd, pre_contact_distance, lift_clearance, push_speed,
@@ -73,7 +73,6 @@ class CameraConfig:
     offset: tuple = (0.24, 0.0, 0.14)
     pitch_deg: float = 65.0
     object_points: int = 400
-    background_points: int = 400
 
 
 @dataclass

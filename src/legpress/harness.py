@@ -11,30 +11,22 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import StackConfig
-from .geom import PointCloud, RigidTransform, apply_transform, compose, rot_x, rot_z
+from .geom import (PointCloud, RigidTransform, apply_transform, compose, rot_x, rot_z,
+                   rotation_exp)
 from .orchestrator import (
     EpisodeOptions,
     EpisodeTrace,
+    GoalSchedule,
     Observation,
     TaskInstance,
-    _OrchestratorCore,
-    _execute_action,
-    estimate_relative_goal,
-    metric_mean_flow,
-    observe_object,
-    reach_check,
     run_episode,
-    StandoffPose,
-    QP_STAND,
-    WALKING,
 )
 from .policy import (
-    GoalSpec,
     NoPlanError,
     ObjectCentricAction,
     PlanningBaselineParams,
@@ -47,7 +39,6 @@ from .policy import (
 from .register import icp_register, register_with_augmentation
 from .sensing import full_scan, hidden_point_removal
 from .simworld import Box, Compound, ConvexMesh, Cylinder, SimObject, rest_pose_on_ground
-from .orchestrator import EpisodeFault
 
 SUMMARY_SCHEMA = "legpress-summary-v1"
 TASK_NAMES = ("box_push_fixed", "box_push_random", "box_flip_push_random",
@@ -59,6 +50,18 @@ OBJECT_START_XY = (0.34, 0.0)
 # procedural object set (stand-in for the unavailable reference set)
 
 
+def _l_prism(a, b, h) -> Compound:
+    """a x b bar with a b x b foot on one end."""
+    return Compound(((Box((a, b, h)), (0.0, 0.0, 0.0)),
+                     (Box((b, b, h)), (-(a - b) / 2.0, b, 0.0))))
+
+
+def _t_prism(a, b, h) -> Compound:
+    """a x b bar with a centred b x 0.7a stem."""
+    return Compound(((Box((a, b, h)), (0.0, 0.0, 0.0)),
+                     (Box((b, a * 0.7, h)), (0.0, (b + a * 0.7) / 2.0, 0.0))))
+
+
 def _procedural_shape(index: int):
     rng = np.random.default_rng(1_000_003 + index)
     kind = index % 4
@@ -67,18 +70,9 @@ def _procedural_shape(index: int):
         return Box(tuple(round(d, 4) for d in dims))
     if kind == 1:
         return Cylinder(round(rng.uniform(0.025, 0.05), 4), round(rng.uniform(0.04, 0.08), 4))
-    if kind == 2:  # L-prism
-        a = rng.uniform(0.07, 0.10)
-        b = rng.uniform(0.04, 0.06)
-        h = rng.uniform(0.04, 0.06)
-        return Compound(((Box((a, b, h)), (0.0, 0.0, 0.0)),
-                         (Box((b, b, h)), (-(a - b) / 2.0, b, 0.0))))
-    # T-prism
-    a = rng.uniform(0.08, 0.10)
-    b = rng.uniform(0.035, 0.05)
-    h = rng.uniform(0.04, 0.06)
-    return Compound(((Box((a, b, h)), (0.0, 0.0, 0.0)),
-                     (Box((b, a * 0.7, h)), (0.0, (b + a * 0.7) / 2.0, 0.0))))
+    if kind == 2:
+        return _l_prism(rng.uniform(0.07, 0.10), rng.uniform(0.04, 0.06), rng.uniform(0.04, 0.06))
+    return _t_prism(rng.uniform(0.08, 0.10), rng.uniform(0.035, 0.05), rng.uniform(0.04, 0.06))
 
 
 def object_catalog(split: str = "train") -> list:
@@ -111,7 +105,8 @@ def _rest_object(shape, rng, cfg: StackConfig, yaw_jitter: float) -> SimObject:
     obj = SimObject.from_shape(shape, RigidTransform.identity())
     yaw = float(rng.uniform(-yaw_jitter, yaw_jitter))
     obj.pose = rest_pose_on_ground(shape, xy=OBJECT_START_XY, yaw=yaw,
-                                   contact=cfg.contact, mass=obj.mass)
+                                   contact=cfg.contact, mass=obj.mass,
+                                   gravity=cfg.sim.gravity)
     return obj
 
 
@@ -341,71 +336,36 @@ def multi_step_protocol(policy_name: str, seed: int = 0,
     """Push the box one meter forward in sub-goal increments, re-observing
     and repositioning the base after every action.
 
-    Fails on exceeding the step budget or drifting laterally past the limit.
+    Runs on run_episode with a goal schedule: each action aims
+    sub_goal_distance ahead of the object's current pose, and the verdict
+    fails on exceeding the step budget or drifting laterally past the limit.
     """
     config = config or StackConfig()
     options = options or EpisodeOptions(reposition="walk")
-    provider = make_provider(policy_name)
-    rng = np.random.default_rng(seed)
-
     task = sample_task(TaskSpec("multi_step_1m"), seed, config)
-    from .simworld import standing_world
-    world = standing_world(config, objects=[task.obj.copy()])
-    obj = world.objects[0]
-    core = _OrchestratorCore(world, options, rng)
-    trace = EpisodeTrace(task.name, seed)
-    core.trace = trace
+    x_start = float(task.obj.pose.translation[0])
+    y_start = float(task.obj.pose.translation[1])
 
-    x_start = float(obj.pose.translation[0])
-    y_start = float(obj.pose.translation[1])
-    x_target = x_start + target_distance
+    def y_err_cm(pose: RigidTransform) -> float:
+        return abs(float(pose.translation[1]) - y_start) * 100.0
 
-    def y_err_cm() -> float:
-        return abs(float(obj.pose.translation[1]) - y_start) * 100.0
+    def sub_goal(obj: SimObject) -> RigidTransform:
+        dy = -float(obj.pose.translation[1] - y_start) if y_correction else 0.0
+        return RigidTransform(obj.pose.rotation,
+                              obj.pose.translation + np.array([sub_goal_distance, dy, 0.0]))
 
-    standoff = reach_check(obj.pose.translation, world, options.leg)
-    if isinstance(standoff, StandoffPose):
-        core.teleport_to(standoff)
-    steps = 0
-    try:
-        core.run_for(options.settle_time)
-        while True:
-            if float(obj.pose.translation[0]) - x_start >= target_distance:
-                return MultiStepResult(steps, y_err_cm(), "success")
-            if steps >= max_steps:
-                return MultiStepResult(steps, y_err_cm(), "fail_steps")
-            if y_err_cm() > y_limit * 100.0:
-                return MultiStepResult(steps, y_err_cm(), "fail_y")
+    def verdict(obj: SimObject, mean_flow: float, steps_used: int) -> str | None:
+        if float(obj.pose.translation[0]) - x_start >= target_distance:
+            return "success"
+        if steps_used >= max_steps:
+            return "fail_steps"
+        if y_err_cm(obj.pose) > y_limit * 100.0:
+            return "fail_y"
+        return None
 
-            reach = reach_check(obj.pose.translation, world, options.leg)
-            if isinstance(reach, StandoffPose):
-                if options.reposition == "teleport":
-                    core.teleport_to(reach)
-                    core.run_for(options.settle_time)
-                else:
-                    core.transition(WALKING)
-                    if not core.walk_to(reach):
-                        return MultiStepResult(steps, y_err_cm(), "fault:walking_timeout")
-                continue
-
-            obs_seed = int(rng.integers(2 ** 31))
-            observed = observe_object(core, 0, obs_seed)
-            dy = -float(obj.pose.translation[1] - y_start) if y_correction else 0.0
-            sub_goal_pose = RigidTransform(
-                obj.pose.rotation,
-                obj.pose.translation + np.array([sub_goal_distance, dy, 0.0]))
-            sub_task = TaskInstance(task.name, obj, sub_goal_pose, seed)
-            rel = estimate_relative_goal(core, sub_task, observed, obs_seed)
-            goal = GoalSpec.from_cloud(rel, observed)
-            action = provider(Observation(observed, goal, obj, int(rng.integers(2 ** 31))))
-            if action is None or isinstance(action, str):
-                return MultiStepResult(steps, y_err_cm(), "fault:no_action")
-            steps += 1
-            _execute_action(core, observed, action, config)
-    except EpisodeFault as e:
-        return MultiStepResult(steps, y_err_cm(), f"fault:{e}")
-    except Exception as e:  # empty observation and friends count as faults
-        return MultiStepResult(steps, y_err_cm(), f"fault:{type(e).__name__}")
+    trace = run_episode(task, make_provider(policy_name), options, config,
+                        schedule=GoalSchedule(sub_goal, verdict))
+    return MultiStepResult(trace.steps_used, y_err_cm(trace.final_pose), trace.outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +374,10 @@ def multi_step_protocol(policy_name: str, seed: int = 0,
 
 def _asymmetric_shape(rng):
     kind = int(rng.integers(3))
-    if kind == 0:  # L-prism
-        a, b, h = rng.uniform(0.07, 0.11), rng.uniform(0.04, 0.06), rng.uniform(0.04, 0.06)
-        return Compound(((Box((a, b, h)), (0.0, 0.0, 0.0)),
-                         (Box((b, b, h)), (-(a - b) / 2.0, b, 0.0))))
-    if kind == 1:  # T-prism
-        a, b, h = rng.uniform(0.08, 0.11), rng.uniform(0.035, 0.05), rng.uniform(0.04, 0.06)
-        return Compound(((Box((a, b, h)), (0.0, 0.0, 0.0)),
-                         (Box((b, a * 0.7, h)), (0.0, (b + a * 0.7) / 2.0, 0.0))))
+    if kind == 0:
+        return _l_prism(rng.uniform(0.07, 0.11), rng.uniform(0.04, 0.06), rng.uniform(0.04, 0.06))
+    if kind == 1:
+        return _t_prism(rng.uniform(0.08, 0.11), rng.uniform(0.035, 0.05), rng.uniform(0.04, 0.06))
     pts = rng.uniform(-0.05, 0.05, size=(14, 3))
     return ConvexMesh(tuple(map(tuple, pts)))
 
@@ -466,7 +422,6 @@ def registration_benchmark(n_cases: int = 200, seed: int = 0,
         angle = math.radians(rng.uniform(0.0, max_rotation_deg))
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        from .geom import rotation_exp
         true = RigidTransform.rotation_about(rotation_exp(axis * angle), scan.centroid)
         true = compose(RigidTransform(np.eye(3), rng.uniform(-0.05, 0.05, size=3)), true)
         target = apply_transform(true, full_scan(obj, 400, seed=int(rng.integers(2 ** 31))))

@@ -5,14 +5,20 @@ interaction: stand and observe, shift the COM into the three-foot support
 triangle, execute the swing plan with the manipulation leg under impedance
 while the stance legs run force MPC, lower the leg and recover, and walk
 (or, in simulation-protocol mode, teleport) whenever the object leaves the
-manipulation workspace. Episodes terminate on success (mean goal flow under
-the threshold), on the action budget, or on a controller fault.
+manipulation workspace.
+
+A goal schedule decides where each action aims and when the episode ends.
+The default schedule is one fixed goal: success once the mean goal flow is
+under the threshold, otherwise the action budget. Distant goals use moving
+sub-goals and their own verdict on the same loop. Controller faults end any
+episode with a fault outcome.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +31,6 @@ from .sensing import (
     CameraModel,
     EmptyObservationError,
     full_scan,
-    render_background_cloud,
     render_object_cloud,
 )
 from .simworld import (
@@ -120,7 +125,6 @@ class Observation:
     goal: GoalSpec
     obj: SimObject  # shape/pose access for the geometric baselines
     seed: int  # per-call policy seed
-    background: PointCloud | None = None
 
 
 @dataclass
@@ -131,7 +135,26 @@ class EpisodeOptions:
     leg: str = "front_left"
     settle_time: float = 0.3
     observe_mode: str = "camera"  # camera | full (full bypasses occlusion)
-    record_background: bool = False
+
+
+@dataclass
+class GoalSchedule:
+    """Where each action aims and when the episode ends.
+
+    sub_goal(obj) is the world pose the next action should bring the object
+    to. verdict(obj, mean_flow, steps_used) runs once after settling and once
+    after every action; it returns the outcome, or None to keep going. The
+    verdict owns the action budget."""
+    sub_goal: Callable[[SimObject], RigidTransform]
+    verdict: Callable[[SimObject, float, int], str | None]
+
+    @staticmethod
+    def single_goal(task: TaskInstance, max_steps: int) -> "GoalSchedule":
+        def verdict(obj, mean_flow, steps_used):
+            if mean_flow < task.success_threshold:
+                return "success"
+            return "max_steps" if steps_used >= max_steps else None
+        return GoalSchedule(lambda obj: task.goal_pose, verdict)
 
 
 @dataclass
@@ -146,6 +169,7 @@ class EpisodeTrace:
     outcome: str = "incomplete"
     steps_used: int = 0
     final_mean_flow: float = float("nan")
+    final_pose: RigidTransform | None = None  # object pose at the end; not in the file
 
     @property
     def success(self) -> bool:
@@ -207,7 +231,6 @@ class _OrchestratorCore:
         self.executor: SwingExecutor | None = None
         self.manip_leg = LEG_INDEX[options.leg]
         self.trace: EpisodeTrace | None = None
-        self.fault_reason: str | None = None
         self._swing_marks: dict = {}
 
     # -- state machine plumbing ------------------------------------------
@@ -332,6 +355,16 @@ class _OrchestratorCore:
 
     # -- repositioning -------------------------------------------------------
 
+    def reposition(self, standoff: StandoffPose) -> bool:
+        """Teleport or walk the base onto the standoff pose, as the options
+        say; False when the walk times out."""
+        if self.options.reposition == "teleport":
+            self.teleport_to(standoff)
+            self.run_for(self.options.settle_time)
+            return True
+        self.transition(WALKING)
+        return self.walk_to(standoff)
+
     def teleport_to(self, standoff: StandoffPose) -> None:
         """Simulation-protocol reset of the base onto the standoff pose with
         a small pose perturbation, feet re-seated under the shoulders."""
@@ -391,17 +424,17 @@ def observe_object(core: _OrchestratorCore, object_index: int, seed: int) -> Poi
                                core.cfg.camera.object_points, seed)
 
 
-def estimate_relative_goal(core: _OrchestratorCore, task: TaskInstance,
+def estimate_relative_goal(core: _OrchestratorCore, goal_pose: RigidTransform,
                            observed: PointCloud, seed: int) -> RigidTransform:
     """Transform from the current object pose to the goal pose."""
     obj = core.world.objects[0]
     if core.options.pose_source == "register":
-        target_obj = SimObject(obj.shape, task.goal_pose, mass=obj.mass,
+        target_obj = SimObject(obj.shape, goal_pose, mass=obj.mass,
                                inertia=obj.inertia)
         target = full_scan(target_obj, max(len(observed), 400), seed + 17)
         result = register_with_augmentation(observed, target, seed=seed + 31)
         return result.transform
-    return compose(task.goal_pose, obj.pose.inverse())
+    return compose(goal_pose, obj.pose.inverse())
 
 
 def metric_mean_flow(task: TaskInstance, obj: SimObject, local_cloud: np.ndarray) -> float:
@@ -411,9 +444,11 @@ def metric_mean_flow(task: TaskInstance, obj: SimObject, local_cloud: np.ndarray
 
 
 def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | None = None,
-                config: StackConfig | None = None, seed: int | None = None) -> EpisodeTrace:
+                config: StackConfig | None = None, seed: int | None = None,
+                schedule: GoalSchedule | None = None) -> EpisodeTrace:
     """Closed-loop episode: observe, act through the FSM, repeat until the
-    goal flow drops under the threshold or the budget is exhausted.
+    schedule's verdict ends it (by default: goal flow under the threshold, or
+    the action budget spent).
 
     Faults (timeouts, divergence, empty observations) end the episode with a
     fault outcome; they never raise out of the harness.
@@ -421,6 +456,7 @@ def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | N
     options = options or EpisodeOptions()
     config = config or StackConfig()
     seed = task.seed if seed is None else seed
+    schedule = schedule or GoalSchedule.single_goal(task, options.max_steps)
     rng = np.random.default_rng(seed)
 
     world = standing_world(config, objects=[task.obj.copy()])
@@ -443,6 +479,7 @@ def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | N
         trace.outcome = outcome
         trace.final_mean_flow = mean if mean is not None else \
             metric_mean_flow(task, obj, local_pts)
+        trace.final_pose = obj.pose
         return trace
 
     standoff = reach_check(obj.pose.translation, world, options.leg)
@@ -452,19 +489,12 @@ def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | N
     try:
         core.run_for(options.settle_time)
         mean = check_success()
-        if mean < task.success_threshold:
-            return finish("success", mean)
-
-        while trace.steps_used < options.max_steps:
+        outcome = schedule.verdict(obj, mean, trace.steps_used)
+        while outcome is None:
             reach = reach_check(obj.pose.translation, world, options.leg)
             if isinstance(reach, StandoffPose):
-                if options.reposition == "teleport":
-                    core.teleport_to(reach)
-                    core.run_for(options.settle_time)
-                else:
-                    core.transition(WALKING)
-                    if not core.walk_to(reach):
-                        return finish("fault:walking_timeout", check_success())
+                if not core.reposition(reach):
+                    return finish("fault:walking_timeout", check_success())
                 continue  # re-run the reach check from the new base
 
             obs_seed = int(rng.integers(2 ** 31))
@@ -473,40 +503,30 @@ def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | N
             except EmptyObservationError:
                 return finish("fault:empty_observation", check_success())
 
-            rel = estimate_relative_goal(core, task, observed, obs_seed)
-            goal = GoalSpec.from_cloud(rel, observed)
-            background = None
-            if options.record_background:
-                background = render_background_cloud(world, core.camera,
-                                                     config.camera.background_points,
-                                                     obs_seed + 1)
-            obs = Observation(observed, goal, obj, int(rng.integers(2 ** 31)), background)
+            goal_pose = schedule.sub_goal(obj)
+            rel = estimate_relative_goal(core, goal_pose, observed, obs_seed)
+            obs = Observation(observed, GoalSpec.from_cloud(rel, observed), obj,
+                              int(rng.integers(2 ** 31)))
             action = policy_provider(obs)
             trace.steps_used += 1
             if action is None:
                 return finish("fault:no_action", check_success())
             if isinstance(action, str) and action == "oracle_teleport":
-                obj.pose = task.goal_pose  # debug upper bound
+                obj.pose = goal_pose  # debug upper bound
                 obj.linear_velocity[:] = 0.0
                 obj.angular_velocity[:] = 0.0
-                mean = check_success()
-                return finish("success" if mean < task.success_threshold else "max_steps",
-                              mean)
-
-            rec = {"type": "action", "t": round(world.time, 6), "step": trace.steps_used,
-                   "contact_index": int(action.contact_index),
-                   "motion": [round(float(v), 6) for v in action.motion_params],
-                   "leg": action.leg}
-            trace.actions.append(rec)
-            trace.records.append(rec)
-
-            _execute_action(core, observed, action, config)
+            else:
+                rec = {"type": "action", "t": round(world.time, 6), "step": trace.steps_used,
+                       "contact_index": int(action.contact_index),
+                       "motion": [round(float(v), 6) for v in action.motion_params],
+                       "leg": action.leg}
+                trace.actions.append(rec)
+                trace.records.append(rec)
+                _execute_action(core, observed, action, config)
 
             mean = check_success()
-            if mean < task.success_threshold:
-                return finish("success", mean)
-
-        return finish("max_steps", check_success())
+            outcome = schedule.verdict(obj, mean, trace.steps_used)
+        return finish(outcome, mean)
     except EpisodeFault as e:
         return finish(f"fault:{e}")
 
@@ -533,7 +553,6 @@ def _execute_action(core: _OrchestratorCore, observed: PointCloud,
         plan = plan_swing(contact, motion, leg, world.robot.srb, config.swing,
                           leg_index, foot_start=world.robot.feet_pos[leg_index])
     except UnreachableActionError:
-        core.fault_reason = "unreachable_contact"
         return
 
     # COM shift into the remaining support triangle

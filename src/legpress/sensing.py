@@ -207,30 +207,3 @@ def render_object_cloud(world: WorldState, cam: CameraModel, object_index: int,
     pts, nrm = pts[vis], nrm[vis]
     pts, nrm = _resample(pts, nrm, n_points, rng)
     return PointCloud(pts, nrm, "world")
-
-
-def render_background_cloud(world: WorldState, cam: CameraModel, n_points: int,
-                            seed: int) -> PointCloud:
-    """Ground-plane points inside the frustum (kept in traces for parity with
-    the observation definition; the policy does not consume it)."""
-    rng = np.random.default_rng(seed)
-    pose = cam.pose_in_world(world.robot.srb.position, world.robot.srb.rotation())
-    th, tv = cam.tan_half_fov
-    pts = []
-    tries = 0
-    while len(pts) < n_points and tries < 200 * n_points:
-        tries += 1
-        u = rng.uniform(-th, th)
-        v = rng.uniform(-tv, tv)
-        ray = pose.rotation @ np.array([u, v, 1.0])
-        if ray[2] > -1e-6:
-            continue
-        s = -pose.translation[2] / ray[2]
-        pts.append(pose.translation + s * ray)
-    if not pts:
-        raise EmptyObservationError("ground plane not visible")
-    pts = np.asarray(pts)
-    if len(pts) < n_points:
-        pts = pts[rng.choice(len(pts), size=n_points, replace=True)]
-    normals = np.tile(np.array([0.0, 0.0, 1.0]), (n_points, 1))
-    return PointCloud(pts[:n_points], normals, "world")

@@ -536,16 +536,18 @@ class SimObject:
 
 def rest_pose_on_ground(shape, xy=(0.0, 0.0), yaw: float = 0.0,
                         contact: ContactConfig | None = None,
-                        mass: float | None = None) -> RigidTransform:
-    """Pose with the shape resting on z=0, settled to penalty equilibrium when
-    the contact parameters and mass are supplied."""
+                        mass: float | None = None,
+                        gravity: float = SimConfig.gravity) -> RigidTransform:
+    """Pose with the shape resting on z=0, settled to penalty equilibrium
+    under the given gravity when the contact parameters and mass are
+    supplied."""
     R = euler_zyx_to_matrix(0.0, 0.0, yaw)
     verts = shape.vertices() @ R.T
     zmin = float(verts[:, 2].min())
     z = -zmin
     if contact is not None and mass is not None:
         n_support = int(np.sum(verts[:, 2] < zmin + 1e-9))
-        z -= mass * 9.81 / (contact.k_normal * max(n_support, 1))
+        z -= mass * gravity / (contact.k_normal * max(n_support, 1))
     return RigidTransform(R, np.array([xy[0], xy[1], z]))
 
 

@@ -11,7 +11,6 @@ Kp is what the foot presses with.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .simworld import (
     leg_forward_kinematics,
     leg_inverse_kinematics,
     leg_jacobian,
-    leg_jacobian_local,
 )
 
 WORKSPACE_RADIUS_FACTOR = 0.95
@@ -60,26 +58,11 @@ class ImpedanceCommand:
     singular: bool = False
 
 
-def impedance_torque(leg: LegModel, trunk: SrbState, p_des, v_des,
-                     gains: ImpedanceGains) -> ImpedanceCommand:
-    """Exactly the foot-space PD law; near-singular Jacobians still produce
-    torques but are flagged."""
-    p_foot = leg_forward_kinematics(leg, trunk)
-    J = leg_jacobian(leg, trunk)
-    R = trunk.rotation()
-    v_foot = (trunk.linear_velocity
-              + np.cross(trunk.angular_velocity, p_foot - trunk.position)
-              + R @ (leg_jacobian_local(leg) @ leg.joint_velocities))
-    f = gains.K_p @ (np.asarray(p_des, dtype=float) - p_foot) \
-        + gains.K_d @ (np.asarray(v_des, dtype=float) - v_foot)
-    singular = abs(float(np.linalg.det(J))) < 1e-6
-    return ImpedanceCommand(J.T @ f, singular)
-
-
 def impedance_torque_tracking(leg: LegModel, trunk: SrbState, p_foot, v_foot,
                               p_des, v_des, gains: ImpedanceGains) -> ImpedanceCommand:
-    """Same law with measured foot state supplied directly (the simulator
-    knows the foot point exactly; no joint-velocity reconstruction needed)."""
+    """Exactly the foot-space PD law, with the measured foot state supplied
+    by the caller (the simulator knows the foot point and velocity exactly).
+    Near-singular Jacobians still produce torques but are flagged."""
     J = leg_jacobian(leg, trunk)
     f = gains.K_p @ (np.asarray(p_des, dtype=float) - np.asarray(p_foot, dtype=float)) \
         + gains.K_d @ (np.asarray(v_des, dtype=float) - np.asarray(v_foot, dtype=float))

@@ -11,7 +11,6 @@ from legpress.sensing import (
     estimate_normals,
     full_scan,
     hidden_point_removal,
-    render_background_cloud,
     render_object_cloud,
 )
 from legpress.simworld import Box, SimObject, rest_pose_on_ground, standing_world
@@ -154,17 +153,6 @@ def test_render_object_behind_camera_raises():
     cam = CameraModel.from_config(world.config.camera)
     with pytest.raises(EmptyObservationError):
         render_object_cloud(world, cam, 0, 400, seed=13)
-
-
-def test_background_cloud_on_ground_inside_frustum():
-    world = world_with_box()
-    cam = CameraModel.from_config(world.config.camera)
-    bg = render_background_cloud(world, cam, 400, seed=14)
-    assert len(bg) == 400
-    assert np.max(np.abs(bg.points[:, 2])) < 1e-9
-    pose = cam.pose_in_world(world.robot.srb.position, world.robot.srb.rotation())
-    cam_pts = pose.inverse().apply(bg.points)
-    assert np.all(cam.in_frustum(cam_pts, near=0.0))
 
 
 # -- normals ---------------------------------------------------------------------

@@ -10,6 +10,8 @@ from legpress.simworld import (
     SimObject,
     SrbState,
     leg_forward_kinematics,
+    leg_jacobian,
+    leg_jacobian_local,
     make_legs,
     rest_pose_on_ground,
     standing_world,
@@ -20,7 +22,6 @@ from legpress.swingctl import (
     SwingExecutor,
     UnreachableActionError,
     clip_to_workspace,
-    impedance_torque,
     impedance_torque_tracking,
     is_reachable,
     plan_swing,
@@ -49,26 +50,34 @@ def fd_jacobian(leg, trunk, eps=1e-7):
     return J
 
 
+def foot_state(leg, trunk):
+    """Foot position from forward kinematics and foot velocity rebuilt from
+    the trunk twist and the leg-frame Jacobian times the joint velocities."""
+    p_foot = leg_forward_kinematics(leg, trunk)
+    v_foot = trunk.linear_velocity + np.cross(trunk.angular_velocity, p_foot - trunk.position) \
+        + trunk.rotation() @ (leg_jacobian_local(leg) @ leg.joint_velocities)
+    return p_foot, v_foot
+
+
 def test_zero_error_zero_torque():
     world, leg = setup_leg()
     trunk = world.robot.srb
-    p = leg_forward_kinematics(leg, trunk)
+    p, v = foot_state(leg, trunk)
     gains = ImpedanceGains.from_config(world.config.swing)
-    cmd = impedance_torque(leg, trunk, p, np.zeros(3), gains)
+    cmd = impedance_torque_tracking(leg, trunk, p, v, p, np.zeros(3), gains)
     assert np.max(np.abs(cmd.torques)) < 1e-10
 
 
 def test_unit_error_matches_fd_jacobian_transpose():
     world, leg = setup_leg()
     trunk = world.robot.srb
-    p = leg_forward_kinematics(leg, trunk)
+    p, v = foot_state(leg, trunk)
     e = np.array([0.3, -0.2, 0.5])
     gains = ImpedanceGains(450.0 * np.eye(3), np.zeros((3, 3)))
-    cmd = impedance_torque(leg, trunk, p + e, np.zeros(3), gains)
+    cmd = impedance_torque_tracking(leg, trunk, p, v, p + e, np.zeros(3), gains)
     expected = fd_jacobian(leg, trunk).T @ (450.0 * e)
     assert np.max(np.abs(cmd.torques - expected)) < 1e-4  # fd-limited
     # algebraic exactness against the analytic jacobian
-    from legpress.simworld import leg_jacobian
     exact = leg_jacobian(leg, trunk).T @ (450.0 * e)
     assert np.max(np.abs(cmd.torques - exact)) < 1e-10
 
@@ -78,8 +87,10 @@ def test_zero_gains_zero_torque_any_state():
     world, leg = setup_leg()
     trunk = world.robot.srb
     gains = ImpedanceGains(np.zeros((3, 3)), np.zeros((3, 3)))
+    p, v = foot_state(leg, trunk)
     for _ in range(20):
-        cmd = impedance_torque(leg, trunk, rng.normal(size=3), rng.normal(size=3), gains)
+        cmd = impedance_torque_tracking(leg, trunk, p, v, rng.normal(size=3),
+                                        rng.normal(size=3), gains)
         assert np.max(np.abs(cmd.torques)) == 0.0
 
 
@@ -93,13 +104,9 @@ def test_torque_law_exactness_with_velocity_term():
     gains = ImpedanceGains(450.0 * np.eye(3), 10.0 * np.eye(3))
     p_des = rng.normal(size=3)
     v_des = rng.normal(size=3)
-    cmd = impedance_torque(leg, trunk, p_des, v_des, gains)
+    p_foot, v_foot = foot_state(leg, trunk)
+    cmd = impedance_torque_tracking(leg, trunk, p_foot, v_foot, p_des, v_des, gains)
     # reconstruct from independently evaluated pieces
-    from legpress.simworld import leg_jacobian, leg_jacobian_local
-    p_foot = leg_forward_kinematics(leg, trunk)
-    R = trunk.rotation()
-    v_foot = trunk.linear_velocity + np.cross(trunk.angular_velocity, p_foot - trunk.position) \
-        + R @ (leg_jacobian_local(leg) @ leg.joint_velocities)
     f = 450.0 * (p_des - p_foot) + 10.0 * (v_des - v_foot)
     expected = leg_jacobian(leg, trunk).T @ f
     assert np.max(np.abs(cmd.torques - expected)) < 1e-10
@@ -108,7 +115,8 @@ def test_torque_law_exactness_with_velocity_term():
 def test_singularity_flag_on_straight_leg():
     world, leg = setup_leg((0.0, 0.3, -1e-9))
     gains = ImpedanceGains.from_config(world.config.swing)
-    cmd = impedance_torque(leg, world.robot.srb, np.zeros(3), np.zeros(3), gains)
+    p, v = foot_state(leg, world.robot.srb)
+    cmd = impedance_torque_tracking(leg, world.robot.srb, p, v, np.zeros(3), np.zeros(3), gains)
     assert cmd.singular
     assert np.all(np.isfinite(cmd.torques))
 
