@@ -152,10 +152,11 @@ def cmd_replay(args) -> int:
     print(f"task={trace.task} seed={trace.seed} schema={trace.schema}")
     print(f"outcome={trace.outcome} steps_used={trace.steps_used}")
     print(f"final_mean_flow={trace.final_mean_flow!r}")
+    print(f"success_threshold={trace.success_threshold!r}")
     print(f"actions={len(trace.actions)} checks={len(trace.rewards)}")
     if trace.rewards:
         print(f"final_reward={trace.rewards[-1]!r}")
-        recomputed_success = -trace.rewards[-1] < 0.03
+        recomputed_success = -trace.rewards[-1] < trace.success_threshold
         consistent = recomputed_success == trace.success
         print(f"success_consistency={'ok' if consistent else 'MISMATCH'}")
         return 0 if consistent else 3

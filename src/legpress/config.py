@@ -29,8 +29,6 @@ import configparser
 import os
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 ENV_CONFIG_VAR = "LEGPRESS_CONFIG"
 
 

@@ -8,7 +8,7 @@ Conventions used throughout the stack:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

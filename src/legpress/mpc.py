@@ -23,7 +23,7 @@ import numpy as np
 from .config import GaitConfig, MpcConfig
 from .geom import rot_z, skew
 from .qpsolve import QpProblem, QpSolver
-from .simworld import LegModel, RobotState, SrbState, leg_jacobian
+from .simworld import LegModel, RobotState, SrbState, leg_jacobians_local
 
 N_LEGS = 4
 NX = 13
@@ -284,14 +284,12 @@ class ForceMpc:
 
 
 def stance_torques(robot: RobotState, forces: np.ndarray) -> np.ndarray:
-    """Joint torques realizing ground reaction forces: tau = -J^T f per leg."""
-    from .simworld import leg_jacobian_local
+    """Joint torques realizing ground reaction forces: tau = -J^T f per leg,
+    as one stacked product over the legs (bit-equal to the per-leg one)."""
     R = robot.rotation()
-    tau = np.zeros((N_LEGS, 3))
-    for i, leg in enumerate(robot.legs):
-        Jl = leg_jacobian_local(leg)
-        tau[i] = -Jl.T @ (R.T @ np.asarray(forces[i], dtype=float))
-    return tau
+    Jl = leg_jacobians_local(robot.legs)
+    f = np.array(forces, dtype=float).reshape(N_LEGS, 3)
+    return ((-Jl.transpose(0, 2, 1)) @ (R.T @ f[:, :, None]))[:, :, 0]
 
 
 def raibert_foothold(leg: LegModel, command_velocity, gait: GaitSchedule,

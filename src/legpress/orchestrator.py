@@ -169,6 +169,8 @@ class EpisodeTrace:
     outcome: str = "incomplete"
     steps_used: int = 0
     final_mean_flow: float = float("nan")
+    # the task's threshold; files written before it was stored read as 0.03
+    success_threshold: float = 0.03
     final_pose: RigidTransform | None = None  # object pose at the end; not in the file
 
     @property
@@ -180,7 +182,8 @@ class EpisodeTrace:
             fh.write(json.dumps({"schema": self.schema, "task": self.task,
                                  "seed": self.seed, "outcome": self.outcome,
                                  "steps_used": self.steps_used,
-                                 "final_mean_flow": self.final_mean_flow},
+                                 "final_mean_flow": self.final_mean_flow,
+                                 "success_threshold": self.success_threshold},
                                 sort_keys=True) + "\n")
             for rec in self.records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -193,6 +196,7 @@ class EpisodeTrace:
             trace.outcome = head["outcome"]
             trace.steps_used = head["steps_used"]
             trace.final_mean_flow = head["final_mean_flow"]
+            trace.success_threshold = head.get("success_threshold", trace.success_threshold)
             for line in fh:
                 rec = json.loads(line)
                 trace.records.append(rec)
@@ -462,7 +466,7 @@ def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | N
     world = standing_world(config, objects=[task.obj.copy()])
     obj = world.objects[0]
     core = _OrchestratorCore(world, options, rng)
-    trace = EpisodeTrace(task.name, seed)
+    trace = EpisodeTrace(task.name, seed, success_threshold=task.success_threshold)
     core.trace = trace
 
     metric_rng = np.random.default_rng(seed ^ 0x5EED)

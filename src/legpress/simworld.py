@@ -14,9 +14,31 @@ machine precision instead of drifting with the naive w-update.
 
 Leg numbering: 0 = front-left, 1 = front-right, 2 = rear-left,
 3 = rear-right. World frame: x forward, y left, z up.
+
+Speed without changing a bit. The per-tick path (`step`, `_sync_legs` and
+the leg Jacobians the controllers read) is written so that every trajectory
+is bit-identical to the plain numpy formulation:
+  - every reduction keeps its numpy call on the same operands: matrix and
+    vector `@`, dot, `np.linalg.norm`, `inv`, `solve`, `det` and `svd`.
+    Hand-written 3x3 products and 3-vector dots are not bit-equal to them
+    (a hand-written dot differed from `a @ b` in 34 % of 20,000 random
+    cases), so none appear here;
+  - elementwise work runs on Python floats taken with one `.tolist()`:
+    + - * /, abs, min, max, copysign and scalar sqrt, sin and cos are the
+    same IEEE double operations, in the same order;
+  - a stacked `np.matmul` over the four legs, transposed operands included,
+    stands in for the per-leg products. With numpy 2.4 on OpenBLAS 0.3.31 it
+    gave the same bits as each per-leg `R @ Jl`, `R.T @ d` and `Jl.T @ x`
+    over 20,000 random cases; `tests/test_mpc.py` keeps the per-leg
+    reference for `stance_torques`;
+  - the rotation of an rpy value and a leg's local Jacobian for a
+    joint-angle value are computed once and shared, keyed on the bytes of
+    the values, so an in-place write can never read a stale matrix. Public
+    accessors hand out copies.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,10 +61,22 @@ _VEL_LIMIT = 100.0  # m/s; anything past this is a blown-up simulation
 _RENORM_EVERY = 64  # steps between orientation re-orthonormalizations
 
 
-def _cross(a, b) -> np.ndarray:
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+def _freeze(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _cross(a, b) -> tuple:
+    """a x b on float triples."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _point_velocity(v, w, t, p) -> tuple:
+    """Velocity v + w x (p - t) of the body point p, on float triples."""
+    c0, c1, c2 = _cross(w, (p[0] - t[0], p[1] - t[1], p[2] - t[2]))
+    return (v[0] + c0, v[1] + c1, v[2] + c2)
 
 
 class SimulationDivergence(RuntimeError):
@@ -75,7 +109,7 @@ class SrbState:
                                self.linear_velocity, [self.gravity_placeholder]])
 
     def rotation(self) -> np.ndarray:
-        return euler_zyx_to_matrix(*self.rpy)
+        return _rotation(self.rpy).copy()
 
     def copy(self) -> "SrbState":
         return SrbState(self.rpy, self.position, self.angular_velocity,
@@ -123,7 +157,18 @@ def make_legs(rc: RobotConfig) -> list[LegModel]:
 
 
 # ---------------------------------------------------------------------------
-# leg kinematics (plain float math: this runs 4x per 1 kHz step)
+# leg kinematics: float math on the joint angles; the rotation and the local
+# Jacobian are shared per value (see the module docstring)
+
+
+@functools.lru_cache(maxsize=16)
+def _rotation_of(rpy_bytes: bytes) -> np.ndarray:
+    return _freeze(euler_zyx_to_matrix(*np.frombuffer(rpy_bytes).tolist()))
+
+
+def _rotation(rpy: np.ndarray) -> np.ndarray:
+    """Read-only rotation matrix of a float64 rpy array, shared per value."""
+    return _rotation_of(rpy.tobytes())
 
 
 def _fk_local(q1, q2, q3, side, l_abd, lt, lc):
@@ -140,8 +185,9 @@ def _jac_local(q1, q2, q3, side, l_abd, lt, lc):
     s2, c2 = math.sin(q2), math.cos(q2)
     s23, c23 = math.sin(q2 + q3), math.cos(q2 + q3)
     s1, c1 = math.sin(q1), math.cos(q1)
-    px, py, pz = _fk_local(q1, q2, q3, side, l_abd, lt, lc)
-    dwx2 = -lt * c2 - lc * c23
+    dwx2 = -lt * c2 - lc * c23  # also the foot's z in the leg plane
+    wy = side * l_abd
+    py, pz = c1 * wy - s1 * dwx2, s1 * wy + c1 * dwx2  # as _fk_local computes them
     dwz2 = lt * s2 + lc * s23
     dwx3 = -lc * c23
     dwz3 = lc * s23
@@ -152,23 +198,35 @@ def _jac_local(q1, q2, q3, side, l_abd, lt, lc):
     ])
 
 
+@functools.lru_cache(maxsize=16)
+def _jac_of(q_bytes: bytes, side, l_abd, lt, lc) -> np.ndarray:
+    return _freeze(_jac_local(*np.frombuffer(q_bytes).tolist(), side, l_abd, lt, lc))
+
+
+def _leg_jac(leg: LegModel) -> np.ndarray:
+    """Read-only trunk-frame Jacobian of the leg's joint angles, shared per value."""
+    return _jac_of(leg.joint_angles.tobytes(), leg.side, *leg.link_lengths)
+
+
 def leg_forward_kinematics(leg: LegModel, trunk: SrbState) -> np.ndarray:
     """World-frame foot position from trunk pose and joint angles."""
-    q1, q2, q3 = leg.joint_angles
-    local = np.array(_fk_local(q1, q2, q3, leg.side, *leg.link_lengths))
-    return trunk.position + trunk.rotation() @ (leg.hip_offset + local)
+    local = np.array(_fk_local(*leg.joint_angles.tolist(), leg.side, *leg.link_lengths))
+    return trunk.position + _rotation(trunk.rpy) @ (leg.hip_offset + local)
 
 
 def leg_jacobian(leg: LegModel, trunk: SrbState) -> np.ndarray:
     """World-frame 3x3 Jacobian d(foot position)/d(joint angles)."""
-    q1, q2, q3 = leg.joint_angles
-    return trunk.rotation() @ _jac_local(q1, q2, q3, leg.side, *leg.link_lengths)
+    return _rotation(trunk.rpy) @ _leg_jac(leg)
 
 
 def leg_jacobian_local(leg: LegModel) -> np.ndarray:
     """Trunk-frame leg Jacobian (no trunk rotation applied)."""
-    q1, q2, q3 = leg.joint_angles
-    return _jac_local(q1, q2, q3, leg.side, *leg.link_lengths)
+    return _leg_jac(leg).copy()
+
+
+def leg_jacobians_local(legs) -> np.ndarray:
+    """Trunk-frame Jacobians of the legs, stacked (n, 3, 3)."""
+    return np.array([_leg_jac(leg) for leg in legs])
 
 
 @dataclass
@@ -181,8 +239,8 @@ class IkResult:
 def _ik_local(d, side, l_abd, lt, lc, limits):
     """Closed-form 3-DOF solve in the hip frame, knee-backward branch.
 
-    Returns joint angles or None when the point is outside the workspace or
-    joint limits.
+    Returns a joint-angle triple or None when the point is outside the
+    workspace or joint limits.
     """
     dx, dy, dz = d
     r = math.hypot(dy, dz)
@@ -196,7 +254,9 @@ def _ik_local(d, side, l_abd, lt, lc, limits):
         c1, s1 = math.cos(q1), math.sin(q1)
         z_leg = -s1 * dy + c1 * dz  # z in the rolled leg plane
         candidates.append((q1, z_leg))
-    candidates.sort(key=lambda c: c[1])  # prefer foot-below branch
+    if candidates[1][1] < candidates[0][1]:  # prefer foot-below branch
+        candidates.reverse()
+    (lo1, hi1), (lo2, hi2), (lo3, hi3) = limits
     for q1, z_leg in candidates:
         L2 = dx * dx + z_leg * z_leg
         L = math.sqrt(L2)
@@ -209,9 +269,8 @@ def _ik_local(d, side, l_abd, lt, lc, limits):
         q3 = -math.acos(D)
         gamma = math.acos(min(1.0, max(-1.0, (lt * lt + L2 - lc * lc) / (2.0 * lt * L))))
         q2 = math.atan2(-dx, -z_leg) + gamma
-        q = (q1, q2, q3)
-        if all(lo <= qi <= hi for qi, (lo, hi) in zip(q, limits)):
-            return np.array(q)
+        if lo1 <= q1 <= hi1 and lo2 <= q2 <= hi2 and lo3 <= q3 <= hi3:
+            return (q1, q2, q3)
     return None
 
 
@@ -219,12 +278,12 @@ def leg_inverse_kinematics(target: np.ndarray, leg: LegModel, trunk: SrbState) -
     """Joint angles reaching the world target, or an unreachable result
     carrying the closest reachable point, clamped along the hip-to-target ray
     onto the geometric reach band of the leg."""
-    R = trunk.rotation()
+    R = _rotation(trunk.rpy)
     hip_world = trunk.position + R @ leg.hip_offset
     d = R.T @ (np.asarray(target, dtype=float) - hip_world)
-    q = _ik_local(d, leg.side, *leg.link_lengths, leg.joint_limits)
+    q = _ik_local(d.tolist(), leg.side, *leg.link_lengths, leg.joint_limits)
     if q is not None:
-        return IkResult(True, q, np.asarray(target, dtype=float).copy())
+        return IkResult(True, np.array(q), np.asarray(target, dtype=float).copy())
 
     l_abd, lt, lc = leg.link_lengths
     r_max = math.hypot(l_abd, lt + lc)
@@ -237,46 +296,59 @@ def leg_inverse_kinematics(target: np.ndarray, leg: LegModel, trunk: SrbState) -
     return IkResult(False, None, hip_world + R @ (d * scale))
 
 
-def _solve3(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
+def _solve3(A: np.ndarray, b: np.ndarray) -> tuple[list, bool]:
     """3x3 solve by cofactors; damped least-squares fallback near singularity.
 
-    Returns (x, singular_flag)."""
-    a = A
-    det = (a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-           - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-           + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
+    Returns (x as a float list, singular_flag)."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A.tolist()
+    b0, b1, b2 = b.tolist()
+    det = (a00 * (a11 * a22 - a12 * a21)
+           - a01 * (a10 * a22 - a12 * a20)
+           + a02 * (a10 * a21 - a11 * a20))
     if abs(det) < 1e-6:
         lam = 1e-3
-        M = a.T @ a + lam * lam * np.eye(3)
-        return np.linalg.solve(M, a.T @ b), True
+        # copies keep the layout but not the offset into a stacked array, so
+        # the BLAS calls see the operands that per-leg products used to give
+        A, b = A.copy(order="K"), b.copy()
+        M = A.T @ A + lam * lam * np.eye(3)
+        return np.linalg.solve(M, A.T @ b).tolist(), True
     inv_det = 1.0 / det
-    x0 = (b[0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-          - a[0, 1] * (b[1] * a[2, 2] - a[1, 2] * b[2])
-          + a[0, 2] * (b[1] * a[2, 1] - a[1, 1] * b[2])) * inv_det
-    x1 = (a[0, 0] * (b[1] * a[2, 2] - a[1, 2] * b[2])
-          - b[0] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-          + a[0, 2] * (a[1, 0] * b[2] - b[1] * a[2, 0])) * inv_det
-    x2 = (a[0, 0] * (a[1, 1] * b[2] - b[1] * a[2, 1])
-          - a[0, 1] * (a[1, 0] * b[2] - b[1] * a[2, 0])
-          + b[0] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])) * inv_det
-    return np.array([x0, x1, x2]), False
+    x0 = (b0 * (a11 * a22 - a12 * a21)
+          - a01 * (b1 * a22 - a12 * b2)
+          + a02 * (b1 * a21 - a11 * b2)) * inv_det
+    x1 = (a00 * (b1 * a22 - a12 * b2)
+          - b0 * (a10 * a22 - a12 * a20)
+          + a02 * (a10 * b2 - b1 * a20)) * inv_det
+    x2 = (a00 * (a11 * b2 - b1 * a21)
+          - a01 * (a10 * b2 - b1 * a20)
+          + b0 * (a10 * a21 - a11 * a20)) * inv_det
+    return [x0, x1, x2], False
 
 
 # ---------------------------------------------------------------------------
 # shapes and objects
 
 
+# Each shape computes its vertex array once (`_verts`, read-only); the step
+# reads it directly and `vertices()` hands out a copy.
+
+
 @dataclass(frozen=True)
 class Box:
     extents: tuple  # full side lengths (x, y, z)
 
-    def vertices(self) -> np.ndarray:
+    def __post_init__(self):
         hx, hy, hz = (e / 2.0 for e in self.extents)
-        return np.array([(sx * hx, sy * hy, sz * hz)
-                         for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+        object.__setattr__(self, "_half", (hx, hy, hz))
+        object.__setattr__(self, "_verts", _freeze(np.array(
+            [(sx * hx, sy * hy, sz * hz)
+             for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])))
+
+    def vertices(self) -> np.ndarray:
+        return self._verts.copy()
 
     def signed_distance(self, p) -> tuple[float, np.ndarray]:
-        hx, hy, hz = (e / 2.0 for e in self.extents)
+        hx, hy, hz = self._half
         x, y, z = p
         qx, qy, qz = abs(x) - hx, abs(y) - hy, abs(z) - hz
         if qx <= 0.0 and qy <= 0.0 and qz <= 0.0:
@@ -327,12 +399,15 @@ class Cylinder:
     height: float
     sides: int = 16
 
-    def vertices(self) -> np.ndarray:
+    def __post_init__(self):
         ang = np.linspace(0.0, 2.0 * math.pi, self.sides, endpoint=False)
         ring = np.stack([self.radius * np.cos(ang), self.radius * np.sin(ang)], axis=1)
         top = np.column_stack([ring, np.full(self.sides, self.height / 2.0)])
         bot = np.column_stack([ring, np.full(self.sides, -self.height / 2.0)])
-        return np.vstack([top, bot])
+        object.__setattr__(self, "_verts", _freeze(np.vstack([top, bot])))
+
+    def vertices(self) -> np.ndarray:
+        return self._verts.copy()
 
     def signed_distance(self, p) -> tuple[float, np.ndarray]:
         x, y, z = p
@@ -346,8 +421,9 @@ class Cylinder:
             return dz, np.array([0.0, 0.0, math.copysign(1.0, z)])
         odr, odz = max(dr, 0.0), max(dz, 0.0)
         dist = math.hypot(odr, odz)
-        nr = np.array([x / rr, y / rr, 0.0]) if rr > 1e-12 else np.array([1.0, 0.0, 0.0])
-        n = (nr * odr + np.array([0.0, 0.0, math.copysign(odz, z)])) / dist
+        nx, ny = (x / rr, y / rr) if rr > 1e-12 else (1.0, 0.0)
+        n = np.array([(nx * odr + 0.0) / dist, (ny * odr + 0.0) / dist,
+                      (0.0 * odr + math.copysign(odz, z)) / dist])
         return dist, n
 
     def sample_surface(self, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +464,7 @@ class ConvexMesh:
         pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
         hull = ConvexHull(pts)
         object.__setattr__(self, "points", tuple(map(tuple, pts)))
-        object.__setattr__(self, "_verts", pts[hull.vertices])
+        object.__setattr__(self, "_verts", _freeze(pts[hull.vertices]))
         object.__setattr__(self, "_eqs", hull.equations)  # a.x + b <= 0 inside
         object.__setattr__(self, "_simplices", pts[hull.simplices])
 
@@ -451,14 +527,18 @@ class Compound:
 
     parts: tuple  # of (shape, offset 3-tuple)
 
-    def vertices(self) -> np.ndarray:
+    def __post_init__(self):
         vs = [shape.vertices() + np.asarray(off) for shape, off in self.parts]
-        return np.vstack(vs)
+        object.__setattr__(self, "_verts", _freeze(np.vstack(vs)))
+
+    def vertices(self) -> np.ndarray:
+        return self._verts.copy()
 
     def signed_distance(self, p) -> tuple[float, np.ndarray]:
+        p0, p1, p2 = p
         best = None
         for shape, off in self.parts:
-            d, n = shape.signed_distance(np.asarray(p, dtype=float) - np.asarray(off))
+            d, n = shape.signed_distance((p0 - off[0], p1 - off[1], p2 - off[2]))
             if best is None or d < best[0]:
                 best = (d, n)
         return best
@@ -524,9 +604,10 @@ class SimObject:
         m, I = shape.mass_properties(density)
         return SimObject(shape, pose, mass=m, inertia=I, friction=friction, name=name)
 
-    def velocity_at(self, point_world: np.ndarray) -> np.ndarray:
-        return self.linear_velocity + _cross(self.angular_velocity,
-                                             point_world - self.pose.translation)
+    def velocity_at(self, point_world) -> np.ndarray:
+        return np.array(_point_velocity(self.linear_velocity.tolist(),
+                                        self.angular_velocity.tolist(),
+                                        self.pose.translation.tolist(), point_world))
 
     def copy(self) -> "SimObject":
         return SimObject(self.shape, self.pose, self.linear_velocity.copy(),
@@ -576,7 +657,7 @@ class RobotState:
         return self.srb.rotation()
 
     def hip_world(self, i: int) -> np.ndarray:
-        return self.srb.position + self.rotation() @ self.legs[i].hip_offset
+        return self.srb.position + _rotation(self.srb.rpy) @ self.legs[i].hip_offset
 
     def copy(self) -> "RobotState":
         return RobotState(self.srb.copy(), [l.copy() for l in self.legs],
@@ -628,32 +709,43 @@ def _sync_legs(world: WorldState) -> None:
     drifted out of the workspace back onto the reachable boundary."""
     robot = world.robot
     srb = robot.srb
-    R = srb.rotation()
+    R = _rotation(srb.rpy)
     mf = world.config.robot.foot_mass
+    hips = np.array([leg.hip_offset for leg in robot.legs])
+    hip_world = srb.position + (R @ hips[:, :, None])[:, :, 0]
+    d_all = (R.T @ (robot.feet_pos - hip_world)[:, :, None])[:, :, 0].tolist()
+    pos = srb.position.tolist()
+    w = srb.angular_velocity.tolist()
+    v = srb.linear_velocity.tolist()
+    feet_p = robot.feet_pos.tolist()
+    feet_v = robot.feet_vel.tolist()
+    rel = []  # foot velocity relative to the trunk, None where the stops engaged
     for i, leg in enumerate(robot.legs):
-        hip_world = srb.position + R @ leg.hip_offset
-        d = R.T @ (robot.feet_pos[i] - hip_world)
-        q = _ik_local(d, leg.side, *leg.link_lengths, leg.joint_limits)
+        q = _ik_local(d_all[i], leg.side, *leg.link_lengths, leg.joint_limits)
         if q is None:
             # joint stops engaged: freeze the joints and let the foot ride
             # with the trunk this step, with a paired momentum correction
-            q1, q2, q3 = leg.joint_angles
-            local = np.array(_fk_local(q1, q2, q3, leg.side, *leg.link_lengths))
-            p_new = srb.position + R @ (leg.hip_offset + local)
-            v_new = srb.linear_velocity + _cross(srb.angular_velocity,
-                                                 p_new - srb.position)
-            dv = v_new - robot.feet_vel[i]
-            srb.linear_velocity -= dv * mf / world.config.robot.trunk_mass
+            local = np.array(_fk_local(*leg.joint_angles.tolist(), leg.side,
+                                       *leg.link_lengths))
+            p_new = (srb.position + R @ (leg.hip_offset + local)).tolist()
+            c = _cross(w, [p_new[k] - pos[k] for k in range(3)])
+            v_new = [v[k] + c[k] for k in range(3)]
+            dv = [v_new[k] - feet_v[i][k] for k in range(3)]
+            v = [v[k] - dv[k] * mf / world.config.robot.trunk_mass for k in range(3)]
+            srb.linear_velocity[:] = v
             robot.feet_pos[i] = p_new
             robot.feet_vel[i] = v_new
             leg.joint_velocities[:] = 0.0
+            rel.append(None)
             continue
         leg.joint_angles[:] = q
-        Jl = _jac_local(q[0], q[1], q[2], leg.side, *leg.link_lengths)
-        rel = robot.feet_vel[i] - srb.linear_velocity - _cross(
-            srb.angular_velocity, robot.feet_pos[i] - srb.position)
-        qd, _ = _solve3(Jl, R.T @ rel)
-        leg.joint_velocities[:] = qd
+        c = _cross(w, [feet_p[i][k] - pos[k] for k in range(3)])
+        rel.append([feet_v[i][k] - v[k] - c[k] for k in range(3)])
+    # joint velocities in one stacked product; the stop rows are unused
+    rel_local = R.T @ np.array([r or (0.0, 0.0, 0.0) for r in rel])[:, :, None]
+    for i, leg in enumerate(robot.legs):
+        if rel[i] is not None:
+            leg.joint_velocities[:] = _solve3(_leg_jac(leg), rel_local[i, :, 0])[0]
 
 
 def _normal_force(pen, pen_rate, cc: ContactConfig, m_eff: float, dt: float) -> float:
@@ -665,22 +757,21 @@ def _normal_force(pen, pen_rate, cc: ContactConfig, m_eff: float, dt: float) -> 
     return cc.k_normal * pen + d_eff * pen_rate
 
 
-@dataclass
-class _FrictionContact:
-    # bookkeeping between the normal pass and the impulse pass
-    kind: str  # foot_ground | obj_ground | foot_obj
-    foot: int
-    obj: int
-    point: np.ndarray
-    normal: np.ndarray
-    fn: float
-    record: ContactRecord
-    applied: float = 0.0  # accumulated impulse magnitude across sweeps
+# friction contact kinds; a contact between the normal pass and the impulse
+# pass is (kind, foot, object index, point, normal array, normal, fn, record)
+_FOOT_GROUND, _OBJ_GROUND, _FOOT_OBJ = "foot_ground", "obj_ground", "foot_obj"
 
 
-def _tangential_effective_inv_mass(obj: SimObject, I_w_inv, r, t_hat) -> float:
-    rx = _cross(r, t_hat)
-    return 1.0 / obj.mass + float(rx @ I_w_inv @ rx)
+def _abs_max(values: list) -> float:
+    """np.max(np.abs(values)) on floats: NaN when any value is NaN."""
+    if any(map(math.isnan, values)):
+        return math.nan
+    return max(map(abs, values))
+
+
+def _tangential_effective_inv_mass(mass: float, I_w_inv, r, t_hat) -> float:
+    rx = np.array(_cross(r, t_hat))
+    return 1.0 / mass + float(rx @ I_w_inv @ rx)
 
 
 def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldState:
@@ -705,152 +796,188 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
     srb = robot.srb
     cc = cfg.contact
     rc = cfg.robot
+    mf = rc.foot_mass
     g = cfg.sim.gravity if world.gravity_enabled else 0.0
-    g_vec = np.array([0.0, 0.0, -g])
-    R = srb.rotation()
+    gz = -g  # gravity vector (0, 0, gz)
+    R = _rotation(srb.rpy)
 
-    trunk_force = cfg.robot.trunk_mass * g_vec
-    trunk_torque = np.zeros(3)
-    feet_force = np.zeros((4, 3))
+    # forces accumulate in floats, in the order of the numpy formulation
+    pos = srb.position.tolist()
+    feet_p = robot.feet_pos.tolist()
+    feet_v = robot.feet_vel.tolist()
+    m_trunk = rc.trunk_mass
+    trunk_force = [m_trunk * 0.0, m_trunk * 0.0, m_trunk * gz]
+    trunk_torque = [0.0, 0.0, 0.0]
+    feet_force = []
     contacts: list[ContactRecord] = []
-    fric: list[_FrictionContact] = []
+    fric: list[tuple] = []
 
     # actuator tip forces (massless legs transmit the reaction to the trunk)
-    for i, leg in enumerate(robot.legs):
-        q1, q2, q3 = leg.joint_angles
-        Jw = R @ _jac_local(q1, q2, q3, leg.side, *leg.link_lengths)
-        f_act, _ = _solve3(Jw.T, tau[i])
-        feet_force[i] += f_act + rc.foot_mass * g_vec
-        trunk_force -= f_act
-        trunk_torque -= _cross(robot.feet_pos[i] - srb.position, f_act)
+    Jw = R @ leg_jacobians_local(robot.legs)
+    for i in range(4):
+        f = _solve3(Jw[i].T, tau[i])[0]
+        feet_force.append([0.0 + (f[0] + mf * 0.0), 0.0 + (f[1] + mf * 0.0),
+                           0.0 + (f[2] + mf * gz)])
+        c = _cross([feet_p[i][k] - pos[k] for k in range(3)], f)
+        for k in range(3):
+            trunk_force[k] -= f[k]
+            trunk_torque[k] -= c[k]
 
     up = np.array([0.0, 0.0, 1.0])
+    up_f = (0.0, 0.0, 1.0)
     if world.ground_enabled:
         for i in range(4):
-            pen = rc.foot_radius - robot.feet_pos[i, 2]
+            pen = rc.foot_radius - feet_p[i][2]
             if pen <= 0.0:
                 continue
-            fn = _normal_force(pen, -robot.feet_vel[i, 2], cc, rc.foot_mass, dt)
+            fn = _normal_force(pen, -feet_v[i][2], cc, mf, dt)
             if fn <= 0.0:
                 continue
-            feet_force[i, 2] += fn
+            feet_force[i][2] += fn
             rec = ContactRecord(robot.feet_pos[i].copy(), up, pen, fn, 0.0,
                                 (f"foot_{i}", "ground"))
             contacts.append(rec)
-            fric.append(_FrictionContact("foot_ground", i, -1,
-                                         robot.feet_pos[i].copy(), up, fn, rec))
+            fric.append((_FOOT_GROUND, i, -1, feet_p[i], up, up_f, fn, rec))
 
-    obj_force = [o.mass * g_vec if world.gravity_enabled else np.zeros(3)
-                 for o in world.objects]
-    obj_torque = [np.zeros(3) for _ in world.objects]
-
+    # per-object float state: translation, velocities, force, torque
+    obj_t, obj_v, obj_w, obj_force, obj_torque = [], [], [], [], []
     for oi, obj in enumerate(world.objects):
         Ro, to = obj.pose.rotation, obj.pose.translation
+        t = to.tolist()
+        v = obj.linear_velocity.tolist()
+        w = obj.angular_velocity.tolist()
+        m = obj.mass
+        force = [m * 0.0, m * 0.0, m * gz] if world.gravity_enabled else [0.0, 0.0, 0.0]
+        torque = [0.0, 0.0, 0.0]
         if world.ground_enabled:
-            verts = obj.shape.vertices() @ Ro.T + to
-            below = verts[:, 2] < 0.0
-            n_sup = max(int(np.sum(below)), 1)
-            for v in verts[below]:
-                vvel = obj.velocity_at(v)
-                fn = _normal_force(-v[2], -vvel[2], cc, obj.mass / n_sup, dt)
+            verts = obj.shape._verts @ Ro.T + to
+            below_rows = verts[verts[:, 2] < 0.0]
+            n_sup = max(len(below_rows), 1)
+            for v_row, p in zip(below_rows, below_rows.tolist()):
+                vz = v[2] + (w[0] * (p[1] - t[1]) - w[1] * (p[0] - t[0]))
+                fn = _normal_force(-p[2], -vz, cc, m / n_sup, dt)
                 if fn <= 0.0:
                     continue
-                obj_force[oi][2] += fn
-                obj_torque[oi] += _cross(v - to, fn * up)
-                rec = ContactRecord(v.copy(), up, -v[2], fn, 0.0, (obj.name, "ground"))
+                force[2] += fn
+                c = _cross((p[0] - t[0], p[1] - t[1], p[2] - t[2]),
+                           (fn * 0.0, fn * 0.0, fn * 1.0))  # r x (fn * up)
+                for k in range(3):
+                    torque[k] += c[k]
+                rec = ContactRecord(v_row, up, -p[2], fn, 0.0, (obj.name, "ground"))
                 contacts.append(rec)
-                fric.append(_FrictionContact("obj_ground", -1, oi, v.copy(), up, fn, rec))
+                fric.append((_OBJ_GROUND, -1, oi, p, up, up_f, fn, rec))
+        local = (Ro.T @ (robot.feet_pos - to)[:, :, None])[:, :, 0].tolist()
         for i in range(4):
-            pl = Ro.T @ (robot.feet_pos[i] - to)
-            sd, nl = obj.shape.signed_distance(pl)
+            sd, nl = obj.shape.signed_distance(local[i])
             pen = rc.foot_radius - sd
             if pen <= 0.0:
                 continue
-            n = Ro @ nl
-            cp = robot.feet_pos[i] - n * sd
-            v_rel = robot.feet_vel[i] - obj.velocity_at(cp)
-            pen_rate = -float(n @ v_rel)
-            m_red = rc.foot_mass * obj.mass / (rc.foot_mass + obj.mass)
+            n_arr = Ro @ nl
+            n = n_arr.tolist()
+            fp, fv = feet_p[i], feet_v[i]
+            cp = [fp[k] - n[k] * sd for k in range(3)]
+            pv = _point_velocity(v, w, t, cp)
+            pen_rate = -float(n_arr @ np.array([fv[k] - pv[k] for k in range(3)]))
+            m_red = mf * m / (mf + m)
             fn = _normal_force(pen, pen_rate, cc, m_red, dt)
             if fn <= 0.0:
                 continue
-            f = fn * n
-            feet_force[i] += f
-            obj_force[oi] -= f
-            obj_torque[oi] -= _cross(cp - to, f)
-            rec = ContactRecord(cp, n, pen, fn, 0.0, (f"foot_{i}", obj.name))
+            f = [fn * n[k] for k in range(3)]
+            c = _cross([cp[k] - t[k] for k in range(3)], f)
+            for k in range(3):
+                feet_force[i][k] += f[k]
+                force[k] -= f[k]
+                torque[k] -= c[k]
+            rec = ContactRecord(np.array(cp), n_arr, pen, fn, 0.0, (f"foot_{i}", obj.name))
             contacts.append(rec)
-            fric.append(_FrictionContact("foot_obj", i, oi, cp, n, fn, rec))
+            fric.append((_FOOT_OBJ, i, oi, cp, n_arr, n, fn, rec))
+        obj_t.append(t)
+        obj_v.append(v)
+        obj_w.append(w)
+        obj_force.append(force)
+        obj_torque.append(torque)
 
     # velocity integration (positions update after the friction pass)
     if not world.fixed_base:
-        I_diag = np.asarray(cfg.robot.trunk_inertia)
-        L_trunk = R @ (I_diag * (R.T @ srb.angular_velocity)) + trunk_torque * dt
-        srb.linear_velocity += trunk_force / cfg.robot.trunk_mass * dt
+        I_diag = np.asarray(rc.trunk_inertia)
+        L_trunk = R @ (I_diag * (R.T @ srb.angular_velocity)) + np.array(trunk_torque) * dt
+        v = srb.linear_velocity.tolist()
+        srb.linear_velocity[:] = [v[k] + trunk_force[k] / m_trunk * dt for k in range(3)]
     obj_L = []
     obj_I_w_inv = []
     for oi, obj in enumerate(world.objects):
         Ro = obj.pose.rotation
         I_w = Ro @ obj.inertia @ Ro.T
-        obj_L.append(I_w @ obj.angular_velocity + obj_torque[oi] * dt)
+        Lw = (I_w @ obj.angular_velocity).tolist()
+        obj_L.append([Lw[k] + obj_torque[oi][k] * dt for k in range(3)])
         obj_I_w_inv.append(np.linalg.inv(I_w))
-        obj.linear_velocity += obj_force[oi] / obj.mass * dt
-        obj.angular_velocity = obj_I_w_inv[oi] @ obj_L[oi]
-    robot.feet_vel += feet_force / rc.foot_mass * dt
+        v, force = obj_v[oi], obj_force[oi]
+        for k in range(3):
+            v[k] += force[k] / obj.mass * dt
+        obj_w[oi] = (obj_I_w_inv[oi] @ np.array(obj_L[oi])).tolist()
+    for i in range(4):
+        fv, ff = feet_v[i], feet_force[i]
+        for k in range(3):
+            fv[k] += ff[k] / mf * dt
 
     # friction impulses: project tangential relative velocity, Coulomb-capped;
     # two sweeps so corner contacts of one body stop cleanly instead of
     # trading residual momentum; the Coulomb budget is shared across sweeps
     mu_ground = cc.friction
-    for c in fric * 2:
-        if c.kind == "foot_ground":
-            v_rel = robot.feet_vel[c.foot]
-            mu = mu_ground
-            inv_mass = 1.0 / rc.foot_mass
-        elif c.kind == "obj_ground":
-            obj = world.objects[c.obj]
-            v_rel = obj.velocity_at(c.point)
-            mu = min(obj.friction, mu_ground)
-            inv_mass = None  # computed against t_hat below
-        else:
-            obj = world.objects[c.obj]
-            v_rel = robot.feet_vel[c.foot] - obj.velocity_at(c.point)
-            mu = min(obj.friction, mu_ground)
-            inv_mass = None
-        v_t = v_rel - (v_rel @ c.normal) * c.normal
-        speed = math.sqrt(float(v_t @ v_t))
-        if speed < 1e-12:
-            continue
-        t_hat = v_t / speed
-        if c.kind == "foot_ground":
-            k = inv_mass
-        elif c.kind == "obj_ground":
-            obj = world.objects[c.obj]
-            k = _tangential_effective_inv_mass(obj, obj_I_w_inv[c.obj],
-                                               c.point - obj.pose.translation, t_hat)
-        else:
-            obj = world.objects[c.obj]
-            k = 1.0 / rc.foot_mass + _tangential_effective_inv_mass(
-                obj, obj_I_w_inv[c.obj], c.point - obj.pose.translation, t_hat)
-        j = min(speed / k, max(mu * c.fn * dt - c.applied, 0.0))
-        if j <= 0.0:
-            continue
-        c.applied += j
-        c.record.tangential_force = c.applied / dt
-        imp = -j * t_hat
-        if c.kind == "foot_ground":
-            robot.feet_vel[c.foot] += imp / rc.foot_mass
-        elif c.kind == "obj_ground":
-            obj = world.objects[c.obj]
-            obj.linear_velocity += imp / obj.mass
-            obj_L[c.obj] += _cross(c.point - obj.pose.translation, imp)
-            obj.angular_velocity = obj_I_w_inv[c.obj] @ obj_L[c.obj]
-        else:
-            obj = world.objects[c.obj]
-            robot.feet_vel[c.foot] += imp / rc.foot_mass
-            obj.linear_velocity -= imp / obj.mass
-            obj_L[c.obj] -= _cross(c.point - obj.pose.translation, imp)
-            obj.angular_velocity = obj_I_w_inv[c.obj] @ obj_L[c.obj]
+    applied = [0.0] * len(fric)
+    for _sweep in range(2):
+        for ci, (kind, foot, oi, point, n_arr, n, fn, rec) in enumerate(fric):
+            if kind is _FOOT_GROUND:
+                v_rel = feet_v[foot]
+                mu = mu_ground
+            else:
+                obj = world.objects[oi]
+                t = obj_t[oi]
+                v_rel = _point_velocity(obj_v[oi], obj_w[oi], t, point)
+                if kind is _FOOT_OBJ:
+                    fv = feet_v[foot]
+                    v_rel = [fv[k] - v_rel[k] for k in range(3)]
+                mu = min(obj.friction, mu_ground)
+            vn = float(np.array(v_rel) @ n_arr)
+            v_t = [v_rel[k] - vn * n[k] for k in range(3)]
+            v_t_arr = np.array(v_t)
+            speed = math.sqrt(float(v_t_arr @ v_t_arr))
+            if speed < 1e-12:
+                continue
+            t_hat = [v_t[k] / speed for k in range(3)]
+            if kind is _FOOT_GROUND:
+                k_inv = 1.0 / mf
+            else:
+                r = [point[k] - t[k] for k in range(3)]
+                k_inv = _tangential_effective_inv_mass(obj.mass, obj_I_w_inv[oi], r, t_hat)
+                if kind is _FOOT_OBJ:
+                    k_inv = 1.0 / mf + k_inv
+            j = min(speed / k_inv, max(mu * fn * dt - applied[ci], 0.0))
+            if j <= 0.0:
+                continue
+            applied[ci] += j
+            rec.tangential_force = applied[ci] / dt
+            imp = [-j * t_hat[k] for k in range(3)]
+            if kind is not _OBJ_GROUND:
+                fv = feet_v[foot]
+                for k in range(3):
+                    fv[k] += imp[k] / mf
+            if kind is not _FOOT_GROUND:
+                v, L = obj_v[oi], obj_L[oi]
+                c = _cross(r, imp)
+                if kind is _OBJ_GROUND:
+                    for k in range(3):
+                        v[k] += imp[k] / obj.mass
+                        L[k] += c[k]
+                else:
+                    for k in range(3):
+                        v[k] -= imp[k] / obj.mass
+                        L[k] -= c[k]
+                obj_w[oi] = (obj_I_w_inv[oi] @ np.array(L)).tolist()
+    robot.feet_vel[:] = feet_v
+    for oi, obj in enumerate(world.objects):
+        obj.linear_velocity[:] = obj_v[oi]
+        obj.angular_velocity = np.array(obj_w[oi])
 
     # position/orientation integration with post-impulse velocities
     if not world.fixed_base:
@@ -868,12 +995,13 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
 
     for oi, obj in enumerate(world.objects):
         Ro = obj.pose.rotation
+        L = np.array(obj_L[oi])
         new_t = obj.pose.translation + obj.linear_velocity * dt
-        w_mid = obj_I_w_inv[oi] @ obj_L[oi]
+        w_mid = obj_I_w_inv[oi] @ L
         Ro_new = rotation_exp(w_mid * dt) @ Ro
         if world._steps % _RENORM_EVERY == 0:
             Ro_new = orthonormalize(Ro_new)
-        obj.angular_velocity = Ro_new @ np.linalg.solve(obj.inertia, Ro_new.T @ obj_L[oi])
+        obj.angular_velocity = Ro_new @ np.linalg.solve(obj.inertia, Ro_new.T @ L)
         obj.pose = RigidTransform(Ro_new, new_t)
 
     robot.feet_pos += robot.feet_vel * dt
@@ -883,11 +1011,11 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
     world.contact_set = contacts
     world.time += dt
 
-    vmax = max(float(np.max(np.abs(srb.linear_velocity))),
-               float(np.max(np.abs(robot.feet_vel))),
-               max((float(np.max(np.abs(o.linear_velocity))) for o in world.objects),
+    vmax = max(_abs_max(srb.linear_velocity.tolist()),
+               _abs_max(robot.feet_vel.ravel().tolist()),
+               max((_abs_max(o.linear_velocity.tolist()) for o in world.objects),
                    default=0.0))
-    if vmax > _VEL_LIMIT or not np.isfinite(vmax):
+    if vmax > _VEL_LIMIT or not math.isfinite(vmax):
         raise SimulationDivergence(f"velocity {vmax:.1f} m/s exceeds the plausibility limit")
     return world
 

@@ -1,9 +1,10 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from legpress import cli, harness
+from legpress import cli, harness, orchestrator
 from legpress.config import StackConfig, load_config, write_config
 from legpress.harness import (
     TaskSpec,
@@ -70,6 +71,42 @@ def test_cli_eval_trace_replays_consistently(tmp_path, capsys):
     assert "success_rate=1.0" in capsys.readouterr().out
     assert cli.main(["replay", "--trace", str(out / "trace_box_push_fixed_0.jsonl")]) == 0
     assert "success_consistency=ok" in capsys.readouterr().out
+
+
+def test_replay_checks_against_the_stored_success_threshold(tmp_path, capsys):
+    """A task with a non-default threshold replays as consistent: the check
+    reads the threshold from the trace header."""
+    cfg = StackConfig()
+    task = sample_task(TaskSpec("box_push_fixed", success_threshold=0.5), 0, cfg)
+    trace = orchestrator.run_episode(task, lambda obs: None, EpisodeOptions(), cfg)
+    assert trace.outcome == "success"
+    assert 0.03 < -trace.rewards[-1] < 0.5  # a success only under the stored threshold
+    path = tmp_path / "trace.jsonl"
+    trace.write_jsonl(str(path))
+    assert cli.main(["replay", "--trace", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "success_threshold=0.5\n" in out
+    assert "success_consistency=ok" in out
+
+
+def test_replay_falls_back_to_the_default_threshold(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    head = {"schema": "legpress-trace-v1", "task": "box_push_fixed", "seed": 0,
+            "outcome": "max_steps", "steps_used": 7, "final_mean_flow": 0.04}
+    check = {"type": "check", "t": 9.0, "mean_flow": 0.04, "reward": -0.04}
+    path.write_text(json.dumps(head) + "\n" + json.dumps(check) + "\n")
+    assert cli.main(["replay", "--trace", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "success_threshold=0.03\n" in out
+    assert "success_consistency=ok" in out
+
+
+def test_simcheck_passes_its_four_invariants(capsys):
+    assert cli.main(["simcheck"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["PASS"] * 4 + ["OK"]
+    assert [line.split(" ", 1)[1] for line in lines[:4]] == [
+        "determinism", "linear momentum", "friction cone", "stand force split"]
 
 
 def test_written_config_loads_back_to_the_defaults(tmp_path):

@@ -1,24 +1,20 @@
 import math
 
 import numpy as np
-import pytest
 
 from legpress.config import StackConfig
-from legpress.geom import rot_y, rot_z
+from legpress.geom import euler_zyx_to_matrix, rot_y, rot_z
 from legpress.mpc import (
-    CondensedQp,
     ForceMpc,
     GaitSchedule,
     build_constraints,
     condense,
-    condensed_to_qp,
     linearize_srb,
     raibert_foothold,
     rollout,
     stance_torques,
 )
-from legpress.qpsolve import solve
-from legpress.simworld import SrbState, standing_world, step
+from legpress.simworld import SrbState, leg_jacobian_local, standing_world, step
 
 
 MASS = 12.0
@@ -277,6 +273,23 @@ def test_closed_loop_stand_five_seconds():
             max_tilt = max(max_tilt, abs(world.robot.srb.rpy[0]), abs(world.robot.srb.rpy[1]))
     assert max_height_err < 0.02
     assert max_tilt < 0.05
+
+
+def test_stance_torques_equal_the_per_leg_products():
+    """The stacked product gives the same bits as -J_i^T (R^T f_i) leg by leg;
+    the simulator's bit-exactness rests on it."""
+    rng = np.random.default_rng(41)
+    world = standing_world()
+    robot = world.robot
+    for _ in range(300):
+        robot.srb.rpy[:] = rng.uniform(-0.5, 0.5, 3)
+        for leg in robot.legs:
+            leg.joint_angles[:] = rng.uniform(-2.0, 2.0, 3)
+        forces = rng.normal(scale=30.0, size=(4, 3))
+        R = euler_zyx_to_matrix(*robot.srb.rpy)
+        expected = np.array([-leg_jacobian_local(leg).T @ (R.T @ forces[i])
+                             for i, leg in enumerate(robot.legs)])
+        assert np.array_equal(stance_torques(robot, forces), expected)
 
 
 # -- raibert -------------------------------------------------------------------

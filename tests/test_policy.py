@@ -10,7 +10,6 @@ from legpress.policy import (
     CriticMap,
     GoalSpec,
     NoPlanError,
-    ObjectCentricAction,
     flow_baseline,
     goal_flow,
     load_maps,

@@ -16,6 +16,7 @@ from legpress.simworld import (
     leg_forward_kinematics,
     leg_inverse_kinematics,
     leg_jacobian,
+    leg_jacobian_local,
     make_legs,
     quasi_static_push_check,
     rest_pose_on_ground,
@@ -445,3 +446,475 @@ def test_cylinder_signed_distance_and_sampling():
     for p in pts:
         d, _ = cyl.signed_distance(p)
         assert abs(d) < 1e-9
+
+
+# -- pinned trajectories -------------------------------------------------------
+# Each scene runs a few hundred steps under fixed non-zero torques and compares
+# the end state with values recorded before the step was rewritten for speed.
+# Together they take every branch of `step`: ground, object-vertex, foot-object
+# and friction contacts, the joint-stop branch of `_sync_legs`, the singular
+# `_solve3` fallback, fixed base, gravity and ground off, and the orientation
+# re-orthonormalisation every 64 steps. The tolerance admits another BLAS
+# build, not a change in the step.
+
+
+def _pin_torques(world, foot_forces):
+    """Fixed joint torques J^T f for the given foot forces at the start pose,
+    plus a small fixed offset so that no joint torque is zero."""
+    tau = np.array([leg_jacobian(leg, world.robot.srb).T @ np.asarray(f, dtype=float)
+                    for leg, f in zip(world.robot.legs, foot_forces)])
+    return tau.ravel() + 0.01 * np.array([1.0, -0.5, 0.25] * 4)
+
+
+def _stand_forces(world):
+    w = world.config.robot.trunk_mass * world.config.sim.gravity / 4.0
+    return [(0.0, 0.0, -w)] * 4
+
+
+def _run_pin(world, tau, n_steps):
+    for _ in range(n_steps):
+        step(world, tau)
+    return world
+
+
+def _end_state(world) -> np.ndarray:
+    rb = world.robot
+    parts = [rb.srb.as_vector(), rb.feet_pos.ravel(), rb.feet_vel.ravel()]
+    for leg in rb.legs:
+        parts += [leg.joint_angles, leg.joint_velocities]
+    for o in world.objects:
+        parts += [o.pose.rotation.ravel(), o.pose.translation, o.linear_velocity,
+                  o.angular_velocity]
+    return np.concatenate(parts)
+
+
+def _l_prism():
+    return Compound(((Box((0.09, 0.05, 0.05)), (0.0, 0.0, 0.0)),
+                     (Box((0.05, 0.05, 0.05)), (-0.02, 0.05, 0.0))))
+
+
+def _mesh():
+    return ConvexMesh(tuple(map(tuple, np.random.default_rng(5).uniform(-0.04, 0.04, (14, 3)))))
+
+
+PIN_SHAPES = {
+    "box": lambda: Box((0.08, 0.06, 0.05)),
+    "cylinder": lambda: Cylinder(0.035, 0.06),
+    "l_prism": _l_prism,
+    "mesh": _mesh,
+}
+
+
+def scene_resting(name):
+    """A sliding, spinning object on the ground in front of a standing robot."""
+    cfg = StackConfig()
+    shape = PIN_SHAPES[name]()
+    obj = SimObject.from_shape(shape, RigidTransform.identity())
+    obj.pose = rest_pose_on_ground(shape, xy=(0.4, 0.05), yaw=0.3, contact=cfg.contact,
+                                   mass=obj.mass)
+    obj.linear_velocity[:] = (0.15, -0.05, 0.0)
+    obj.angular_velocity[:] = (0.0, 0.0, 1.5)
+    world = standing_world(cfg, objects=[obj])
+    return _run_pin(world, _pin_torques(world, _stand_forces(world)), 300)
+
+
+def scene_foot_press():
+    """Trunk held fixed; front-left foot pressed into the side of a heavy
+    box and dragged along it."""
+    cfg = StackConfig()
+    shape = Box((0.08, 0.08, 0.05))
+    obj = SimObject.from_shape(shape, RigidTransform.identity(), density=3000.0)
+    world = standing_world(cfg)
+    world.fixed_base = True
+    foot = world.robot.feet_pos[0]
+    obj.pose = rest_pose_on_ground(shape, xy=(foot[0] + 0.04 + 0.019, foot[1] + 0.01),
+                                   contact=cfg.contact, mass=obj.mass)
+    world.objects.append(obj)
+    forces = _stand_forces(world)
+    forces[0] = (6.0, 1.5, forces[0][2])
+    return _run_pin(world, _pin_torques(world, forces), 300)
+
+
+def scene_joint_stop():
+    """Trunk held fixed; rear-right foot hauled up and out until the joint
+    stops engage."""
+    world = standing_world()
+    world.fixed_base = True
+    forces = _stand_forces(world)
+    forces[3] = (0.0, -6.0, 6.0)
+    return _run_pin(world, _pin_torques(world, forces), 300)
+
+
+def scene_straight_leg():
+    """Front-left leg straight: singular actuator Jacobian, frozen joints."""
+    world = standing_world()
+    world.gravity_enabled = False
+    world.ground_enabled = False
+    leg = world.robot.legs[0]
+    leg.joint_angles[:] = (0.0, 0.0, 0.0)
+    world.robot.feet_pos[0] = leg_forward_kinematics(leg, world.robot.srb)
+    tau = _pin_torques(world, [(0.0, 0.0, -1.0)] * 4)
+    return _run_pin(world, tau, 200)
+
+
+def scene_fixed_base():
+    """Trunk held fixed, gravity and ground off, a box drifting past."""
+    cfg = StackConfig()
+    obj = SimObject.from_shape(Box((0.1, 0.07, 0.05)),
+                               RigidTransform(np.eye(3), [0.3, 0.1, 0.2]))
+    obj.linear_velocity[:] = (0.1, -0.2, 0.05)
+    obj.angular_velocity[:] = (0.4, -0.3, 0.6)
+    world = standing_world(cfg, objects=[obj])
+    world.fixed_base = True
+    world.gravity_enabled = False
+    world.ground_enabled = False
+    return _run_pin(world, _pin_torques(world, [(0.5, -0.3, 1.0)] * 4), 200)
+
+
+def scene_tumbling():
+    """Free trunk and free cylinder tumbling past two re-orthonormalisations."""
+    cfg = StackConfig()
+    obj = SimObject.from_shape(Cylinder(0.03, 0.08),
+                               RigidTransform.from_euler(0.3, -0.2, 0.5, (0.5, -0.2, 0.4)))
+    obj.angular_velocity[:] = (3.0, -2.0, 4.0)
+    world = standing_world(cfg, objects=[obj])
+    world.gravity_enabled = False
+    world.ground_enabled = False
+    srb = world.robot.srb
+    srb.angular_velocity[:] = (0.4, -0.3, 0.8)
+    world.robot.feet_vel[:] = srb.linear_velocity
+    return _run_pin(world, _pin_torques(world, [(0.0, 0.0, 0.3)] * 4), 130)
+
+
+PIN_SCENES = {f"resting_{k}": (lambda k=k: scene_resting(k)) for k in PIN_SHAPES}
+PIN_SCENES.update(foot_press=scene_foot_press, joint_stop=scene_joint_stop,
+              straight_leg=scene_straight_leg, fixed_base=scene_fixed_base,
+              tumbling=scene_tumbling)
+
+
+PINNED_END_STATES = {
+    "resting_box": [
+        -0.027378566517823614, 0.004637335024377131, -1.47390034528146e-05,
+        -0.0003762484149871394, -0.0006900279576304921, 0.28421175121335707,
+        -0.19284607618637534, 0.039575690165991814, 0.0006704973827641204,
+        -0.0031575804997461135, -0.005432873361561745, 0.03297234334716019,
+        9.81, 0.1900001923076923, 0.1270004757955839,
+        0.016919347979457534, 0.1900001923076923, -0.12699970656481469,
+        0.01690389179884898, -0.1899998076923077, 0.1270004757955839,
+        0.016906892625384803, -0.1899998076923077, -0.12699970656481469,
+        0.016891076317019995, 0.0, 0.0,
+        -0.00012747616115689538, 1.0842021724855044e-19, 0.0,
+        -0.00023953013799975494, 0.0, 0.0,
+        -0.0002375276625722674, 0.0, -1.0842021724855044e-19,
+        -0.00035534605648648745, 0.030058992699769416, 0.8923218341613391,
+        -1.7967944140260521, 0.21425393911249943, -0.10645492142169986,
+        0.10953910765652622, 0.029902826863690057, 0.8858220358014613,
+        -1.7837246767961936, 0.21206260364117205, -0.1513894800465709,
+        0.20048589325902236, 0.030020216037628614, 0.887019804958477,
+        -1.7861407966695242, 0.21364616372779116, -0.15176736153894854,
+        0.20100052817882566, 0.029865389267476505, 0.8804719579289827,
+        -1.7729755471211812, 0.2114848089511018, -0.19746113456596986,
+        0.29345194706481076, 0.9486442172812545, -0.31634498418473117,
+        1.4234761904243738e-17, 0.31634498418473117, 0.9486442172812544,
+        1.5642857056408423e-17, -1.845226393294989e-17, -1.0336410358847547e-17,
+        1.0000000000000002, 0.402382137362493, 0.04905549258580857,
+        0.024982342000000008, 3.990054278606195e-14, 2.5439263473713678e-14,
+        -1.7964021514966566e-16, -2.8383646868804408e-14, 1.5671070315125014e-14,
+        -4.495953872301098e-12,
+    ],
+    "resting_cylinder": [
+        -0.027378566517823614, 0.004637335024377131, -1.47390034528146e-05,
+        -0.0003762484149871394, -0.0006900279576304921, 0.28421175121335707,
+        -0.19284607618637534, 0.039575690165991814, 0.0006704973827641204,
+        -0.0031575804997461135, -0.005432873361561745, 0.03297234334716019,
+        9.81, 0.1900001923076923, 0.1270004757955839,
+        0.016919347979457534, 0.1900001923076923, -0.12699970656481469,
+        0.01690389179884898, -0.1899998076923077, 0.1270004757955839,
+        0.016906892625384803, -0.1899998076923077, -0.12699970656481469,
+        0.016891076317019995, 0.0, 0.0,
+        -0.00012747616115689538, 1.0842021724855044e-19, 0.0,
+        -0.00023953013799975494, 0.0, 0.0,
+        -0.0002375276625722674, 0.0, -1.0842021724855044e-19,
+        -0.00035534605648648745, 0.030058992699769416, 0.8923218341613391,
+        -1.7967944140260521, 0.21425393911249943, -0.10645492142169986,
+        0.10953910765652622, 0.029902826863690057, 0.8858220358014613,
+        -1.7837246767961936, 0.21206260364117205, -0.1513894800465709,
+        0.20048589325902236, 0.030020216037628614, 0.887019804958477,
+        -1.7861407966695242, 0.21364616372779116, -0.15176736153894854,
+        0.20100052817882566, 0.029865389267476505, 0.8804719579289827,
+        -1.7729755471211812, 0.2114848089511018, -0.19746113456596986,
+        0.29345194706481076, 0.9470084405887509, -0.321208675869228,
+        1.1367848903275314e-10, 0.3212086758692281, 0.9470084405887504,
+        3.850538899106674e-11, -1.2002275552752199e-10, 4.958701927742667e-14,
+        1.0, 0.40238775211837935, 0.04900564590504496,
+        0.029995752753264413, 4.18805929075527e-09, 1.4208090851268109e-09,
+        8.072139054406573e-15, -4.7355171383147956e-08, 1.3962150215515076e-07,
+        9.629306699770403e-12,
+    ],
+    "resting_l_prism": [
+        -0.027378566517823614, 0.004637335024377131, -1.47390034528146e-05,
+        -0.0003762484149871394, -0.0006900279576304921, 0.28421175121335707,
+        -0.19284607618637534, 0.039575690165991814, 0.0006704973827641204,
+        -0.0031575804997461135, -0.005432873361561745, 0.03297234334716019,
+        9.81, 0.1900001923076923, 0.1270004757955839,
+        0.016919347979457534, 0.1900001923076923, -0.12699970656481469,
+        0.01690389179884898, -0.1899998076923077, 0.1270004757955839,
+        0.016906892625384803, -0.1899998076923077, -0.12699970656481469,
+        0.016891076317019995, 0.0, 0.0,
+        -0.00012747616115689538, 1.0842021724855044e-19, 0.0,
+        -0.00023953013799975494, 0.0, 0.0,
+        -0.0002375276625722674, 0.0, -1.0842021724855044e-19,
+        -0.00035534605648648745, 0.030058992699769416, 0.8923218341613391,
+        -1.7967944140260521, 0.21425393911249943, -0.10645492142169986,
+        0.10953910765652622, 0.029902826863690057, 0.8858220358014613,
+        -1.7837246767961936, 0.21206260364117205, -0.1513894800465709,
+        0.20048589325902236, 0.030020216037628614, 0.887019804958477,
+        -1.7861407966695242, 0.21364616372779116, -0.15176736153894854,
+        0.20100052817882566, 0.029865389267476505, 0.8804719579289827,
+        -1.7729755471211812, 0.2114848089511018, -0.19746113456596986,
+        0.29345194706481076, 0.9473687818650229, -0.3201443017052972,
+        0.00013127532516853712, 0.3201443244752421, 0.9473687559367266,
+        -0.00022755480867747016, -5.1515766166375e-05, 0.00025760537220065213,
+        0.9999999654927987, 0.40243526984155814, 0.04898104343089288,
+        0.024980426462542445, 1.0751673162185029e-10, -1.7607379649228652e-10,
+        -2.7634479453227026e-10, 7.0297017750150485e-09, 4.310317148943769e-09,
+        4.356420399806379e-12,
+    ],
+    "resting_mesh": [
+        -0.027378566517823614, 0.004637335024377131, -1.47390034528146e-05,
+        -0.0003762484149871394, -0.0006900279576304921, 0.28421175121335707,
+        -0.19284607618637534, 0.039575690165991814, 0.0006704973827641204,
+        -0.0031575804997461135, -0.005432873361561745, 0.03297234334716019,
+        9.81, 0.1900001923076923, 0.1270004757955839,
+        0.016919347979457534, 0.1900001923076923, -0.12699970656481469,
+        0.01690389179884898, -0.1899998076923077, 0.1270004757955839,
+        0.016906892625384803, -0.1899998076923077, -0.12699970656481469,
+        0.016891076317019995, 0.0, 0.0,
+        -0.00012747616115689538, 1.0842021724855044e-19, 0.0,
+        -0.00023953013799975494, 0.0, 0.0,
+        -0.0002375276625722674, 0.0, -1.0842021724855044e-19,
+        -0.00035534605648648745, 0.030058992699769416, 0.8923218341613391,
+        -1.7967944140260521, 0.21425393911249943, -0.10645492142169986,
+        0.10953910765652622, 0.029902826863690057, 0.8858220358014613,
+        -1.7837246767961936, 0.21206260364117205, -0.1513894800465709,
+        0.20048589325902236, 0.030020216037628614, 0.887019804958477,
+        -1.7861407966695242, 0.21364616372779116, -0.15176736153894854,
+        0.20100052817882566, 0.029865389267476505, 0.8804719579289827,
+        -1.7729755471211812, 0.2114848089511018, -0.19746113456596986,
+        0.29345194706481076, 0.9372108143368846, -0.3415808942431118,
+        -0.07041578074601362, 0.34111588604201953, 0.9398312212142527,
+        -0.018900474086504224, 0.07263499005136786, -0.006306212730551293,
+        0.9973386535682023, 0.4005292678081585, 0.049752052491923056,
+        0.03629094582805577, 8.226729957527942e-05, -0.0016372117805594764,
+        0.000726275848489855, 0.06417467975804769, 0.03379974397197711,
+        -0.03272128156428116,
+    ],
+    "foot_press": [
+        0.0, 0.0, 0.0,
+        0.0, 0.0, 0.28,
+        0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0,
+        9.81, 0.1899366561021564, 0.12696791902631543,
+        0.016891097424543512, 0.1900001923076923, -0.12699970656481469,
+        0.016934978293112676, -0.1899998076923077, 0.1270004757955839,
+        0.01693497667958872, -0.1899998076923077, -0.12699970656481469,
+        0.016934978293112676, -1.6115276540445644e-07, -1.597557701462798e-05,
+        4.114331919063193e-06, 2.710505431213761e-20, -5.421010862427522e-20,
+        8.907049916920368e-16, 0.0, 0.0,
+        1.9563908884261676e-16, 2.710505431213761e-20, -5.421010862427522e-20,
+        8.907049916920368e-16, -0.00012193265949744791, 0.9053449286036086,
+        -1.8102083361028027, -6.0722653692521946e-05, 2.7393756014692327e-05,
+        -5.354606046688271e-05, 1.1154475543229125e-06, 0.9052055837464477,
+        -1.8104126295478375, -2.0229444274353156e-19, 2.658100517280657e-15,
+        -5.3164120560155105e-15, 1.8086610185097383e-06, 0.905204880784858,
+        -1.8104112236233494, 1.345084171948423e-21, 5.838722988806232e-16,
+        -1.1677456850761713e-15, 1.1154475543229125e-06, 0.9052055837464477,
+        -1.8104126295478375, -2.0229444274353156e-19, 2.658100517280657e-15,
+        -5.3164120560155105e-15, 0.9999941226301748, -0.0033403761487222293,
+        0.0007723938718271636, 0.003340317183434835, 0.9999944181126713,
+        7.761838319456523e-05, -0.0007726488350075244, -7.503788647994508e-05,
+        0.9999996986915015, 0.2497225953342562, 0.13704852818503294,
+        0.024775426084570604, -5.599864600023149e-05, -3.274817434973371e-05,
+        -1.0210842546171542e-06, 6.793371034652347e-07, 0.00013585074621529745,
+        -0.0003093164228235773,
+    ],
+    "joint_stop": [
+        0.0, 0.0, 0.0,
+        0.0, 0.0, 0.28,
+        0.0, 0.0, 0.0,
+        0.0002584102358919837, -0.026853980656882357, 0.18092892722812953,
+        9.81, 0.1900001923076923, 0.1270004757955839,
+        0.01693497667958872, 0.1900001923076923, -0.12699970656481469,
+        0.016934978293112676, -0.1899998076923077, 0.1270004757955839,
+        0.01693497667958872, -0.18948375278984445, -0.28186842316366445,
+        0.18334144587234327, 0.0, 0.0,
+        1.9563908884261676e-16, 2.710505431213761e-20, -5.421010862427522e-20,
+        8.907049916920368e-16, 0.0, 0.0,
+        1.9563908884261676e-16, 0.0002577112458333401, -0.02686175660809452,
+        0.18029249260911775, 1.8086610185097383e-06, 0.905204880784858,
+        -1.8104112236233494, 0.10210941540784302, -0.5614712931976058,
+        1.1249029296671105, 1.1154475543229125e-06, 0.9052055837464477,
+        -1.8104126295478375, 0.1021099819307686, -0.5127125521307954,
+        1.0273853584891819, 1.8086610185097383e-06, 0.905204880784858,
+        -1.8104112236233494, 0.10210941540784302, -0.5614712931976058,
+        1.1249029296671105, -0.8599377442538898, 0.9671896763661756,
+        -1.9386626317338116, 0.0, 0.0,
+        0.0,
+    ],
+    "straight_leg": [
+        -0.03183027297401108, 0.028640707503903802, 0.006045331504465277,
+        0.00018715188461113563, 0.0001528811346037368, 0.2842476751886797,
+        -0.6068299677196991, 0.849521908475389, 0.19975957597313454,
+        0.01163720433973734, 0.008367967651987072, -0.0004216320038788928,
+        9.81, 0.17711174203199312, 0.11460279643212588,
+        -0.1508430122427693, 0.1867400916076739, -0.13121658782591158,
+        -0.14433686469980495, -0.19444378196520776, 0.13121288742947157,
+        -0.13661175117755242, -0.19341100160806124, -0.13295927313700212,
+        -0.1335939333014119, -0.3811040314466565, -0.22021130624892787,
+        -0.21368526147122235, -0.3263846391732926, -0.2143155064176707,
+        -0.07265416050321524, -0.37218528446049876, -0.28610459324857557,
+        0.0900205064139466, -0.31679056568803293, -0.2835247123232741,
+        0.24691475602595894, 0.0, 0.0,
+        0.0, 0.0, 0.0,
+        0.0, 0.01884914658862402, 0.016679493487775646,
+        -0.0707200462768379, 0.0, 0.0,
+        0.0, 0.04419457586823272, 0.007548890933469599,
+        -0.05406508393957894, 0.0, 0.0,
+        0.0, 0.02015824214860573, 0.015301195623280608,
+        -0.06652114309347006, 0.0, 0.0,
+        0.0,
+    ],
+    "fixed_base": [
+        0.0, 0.0, 0.0,
+        0.0, 0.0, 0.28,
+        0.0, 0.0, 0.0,
+        0.010861495020632836, -0.009385658172528502, 0.03476530960343427,
+        9.81, 0.2836648999038375, 0.07898840048464222,
+        0.2012051406516769, 0.29081109977133884, -0.17788917204205285,
+        0.21914005788410068, -0.09600266572244993, 0.07906692137474321,
+        0.2019831368849786, -0.08918890022866131, -0.17788917204205285,
+        0.21914005788410068, -0.00269337508246021, -0.047416544268313786,
+        0.1338304079339153, 0.9153458740261062, -0.3948008539028481,
+        2.077883438645207, 0.010892790355738799, -0.009257830448927456,
+        0.03442364163022316, 0.9153458740261069, -0.394800853902848,
+        2.077883438645207, -0.8391280738221705, 0.06658004611044044,
+        -2.6773161641054677, -3.4483523618146052, -2.7660201763459042,
+        -0.5082869517204579, -0.5481327738744235, 0.4956565587105266,
+        -2.3875147745200023, -11.601345867599406, -7.2165342186787065,
+        0.5562543621069639, -0.8582691143405746, 0.04566886694693317,
+        -2.678661399104076, 0.0, 0.0,
+        0.0, -0.5481327738744235, 0.4956565587105273,
+        -2.3875147745200027, -11.598955994406486, -7.2166646889857144,
+        0.5564867335450159, 0.8611952490611375, 0.04867945998715082,
+        0.5059377957514989, 0.22383353254539537, 0.8573620747867865,
+        -0.46349630249393187, -0.4563346279900043, 0.5124066577364664,
+        0.7274600500402534, 0.32743405762064715, 0.055739146495295336,
+        0.22554474224864743, 0.535428517570179, -0.4584470309668448,
+        0.7119373195754352, 16.208891266597835, 24.290243193454586,
+        0.4201801118191208,
+    ],
+    "tumbling": [
+        0.04454203761292787, -0.03914586904235116, 0.10358654696202259,
+        -5.079074322222915e-05, -0.00010981957093544179, 0.27923900115008377,
+        0.31527085488833434, -0.2698876977013006, 0.8034241524578691,
+        -0.0007461565939209722, -0.0016784732099726079, -0.011526538160800025,
+        9.81, 0.19108434434771637, 0.13167987842016052,
+        0.042818353108763085, 0.19189451443081904, -0.12392025088198877,
+        0.04291318590990254, -0.18888937470953057, 0.13054530496209787,
+        0.04298983927072561, -0.18799459488233736, -0.1251265839880168,
+        0.04259848370053362, 0.012141442598952154, 0.07652788869643838,
+        0.3454397898489471, 0.030752730050644824, 0.05100601293970404,
+        0.3474931289387379, 0.012896381544701576, 0.050423422135888296,
+        0.3495941094006572, 0.0337482370762181, 0.023459461424682238,
+        0.34065755110766055, -0.10859468438195297, 0.9495202661508383,
+        -1.9348626687595882, -0.7085040665226521, 0.6488698683340258,
+        -1.7526430121890726, -0.11028173336756697, 1.0361756267053388,
+        -1.9004093605696866, -0.7464487602960821, 1.4160946320235832,
+        -1.5469710843244004, 0.0509624620435698, 0.9445275562560678,
+        -1.9437881721443186, 0.6560769814725207, 0.47436131365857975,
+        -1.7035008033611327, 0.05415255965317223, 1.1127378732937176,
+        -2.053225560194893, 0.718425907991892, 1.9659508059484314,
+        -2.6347018094407937, 0.43918486966975656, -0.8982818080972317,
+        -0.014368141658804259, 0.6437978915035146, 0.32583776098311357,
+        -0.6923539762384124, 0.6266106647263421, 0.29482121151484275,
+        0.7214149486198164, 0.5, -0.2,
+        0.4, 0.0, 0.0,
+        0.0, 3.0186746537997973, -2.6084103614314658,
+        3.618661129122828,
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_END_STATES))
+def test_pinned_trajectory(name):
+    world = PIN_SCENES[name]()
+    np.testing.assert_allclose(_end_state(world), PINNED_END_STATES[name],
+                               rtol=1e-9, atol=1e-12)
+
+
+# -- memoised kinematics -------------------------------------------------------
+
+
+def test_rotation_follows_in_place_rpy_writes():
+    srb = SrbState(np.array([0.1, -0.2, 0.3]), np.zeros(3), np.zeros(3), np.zeros(3))
+    R0 = srb.rotation()
+    srb.rpy[:] = (0.0, 0.05, -1.0)
+    assert np.array_equal(srb.rotation(), euler_zyx_to_matrix(0.0, 0.05, -1.0))
+    srb.rpy[2] = 0.7
+    assert np.array_equal(srb.rotation(), euler_zyx_to_matrix(0.0, 0.05, 0.7))
+    srb.rpy[:] = (0.1, -0.2, 0.3)
+    assert np.array_equal(srb.rotation(), R0)
+
+
+def test_leg_jacobian_follows_in_place_joint_writes():
+    leg = default_leg(2)
+    trunk = level_trunk()
+    leg.joint_angles[:] = (0.1, 0.6, -1.2)
+    J1 = leg_jacobian_local(leg)
+    leg.joint_angles[1] = 0.9
+    J2 = leg_jacobian_local(leg)
+    fd = np.empty((3, 3))
+    eps = 1e-6
+    for j in range(3):
+        leg.joint_angles[j] += eps
+        p_plus = leg_forward_kinematics(leg, trunk)
+        leg.joint_angles[j] -= 2 * eps
+        p_minus = leg_forward_kinematics(leg, trunk)
+        leg.joint_angles[j] += eps
+        fd[:, j] = (p_plus - p_minus) / (2 * eps)
+    assert np.max(np.abs(J2 - fd)) < 1e-6
+    assert np.max(np.abs(J2 - J1)) > 1e-2
+    leg.joint_angles[:] = (0.1, 0.9, -1.2)  # undo the finite-difference drift
+    trunk.rpy[:] = (0.2, -0.1, 0.5)
+    assert np.array_equal(leg_jacobian(leg, trunk),
+                          euler_zyx_to_matrix(0.2, -0.1, 0.5) @ leg_jacobian_local(leg))
+
+
+def test_mutating_returned_kinematics_does_not_leak():
+    leg = default_leg(1)
+    trunk = SrbState(np.array([0.05, 0.02, -0.4]), np.array([0.0, 0.0, 0.3]),
+                     np.zeros(3), np.zeros(3))
+    leg.joint_angles[:] = (-0.1, 0.8, -1.5)
+    R, Jl, J = trunk.rotation(), leg_jacobian_local(leg), leg_jacobian(leg, trunk)
+    kept = R.copy(), Jl.copy(), J.copy()
+    for M in (R, Jl, J):
+        M[:] = 0.0
+    assert np.array_equal(trunk.rotation(), kept[0])
+    assert np.array_equal(leg_jacobian_local(leg), kept[1])
+    assert np.array_equal(leg_jacobian(leg, trunk), kept[2])
+
+
+def test_step_after_in_place_pose_write_matches_a_fresh_copy():
+    # a teleport writes rpy and joint angles in place; the next step must not
+    # reuse kinematics of the old values
+    w1 = standing_world()
+    tau = _pin_torques(w1, _stand_forces(w1))
+    for _ in range(3):
+        step(w1, tau)
+    w1.robot.srb.rpy[:] = (0.02, -0.01, 0.4)
+    w1.robot.legs[0].joint_angles[:] = (0.05, 0.7, -1.3)
+    w2 = w1.copy()
+    for _ in range(2):
+        step(w1, tau)
+        step(w2, tau)
+    assert np.array_equal(_end_state(w1), _end_state(w2))

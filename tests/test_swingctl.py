@@ -1,18 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
-from legpress.config import StackConfig
 from legpress.geom import RigidTransform
 from legpress.simworld import (
     Box,
     SimObject,
-    SrbState,
     leg_forward_kinematics,
     leg_jacobian,
     leg_jacobian_local,
-    make_legs,
     rest_pose_on_ground,
     standing_world,
     step,
@@ -21,7 +16,6 @@ from legpress.swingctl import (
     ImpedanceGains,
     SwingExecutor,
     UnreachableActionError,
-    clip_to_workspace,
     impedance_torque_tracking,
     is_reachable,
     plan_swing,
