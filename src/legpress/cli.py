@@ -4,7 +4,8 @@ Subcommands:
   eval      run seeded episodes of a benchmark task with a policy
   multistep run the one-meter multi-step distant-goal protocol
   regbench  registration synthetic suite (rotation/translation MAE)
-  simcheck  fast simulator invariant suite
+  simcheck  simulator invariant suite: one line per row of SIM_CHECKS, the
+            table the Tier-1 tests assert too
   replay    recompute and print the summary of a trace file
 
 The configuration file path comes from --config or the LEGPRESS_CONFIG
@@ -19,7 +20,8 @@ import sys
 
 import numpy as np
 
-from .config import load_config
+from .config import StackConfig, load_config
+from .geom import RigidTransform
 from .harness import (
     TASK_NAMES,
     TaskSpec,
@@ -28,7 +30,9 @@ from .harness import (
     multi_step_protocol,
     registration_benchmark,
 )
+from .mpc import ForceMpc, GaitSchedule
 from .orchestrator import EpisodeOptions, EpisodeTrace
+from .simworld import Box, SimObject, rest_pose_on_ground, standing_world, step
 
 
 def _episode_options(args) -> EpisodeOptions:
@@ -86,63 +90,108 @@ def cmd_regbench(args) -> int:
     return 0
 
 
-def cmd_simcheck(args) -> int:
-    from .geom import RigidTransform
-    from .simworld import Box, SimObject, rest_pose_on_ground, standing_world, step
+# ---------------------------------------------------------------------------
+# simulator invariants: each check builds its scene from a StackConfig and
+# returns its worst violation; a check passes when that is at most its bound
 
-    failures = 0
 
-    def report(name, ok):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        failures += not ok
+def _determinism_violation(cfg: StackConfig) -> float:
+    """Largest difference between two worlds with a box under the same
+    random torques: trunk, feet and object pose."""
+    shape = Box((0.07, 0.07, 0.05))
+    obj = SimObject.from_shape(shape, rest_pose_on_ground(shape))
+    w1 = standing_world(cfg, objects=[obj.copy()])
+    w2 = standing_world(cfg, objects=[obj.copy()])
+    tau = np.random.default_rng(31).normal(scale=0.5, size=(50, 12))
+    for k in range(50):
+        step(w1, tau[k])
+        step(w2, tau[k])
 
-    cfg = load_config(args.config)
-    # determinism
-    w1, w2 = standing_world(cfg), standing_world(cfg)
-    for _ in range(200):
-        step(w1, np.zeros(12))
-        step(w2, np.zeros(12))
-    report("determinism", np.array_equal(w1.robot.srb.as_vector(), w2.robot.srb.as_vector()))
+    def state(w):
+        o = w.objects[0]
+        return np.concatenate([w.robot.srb.as_vector(), w.robot.feet_pos.ravel(),
+                               o.pose.translation, o.pose.rotation.ravel()])
+    return float(np.max(np.abs(state(w1) - state(w2))))
 
-    # momentum without gravity/contacts
-    w = standing_world(cfg)
-    w.gravity_enabled = False
-    w.ground_enabled = False
-    w.robot.srb.linear_velocity[:] = (0.05, -0.02, 0.01)
-    w.robot.feet_vel[:] = w.robot.srb.linear_velocity
-    p0 = cfg.robot.trunk_mass * w.robot.srb.linear_velocity.copy() \
-        + 4 * cfg.robot.foot_mass * w.robot.srb.linear_velocity
+
+def _momentum_violation(cfg: StackConfig) -> float:
+    """Largest drift of linear or angular momentum of the robot and a
+    spinning box over 1000 steps without gravity or ground."""
+    obj = SimObject.from_shape(Box((0.1, 0.07, 0.05)),
+                               RigidTransform(np.eye(3), [0.5, 0.2, 0.4]))
+    obj.linear_velocity[:] = (0.1, -0.2, 0.05)
+    obj.angular_velocity[:] = (0.4, -0.3, 0.6)
+    world = standing_world(cfg, objects=[obj])
+    world.gravity_enabled = world.ground_enabled = False
+    rb, srb = world.robot, world.robot.srb
+    srb.linear_velocity[:] = (0.02, 0.01, -0.01)
+    srb.angular_velocity[:] = (0.05, -0.02, 0.1)
+    rb.feet_vel[:] = srb.linear_velocity
+    m, mf = cfg.robot.trunk_mass, cfg.robot.foot_mass
+
+    def momentum():
+        R, Ro = srb.rotation(), obj.pose.rotation
+        lin = (m * srb.linear_velocity + mf * rb.feet_vel.sum(axis=0)
+               + obj.mass * obj.linear_velocity)
+        ang = (R @ np.diag(cfg.robot.trunk_inertia) @ R.T @ srb.angular_velocity
+               + m * np.cross(srb.position, srb.linear_velocity)
+               + mf * np.cross(rb.feet_pos, rb.feet_vel).sum(axis=0)
+               + Ro @ obj.inertia @ Ro.T @ obj.angular_velocity
+               + obj.mass * np.cross(obj.pose.translation, obj.linear_velocity))
+        return np.concatenate([lin, ang])
+
+    p0 = momentum()
     for _ in range(1000):
-        step(w, np.zeros(12))
-    p1 = cfg.robot.trunk_mass * w.robot.srb.linear_velocity \
-        + cfg.robot.foot_mass * w.robot.feet_vel.sum(axis=0)
-    report("linear momentum", float(np.max(np.abs(p1 - p0))) < 1e-6)
+        step(world, np.zeros(12))
+    return float(np.max(np.abs(momentum() - p0)))
 
-    # friction cone at every contact of a sliding box
+
+def _friction_cone_violation(cfg: StackConfig) -> float:
+    """Largest excess of tangential over mu times normal force at any contact
+    while a box slides at (0.4, 0.2) m/s beside the standing robot."""
     shape = Box((0.08, 0.06, 0.05))
     obj = SimObject.from_shape(shape, RigidTransform.identity())
     obj.pose = rest_pose_on_ground(shape, contact=cfg.contact, mass=obj.mass,
                                    gravity=cfg.sim.gravity)
-    obj.linear_velocity[:] = (0.4, 0.1, 0.0)
-    w = standing_world(cfg, objects=[obj])
-    ok = True
+    obj.linear_velocity[:] = (0.4, 0.2, 0.0)
+    world = standing_world(cfg, objects=[obj])
     mu = min(obj.friction, cfg.contact.friction)
+    excess = []
     for _ in range(300):
-        step(w, np.zeros(12))
-        for rec in w.contact_set:
-            ok &= rec.tangential_force <= mu * rec.normal_force + 1e-9
-    report("friction cone", ok)
+        step(world, np.zeros(12))
+        excess += [rec.tangential_force - mu * rec.normal_force for rec in world.contact_set]
+    return float(np.max(excess))
 
-    # stand equilibrium split
-    from .mpc import ForceMpc, GaitSchedule
-    w = standing_world(cfg)
+
+def _stand_error(cfg: StackConfig) -> np.ndarray:
+    """Departure of the first-step MPC forces that hold the standing robot
+    from a quarter of its weight on each foot; infinite on a solver fault."""
+    world = standing_world(cfg)
     mpc = ForceMpc(cfg.mpc, cfg.robot.trunk_mass, np.diag(cfg.robot.trunk_inertia))
-    res = mpc.step(w.robot.srb, (0, 0, 0, cfg.mpc.stand_height), w.robot.feet_pos,
-                   GaitSchedule.stand(), 0.0)
-    expected = cfg.robot.trunk_mass * cfg.sim.gravity / 4.0
-    report("stand force split", bool(np.max(np.abs(res.forces[:, 2] - expected)) < 1e-3))
+    res = mpc.step(world.robot.srb, (0.0, 0.0, 0.0, cfg.mpc.stand_height),
+                   world.robot.feet_pos, GaitSchedule.stand(), 0.0)
+    if res.fault:
+        return np.full((4, 3), np.inf)
+    return np.abs(res.forces - (0.0, 0.0, cfg.robot.trunk_mass * cfg.sim.gravity / 4.0))
 
+
+SIM_CHECKS = (  # (name, worst violation of a StackConfig, bound)
+    ("determinism", _determinism_violation, 0.0),
+    ("momentum", _momentum_violation, 1e-6),
+    ("friction cone", _friction_cone_violation, 1e-9),
+    ("stand force z", lambda cfg: float(np.max(_stand_error(cfg)[:, 2])), 1e-3),
+    ("stand force xy", lambda cfg: float(np.max(_stand_error(cfg)[:, :2])), 1e-6),
+)
+
+
+def cmd_simcheck(args) -> int:
+    cfg = load_config(args.config)
+    failures = 0
+    for name, check, bound in SIM_CHECKS:
+        worst = check(cfg)
+        ok = worst <= bound
+        failures += not ok
+        print(f"{'PASS' if ok else 'FAIL'} {name}: worst {worst!r}, bound {bound!r}")
     print(f"{'OK' if failures == 0 else 'FAILURES: ' + str(failures)}")
     return 1 if failures else 0
 

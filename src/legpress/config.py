@@ -12,7 +12,7 @@ Schema (all values SI):
                  abduction_offset, thigh_length, calf_length, foot_mass,
                  foot_radius, hip_roll_limits (2), hip_pitch_limits (2),
                  knee_limits (2)
-    [contact]    k_normal, d_normal, friction, regularization_velocity
+    [contact]    k_normal, d_normal, friction
     [camera]     width, height, horizontal_fov_deg, offset (3), pitch_deg,
                  object_points
     [mpc]        horizon, dt, state_weights (13), force_weight, friction,
@@ -60,7 +60,6 @@ class ContactConfig:
     k_normal: float = 1e4
     d_normal: float = 100.0
     friction: float = 0.5
-    regularization_velocity: float = 1e-3
 
 
 @dataclass

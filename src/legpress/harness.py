@@ -20,7 +20,6 @@ from .geom import (PointCloud, RigidTransform, apply_transform, compose, rot_x, 
                    rotation_exp)
 from .orchestrator import (
     EpisodeOptions,
-    EpisodeTrace,
     GoalSchedule,
     Observation,
     TaskInstance,
@@ -62,12 +61,16 @@ def _t_prism(a, b, h) -> Compound:
                      (Box((b, a * 0.7, h)), (0.0, (b + a * 0.7) / 2.0, 0.0))))
 
 
+def _box_extents(rng) -> tuple:
+    """Extents of a random box: two sides in [5, 10] cm, height in [4, 8] cm."""
+    return (rng.uniform(0.05, 0.10), rng.uniform(0.05, 0.10), rng.uniform(0.04, 0.08))
+
+
 def _procedural_shape(index: int):
     rng = np.random.default_rng(1_000_003 + index)
     kind = index % 4
     if kind == 0:
-        dims = (rng.uniform(0.05, 0.10), rng.uniform(0.05, 0.10), rng.uniform(0.04, 0.08))
-        return Box(tuple(round(d, 4) for d in dims))
+        return Box(tuple(round(d, 4) for d in _box_extents(rng)))
     if kind == 1:
         return Cylinder(round(rng.uniform(0.025, 0.05), 4), round(rng.uniform(0.04, 0.08), 4))
     if kind == 2:
@@ -94,11 +97,6 @@ class TaskSpec:
     success_threshold: float = 0.03
     object_split: str = "train"
     yaw_jitter: float = 0.1  # initial object yaw range, +-rad
-
-
-def _sample_box(rng) -> Box:
-    return Box((rng.uniform(0.05, 0.10), rng.uniform(0.05, 0.10),
-                rng.uniform(0.04, 0.08)))
 
 
 def _rest_object(shape, rng, cfg: StackConfig, yaw_jitter: float) -> SimObject:
@@ -132,13 +130,11 @@ def sample_task(spec: TaskSpec, seed: int, config: StackConfig | None = None) ->
     cfg = config or StackConfig()
     rng = np.random.default_rng(seed)
     name = spec.name
-    if name in ("box_push_fixed", "box_push_random", "box_flip_push_random"):
-        shape = _sample_box(rng)
+    if name in ("box_push_fixed", "box_push_random", "box_flip_push_random", "multi_step_1m"):
+        shape = Box(_box_extents(rng))
     elif name in ("multiobj_push_fixed", "multiobj_push_random"):
         catalog = object_catalog(spec.object_split)
         shape = catalog[int(rng.integers(len(catalog)))]
-    elif name == "multi_step_1m":
-        shape = _sample_box(rng)
     else:
         raise ValueError(f"unknown task {name!r}")
     obj = _rest_object(shape, rng, cfg, spec.yaw_jitter)
@@ -299,19 +295,6 @@ def write_summary_csv(report: EvalReport, path: str) -> None:
                      repr(report.mean_steps)])
     with open(path, "w", newline="") as fh:
         fh.write(buf.getvalue())
-
-
-def recompute_from_traces(paths) -> dict:
-    """Aggregates rebuilt from trace files alone (bit-exact against the report)."""
-    succ, rewards, steps = [], [], []
-    for p in paths:
-        tr = EpisodeTrace.read_jsonl(p)
-        succ.append(tr.success)
-        rewards.append(-tr.final_mean_flow)
-        steps.append(tr.steps_used)
-    return {"success_rate": float(np.mean(succ)),
-            "mean_reward": float(np.mean(rewards)),
-            "mean_steps": float(np.mean(steps))}
 
 
 # ---------------------------------------------------------------------------

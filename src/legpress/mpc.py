@@ -23,11 +23,12 @@ import numpy as np
 from .config import GaitConfig, MpcConfig
 from .geom import rot_z, skew
 from .qpsolve import QpProblem, QpSolver
-from .simworld import LegModel, RobotState, SrbState, leg_jacobians_local
+from .simworld import LegModel, RobotState, SrbState, leg_jacobians_local, shoulder_point
 
 N_LEGS = 4
 NX = 13
 ANGLE_WARN = 0.4  # rad; linearization validity envelope
+RAIBERT_MAX_OFFSET = 0.15  # m; cap on the foothold's velocity offset
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +117,10 @@ class CondensedQp:
     x_ref: np.ndarray  # 13k
     L_diag: np.ndarray  # 13k
     K_diag: np.ndarray  # 12k
-    contact_flags: np.ndarray  # (k, 4) bool
     x0: np.ndarray = field(default_factory=lambda: np.zeros(NX))
 
 
-def condense(A_list, B_list, x0, x_ref_traj, state_weights, force_weight,
-             contact_flags=None) -> CondensedQp:
+def condense(A_list, B_list, x0, x_ref_traj, state_weights, force_weight) -> CondensedQp:
     """Stack the step recursions into X = A_qp x0 + B_qp U."""
     k = len(A_list)
     if k < 1:
@@ -140,9 +139,7 @@ def condense(A_list, B_list, x0, x_ref_traj, state_weights, force_weight,
             B_qp[NX * i:NX * (i + 1), nu * j:nu * (j + 1)] = A_list[i] @ blk
     L = np.tile(np.asarray(state_weights, dtype=float), k)
     K = np.full(nu * k, float(force_weight))
-    flags = np.ones((k, N_LEGS), dtype=bool) if contact_flags is None else np.asarray(contact_flags)
-    return CondensedQp(A_qp, B_qp, x_ref.reshape(-1), L, K, flags,
-                       np.asarray(x0, dtype=float).copy())
+    return CondensedQp(A_qp, B_qp, x_ref.reshape(-1), L, K, np.asarray(x0, dtype=float).copy())
 
 
 def rollout(A_list, B_list, x0, U) -> np.ndarray:
@@ -223,7 +220,6 @@ def condensed_to_qp(c: CondensedQp, C, lo, hi, D) -> QpProblem:
 @dataclass
 class MpcResult:
     forces: np.ndarray  # (4, 3) first-step ground reaction forces
-    predicted: np.ndarray  # (k, 13) state trajectory under the solution
     fault: bool = False
     linearization_warning: bool = False
 
@@ -269,18 +265,17 @@ class ForceMpc:
                           for i in range(k)])
         ref = self.reference_trajectory(state, command)
         cond = condense(A_list, B_list, state.as_vector(), ref,
-                        cfg.state_weights, cfg.force_weight, flags)
+                        cfg.state_weights, cfg.force_weight)
         C, lo, hi, D = build_constraints(flags, cfg.friction, cfg.f_min, cfg.f_max)
         qp = condensed_to_qp(cond, C, lo, hi, D)
         sol = self.solver.solve(qp, tol=1e-8, max_iter=20000)
         if sol.status != "optimal":
-            return MpcResult(self.prev_forces.copy(), np.zeros((k, NX)), fault=True,
+            return MpcResult(self.prev_forces.copy(), fault=True,
                              linearization_warning=lin.validity_warning)
         forces = sol.primal[:3 * N_LEGS].reshape(N_LEGS, 3).copy()
         forces[~flags[0]] = 0.0  # swing rows are exact zeros up to solver tol
-        predicted = (cond.A_qp @ cond.x0 + cond.B_qp @ sol.primal).reshape(k, NX)
         self.prev_forces = forces.copy()
-        return MpcResult(forces, predicted, False, lin.validity_warning)
+        return MpcResult(forces, False, lin.validity_warning)
 
 
 def stance_torques(robot: RobotState, forces: np.ndarray) -> np.ndarray:
@@ -293,20 +288,17 @@ def stance_torques(robot: RobotState, forces: np.ndarray) -> np.ndarray:
 
 
 def raibert_foothold(leg: LegModel, command_velocity, gait: GaitSchedule,
-                     state: SrbState, gait_cfg: GaitConfig | None = None,
-                     max_offset: float = 0.15) -> np.ndarray:
+                     state: SrbState, gait_cfg: GaitConfig | None = None) -> np.ndarray:
     """Touchdown target: shoulder projection + half-stance velocity feedforward
     + velocity-error feedback, clipped to the leg workspace footprint."""
     k_v = gait_cfg.raibert_velocity_gain if gait_cfg is not None else 0.03
     v_cmd = np.asarray(command_velocity, dtype=float).reshape(3)
-    R = state.rotation()
-    shoulder = state.position + R @ (leg.hip_offset +
-                                     np.array([0.0, leg.side * leg.link_lengths[0], 0.0]))
+    shoulder = shoulder_point(leg, state)
     proj = np.array([shoulder[0], shoulder[1], 0.0])
     stance_t = gait.stance_time if math.isfinite(gait.stance_time) else 0.25
     offset = (stance_t / 2.0) * v_cmd + k_v * (state.linear_velocity - v_cmd)
     offset[2] = 0.0
     norm = float(np.linalg.norm(offset))
-    if norm > max_offset:
-        offset *= max_offset / norm
+    if norm > RAIBERT_MAX_OFFSET:
+        offset *= RAIBERT_MAX_OFFSET / norm
     return proj + offset

@@ -12,6 +12,11 @@ The default schedule is one fixed goal: success once the mean goal flow is
 under the threshold, otherwise the action budget. Distant goals use moving
 sub-goals and their own verdict on the same loop. Controller faults end any
 episode with a fault outcome.
+
+Teleporting re-seats the feet under the shoulders through
+`simworld.seat_feet`, the same placement `standing_world` starts from. The
+episode trace has one store, `records`: its actions are read from it, and
+`rewards` lists the reward of each check.
 """
 from __future__ import annotations
 
@@ -39,9 +44,10 @@ from .simworld import (
     SimObject,
     SimulationDivergence,
     WorldState,
+    seat_feet,
+    shoulder_point,
     standing_world,
     step as sim_step,
-    _sync_legs,
 )
 from .swingctl import (
     ImpedanceGains,
@@ -50,10 +56,10 @@ from .swingctl import (
     impedance_torque_tracking,
     is_reachable,
     plan_swing,
-    shoulder_point,
 )
 
 TRACE_SCHEMA = "legpress-trace-v1"
+METRIC_POINTS = 400  # object surface samples behind the goal-flow metric
 
 QP_STAND = "QP_STAND"
 COM_SHIFT = "COM_SHIFT"
@@ -86,25 +92,19 @@ class StandoffPose:
         self.position = np.asarray(self.position, dtype=float).reshape(3)
 
 
-def reach_check(object_centroid, world: WorldState, leg_name: str = "front_left",
-                standoff_distance: float | None = None):
+def reach_check(object_centroid, world: WorldState, leg_name: str = "front_left"):
     """'reachable' when the centroid passes the swing workspace test from the
-    current base pose; otherwise the standoff pose that puts the object a
-    nominal distance ahead of the chosen shoulder."""
-    cfg = world.config.orchestrator
-    d = standoff_distance if standoff_distance is not None else cfg.standoff_distance
-    li = LEG_INDEX[leg_name]
-    leg = world.robot.legs[li]
+    current base pose; otherwise the standoff pose that puts the object the
+    configured standoff distance ahead of the chosen shoulder."""
+    leg = world.robot.legs[LEG_INDEX[leg_name]]
     centroid = np.asarray(object_centroid, dtype=float)
     probe = centroid.copy()
     probe[2] = max(min(probe[2], 0.12), 0.02)  # contact heights live near the ground
     if is_reachable(probe, leg, world.robot.srb):
         return "reachable"
     yaw = world.robot.srb.rpy[2]
-    R = rot_z(yaw)
-    shoulder_local = leg.hip_offset + np.array([0.0, leg.side * leg.link_lengths[0], 0.0])
-    offset = shoulder_local + np.array([d, 0.0, 0.0])
-    base = centroid - R @ offset
+    d = world.config.orchestrator.standoff_distance
+    base = centroid - rot_z(yaw) @ (leg.shoulder + np.array([d, 0.0, 0.0]))
     base[2] = world.config.mpc.stand_height
     return StandoffPose(base, yaw)
 
@@ -116,7 +116,6 @@ class TaskInstance:
     goal_pose: RigidTransform  # absolute world pose of the object at the goal
     seed: int
     success_threshold: float = 0.03
-    metric_points: int = 400
 
 
 @dataclass
@@ -134,7 +133,6 @@ class EpisodeOptions:
     pose_source: str = "ground_truth"  # ground_truth | register
     leg: str = "front_left"
     settle_time: float = 0.3
-    observe_mode: str = "camera"  # camera | full (full bypasses occlusion)
 
 
 @dataclass
@@ -159,12 +157,12 @@ class GoalSchedule:
 
 @dataclass
 class EpisodeTrace:
+    """One episode's record. `records` is the trace: transitions, ticks,
+    actions and checks in time order. `rewards` holds each check's reward."""
     task: str
     seed: int
     schema: str = TRACE_SCHEMA
     records: list = field(default_factory=list)
-    transitions: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
     rewards: list = field(default_factory=list)
     outcome: str = "incomplete"
     steps_used: int = 0
@@ -176,6 +174,10 @@ class EpisodeTrace:
     @property
     def success(self) -> bool:
         return self.outcome == "success"
+
+    @property
+    def actions(self) -> list:
+        return [rec for rec in self.records if rec["type"] == "action"]
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -200,11 +202,7 @@ class EpisodeTrace:
             for line in fh:
                 rec = json.loads(line)
                 trace.records.append(rec)
-                if rec["type"] == "transition":
-                    trace.transitions.append((rec["from"], rec["to"]))
-                elif rec["type"] == "action":
-                    trace.actions.append(rec)
-                elif rec["type"] == "check":
+                if rec["type"] == "check":
                     trace.rewards.append(rec["reward"])
         return trace
 
@@ -248,7 +246,6 @@ class _OrchestratorCore:
         if self.trace is not None:
             self.trace.records.append({"type": "transition", "t": round(self.world.time, 6),
                                        "from": self.state, "to": new_state})
-            self.trace.transitions.append(pair)
         self.state = new_state
         self.state_entry_time = self.world.time
 
@@ -380,13 +377,7 @@ class _OrchestratorCore:
         srb.rpy[:] = (0.0, 0.0, standoff.yaw + jitter_yaw)
         srb.linear_velocity[:] = 0.0
         srb.angular_velocity[:] = 0.0
-        R = srb.rotation()
-        for i, leg in enumerate(world.robot.legs):
-            shoulder = leg.hip_offset + np.array([0.0, leg.side * leg.link_lengths[0], 0.0])
-            world.robot.feet_pos[i] = srb.position + R @ shoulder
-            world.robot.feet_pos[i, 2] = self.cfg.robot.foot_radius
-            world.robot.feet_vel[i] = 0.0
-        _sync_legs(world)
+        seat_feet(world)
         self.mpc.solver.reset()
         self.forces[:] = 0.0
         self.step_count = 0
@@ -418,14 +409,6 @@ class _OrchestratorCore:
 def _pose_record(obj: SimObject):
     return {"t": [round(float(v), 6) for v in obj.pose.translation],
             "R": [round(float(v), 9) for v in obj.pose.rotation.reshape(-1)]}
-
-
-def observe_object(core: _OrchestratorCore, object_index: int, seed: int) -> PointCloud:
-    if core.options.observe_mode == "full":
-        return full_scan(core.world.objects[object_index],
-                         core.cfg.camera.object_points, seed)
-    return render_object_cloud(core.world, core.camera, object_index,
-                               core.cfg.camera.object_points, seed)
 
 
 def estimate_relative_goal(core: _OrchestratorCore, goal_pose: RigidTransform,
@@ -470,7 +453,7 @@ def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | N
     core.trace = trace
 
     metric_rng = np.random.default_rng(seed ^ 0x5EED)
-    local_pts, _ = obj.shape.sample_surface(metric_rng, task.metric_points)
+    local_pts, _ = obj.shape.sample_surface(metric_rng, METRIC_POINTS)
 
     def check_success() -> float:
         mean = metric_mean_flow(task, obj, local_pts)
@@ -503,7 +486,8 @@ def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | N
 
             obs_seed = int(rng.integers(2 ** 31))
             try:
-                observed = observe_object(core, 0, obs_seed)
+                observed = render_object_cloud(world, core.camera, 0,
+                                               config.camera.object_points, obs_seed)
             except EmptyObservationError:
                 return finish("fault:empty_observation", check_success())
 
@@ -524,7 +508,6 @@ def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | N
                        "contact_index": int(action.contact_index),
                        "motion": [round(float(v), 6) for v in action.motion_params],
                        "leg": action.leg}
-                trace.actions.append(rec)
                 trace.records.append(rec)
                 _execute_action(core, observed, action, config)
 

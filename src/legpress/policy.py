@@ -114,10 +114,6 @@ def goal_flow(current: PointCloud, goal: PointCloud) -> tuple[np.ndarray, float]
     return flow, float(np.mean(np.linalg.norm(flow, axis=1)))
 
 
-def reward_from_flow(mean_flow: float) -> float:
-    return -mean_flow
-
-
 # ---------------------------------------------------------------------------
 # geometric helpers shared by the baselines
 

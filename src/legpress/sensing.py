@@ -19,6 +19,7 @@ from .geom import PointCloud, RigidTransform, rot_y
 from .simworld import WorldState
 
 HPR_RADIUS_FACTOR = 100.0  # Katz heuristic: R = factor * max range
+RENDER_OVERSAMPLE = 6  # surface samples drawn per requested point before culling
 
 
 class EmptyObservationError(RuntimeError):
@@ -75,7 +76,7 @@ class CameraModel:
         return (z > near) & (u <= th) & (v <= tv)
 
 
-def hidden_point_removal(cloud: PointCloud, viewpoint, radius_param: float | None = None) -> np.ndarray:
+def hidden_point_removal(cloud: PointCloud, viewpoint) -> np.ndarray:
     """Katz-style visibility: spherical flipping about the viewpoint followed
     by a convex hull; returns indices of visible points.
 
@@ -89,7 +90,7 @@ def hidden_point_removal(cloud: PointCloud, viewpoint, radius_param: float | Non
     norms = np.linalg.norm(rel, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError("viewpoint coincides with a cloud point")
-    R = radius_param if radius_param is not None else HPR_RADIUS_FACTOR * float(norms.max())
+    R = HPR_RADIUS_FACTOR * float(norms.max())
     flipped = rel + 2.0 * (R - norms)[:, None] * rel / norms[:, None]
     try:
         hull = ConvexHull(np.vstack([flipped, np.zeros(3)]))
@@ -184,14 +185,14 @@ def full_scan(obj, n_points: int, seed: int) -> PointCloud:
 
 
 def render_object_cloud(world: WorldState, cam: CameraModel, object_index: int,
-                        n_points: int, seed: int, oversample: int = 6) -> PointCloud:
+                        n_points: int, seed: int) -> PointCloud:
     """Camera-visible object surface as exactly n_points world-frame points
     with outward normals. Deterministic per seed.
 
     Raises EmptyObservationError when nothing falls inside the frustum."""
     rng = np.random.default_rng(seed)
     obj = world.objects[object_index]
-    pts, nrm = sample_object_surface(obj, max(n_points * oversample, 1200), rng)
+    pts, nrm = sample_object_surface(obj, max(n_points * RENDER_OVERSAMPLE, 1200), rng)
 
     pose = cam.pose_in_world(world.robot.srb.position, world.robot.srb.rotation())
     vp = pose.translation

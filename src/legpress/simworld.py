@@ -5,8 +5,8 @@ massless and terminates in a small point-mass foot. Commanded joint torques
 map to a foot-tip force through the transposed leg Jacobian; the reaction
 acts on the trunk at the foot point, which is what makes the trunk dynamics
 exactly the single-rigid-body model the force controller assumes. Ground and
-object interaction is penalty contact (spring-damper normal, regularized
-Coulomb friction) integrated with semi-implicit Euler at a fixed dt.
+object interaction is penalty contact (spring-damper normal, Coulomb-capped
+friction impulses) integrated with semi-implicit Euler at a fixed dt.
 
 Angular state is advanced in momentum form (L = I w updated, w recovered
 from the new orientation), so free tumbling conserves angular momentum to
@@ -131,14 +131,9 @@ class LegModel:
         self.joint_velocities = np.asarray(self.joint_velocities, dtype=float).reshape(3).copy()
 
     @property
-    def max_reach(self) -> float:
-        return self.link_lengths[1] + self.link_lengths[2]
-
-    def within_limits(self, q, margin: float = 0.0) -> bool:
-        for qi, (lo, hi) in zip(q, self.joint_limits):
-            if qi < lo + margin or qi > hi - margin:
-                return False
-        return True
+    def shoulder(self) -> np.ndarray:
+        """Trunk-frame shoulder point: the hip moved out by the abduction offset."""
+        return self.hip_offset + np.array([0.0, self.side * self.link_lengths[0], 0.0])
 
     def copy(self) -> "LegModel":
         return LegModel(self.hip_offset.copy(), self.side, self.link_lengths,
@@ -212,6 +207,11 @@ def leg_forward_kinematics(leg: LegModel, trunk: SrbState) -> np.ndarray:
     """World-frame foot position from trunk pose and joint angles."""
     local = np.array(_fk_local(*leg.joint_angles.tolist(), leg.side, *leg.link_lengths))
     return trunk.position + _rotation(trunk.rpy) @ (leg.hip_offset + local)
+
+
+def shoulder_point(leg: LegModel, trunk: SrbState) -> np.ndarray:
+    """World-frame shoulder point of the leg."""
+    return trunk.position + _rotation(trunk.rpy) @ leg.shoulder
 
 
 def leg_jacobian(leg: LegModel, trunk: SrbState) -> np.ndarray:
@@ -604,11 +604,6 @@ class SimObject:
         m, I = shape.mass_properties(density)
         return SimObject(shape, pose, mass=m, inertia=I, friction=friction, name=name)
 
-    def velocity_at(self, point_world) -> np.ndarray:
-        return np.array(_point_velocity(self.linear_velocity.tolist(),
-                                        self.angular_velocity.tolist(),
-                                        self.pose.translation.tolist(), point_world))
-
     def copy(self) -> "SimObject":
         return SimObject(self.shape, self.pose, self.linear_velocity.copy(),
                          self.angular_velocity.copy(), self.mass,
@@ -688,20 +683,24 @@ def standing_world(config: StackConfig | None = None, height: float | None = Non
                    objects=()) -> WorldState:
     """Robot standing level with feet under the shoulders, touching z=0."""
     config = config or StackConfig()
-    rc = config.robot
     h = height if height is not None else config.mpc.stand_height
-    legs = make_legs(rc)
     srb = SrbState(np.zeros(3), np.array([0.0, 0.0, h]), np.zeros(3), np.zeros(3),
                    config.sim.gravity)
-    feet = np.zeros((4, 3))
-    for i, leg in enumerate(legs):
-        shoulder = leg.hip_offset + np.array([0.0, leg.side * rc.abduction_offset, 0.0])
-        feet[i] = srb.position + shoulder
-        feet[i, 2] = rc.foot_radius
-    world = WorldState(RobotState(srb, legs, feet, np.zeros((4, 3))), list(objects),
-                       config=config)
-    _sync_legs(world)
+    world = WorldState(RobotState(srb, make_legs(config.robot), np.zeros((4, 3)),
+                                  np.zeros((4, 3))), list(objects), config=config)
+    seat_feet(world)
     return world
+
+
+def seat_feet(world: WorldState) -> None:
+    """Put every foot at rest on the ground under its shoulder, for the
+    current trunk pose, and solve the joint angles to match."""
+    robot = world.robot
+    for i, leg in enumerate(robot.legs):
+        robot.feet_pos[i] = shoulder_point(leg, robot.srb)
+        robot.feet_pos[i, 2] = world.config.robot.foot_radius
+    robot.feet_vel[:] = 0.0
+    _sync_legs(world)
 
 
 def _sync_legs(world: WorldState) -> None:
@@ -724,15 +723,17 @@ def _sync_legs(world: WorldState) -> None:
         q = _ik_local(d_all[i], leg.side, *leg.link_lengths, leg.joint_limits)
         if q is None:
             # joint stops engaged: freeze the joints and let the foot ride
-            # with the trunk this step, with a paired momentum correction
+            # with the trunk this step, with a paired momentum correction on
+            # a free trunk (a fixed base absorbs it)
             local = np.array(_fk_local(*leg.joint_angles.tolist(), leg.side,
                                        *leg.link_lengths))
             p_new = (srb.position + R @ (leg.hip_offset + local)).tolist()
             c = _cross(w, [p_new[k] - pos[k] for k in range(3)])
             v_new = [v[k] + c[k] for k in range(3)]
-            dv = [v_new[k] - feet_v[i][k] for k in range(3)]
-            v = [v[k] - dv[k] * mf / world.config.robot.trunk_mass for k in range(3)]
-            srb.linear_velocity[:] = v
+            if not world.fixed_base:
+                dv = [v_new[k] - feet_v[i][k] for k in range(3)]
+                v = [v[k] - dv[k] * mf / world.config.robot.trunk_mass for k in range(3)]
+                srb.linear_velocity[:] = v
             robot.feet_pos[i] = p_new
             robot.feet_vel[i] = v_new
             leg.joint_velocities[:] = 0.0

@@ -22,9 +22,11 @@ from .simworld import (
     leg_forward_kinematics,
     leg_inverse_kinematics,
     leg_jacobian,
+    shoulder_point,
 )
 
 WORKSPACE_RADIUS_FACTOR = 0.95
+HOLD_TIMEOUT = 0.8  # s the plan may hold at the contact point for the foot to arrive
 
 
 class UnreachableActionError(RuntimeError):
@@ -74,12 +76,6 @@ def impedance_torque_tracking(leg: LegModel, trunk: SrbState, p_foot, v_foot,
 # workspace
 
 
-def shoulder_point(leg: LegModel, trunk: SrbState) -> np.ndarray:
-    R = trunk.rotation()
-    return trunk.position + R @ (leg.hip_offset +
-                                 np.array([0.0, leg.side * leg.link_lengths[0], 0.0]))
-
-
 def workspace_radius(leg: LegModel) -> float:
     return WORKSPACE_RADIUS_FACTOR * (leg.link_lengths[1] + leg.link_lengths[2])
 
@@ -120,7 +116,6 @@ def clip_to_workspace(start, target, leg: LegModel, trunk: SrbState) -> np.ndarr
 class Waypoint:
     time: float
     position: np.ndarray
-    velocity: np.ndarray
     phase: str  # lift | approach | push | retract
 
 
@@ -129,9 +124,7 @@ class SwingPlan:
     waypoints: list
     pre_contact_point: np.ndarray
     contact_point: np.ndarray
-    push_vector: np.ndarray  # commanded, may exceed reach
     push_endpoint: np.ndarray  # after workspace clipping
-    leg_index: int
 
     @property
     def duration(self) -> float:
@@ -156,10 +149,9 @@ class SwingExecutor:
     """Plays a SwingPlan through time and gates the approach-to-push
     transition on actual foot proximity to the contact point."""
 
-    def __init__(self, plan: SwingPlan, cfg: SwingConfig, hold_timeout: float = 0.8):
+    def __init__(self, plan: SwingPlan, cfg: SwingConfig):
         self.plan = plan
         self.cfg = cfg
-        self.hold_timeout = hold_timeout
         self.t = 0.0
         self._held = 0.0
         # the contact waypoint ends the approach
@@ -175,9 +167,9 @@ class SwingExecutor:
         if gate:
             close = float(np.linalg.norm(np.asarray(foot_pos) - self.plan.contact_point)) \
                 < self.cfg.approach_threshold
-            if not close and self._held < self.hold_timeout:
+            if not close and self._held < HOLD_TIMEOUT:
                 self._held += dt
-                p, v, phase = self.plan.target_at(self._contact_time - 1e-9)
+                phase = self.plan.target_at(self._contact_time - 1e-9)[2]
                 return self.plan.contact_point.copy(), np.zeros(3), phase
         self.t += dt
         return self.plan.target_at(self.t)
@@ -224,16 +216,16 @@ def plan_swing(contact_point, motion_vector, leg: LegModel, trunk: SrbState,
     apex = clip_to_workspace(base, apex, leg, trunk)
 
     lift_speed = 2.0 * cfg.push_speed
-    wps = [Waypoint(0.0, start.copy(), np.zeros(3), "lift")]
+    wps = [Waypoint(0.0, start.copy(), "lift")]
     t = _segment_time(start, apex, lift_speed)
-    wps.append(Waypoint(t, apex, np.zeros(3), "lift"))
+    wps.append(Waypoint(t, apex, "lift"))
     t += _segment_time(apex, pre, lift_speed)
-    wps.append(Waypoint(t, pre.copy(), np.zeros(3), "approach"))
+    wps.append(Waypoint(t, pre.copy(), "approach"))
     t += _segment_time(pre, contact, cfg.push_speed)
-    wps.append(Waypoint(t, contact.copy(), np.zeros(3), "approach"))
+    wps.append(Waypoint(t, contact.copy(), "approach"))
     t += _segment_time(contact, push_end, cfg.push_speed)
-    wps.append(Waypoint(t, push_end.copy(), np.zeros(3), "push"))
+    wps.append(Waypoint(t, push_end.copy(), "push"))
     retract = pre.copy()
     t += _segment_time(push_end, retract, lift_speed)
-    wps.append(Waypoint(t, retract, np.zeros(3), "retract"))
-    return SwingPlan(wps, pre, contact, motion, push_end, leg_index)
+    wps.append(Waypoint(t, retract, "retract"))
+    return SwingPlan(wps, pre, contact, push_end)

@@ -104,9 +104,9 @@ def test_replay_falls_back_to_the_default_threshold(tmp_path, capsys):
 def test_simcheck_passes_its_four_invariants(capsys):
     assert cli.main(["simcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["PASS"] * 4 + ["OK"]
-    assert [line.split(" ", 1)[1] for line in lines[:4]] == [
-        "determinism", "linear momentum", "friction cone", "stand force split"]
+    assert [line.split()[0] for line in lines] == ["PASS"] * 5 + ["OK"]
+    assert [line.split(" ", 1)[1].split(":")[0] for line in lines[:5]] == [
+        "determinism", "momentum", "friction cone", "stand force z", "stand force xy"]
 
 
 def test_written_config_loads_back_to_the_defaults(tmp_path):

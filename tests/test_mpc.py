@@ -216,18 +216,6 @@ def test_returned_forces_satisfy_constraints_random_instances():
 # -- mpc_step behaviors -----------------------------------------------------------
 
 
-def test_stand_equilibrium_per_foot_quarter_weight():
-    cfg = StackConfig().mpc
-    mpc = ForceMpc(cfg, MASS, INERTIA)
-    res = mpc.step(stand_state(), (0.0, 0.0, 0.0, 0.28), stand_feet(),
-                   GaitSchedule.stand(), 0.0)
-    assert not res.fault
-    expected = MASS * 9.81 / 4.0
-    for l in range(4):
-        assert abs(res.forces[l, 2] - expected) < 1e-3
-        assert np.max(np.abs(res.forces[l, :2])) < 1e-6
-
-
 def test_forward_command_produces_forward_push():
     cfg = StackConfig().mpc
     mpc = ForceMpc(cfg, MASS, INERTIA)

@@ -4,7 +4,7 @@ import pytest
 from legpress.config import StackConfig
 from legpress.geom import RigidTransform
 from legpress.harness import TaskSpec, make_provider, sample_task
-from legpress.orchestrator import EpisodeOptions, GoalSchedule, run_episode
+from legpress.orchestrator import EpisodeOptions, EpisodeTrace, GoalSchedule, run_episode
 
 
 @pytest.fixture(scope="module")
@@ -17,13 +17,30 @@ def push_task(cfg):
     return sample_task(TaskSpec("box_push_fixed"), 0, cfg)
 
 
-def test_planning_push_succeeds_in_one_action(cfg, push_task):
-    trace = run_episode(push_task, make_provider("planning"), EpisodeOptions(max_steps=1), cfg)
-    assert trace.outcome == "success"
-    assert trace.steps_used == 1
-    assert trace.final_mean_flow == pytest.approx(0.0161370, abs=1e-6)
-    assert -trace.rewards[-1] == pytest.approx(trace.final_mean_flow, abs=1e-9)
-    assert len(trace.actions) == 1
+@pytest.fixture(scope="module")
+def planning_trace(cfg, push_task):
+    return run_episode(push_task, make_provider("planning"), EpisodeOptions(max_steps=1), cfg)
+
+
+def test_planning_push_succeeds_in_one_action(planning_trace):
+    assert planning_trace.outcome == "success"
+    assert planning_trace.steps_used == 1
+    assert planning_trace.final_mean_flow == pytest.approx(0.0161370, abs=1e-6)
+    assert -planning_trace.rewards[-1] == pytest.approx(planning_trace.final_mean_flow,
+                                                        abs=1e-9)
+    assert len(planning_trace.actions) == 1
+
+
+def test_trace_file_reads_back_equal(planning_trace, tmp_path):
+    path = str(tmp_path / "trace.jsonl")
+    planning_trace.write_jsonl(path)
+    back = EpisodeTrace.read_jsonl(path)
+    assert back.records == planning_trace.records
+    assert back.actions == planning_trace.actions
+    assert back.rewards == planning_trace.rewards
+    for name in ("task", "seed", "schema", "outcome", "steps_used", "final_mean_flow",
+                 "success_threshold"):
+        assert getattr(back, name) == getattr(planning_trace, name), name
 
 
 def test_provider_without_action_faults_and_spends_the_step(cfg, push_task):

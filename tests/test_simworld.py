@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from legpress.cli import SIM_CHECKS
 from legpress.config import StackConfig
 from legpress.geom import RigidTransform, euler_zyx_to_matrix
 from legpress.simworld import (
@@ -267,58 +268,13 @@ def test_sliding_box_loses_energy_monotonically():
     assert np.linalg.norm(world.objects[0].linear_velocity) < 1e-3
 
 
-def test_momentum_conserved_without_gravity_or_ground():
-    cfg = StackConfig()
-    obj = SimObject.from_shape(Box((0.1, 0.07, 0.05)),
-                               RigidTransform(np.eye(3), [0.5, 0.2, 0.4]))
-    obj.linear_velocity[:] = (0.1, -0.2, 0.05)
-    obj.angular_velocity[:] = (0.4, -0.3, 0.6)
-    world = standing_world(cfg, objects=[obj])
-    world.gravity_enabled = False
-    world.ground_enabled = False
-    world.robot.srb.linear_velocity[:] = (0.02, 0.01, -0.01)
-    world.robot.srb.angular_velocity[:] = (0.05, -0.02, 0.1)
-    world.robot.feet_vel[:] = world.robot.srb.linear_velocity
-
-    def momentum():
-        lin = np.zeros(3)
-        ang = np.zeros(3)
-        rb = world.robot
-        m = cfg.robot.trunk_mass
-        lin += m * rb.srb.linear_velocity
-        R = rb.rotation()
-        I_w = R @ np.diag(cfg.robot.trunk_inertia) @ R.T
-        ang += I_w @ rb.srb.angular_velocity + m * np.cross(rb.srb.position, rb.srb.linear_velocity)
-        for i in range(4):
-            lin += cfg.robot.foot_mass * rb.feet_vel[i]
-            ang += cfg.robot.foot_mass * np.cross(rb.feet_pos[i], rb.feet_vel[i])
-        for o in world.objects:
-            lin += o.mass * o.linear_velocity
-            Rw = o.pose.rotation
-            ang += Rw @ o.inertia @ Rw.T @ o.angular_velocity
-            ang += o.mass * np.cross(o.pose.translation, o.linear_velocity)
-        return lin, ang
-
-    lin0, ang0 = momentum()
-    for _ in range(1000):
-        step(world, np.zeros(12))
-    lin1, ang1 = momentum()
-    assert np.max(np.abs(lin1 - lin0)) < 1e-6
-    assert np.max(np.abs(ang1 - ang0)) < 1e-6
-
-
-def test_friction_cone_respected_at_every_contact():
-    cfg = StackConfig()
-    shape = Box((0.08, 0.06, 0.05))
-    obj = SimObject.from_shape(shape, RigidTransform.identity())
-    obj.pose = rest_pose_on_ground(shape, contact=cfg.contact, mass=obj.mass)
-    obj.linear_velocity[:] = (0.4, 0.2, 0.0)
-    world = standing_world(cfg, objects=[obj])
-    mu = min(obj.friction, cfg.contact.friction)
-    for _ in range(300):
-        step(world, np.zeros(12))
-        for rec in world.contact_set:
-            assert rec.tangential_force <= mu * rec.normal_force + 1e-9
+@pytest.mark.parametrize("name,check,bound", SIM_CHECKS,
+                         ids=[name.replace(" ", "_") for name, _, _ in SIM_CHECKS])
+def test_simulator_invariant(name, check, bound):
+    """The rows `legpress simcheck` prints: determinism, momentum without
+    gravity or ground, the friction cone at every contact and the stand
+    force split."""
+    assert check(StackConfig()) <= bound
 
 
 def test_contact_complementarity_zero_force_without_penetration():
@@ -329,20 +285,17 @@ def test_contact_complementarity_zero_force_without_penetration():
         assert rec.normal_force >= 0.0
 
 
-def test_step_determinism_bit_identical():
-    cfg = StackConfig()
-    obj = SimObject.from_shape(Box((0.07, 0.07, 0.05)), rest_pose_on_ground(Box((0.07, 0.07, 0.05))))
-    w1 = standing_world(cfg, objects=[obj.copy()])
-    w2 = standing_world(cfg, objects=[obj.copy()])
-    rng = np.random.default_rng(31)
-    tau = rng.normal(scale=0.5, size=(50, 12))
-    for k in range(50):
-        step(w1, tau[k])
-        step(w2, tau[k])
-    assert np.array_equal(w1.robot.srb.as_vector(), w2.robot.srb.as_vector())
-    assert np.array_equal(w1.robot.feet_pos, w2.robot.feet_pos)
-    assert np.array_equal(w1.objects[0].pose.translation, w2.objects[0].pose.translation)
-    assert np.array_equal(w1.objects[0].pose.rotation, w2.objects[0].pose.rotation)
+def test_joint_stop_leaves_a_fixed_base_at_rest():
+    """A foot pulled out of reach engages the joint stops and rides the
+    trunk; a fixed base absorbs the paired momentum correction."""
+    world = standing_world()
+    world.fixed_base = True
+    world.robot.feet_pos[3, 1] -= 0.5
+    step(world, np.zeros(12))
+    srb = world.robot.srb
+    assert np.array_equal(world.robot.feet_pos[3],
+                          leg_forward_kinematics(world.robot.legs[3], srb))
+    assert np.array_equal(srb.linear_velocity, np.zeros(3))
 
 
 def test_divergence_reported():
@@ -450,7 +403,9 @@ def test_cylinder_signed_distance_and_sampling():
 
 # -- pinned trajectories -------------------------------------------------------
 # Each scene runs a few hundred steps under fixed non-zero torques and compares
-# the end state with values recorded before the step was rewritten for speed.
+# the end state with values recorded before the step was rewritten for speed;
+# `joint_stop` and `fixed_base` were recorded again once a fixed base stopped
+# taking the joint-stop momentum correction.
 # Together they take every branch of `step`: ground, object-vertex, foot-object
 # and friction contacts, the joint-stop branch of `_sync_legs`, the singular
 # `_solve3` fallback, fixed base, gravity and ground off, and the orientation
@@ -742,7 +697,7 @@ PINNED_END_STATES = {
         0.0, 0.0, 0.0,
         0.0, 0.0, 0.28,
         0.0, 0.0, 0.0,
-        0.0002584102358919837, -0.026853980656882357, 0.18092892722812953,
+        0.0, 0.0, 0.0,
         9.81, 0.1900001923076923, 0.1270004757955839,
         0.01693497667958872, 0.1900001923076923, -0.12699970656481469,
         0.016934978293112676, -0.1899998076923077, 0.1270004757955839,
@@ -750,14 +705,14 @@ PINNED_END_STATES = {
         0.18334144587234327, 0.0, 0.0,
         1.9563908884261676e-16, 2.710505431213761e-20, -5.421010862427522e-20,
         8.907049916920368e-16, 0.0, 0.0,
-        1.9563908884261676e-16, 0.0002577112458333401, -0.02686175660809452,
-        0.18029249260911775, 1.8086610185097383e-06, 0.905204880784858,
-        -1.8104112236233494, 0.10210941540784302, -0.5614712931976058,
-        1.1249029296671105, 1.1154475543229125e-06, 0.9052055837464477,
-        -1.8104126295478375, 0.1021099819307686, -0.5127125521307954,
-        1.0273853584891819, 1.8086610185097383e-06, 0.905204880784858,
-        -1.8104112236233494, 0.10210941540784302, -0.5614712931976058,
-        1.1249029296671105, -0.8599377442538898, 0.9671896763661756,
+        1.9563908884261676e-16, 0.0, 0.0,
+        0.0, 1.8086610185097383e-06, 0.905204880784858,
+        -1.8104112236233494, 1.345084171948423e-21, 5.838722988806232e-16,
+        -1.1677456850761713e-15, 1.1154475543229125e-06, 0.9052055837464477,
+        -1.8104126295478375, -2.0229444274353156e-19, 2.658100517280657e-15,
+        -5.3164120560155105e-15, 1.8086610185097383e-06, 0.905204880784858,
+        -1.8104112236233494, 1.345084171948423e-21, 5.838722988806232e-16,
+        -1.1677456850761713e-15, -0.8599377442538898, 0.9671896763661756,
         -1.9386626317338116, 0.0, 0.0,
         0.0,
     ],
@@ -788,24 +743,24 @@ PINNED_END_STATES = {
         0.0, 0.0, 0.0,
         0.0, 0.0, 0.28,
         0.0, 0.0, 0.0,
-        0.010861495020632836, -0.009385658172528502, 0.03476530960343427,
-        9.81, 0.2836648999038375, 0.07898840048464222,
-        0.2012051406516769, 0.29081109977133884, -0.17788917204205285,
-        0.21914005788410068, -0.09600266572244993, 0.07906692137474321,
-        0.2019831368849786, -0.08918890022866131, -0.17788917204205285,
-        0.21914005788410068, -0.00269337508246021, -0.047416544268313786,
-        0.1338304079339153, 0.9153458740261062, -0.3948008539028481,
-        2.077883438645207, 0.010892790355738799, -0.009257830448927456,
-        0.03442364163022316, 0.9153458740261069, -0.394800853902848,
-        2.077883438645207, -0.8391280738221705, 0.06658004611044044,
-        -2.6773161641054677, -3.4483523618146052, -2.7660201763459042,
-        -0.5082869517204579, -0.5481327738744235, 0.4956565587105266,
-        -2.3875147745200023, -11.601345867599406, -7.2165342186787065,
-        0.5562543621069639, -0.8582691143405746, 0.04566886694693317,
-        -2.678661399104076, 0.0, 0.0,
-        0.0, -0.5481327738744235, 0.4956565587105273,
-        -2.3875147745200027, -11.598955994406486, -7.2166646889857144,
-        0.5564867335450159, 0.8611952490611375, 0.04867945998715082,
+        0.0, 0.0, 0.0,
+        9.81, 0.2836423803557834, 0.07900396016581522,
+        0.20114952080116716, 0.29081109977133884, -0.17788917204205285,
+        0.21914005788410068, -0.09601769526113821, 0.07905971763169396,
+        0.20199266122478812, -0.08918890022866131, -0.17788917204205285,
+        0.21914005788410068, -0.010186137415004919, -0.0421883539610754,
+        0.11519111720363143, 0.9153458740261062, -0.3948008539028481,
+        2.077883438645207, -0.0038010449339887413, -0.015535507138172899,
+        0.041543833407175344, 0.9153458740261069, -0.394800853902848,
+        2.077883438645207, -0.8373388272901545, 0.06822471877897662,
+        -2.677179687626838, -3.9231021200882754, -3.1931204341046766,
+        -0.560361187645685, -0.5481327738744235, 0.4956565587105266,
+        -2.3875147745200023, -11.816407213562504, -7.303324836749766,
+        0.5631713121326106, -0.8587151064881579, 0.045411000941782964,
+        -2.6787792090312497, -1.5579607922968646, -1.2668526871216665,
+        -0.20221484799519276, -0.5481327738744235, 0.4956565587105273,
+        -2.3875147745200027, -11.816407213562503, -7.3033248367497725,
+        0.563171312132609, 0.8611952490611375, 0.04867945998715082,
         0.5059377957514989, 0.22383353254539537, 0.8573620747867865,
         -0.46349630249393187, -0.4563346279900043, 0.5124066577364664,
         0.7274600500402534, 0.32743405762064715, 0.055739146495295336,

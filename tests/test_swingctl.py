@@ -9,6 +9,7 @@ from legpress.simworld import (
     leg_jacobian,
     leg_jacobian_local,
     rest_pose_on_ground,
+    shoulder_point,
     standing_world,
     step,
 )
@@ -19,7 +20,6 @@ from legpress.swingctl import (
     impedance_torque_tracking,
     is_reachable,
     plan_swing,
-    shoulder_point,
     workspace_radius,
 )
 
