@@ -43,6 +43,7 @@ SUMMARY_SCHEMA = "legpress-summary-v1"
 TASK_NAMES = ("box_push_fixed", "box_push_random", "box_flip_push_random",
               "multiobj_push_fixed", "multiobj_push_random", "multi_step_1m")
 OBJECT_START_XY = (0.34, 0.0)
+YAW_JITTER = 0.1  # initial object yaw range, +-rad
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +97,11 @@ class TaskSpec:
     name: str
     success_threshold: float = 0.03
     object_split: str = "train"
-    yaw_jitter: float = 0.1  # initial object yaw range, +-rad
 
 
-def _rest_object(shape, rng, cfg: StackConfig, yaw_jitter: float) -> SimObject:
+def _rest_object(shape, rng, cfg: StackConfig) -> SimObject:
     obj = SimObject.from_shape(shape, RigidTransform.identity())
-    yaw = float(rng.uniform(-yaw_jitter, yaw_jitter))
+    yaw = float(rng.uniform(-YAW_JITTER, YAW_JITTER))
     obj.pose = rest_pose_on_ground(shape, xy=OBJECT_START_XY, yaw=yaw,
                                    contact=cfg.contact, mass=obj.mass,
                                    gravity=cfg.sim.gravity)
@@ -137,7 +137,7 @@ def sample_task(spec: TaskSpec, seed: int, config: StackConfig | None = None) ->
         shape = catalog[int(rng.integers(len(catalog)))]
     else:
         raise ValueError(f"unknown task {name!r}")
-    obj = _rest_object(shape, rng, cfg, spec.yaw_jitter)
+    obj = _rest_object(shape, rng, cfg)
 
     if name in ("box_push_fixed", "multiobj_push_fixed"):
         goal = _push_goal_pose(obj, (0.15, 0.0))

@@ -60,6 +60,7 @@ from .swingctl import (
 
 TRACE_SCHEMA = "legpress-trace-v1"
 METRIC_POINTS = 400  # object surface samples behind the goal-flow metric
+SETTLE_TIME = 0.3  # s simulated after each placement, before the next check
 
 QP_STAND = "QP_STAND"
 COM_SHIFT = "COM_SHIFT"
@@ -131,8 +132,7 @@ class EpisodeOptions:
     max_steps: int = 7
     reposition: str = "teleport"  # teleport | walk (teleport mirrors the sim protocol)
     pose_source: str = "ground_truth"  # ground_truth | register
-    leg: str = "front_left"
-    settle_time: float = 0.3
+    leg: str = "front_left"  # manipulation leg: front_left | front_right
 
 
 @dataclass
@@ -361,7 +361,7 @@ class _OrchestratorCore:
         say; False when the walk times out."""
         if self.options.reposition == "teleport":
             self.teleport_to(standoff)
-            self.run_for(self.options.settle_time)
+            self.run_for(SETTLE_TIME)
             return True
         self.transition(WALKING)
         return self.walk_to(standoff)
@@ -402,7 +402,7 @@ class _OrchestratorCore:
         self.gait = GaitSchedule.stand()
         self.hold_station()
         self.transition(QP_STAND)
-        self.run_for(self.options.settle_time)
+        self.run_for(SETTLE_TIME)
         return arrived
 
 
@@ -474,7 +474,7 @@ def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | N
         core.teleport_to(standoff)  # initial placement mirrors the eval protocol
 
     try:
-        core.run_for(options.settle_time)
+        core.run_for(SETTLE_TIME)
         mean = check_success()
         outcome = schedule.verdict(obj, mean, trace.steps_used)
         while outcome is None:

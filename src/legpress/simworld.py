@@ -376,14 +376,14 @@ class Box:
         nrm = np.zeros((n, 3))
         axis = face // 2
         sign = np.where(face % 2 == 0, 1.0, -1.0)
-        half = np.array(self.extents) / 2.0
-        for i in range(n):
-            a = axis[i]
+        # one column write per face axis: the same products as a per-point loop
+        for a in range(3):
+            rows = axis == a
             b, c = (a + 1) % 3, (a + 2) % 3
-            pts[i, a] = sign[i] * half[a]
-            pts[i, b] = u[i] * self.extents[b]
-            pts[i, c] = v[i] * self.extents[c]
-            nrm[i, a] = sign[i]
+            pts[rows, a] = sign[rows] * self._half[a]
+            pts[rows, b] = u[rows] * self.extents[b]
+            pts[rows, c] = v[rows] * self.extents[c]
+            nrm[rows, a] = sign[rows]
         return pts, nrm
 
     def mass_properties(self, density: float) -> tuple[float, np.ndarray]:
@@ -434,6 +434,8 @@ class Cylinder:
         pts = np.empty((n, 3))
         nrm = np.empty((n, 3))
         theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        # stays per point: the side height and cap radius draws interleave in
+        # point order, so drawing them as arrays would reorder the random stream
         for i in range(n):
             c, s = math.cos(theta[i]), math.sin(theta[i])
             if region[i] == 0:
@@ -523,11 +525,14 @@ class ConvexMesh:
 
 @dataclass(frozen=True)
 class Compound:
-    """Union of convex parts at fixed translation offsets (L/T prisms)."""
+    """Union of boxes at fixed translation offsets (L/T prisms)."""
 
-    parts: tuple  # of (shape, offset 3-tuple)
+    parts: tuple  # of (Box, offset 3-tuple)
 
     def __post_init__(self):
+        for shape, _ in self.parts:
+            if not isinstance(shape, Box):
+                raise TypeError(f"Compound parts must be Box, got {type(shape).__name__}")
         vs = [shape.vertices() + np.asarray(off) for shape, off in self.parts]
         object.__setattr__(self, "_verts", _freeze(np.vstack(vs)))
 
@@ -544,7 +549,9 @@ class Compound:
         return best
 
     def sample_surface(self, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
-        # oversample each part, drop points that fall inside a sibling part
+        # oversample each part, drop points that fall inside a sibling part.
+        # The largest of |p - off| - half is a box's signed distance inside it
+        # and positive outside, so it gives the signed-distance decision.
         pts_all, nrm_all = [], []
         for i, (shape, off) in enumerate(self.parts):
             p, nm = shape.sample_surface(rng, n)
@@ -553,8 +560,8 @@ class Compound:
             for j, (other, ooff) in enumerate(self.parts):
                 if i == j:
                     continue
-                d = np.array([other.signed_distance(q - np.asarray(ooff))[0] for q in p])
-                keep &= d > -1e-9
+                q = np.abs(p - np.asarray(ooff)) - np.array(other._half)
+                keep &= q.max(axis=1) > -1e-9
             pts_all.append(p[keep])
             nrm_all.append(nm[keep])
         pts = np.vstack(pts_all)

@@ -6,15 +6,20 @@ import pytest
 
 from legpress import cli, harness, orchestrator
 from legpress.config import StackConfig, load_config, write_config
+from legpress.geom import RigidTransform
 from legpress.harness import (
+    AmbiguityBenchResult,
     TaskSpec,
     _asymmetric_shape,
+    ambiguity_benchmark,
     multi_step_protocol,
     object_catalog,
     registration_benchmark,
     sample_task,
 )
 from legpress.orchestrator import EpisodeOptions
+from legpress.sensing import full_scan
+from legpress.simworld import ConvexMesh, SimObject, rest_pose_on_ground
 
 
 def _vertex_digest(shapes) -> str:
@@ -125,6 +130,23 @@ def test_shape_sets_are_unchanged():
     res = registration_benchmark(3, seed=0)
     assert res.rotation_mae_deg == pytest.approx(0.5690493233593162, rel=1e-9)
     assert res.translation_mae == pytest.approx(0.0002989511626947668, rel=1e-9)
+
+
+def test_surface_scans_and_registration_are_unchanged():
+    """Recorded before the samplers and the point-to-plane step were rewritten
+    for speed: any change to a sampling draw or to ICP shows here."""
+    box, cylinder, l_prism = object_catalog("train")[:3]
+    mesh = ConvexMesh(tuple(map(tuple, np.random.default_rng(5).uniform(-0.05, 0.05, (14, 3)))))
+    digests = {}
+    for shape in (box, cylinder, mesh, l_prism):
+        obj = SimObject.from_shape(shape, RigidTransform.identity())
+        obj.pose = rest_pose_on_ground(shape, yaw=0.3)
+        scan = full_scan(obj, 400, seed=11)
+        digest = hashlib.sha256(scan.points.tobytes() + scan.normals.tobytes()).hexdigest()
+        digests[type(shape).__name__] = digest[:16]
+    assert digests == {"Box": "3b76b4fa535b6006", "Cylinder": "a94309782270c9b6",
+                       "ConvexMesh": "59ef271aa1794b02", "Compound": "64fb2dbaa955bc73"}
+    assert ambiguity_benchmark(4, seed=0) == AmbiguityBenchResult(1.0, 0.5, 4)
 
 
 def test_settle_sink_follows_the_configured_gravity():

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from legpress.geom import PointCloud, RigidTransform, apply_transform, compose, rot_z
+from legpress import register
+from legpress.geom import (
+    PointCloud,
+    RigidTransform,
+    apply_transform,
+    compose,
+    rot_z,
+    rotation_exp,
+)
 from legpress.register import (
+    _solve_point_to_plane,
     chamfer_distance,
     flow_distance,
     icp_register,
@@ -101,6 +110,32 @@ def test_icp_recovers_known_small_transform():
     moved = res.transform.apply(source.points)
     want = target.points
     assert float(np.mean(np.linalg.norm(moved - want, axis=1))) < 0.002
+
+
+def test_point_to_plane_system_equals_the_stacked_cross_product(monkeypatch):
+    """The column-built system matrix has the bits of [src x nrm | nrm], so the
+    Gauss-Newton step is the one np.hstack and np.cross gave."""
+    systems = []
+    lstsq = np.linalg.lstsq
+
+    def recording(A, b, rcond=None):
+        systems.append(A.copy())
+        return lstsq(A, b, rcond=rcond)
+
+    monkeypatch.setattr(register.np.linalg, "lstsq", recording)
+    rng = np.random.default_rng(3)
+    for n in (6, 37, 400):
+        for _ in range(20):
+            src = rng.normal(scale=0.05, size=(n, 3))
+            dst = src + rng.normal(scale=0.005, size=(n, 3))
+            nrm = rng.normal(size=(n, 3))
+            nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+            got = _solve_point_to_plane(src, dst, nrm)
+            A = np.hstack([np.cross(src, nrm), nrm])
+            assert np.array_equal(systems[-1], A)
+            x, *_ = lstsq(A, -np.einsum("ij,ij->i", src - dst, nrm), rcond=None)
+            assert np.array_equal(got.translation, x[3:])
+            assert np.array_equal(got.rotation, rotation_exp(x[:3]))
 
 
 def test_icp_rejects_tiny_clouds():

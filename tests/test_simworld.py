@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from legpress import harness
 from legpress.cli import SIM_CHECKS
 from legpress.config import StackConfig
 from legpress.geom import RigidTransform, euler_zyx_to_matrix
@@ -399,6 +400,81 @@ def test_cylinder_signed_distance_and_sampling():
     for p in pts:
         d, _ = cyl.signed_distance(p)
         assert abs(d) < 1e-9
+
+
+# -- surface sampling: the per-point code each sampler replaced is the exact reference
+
+
+def _box_sample_per_point(box, rng, n):
+    ex, ey, ez = box.extents
+    areas = np.array([ey * ez, ey * ez, ex * ez, ex * ez, ex * ey, ex * ey])
+    face = rng.choice(6, size=n, p=areas / areas.sum())
+    u = rng.uniform(-0.5, 0.5, size=n)
+    v = rng.uniform(-0.5, 0.5, size=n)
+    pts = np.empty((n, 3))
+    nrm = np.zeros((n, 3))
+    axis = face // 2
+    sign = np.where(face % 2 == 0, 1.0, -1.0)
+    half = np.array(box.extents) / 2.0
+    for i in range(n):
+        a = axis[i]
+        b, c = (a + 1) % 3, (a + 2) % 3
+        pts[i, a] = sign[i] * half[a]
+        pts[i, b] = u[i] * box.extents[b]
+        pts[i, c] = v[i] * box.extents[c]
+        nrm[i, a] = sign[i]
+    return pts, nrm
+
+
+def _compound_sample_per_point(compound, rng, n):
+    pts_all, nrm_all = [], []
+    for i, (shape, off) in enumerate(compound.parts):
+        p, nm = _box_sample_per_point(shape, rng, n)
+        p = p + np.asarray(off)
+        keep = np.ones(len(p), dtype=bool)
+        for j, (other, ooff) in enumerate(compound.parts):
+            if i == j:
+                continue
+            d = np.array([other.signed_distance(q - np.asarray(ooff))[0] for q in p])
+            keep &= d > -1e-9
+        pts_all.append(p[keep])
+        nrm_all.append(nm[keep])
+    pts = np.vstack(pts_all)
+    nrm = np.vstack(nrm_all)
+    idx = rng.choice(len(pts), size=n, replace=len(pts) < n)
+    return pts[idx], nrm[idx]
+
+
+@pytest.mark.parametrize("extents", [(0.08, 0.06, 0.05), (0.1, 0.02, 0.3), (1, 2, 3),
+                                     (0.05, 0.05, 0.05)])
+def test_box_sampling_equals_the_per_point_loop(extents):
+    box = Box(extents)
+    for seed in range(5):
+        for n in (1, 7, 400):
+            got = box.sample_surface(np.random.default_rng(seed), n)
+            want = _box_sample_per_point(box, np.random.default_rng(seed), n)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("shape", [
+    harness._l_prism(0.09, 0.05, 0.05),
+    harness._t_prism(0.1, 0.04, 0.05),
+    Compound(((Box((0.08, 0.08, 0.05)), (0.0, 0.0, 0.0)),  # the ambiguity-suite stud
+              (Box((0.02, 0.02, 0.03)), (0.03, 0.03, 0.04)))),
+], ids=["l_prism", "t_prism", "stud"])
+def test_compound_sampling_equals_the_per_point_rejection(shape):
+    """Sibling-interior rejection by the vectorised box test keeps exactly the
+    points the per-point signed distance kept, shared faces included."""
+    for seed in range(8):
+        got = shape.sample_surface(np.random.default_rng(seed), 400)
+        want = _compound_sample_per_point(shape, np.random.default_rng(seed), 400)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_compound_rejects_a_part_that_is_not_a_box():
+    with pytest.raises(TypeError):
+        Compound(((Box((0.1, 0.1, 0.1)), (0.0, 0.0, 0.0)),
+                  (Cylinder(0.03, 0.1), (0.0, 0.0, 0.1))))
 
 
 # -- pinned trajectories -------------------------------------------------------
