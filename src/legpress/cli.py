@@ -6,6 +6,9 @@ Subcommands:
   regbench  registration synthetic suite (rotation/translation MAE)
   simcheck  simulator invariant suite: one line per row of SIM_CHECKS, the
             table the Tier-1 tests assert too
+  sweep     seeded outcome sweep: every task with the planning policy, the
+            multi-step protocol in walk and teleport mode; the gate for any
+            change that moves a trajectory
   replay    recompute and print the summary of a trace file
 
 The configuration file path comes from --config or the LEGPRESS_CONFIG
@@ -87,6 +90,45 @@ def cmd_regbench(args) -> int:
         print(f"ambiguity_trials={amb.trials}")
         print(f"augmented_success={amb.augmented_success!r}")
         print(f"single_shot_success={amb.single_shot_success!r}")
+    return 0
+
+
+def _parse_seeds(text: str) -> list[int]:
+    """Seeds from '0-9', '3' or '0-2,7' (ranges inclusive)."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def _sweep_episode(name: str, mode: str | None, seed: int, cfg: StackConfig,
+                   max_steps: int) -> tuple[str, str]:
+    """Outcome and detail text of one planning-policy episode; a multi-step
+    run when mode names its reposition mode."""
+    if mode is not None:
+        res = multi_step_protocol("planning", seed=seed,
+                                  options=EpisodeOptions(reposition=mode), config=cfg)
+        return res.outcome, f"steps={res.steps} y_error_cm={res.y_error_cm!r}"
+    ep = evaluate("planning", TaskSpec(name), 1, seed=seed,
+                  options=EpisodeOptions(max_steps=max_steps), config=cfg).episodes[0]
+    return ep["outcome"], f"steps={ep['steps']} final_mean_flow={ep['final_mean_flow']!r}"
+
+
+def cmd_sweep(args) -> int:
+    cfg = load_config(args.config)
+    seeds = _parse_seeds(args.seeds)
+    groups = [(name, mode) for name in args.tasks
+              for mode in (("walk", "teleport") if name == "multi_step_1m" else (None,))]
+    for name, mode in groups:
+        print(f"task={name}" + (f" reposition={mode}" if mode else ""))
+        counts = {}
+        for seed in seeds:
+            outcome, detail = _sweep_episode(name, mode, seed, cfg, args.max_steps)
+            fault_class = outcome.split(" (")[0]
+            counts[fault_class] = counts.get(fault_class, 0) + 1
+            print(f"  seed={seed} outcome={outcome} {detail}")
+        print("  counts " + " ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     return 0
 
 
@@ -251,6 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simcheck", help="simulator invariant suite")
     ps.set_defaults(fn=cmd_simcheck)
+
+    pw = sub.add_parser("sweep", help="seeded outcome sweep over the tasks")
+    pw.add_argument("--seeds", default="0-9", help="e.g. 0-9 or 0-2,7")
+    pw.add_argument("--max-steps", type=int, default=2,
+                    help="action budget of the single-goal tasks; multi-step keeps its own")
+    pw.add_argument("--tasks", nargs="+", choices=TASK_NAMES, default=list(TASK_NAMES))
+    pw.set_defaults(fn=cmd_sweep)
 
     pp = sub.add_parser("replay", help="recompute a trace summary")
     pp.add_argument("--trace", required=True)

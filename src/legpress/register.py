@@ -10,13 +10,17 @@ per metric, and the lowest weighted rank sum wins. The known augmentation
 rotation is composed back so the returned transform always maps the
 original source onto the target.
 
-Exactness. Faster code here keeps every result bit-identical, under the rule
-in the `simworld` module docstring: reductions (`np.median`,
-`np.linalg.lstsq`, the KD-tree query) keep their calls on the same operands,
-and elementwise work is rewritten only as the same IEEE operations in the same
-order. `cKDTree.query` is the floor: the largest call left in an ICP
-iteration (about 120 of 400 us for 155 source and 400 target points on a
-2-core x86 host), and threading it (`workers=2`) made it 2-3x slower there.
+Exactness. Faster code here keeps every result bit-identical to the plain
+numpy formulation. Every reduction keeps its numpy call on the same operands:
+`np.median`, `np.linalg.lstsq`, the KD-tree query, and each `@`, dot and
+norm; a hand-written dot or matrix product rounds differently from the BLAS
+call it would replace. Elementwise work may be rewritten, but only as the same
+IEEE operations in the same order: the cross-product columns of the
+point-to-plane system are the operations `np.cross` performs, and a box face
+is sampled by column writes of the same products a per-point loop forms.
+`cKDTree.query` is the floor: the largest call left in an ICP iteration
+(about 120 of 400 us for 155 source and 400 target points on a 2-core x86
+host), and threading it (`workers=2`) made it 2-3x slower there.
 """
 from __future__ import annotations
 

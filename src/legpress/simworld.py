@@ -15,22 +15,25 @@ machine precision instead of drifting with the naive w-update.
 Leg numbering: 0 = front-left, 1 = front-right, 2 = rear-left,
 3 = rear-right. World frame: x forward, y left, z up.
 
-Speed without changing a bit. The per-tick path (`step`, `_sync_legs` and
-the leg Jacobians the controllers read) is written so that every trajectory
-is bit-identical to the plain numpy formulation:
-  - every reduction keeps its numpy call on the same operands: matrix and
-    vector `@`, dot, `np.linalg.norm`, `inv`, `solve`, `det` and `svd`.
-    Hand-written 3x3 products and 3-vector dots are not bit-equal to them
-    (a hand-written dot differed from `a @ b` in 34 % of 20,000 random
-    cases), so none appear here;
-  - elementwise work runs on Python floats taken with one `.tolist()`:
-    + - * /, abs, min, max, copysign and scalar sqrt, sin and cos are the
-    same IEEE double operations, in the same order;
-  - a stacked `np.matmul` over the four legs, transposed operands included,
-    stands in for the per-leg products. With numpy 2.4 on OpenBLAS 0.3.31 it
-    gave the same bits as each per-leg `R @ Jl`, `R.T @ d` and `Jl.T @ x`
-    over 20,000 random cases; `tests/test_mpc.py` keeps the per-leg
-    reference for `stance_torques`;
+Speed, gated on outcomes. The per-tick path (`step`, `_sync_legs` and the
+leg Jacobians the controllers read) does its small vector math on Python
+floats taken with one `.tolist()`: elementwise work, 3-vector dots and cross
+products, and the 3x3 products of the friction pass with the world inverse
+inertia. These round differently from numpy's BLAS calls in the last bits, so
+a trajectory is not bit-identical to a plain numpy formulation of the same
+model, and a change to this path is judged by what the simulation does:
+  - `legpress sweep --seeds 0-9`: every task and seed keeps its outcome,
+    action count and fault class, and the final flow or lateral error moves
+    only by rounding;
+  - `cli.SIM_CHECKS` (`legpress simcheck`): determinism, momentum, friction
+    cone and stand force within their bounds;
+  - the pinned end states in `tests/test_simworld.py` at rtol 1e-9 and atol
+    1e-12. A scene that moves past them is re-recorded, with every moved
+    value listed in the change log.
+Two more devices stay:
+  - a stacked `np.matmul` over the four legs stands in for the per-leg
+    products; `tests/test_mpc.py` checks `stance_torques` bit-equal to its
+    per-leg loop;
   - the rotation of an rpy value and a leg's local Jacobian for a
     joint-angle value are computed once and shared, keyed on the bytes of
     the values, so an in-place write can never read a stale matrix. Public
@@ -73,9 +76,20 @@ def _cross(a, b) -> tuple:
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
-def _point_velocity(v, w, t, p) -> tuple:
-    """Velocity v + w x (p - t) of the body point p, on float triples."""
-    c0, c1, c2 = _cross(w, (p[0] - t[0], p[1] - t[1], p[2] - t[2]))
+def _dot(a, b) -> float:
+    """a . b on float triples."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _matvec(M, x) -> list:
+    """M x for a 3x3 matrix given as three float rows."""
+    return [_dot(M[0], x), _dot(M[1], x), _dot(M[2], x)]
+
+
+def _point_velocity(v, w, r) -> tuple:
+    """Velocity v + w x r of the body point at offset r from the body origin,
+    on float triples."""
+    c0, c1, c2 = _cross(w, r)
     return (v[0] + c0, v[1] + c1, v[2] + c2)
 
 
@@ -217,11 +231,6 @@ def shoulder_point(leg: LegModel, trunk: SrbState) -> np.ndarray:
 def leg_jacobian(leg: LegModel, trunk: SrbState) -> np.ndarray:
     """World-frame 3x3 Jacobian d(foot position)/d(joint angles)."""
     return _rotation(trunk.rpy) @ _leg_jac(leg)
-
-
-def leg_jacobian_local(leg: LegModel) -> np.ndarray:
-    """Trunk-frame leg Jacobian (no trunk rotation applied)."""
-    return _leg_jac(leg).copy()
 
 
 def leg_jacobians_local(legs) -> np.ndarray:
@@ -766,7 +775,7 @@ def _normal_force(pen, pen_rate, cc: ContactConfig, m_eff: float, dt: float) -> 
 
 
 # friction contact kinds; a contact between the normal pass and the impulse
-# pass is (kind, foot, object index, point, normal array, normal, fn, record)
+# pass is (kind, foot, object index, point, normal, fn, record)
 _FOOT_GROUND, _OBJ_GROUND, _FOOT_OBJ = "foot_ground", "obj_ground", "foot_obj"
 
 
@@ -777,9 +786,68 @@ def _abs_max(values: list) -> float:
     return max(map(abs, values))
 
 
-def _tangential_effective_inv_mass(mass: float, I_w_inv, r, t_hat) -> float:
-    rx = np.array(_cross(r, t_hat))
-    return 1.0 / mass + float(rx @ I_w_inv @ rx)
+def _friction_pass(fric, objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
+                   mf: float, mu_ground: float, dt: float) -> None:
+    """Friction impulses: project the tangential relative velocity, capped by
+    Coulomb. Two Gauss-Seidel sweeps in contact order, so corner contacts of
+    one body stop cleanly instead of trading residual momentum; the Coulomb
+    budget is shared across sweeps.
+
+    Works on floats: object i has translation obj_t[i], velocity obj_v[i],
+    angular velocity obj_w[i], momentum obj_L[i] and world inverse inertia
+    rows obj_I_inv[i]. Updates the velocities, the momenta and each contact
+    record's tangential force in place. The 3-vector components are written
+    out: a comprehension per vector cost more than its arithmetic."""
+    applied = [0.0] * len(fric)
+    for _sweep in range(2):
+        for ci, (kind, foot, oi, point, n, fn, rec) in enumerate(fric):
+            if kind is _FOOT_GROUND:
+                v0, v1, v2 = feet_v[foot]
+                mu = mu_ground
+            else:
+                obj = objects[oi]
+                t = obj_t[oi]
+                r = (point[0] - t[0], point[1] - t[1], point[2] - t[2])
+                v0, v1, v2 = _point_velocity(obj_v[oi], obj_w[oi], r)
+                if kind is _FOOT_OBJ:
+                    fv = feet_v[foot]
+                    v0, v1, v2 = fv[0] - v0, fv[1] - v1, fv[2] - v2
+                mu = min(obj.friction, mu_ground)
+            n0, n1, n2 = n
+            vn = v0 * n0 + v1 * n1 + v2 * n2
+            t0, t1, t2 = v0 - vn * n0, v1 - vn * n1, v2 - vn * n2
+            speed = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
+            if speed < 1e-12:
+                continue
+            t_hat = (t0 / speed, t1 / speed, t2 / speed)
+            if kind is _FOOT_GROUND:
+                k_inv = 1.0 / mf
+            else:
+                I_inv = obj_I_inv[oi]
+                rx = _cross(r, t_hat)
+                k_inv = 1.0 / obj.mass + _dot(rx, _matvec(I_inv, rx))
+                if kind is _FOOT_OBJ:
+                    k_inv = 1.0 / mf + k_inv
+            j = min(speed / k_inv, max(mu * fn * dt - applied[ci], 0.0))
+            if j <= 0.0:
+                continue
+            applied[ci] += j
+            rec.tangential_force = applied[ci] / dt
+            i0, i1, i2 = imp = (-j * t_hat[0], -j * t_hat[1], -j * t_hat[2])
+            if kind is not _OBJ_GROUND:
+                fv = feet_v[foot]
+                fv[0], fv[1], fv[2] = fv[0] + i0 / mf, fv[1] + i1 / mf, fv[2] + i2 / mf
+            if kind is not _FOOT_GROUND:
+                v, L = obj_v[oi], obj_L[oi]
+                c0, c1, c2 = _cross(r, imp)
+                m = obj.mass
+                if kind is _OBJ_GROUND:
+                    v[0], v[1], v[2] = v[0] + i0 / m, v[1] + i1 / m, v[2] + i2 / m
+                    L[0], L[1], L[2] = L[0] + c0, L[1] + c1, L[2] + c2
+                else:
+                    v[0], v[1], v[2] = v[0] - i0 / m, v[1] - i1 / m, v[2] - i2 / m
+                    L[0], L[1], L[2] = L[0] - c0, L[1] - c1, L[2] - c2
+                obj_w[oi] = _matvec(I_inv, L)
 
 
 def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldState:
@@ -845,7 +913,7 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
             rec = ContactRecord(robot.feet_pos[i].copy(), up, pen, fn, 0.0,
                                 (f"foot_{i}", "ground"))
             contacts.append(rec)
-            fric.append((_FOOT_GROUND, i, -1, feet_p[i], up, up_f, fn, rec))
+            fric.append((_FOOT_GROUND, i, -1, feet_p[i], up_f, fn, rec))
 
     # per-object float state: translation, velocities, force, torque
     obj_t, obj_v, obj_w, obj_force, obj_torque = [], [], [], [], []
@@ -873,7 +941,7 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
                     torque[k] += c[k]
                 rec = ContactRecord(v_row, up, -p[2], fn, 0.0, (obj.name, "ground"))
                 contacts.append(rec)
-                fric.append((_OBJ_GROUND, -1, oi, p, up, up_f, fn, rec))
+                fric.append((_OBJ_GROUND, -1, oi, p, up_f, fn, rec))
         local = (Ro.T @ (robot.feet_pos - to)[:, :, None])[:, :, 0].tolist()
         for i in range(4):
             sd, nl = obj.shape.signed_distance(local[i])
@@ -884,21 +952,22 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
             n = n_arr.tolist()
             fp, fv = feet_p[i], feet_v[i]
             cp = [fp[k] - n[k] * sd for k in range(3)]
-            pv = _point_velocity(v, w, t, cp)
+            r = [cp[k] - t[k] for k in range(3)]
+            pv = _point_velocity(v, w, r)
             pen_rate = -float(n_arr @ np.array([fv[k] - pv[k] for k in range(3)]))
             m_red = mf * m / (mf + m)
             fn = _normal_force(pen, pen_rate, cc, m_red, dt)
             if fn <= 0.0:
                 continue
             f = [fn * n[k] for k in range(3)]
-            c = _cross([cp[k] - t[k] for k in range(3)], f)
+            c = _cross(r, f)
             for k in range(3):
                 feet_force[i][k] += f[k]
                 force[k] -= f[k]
                 torque[k] -= c[k]
             rec = ContactRecord(np.array(cp), n_arr, pen, fn, 0.0, (f"foot_{i}", obj.name))
             contacts.append(rec)
-            fric.append((_FOOT_OBJ, i, oi, cp, n_arr, n, fn, rec))
+            fric.append((_FOOT_OBJ, i, oi, cp, n, fn, rec))
         obj_t.append(t)
         obj_v.append(v)
         obj_w.append(w)
@@ -912,76 +981,24 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
         v = srb.linear_velocity.tolist()
         srb.linear_velocity[:] = [v[k] + trunk_force[k] / m_trunk * dt for k in range(3)]
     obj_L = []
-    obj_I_w_inv = []
+    obj_I_inv = []  # world inverse inertia per object, as float rows
     for oi, obj in enumerate(world.objects):
         Ro = obj.pose.rotation
         I_w = Ro @ obj.inertia @ Ro.T
         Lw = (I_w @ obj.angular_velocity).tolist()
         obj_L.append([Lw[k] + obj_torque[oi][k] * dt for k in range(3)])
-        obj_I_w_inv.append(np.linalg.inv(I_w))
+        obj_I_inv.append(np.linalg.inv(I_w).tolist())
         v, force = obj_v[oi], obj_force[oi]
         for k in range(3):
             v[k] += force[k] / obj.mass * dt
-        obj_w[oi] = (obj_I_w_inv[oi] @ np.array(obj_L[oi])).tolist()
+        obj_w[oi] = _matvec(obj_I_inv[oi], obj_L[oi])
     for i in range(4):
         fv, ff = feet_v[i], feet_force[i]
         for k in range(3):
             fv[k] += ff[k] / mf * dt
 
-    # friction impulses: project tangential relative velocity, Coulomb-capped;
-    # two sweeps so corner contacts of one body stop cleanly instead of
-    # trading residual momentum; the Coulomb budget is shared across sweeps
-    mu_ground = cc.friction
-    applied = [0.0] * len(fric)
-    for _sweep in range(2):
-        for ci, (kind, foot, oi, point, n_arr, n, fn, rec) in enumerate(fric):
-            if kind is _FOOT_GROUND:
-                v_rel = feet_v[foot]
-                mu = mu_ground
-            else:
-                obj = world.objects[oi]
-                t = obj_t[oi]
-                v_rel = _point_velocity(obj_v[oi], obj_w[oi], t, point)
-                if kind is _FOOT_OBJ:
-                    fv = feet_v[foot]
-                    v_rel = [fv[k] - v_rel[k] for k in range(3)]
-                mu = min(obj.friction, mu_ground)
-            vn = float(np.array(v_rel) @ n_arr)
-            v_t = [v_rel[k] - vn * n[k] for k in range(3)]
-            v_t_arr = np.array(v_t)
-            speed = math.sqrt(float(v_t_arr @ v_t_arr))
-            if speed < 1e-12:
-                continue
-            t_hat = [v_t[k] / speed for k in range(3)]
-            if kind is _FOOT_GROUND:
-                k_inv = 1.0 / mf
-            else:
-                r = [point[k] - t[k] for k in range(3)]
-                k_inv = _tangential_effective_inv_mass(obj.mass, obj_I_w_inv[oi], r, t_hat)
-                if kind is _FOOT_OBJ:
-                    k_inv = 1.0 / mf + k_inv
-            j = min(speed / k_inv, max(mu * fn * dt - applied[ci], 0.0))
-            if j <= 0.0:
-                continue
-            applied[ci] += j
-            rec.tangential_force = applied[ci] / dt
-            imp = [-j * t_hat[k] for k in range(3)]
-            if kind is not _OBJ_GROUND:
-                fv = feet_v[foot]
-                for k in range(3):
-                    fv[k] += imp[k] / mf
-            if kind is not _FOOT_GROUND:
-                v, L = obj_v[oi], obj_L[oi]
-                c = _cross(r, imp)
-                if kind is _OBJ_GROUND:
-                    for k in range(3):
-                        v[k] += imp[k] / obj.mass
-                        L[k] += c[k]
-                else:
-                    for k in range(3):
-                        v[k] -= imp[k] / obj.mass
-                        L[k] -= c[k]
-                obj_w[oi] = (obj_I_w_inv[oi] @ np.array(L)).tolist()
+    _friction_pass(fric, world.objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
+                   mf, cc.friction, dt)
     robot.feet_vel[:] = feet_v
     for oi, obj in enumerate(world.objects):
         obj.linear_velocity[:] = obj_v[oi]
@@ -1005,7 +1022,7 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
         Ro = obj.pose.rotation
         L = np.array(obj_L[oi])
         new_t = obj.pose.translation + obj.linear_velocity * dt
-        w_mid = obj_I_w_inv[oi] @ L
+        w_mid = np.array(obj_w[oi])
         Ro_new = rotation_exp(w_mid * dt) @ Ro
         if world._steps % _RENORM_EVERY == 0:
             Ro_new = orthonormalize(Ro_new)

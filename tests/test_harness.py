@@ -114,6 +114,35 @@ def test_simcheck_passes_its_four_invariants(capsys):
         "determinism", "momentum", "friction cone", "stand force z", "stand force xy"]
 
 
+def test_sweep_prints_each_episode_and_the_outcome_counts(capsys):
+    assert cli.main(["sweep", "--seeds", "0", "--max-steps", "1",
+                     "--tasks", "box_push_fixed"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "task=box_push_fixed"
+    assert lines[1].startswith("  seed=0 outcome=success steps=1 final_mean_flow=0.01613")
+    assert lines[2:] == ["  counts success=1"]
+
+
+def test_sweep_counts_faults_by_class(capsys, monkeypatch):
+    """The count key is the outcome before its parenthesised detail; the
+    seeds are ranges and lists, inclusive."""
+    outcomes = iter(["fault:simulation_divergence (velocity 106.7 m/s)", "success",
+                     "fault:simulation_divergence (velocity 100.2 m/s)", "max_steps"])
+
+    def fake_episode(task, provider, options, config):
+        trace = orchestrator.EpisodeTrace(task.name, task.seed)
+        trace.outcome, trace.steps_used, trace.final_mean_flow = next(outcomes), 1, 0.5
+        assert options.max_steps == 3
+        return trace
+
+    monkeypatch.setattr(harness, "run_episode", fake_episode)
+    assert cli.main(["sweep", "--seeds", "0-1,5,7", "--max-steps", "3",
+                     "--tasks", "box_flip_push_random"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[1:5]] == ["seed=0", "seed=1", "seed=5", "seed=7"]
+    assert lines[5] == "  counts fault:simulation_divergence=2 max_steps=1 success=1"
+
+
 def test_written_config_loads_back_to_the_defaults(tmp_path):
     path = tmp_path / "stack.ini"
     write_config(StackConfig(), str(path))

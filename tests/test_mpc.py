@@ -14,7 +14,7 @@ from legpress.mpc import (
     rollout,
     stance_torques,
 )
-from legpress.simworld import SrbState, leg_jacobian_local, standing_world, step
+from legpress.simworld import SrbState, leg_jacobians_local, standing_world, step
 
 
 MASS = 12.0
@@ -264,8 +264,8 @@ def test_closed_loop_stand_five_seconds():
 
 
 def test_stance_torques_equal_the_per_leg_products():
-    """The stacked product gives the same bits as -J_i^T (R^T f_i) leg by leg;
-    the simulator's bit-exactness rests on it."""
+    """The stacked product gives the same bits as -J_i^T (R^T f_i) leg by leg,
+    so stacking the legs changes no torque the controllers hand the simulator."""
     rng = np.random.default_rng(41)
     world = standing_world()
     robot = world.robot
@@ -275,7 +275,7 @@ def test_stance_torques_equal_the_per_leg_products():
             leg.joint_angles[:] = rng.uniform(-2.0, 2.0, 3)
         forces = rng.normal(scale=30.0, size=(4, 3))
         R = euler_zyx_to_matrix(*robot.srb.rpy)
-        expected = np.array([-leg_jacobian_local(leg).T @ (R.T @ forces[i])
+        expected = np.array([-leg_jacobians_local([leg])[0].T @ (R.T @ forces[i])
                              for i, leg in enumerate(robot.legs)])
         assert np.array_equal(stance_torques(robot, forces), expected)
 

@@ -25,7 +25,7 @@ def world_with_box(xy=(0.45, 0.0), dims=(0.08, 0.08, 0.06)):
     return world
 
 
-def ray_hits_box_before(point, box_obj, origin, slack=1e-6):
+def ray_hits_box_before(point, box_obj, origin):
     """Brute-force visibility oracle: march the ray origin->point and check
     whether the box surface is crossed strictly before reaching the point."""
     d = point - origin
@@ -33,12 +33,12 @@ def ray_hits_box_before(point, box_obj, origin, slack=1e-6):
     d = d / dist
     R, t = box_obj.pose.rotation, box_obj.pose.translation
     n_steps = 4000
-    for s in np.linspace(1e-4, dist - 1e-4, n_steps):
-        p = origin + s * d
-        sd, _ = box_obj.shape.signed_distance(R.T @ (p - t))
-        if sd < -1e-5:  # strictly inside the box before arriving
-            return True
-    return False
+    s = np.linspace(1e-4, dist - 1e-4, n_steps)
+    local = (origin + s[:, None] * d - t) @ R  # rows are R^T (p - t)
+    # a box's signed distance is the largest of |q| - half inside it and
+    # positive outside, so this is the per-sample signed-distance test
+    sd = (np.abs(local) - np.asarray(box_obj.shape.extents) / 2.0).max(axis=1)
+    return bool(np.any(sd < -1e-5))  # strictly inside the box before arriving
 
 
 # -- hidden point removal ------------------------------------------------------

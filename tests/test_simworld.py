@@ -1,9 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from legpress import harness
+from legpress import harness, simworld
 from legpress.cli import SIM_CHECKS
 from legpress.config import StackConfig
 from legpress.geom import RigidTransform, euler_zyx_to_matrix
@@ -18,7 +19,7 @@ from legpress.simworld import (
     leg_forward_kinematics,
     leg_inverse_kinematics,
     leg_jacobian,
-    leg_jacobian_local,
+    leg_jacobians_local,
     make_legs,
     quasi_static_push_check,
     rest_pose_on_ground,
@@ -33,6 +34,11 @@ def default_leg(i=0):
 
 def level_trunk(pos=(0.0, 0.0, 0.3)):
     return SrbState(np.zeros(3), np.array(pos, dtype=float), np.zeros(3), np.zeros(3))
+
+
+def leg_jacobian_local(leg):
+    """Trunk-frame Jacobian of one leg (no trunk rotation applied)."""
+    return leg_jacobians_local([leg])[0]
 
 
 def random_valid_q(rng, leg):
@@ -481,7 +487,9 @@ def test_compound_rejects_a_part_that_is_not_a_box():
 # Each scene runs a few hundred steps under fixed non-zero torques and compares
 # the end state with values recorded before the step was rewritten for speed;
 # `joint_stop` and `fixed_base` were recorded again once a fixed base stopped
-# taking the joint-stop momentum correction.
+# taking the joint-stop momentum correction, and `resting_cylinder` once the
+# friction pass moved to float math (its residual spin, about 1e-7 rad/s,
+# moved by about 1e-11).
 # Together they take every branch of `step`: ground, object-vertex, foot-object
 # and friction contacts, the joint-stop branch of `_sync_legs`, the singular
 # `_solve3` fallback, fixed base, gravity and ground off, and the orientation
@@ -536,7 +544,7 @@ PIN_SHAPES = {
 }
 
 
-def scene_resting(name):
+def scene_resting(name, n_steps=300):
     """A sliding, spinning object on the ground in front of a standing robot."""
     cfg = StackConfig()
     shape = PIN_SHAPES[name]()
@@ -546,10 +554,10 @@ def scene_resting(name):
     obj.linear_velocity[:] = (0.15, -0.05, 0.0)
     obj.angular_velocity[:] = (0.0, 0.0, 1.5)
     world = standing_world(cfg, objects=[obj])
-    return _run_pin(world, _pin_torques(world, _stand_forces(world)), 300)
+    return _run_pin(world, _pin_torques(world, _stand_forces(world)), n_steps)
 
 
-def scene_foot_press():
+def scene_foot_press(n_steps=300):
     """Trunk held fixed; front-left foot pressed into the side of a heavy
     box and dragged along it."""
     cfg = StackConfig()
@@ -563,7 +571,7 @@ def scene_foot_press():
     world.objects.append(obj)
     forces = _stand_forces(world)
     forces[0] = (6.0, 1.5, forces[0][2])
-    return _run_pin(world, _pin_torques(world, forces), 300)
+    return _run_pin(world, _pin_torques(world, forces), n_steps)
 
 
 def scene_joint_stop():
@@ -674,13 +682,13 @@ PINNED_END_STATES = {
         -1.7861407966695242, 0.21364616372779116, -0.15176736153894854,
         0.20100052817882566, 0.029865389267476505, 0.8804719579289827,
         -1.7729755471211812, 0.2114848089511018, -0.19746113456596986,
-        0.29345194706481076, 0.9470084405887509, -0.321208675869228,
-        1.1367848903275314e-10, 0.3212086758692281, 0.9470084405887504,
-        3.850538899106674e-11, -1.2002275552752199e-10, 4.958701927742667e-14,
-        1.0, 0.40238775211837935, 0.04900564590504496,
-        0.029995752753264413, 4.18805929075527e-09, 1.4208090851268109e-09,
-        8.072139054406573e-15, -4.7355171383147956e-08, 1.3962150215515076e-07,
-        9.629306699770403e-12,
+        0.29345194706481076, 0.9470084405887672, -0.32120867586917995,
+        1.1368060882343618e-10, 0.32120867586917984, 0.9470084405887674,
+        3.850384703728189e-11, -1.2002426539004457e-10, 5.1724736284058297e-14,
+        0.9999999999999999, 0.4023877521183773, 0.04900564590504154,
+        0.029995752753264403, 4.188117983215671e-09, 1.420705509302355e-09,
+        -1.7856706328401923e-15, -4.7351699648447144e-08, 1.3962353388071255e-07,
+        9.666290686655688e-12,
     ],
     "resting_l_prism": [
         -0.027378566517823614, 0.004637335024377131, -1.47390034528146e-05,
@@ -881,6 +889,106 @@ def test_pinned_trajectory(name):
     world = PIN_SCENES[name]()
     np.testing.assert_allclose(_end_state(world), PINNED_END_STATES[name],
                                rtol=1e-9, atol=1e-12)
+
+
+# -- friction pass against its numpy formulation --------------------------------
+
+
+def _numpy_friction_pass(fric, objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
+                         mf, mu_ground, dt):
+    """The friction pass as it was written before its float rewrite: every
+    3-vector dot and every inverse-inertia product is a numpy call."""
+    I_inv = [np.array(M) for M in obj_I_inv]
+    applied = [0.0] * len(fric)
+    for _sweep in range(2):
+        for ci, (kind, foot, oi, point, n, fn, rec) in enumerate(fric):
+            if kind == "foot_ground":
+                v_rel = feet_v[foot]
+                mu = mu_ground
+            else:
+                obj = objects[oi]
+                r = [point[k] - obj_t[oi][k] for k in range(3)]
+                v_rel = (np.array(obj_v[oi]) + np.cross(obj_w[oi], r)).tolist()
+                if kind == "foot_obj":
+                    v_rel = [feet_v[foot][k] - v_rel[k] for k in range(3)]
+                mu = min(obj.friction, mu_ground)
+            vn = float(np.array(v_rel) @ np.array(n))
+            v_t = np.array([v_rel[k] - vn * n[k] for k in range(3)])
+            speed = math.sqrt(float(v_t @ v_t))
+            if speed < 1e-12:
+                continue
+            t_hat = v_t / speed
+            if kind == "foot_ground":
+                k_inv = 1.0 / mf
+            else:
+                rx = np.cross(r, t_hat)
+                k_inv = 1.0 / obj.mass + float(rx @ I_inv[oi] @ rx)
+                if kind == "foot_obj":
+                    k_inv = 1.0 / mf + k_inv
+            j = min(speed / k_inv, max(mu * fn * dt - applied[ci], 0.0))
+            if j <= 0.0:
+                continue
+            applied[ci] += j
+            rec.tangential_force = applied[ci] / dt
+            imp = -j * t_hat
+            if kind != "obj_ground":
+                feet_v[foot][:] = (np.array(feet_v[foot]) + imp / mf).tolist()
+            if kind != "foot_ground":
+                sign = 1.0 if kind == "obj_ground" else -1.0
+                obj_v[oi][:] = (np.array(obj_v[oi]) + sign * imp / obj.mass).tolist()
+                obj_L[oi][:] = (np.array(obj_L[oi]) + sign * np.cross(r, imp)).tolist()
+                obj_w[oi] = (I_inv[oi] @ np.array(obj_L[oi])).tolist()
+
+
+def _standing_feet(n_steps):
+    world = standing_world()
+    return _run_pin(world, _pin_torques(world, _stand_forces(world)), n_steps)
+
+
+# name: (world after some steps, contact kinds that must take an impulse).
+# The box is caught mid-slide, where the Coulomb cap binds; the L-prism and
+# the cylinder after they stop, where the effective mass and the second
+# sweep decide the impulse.
+FRICTION_SCENES = {
+    "feet_on_ground": (lambda: _standing_feet(20), {"foot_ground"}),
+    "sliding_box": (lambda: scene_resting("box", 5), {"foot_ground", "obj_ground"}),
+    "foot_drags_box": (lambda: scene_foot_press(150), {"foot_obj"}),
+    "l_prism": (lambda: scene_resting("l_prism", 60), {"obj_ground"}),
+    "cylinder": (lambda: scene_resting("cylinder", 60), {"obj_ground"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRICTION_SCENES))
+def test_friction_pass_matches_its_numpy_formulation(name, monkeypatch):
+    scene, slipping = FRICTION_SCENES[name]
+    calls = []
+    real_pass = simworld._friction_pass
+
+    def recording(*args):
+        calls.append(copy.deepcopy(args))
+        real_pass(*args)
+
+    monkeypatch.setattr(simworld, "_friction_pass", recording)
+    scene()
+    args = calls[-1]  # the inputs of the scene's last tick
+    new, ref = copy.deepcopy(args), copy.deepcopy(args)
+    real_pass(*new)
+    _numpy_friction_pass(*ref)
+
+    def outputs(a):
+        fric, _, feet_v, _, obj_v, obj_w = a[:6]
+        return [np.ravel(feet_v), np.ravel(obj_v), np.ravel(obj_w),
+                np.array([c[-1].tangential_force for c in fric])]
+
+    # each quantity to 1e-12 of itself, or of its largest component where a
+    # small one is the difference of large terms (a dragged box's spin)
+    for got, want in zip(outputs(new), outputs(ref)):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want), initial=0.0))
+    # the tick applies friction at every contact kind the scene is built for
+    f_ref = outputs(ref)[-1]
+    slipped = {c[0] for c, f in zip(ref[0], f_ref) if f > 0.0}
+    assert slipping <= slipped
 
 
 # -- memoised kinematics -------------------------------------------------------

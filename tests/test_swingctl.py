@@ -7,7 +7,7 @@ from legpress.simworld import (
     SimObject,
     leg_forward_kinematics,
     leg_jacobian,
-    leg_jacobian_local,
+    leg_jacobians_local,
     rest_pose_on_ground,
     shoulder_point,
     standing_world,
@@ -49,7 +49,7 @@ def foot_state(leg, trunk):
     the trunk twist and the leg-frame Jacobian times the joint velocities."""
     p_foot = leg_forward_kinematics(leg, trunk)
     v_foot = trunk.linear_velocity + np.cross(trunk.angular_velocity, p_foot - trunk.position) \
-        + trunk.rotation() @ (leg_jacobian_local(leg) @ leg.joint_velocities)
+        + trunk.rotation() @ (leg_jacobians_local([leg])[0] @ leg.joint_velocities)
     return p_foot, v_foot
 
 
