@@ -8,7 +8,8 @@ Subcommands:
             table the Tier-1 tests assert too
   sweep     seeded outcome sweep: every task with the planning policy, the
             multi-step protocol in walk and teleport mode; the gate for any
-            change that moves a trajectory
+            change that moves a trajectory. Its first line records the BLAS
+            thread variables, which the last digits of a flow depend on
   replay    recompute and print the summary of a trace file
 
 The configuration file path comes from --config or the LEGPRESS_CONFIG
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -118,6 +120,8 @@ def _sweep_episode(name: str, mode: str | None, seed: int, cfg: StackConfig,
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     seeds = _parse_seeds(args.seeds)
+    print("env " + " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in
+                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")))
     groups = [(name, mode) for name in args.tasks
               for mode in (("walk", "teleport") if name == "multi_step_1m" else (None,))]
     for name, mode in groups:
@@ -209,7 +213,7 @@ def _stand_error(cfg: StackConfig) -> np.ndarray:
     """Departure of the first-step MPC forces that hold the standing robot
     from a quarter of its weight on each foot; infinite on a solver fault."""
     world = standing_world(cfg)
-    mpc = ForceMpc(cfg.mpc, cfg.robot.trunk_mass, np.diag(cfg.robot.trunk_inertia))
+    mpc = ForceMpc(cfg)
     res = mpc.step(world.robot.srb, (0.0, 0.0, 0.0, cfg.mpc.stand_height),
                    world.robot.feet_pos, GaitSchedule.stand(), 0.0)
     if res.fault:

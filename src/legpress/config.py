@@ -15,8 +15,8 @@ Schema (all values SI):
     [contact]    k_normal, d_normal, friction
     [camera]     width, height, horizontal_fov_deg, offset (3), pitch_deg,
                  object_points
-    [mpc]        horizon, dt, state_weights (13), force_weight, friction,
-                 f_min, f_max, force_update_period, stand_height
+    [mpc]        horizon, state_weights (13), force_weight, friction, f_min,
+                 f_max, force_update_period, stand_height
     [swing]      kp, kd, pre_contact_distance, lift_clearance, push_speed,
                  approach_threshold, max_motion_norm
     [gait]       trot_period, trot_duty, raibert_velocity_gain
@@ -74,10 +74,7 @@ class CameraConfig:
 
 @dataclass
 class MpcConfig:
-    horizon: int = 10
-    # dt equals force_update_period * sim dt: the hold interval IS the model
-    # step, anything shorter destabilizes the sampled-data loop
-    dt: float = 0.05
+    horizon: int = 10  # model step: sim dt * force_update_period
     state_weights: tuple = (0.25, 0.25, 10.0, 50.0, 50.0, 50.0,
                             0.0, 0.0, 0.3, 0.2, 0.2, 0.2, 0.0)
     force_weight: float = 1e-6
@@ -166,18 +163,3 @@ def load_config(path: str | None = None) -> StackConfig:
             setattr(sub, key, _coerce(raw, getattr(sub, key)))
     return cfg
 
-
-def write_config(cfg: StackConfig, path: str) -> None:
-    """Dump every key so a written file round-trips to the same config."""
-    parser = configparser.ConfigParser()
-    for section_field in fields(cfg):
-        sub = getattr(cfg, section_field.name)
-        parser.add_section(section_field.name)
-        for f in fields(sub):
-            v = getattr(sub, f.name)
-            if isinstance(v, tuple):
-                parser.set(section_field.name, f.name, ", ".join(repr(float(x)) for x in v))
-            else:
-                parser.set(section_field.name, f.name, repr(v))
-    with open(path, "w") as fh:
-        parser.write(fh)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ROT_TOL = 1e-9
 GIMBAL_MARGIN = 0.05  # rad, extraction rejected when |pitch| > pi/2 - margin
 
 
@@ -70,17 +69,6 @@ def rotation_exp(omega_dt) -> np.ndarray:
     k = w / th
     K = skew(k)
     return np.eye(3) + math.sin(th) * K + (1.0 - math.cos(th)) * (K @ K)
-
-
-def is_rotation(R: np.ndarray, tol: float = ROT_TOL) -> bool:
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        return False
-    if not np.all(np.isfinite(R)):
-        return False
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
-        return False
-    return abs(np.linalg.det(R) - 1.0) <= tol
 
 
 def orthonormalize(R: np.ndarray) -> np.ndarray:

@@ -8,19 +8,21 @@ condensation, so the QP is over U alone:
     X = A_qp x0 + B_qp U
     J(U) = |X - x_ref|_L^2 + |U|_K^2
 
-subject to a friction pyramid and vertical bounds per stance foot and exact
-zero-force equalities for swing feet. One instance owns a QP solver and is
+U holds the force triples of the feet in stance at each horizon step and
+nothing else, so a swing foot's force is zero by construction: the QP has
+no swing-foot columns and no equality rows, only a friction pyramid and
+vertical bounds per stance triple. One instance owns a QP solver and is
 re-solved every `force_update_period` sim steps while the last force set is
 replayed through the (re-evaluated) Jacobian-transpose map in between.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GaitConfig, MpcConfig
+from .config import GaitConfig, StackConfig
 from .geom import rot_z, skew
 from .qpsolve import QpProblem, QpSolver
 from .simworld import LegModel, RobotState, SrbState, leg_jacobians_local, shoulder_point
@@ -110,107 +112,56 @@ def linearize_srb(state: SrbState, foot_positions: np.ndarray, mass: float,
     return LinearizedDynamics(A, B, abs(roll) > ANGLE_WARN or abs(pitch) > ANGLE_WARN)
 
 
-@dataclass
-class CondensedQp:
-    A_qp: np.ndarray  # 13k x 13
-    B_qp: np.ndarray  # 13k x 12k
-    x_ref: np.ndarray  # 13k
-    L_diag: np.ndarray  # 13k
-    K_diag: np.ndarray  # 12k
-    x0: np.ndarray = field(default_factory=lambda: np.zeros(NX))
+def condense(A: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack k steps of x+ = A x + B u into X = A_qp x0 + B_qp U.
 
-
-def condense(A_list, B_list, x0, x_ref_traj, state_weights, force_weight) -> CondensedQp:
-    """Stack the step recursions into X = A_qp x0 + B_qp U."""
-    k = len(A_list)
+    A_qp stacks A^1 .. A^k and block (i, j) of B_qp is A^(i-j) B, so every
+    block column is the first one shifted down by j blocks."""
     if k < 1:
         raise ValueError("horizon must be at least 1")
-    x_ref = np.asarray(x_ref_traj, dtype=float).reshape(k, NX)
-    nu = B_list[0].shape[1]
-    A_qp = np.zeros((NX * k, NX))
-    B_qp = np.zeros((NX * k, nu * k))
-    prod = np.eye(NX)
-    for i in range(k):
-        prod = A_list[i] @ prod
-        A_qp[NX * i:NX * (i + 1)] = prod
-        B_qp[NX * i:NX * (i + 1), nu * i:nu * (i + 1)] = B_list[i]
-        for j in range(i):
-            blk = B_qp[NX * (i - 1):NX * i, nu * j:nu * (j + 1)]
-            B_qp[NX * i:NX * (i + 1), nu * j:nu * (j + 1)] = A_list[i] @ blk
-    L = np.tile(np.asarray(state_weights, dtype=float), k)
-    K = np.full(nu * k, float(force_weight))
-    return CondensedQp(A_qp, B_qp, x_ref.reshape(-1), L, K, np.asarray(x0, dtype=float).copy())
-
-
-def rollout(A_list, B_list, x0, U) -> np.ndarray:
-    """Step-by-step reference implementation of the condensed identity."""
-    k = len(A_list)
-    nu = B_list[0].shape[1]
-    U = np.asarray(U, dtype=float).reshape(k, nu)
-    x = np.asarray(x0, dtype=float).copy()
-    out = np.zeros((k, NX))
-    for i in range(k):
-        x = A_list[i] @ x + B_list[i] @ U[i]
-        out[i] = x
-    return out
+    nx, nu = B.shape
+    powers, first = [A], [B]
+    for _ in range(k - 1):
+        powers.append(A @ powers[-1])
+        first.append(A @ first[-1])
+    first = np.vstack(first)
+    B_qp = np.zeros((nx * k, nu * k))
+    for j in range(k):
+        B_qp[nx * j:, nu * j:nu * (j + 1)] = first[:nx * (k - j)]
+    return np.vstack(powers), B_qp
 
 
 # ---------------------------------------------------------------------------
 # constraints
 
 
-def build_constraints(contact_flags: np.ndarray, mu: float, f_min: float,
-                      f_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Friction pyramid + vertical bounds per stance foot, zero equalities per
-    swing foot, over the stacked force vector. Returns (C, lo, hi, D)."""
-    flags = np.asarray(contact_flags, dtype=bool)
-    k = flags.shape[0]
-    nu = 3 * N_LEGS
-    rows_C, lo, hi, rows_D = [], [], [], []
-    for i in range(k):
-        for l in range(N_LEGS):
-            base = nu * i + 3 * l
-            if flags[i, l]:
-                for axis in (0, 1):  # |f_xy| <= mu f_z
-                    row = np.zeros(nu * k)
-                    row[base + axis] = 1.0
-                    row[base + 2] = -mu
-                    rows_C.append(row)
-                    lo.append(-np.inf)
-                    hi.append(0.0)
-                    row = np.zeros(nu * k)
-                    row[base + axis] = -1.0
-                    row[base + 2] = -mu
-                    rows_C.append(row)
-                    lo.append(-np.inf)
-                    hi.append(0.0)
-                row = np.zeros(nu * k)
-                row[base + 2] = 1.0
-                rows_C.append(row)
-                lo.append(f_min)
-                hi.append(f_max)
-            else:
-                for axis in range(3):
-                    row = np.zeros(nu * k)
-                    row[base + axis] = 1.0
-                    rows_D.append(row)
-    C = np.array(rows_C) if rows_C else np.zeros((0, nu * k))
-    D = np.array(rows_D) if rows_D else np.zeros((0, nu * k))
-    return C, np.array(lo), np.array(hi), D
+def build_constraints(n_stance: int, mu: float, f_min: float,
+                      f_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Friction pyramid |f_x|, |f_y| <= mu f_z and f_min <= f_z <= f_max per
+    stance force triple, over the stacked stance forces. Returns (C, lo, hi)."""
+    block = np.array([[1.0, 0.0, -mu], [-1.0, 0.0, -mu],
+                      [0.0, 1.0, -mu], [0.0, -1.0, -mu],
+                      [0.0, 0.0, 1.0]])
+    lo = np.tile([-np.inf] * 4 + [f_min], n_stance)
+    hi = np.tile([0.0] * 4 + [f_max], n_stance)
+    return np.kron(np.eye(n_stance), block), lo, hi
 
 
-def condensed_to_qp(c: CondensedQp, C, lo, hi, D) -> QpProblem:
-    BL = c.B_qp.T * c.L_diag
-    H = 2.0 * (BL @ c.B_qp + np.diag(c.K_diag))
+def condensed_to_qp(A_qp, B_qp, x0, x_ref, state_weights, force_weight,
+                    C, lo, hi) -> QpProblem:
+    """|A_qp x0 + B_qp U - x_ref|_L^2 + force_weight |U|^2 as a QP over U."""
+    L = np.tile(np.asarray(state_weights, dtype=float), len(A_qp) // NX)
+    BL = B_qp.T * L
+    H = 2.0 * (BL @ B_qp + float(force_weight) * np.eye(B_qp.shape[1]))
     H = 0.5 * (H + H.T)
-    g = 2.0 * (BL @ (c.A_qp @ c.x0 - c.x_ref))
+    g = 2.0 * (BL @ (A_qp @ np.asarray(x0, dtype=float) - np.asarray(x_ref).reshape(-1)))
     # normalize the objective scale: the argmin is unchanged and solver
     # tolerances become meaningful for any weight magnitude
     scale = float(np.max(np.diag(H)))
     if scale > 0.0:
         H = H / scale
         g = g / scale
-    return QpProblem(H, g, C=C, c_lo=lo, c_hi=hi, D=D)
+    return QpProblem(H, g, C=C, c_lo=lo, c_hi=hi)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +176,16 @@ class MpcResult:
 
 
 class ForceMpc:
-    """Holds the solver workspace and the previous solution for fallback."""
+    """Holds the solver workspace and the previous solution for fallback.
 
-    def __init__(self, config: MpcConfig, mass: float, inertia):
-        self.config = config
-        self.mass = float(mass)
-        self.inertia = np.asarray(inertia, dtype=float)
-        if self.inertia.ndim == 1:
-            self.inertia = np.diag(self.inertia)
+    The model step is the hold interval, sim dt * force_update_period: a
+    shorter one destabilizes the sampled-data loop."""
+
+    def __init__(self, config: StackConfig):
+        self.config = config.mpc
+        self.dt = config.sim.dt * config.mpc.force_update_period
+        self.mass = float(config.robot.trunk_mass)
+        self.inertia = np.diag(config.robot.trunk_inertia)
         self.solver = QpSolver()
         self.prev_forces = np.zeros((N_LEGS, 3))
 
@@ -240,12 +193,11 @@ class ForceMpc:
         """Integrate (yaw rate, vx, vy, height) from the current state."""
         yaw_rate, vx, vy, height = command
         k = self.config.horizon
-        dt = self.config.dt
         yaw0 = state.rpy[2]
         v_world = rot_z(yaw0) @ np.array([vx, vy, 0.0])
         ref = np.zeros((k, NX))
         for i in range(k):
-            t = (i + 1) * dt
+            t = (i + 1) * self.dt
             ref[i, 2] = yaw0 + yaw_rate * t
             ref[i, 3:5] = state.position[:2] + v_world[:2] * t
             ref[i, 5] = height
@@ -258,22 +210,21 @@ class ForceMpc:
              t: float) -> MpcResult:
         cfg = self.config
         k = cfg.horizon
-        lin = linearize_srb(state, foot_positions, self.mass, self.inertia, cfg.dt)
-        A_list = [lin.A] * k
-        B_list = [lin.B] * k
-        flags = np.array([[gait.query(t + i * cfg.dt, l) for l in range(N_LEGS)]
+        lin = linearize_srb(state, foot_positions, self.mass, self.inertia, self.dt)
+        flags = np.array([[gait.query(t + i * self.dt, l) for l in range(N_LEGS)]
                           for i in range(k)])
-        ref = self.reference_trajectory(state, command)
-        cond = condense(A_list, B_list, state.as_vector(), ref,
-                        cfg.state_weights, cfg.force_weight)
-        C, lo, hi, D = build_constraints(flags, cfg.friction, cfg.f_min, cfg.f_max)
-        qp = condensed_to_qp(cond, C, lo, hi, D)
+        A_qp, B_qp = condense(lin.A, lin.B, k)
+        B_qp = B_qp[:, np.repeat(flags.ravel(), 3)]  # stance force columns only
+        C, lo, hi = build_constraints(int(flags.sum()), cfg.friction, cfg.f_min, cfg.f_max)
+        qp = condensed_to_qp(A_qp, B_qp, state.as_vector(),
+                             self.reference_trajectory(state, command),
+                             cfg.state_weights, cfg.force_weight, C, lo, hi)
         sol = self.solver.solve(qp, tol=1e-8, max_iter=20000)
         if sol.status != "optimal":
             return MpcResult(self.prev_forces.copy(), fault=True,
                              linearization_warning=lin.validity_warning)
-        forces = sol.primal[:3 * N_LEGS].reshape(N_LEGS, 3).copy()
-        forces[~flags[0]] = 0.0  # swing rows are exact zeros up to solver tol
+        forces = np.zeros((N_LEGS, 3))
+        forces[flags[0]] = sol.primal[:3 * int(flags[0].sum())].reshape(-1, 3)
         self.prev_forces = forces.copy()
         return MpcResult(forces, False, lin.validity_warning)
 

@@ -219,8 +219,7 @@ class _OrchestratorCore:
         self.cfg = world.config
         self.options = options
         self.rng = rng
-        self.mpc = ForceMpc(self.cfg.mpc, self.cfg.robot.trunk_mass,
-                            np.diag(self.cfg.robot.trunk_inertia))
+        self.mpc = ForceMpc(self.cfg)
         self.gains = ImpedanceGains.from_config(self.cfg.swing)
         self.camera = CameraModel.from_config(self.cfg.camera)
         self.state = QP_STAND

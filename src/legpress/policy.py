@@ -5,7 +5,7 @@ vector executed after contact, and the leg that executes it. Learned
 policies are out of scope here, but their artifacts plug in: per-point
 critic maps (Q-values) and actor maps (motion parameters) with one or two
 leg channels can be loaded from the columnar interchange format and pushed
-through the same greedy / softmax selection machinery.
+through the same greedy selection.
 """
 from __future__ import annotations
 
@@ -90,20 +90,6 @@ def select_greedy(actor: ActorMap, critic: CriticMap) -> ObjectCentricAction:
     flat = int(np.argmax(q))  # row-major: index-major then channel, ties resolve correctly
     idx, ch = divmod(flat, q.shape[1])
     return ObjectCentricAction(idx, actor.motion_params[idx, ch], LEG_CHANNELS[ch])
-
-
-def select_softmax(critic: CriticMap, temperature: float, seed: int) -> tuple[int, int]:
-    """Sample a (point, channel) pair with probability proportional to
-    exp(q / temperature); deterministic per seed."""
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    q = critic.q_values.reshape(-1)
-    logits = (q - np.max(q)) / temperature
-    p = np.exp(logits)
-    p /= p.sum()
-    rng = np.random.default_rng(seed)
-    flat = int(rng.choice(len(p), p=p))
-    return divmod(flat, critic.q_values.shape[1])
 
 
 def goal_flow(current: PointCloud, goal: PointCloud) -> tuple[np.ndarray, float]:

@@ -5,13 +5,12 @@ Solves
     s.t. c_lo <= C x <= c_hi
          D x = 0
 
-Equalities are folded into two-sided rows with lo = hi, which is also how the
-swing-leg zero-force rows arrive from the controller. The iteration is the
+Equalities are folded into two-sided rows with lo = hi. The iteration is the
 standard over-relaxed splitting with a per-row penalty (large on equality
 rows) and one dense factorization per problem. Once the iterates are close,
-the active set is polished with an exact KKT solve, which is what makes the
-tight downstream tolerances (swing forces at 1e-8) reachable in few
-iterations. Warm starts reuse the previous primal/dual vectors.
+the active set is polished with an exact KKT solve, which is what makes
+tight tolerances reachable in few iterations. Warm starts reuse the previous
+primal/dual vectors.
 """
 from __future__ import annotations
 

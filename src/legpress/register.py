@@ -199,39 +199,3 @@ def register_with_augmentation(source: PointCloud, target: PointCloud,
     degraded = not any(c.converged for c in candidates)
     return RegistrationResult(candidates[win].combined_transform, candidates, win, degraded)
 
-
-# ---------------------------------------------------------------------------
-# ASCII interchange (x y z [nx ny nz] per line)
-
-
-def save_cloud(cloud: PointCloud, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# legpress cloud v1 frame={cloud.frame} "
-                 f"normals={int(cloud.normals is not None)}\n")
-        for i, p in enumerate(cloud.points):
-            line = f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}"
-            if cloud.normals is not None:
-                n = cloud.normals[i]
-                line += f" {float(n[0])!r} {float(n[1])!r} {float(n[2])!r}"
-            fh.write(line + "\n")
-
-
-def load_cloud(path: str) -> PointCloud:
-    pts, nrm = [], []
-    frame = "world"
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line.split():
-                    if tok.startswith("frame="):
-                        frame = tok.split("=", 1)[1]
-                continue
-            vals = [float(v) for v in line.split()]
-            pts.append(vals[:3])
-            if len(vals) >= 6:
-                nrm.append(vals[3:6])
-    normals = np.asarray(nrm) if len(nrm) == len(pts) and pts else None
-    return PointCloud(np.asarray(pts), normals, frame)

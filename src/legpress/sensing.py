@@ -28,15 +28,13 @@ class EmptyObservationError(RuntimeError):
 
 @dataclass
 class CameraModel:
-    width: int = 80
-    height: int = 60
-    horizontal_fov_deg: float = 71.36
-    mount_offset: np.ndarray = None  # trunk frame
-    mount_pitch_deg: float = 65.0  # rotation about trunk y axis
+    width: int
+    height: int
+    horizontal_fov_deg: float
+    mount_offset: np.ndarray  # trunk frame
+    mount_pitch_deg: float  # rotation about trunk y axis
 
     def __post_init__(self):
-        if self.mount_offset is None:
-            self.mount_offset = np.array([0.24, 0.0, 0.14])
         self.mount_offset = np.asarray(self.mount_offset, dtype=float).reshape(3)
         if self.width < 1 or self.height < 1:
             raise ValueError("camera resolution must be at least 1x1")

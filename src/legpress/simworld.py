@@ -135,9 +135,9 @@ class LegModel:
     hip_offset: np.ndarray  # trunk frame, from trunk COM
     side: float  # +1 left, -1 right
     link_lengths: tuple  # (abduction offset, thigh, calf)
+    joint_limits: tuple  # (lo, hi) per joint: hip roll, hip pitch, knee
     joint_angles: np.ndarray = field(default_factory=lambda: np.zeros(3))
     joint_velocities: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    joint_limits: tuple = ((-0.86, 0.86), (-1.6, 2.4), (-2.7, -0.05))
 
     def __post_init__(self):
         self.hip_offset = np.asarray(self.hip_offset, dtype=float).reshape(3)
@@ -151,8 +151,8 @@ class LegModel:
 
     def copy(self) -> "LegModel":
         return LegModel(self.hip_offset.copy(), self.side, self.link_lengths,
-                        self.joint_angles.copy(), self.joint_velocities.copy(),
-                        self.joint_limits)
+                        self.joint_limits, self.joint_angles.copy(),
+                        self.joint_velocities.copy())
 
 
 def make_legs(rc: RobotConfig) -> list[LegModel]:
@@ -161,7 +161,7 @@ def make_legs(rc: RobotConfig) -> list[LegModel]:
     lim = (tuple(rc.hip_roll_limits), tuple(rc.hip_pitch_limits), tuple(rc.knee_limits))
     for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         legs.append(LegModel(np.array([sx * rc.hip_offset_x, sy * rc.hip_offset_y, 0.0]),
-                             float(sy), ll, joint_limits=lim))
+                             float(sy), ll, lim))
     return legs
 
 

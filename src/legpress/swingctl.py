@@ -41,10 +41,6 @@ class ImpedanceGains:
     def __post_init__(self):
         self.K_p = np.asarray(self.K_p, dtype=float)
         self.K_d = np.asarray(self.K_d, dtype=float)
-        if self.K_p.ndim == 0 or self.K_p.shape == ():
-            self.K_p = float(self.K_p) * np.eye(3)
-        if self.K_d.ndim == 0 or self.K_d.shape == ():
-            self.K_d = float(self.K_d) * np.eye(3)
         for M in (self.K_p, self.K_d):
             if np.max(np.abs(M - M.T)) > 1e-12 or np.any(np.linalg.eigvalsh(M) < -1e-12):
                 raise ValueError("gain matrices must be symmetric PSD")

@@ -10,10 +10,18 @@ from legpress.geom import (
     apply_transform,
     compose,
     euler_zyx_to_matrix,
-    is_rotation,
     matrix_to_euler_zyx,
     rotation_exp,
 )
+
+
+def is_rotation(R: np.ndarray, tol: float = 1e-9) -> bool:
+    R = np.asarray(R, dtype=float)
+    if R.shape != (3, 3) or not np.all(np.isfinite(R)):
+        return False
+    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
+        return False
+    return abs(np.linalg.det(R) - 1.0) <= tol
 
 
 def random_transform(rng):

@@ -1,11 +1,13 @@
+import configparser
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from legpress import cli, harness, orchestrator
-from legpress.config import StackConfig, load_config, write_config
+from legpress.config import StackConfig, load_config
 from legpress.geom import RigidTransform
 from legpress.harness import (
     AmbiguityBenchResult,
@@ -114,13 +116,17 @@ def test_simcheck_passes_its_four_invariants(capsys):
         "determinism", "momentum", "friction cone", "stand force z", "stand force xy"]
 
 
-def test_sweep_prints_each_episode_and_the_outcome_counts(capsys):
+def test_sweep_prints_each_episode_and_the_outcome_counts(capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     assert cli.main(["sweep", "--seeds", "0", "--max-steps", "1",
                      "--tasks", "box_push_fixed"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "task=box_push_fixed"
-    assert lines[1].startswith("  seed=0 outcome=success steps=1 final_mean_flow=0.01613")
-    assert lines[2:] == ["  counts success=1"]
+    assert lines[0] == "env OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=2 MKL_NUM_THREADS=unset"
+    assert lines[1] == "task=box_push_fixed"
+    assert lines[2].startswith("  seed=0 outcome=success steps=1 final_mean_flow=0.01613")
+    assert lines[3:] == ["  counts success=1"]
 
 
 def test_sweep_counts_faults_by_class(capsys, monkeypatch):
@@ -139,8 +145,25 @@ def test_sweep_counts_faults_by_class(capsys, monkeypatch):
     assert cli.main(["sweep", "--seeds", "0-1,5,7", "--max-steps", "3",
                      "--tasks", "box_flip_push_random"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines[1:5]] == ["seed=0", "seed=1", "seed=5", "seed=7"]
-    assert lines[5] == "  counts fault:simulation_divergence=2 max_steps=1 success=1"
+    assert lines[0].startswith("env OPENBLAS_NUM_THREADS=")
+    assert [line.split()[0] for line in lines[2:6]] == ["seed=0", "seed=1", "seed=5", "seed=7"]
+    assert lines[6] == "  counts fault:simulation_divergence=2 max_steps=1 success=1"
+
+
+def write_config(cfg: StackConfig, path: str) -> None:
+    """Dump every key of cfg in the format load_config reads."""
+    parser = configparser.ConfigParser()
+    for section_field in fields(cfg):
+        sub = getattr(cfg, section_field.name)
+        parser.add_section(section_field.name)
+        for f in fields(sub):
+            v = getattr(sub, f.name)
+            if isinstance(v, tuple):
+                parser.set(section_field.name, f.name, ", ".join(repr(float(x)) for x in v))
+            else:
+                parser.set(section_field.name, f.name, repr(v))
+    with open(path, "w") as fh:
+        parser.write(fh)
 
 
 def test_written_config_loads_back_to_the_defaults(tmp_path):

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 
-from legpress.config import StackConfig
+from legpress.config import GaitConfig, StackConfig
 from legpress.geom import euler_zyx_to_matrix, rot_y, rot_z
 from legpress.mpc import (
     ForceMpc,
@@ -11,9 +12,9 @@ from legpress.mpc import (
     condense,
     linearize_srb,
     raibert_foothold,
-    rollout,
     stance_torques,
 )
+from legpress.qpsolve import QpProblem, QpSolver
 from legpress.simworld import SrbState, leg_jacobians_local, standing_world, step
 
 
@@ -65,8 +66,6 @@ def _nonlinear_rk4(x, forces, feet, mass, inertia, dt):
 
     def deriv(x):
         roll, pitch, yaw = x[0:3]
-        R = rot_z(yaw) @ rot_y(pitch) @ rot_z(0) if False else None
-        from legpress.geom import euler_zyx_to_matrix
         R = euler_zyx_to_matrix(roll, pitch, yaw)
         # E maps euler rates to world angular velocity
         E = np.column_stack([
@@ -129,39 +128,49 @@ def test_linearization_warning_flag():
 # -- condensation --------------------------------------------------------------
 
 
+def rollout(A_list, B_list, x0, U) -> np.ndarray:
+    """Step-by-step reference for the condensed identity X = A_qp x0 + B_qp U."""
+    k = len(A_list)
+    nu = B_list[0].shape[1]
+    U = np.asarray(U, dtype=float).reshape(k, nu)
+    x = np.asarray(x0, dtype=float).copy()
+    out = np.zeros((k, 13))
+    for i in range(k):
+        x = A_list[i] @ x + B_list[i] @ U[i]
+        out[i] = x
+    return out
+
+
 def test_condense_k1_passthrough():
     lin = linearize_srb(stand_state(), stand_feet(), MASS, INERTIA, 0.03)
-    c = condense([lin.A], [lin.B], stand_state().as_vector(),
-                 np.zeros((1, 13)), np.ones(13), 1e-6)
-    assert np.array_equal(c.A_qp, lin.A)
-    assert np.array_equal(c.B_qp, lin.B)
+    A_qp, B_qp = condense(lin.A, lin.B, 1)
+    assert np.array_equal(A_qp, lin.A)
+    assert np.array_equal(B_qp, lin.B)
 
 
 def test_condense_zero_forces_free_dynamics():
     rng = np.random.default_rng(42)
     k = 6
-    A_list = [np.eye(13) + 0.01 * rng.normal(size=(13, 13)) for _ in range(k)]
-    B_list = [rng.normal(size=(13, 12)) for _ in range(k)]
+    A = np.eye(13) + 0.01 * rng.normal(size=(13, 13))
+    B = rng.normal(size=(13, 12))
     x0 = rng.normal(size=13)
-    c = condense(A_list, B_list, x0, np.zeros((k, 13)), np.ones(13), 1e-6)
-    X = c.A_qp @ x0  # U = 0
-    x = x0.copy()
-    for i in range(k):
-        x = A_list[i] @ x
-        assert np.max(np.abs(X[13 * i:13 * (i + 1)] - x)) < 1e-9
+    A_qp, _ = condense(A, B, k)
+    X = A_qp @ x0  # U = 0
+    X_roll = rollout([A] * k, [B] * k, x0, np.zeros(12 * k)).reshape(-1)
+    assert np.max(np.abs(X - X_roll)) < 1e-9
 
 
 def test_condensation_identity_random_systems():
     rng = np.random.default_rng(43)
     for _ in range(100):
         k = int(rng.integers(1, 11))
-        A_list = [np.eye(13) + 0.05 * rng.normal(size=(13, 13)) for _ in range(k)]
-        B_list = [rng.normal(size=(13, 12)) for _ in range(k)]
+        A = np.eye(13) + 0.05 * rng.normal(size=(13, 13))
+        B = rng.normal(size=(13, 12))
         x0 = rng.normal(size=13)
         U = rng.normal(size=12 * k)
-        c = condense(A_list, B_list, x0, np.zeros((k, 13)), np.ones(13), 1e-6)
-        X = c.A_qp @ x0 + c.B_qp @ U
-        X_roll = rollout(A_list, B_list, x0, U).reshape(-1)
+        A_qp, B_qp = condense(A, B, k)
+        X = A_qp @ x0 + B_qp @ U
+        X_roll = rollout([A] * k, [B] * k, x0, U).reshape(-1)
         assert np.max(np.abs(X - X_roll)) < 1e-9
 
 
@@ -169,38 +178,111 @@ def test_condensation_identity_random_systems():
 
 
 def test_stand_constraints_k1_counts():
-    flags = np.ones((1, 4), dtype=bool)
-    C, lo, hi, D = build_constraints(flags, 0.5, 1.0, 120.0)
-    assert C.shape[0] == 4 * 5  # 4 pyramid rows + 1 bound row per foot
-    assert D.shape[0] == 0
+    C, lo, hi = build_constraints(4, 0.5, 1.0, 120.0)
+    assert C.shape == (4 * 5, 4 * 3)  # 4 pyramid rows + 1 bound row per foot
+    for j in range(4):  # each foot's 5 rows touch its own triple only
+        cols = np.flatnonzero(np.abs(C[5 * j:5 * j + 5]).sum(axis=0))
+        assert set(cols) == {3 * j, 3 * j + 1, 3 * j + 2}
+    assert np.array_equal(lo, np.tile([-np.inf] * 4 + [1.0], 4))
+    assert np.array_equal(hi, np.tile([0.0] * 4 + [120.0], 4))
+
+
+def test_pyramid_rows_bound_the_tangential_force():
+    C, lo, hi = build_constraints(1, 0.5, 1.0, 120.0)
+    inside = np.array([4.9, -4.9, 10.0])
+    assert np.all(C @ inside <= hi) and np.all(C @ inside >= lo)
+    for f in ([5.1, 0.0, 10.0], [-5.1, 0.0, 10.0], [0.0, 5.1, 10.0], [0.0, -5.1, 10.0],
+              [0.0, 0.0, 0.5], [0.0, 0.0, 121.0]):
+        Cf = C @ np.array(f)
+        assert np.any(Cf > hi) or np.any(Cf < lo)
 
 
 def test_trot_phase_equalities_zero_swing_pair():
+    """At trot phase 0 the swing pair's forces are zero because step 0 has
+    columns for the front-left and rear-right triples only."""
     gait = GaitSchedule.trot()
-    t = 0.0
-    flags = np.array([[gait.query(t, l) for l in range(4)]])
+    flags = np.array([[gait.query(i * 0.05, l) for l in range(4)] for i in range(10)])
     # diagonal pair FL+RR in stance at phase 0
     assert flags[0, 0] and flags[0, 3]
     assert not flags[0, 1] and not flags[0, 2]
-    C, lo, hi, D = build_constraints(flags, 0.5, 1.0, 120.0)
-    assert D.shape[0] == 6  # 3 rows per swing foot
-    # rows hit exactly the FR and RL force blocks
-    cols = np.flatnonzero(np.abs(D).sum(axis=0))
-    assert set(cols) == {3, 4, 5, 6, 7, 8}
+    columns = np.repeat(flags.ravel(), 3)
+    assert list(np.flatnonzero(columns[:12])) == [0, 1, 2, 9, 10, 11]
+    C, lo, hi = build_constraints(int(flags.sum()), 0.5, 1.0, 120.0)
+    assert C.shape == (5 * int(flags.sum()), 3 * int(flags.sum()))
+
+
+def _random_instance(rng, trial):
+    """A perturbed standing state with a stand, one-leg-lifted or trot gait."""
+    state = SrbState(rng.normal(scale=0.05, size=3),
+                     np.array([0, 0, 0.28]) + rng.normal(scale=0.02, size=3),
+                     rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=3))
+    feet = stand_feet() + rng.normal(scale=0.02, size=(4, 3))
+    gait = (GaitSchedule.stand(), GaitSchedule.stand(lifted=(int(rng.integers(4)),)),
+            GaitSchedule.trot())[trial % 3]
+    t = rng.uniform(0, 1)
+    command = (rng.normal(scale=0.3), rng.normal(scale=0.2), rng.normal(scale=0.1), 0.28)
+    return state, feet, gait, t, command
+
+
+def _all_feet_forces(mpc, state, command, feet, gait, t):
+    """First-step forces of the former formulation: all 12 force components
+    at every horizon step, each swing foot's triple pinned to zero by
+    equality rows of the QP."""
+    cfg = mpc.config
+    k = cfg.horizon
+    lin = linearize_srb(state, feet, mpc.mass, mpc.inertia, mpc.dt)
+    A_qp, B_qp = condense(lin.A, lin.B, k)
+    L = np.tile(np.asarray(cfg.state_weights), k)
+    H = 2.0 * ((B_qp.T * L) @ B_qp + cfg.force_weight * np.eye(12 * k))
+    H = 0.5 * (H + H.T)
+    ref = mpc.reference_trajectory(state, command).reshape(-1)
+    g = 2.0 * ((B_qp.T * L) @ (A_qp @ state.as_vector() - ref))
+    scale = float(np.max(np.diag(H)))
+    rows, lo, hi, D = [], [], [], []
+    for i in range(k):
+        for l in range(4):
+            base = 12 * i + 3 * l
+            if not gait.query(t + i * mpc.dt, l):
+                D.extend(np.eye(12 * k)[base:base + 3])
+                continue
+            for axis in (0, 1):
+                for sign in (1.0, -1.0):
+                    row = np.zeros(12 * k)
+                    row[base + axis], row[base + 2] = sign, -cfg.friction
+                    rows.append(row)
+                    lo.append(-np.inf)
+                    hi.append(0.0)
+            row = np.zeros(12 * k)
+            row[base + 2] = 1.0
+            rows.append(row)
+            lo.append(cfg.f_min)
+            hi.append(cfg.f_max)
+    qp = QpProblem(H / scale, g / scale, C=np.array(rows), c_lo=lo, c_hi=hi,
+                   D=np.array(D) if D else None)
+    sol = QpSolver().solve(qp, tol=1e-8, max_iter=20000)
+    assert sol.status == "optimal"
+    return sol.primal[:12].reshape(4, 3)
+
+
+def test_stance_only_qp_matches_the_all_feet_formulation():
+    """Dropping the variables that the equality rows pin to zero leaves the
+    argmin unchanged."""
+    rng = np.random.default_rng(45)
+    mpc = ForceMpc(StackConfig())
+    for trial in range(120):
+        state, feet, gait, t, command = _random_instance(rng, trial)
+        res = mpc.step(state, command, feet, gait, t)
+        assert not res.fault
+        expected = _all_feet_forces(mpc, state, command, feet, gait, t)
+        assert np.max(np.abs(res.forces - expected)) < 1e-6
 
 
 def test_returned_forces_satisfy_constraints_random_instances():
     rng = np.random.default_rng(44)
-    cfg = StackConfig().mpc
-    mpc = ForceMpc(cfg, MASS, INERTIA)
+    mpc = ForceMpc(StackConfig())
+    cfg = mpc.config
     for trial in range(100):
-        state = SrbState(rng.normal(scale=0.05, size=3),
-                         np.array([0, 0, 0.28]) + rng.normal(scale=0.02, size=3),
-                         rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=3))
-        feet = stand_feet() + rng.normal(scale=0.02, size=(4, 3))
-        gait = GaitSchedule.stand(lifted=(int(rng.integers(4)),)) if trial % 2 else GaitSchedule.trot()
-        t = rng.uniform(0, 1)
-        command = (rng.normal(scale=0.3), rng.normal(scale=0.2), rng.normal(scale=0.1), 0.28)
+        state, feet, gait, t, command = _random_instance(rng, trial)
         res = mpc.step(state, command, feet, gait, t)
         assert not res.fault
         for l in range(4):
@@ -210,30 +292,29 @@ def test_returned_forces_satisfy_constraints_random_instances():
                 assert abs(f[1]) <= cfg.friction * f[2] + 1e-8
                 assert cfg.f_min - 1e-8 <= f[2] <= cfg.f_max + 1e-8
             else:
-                assert np.max(np.abs(f)) <= 1e-8
+                assert np.all(f == 0.0)
 
 
 # -- mpc_step behaviors -----------------------------------------------------------
 
 
 def test_forward_command_produces_forward_push():
-    cfg = StackConfig().mpc
-    mpc = ForceMpc(cfg, MASS, INERTIA)
+    mpc = ForceMpc(StackConfig())
     res = mpc.step(stand_state(), (0.0, 0.3, 0.0, 0.28), stand_feet(),
                    GaitSchedule.stand(), 0.0)
     assert res.forces[:, 0].sum() > 0.1
 
 
 def test_weight_scaling_leaves_argmin_unchanged():
-    cfg = StackConfig().mpc
+    cfg = StackConfig()
     state = stand_state()
     state.linear_velocity[:] = (0.1, -0.05, 0.0)
-    mpc1 = ForceMpc(cfg, MASS, INERTIA)
+    mpc1 = ForceMpc(cfg)
     res1 = mpc1.step(state, (0.1, 0.2, 0.0, 0.28), stand_feet(), GaitSchedule.stand(), 0.0)
-    import dataclasses
-    cfg2 = dataclasses.replace(cfg, state_weights=tuple(7.0 * w for w in cfg.state_weights),
-                               force_weight=7.0 * cfg.force_weight)
-    mpc2 = ForceMpc(cfg2, MASS, INERTIA)
+    mpc_cfg = dataclasses.replace(cfg.mpc,
+                                  state_weights=tuple(7.0 * w for w in cfg.mpc.state_weights),
+                                  force_weight=7.0 * cfg.mpc.force_weight)
+    mpc2 = ForceMpc(dataclasses.replace(cfg, mpc=mpc_cfg))
     res2 = mpc2.step(state, (0.1, 0.2, 0.0, 0.28), stand_feet(), GaitSchedule.stand(), 0.0)
     assert np.max(np.abs(res1.forces - res2.forces)) < 1e-4
 
@@ -241,7 +322,7 @@ def test_weight_scaling_leaves_argmin_unchanged():
 def test_closed_loop_stand_five_seconds():
     world = standing_world()
     cfg = world.config
-    mpc = ForceMpc(cfg.mpc, cfg.robot.trunk_mass, np.diag(cfg.robot.trunk_inertia))
+    mpc = ForceMpc(cfg)
     gait = GaitSchedule.stand()
     forces = np.zeros((4, 3))
     n_steps = int(5.0 / cfg.sim.dt)
@@ -297,10 +378,9 @@ def test_raibert_velocity_feedforward_offset():
     world = standing_world()
     leg = world.robot.legs[0]
     gait = GaitSchedule.trot(period=0.5, duty=0.5)  # stance time 0.25 s
-    from legpress.config import GaitConfig
     gc = GaitConfig(raibert_velocity_gain=0.0)
     v = np.array([0.4, 0.0, 0.0])
     target = raibert_foothold(leg, v, gait, world.robot.srb, gc)
     base = raibert_foothold(leg, np.zeros(3), gait, world.robot.srb, gc)
     # k_v = 0 and v_actual = 0 gives a pure (stance/2) * v feedforward split
-    assert abs((target - base)[0] - 0.05 + 0.0) < 1e-9 or abs((target - base)[0] - 0.05) < 1e-9
+    assert abs((target - base)[0] - 0.05) < 1e-9

@@ -17,7 +17,6 @@ from legpress.policy import (
     random_location_baseline,
     save_maps,
     select_greedy,
-    select_softmax,
 )
 from legpress.sensing import full_scan
 from legpress.simworld import Box, SimObject, rest_pose_on_ground
@@ -91,42 +90,6 @@ def test_greedy_invariant_to_constant_q_shift():
     a1 = select_greedy(ActorMap(m), CriticMap(q))
     a2 = select_greedy(ActorMap(m), CriticMap(q + 0.9))
     assert a1.contact_index == a2.contact_index
-
-
-def test_softmax_uniform_when_equal():
-    c = CriticMap(np.full((5, 1), -2.0))
-    counts = np.zeros(5)
-    for s in range(10000):
-        idx, _ = select_softmax(c, 0.1, seed=s)
-        counts[idx] += 1
-    # 3 sigma band around uniform
-    expected = 2000.0
-    sigma = math.sqrt(10000 * 0.2 * 0.8)
-    assert np.all(np.abs(counts - expected) < 3 * sigma)
-
-
-def test_softmax_tiny_temperature_matches_greedy():
-    rng = np.random.default_rng(82)
-    q = rng.uniform(-20.0, -1.0, size=(20, 1))
-    best = int(np.argmax(q))
-    hits = 0
-    for s in range(10000):
-        idx, _ = select_softmax(CriticMap(q), 1e-6, seed=s)
-        hits += idx == best
-    assert hits >= 9990
-
-
-def test_softmax_large_gap_never_picks_bad():
-    c = CriticMap(np.array([[0.0], [-20.0]]))
-    # p(bad) = exp(-200) analytically, far below 1e-10
-    for s in range(10000):
-        idx, _ = select_softmax(c, 0.1, seed=s)
-        assert idx == 0
-
-
-def test_softmax_determinism_per_seed():
-    c = CriticMap(np.random.default_rng(83).uniform(-20, 0, size=(40, 2)))
-    assert select_softmax(c, 0.1, seed=5) == select_softmax(c, 0.1, seed=5)
 
 
 # -- goal flow ----------------------------------------------------------------

@@ -17,9 +17,7 @@ from legpress.register import (
     chamfer_distance,
     flow_distance,
     icp_register,
-    load_cloud,
     register_with_augmentation,
-    save_cloud,
     select_by_rank_sum,
 )
 from legpress.sensing import full_scan
@@ -216,27 +214,3 @@ def test_augmentation_recovers_large_yaw():
     assert cham_aug < 0.005
     assert cham_aug <= cham_single + 1e-12
 
-
-# -- ascii io ---------------------------------------------------------------------
-
-
-def test_cloud_roundtrip_with_normals(tmp_path):
-    cloud = lshape_cloud(120, seed=8)
-    from legpress.sensing import estimate_normals
-    cloud = estimate_normals(cloud, 8)
-    path = tmp_path / "cloud.txt"
-    save_cloud(cloud, str(path))
-    back = load_cloud(str(path))
-    assert np.array_equal(back.points, cloud.points)
-    assert np.array_equal(back.normals, cloud.normals)
-    assert back.frame == cloud.frame
-
-
-def test_cloud_roundtrip_without_normals(tmp_path):
-    cloud = PointCloud(np.random.default_rng(9).normal(size=(30, 3)), frame="camera")
-    path = tmp_path / "plain.txt"
-    save_cloud(cloud, str(path))
-    back = load_cloud(str(path))
-    assert np.array_equal(back.points, cloud.points)
-    assert back.normals is None
-    assert back.frame == "camera"
