@@ -125,15 +125,17 @@ class StackConfig:
     orchestrator: OrchestratorConfig = field(default_factory=OrchestratorConfig)
 
 
-def _coerce(raw: str, current):
-    if isinstance(current, bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+def _coerce(section: str, key: str, raw: str, current):
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
         return float(raw)
     if isinstance(current, tuple):
-        return tuple(float(v) for v in raw.replace(",", " ").split())
+        values = tuple(float(v) for v in raw.replace(",", " ").split())
+        if len(values) != len(current):
+            raise ValueError(f"config [{section}] {key} needs {len(current)} values, "
+                             f"got {len(values)}")
+        return values
     return raw
 
 
@@ -160,6 +162,6 @@ def load_config(path: str | None = None) -> StackConfig:
         for key, raw in parser.items(section_field.name):
             if key not in valid:
                 raise KeyError(f"unknown config key [{section_field.name}] {key}")
-            setattr(sub, key, _coerce(raw, getattr(sub, key)))
+            setattr(sub, key, _coerce(section_field.name, key, raw, getattr(sub, key)))
     return cfg
 

@@ -50,7 +50,7 @@ class GaitSchedule:
         return GaitSchedule("stand", lifted=tuple(lifted))
 
     @staticmethod
-    def trot(period: float = 0.5, duty: float = 0.5) -> "GaitSchedule":
+    def trot(period: float, duty: float) -> "GaitSchedule":
         if not 0.0 < duty <= 1.0:
             raise ValueError("duty factor must be in (0, 1]")
         return GaitSchedule("trot", period=period, duty=duty)
@@ -219,7 +219,7 @@ class ForceMpc:
         qp = condensed_to_qp(A_qp, B_qp, state.as_vector(),
                              self.reference_trajectory(state, command),
                              cfg.state_weights, cfg.force_weight, C, lo, hi)
-        sol = self.solver.solve(qp, tol=1e-8, max_iter=20000)
+        sol = self.solver.solve(qp)
         if sol.status != "optimal":
             return MpcResult(self.prev_forces.copy(), fault=True,
                              linearization_warning=lin.validity_warning)
@@ -239,10 +239,10 @@ def stance_torques(robot: RobotState, forces: np.ndarray) -> np.ndarray:
 
 
 def raibert_foothold(leg: LegModel, command_velocity, gait: GaitSchedule,
-                     state: SrbState, gait_cfg: GaitConfig | None = None) -> np.ndarray:
+                     state: SrbState, gait_cfg: GaitConfig) -> np.ndarray:
     """Touchdown target: shoulder projection + half-stance velocity feedforward
     + velocity-error feedback, clipped to the leg workspace footprint."""
-    k_v = gait_cfg.raibert_velocity_gain if gait_cfg is not None else 0.03
+    k_v = gait_cfg.raibert_velocity_gain
     v_cmd = np.asarray(command_velocity, dtype=float).reshape(3)
     shoulder = shoulder_point(leg, state)
     proj = np.array([shoulder[0], shoulder[1], 0.0])

@@ -377,7 +377,6 @@ class _OrchestratorCore:
         srb.linear_velocity[:] = 0.0
         srb.angular_velocity[:] = 0.0
         seat_feet(world)
-        self.mpc.solver.reset()
         self.forces[:] = 0.0
         self.step_count = 0
 
@@ -430,7 +429,7 @@ def metric_mean_flow(task: TaskInstance, obj: SimObject, local_cloud: np.ndarray
 
 
 def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | None = None,
-                config: StackConfig | None = None, seed: int | None = None,
+                config: StackConfig | None = None,
                 schedule: GoalSchedule | None = None) -> EpisodeTrace:
     """Closed-loop episode: observe, act through the FSM, repeat until the
     schedule's verdict ends it (by default: goal flow under the threshold, or
@@ -441,8 +440,8 @@ def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | N
     """
     options = options or EpisodeOptions()
     config = config or StackConfig()
-    seed = task.seed if seed is None else seed
     schedule = schedule or GoalSchedule.single_goal(task, options.max_steps)
+    seed = task.seed
     rng = np.random.default_rng(seed)
 
     world = standing_world(config, objects=[task.obj.copy()])

@@ -36,6 +36,9 @@ from .sensing import estimate_normals
 CHAMFER_RANK_WEIGHT = 1.5  # preference weighting on the Chamfer ranking
 REJECT_MEDIAN_FACTOR = 3.0
 DIVERGE_PATIENCE = 5
+ICP_MAX_ITER = 50
+ICP_TOL = 1e-6  # translation + rotation step (m + rad) that counts as converged
+N_AUGMENT = 6  # random yaw starts beside the unrotated source
 
 
 @dataclass
@@ -79,10 +82,8 @@ def _solve_point_to_plane(src, dst, nrm):
     return RigidTransform(rotation_exp(x[:3]), x[3:])
 
 
-def icp_register(source: PointCloud, target: PointCloud,
-                 init: RigidTransform | None = None, max_iter: int = 50,
-                 tol: float = 1e-6) -> IcpResult:
-    """Point-to-plane ICP from source to target.
+def icp_register(source: PointCloud, target: PointCloud) -> IcpResult:
+    """Point-to-plane ICP from source to target, from the identity.
 
     Correspondences beyond 3x the median distance are rejected each
     iteration. Divergence (residual increasing for 5 straight iterations)
@@ -92,13 +93,13 @@ def icp_register(source: PointCloud, target: PointCloud,
         raise ValueError("need at least 10 points per cloud")
     if target.normals is None:
         target = estimate_normals(target, k_neighbors=min(12, len(target)))
-    T = init if init is not None else RigidTransform.identity()
+    T = RigidTransform.identity()
     tree = cKDTree(target.points)
 
     best_T, best_res = T, math.inf
     worse_streak = 0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, ICP_MAX_ITER + 1):
         moved = T.apply(source.points)
         dist, idx = tree.query(moved)
         med = float(np.median(dist))
@@ -118,7 +119,7 @@ def icp_register(source: PointCloud, target: PointCloud,
         delta = _solve_point_to_plane(moved[keep], dst, nrm)
         T = compose(delta, T)
         step = float(np.linalg.norm(delta.translation)) + delta.rotation_angle()
-        if step < tol:
+        if step < ICP_TOL:
             best_res, best_T = res, T
             return IcpResult(T, res, True, it)
     return IcpResult(best_T, best_res, True, it)
@@ -164,26 +165,24 @@ def select_by_rank_sum(flows, chamfers, chamfer_weight: float = CHAMFER_RANK_WEI
 
 
 def register_with_augmentation(source: PointCloud, target: PointCloud,
-                               n_aug: int = 6, seed: int = 0,
-                               chamfer_weight: float = CHAMFER_RANK_WEIGHT,
-                               max_iter: int = 50) -> RegistrationResult:
+                               seed: int = 0) -> RegistrationResult:
     """Multi-start registration with flow/Chamfer rank-sum selection.
 
-    Candidate 0 is the unrotated source; candidates 1..n_aug start from
+    Candidate 0 is the unrotated source; candidates 1..N_AUGMENT start from
     random yaw rotations of the source about its centroid. Ties break
     toward lower Chamfer distance, then lower candidate index.
     """
     rng = np.random.default_rng(seed)
     centroid = source.centroid
     rotations = [RigidTransform.identity()]
-    for _ in range(n_aug):
+    for _ in range(N_AUGMENT):
         yaw = rng.uniform(0.0, 2.0 * math.pi)
         rotations.append(RigidTransform.rotation_about(rot_z(yaw), centroid))
 
     candidates = []
     for R_aug in rotations:
         rotated = apply_transform(R_aug, source)
-        est = icp_register(rotated, target, max_iter=max_iter)
+        est = icp_register(rotated, target)
         combined = compose(est.transform, R_aug)
         flow = flow_distance(source, combined)
         cham = chamfer_distance(apply_transform(combined, source), target)
@@ -191,7 +190,7 @@ def register_with_augmentation(source: PointCloud, target: PointCloud,
 
     flows = [c.flow_distance for c in candidates]
     chams = [c.chamfer_distance for c in candidates]
-    win, rf, rc, sums = select_by_rank_sum(flows, chams, chamfer_weight)
+    win, rf, rc, sums = select_by_rank_sum(flows, chams)
     for i, c in enumerate(candidates):
         c.rank_flow = int(rf[i])
         c.rank_chamfer = int(rc[i])

@@ -20,6 +20,7 @@ from .simworld import WorldState
 
 HPR_RADIUS_FACTOR = 100.0  # Katz heuristic: R = factor * max range
 RENDER_OVERSAMPLE = 6  # surface samples drawn per requested point before culling
+NEAR_CLIP = 0.01  # m in front of the camera
 
 
 class EmptyObservationError(RuntimeError):
@@ -65,13 +66,13 @@ class CameraModel:
         tv = th * self.height / self.width
         return th, tv
 
-    def in_frustum(self, points_cam: np.ndarray, near: float = 0.01) -> np.ndarray:
+    def in_frustum(self, points_cam: np.ndarray) -> np.ndarray:
         th, tv = self.tan_half_fov
         z = points_cam[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             u = np.abs(points_cam[:, 0] / z)
             v = np.abs(points_cam[:, 1] / z)
-        return (z > near) & (u <= th) & (v <= tv)
+        return (z > NEAR_CLIP) & (u <= th) & (v <= tv)
 
 
 def hidden_point_removal(cloud: PointCloud, viewpoint) -> np.ndarray:

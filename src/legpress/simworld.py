@@ -695,13 +695,12 @@ class WorldState:
         return w
 
 
-def standing_world(config: StackConfig | None = None, height: float | None = None,
-                   objects=()) -> WorldState:
-    """Robot standing level with feet under the shoulders, touching z=0."""
+def standing_world(config: StackConfig | None = None, objects=()) -> WorldState:
+    """Robot standing level at the stand height with feet under the
+    shoulders, touching z=0."""
     config = config or StackConfig()
-    h = height if height is not None else config.mpc.stand_height
-    srb = SrbState(np.zeros(3), np.array([0.0, 0.0, h]), np.zeros(3), np.zeros(3),
-                   config.sim.gravity)
+    srb = SrbState(np.zeros(3), np.array([0.0, 0.0, config.mpc.stand_height]),
+                   np.zeros(3), np.zeros(3), config.sim.gravity)
     world = WorldState(RobotState(srb, make_legs(config.robot), np.zeros((4, 3)),
                                   np.zeros((4, 3))), list(objects), config=config)
     seat_feet(world)

@@ -5,7 +5,7 @@ candidate active set of inequality rows, solving the equality-constrained
 KKT system for each, and keeping the best feasible point with nonnegative
 inequality multipliers. Exponential in the row count, so only usable for
 the small random suites, which is the point: it shares no code path with
-the iterative solver.
+the solver under test.
 """
 import itertools
 

@@ -172,6 +172,13 @@ def test_written_config_loads_back_to_the_defaults(tmp_path):
     assert load_config(str(path)) == StackConfig()
 
 
+def test_config_rejects_a_vector_of_the_wrong_length(tmp_path):
+    path = tmp_path / "stack.ini"
+    path.write_text("[robot]\ntrunk_inertia = 0.07, 0.26\n")
+    with pytest.raises(ValueError, match=r"\[robot\] trunk_inertia needs 3 values, got 2"):
+        load_config(str(path))
+
+
 def test_shape_sets_are_unchanged():
     """The training/held-out catalog and the registration-suite shapes are
     part of every seeded result; any change to their draws shows here."""

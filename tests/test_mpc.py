@@ -19,6 +19,7 @@ from legpress.simworld import SrbState, leg_jacobians_local, standing_world, ste
 
 
 MASS = 12.0
+GAIT = GaitConfig()
 INERTIA = np.diag([0.07, 0.26, 0.24])
 
 
@@ -200,7 +201,7 @@ def test_pyramid_rows_bound_the_tangential_force():
 def test_trot_phase_equalities_zero_swing_pair():
     """At trot phase 0 the swing pair's forces are zero because step 0 has
     columns for the front-left and rear-right triples only."""
-    gait = GaitSchedule.trot()
+    gait = GaitSchedule.trot(GAIT.trot_period, GAIT.trot_duty)
     flags = np.array([[gait.query(i * 0.05, l) for l in range(4)] for i in range(10)])
     # diagonal pair FL+RR in stance at phase 0
     assert flags[0, 0] and flags[0, 3]
@@ -218,7 +219,7 @@ def _random_instance(rng, trial):
                      rng.normal(scale=0.1, size=3), rng.normal(scale=0.1, size=3))
     feet = stand_feet() + rng.normal(scale=0.02, size=(4, 3))
     gait = (GaitSchedule.stand(), GaitSchedule.stand(lifted=(int(rng.integers(4)),)),
-            GaitSchedule.trot())[trial % 3]
+            GaitSchedule.trot(GAIT.trot_period, GAIT.trot_duty))[trial % 3]
     t = rng.uniform(0, 1)
     command = (rng.normal(scale=0.3), rng.normal(scale=0.2), rng.normal(scale=0.1), 0.28)
     return state, feet, gait, t, command
@@ -226,8 +227,8 @@ def _random_instance(rng, trial):
 
 def _all_feet_forces(mpc, state, command, feet, gait, t):
     """First-step forces of the former formulation: all 12 force components
-    at every horizon step, each swing foot's triple pinned to zero by
-    equality rows of the QP."""
+    at every horizon step, each swing foot's triple pinned to zero by rows
+    with lo == hi == 0."""
     cfg = mpc.config
     k = cfg.horizon
     lin = linearize_srb(state, feet, mpc.mass, mpc.inertia, mpc.dt)
@@ -238,12 +239,14 @@ def _all_feet_forces(mpc, state, command, feet, gait, t):
     ref = mpc.reference_trajectory(state, command).reshape(-1)
     g = 2.0 * ((B_qp.T * L) @ (A_qp @ state.as_vector() - ref))
     scale = float(np.max(np.diag(H)))
-    rows, lo, hi, D = [], [], [], []
+    rows, lo, hi = [], [], []
     for i in range(k):
         for l in range(4):
             base = 12 * i + 3 * l
             if not gait.query(t + i * mpc.dt, l):
-                D.extend(np.eye(12 * k)[base:base + 3])
+                rows.extend(np.eye(12 * k)[base:base + 3])
+                lo.extend([0.0] * 3)
+                hi.extend([0.0] * 3)
                 continue
             for axis in (0, 1):
                 for sign in (1.0, -1.0):
@@ -257,9 +260,8 @@ def _all_feet_forces(mpc, state, command, feet, gait, t):
             rows.append(row)
             lo.append(cfg.f_min)
             hi.append(cfg.f_max)
-    qp = QpProblem(H / scale, g / scale, C=np.array(rows), c_lo=lo, c_hi=hi,
-                   D=np.array(D) if D else None)
-    sol = QpSolver().solve(qp, tol=1e-8, max_iter=20000)
+    qp = QpProblem(H / scale, g / scale, C=np.array(rows), c_lo=lo, c_hi=hi)
+    sol = QpSolver().solve(qp)
     assert sol.status == "optimal"
     return sol.primal[:12].reshape(4, 3)
 
@@ -367,8 +369,8 @@ def test_stance_torques_equal_the_per_leg_products():
 def test_raibert_zero_velocity_under_hip():
     world = standing_world()
     leg = world.robot.legs[0]
-    gait = GaitSchedule.trot()
-    target = raibert_foothold(leg, np.zeros(3), gait, world.robot.srb)
+    gait = GaitSchedule.trot(GAIT.trot_period, GAIT.trot_duty)
+    target = raibert_foothold(leg, np.zeros(3), gait, world.robot.srb, GAIT)
     shoulder = world.robot.hip_world(0) + np.array([0, leg.side * leg.link_lengths[0], 0])
     assert np.max(np.abs(target[:2] - shoulder[:2])) < 1e-9
     assert target[2] == 0.0

@@ -1,9 +1,25 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from legpress.qpsolve import QpProblem, QpSolution, QpSolver, kkt_residual, solve
+from legpress import qpsolve
+from legpress.qpsolve import QpProblem, QpSolution, QpSolver, kkt_residual
 
 from oracle_qp import enumerate_qp, random_strictly_convex_qp
+
+
+def solve(p: QpProblem) -> QpSolution:
+    return QpSolver().solve(p)
+
+
+def _problem(H, g, C, hi, D=None) -> QpProblem:
+    """One-sided rows C x <= hi, plus D x = 0 as rows with lo == hi."""
+    lo = np.full(len(hi), -np.inf)
+    if D is not None:
+        C = np.vstack([C, D])
+        lo = np.concatenate([lo, np.zeros(len(D))])
+        hi = np.concatenate([hi, np.zeros(len(D))])
+    return QpProblem(H, g, C=C, c_lo=lo, c_hi=hi)
 
 
 def test_unconstrained_min_norm_is_zero():
@@ -19,6 +35,14 @@ def test_active_bound_scalar():
     s = solve(p)
     assert s.status == "optimal"
     assert abs(s.primal[0] - 0.5) < 1e-6
+    assert s.iterations == 1  # one row added
+
+
+def test_inactive_rows_make_no_change():
+    p = QpProblem([[2.0]], [-2.0], C=[[1.0]], c_lo=[-5.0], c_hi=[5.0])
+    s = solve(p)
+    assert s.status == "optimal" and s.iterations == 0
+    assert s.primal[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_equality_rows_exact():
@@ -26,19 +50,20 @@ def test_equality_rows_exact():
     H = np.eye(4)
     g = rng.normal(size=4)
     D = rng.normal(size=(2, 4))
-    s = solve(QpProblem(H, g, D=D), tol=1e-9)
+    b = rng.normal(size=2)
+    s = solve(QpProblem(H, g, C=D, c_lo=b, c_hi=b))
     assert s.status == "optimal"
-    assert np.max(np.abs(D @ s.primal)) < 1e-8
+    assert np.max(np.abs(D @ s.primal - b)) < 1e-8
 
 
 def test_matches_enumeration_oracle_small_suite():
     rng = np.random.default_rng(12)
-    for _ in range(60):
-        H, g, C, hi, D = random_strictly_convex_qp(rng, n_max=6, m_max=8)
+    for trial in range(60):
+        H, g, C, hi, D = random_strictly_convex_qp(rng, n_max=6, m_max=8,
+                                                   with_equalities=trial % 2 == 1)
         x_star, _ = enumerate_qp(H, g, C, hi, D)
         assert x_star is not None
-        p = QpProblem(H, g, C=C, c_lo=np.full(len(hi), -np.inf), c_hi=hi, D=D)
-        s = solve(p, tol=1e-8)
+        s = solve(_problem(H, g, C, hi, D))
         assert s.status == "optimal"
         assert np.max(np.abs(s.primal - x_star)) < 1e-6
 
@@ -60,8 +85,8 @@ def test_kkt_residual_small_on_oracle_solutions():
     rng = np.random.default_rng(13)
     for _ in range(20):
         H, g, C, hi, D = random_strictly_convex_qp(rng, n_max=5, m_max=6)
-        p = QpProblem(H, g, C=C, c_lo=np.full(len(hi), -np.inf), c_hi=hi, D=D)
-        s = solve(p, tol=1e-9, max_iter=20000)
+        p = _problem(H, g, C, hi, D)
+        s = solve(p)
         assert s.status == "optimal"
         assert kkt_residual(p, s) < 1e-8
 
@@ -69,8 +94,8 @@ def test_kkt_residual_small_on_oracle_solutions():
 def test_no_false_optimality_against_feasible_sampler():
     rng = np.random.default_rng(14)
     H, g, C, hi, D = random_strictly_convex_qp(rng, n_max=6, m_max=8)
-    p = QpProblem(H, g, C=C, c_lo=np.full(len(hi), -np.inf), c_hi=hi, D=D)
-    s = solve(p, tol=1e-8)
+    p = _problem(H, g, C, hi, D)
+    s = solve(p)
     obj = p.objective(s.primal)
     count = 0
     while count < 1000:
@@ -83,21 +108,10 @@ def test_no_false_optimality_against_feasible_sampler():
         assert p.objective(x) >= obj - 1e-6
 
 
-def test_warm_start_not_worse_than_cold():
-    rng = np.random.default_rng(15)
-    H, g, C, hi, D = random_strictly_convex_qp(rng, n_max=6, m_max=8)
-    p = QpProblem(H, g, C=C, c_lo=np.full(len(hi), -np.inf), c_hi=hi, D=D)
-    solver = QpSolver()
-    cold = solver.solve(p, tol=1e-8)
-    warm = solver.solve(p, tol=1e-8)
-    assert p.objective(warm.primal) <= p.objective(cold.primal) + 1e-8
-    assert warm.iterations <= cold.iterations
-
-
 def test_deterministic_given_identical_inputs():
     rng = np.random.default_rng(16)
     H, g, C, hi, D = random_strictly_convex_qp(rng, n_max=6, m_max=8)
-    p = QpProblem(H, g, C=C, c_lo=np.full(len(hi), -np.inf), c_hi=hi, D=D)
+    p = _problem(H, g, C, hi, D)
     a = solve(p)
     b = solve(p)
     assert np.array_equal(a.primal, b.primal)
@@ -107,13 +121,79 @@ def test_deterministic_given_identical_inputs():
 def test_infeasible_detected():
     # x <= -1 and x >= +1 simultaneously
     p = QpProblem([[2.0]], [0.0], C=[[1.0], [-1.0]], c_lo=[-np.inf, -np.inf], c_hi=[-1.0, -1.0])
-    s = solve(p, max_iter=200000)
+    s = solve(p)
     assert s.status == "infeasible"
+
+
+def test_change_cap_gives_max_iter(monkeypatch):
+    # min |x - (2, 2)|^2 s.t. x0 <= 0 and x1 <= 0 needs two row additions
+    p = QpProblem(2 * np.eye(2), [-4.0, -4.0], C=np.eye(2), c_lo=[-np.inf] * 2, c_hi=[0.0, 0.0])
+    assert solve(p).iterations == 2
+    monkeypatch.setattr(qpsolve, "MAX_CHANGES", 1)
+    s = solve(p)
+    assert s.status == "max_iter" and s.iterations == 1
+
+
+def test_status_matches_lp_feasibility_on_tight_boxes():
+    """Random two-sided rows with narrow [lo, hi] are infeasible about two
+    times in three; the status must agree with an LP feasibility check."""
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(300):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 10))
+        A = rng.normal(size=(n, n))
+        H = A @ A.T + 0.5 * n * np.eye(n)
+        C = rng.normal(size=(m, n))
+        mid, half = rng.normal(size=m), rng.uniform(0.0, 0.5, size=m)
+        s = solve(QpProblem(H, rng.normal(size=n), C=C, c_lo=mid - half, c_hi=mid + half))
+        lp = linprog(np.zeros(n), A_ub=np.vstack([C, -C]),
+                     b_ub=np.concatenate([mid + half, half - mid]),
+                     bounds=[(None, None)] * n, method="highs")
+        assert lp.status in (0, 2)  # feasible or infeasible, nothing else
+        assert s.status == ("optimal" if lp.status == 0 else "infeasible")
+        seen.add(s.status)
+    assert seen == {"optimal", "infeasible"}
+
+
+def test_binding_row_given_twice():
+    # min |x - (2, 2)|^2 s.t. x0 + x1 <= 1 twice: x = (0.5, 0.5)
+    row = [1.0, 1.0]
+    s = solve(QpProblem(2 * np.eye(2), [-4.0, -4.0], C=[row, row],
+                        c_lo=[-np.inf, -np.inf], c_hi=[1.0, 1.0]))
+    assert s.status == "optimal"
+    assert np.max(np.abs(s.primal - 0.5)) < 1e-12
+    assert s.dual.sum() == pytest.approx(3.0, abs=1e-9)
+
+
+def test_equality_row_given_twice():
+    row = [1.0, -2.0, 0.5]
+    p = QpProblem(np.eye(3), [1.0, 0.0, -1.0], C=[row, row], c_lo=[0.3, 0.3], c_hi=[0.3, 0.3])
+    s = solve(p)
+    assert s.status == "optimal"
+    assert np.dot(row, s.primal) == pytest.approx(0.3, abs=1e-12)
+    p.c_lo[1] = p.c_hi[1] = 0.4  # the same row pinned to another value
+    assert solve(p).status == "infeasible"
+
+
+def test_row_dependent_on_an_equality_row():
+    # min |x|^2/2 + 3 x0 s.t. x0 + x1 = 1 and x0 + x1 <= hi
+    def problem(hi):
+        return QpProblem(np.eye(2), [3.0, 0.0], C=[[1.0, 1.0], [1.0, 1.0]],
+                         c_lo=[1.0, -np.inf], c_hi=[1.0, hi])
+    s = solve(problem(2.0))  # redundant
+    assert s.status == "optimal"
+    assert np.max(np.abs(s.primal - [-1.0, 2.0])) < 1e-12
+    assert solve(problem(0.5)).status == "infeasible"
 
 
 def test_rejects_asymmetric_hessian():
     with pytest.raises(ValueError):
         QpProblem([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])
+
+
+def test_rejects_indefinite_hessian():
+    with pytest.raises(ValueError):
+        solve(QpProblem([[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0]))
 
 
 def test_rejects_crossed_bounds():
