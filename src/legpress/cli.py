@@ -8,9 +8,11 @@ Subcommands:
             table the Tier-1 tests assert too
   sweep     seeded outcome sweep: every task with the planning policy, the
             multi-step protocol in walk and teleport mode; the gate for any
-            change that moves a trajectory. Its first line records the BLAS
-            thread variables, which the last digits of a flow depend on
+            change that moves a trajectory
   replay    recompute and print the summary of a trace file
+
+The first line of `eval`, `multistep`, `regbench` and `sweep` records the BLAS
+thread variables, which the last digits of their results depend on.
 
 The configuration file path comes from --config or the LEGPRESS_CONFIG
 environment variable; defaults apply otherwise. Exit code 0 on success,
@@ -40,6 +42,13 @@ from .orchestrator import EpisodeOptions, EpisodeTrace
 from .simworld import Box, SimObject, rest_pose_on_ground, standing_world, step
 
 
+def _print_blas_env() -> None:
+    """First line of a results table: the BLAS thread variables, `unset` for
+    an absent one, so that two tables can be compared."""
+    print("env " + " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in
+                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")))
+
+
 def _episode_options(args) -> EpisodeOptions:
     return EpisodeOptions(
         max_steps=args.max_steps,
@@ -51,6 +60,7 @@ def _episode_options(args) -> EpisodeOptions:
 def cmd_eval(args) -> int:
     config = load_config(args.config)
     spec = TaskSpec(args.task, object_split=args.split)
+    _print_blas_env()
     report = evaluate(args.policy, spec, args.episodes, seed=args.seed,
                       options=_episode_options(args), config=config,
                       out_dir=args.out)
@@ -67,6 +77,7 @@ def cmd_eval(args) -> int:
 def cmd_multistep(args) -> int:
     config = load_config(args.config)
     options = EpisodeOptions(reposition=args.reposition, pose_source=args.pose_source)
+    _print_blas_env()
     rows = []
     for i in range(args.runs):
         res = multi_step_protocol(args.policy, seed=args.seed + i, options=options,
@@ -83,6 +94,7 @@ def cmd_multistep(args) -> int:
 
 
 def cmd_regbench(args) -> int:
+    _print_blas_env()
     res = registration_benchmark(args.cases, seed=args.seed)
     print(f"cases={res.cases}")
     print(f"rotation_mae_deg={res.rotation_mae_deg!r}")
@@ -120,8 +132,7 @@ def _sweep_episode(name: str, mode: str | None, seed: int, cfg: StackConfig,
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     seeds = _parse_seeds(args.seeds)
-    print("env " + " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in
-                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")))
+    _print_blas_env()
     groups = [(name, mode) for name in args.tasks
               for mode in (("walk", "teleport") if name == "multi_step_1m" else (None,))]
     for name, mode in groups:

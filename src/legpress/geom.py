@@ -45,18 +45,19 @@ def euler_zyx_to_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
 
 
 def matrix_to_euler_zyx(R: np.ndarray) -> tuple[float, float, float]:
-    """Extract (roll, pitch, yaw) from a rotation matrix.
+    """Extract (roll, pitch, yaw) from a rotation matrix, given as an array
+    or as three float rows.
 
     Raises GimbalLockError when |pitch| > pi/2 - 0.05 rad; the controller's
     linearization is invalid there so no caller should ever need it.
     """
-    sp = -float(R[2, 0])
+    sp = -float(R[2][0])
     sp = min(1.0, max(-1.0, sp))
     pitch = math.asin(sp)
     if abs(pitch) > math.pi / 2.0 - GIMBAL_MARGIN:
         raise GimbalLockError(f"pitch {pitch:.4f} rad is inside the gimbal-lock margin")
-    roll = math.atan2(float(R[2, 1]), float(R[2, 2]))
-    yaw = math.atan2(float(R[1, 0]), float(R[0, 0]))
+    roll = math.atan2(float(R[2][1]), float(R[2][2]))
+    yaw = math.atan2(float(R[1][0]), float(R[0][0]))
     return roll, pitch, yaw
 
 

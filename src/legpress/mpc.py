@@ -40,14 +40,14 @@ RAIBERT_MAX_OFFSET = 0.15  # m; cap on the foothold's velocity offset
 @dataclass(frozen=True)
 class GaitSchedule:
     mode: str  # stand | trot
-    period: float = 0.5
-    duty: float = 0.5
+    period: float | None  # trot timing; None on a stand gait
+    duty: float | None
     offsets: tuple = (0.0, 0.5, 0.5, 0.0)  # diagonal pairs in phase
     lifted: tuple = ()
 
     @staticmethod
     def stand(lifted: tuple = ()) -> "GaitSchedule":
-        return GaitSchedule("stand", lifted=tuple(lifted))
+        return GaitSchedule("stand", None, None, lifted=tuple(lifted))
 
     @staticmethod
     def trot(period: float, duty: float) -> "GaitSchedule":

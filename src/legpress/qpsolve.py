@@ -19,7 +19,10 @@ active-set change, and no warm start or tuning is needed.
 
 The active set found is solved once more as an exact KKT system with
 iterative refinement; the result is "optimal" only when its KKT residual is
-at most KKT_TOL.
+at most KKT_TOL. Each term of the residual is relative to its own size (see
+kkt_residual): the rounding of a correct solve grows with the gradient and
+the multipliers, but a row off its bound must not pass because some other
+multiplier is large.
 """
 from __future__ import annotations
 
@@ -80,18 +83,26 @@ class QpSolution:
     iterations: int = 0  # active-set changes
 
 
+def _amax(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v), initial=0.0))
+
+
 def kkt_residual(p: QpProblem, s: QpSolution) -> float:
-    """Max of stationarity, primal-feasibility and complementarity norms."""
+    """Max of three KKT norms, each relative to its own size: stationarity
+    |Hx + g + C'y| over max(1, |g|, |C'y|); primal feasibility, absolute;
+    and per row, complementarity |y_i| gap_i over max(1, |y_i|) max(1,
+    |(Cx)_i|), where gap_i is the distance of (Cx)_i from the bound that y_i
+    pushes against."""
     C, lo, hi = p.C, p.c_lo, p.c_hi
     x, y = np.asarray(s.primal, dtype=float), np.asarray(s.dual, dtype=float)
-    Cx = C @ x
-    stat = p.hessian @ x + p.gradient + C.T @ y
+    Cx, Cy = C @ x, C.T @ y
+    stat = _amax(p.hessian @ x + p.gradient + Cy) / max(1.0, _amax(p.gradient), _amax(Cy))
     # a multiplier on a side with no bound counts in full
     gap_hi = np.where(np.isfinite(hi), np.abs(hi - Cx), 1.0)
     gap_lo = np.where(np.isfinite(lo), np.abs(Cx - lo), 1.0)
     comp = np.maximum(y, 0.0) * gap_hi + np.maximum(-y, 0.0) * gap_lo
-    return float(max(np.max(np.abs(stat), initial=0.0),
-                     np.max(np.maximum(lo - Cx, Cx - hi), initial=0.0),
+    comp = comp / (np.maximum(1.0, np.abs(y)) * np.maximum(1.0, np.abs(Cx)))
+    return float(max(stat, np.max(np.maximum(lo - Cx, Cx - hi), initial=0.0),
                      np.max(comp, initial=0.0)))
 
 

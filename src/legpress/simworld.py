@@ -15,29 +15,45 @@ machine precision instead of drifting with the naive w-update.
 Leg numbering: 0 = front-left, 1 = front-right, 2 = rear-left,
 3 = rear-right. World frame: x forward, y left, z up.
 
-Speed, gated on outcomes. The per-tick path (`step`, `_sync_legs` and the
-leg Jacobians the controllers read) does its small vector math on Python
-floats taken with one `.tolist()`: elementwise work, 3-vector dots and cross
-products, and the 3x3 products of the friction pass with the world inverse
-inertia. These round differently from numpy's BLAS calls in the last bits, so
-a trajectory is not bit-identical to a plain numpy formulation of the same
+Speed, gated on outcomes. The per-tick path runs on Python floats. `step`
+reads the trunk, feet and objects once with `.tolist()` and writes them back
+once into the same public arrays; `_sync_legs` reads the trunk and feet the
+same way. On floats are: the leg sync (hip point, foot offset in the hip
+frame, velocity relative to the trunk, joint-velocity solve), the actuator
+tip forces (R J and the transposed solve, with a damped least-squares
+fallback near a singular Jacobian), the ground and foot-object contacts, the
+friction pass, and the integration: a float Rodrigues update, Euler angles
+through `geom.matrix_to_euler_zyx` on float rows (its gimbal check), and the
+object's world inertia and its inverse as Ro I^(+-1) Ro' of body values
+computed once per inertia value. A foot farther from an object than the
+shape's bounding radius plus the foot radius skips the signed distance (see
+`_set_vertices`); on `push_box` that is 94 % of the foot-object checks. All of
+this rounds differently from numpy's BLAS calls in the last bits, so a
+trajectory is not bit-identical to a plain numpy formulation of the same
 model, and a change to this path is judged by what the simulation does:
   - `legpress sweep --seeds 0-9`: every task and seed keeps its outcome,
     action count and fault class, and the final flow or lateral error moves
-    only by rounding;
+    only by rounding (episodes whose outcome rounding alone decides are
+    named in the change log);
   - `cli.SIM_CHECKS` (`legpress simcheck`): determinism, momentum, friction
     cone and stand force within their bounds;
   - the pinned end states in `tests/test_simworld.py` at rtol 1e-9 and atol
     1e-12. A scene that moves past them is re-recorded, with every moved
     value listed in the change log.
-Two more devices stay:
-  - a stacked `np.matmul` over the four legs stands in for the per-leg
-    products; `tests/test_mpc.py` checks `stance_torques` bit-equal to its
-    per-leg loop;
-  - the rotation of an rpy value and a leg's local Jacobian for a
-    joint-angle value are computed once and shared, keyed on the bytes of
-    the values, so an in-place write can never read a stale matrix. Public
-    accessors hand out copies.
+Numpy stays where it is the better tool or a reference depends on it:
+  - `geom.rotation_exp`, because `register`'s bit-exact rule rests on it; the
+    tick's float Rodrigues map is tested against it;
+  - the SVD that re-orthonormalises each orientation every 64 steps, and one
+    product that places all of an object's vertices against the ground;
+  - `stance_torques` and the impedance law use a stacked `np.matmul` over the
+    four legs; `tests/test_mpc.py` checks `stance_torques` bit-equal to its
+    per-leg loop.
+The memo stays: the rotation of an rpy value and a leg's local Jacobian (as
+an array and as float rows) for a joint-angle value are computed once and
+shared, keyed on the bytes of the values, so an in-place write can never read
+a stale matrix. `_sync_legs` fills the Jacobian entry of the joint angles it
+sets, which the controllers and the next tick then read. Public accessors
+hand out copies.
 """
 from __future__ import annotations
 
@@ -54,7 +70,6 @@ from .geom import (
     euler_zyx_to_matrix,
     matrix_to_euler_zyx,
     orthonormalize,
-    rotation_exp,
 )
 
 LEG_NAMES = ("front_left", "front_right", "rear_left", "rear_right")
@@ -84,6 +99,40 @@ def _dot(a, b) -> float:
 def _matvec(M, x) -> list:
     """M x for a 3x3 matrix given as three float rows."""
     return [_dot(M[0], x), _dot(M[1], x), _dot(M[2], x)]
+
+
+def _matvec_t(M, x) -> list:
+    """M' x for a 3x3 matrix given as three float rows."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
+    x0, x1, x2 = x
+    return [m00 * x0 + m10 * x1 + m20 * x2, m01 * x0 + m11 * x1 + m21 * x2,
+            m02 * x0 + m12 * x1 + m22 * x2]
+
+
+def _matmul(A, B) -> list:
+    """A B for 3x3 matrices given as float rows."""
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B
+    return [[a0 * b00 + a1 * b10 + a2 * b20, a0 * b01 + a1 * b11 + a2 * b21,
+             a0 * b02 + a1 * b12 + a2 * b22] for a0, a1, a2 in A]
+
+
+def _sandwich(R, M) -> list:
+    """R M R' for 3x3 matrices given as float rows."""
+    return _matmul(_matmul(R, M), zip(*R))
+
+
+def _rotation_exp(x: float, y: float, z: float) -> list:
+    """`geom.rotation_exp` on floats: the rows of the Rodrigues rotation for
+    the axis-angle vector (x, y, z)."""
+    th = math.sqrt(x * x + y * y + z * z)
+    if th < 1e-12:
+        return [[1.0, -z, y], [z, 1.0, -x], [-y, x, 1.0]]
+    kx, ky, kz = x / th, y / th, z / th
+    s, c = math.sin(th), 1.0 - math.cos(th)
+    # I + s K + c K K with K = skew(k), K K written out entry by entry
+    return [[1.0 + c * (-kz * kz - ky * ky), -s * kz + c * (ky * kx), s * ky + c * (kz * kx)],
+            [s * kz + c * (kx * ky), 1.0 + c * (-kz * kz - kx * kx), -s * kx + c * (kz * ky)],
+            [-s * ky + c * (kx * kz), s * kx + c * (ky * kz), 1.0 + c * (-ky * ky - kx * kx)]]
 
 
 def _point_velocity(v, w, r) -> tuple:
@@ -180,6 +229,17 @@ def _rotation(rpy: np.ndarray) -> np.ndarray:
     return _rotation_of(rpy.tobytes())
 
 
+@functools.lru_cache(maxsize=16)
+def _inertia_of(inertia_bytes: bytes) -> tuple:
+    I = np.frombuffer(inertia_bytes).reshape(3, 3)
+    return tuple(map(tuple, I.tolist())), tuple(map(tuple, np.linalg.inv(I).tolist()))
+
+
+def _inertia_rows(inertia: np.ndarray) -> tuple:
+    """Body inertia and its inverse as float rows, shared per value."""
+    return _inertia_of(inertia.tobytes())
+
+
 def _fk_local(q1, q2, q3, side, l_abd, lt, lc):
     s2, c2 = math.sin(q2), math.cos(q2)
     s23, c23 = math.sin(q2 + q3), math.cos(q2 + q3)
@@ -200,21 +260,25 @@ def _jac_local(q1, q2, q3, side, l_abd, lt, lc):
     dwz2 = lt * s2 + lc * s23
     dwx3 = -lc * c23
     dwz3 = lc * s23
-    return np.array([
-        [0.0, dwx2, dwx3],
-        [-pz, -s1 * dwz2, -s1 * dwz3],
-        [py, c1 * dwz2, c1 * dwz3],
-    ])
+    return ((0.0, dwx2, dwx3),
+            (-pz, -s1 * dwz2, -s1 * dwz3),
+            (py, c1 * dwz2, c1 * dwz3))
 
 
 @functools.lru_cache(maxsize=16)
-def _jac_of(q_bytes: bytes, side, l_abd, lt, lc) -> np.ndarray:
-    return _freeze(_jac_local(*np.frombuffer(q_bytes).tolist(), side, l_abd, lt, lc))
+def _jac_of(q_bytes: bytes, side, l_abd, lt, lc) -> tuple:
+    rows = _jac_local(*np.frombuffer(q_bytes).tolist(), side, l_abd, lt, lc)
+    return _freeze(np.array(rows)), rows
 
 
 def _leg_jac(leg: LegModel) -> np.ndarray:
     """Read-only trunk-frame Jacobian of the leg's joint angles, shared per value."""
-    return _jac_of(leg.joint_angles.tobytes(), leg.side, *leg.link_lengths)
+    return _jac_of(leg.joint_angles.tobytes(), leg.side, *leg.link_lengths)[0]
+
+
+def _leg_jac_rows(leg: LegModel) -> tuple:
+    """The same Jacobian as float rows, from the same memo entry."""
+    return _jac_of(leg.joint_angles.tobytes(), leg.side, *leg.link_lengths)[1]
 
 
 def leg_forward_kinematics(leg: LegModel, trunk: SrbState) -> np.ndarray:
@@ -305,22 +369,10 @@ def leg_inverse_kinematics(target: np.ndarray, leg: LegModel, trunk: SrbState) -
     return IkResult(False, None, hip_world + R @ (d * scale))
 
 
-def _solve3(A: np.ndarray, b: np.ndarray) -> tuple[list, bool]:
-    """3x3 solve by cofactors; damped least-squares fallback near singularity.
-
-    Returns (x as a float list, singular_flag)."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A.tolist()
-    b0, b1, b2 = b.tolist()
-    det = (a00 * (a11 * a22 - a12 * a21)
-           - a01 * (a10 * a22 - a12 * a20)
-           + a02 * (a10 * a21 - a11 * a20))
-    if abs(det) < 1e-6:
-        lam = 1e-3
-        # copies keep the layout but not the offset into a stacked array, so
-        # the BLAS calls see the operands that per-leg products used to give
-        A, b = A.copy(order="K"), b.copy()
-        M = A.T @ A + lam * lam * np.eye(3)
-        return np.linalg.solve(M, A.T @ b).tolist(), True
+def _cofactor_solve(A, b, det: float) -> list:
+    """x with A x = b by cofactors, for float rows A of determinant det."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
+    b0, b1, b2 = b
     inv_det = 1.0 / det
     x0 = (b0 * (a11 * a22 - a12 * a21)
           - a01 * (b1 * a22 - a12 * b2)
@@ -331,7 +383,27 @@ def _solve3(A: np.ndarray, b: np.ndarray) -> tuple[list, bool]:
     x2 = (a00 * (a11 * b2 - b1 * a21)
           - a01 * (a10 * b2 - b1 * a20)
           + b0 * (a10 * a21 - a11 * a20)) * inv_det
-    return [x0, x1, x2], False
+    return [x0, x1, x2]
+
+
+def _det3(A) -> float:
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
+    return (a00 * (a11 * a22 - a12 * a21)
+            - a01 * (a10 * a22 - a12 * a20)
+            + a02 * (a10 * a21 - a11 * a20))
+
+
+def _solve3(A, b) -> list:
+    """3x3 solve on float rows by cofactors; near a singular A (|det| < 1e-6)
+    the damped least-squares solution (A'A + lam^2 I) x = A'b, lam = 1e-3."""
+    det = _det3(A)
+    if abs(det) >= 1e-6:
+        return _cofactor_solve(A, b, det)
+    lam2 = 1e-3 * 1e-3
+    M = _matmul(zip(*A), A)
+    for k in range(3):
+        M[k][k] += lam2
+    return _cofactor_solve(M, _matvec_t(A, b), _det3(M))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +414,18 @@ def _solve3(A: np.ndarray, b: np.ndarray) -> tuple[list, bool]:
 # reads it directly and `vertices()` hands out a copy.
 
 
+def _set_vertices(shape, verts: np.ndarray, euclidean: bool = True) -> None:
+    """Store the shape's read-only vertex array and `_radius`, the radius of
+    a ball about the body origin that holds the shape: the largest vertex
+    norm, padded against rounding (a cylinder's rim vertices sit on its
+    circle). A foot centre farther than `_radius` plus the foot radius is out
+    of contact when the signed distance is Euclidean, so `step` skips it. A
+    shape whose distance is not Euclidean stores inf and is never skipped."""
+    object.__setattr__(shape, "_verts", _freeze(verts))
+    radius = float(np.sqrt(np.max(np.sum(verts * verts, axis=1)))) * (1.0 + 1e-9)
+    object.__setattr__(shape, "_radius", radius if euclidean else math.inf)
+
+
 @dataclass(frozen=True)
 class Box:
     extents: tuple  # full side lengths (x, y, z)
@@ -349,9 +433,8 @@ class Box:
     def __post_init__(self):
         hx, hy, hz = (e / 2.0 for e in self.extents)
         object.__setattr__(self, "_half", (hx, hy, hz))
-        object.__setattr__(self, "_verts", _freeze(np.array(
-            [(sx * hx, sy * hy, sz * hz)
-             for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])))
+        _set_vertices(self, np.array([(sx * hx, sy * hy, sz * hz)
+                                      for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]))
 
     def vertices(self) -> np.ndarray:
         return self._verts.copy()
@@ -413,7 +496,7 @@ class Cylinder:
         ring = np.stack([self.radius * np.cos(ang), self.radius * np.sin(ang)], axis=1)
         top = np.column_stack([ring, np.full(self.sides, self.height / 2.0)])
         bot = np.column_stack([ring, np.full(self.sides, -self.height / 2.0)])
-        object.__setattr__(self, "_verts", _freeze(np.vstack([top, bot])))
+        _set_vertices(self, np.vstack([top, bot]))
 
     def vertices(self) -> np.ndarray:
         return self._verts.copy()
@@ -475,9 +558,10 @@ class ConvexMesh:
         pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
         hull = ConvexHull(pts)
         object.__setattr__(self, "points", tuple(map(tuple, pts)))
-        object.__setattr__(self, "_verts", _freeze(pts[hull.vertices]))
         object.__setattr__(self, "_eqs", hull.equations)  # a.x + b <= 0 inside
         object.__setattr__(self, "_simplices", pts[hull.simplices])
+        # the face-plane distance underestimates outside, so no foot is skipped
+        _set_vertices(self, pts[hull.vertices], euclidean=False)
 
     def vertices(self) -> np.ndarray:
         return self._verts.copy()
@@ -543,7 +627,7 @@ class Compound:
             if not isinstance(shape, Box):
                 raise TypeError(f"Compound parts must be Box, got {type(shape).__name__}")
         vs = [shape.vertices() + np.asarray(off) for shape, off in self.parts]
-        object.__setattr__(self, "_verts", _freeze(np.vstack(vs)))
+        _set_vertices(self, np.vstack(vs))
 
     def vertices(self) -> np.ndarray:
         return self._verts.copy()
@@ -649,8 +733,6 @@ def rest_pose_on_ground(shape, xy=(0.0, 0.0), yaw: float = 0.0,
 
 @dataclass
 class ContactRecord:
-    point: np.ndarray
-    normal: np.ndarray
     penetration: float
     normal_force: float
     tangential_force: float
@@ -723,26 +805,26 @@ def _sync_legs(world: WorldState) -> None:
     drifted out of the workspace back onto the reachable boundary."""
     robot = world.robot
     srb = robot.srb
-    R = _rotation(srb.rpy)
+    R = _rotation(srb.rpy).tolist()
     mf = world.config.robot.foot_mass
-    hips = np.array([leg.hip_offset for leg in robot.legs])
-    hip_world = srb.position + (R @ hips[:, :, None])[:, :, 0]
-    d_all = (R.T @ (robot.feet_pos - hip_world)[:, :, None])[:, :, 0].tolist()
     pos = srb.position.tolist()
     w = srb.angular_velocity.tolist()
     v = srb.linear_velocity.tolist()
     feet_p = robot.feet_pos.tolist()
     feet_v = robot.feet_vel.tolist()
-    rel = []  # foot velocity relative to the trunk, None where the stops engaged
     for i, leg in enumerate(robot.legs):
-        q = _ik_local(d_all[i], leg.side, *leg.link_lengths, leg.joint_limits)
+        off = leg.hip_offset.tolist()
+        h = _matvec(R, off)
+        fp = feet_p[i]
+        q = _ik_local(_matvec_t(R, [fp[k] - (pos[k] + h[k]) for k in range(3)]),
+                      leg.side, *leg.link_lengths, leg.joint_limits)
         if q is None:
             # joint stops engaged: freeze the joints and let the foot ride
             # with the trunk this step, with a paired momentum correction on
             # a free trunk (a fixed base absorbs it)
-            local = np.array(_fk_local(*leg.joint_angles.tolist(), leg.side,
-                                       *leg.link_lengths))
-            p_new = (srb.position + R @ (leg.hip_offset + local)).tolist()
+            local = _fk_local(*leg.joint_angles.tolist(), leg.side, *leg.link_lengths)
+            b = _matvec(R, [off[k] + local[k] for k in range(3)])
+            p_new = [pos[k] + b[k] for k in range(3)]
             c = _cross(w, [p_new[k] - pos[k] for k in range(3)])
             v_new = [v[k] + c[k] for k in range(3)]
             if not world.fixed_base:
@@ -752,16 +834,12 @@ def _sync_legs(world: WorldState) -> None:
             robot.feet_pos[i] = p_new
             robot.feet_vel[i] = v_new
             leg.joint_velocities[:] = 0.0
-            rel.append(None)
             continue
         leg.joint_angles[:] = q
-        c = _cross(w, [feet_p[i][k] - pos[k] for k in range(3)])
-        rel.append([feet_v[i][k] - v[k] - c[k] for k in range(3)])
-    # joint velocities in one stacked product; the stop rows are unused
-    rel_local = R.T @ np.array([r or (0.0, 0.0, 0.0) for r in rel])[:, :, None]
-    for i, leg in enumerate(robot.legs):
-        if rel[i] is not None:
-            leg.joint_velocities[:] = _solve3(_leg_jac(leg), rel_local[i, :, 0])[0]
+        c = _cross(w, [fp[k] - pos[k] for k in range(3)])
+        rel = [feet_v[i][k] - v[k] - c[k] for k in range(3)]
+        # reading the Jacobian here fills its memo for the controllers' tick
+        leg.joint_velocities[:] = _solve3(_leg_jac_rows(leg), _matvec_t(R, rel))
 
 
 def _normal_force(pen, pen_rate, cc: ContactConfig, m_eff: float, dt: float) -> float:
@@ -872,12 +950,16 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
     cc = cfg.contact
     rc = cfg.robot
     mf = rc.foot_mass
+    rf = rc.foot_radius
     g = cfg.sim.gravity if world.gravity_enabled else 0.0
     gz = -g  # gravity vector (0, 0, gz)
-    R = _rotation(srb.rpy)
 
-    # forces accumulate in floats, in the order of the numpy formulation
+    # the state as floats, read once; forces accumulate in the order of the
+    # numpy formulation
+    R = _rotation(srb.rpy).tolist()
     pos = srb.position.tolist()
+    v = srb.linear_velocity.tolist()
+    w = srb.angular_velocity.tolist()
     feet_p = robot.feet_pos.tolist()
     feet_v = robot.feet_vel.tolist()
     m_trunk = rc.trunk_mass
@@ -888,9 +970,8 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
     fric: list[tuple] = []
 
     # actuator tip forces (massless legs transmit the reaction to the trunk)
-    Jw = R @ leg_jacobians_local(robot.legs)
-    for i in range(4):
-        f = _solve3(Jw[i].T, tau[i])[0]
+    for i, (leg, tau_i) in enumerate(zip(robot.legs, tau.tolist())):
+        f = _solve3(list(zip(*_matmul(R, _leg_jac_rows(leg)))), tau_i)
         feet_force.append([0.0 + (f[0] + mf * 0.0), 0.0 + (f[1] + mf * 0.0),
                            0.0 + (f[2] + mf * gz)])
         c = _cross([feet_p[i][k] - pos[k] for k in range(3)], f)
@@ -898,38 +979,37 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
             trunk_force[k] -= f[k]
             trunk_torque[k] -= c[k]
 
-    up = np.array([0.0, 0.0, 1.0])
     up_f = (0.0, 0.0, 1.0)
     if world.ground_enabled:
         for i in range(4):
-            pen = rc.foot_radius - feet_p[i][2]
+            pen = rf - feet_p[i][2]
             if pen <= 0.0:
                 continue
             fn = _normal_force(pen, -feet_v[i][2], cc, mf, dt)
             if fn <= 0.0:
                 continue
             feet_force[i][2] += fn
-            rec = ContactRecord(robot.feet_pos[i].copy(), up, pen, fn, 0.0,
-                                (f"foot_{i}", "ground"))
+            rec = ContactRecord(pen, fn, 0.0, (f"foot_{i}", "ground"))
             contacts.append(rec)
             fric.append((_FOOT_GROUND, i, -1, feet_p[i], up_f, fn, rec))
 
-    # per-object float state: translation, velocities, force, torque
-    obj_t, obj_v, obj_w, obj_force, obj_torque = [], [], [], [], []
+    # per-object float state: rotation rows, translation, velocities, force, torque
+    obj_R, obj_t, obj_v, obj_w, obj_force, obj_torque = [], [], [], [], [], []
     for oi, obj in enumerate(world.objects):
-        Ro, to = obj.pose.rotation, obj.pose.translation
+        Ro_arr, to = obj.pose.rotation, obj.pose.translation
+        Ro = Ro_arr.tolist()
         t = to.tolist()
-        v = obj.linear_velocity.tolist()
-        w = obj.angular_velocity.tolist()
+        v_o = obj.linear_velocity.tolist()
+        w_o = obj.angular_velocity.tolist()
         m = obj.mass
         force = [m * 0.0, m * 0.0, m * gz] if world.gravity_enabled else [0.0, 0.0, 0.0]
         torque = [0.0, 0.0, 0.0]
         if world.ground_enabled:
-            verts = obj.shape._verts @ Ro.T + to
-            below_rows = verts[verts[:, 2] < 0.0]
-            n_sup = max(len(below_rows), 1)
-            for v_row, p in zip(below_rows, below_rows.tolist()):
-                vz = v[2] + (w[0] * (p[1] - t[1]) - w[1] * (p[0] - t[0]))
+            verts = obj.shape._verts @ Ro_arr.T + to
+            below = verts[verts[:, 2] < 0.0].tolist()
+            n_sup = max(len(below), 1)
+            for p in below:
+                vz = v_o[2] + (w_o[0] * (p[1] - t[1]) - w_o[1] * (p[0] - t[0]))
                 fn = _normal_force(-p[2], -vz, cc, m / n_sup, dt)
                 if fn <= 0.0:
                     continue
@@ -938,22 +1018,24 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
                            (fn * 0.0, fn * 0.0, fn * 1.0))  # r x (fn * up)
                 for k in range(3):
                     torque[k] += c[k]
-                rec = ContactRecord(v_row, up, -p[2], fn, 0.0, (obj.name, "ground"))
+                rec = ContactRecord(-p[2], fn, 0.0, (obj.name, "ground"))
                 contacts.append(rec)
                 fric.append((_OBJ_GROUND, -1, oi, p, up_f, fn, rec))
-        local = (Ro.T @ (robot.feet_pos - to)[:, :, None])[:, :, 0].tolist()
+        far = obj.shape._radius + rf
         for i in range(4):
-            sd, nl = obj.shape.signed_distance(local[i])
-            pen = rc.foot_radius - sd
+            fp, fv = feet_p[i], feet_v[i]
+            d = [fp[k] - t[k] for k in range(3)]
+            if _dot(d, d) > far * far:
+                continue  # provably out of contact, see _set_vertices
+            sd, nl = obj.shape.signed_distance(_matvec_t(Ro, d))
+            pen = rf - sd
             if pen <= 0.0:
                 continue
-            n_arr = Ro @ nl
-            n = n_arr.tolist()
-            fp, fv = feet_p[i], feet_v[i]
+            n = _matvec(Ro, nl.tolist())
             cp = [fp[k] - n[k] * sd for k in range(3)]
             r = [cp[k] - t[k] for k in range(3)]
-            pv = _point_velocity(v, w, r)
-            pen_rate = -float(n_arr @ np.array([fv[k] - pv[k] for k in range(3)]))
+            pv = _point_velocity(v_o, w_o, r)
+            pen_rate = -_dot(n, [fv[k] - pv[k] for k in range(3)])
             m_red = mf * m / (mf + m)
             fn = _normal_force(pen, pen_rate, cc, m_red, dt)
             if fn <= 0.0:
@@ -964,32 +1046,35 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
                 feet_force[i][k] += f[k]
                 force[k] -= f[k]
                 torque[k] -= c[k]
-            rec = ContactRecord(np.array(cp), n_arr, pen, fn, 0.0, (f"foot_{i}", obj.name))
+            rec = ContactRecord(pen, fn, 0.0, (f"foot_{i}", obj.name))
             contacts.append(rec)
             fric.append((_FOOT_OBJ, i, oi, cp, n, fn, rec))
+        obj_R.append(Ro)
         obj_t.append(t)
-        obj_v.append(v)
-        obj_w.append(w)
+        obj_v.append(v_o)
+        obj_w.append(w_o)
         obj_force.append(force)
         obj_torque.append(torque)
 
-    # velocity integration (positions update after the friction pass)
+    # velocity integration (positions update after the friction pass); the
+    # world inertia and its inverse are Ro I^(+-1) Ro' of the memoised body values
+    I_diag = rc.trunk_inertia
     if not world.fixed_base:
-        I_diag = np.asarray(rc.trunk_inertia)
-        L_trunk = R @ (I_diag * (R.T @ srb.angular_velocity)) + np.array(trunk_torque) * dt
-        v = srb.linear_velocity.tolist()
-        srb.linear_velocity[:] = [v[k] + trunk_force[k] / m_trunk * dt for k in range(3)]
+        wb = _matvec_t(R, w)
+        Lw = _matvec(R, [I_diag[k] * wb[k] for k in range(3)])
+        L_trunk = [Lw[k] + trunk_torque[k] * dt for k in range(3)]
+        v = [v[k] + trunk_force[k] / m_trunk * dt for k in range(3)]
     obj_L = []
     obj_I_inv = []  # world inverse inertia per object, as float rows
     for oi, obj in enumerate(world.objects):
-        Ro = obj.pose.rotation
-        I_w = Ro @ obj.inertia @ Ro.T
-        Lw = (I_w @ obj.angular_velocity).tolist()
+        Ro = obj_R[oi]
+        I_b, I_b_inv = _inertia_rows(obj.inertia)
+        Lw = _matvec(Ro, _matvec(I_b, _matvec_t(Ro, obj_w[oi])))
         obj_L.append([Lw[k] + obj_torque[oi][k] * dt for k in range(3)])
-        obj_I_inv.append(np.linalg.inv(I_w).tolist())
-        v, force = obj_v[oi], obj_force[oi]
+        obj_I_inv.append(_sandwich(Ro, I_b_inv))
+        v_o, force = obj_v[oi], obj_force[oi]
         for k in range(3):
-            v[k] += force[k] / obj.mass * dt
+            v_o[k] += force[k] / obj.mass * dt
         obj_w[oi] = _matvec(obj_I_inv[oi], obj_L[oi])
     for i in range(4):
         fv, ff = feet_v[i], feet_force[i]
@@ -998,37 +1083,41 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
 
     _friction_pass(fric, world.objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
                    mf, cc.friction, dt)
-    robot.feet_vel[:] = feet_v
-    for oi, obj in enumerate(world.objects):
-        obj.linear_velocity[:] = obj_v[oi]
-        obj.angular_velocity = np.array(obj_w[oi])
 
     # position/orientation integration with post-impulse velocities
+    renorm = world._steps % _RENORM_EVERY == 0
     if not world.fixed_base:
-        srb.position += srb.linear_velocity * dt
-        w_mid = R @ ((R.T @ L_trunk) / I_diag)
-        R_new = rotation_exp(w_mid * dt) @ R
-        if world._steps % _RENORM_EVERY == 0:
-            R_new = orthonormalize(R_new)
+        pos = [pos[k] + v[k] * dt for k in range(3)]
+        Lb = _matvec_t(R, L_trunk)
+        w_mid = _matvec(R, [Lb[k] / I_diag[k] for k in range(3)])
+        R_new = _matmul(_rotation_exp(w_mid[0] * dt, w_mid[1] * dt, w_mid[2] * dt), R)
+        if renorm:
+            R_new = orthonormalize(np.array(R_new)).tolist()
         try:
-            srb.rpy[:] = matrix_to_euler_zyx(R_new)
+            rpy = matrix_to_euler_zyx(R_new)
         except GimbalLockError as e:
             raise SimulationDivergence(
                 f"trunk orientation left the valid envelope: {e}") from e
-        srb.angular_velocity[:] = R_new @ ((R_new.T @ L_trunk) / I_diag)
+        Lb = _matvec_t(R_new, L_trunk)
+        w = _matvec(R_new, [Lb[k] / I_diag[k] for k in range(3)])
+        srb.rpy[:] = rpy
+        srb.position[:] = pos
+        srb.angular_velocity[:] = w
+        srb.linear_velocity[:] = v
 
     for oi, obj in enumerate(world.objects):
-        Ro = obj.pose.rotation
-        L = np.array(obj_L[oi])
-        new_t = obj.pose.translation + obj.linear_velocity * dt
-        w_mid = np.array(obj_w[oi])
-        Ro_new = rotation_exp(w_mid * dt) @ Ro
-        if world._steps % _RENORM_EVERY == 0:
-            Ro_new = orthonormalize(Ro_new)
-        obj.angular_velocity = Ro_new @ np.linalg.solve(obj.inertia, Ro_new.T @ L)
-        obj.pose = RigidTransform(Ro_new, new_t)
+        Ro, t, v_o, L = obj_R[oi], obj_t[oi], obj_v[oi], obj_L[oi]
+        w_mid = obj_w[oi]
+        Ro_new = _matmul(_rotation_exp(w_mid[0] * dt, w_mid[1] * dt, w_mid[2] * dt), Ro)
+        if renorm:
+            Ro_new = orthonormalize(np.array(Ro_new)).tolist()
+        I_b_inv = _inertia_rows(obj.inertia)[1]
+        obj.linear_velocity[:] = v_o
+        obj.angular_velocity[:] = _matvec(Ro_new, _matvec(I_b_inv, _matvec_t(Ro_new, L)))
+        obj.pose = RigidTransform(np.array(Ro_new), np.array([t[k] + v_o[k] * dt for k in range(3)]))
 
-    robot.feet_pos += robot.feet_vel * dt
+    robot.feet_vel[:] = feet_v
+    robot.feet_pos[:] = [[fp[k] + fv[k] * dt for k in range(3)] for fp, fv in zip(feet_p, feet_v)]
 
     world._steps += 1
     _sync_legs(world)

@@ -129,6 +129,33 @@ def test_sweep_prints_each_episode_and_the_outcome_counts(capsys, monkeypatch):
     assert lines[3:] == ["  counts success=1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--task", "box_push_fixed", "--policy", "planning", "--episodes", "1"],
+    ["multistep", "--runs", "1"],
+    ["regbench", "--cases", "1"],
+    ["sweep", "--seeds", "0", "--tasks", "box_push_fixed"],
+])
+def test_every_table_starts_with_the_blas_threads(argv, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+
+    def fake_episode(task, provider, options, config):
+        trace = orchestrator.EpisodeTrace(task.name, task.seed)
+        trace.outcome, trace.steps_used, trace.final_mean_flow = "success", 1, 0.01
+        return trace
+
+    monkeypatch.setattr(harness, "run_episode", fake_episode)
+    monkeypatch.setattr(cli, "multi_step_protocol",
+                        lambda *a, **k: harness.MultiStepResult(3, 0.5, "success"))
+    monkeypatch.setattr(cli, "registration_benchmark",
+                        lambda *a, **k: harness.RegBenchResult(0.1, 0.001, 1))
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "env OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset MKL_NUM_THREADS=3"
+    assert not any(line.startswith("env ") for line in lines[1:])
+
+
 def test_sweep_counts_faults_by_class(capsys, monkeypatch):
     """The count key is the outcome before its parenthesised detail; the
     seeds are ranges and lists, inclusive."""

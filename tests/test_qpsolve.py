@@ -3,7 +3,10 @@ import pytest
 from scipy.optimize import linprog
 
 from legpress import qpsolve
+from legpress.config import StackConfig
+from legpress.mpc import ForceMpc, GaitSchedule
 from legpress.qpsolve import QpProblem, QpSolution, QpSolver, kkt_residual
+from legpress.simworld import SrbState
 
 from oracle_qp import enumerate_qp, random_strictly_convex_qp
 
@@ -153,6 +156,71 @@ def test_status_matches_lp_feasibility_on_tight_boxes():
         assert s.status == ("optimal" if lp.status == 0 else "infeasible")
         seen.add(s.status)
     assert seen == {"optimal", "infeasible"}
+
+
+def test_badly_scaled_feasible_box_is_optimal():
+    """A tight two-sided box far from the origin, drawn as in the test above
+    with up to 8 variables and 16 rows. The solve is correct (the enumeration
+    oracle agrees to 2e-8 at x of about 370), but its complementarity,
+    7.6e-8, is the rounding of Cx times multipliers of about 9e5, so it
+    reads "optimal" only under a bound relative to the multipliers."""
+    rng = np.random.default_rng(12125)
+    n, m = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+    A = rng.normal(size=(n, n))
+    H = A @ A.T + 0.5 * n * np.eye(n)
+    C = rng.normal(size=(m, n))
+    mid, half = rng.normal(size=m), rng.uniform(0.0, 0.5, size=m)
+    g = rng.normal(size=n)
+    s = solve(QpProblem(H, g, C=C, c_lo=mid - half, c_hi=mid + half))
+    Cx = C @ s.primal
+    gap = np.where(s.dual > 0.0, np.abs(mid + half - Cx), np.abs(Cx - mid + half))
+    assert np.max(np.abs(s.dual) * gap) > qpsolve.KKT_TOL and np.max(np.abs(s.dual)) > 1e5
+    assert s.status == "optimal"
+    x_ref, _ = enumerate_qp(H, g, np.vstack([C, -C]), np.concatenate([mid + half, half - mid]),
+                            feas_tol=1e-6)
+    assert np.max(np.abs(s.primal)) > 300.0
+    np.testing.assert_allclose(s.primal, x_ref, rtol=1e-9)
+
+
+def _mpc_problem() -> QpProblem:
+    """The force MPC's QP for a tumbling trunk on three feet under a hard
+    turn: 90 variables, 150 rows, 75 of them binding, multipliers up to 16
+    and |g| up to 58."""
+    mpc = ForceMpc(StackConfig())
+    seen = []
+    solve_qp = mpc.solver.solve
+    mpc.solver.solve = lambda p: seen.append(p) or solve_qp(p)
+    state = SrbState(np.array([0.4, -0.3, 0.2]), np.array([0.0, 0.0, 0.28]),
+                     np.array([2.0, -1.0, 1.5]), np.array([-1.0, 2.0, 1.0]))
+    feet = np.array([[0.19, 0.11, 0.0], [0.19, -0.11, 0.0],
+                     [-0.19, 0.11, 0.0], [-0.19, -0.11, 0.0]])
+    mpc.step(state, (3.0, 1.5, -1.5, 0.28), feet, GaitSchedule.stand(lifted=(1,)), 0.0)
+    return seen[0]
+
+
+@pytest.mark.parametrize("offset", [2e-8, -2e-8], ids=["outside", "inside"])
+def test_a_binding_row_off_its_bound_reads_inaccurate(monkeypatch, offset):
+    """Without the final KKT solve, the active-set iterate leaves binding rows
+    up to 1.7e-8 off their bounds (measured on the MPC solves of the flip
+    task). A result with one friction-pyramid row 2e-8 outside or inside its
+    bound must read "inaccurate", although that is far below KKT_TOL times
+    the gradient and multiplier sizes."""
+    p = _mpc_problem()
+    s = solve(p)
+    assert s.status == "optimal" and len(p.C) == 150
+    binding = [i for i in np.flatnonzero(s.dual) if p.c_lo[i] == -np.inf and s.dual[i] >= 1.0]
+    r = min(binding, key=lambda i: s.dual[i])  # the pyramid rows' bound is hi = 0
+    a = p.C[r]
+    exact = qpsolve._solve_active_kkt
+
+    def off(p, rows, b):
+        x, lam = exact(p, rows, b)
+        return x + offset * a / (a @ a), lam
+
+    monkeypatch.setattr(qpsolve, "_solve_active_kkt", off)
+    s_off = solve(p)
+    assert abs(p.C[r] @ s_off.primal - offset) < 1e-12
+    assert s_off.status == "inaccurate"
 
 
 def test_binding_row_given_twice():

@@ -7,7 +7,14 @@ import pytest
 from legpress import harness, simworld
 from legpress.cli import SIM_CHECKS
 from legpress.config import StackConfig
-from legpress.geom import RigidTransform, euler_zyx_to_matrix
+from legpress.geom import (
+    GIMBAL_MARGIN,
+    GimbalLockError,
+    RigidTransform,
+    euler_zyx_to_matrix,
+    matrix_to_euler_zyx,
+    rotation_exp,
+)
 from legpress.simworld import (
     Box,
     Compound,
@@ -487,11 +494,12 @@ def test_compound_rejects_a_part_that_is_not_a_box():
 # Each scene runs a few hundred steps under fixed non-zero torques and compares
 # the end state with values recorded before the step was rewritten for speed;
 # `joint_stop` and `fixed_base` were recorded again once a fixed base stopped
-# taking the joint-stop momentum correction, and `resting_cylinder` once the
-# friction pass moved to float math (its residual spin, about 1e-7 rad/s,
-# moved by about 1e-11).
+# taking the joint-stop momentum correction, and the last three values of
+# `resting_cylinder` (its residual spin, about 1e-7 rad/s) once the friction
+# pass and then the rest of the tick moved to float math; each time they moved
+# by about 1e-11.
 # Together they take every branch of `step`: ground, object-vertex, foot-object
-# and friction contacts, the joint-stop branch of `_sync_legs`, the singular
+# and friction contacts, the joint-stop branch of `_sync_legs`, the damped
 # `_solve3` fallback, fixed base, gravity and ground off, and the orientation
 # re-orthonormalisation every 64 steps. The tolerance admits another BLAS
 # build, not a change in the step.
@@ -687,8 +695,8 @@ PINNED_END_STATES = {
         3.850384703728189e-11, -1.2002426539004457e-10, 5.1724736284058297e-14,
         0.9999999999999999, 0.4023877521183773, 0.04900564590504154,
         0.029995752753264403, 4.188117983215671e-09, 1.420705509302355e-09,
-        -1.7856706328401923e-15, -4.7351699648447144e-08, 1.3962353388071255e-07,
-        9.666290686655688e-12,
+        -1.7856706328401923e-15, -4.735743302555257e-08, 1.396274410657832e-07,
+        3.9252642100812655e-12,
     ],
     "resting_l_prism": [
         -0.027378566517823614, 0.004637335024377131, -1.47390034528146e-05,
@@ -889,6 +897,95 @@ def test_pinned_trajectory(name):
     world = PIN_SCENES[name]()
     np.testing.assert_allclose(_end_state(world), PINNED_END_STATES[name],
                                rtol=1e-9, atol=1e-12)
+
+
+# -- float tick helpers against their numpy forms --------------------------------
+
+
+def test_float_rodrigues_matches_rotation_exp():
+    rng = np.random.default_rng(41)
+    for scale in (3.0, 1e-3, 1e-9, 1e-13, 0.0):  # the last two take the first-order branch
+        for _ in range(50):
+            w = rng.normal(size=3) * scale
+            np.testing.assert_allclose(simworld._rotation_exp(*w.tolist()), rotation_exp(w),
+                                       rtol=1e-12, atol=1e-15)
+
+
+def test_euler_extraction_reads_float_rows_with_the_same_gimbal_check():
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        R = euler_zyx_to_matrix(*rng.uniform(-1.5, 1.5, size=3))
+        assert matrix_to_euler_zyx(R.tolist()) == matrix_to_euler_zyx(R)
+    edge = math.pi / 2.0 - GIMBAL_MARGIN
+    rows = euler_zyx_to_matrix(0.1, edge - 1e-9, -0.2).tolist()
+    assert matrix_to_euler_zyx(rows)[1] == pytest.approx(edge - 1e-9, abs=1e-12)
+    for pitch in (edge + 1e-9, -edge - 1e-9):
+        with pytest.raises(GimbalLockError):
+            matrix_to_euler_zyx(euler_zyx_to_matrix(0.1, pitch, -0.2).tolist())
+    # the tick reports a trunk that crosses the margin as a divergence
+    world = standing_world()
+    world.gravity_enabled = world.ground_enabled = False
+    world.robot.srb.rpy[:] = (0.0, edge - 1e-4, 0.0)
+    world.robot.srb.angular_velocity[:] = (0.0, 1.0, 0.0)
+    with pytest.raises(SimulationDivergence, match="trunk orientation"):
+        step(world, np.zeros(12))
+
+
+@pytest.mark.parametrize("name", ["box", "cylinder", "l_prism", "mesh"])
+def test_world_inverse_inertia_is_the_rotated_body_inverse(name):
+    obj = SimObject.from_shape(PIN_SHAPES[name](), RigidTransform.identity())
+    I_b_inv = simworld._inertia_rows(obj.inertia)[1]
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        Ro = rotation_exp(rng.normal(size=3))
+        want = np.linalg.inv(Ro @ obj.inertia @ Ro.T)
+        np.testing.assert_allclose(simworld._sandwich(Ro.tolist(), I_b_inv), want,
+                                   rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_float_solve_matches_numpy_and_damps_near_a_singularity():
+    rng = np.random.default_rng(44)
+    for _ in range(200):
+        A, b = rng.normal(size=(3, 3)), rng.normal(size=3)
+        assert abs(np.linalg.det(A)) > 1e-6
+        x = simworld._solve3(A.tolist(), b.tolist())
+        np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-12)
+    # a straight leg's Jacobian is singular; nudged, it stays under the
+    # determinant threshold and takes the damped least-squares branch. Its
+    # normal matrix has a condition number near 2e5, so two correct solves
+    # agree only to about twice eps times that (cofactors against LU: 8e-11)
+    leg = default_leg(0)
+    leg.joint_angles[:] = 0.0
+    J = leg_jacobian_local(leg)
+    for _ in range(20):
+        A, b = J + 1e-7 * rng.normal(size=(3, 3)), rng.normal(size=3)
+        assert abs(np.linalg.det(A)) < 1e-6
+        x = simworld._solve3(A.tolist(), b.tolist())
+        M = A.T @ A + 1e-6 * np.eye(3)
+        np.testing.assert_allclose(x, np.linalg.solve(M, A.T @ b),
+                                   rtol=2.0 * np.finfo(float).eps * np.linalg.cond(M))
+
+
+@pytest.mark.parametrize("name", ["box", "cylinder", "l_prism"])
+def test_far_foot_skip_never_drops_a_contact(name):
+    """`step` skips a foot farther than the shape's `_radius` plus the foot
+    radius; the full signed distance must then find no contact. A mesh's
+    face-plane distance underestimates outside, so it never skips."""
+    assert PIN_SHAPES["mesh"]()._radius == math.inf
+    shape = PIN_SHAPES[name]()
+    rf = StackConfig().robot.foot_radius
+    far = shape._radius + rf
+    rng = np.random.default_rng(45)
+    dirs = rng.normal(size=(20000, 3))
+    pts = dirs / np.linalg.norm(dirs, axis=1)[:, None] * rng.uniform(0.0, 1.5 * far, (20000, 1))
+    skipped = touching = 0
+    for p in pts:
+        contact = shape.signed_distance(p.tolist())[0] < rf
+        touching += contact
+        if p @ p > far * far:
+            skipped += 1
+            assert not contact, p
+    assert skipped > 5000 and touching > 1000
 
 
 # -- friction pass against its numpy formulation --------------------------------
