@@ -15,8 +15,11 @@ The first line of `eval`, `multistep`, `regbench` and `sweep` records the BLAS
 thread variables, which the last digits of their results depend on.
 
 The configuration file path comes from --config or the LEGPRESS_CONFIG
-environment variable; defaults apply otherwise. Exit code 0 on success,
-nonzero with a machine-readable JSON error record on stderr.
+environment variable; defaults apply otherwise. Exit code 0 on success.
+Bad input (a `ValueError`, such as an unknown config key) or a file that
+cannot be read (an `OSError`) exits 2 with a machine-readable JSON error
+record on stderr; any other exception is a bug and propagates with its
+traceback.
 """
 from __future__ import annotations
 
@@ -326,7 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except Exception as e:  # machine-readable failure record
+    except (ValueError, OSError) as e:  # bad input or file: a machine-readable record
         json.dump({"error": type(e).__name__, "message": str(e)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

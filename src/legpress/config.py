@@ -143,7 +143,8 @@ def load_config(path: str | None = None) -> StackConfig:
     """Build a StackConfig from defaults, overridden by the file when given.
 
     With path=None the LEGPRESS_CONFIG environment variable is consulted;
-    when that is unset too, pure defaults are returned.
+    when that is unset too, pure defaults are returned. An unknown key or a
+    malformed value raises ValueError, a missing file FileNotFoundError.
     """
     cfg = StackConfig()
     if path is None:
@@ -161,7 +162,7 @@ def load_config(path: str | None = None) -> StackConfig:
         valid = {f.name for f in fields(sub)}
         for key, raw in parser.items(section_field.name):
             if key not in valid:
-                raise KeyError(f"unknown config key [{section_field.name}] {key}")
+                raise ValueError(f"unknown config key [{section_field.name}] {key}")
             setattr(sub, key, _coerce(section_field.name, key, raw, getattr(sub, key)))
     return cfg
 

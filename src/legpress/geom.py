@@ -79,6 +79,51 @@ def orthonormalize(R: np.ndarray) -> np.ndarray:
     return u @ D @ vt
 
 
+# ---------------------------------------------------------------------------
+# float 3-vector helpers: the per-tick simulator and controllers work on
+# Python floats, a vector as three floats and a 3x3 matrix as three rows
+
+
+def cross3(a, b) -> tuple:
+    """a x b."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def dot3(a, b) -> float:
+    """a . b."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def matvec3(M, x) -> list:
+    """M x."""
+    return [dot3(M[0], x), dot3(M[1], x), dot3(M[2], x)]
+
+
+def matvec3_t(M, x) -> list:
+    """M' x."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
+    x0, x1, x2 = x
+    return [m00 * x0 + m10 * x1 + m20 * x2, m01 * x0 + m11 * x1 + m21 * x2,
+            m02 * x0 + m12 * x1 + m22 * x2]
+
+
+def matmul3(A, B) -> list:
+    """A B."""
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B
+    return [[a0 * b00 + a1 * b10 + a2 * b20, a0 * b01 + a1 * b11 + a2 * b21,
+             a0 * b02 + a1 * b12 + a2 * b22] for a0, a1, a2 in A]
+
+
+def det3(A) -> float:
+    """det A by cofactors along the first row."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
+    return (a00 * (a11 * a22 - a12 * a21)
+            - a01 * (a10 * a22 - a12 * a20)
+            + a02 * (a10 * a21 - a11 * a20))
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """Proper rigid transform x -> R @ x + t."""

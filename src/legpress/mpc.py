@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import GaitConfig, StackConfig
-from .geom import rot_z, skew
+from .geom import matvec3_t, rot_z, skew
 from .qpsolve import QpProblem, QpSolver
-from .simworld import LegModel, RobotState, SrbState, leg_jacobians_local, shoulder_point
+from .simworld import (LegModel, RobotState, SrbState, leg_jacobian_rows, rotation_rows,
+                       shoulder_point)
 
 N_LEGS = 4
 NX = 13
@@ -231,11 +232,14 @@ class ForceMpc:
 
 def stance_torques(robot: RobotState, forces: np.ndarray) -> np.ndarray:
     """Joint torques realizing ground reaction forces: tau = -J^T f per leg,
-    as one stacked product over the legs (bit-equal to the per-leg one)."""
-    R = robot.rotation()
-    Jl = leg_jacobians_local(robot.legs)
-    f = np.array(forces, dtype=float).reshape(N_LEGS, 3)
-    return ((-Jl.transpose(0, 2, 1)) @ (R.T @ f[:, :, None]))[:, :, 0]
+    computed as -Jl^T (R^T f) on the float rows of the trunk rotation R and
+    each leg's trunk-frame Jacobian Jl. Returns a (4, 3) array."""
+    R = rotation_rows(robot.srb)
+    tau = []
+    for leg, f in zip(robot.legs, np.asarray(forces, dtype=float).reshape(N_LEGS, 3).tolist()):
+        t0, t1, t2 = matvec3_t(leg_jacobian_rows(leg), matvec3_t(R, f))
+        tau.append((-t0, -t1, -t2))
+    return np.array(tau)
 
 
 def raibert_foothold(leg: LegModel, command_velocity, gait: GaitSchedule,

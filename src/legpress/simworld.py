@@ -17,17 +17,21 @@ Leg numbering: 0 = front-left, 1 = front-right, 2 = rear-left,
 
 Speed, gated on outcomes. The per-tick path runs on Python floats. `step`
 reads the trunk, feet and objects once with `.tolist()` and writes them back
-once into the same public arrays; `_sync_legs` reads the trunk and feet the
-same way. On floats are: the leg sync (hip point, foot offset in the hip
+once into the same public arrays (an object gets a new `RigidTransform`), and
+hands its floats to `_sync_legs`, which writes only joint state except at a
+joint stop. On floats are: the leg sync (hip point, foot offset in the hip
 frame, velocity relative to the trunk, joint-velocity solve), the actuator
-tip forces (R J and the transposed solve, with a damped least-squares
-fallback near a singular Jacobian), the ground and foot-object contacts, the
-friction pass, and the integration: a float Rodrigues update, Euler angles
-through `geom.matrix_to_euler_zyx` on float rows (its gimbal check), and the
+tip forces (the transposed Jacobian solve, with a damped least-squares
+fallback near a singular Jacobian), the ground contacts of the feet and of
+each object vertex below the ground, the foot-object contacts, the friction
+pass, the integration (a float Rodrigues update, Euler angles through
+`geom.matrix_to_euler_zyx` on float rows with its gimbal check, and the
 object's world inertia and its inverse as Ro I^(+-1) Ro' of body values
-computed once per inertia value. A foot farther from an object than the
-shape's bounding radius plus the foot radius skips the signed distance (see
-`_set_vertices`); on `push_box` that is 94 % of the foot-object checks. All of
+computed once per inertia value) and the torque and velocity checks. A foot
+farther from an object than the shape's bounding radius plus the foot radius
+skips the signed distance (see `_set_vertices`); on `push_box` that is 94 % of
+the foot-object checks. `mpc.stance_torques` and
+`swingctl.impedance_torque_tracking` compute on the same float rows. All of
 this rounds differently from numpy's BLAS calls in the last bits, so a
 trajectory is not bit-identical to a plain numpy formulation of the same
 model, and a change to this path is judged by what the simulation does:
@@ -43,17 +47,23 @@ model, and a change to this path is judged by what the simulation does:
 Numpy stays where it is the better tool or a reference depends on it:
   - `geom.rotation_exp`, because `register`'s bit-exact rule rests on it; the
     tick's float Rodrigues map is tested against it;
-  - the SVD that re-orthonormalises each orientation every 64 steps, and one
-    product that places all of an object's vertices against the ground;
-  - `stance_torques` and the impedance law use a stacked `np.matmul` over the
-    four legs; `tests/test_mpc.py` checks `stance_torques` bit-equal to its
-    per-leg loop.
-The memo stays: the rotation of an rpy value and a leg's local Jacobian (as
-an array and as float rows) for a joint-angle value are computed once and
-shared, keyed on the bytes of the values, so an in-place write can never read
-a stale matrix. `_sync_legs` fills the Jacobian entry of the joint angles it
-sets, which the controllers and the next tick then read. Public accessors
-hand out copies.
+  - `geom.euler_zyx_to_matrix`, which gives the trunk rotation: a test pins
+    `SrbState.rotation()` to it bit for bit and `regbench` inputs go through
+    it, so the rotation rows are its values;
+  - the SVD that re-orthonormalises each orientation every 64 steps;
+  - the array accessors `leg_jacobian`, `leg_jacobians_local` and
+    `SrbState.rotation`, which build their arrays on request; the numpy
+    forms of the stance torques and the impedance law are kept only as test
+    references.
+Leg kinematics once per tick, as float rows. The rotation of an rpy value
+and a leg's trunk-frame Jacobian for a joint-angle value are computed once
+and shared, keyed on the bytes of the values, so an in-place write (a
+teleport) can never read a stale entry. The rotation memo holds the
+read-only array and its rows, the Jacobian memo rows only. `_sync_legs` fills
+the Jacobian entry of the joint angles it sets; the controllers and the next
+tick's actuator map read it through `rotation_rows` and `leg_jacobian_rows`.
+Rows are tuples and safe to share; array accessors hand out new arrays or
+copies. The float 3-vector helpers are public in `geom`.
 """
 from __future__ import annotations
 
@@ -67,8 +77,14 @@ from .config import ContactConfig, RobotConfig, SimConfig, StackConfig
 from .geom import (
     GimbalLockError,
     RigidTransform,
+    cross3,
+    det3,
+    dot3,
     euler_zyx_to_matrix,
+    matmul3,
     matrix_to_euler_zyx,
+    matvec3,
+    matvec3_t,
     orthonormalize,
 )
 
@@ -84,41 +100,9 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _cross(a, b) -> tuple:
-    """a x b on float triples."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-
-
-def _dot(a, b) -> float:
-    """a . b on float triples."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _matvec(M, x) -> list:
-    """M x for a 3x3 matrix given as three float rows."""
-    return [_dot(M[0], x), _dot(M[1], x), _dot(M[2], x)]
-
-
-def _matvec_t(M, x) -> list:
-    """M' x for a 3x3 matrix given as three float rows."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
-    x0, x1, x2 = x
-    return [m00 * x0 + m10 * x1 + m20 * x2, m01 * x0 + m11 * x1 + m21 * x2,
-            m02 * x0 + m12 * x1 + m22 * x2]
-
-
-def _matmul(A, B) -> list:
-    """A B for 3x3 matrices given as float rows."""
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B
-    return [[a0 * b00 + a1 * b10 + a2 * b20, a0 * b01 + a1 * b11 + a2 * b21,
-             a0 * b02 + a1 * b12 + a2 * b22] for a0, a1, a2 in A]
-
-
 def _sandwich(R, M) -> list:
     """R M R' for 3x3 matrices given as float rows."""
-    return _matmul(_matmul(R, M), zip(*R))
+    return matmul3(matmul3(R, M), zip(*R))
 
 
 def _rotation_exp(x: float, y: float, z: float) -> list:
@@ -138,7 +122,7 @@ def _rotation_exp(x: float, y: float, z: float) -> list:
 def _point_velocity(v, w, r) -> tuple:
     """Velocity v + w x r of the body point at offset r from the body origin,
     on float triples."""
-    c0, c1, c2 = _cross(w, r)
+    c0, c1, c2 = cross3(w, r)
     return (v[0] + c0, v[1] + c1, v[2] + c2)
 
 
@@ -220,13 +204,20 @@ def make_legs(rc: RobotConfig) -> list[LegModel]:
 
 
 @functools.lru_cache(maxsize=16)
-def _rotation_of(rpy_bytes: bytes) -> np.ndarray:
-    return _freeze(euler_zyx_to_matrix(*np.frombuffer(rpy_bytes).tolist()))
+def _rotation_of(rpy_bytes: bytes) -> tuple:
+    R = _freeze(euler_zyx_to_matrix(*np.frombuffer(rpy_bytes).tolist()))
+    return R, tuple(map(tuple, R.tolist()))
 
 
 def _rotation(rpy: np.ndarray) -> np.ndarray:
     """Read-only rotation matrix of a float64 rpy array, shared per value."""
-    return _rotation_of(rpy.tobytes())
+    return _rotation_of(rpy.tobytes())[0]
+
+
+def rotation_rows(trunk: SrbState) -> tuple:
+    """The trunk rotation as three float rows, shared per rpy value: the rows
+    of `trunk.rotation()`."""
+    return _rotation_of(trunk.rpy.tobytes())[1]
 
 
 @functools.lru_cache(maxsize=16)
@@ -267,18 +258,13 @@ def _jac_local(q1, q2, q3, side, l_abd, lt, lc):
 
 @functools.lru_cache(maxsize=16)
 def _jac_of(q_bytes: bytes, side, l_abd, lt, lc) -> tuple:
-    rows = _jac_local(*np.frombuffer(q_bytes).tolist(), side, l_abd, lt, lc)
-    return _freeze(np.array(rows)), rows
+    return _jac_local(*np.frombuffer(q_bytes).tolist(), side, l_abd, lt, lc)
 
 
-def _leg_jac(leg: LegModel) -> np.ndarray:
-    """Read-only trunk-frame Jacobian of the leg's joint angles, shared per value."""
-    return _jac_of(leg.joint_angles.tobytes(), leg.side, *leg.link_lengths)[0]
-
-
-def _leg_jac_rows(leg: LegModel) -> tuple:
-    """The same Jacobian as float rows, from the same memo entry."""
-    return _jac_of(leg.joint_angles.tobytes(), leg.side, *leg.link_lengths)[1]
+def leg_jacobian_rows(leg: LegModel) -> tuple:
+    """Trunk-frame Jacobian d(foot offset)/d(joint angles) of the leg's joint
+    angles as three float rows, shared per value."""
+    return _jac_of(leg.joint_angles.tobytes(), leg.side, *leg.link_lengths)
 
 
 def leg_forward_kinematics(leg: LegModel, trunk: SrbState) -> np.ndarray:
@@ -294,12 +280,12 @@ def shoulder_point(leg: LegModel, trunk: SrbState) -> np.ndarray:
 
 def leg_jacobian(leg: LegModel, trunk: SrbState) -> np.ndarray:
     """World-frame 3x3 Jacobian d(foot position)/d(joint angles)."""
-    return _rotation(trunk.rpy) @ _leg_jac(leg)
+    return _rotation(trunk.rpy) @ np.array(leg_jacobian_rows(leg))
 
 
 def leg_jacobians_local(legs) -> np.ndarray:
     """Trunk-frame Jacobians of the legs, stacked (n, 3, 3)."""
-    return np.array([_leg_jac(leg) for leg in legs])
+    return np.array([leg_jacobian_rows(leg) for leg in legs])
 
 
 @dataclass
@@ -321,16 +307,15 @@ def _ik_local(d, side, l_abd, lt, lc, limits):
         return None
     phi = math.atan2(dz, dy)
     alpha = math.acos(min(1.0, max(-1.0, side * l_abd / r)))
-    candidates = []
-    for q1 in (phi + alpha, phi - alpha):
-        q1 = math.atan2(math.sin(q1), math.cos(q1))
-        c1, s1 = math.cos(q1), math.sin(q1)
-        z_leg = -s1 * dy + c1 * dz  # z in the rolled leg plane
-        candidates.append((q1, z_leg))
-    if candidates[1][1] < candidates[0][1]:  # prefer foot-below branch
-        candidates.reverse()
+    # the hip roll q1 = phi -+ alpha puts the foot at z = -+ r sin(alpha) in
+    # the rolled leg plane; the foot-below branch is tried first
+    h = r * math.sin(alpha)
     (lo1, hi1), (lo2, hi2), (lo3, hi3) = limits
-    for q1, z_leg in candidates:
+    for q1, z_leg in ((phi + alpha, -h), (phi - alpha, h)):
+        if q1 > math.pi:
+            q1 -= 2.0 * math.pi
+        elif q1 < -math.pi:
+            q1 += 2.0 * math.pi
         L2 = dx * dx + z_leg * z_leg
         L = math.sqrt(L2)
         if L < 1e-9:
@@ -386,42 +371,38 @@ def _cofactor_solve(A, b, det: float) -> list:
     return [x0, x1, x2]
 
 
-def _det3(A) -> float:
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
-    return (a00 * (a11 * a22 - a12 * a21)
-            - a01 * (a10 * a22 - a12 * a20)
-            + a02 * (a10 * a21 - a11 * a20))
-
-
 def _solve3(A, b) -> list:
     """3x3 solve on float rows by cofactors; near a singular A (|det| < 1e-6)
     the damped least-squares solution (A'A + lam^2 I) x = A'b, lam = 1e-3."""
-    det = _det3(A)
+    det = det3(A)
     if abs(det) >= 1e-6:
         return _cofactor_solve(A, b, det)
     lam2 = 1e-3 * 1e-3
-    M = _matmul(zip(*A), A)
+    M = matmul3(zip(*A), A)
     for k in range(3):
         M[k][k] += lam2
-    return _cofactor_solve(M, _matvec_t(A, b), _det3(M))
+    return _cofactor_solve(M, matvec3_t(A, b), det3(M))
 
 
 # ---------------------------------------------------------------------------
 # shapes and objects
 
 
-# Each shape computes its vertex array once (`_verts`, read-only); the step
-# reads it directly and `vertices()` hands out a copy.
+# Each shape computes its vertex array once (`_verts`, read-only, and
+# `_vert_rows`, the same vertices as float triples for the step);
+# `vertices()` hands out a copy.
 
 
 def _set_vertices(shape, verts: np.ndarray, euclidean: bool = True) -> None:
-    """Store the shape's read-only vertex array and `_radius`, the radius of
-    a ball about the body origin that holds the shape: the largest vertex
-    norm, padded against rounding (a cylinder's rim vertices sit on its
-    circle). A foot centre farther than `_radius` plus the foot radius is out
-    of contact when the signed distance is Euclidean, so `step` skips it. A
-    shape whose distance is not Euclidean stores inf and is never skipped."""
+    """Store the shape's read-only vertex array, its float rows and `_radius`,
+    the radius of a ball about the body origin that holds the shape: the
+    largest vertex norm, padded against rounding (a cylinder's rim vertices
+    sit on its circle). A foot centre farther than `_radius` plus the foot
+    radius is out of contact when the signed distance is Euclidean, so `step`
+    skips it. A shape whose distance is not Euclidean stores inf and is never
+    skipped."""
     object.__setattr__(shape, "_verts", _freeze(verts))
+    object.__setattr__(shape, "_vert_rows", tuple(map(tuple, verts.tolist())))
     radius = float(np.sqrt(np.max(np.sum(verts * verts, axis=1)))) * (1.0 + 1e-9)
     object.__setattr__(shape, "_radius", radius if euclidean else math.inf)
 
@@ -793,53 +774,69 @@ def seat_feet(world: WorldState) -> None:
     """Put every foot at rest on the ground under its shoulder, for the
     current trunk pose, and solve the joint angles to match."""
     robot = world.robot
+    srb = robot.srb
     for i, leg in enumerate(robot.legs):
-        robot.feet_pos[i] = shoulder_point(leg, robot.srb)
+        robot.feet_pos[i] = shoulder_point(leg, srb)
         robot.feet_pos[i, 2] = world.config.robot.foot_radius
     robot.feet_vel[:] = 0.0
-    _sync_legs(world)
+    _sync_legs(world, rotation_rows(srb), srb.position.tolist(), srb.linear_velocity.tolist(),
+               srb.angular_velocity.tolist(), robot.feet_pos.tolist(), robot.feet_vel.tolist())
 
 
-def _sync_legs(world: WorldState) -> None:
+def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
     """Recompute joint angles/velocities from foot points; clamp feet that
-    drifted out of the workspace back onto the reachable boundary."""
+    drifted out of the workspace back onto the reachable boundary.
+
+    The trunk and feet come in as floats: the rows of the trunk rotation, the
+    trunk position, velocity and angular velocity, and the feet's point and
+    velocity lists, all equal to the robot's arrays. A leg at its joint stops
+    moves its foot and corrects the trunk velocity in these lists and in the
+    arrays; otherwise only joint state is written."""
     robot = world.robot
-    srb = robot.srb
-    R = _rotation(srb.rpy).tolist()
     mf = world.config.robot.foot_mass
-    pos = srb.position.tolist()
-    w = srb.angular_velocity.tolist()
-    v = srb.linear_velocity.tolist()
-    feet_p = robot.feet_pos.tolist()
-    feet_v = robot.feet_vel.tolist()
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    p0, p1, p2 = pos
+    w0, w1, w2 = w
     for i, leg in enumerate(robot.legs):
-        off = leg.hip_offset.tolist()
-        h = _matvec(R, off)
+        o0, o1, o2 = off = leg.hip_offset.tolist()
         fp = feet_p[i]
-        q = _ik_local(_matvec_t(R, [fp[k] - (pos[k] + h[k]) for k in range(3)]),
+        # the foot from the hip point pos + R off, in the trunk frame
+        e0 = fp[0] - (p0 + (r00 * o0 + r01 * o1 + r02 * o2))
+        e1 = fp[1] - (p1 + (r10 * o0 + r11 * o1 + r12 * o2))
+        e2 = fp[2] - (p2 + (r20 * o0 + r21 * o1 + r22 * o2))
+        q = _ik_local((r00 * e0 + r10 * e1 + r20 * e2, r01 * e0 + r11 * e1 + r21 * e2,
+                       r02 * e0 + r12 * e1 + r22 * e2),
                       leg.side, *leg.link_lengths, leg.joint_limits)
         if q is None:
             # joint stops engaged: freeze the joints and let the foot ride
             # with the trunk this step, with a paired momentum correction on
             # a free trunk (a fixed base absorbs it)
             local = _fk_local(*leg.joint_angles.tolist(), leg.side, *leg.link_lengths)
-            b = _matvec(R, [off[k] + local[k] for k in range(3)])
+            b = matvec3(R, [off[k] + local[k] for k in range(3)])
             p_new = [pos[k] + b[k] for k in range(3)]
-            c = _cross(w, [p_new[k] - pos[k] for k in range(3)])
+            c = cross3(w, [p_new[k] - pos[k] for k in range(3)])
             v_new = [v[k] + c[k] for k in range(3)]
             if not world.fixed_base:
                 dv = [v_new[k] - feet_v[i][k] for k in range(3)]
-                v = [v[k] - dv[k] * mf / world.config.robot.trunk_mass for k in range(3)]
-                srb.linear_velocity[:] = v
-            robot.feet_pos[i] = p_new
-            robot.feet_vel[i] = v_new
+                v[:] = [v[k] - dv[k] * mf / world.config.robot.trunk_mass for k in range(3)]
+                robot.srb.linear_velocity[:] = v
+            feet_p[i] = robot.feet_pos[i] = p_new
+            feet_v[i] = robot.feet_vel[i] = v_new
             leg.joint_velocities[:] = 0.0
             continue
         leg.joint_angles[:] = q
-        c = _cross(w, [fp[k] - pos[k] for k in range(3)])
-        rel = [feet_v[i][k] - v[k] - c[k] for k in range(3)]
-        # reading the Jacobian here fills its memo for the controllers' tick
-        leg.joint_velocities[:] = _solve3(_leg_jac_rows(leg), _matvec_t(R, rel))
+        # the foot velocity relative to the trunk, fv - v - w x (fp - pos), in
+        # the trunk frame; reading the Jacobian fills its memo for the
+        # controllers' tick
+        x0, x1, x2 = fp[0] - p0, fp[1] - p1, fp[2] - p2
+        fv = feet_v[i]
+        u0 = fv[0] - v[0] - (w1 * x2 - w2 * x1)
+        u1 = fv[1] - v[1] - (w2 * x0 - w0 * x2)
+        u2 = fv[2] - v[2] - (w0 * x1 - w1 * x0)
+        leg.joint_velocities[:] = _solve3(
+            leg_jacobian_rows(leg), (r00 * u0 + r10 * u1 + r20 * u2,
+                                     r01 * u0 + r11 * u1 + r21 * u2,
+                                     r02 * u0 + r12 * u1 + r22 * u2))
 
 
 def _normal_force(pen, pen_rate, cc: ContactConfig, m_eff: float, dt: float) -> float:
@@ -900,9 +897,11 @@ def _friction_pass(fric, objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
             if kind is _FOOT_GROUND:
                 k_inv = 1.0 / mf
             else:
-                I_inv = obj_I_inv[oi]
-                rx = _cross(r, t_hat)
-                k_inv = 1.0 / obj.mass + _dot(rx, _matvec(I_inv, rx))
+                (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = obj_I_inv[oi]
+                x0, x1, x2 = cross3(r, t_hat)
+                k_inv = 1.0 / obj.mass + (x0 * (a00 * x0 + a01 * x1 + a02 * x2)
+                                          + x1 * (a10 * x0 + a11 * x1 + a12 * x2)
+                                          + x2 * (a20 * x0 + a21 * x1 + a22 * x2))
                 if kind is _FOOT_OBJ:
                     k_inv = 1.0 / mf + k_inv
             j = min(speed / k_inv, max(mu * fn * dt - applied[ci], 0.0))
@@ -916,7 +915,7 @@ def _friction_pass(fric, objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
                 fv[0], fv[1], fv[2] = fv[0] + i0 / mf, fv[1] + i1 / mf, fv[2] + i2 / mf
             if kind is not _FOOT_GROUND:
                 v, L = obj_v[oi], obj_L[oi]
-                c0, c1, c2 = _cross(r, imp)
+                c0, c1, c2 = cross3(r, imp)
                 m = obj.mass
                 if kind is _OBJ_GROUND:
                     v[0], v[1], v[2] = v[0] + i0 / m, v[1] + i1 / m, v[2] + i2 / m
@@ -924,7 +923,9 @@ def _friction_pass(fric, objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
                 else:
                     v[0], v[1], v[2] = v[0] - i0 / m, v[1] - i1 / m, v[2] - i2 / m
                     L[0], L[1], L[2] = L[0] - c0, L[1] - c1, L[2] - c2
-                obj_w[oi] = _matvec(I_inv, L)
+                L0, L1, L2 = L
+                obj_w[oi] = [a00 * L0 + a01 * L1 + a02 * L2, a10 * L0 + a11 * L1 + a12 * L2,
+                             a20 * L0 + a21 * L1 + a22 * L2]
 
 
 def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldState:
@@ -942,8 +943,8 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
         dt = cfg.sim.dt
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    tau = np.asarray(joint_torques, dtype=float).reshape(4, 3)
-    if not np.all(np.isfinite(tau)):
+    tau = np.asarray(joint_torques, dtype=float).reshape(12).tolist()
+    if not all(map(math.isfinite, tau)):
         raise ValueError("joint torques must be finite")
     robot = world.robot
     srb = robot.srb
@@ -954,30 +955,34 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
     g = cfg.sim.gravity if world.gravity_enabled else 0.0
     gz = -g  # gravity vector (0, 0, gz)
 
-    # the state as floats, read once; forces accumulate in the order of the
-    # numpy formulation
-    R = _rotation(srb.rpy).tolist()
+    # the state as floats, read once
+    R = rotation_rows(srb)
     pos = srb.position.tolist()
     v = srb.linear_velocity.tolist()
     w = srb.angular_velocity.tolist()
     feet_p = robot.feet_pos.tolist()
     feet_v = robot.feet_vel.tolist()
     m_trunk = rc.trunk_mass
-    trunk_force = [m_trunk * 0.0, m_trunk * 0.0, m_trunk * gz]
+    trunk_force = [0.0, 0.0, m_trunk * gz]
     trunk_torque = [0.0, 0.0, 0.0]
     feet_force = []
     contacts: list[ContactRecord] = []
     fric: list[tuple] = []
 
-    # actuator tip forces (massless legs transmit the reaction to the trunk)
-    for i, (leg, tau_i) in enumerate(zip(robot.legs, tau.tolist())):
-        f = _solve3(list(zip(*_matmul(R, _leg_jac_rows(leg)))), tau_i)
-        feet_force.append([0.0 + (f[0] + mf * 0.0), 0.0 + (f[1] + mf * 0.0),
-                           0.0 + (f[2] + mf * gz)])
-        c = _cross([feet_p[i][k] - pos[k] for k in range(3)], f)
-        for k in range(3):
-            trunk_force[k] -= f[k]
-            trunk_torque[k] -= c[k]
+    # actuator tip forces (massless legs transmit the reaction to the trunk):
+    # tau = (R J)' f, solved as J' (R' f) = tau
+    for i, leg in enumerate(robot.legs):
+        f0, f1, f2 = f = matvec3(R, _solve3(tuple(zip(*leg_jacobian_rows(leg))),
+                                            tau[3 * i:3 * i + 3]))
+        feet_force.append([f0, f1, f2 + mf * gz])
+        fp = feet_p[i]
+        c0, c1, c2 = cross3((fp[0] - pos[0], fp[1] - pos[1], fp[2] - pos[2]), f)
+        trunk_force[0] -= f0
+        trunk_force[1] -= f1
+        trunk_force[2] -= f2
+        trunk_torque[0] -= c0
+        trunk_torque[1] -= c1
+        trunk_torque[2] -= c2
 
     up_f = (0.0, 0.0, 1.0)
     if world.ground_enabled:
@@ -996,52 +1001,56 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
     # per-object float state: rotation rows, translation, velocities, force, torque
     obj_R, obj_t, obj_v, obj_w, obj_force, obj_torque = [], [], [], [], [], []
     for oi, obj in enumerate(world.objects):
-        Ro_arr, to = obj.pose.rotation, obj.pose.translation
-        Ro = Ro_arr.tolist()
-        t = to.tolist()
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = Ro = obj.pose.rotation.tolist()
+        t0, t1, t2 = t = obj.pose.translation.tolist()
         v_o = obj.linear_velocity.tolist()
         w_o = obj.angular_velocity.tolist()
         m = obj.mass
-        force = [m * 0.0, m * 0.0, m * gz] if world.gravity_enabled else [0.0, 0.0, 0.0]
+        force = [0.0, 0.0, m * gz] if world.gravity_enabled else [0.0, 0.0, 0.0]
         torque = [0.0, 0.0, 0.0]
         if world.ground_enabled:
-            verts = obj.shape._verts @ Ro_arr.T + to
-            below = verts[verts[:, 2] < 0.0].tolist()
+            # the world points of the vertices under the ground plane
+            below = []
+            for x, y, z in obj.shape._vert_rows:
+                pz = r20 * x + r21 * y + r22 * z + t2
+                if pz < 0.0:
+                    below.append((r00 * x + r01 * y + r02 * z + t0,
+                                  r10 * x + r11 * y + r12 * z + t1, pz))
             n_sup = max(len(below), 1)
             for p in below:
-                vz = v_o[2] + (w_o[0] * (p[1] - t[1]) - w_o[1] * (p[0] - t[0]))
+                x0, x1, x2 = p[0] - t0, p[1] - t1, p[2] - t2
+                vz = v_o[2] + (w_o[0] * x1 - w_o[1] * x0)
                 fn = _normal_force(-p[2], -vz, cc, m / n_sup, dt)
                 if fn <= 0.0:
                     continue
+                # r x (fn * up)
                 force[2] += fn
-                c = _cross((p[0] - t[0], p[1] - t[1], p[2] - t[2]),
-                           (fn * 0.0, fn * 0.0, fn * 1.0))  # r x (fn * up)
-                for k in range(3):
-                    torque[k] += c[k]
+                torque[0] += x1 * fn
+                torque[1] -= x0 * fn
                 rec = ContactRecord(-p[2], fn, 0.0, (obj.name, "ground"))
                 contacts.append(rec)
                 fric.append((_OBJ_GROUND, -1, oi, p, up_f, fn, rec))
         far = obj.shape._radius + rf
         for i in range(4):
             fp, fv = feet_p[i], feet_v[i]
-            d = [fp[k] - t[k] for k in range(3)]
-            if _dot(d, d) > far * far:
+            d = (fp[0] - t0, fp[1] - t1, fp[2] - t2)
+            if dot3(d, d) > far * far:
                 continue  # provably out of contact, see _set_vertices
-            sd, nl = obj.shape.signed_distance(_matvec_t(Ro, d))
+            sd, nl = obj.shape.signed_distance(matvec3_t(Ro, d))
             pen = rf - sd
             if pen <= 0.0:
                 continue
-            n = _matvec(Ro, nl.tolist())
+            n = matvec3(Ro, nl.tolist())
             cp = [fp[k] - n[k] * sd for k in range(3)]
             r = [cp[k] - t[k] for k in range(3)]
             pv = _point_velocity(v_o, w_o, r)
-            pen_rate = -_dot(n, [fv[k] - pv[k] for k in range(3)])
+            pen_rate = -dot3(n, [fv[k] - pv[k] for k in range(3)])
             m_red = mf * m / (mf + m)
             fn = _normal_force(pen, pen_rate, cc, m_red, dt)
             if fn <= 0.0:
                 continue
             f = [fn * n[k] for k in range(3)]
-            c = _cross(r, f)
+            c = cross3(r, f)
             for k in range(3):
                 feet_force[i][k] += f[k]
                 force[k] -= f[k]
@@ -1058,10 +1067,10 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
 
     # velocity integration (positions update after the friction pass); the
     # world inertia and its inverse are Ro I^(+-1) Ro' of the memoised body values
-    I_diag = rc.trunk_inertia
+    I0, I1, I2 = rc.trunk_inertia
     if not world.fixed_base:
-        wb = _matvec_t(R, w)
-        Lw = _matvec(R, [I_diag[k] * wb[k] for k in range(3)])
+        wb = matvec3_t(R, w)
+        Lw = matvec3(R, (I0 * wb[0], I1 * wb[1], I2 * wb[2]))
         L_trunk = [Lw[k] + trunk_torque[k] * dt for k in range(3)]
         v = [v[k] + trunk_force[k] / m_trunk * dt for k in range(3)]
     obj_L = []
@@ -1069,17 +1078,17 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
     for oi, obj in enumerate(world.objects):
         Ro = obj_R[oi]
         I_b, I_b_inv = _inertia_rows(obj.inertia)
-        Lw = _matvec(Ro, _matvec(I_b, _matvec_t(Ro, obj_w[oi])))
+        Lw = matvec3(Ro, matvec3(I_b, matvec3_t(Ro, obj_w[oi])))
         obj_L.append([Lw[k] + obj_torque[oi][k] * dt for k in range(3)])
         obj_I_inv.append(_sandwich(Ro, I_b_inv))
         v_o, force = obj_v[oi], obj_force[oi]
         for k in range(3):
             v_o[k] += force[k] / obj.mass * dt
-        obj_w[oi] = _matvec(obj_I_inv[oi], obj_L[oi])
-    for i in range(4):
-        fv, ff = feet_v[i], feet_force[i]
-        for k in range(3):
-            fv[k] += ff[k] / mf * dt
+        obj_w[oi] = matvec3(obj_I_inv[oi], obj_L[oi])
+    for fv, ff in zip(feet_v, feet_force):
+        fv[0] += ff[0] / mf * dt
+        fv[1] += ff[1] / mf * dt
+        fv[2] += ff[2] / mf * dt
 
     _friction_pass(fric, world.objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
                    mf, cc.friction, dt)
@@ -1088,9 +1097,9 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
     renorm = world._steps % _RENORM_EVERY == 0
     if not world.fixed_base:
         pos = [pos[k] + v[k] * dt for k in range(3)]
-        Lb = _matvec_t(R, L_trunk)
-        w_mid = _matvec(R, [Lb[k] / I_diag[k] for k in range(3)])
-        R_new = _matmul(_rotation_exp(w_mid[0] * dt, w_mid[1] * dt, w_mid[2] * dt), R)
+        Lb = matvec3_t(R, L_trunk)
+        w_mid = matvec3(R, (Lb[0] / I0, Lb[1] / I1, Lb[2] / I2))
+        R_new = matmul3(_rotation_exp(w_mid[0] * dt, w_mid[1] * dt, w_mid[2] * dt), R)
         if renorm:
             R_new = orthonormalize(np.array(R_new)).tolist()
         try:
@@ -1098,36 +1107,37 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
         except GimbalLockError as e:
             raise SimulationDivergence(
                 f"trunk orientation left the valid envelope: {e}") from e
-        Lb = _matvec_t(R_new, L_trunk)
-        w = _matvec(R_new, [Lb[k] / I_diag[k] for k in range(3)])
+        Lb = matvec3_t(R_new, L_trunk)
+        w = matvec3(R_new, (Lb[0] / I0, Lb[1] / I1, Lb[2] / I2))
         srb.rpy[:] = rpy
         srb.position[:] = pos
         srb.angular_velocity[:] = w
         srb.linear_velocity[:] = v
+        R = rotation_rows(srb)
 
     for oi, obj in enumerate(world.objects):
         Ro, t, v_o, L = obj_R[oi], obj_t[oi], obj_v[oi], obj_L[oi]
         w_mid = obj_w[oi]
-        Ro_new = _matmul(_rotation_exp(w_mid[0] * dt, w_mid[1] * dt, w_mid[2] * dt), Ro)
+        Ro_new = matmul3(_rotation_exp(w_mid[0] * dt, w_mid[1] * dt, w_mid[2] * dt), Ro)
         if renorm:
             Ro_new = orthonormalize(np.array(Ro_new)).tolist()
         I_b_inv = _inertia_rows(obj.inertia)[1]
         obj.linear_velocity[:] = v_o
-        obj.angular_velocity[:] = _matvec(Ro_new, _matvec(I_b_inv, _matvec_t(Ro_new, L)))
+        obj.angular_velocity[:] = matvec3(Ro_new, matvec3(I_b_inv, matvec3_t(Ro_new, L)))
         obj.pose = RigidTransform(np.array(Ro_new), np.array([t[k] + v_o[k] * dt for k in range(3)]))
 
+    feet_p = [[fp[0] + fv[0] * dt, fp[1] + fv[1] * dt, fp[2] + fv[2] * dt]
+              for fp, fv in zip(feet_p, feet_v)]
     robot.feet_vel[:] = feet_v
-    robot.feet_pos[:] = [[fp[k] + fv[k] * dt for k in range(3)] for fp, fv in zip(feet_p, feet_v)]
+    robot.feet_pos[:] = feet_p
 
     world._steps += 1
-    _sync_legs(world)
+    _sync_legs(world, R, pos, v, w, feet_p, feet_v)
     world.contact_set = contacts
     world.time += dt
 
-    vmax = max(_abs_max(srb.linear_velocity.tolist()),
-               _abs_max(robot.feet_vel.ravel().tolist()),
-               max((_abs_max(o.linear_velocity.tolist()) for o in world.objects),
-                   default=0.0))
+    vmax = _abs_max([*v, *feet_v[0], *feet_v[1], *feet_v[2], *feet_v[3],
+                     *(x for v_o in obj_v for x in v_o)])
     if vmax > _VEL_LIMIT or not math.isfinite(vmax):
         raise SimulationDivergence(f"velocity {vmax:.1f} m/s exceeds the plausibility limit")
     return world

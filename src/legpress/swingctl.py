@@ -16,12 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SwingConfig
+from .geom import det3, matvec3, matvec3_t
 from .simworld import (
     LegModel,
     SrbState,
     leg_forward_kinematics,
     leg_inverse_kinematics,
-    leg_jacobian,
+    leg_jacobian_rows,
+    rotation_rows,
     shoulder_point,
 )
 
@@ -61,11 +63,19 @@ def impedance_torque_tracking(leg: LegModel, trunk: SrbState, p_foot, v_foot,
     """Exactly the foot-space PD law, with the measured foot state supplied
     by the caller (the simulator knows the foot point and velocity exactly).
     Near-singular Jacobians still produce torques but are flagged."""
-    J = leg_jacobian(leg, trunk)
-    f = gains.K_p @ (np.asarray(p_des, dtype=float) - np.asarray(p_foot, dtype=float)) \
-        + gains.K_d @ (np.asarray(v_des, dtype=float) - np.asarray(v_foot, dtype=float))
-    singular = abs(float(np.linalg.det(J))) < 1e-6
-    return ImpedanceCommand(J.T @ f, singular)
+    Jl = leg_jacobian_rows(leg)
+    ep = [a - b for a, b in zip(_floats(p_des), _floats(p_foot))]
+    ev = [a - b for a, b in zip(_floats(v_des), _floats(v_foot))]
+    fp, fd = matvec3(gains.K_p.tolist(), ep), matvec3(gains.K_d.tolist(), ev)
+    f = [fp[0] + fd[0], fp[1] + fd[1], fp[2] + fd[2]]
+    # J = R Jl, so J^T f = Jl^T (R^T f) and det J = det Jl (det R = 1)
+    tau = matvec3_t(Jl, matvec3_t(rotation_rows(trunk), f))
+    return ImpedanceCommand(np.array(tau), abs(det3(Jl)) < 1e-6)
+
+
+def _floats(x) -> list:
+    """A 3-vector as three Python floats."""
+    return np.asarray(x, dtype=float).reshape(3).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,28 @@ def test_config_rejects_a_vector_of_the_wrong_length(tmp_path):
         load_config(str(path))
 
 
+def test_bad_input_exits_2_with_a_json_record(tmp_path, capsys):
+    path = tmp_path / "stack.ini"
+    path.write_text("[robot]\ntrunk_masss = 3.0\n")
+    with pytest.raises(ValueError, match=r"unknown config key \[robot\] trunk_masss"):
+        load_config(str(path))
+    assert cli.main(["--config", str(path), "simcheck"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "unknown config key [robot] trunk_masss"}
+    assert cli.main(["replay", "--trace", str(tmp_path / "missing.jsonl")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+
+def test_a_bug_in_a_command_propagates(monkeypatch, capsys):
+    def broken(args):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "cmd_simcheck", broken)
+    with pytest.raises(TypeError, match="a bug, not bad input"):
+        cli.main(["simcheck"])
+    assert capsys.readouterr().err == ""
+
+
 def test_shape_sets_are_unchanged():
     """The training/held-out catalog and the registration-suite shapes are
     part of every seeded result; any change to their draws shows here."""

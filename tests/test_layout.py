@@ -1,0 +1,77 @@
+"""No legpress module imports, or reads as an attribute, another legpress
+module's `_`-prefixed name: modules talk through public names only."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import legpress
+
+SRC = Path(legpress.__file__).parent
+MODULES = frozenset(p.stem for p in SRC.glob("*.py")) - {"__init__"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(source: str, module: str) -> list:
+    """`line: text` for each import of another legpress module's private name
+    in `module`'s source, and each attribute read of one through a name bound
+    to a legpress module."""
+    found = []
+    aliases = {}  # local name -> the legpress module it is bound to
+
+    def report(node, target, name):
+        if target != module and _private(name):
+            found.append(f"{node.lineno}: {target}.{name}")
+
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "legpress":
+                continue
+            parts = [p for p in parts if p and p != "legpress"]
+            for a in node.names:
+                if not parts and a.name in MODULES:  # from . import simworld
+                    aliases[a.asname or a.name] = a.name
+                else:
+                    report(node, parts[-1] if parts else "legpress", a.name)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "legpress" and len(parts) > 1:
+                    # `import legpress.x as y` binds y to x; without `as` the
+                    # reads are `legpress.x._name`
+                    aliases[a.asname or "legpress"] = parts[-1] if a.asname else "legpress"
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        value = node.value
+        if isinstance(value, ast.Name) and value.id in aliases:
+            report(node, aliases[value.id], node.attr)
+        elif (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name)
+              and aliases.get(value.value.id) == "legpress" and value.attr in MODULES):
+            report(node, value.attr, node.attr)
+    return found
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from .simworld import _rotation", ["1: simworld._rotation"]),
+    ("from legpress.simworld import leg_jacobian, _jac_of as j", ["1: simworld._jac_of"]),
+    ("from . import simworld\nx = simworld._rotation_of(b'')", ["2: simworld._rotation_of"]),
+    ("import legpress.geom as g\ny = g._helper", ["2: geom._helper"]),
+    ("import legpress.geom\ny = legpress.geom._helper", ["2: geom._helper"]),
+    ("from . import simworld\nx = simworld.step, simworld.__name__", []),
+    ("from .mpc import _own", []),  # a module's own private names are its business
+    ("import numpy as np\nx = np._NoValue", []),
+])
+def test_the_checker_finds_private_reads(source, expected):
+    assert private_reads(source, "mpc") == expected
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = {p.name: private_reads(p.read_text(), p.stem) for p in sorted(SRC.glob("*.py"))}
+    assert len(found) == len(MODULES) + 1
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -346,9 +346,9 @@ def test_closed_loop_stand_five_seconds():
     assert max_tilt < 0.05
 
 
-def test_stance_torques_equal_the_per_leg_products():
-    """The stacked product gives the same bits as -J_i^T (R^T f_i) leg by leg,
-    so stacking the legs changes no torque the controllers hand the simulator."""
+def test_stance_torques_match_the_numpy_products():
+    """The float rows give -J_i^T (R^T f_i) leg by leg as the numpy products
+    of the rotation and Jacobian arrays do, to rounding, as a (4, 3) array."""
     rng = np.random.default_rng(41)
     world = standing_world()
     robot = world.robot
@@ -360,7 +360,9 @@ def test_stance_torques_equal_the_per_leg_products():
         R = euler_zyx_to_matrix(*robot.srb.rpy)
         expected = np.array([-leg_jacobians_local([leg])[0].T @ (R.T @ forces[i])
                              for i, leg in enumerate(robot.legs)])
-        assert np.array_equal(stance_torques(robot, forces), expected)
+        tau = stance_torques(robot, forces)
+        assert tau.shape == (4, 3) and tau.dtype == np.float64
+        np.testing.assert_allclose(tau, expected, rtol=1e-12, atol=0.0)
 
 
 # -- raibert -------------------------------------------------------------------

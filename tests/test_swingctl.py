@@ -115,6 +115,59 @@ def test_singularity_flag_on_straight_leg():
     assert np.all(np.isfinite(cmd.torques))
 
 
+def impedance_reference(leg, trunk, p_foot, v_foot, p_des, v_des, gains):
+    """The impedance law on numpy arrays: J^T (Kp (p_des - p) + Kd (v_des - v))
+    with the world Jacobian J, and its singular flag |det J| < 1e-6."""
+    J = leg_jacobian(leg, trunk)
+    f = gains.K_p @ (p_des - p_foot) + gains.K_d @ (v_des - v_foot)
+    return J.T @ f, abs(float(np.linalg.det(J))) < 1e-6
+
+
+def test_impedance_law_matches_the_numpy_form():
+    rng = np.random.default_rng(52)
+    world = standing_world()
+    trunk = world.robot.srb
+    for _ in range(300):
+        trunk.rpy[:] = rng.uniform(-0.5, 0.5, 3)
+        leg = world.robot.legs[rng.integers(4)]
+        leg.joint_angles[:] = rng.uniform(-2.0, 2.0, 3)
+        A, B = rng.normal(size=(2, 3, 3))
+        gains = ImpedanceGains(300.0 * A @ A.T, 10.0 * B @ B.T)
+        p_foot, v_foot, p_des, v_des = rng.normal(scale=0.2, size=(4, 3))
+        cmd = impedance_torque_tracking(leg, trunk, p_foot, v_foot, p_des, v_des, gains)
+        tau, singular = impedance_reference(leg, trunk, p_foot, v_foot, p_des, v_des, gains)
+        assert cmd.torques.shape == (3,) and cmd.torques.dtype == np.float64
+        np.testing.assert_allclose(cmd.torques, tau, rtol=1e-12, atol=0.0)
+        assert cmd.singular == singular
+
+
+def test_singular_flag_agrees_with_numpy_at_the_determinant_edge():
+    """Bisect the knee angle to where |det J| crosses 1e-6 near the straight
+    knee; 1e-10 rad to either side (|det J| moves about 2e-12) both forms
+    give the same flag, set on the inner side only."""
+    world, leg = setup_leg()
+    trunk = world.robot.srb
+    trunk.rpy[:] = (0.1, -0.2, 0.3)
+    gains = ImpedanceGains.from_config(world.config.swing)
+
+    def flags(q3):
+        leg.joint_angles[:] = (0.1, 0.3, q3)
+        p, v = foot_state(leg, trunk)
+        p_des = p + 0.01
+        cmd = impedance_torque_tracking(leg, trunk, p, v, p_des, np.zeros(3), gains)
+        return cmd.singular, impedance_reference(leg, trunk, p, v, p_des, np.zeros(3), gains)[1]
+
+    straight, bent = -1e-6, -1e-3  # |det J| about 2e-9 and 2e-5
+    for _ in range(100):
+        mid = 0.5 * (straight + bent)
+        if flags(mid)[0]:
+            straight = mid
+        else:
+            bent = mid
+    assert flags(straight + 1e-10) == (True, True)
+    assert flags(bent - 1e-10) == (False, False)
+
+
 def test_gains_must_be_psd():
     with pytest.raises(ValueError):
         ImpedanceGains(np.diag([1.0, -2.0, 1.0]), np.eye(3))
