@@ -3,7 +3,7 @@
 Subcommands:
   eval      run seeded episodes of a benchmark task with a policy
   multistep run the one-meter multi-step distant-goal protocol
-  regbench  registration synthetic suite (rotation/translation MAE)
+  regbench  registration synthetic suite (rotation/translation MAE, ICP exits)
   simcheck  simulator invariant suite: one line per row of SIM_CHECKS, the
             table the Tier-1 tests assert too
   sweep     seeded outcome sweep: every task with the planning policy, the
@@ -102,6 +102,7 @@ def cmd_regbench(args) -> int:
     print(f"cases={res.cases}")
     print(f"rotation_mae_deg={res.rotation_mae_deg!r}")
     print(f"translation_mae={res.translation_mae!r}")
+    print(" ".join(["icp_exits"] + [f"{k}={v}" for k, v in res.icp_exits.items()]))
     if args.ambiguity:
         amb = ambiguity_benchmark(args.ambiguity, seed=args.seed)
         print(f"ambiguity_trials={amb.trials}")

