@@ -273,6 +273,10 @@ def cmd_replay(args) -> int:
     return 0
 
 
+POLICY_HELP = ("planning | flow | random | null | oracle | maps:<path> "
+               "(the baselines use the front-left leg)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="legpress",
                                 description="desk-scale loco-manipulation benchmarks")
@@ -282,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="run episodes of one task")
     pe.add_argument("--task", required=True, choices=[t for t in TASK_NAMES if t != "multi_step_1m"])
-    pe.add_argument("--policy", required=True)
+    pe.add_argument("--policy", required=True, help=POLICY_HELP)
     pe.add_argument("--episodes", type=int, default=10)
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--out", default=None, help="directory for traces + summary CSV")
@@ -294,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=cmd_eval)
 
     pm = sub.add_parser("multistep", help="one-meter multi-step protocol")
-    pm.add_argument("--policy", default="planning")
+    pm.add_argument("--policy", default="planning", help=POLICY_HELP)
     pm.add_argument("--runs", type=int, default=5)
     pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--reposition", choices=("teleport", "walk"), default="walk")

@@ -140,10 +140,6 @@ class RigidTransform:
         return RigidTransform(np.eye(3), np.zeros(3))
 
     @staticmethod
-    def from_euler(roll: float, pitch: float, yaw: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        return RigidTransform(euler_zyx_to_matrix(roll, pitch, yaw), np.asarray(translation, dtype=float))
-
-    @staticmethod
     def rotation_about(R: np.ndarray, center) -> "RigidTransform":
         """Rotation by R about an arbitrary center point."""
         c = np.asarray(center, dtype=float).reshape(3)
@@ -194,14 +190,6 @@ class PointCloud:
     @property
     def centroid(self) -> np.ndarray:
         return self.points.mean(axis=0)
-
-    def validate(self, tol: float = 1e-6) -> None:
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("non-finite points")
-        if self.normals is not None:
-            norms = np.linalg.norm(self.normals, axis=1)
-            if np.max(np.abs(norms - 1.0)) > tol:
-                raise ValueError("normals must have unit norm")
 
 
 def apply_transform(t: RigidTransform, cloud: PointCloud) -> PointCloud:

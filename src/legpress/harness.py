@@ -1,9 +1,12 @@
-"""Benchmark tasks, policy providers, evaluation protocols and aggregation.
+"""Benchmark tasks, named policies, evaluation protocols and aggregation.
 
 Tasks mirror the evaluation suite: single-box pushes to fixed and random
 goals, 90-degree flip plus push, multi-object pushes over a procedural
 27-train/10-eval shape split, and the long-horizon one-meter multi-step
-protocol. Success everywhere is mean goal flow under 3 cm.
+protocol. Success everywhere is mean goal flow under 3 cm. A policy is a
+plain function of the observation (see `make_provider`); the action it
+returns carries the manipulation leg, which is front-left for every
+baseline.
 """
 from __future__ import annotations
 
@@ -28,7 +31,6 @@ from .orchestrator import (
 from .policy import (
     NoPlanError,
     ObjectCentricAction,
-    PlanningBaselineParams,
     flow_baseline,
     load_maps,
     planning_baseline,
@@ -44,6 +46,11 @@ TASK_NAMES = ("box_push_fixed", "box_push_random", "box_flip_push_random",
               "multiobj_push_fixed", "multiobj_push_random", "multi_step_1m")
 OBJECT_START_XY = (0.34, 0.0)
 YAW_JITTER = 0.1  # initial object yaw range, +-rad
+SUB_GOAL_DISTANCE = 0.10  # m, how far ahead of the object each multi-step action aims
+MULTI_STEP_MAX_STEPS = 20
+Y_LIMIT = 0.20  # m, lateral drift that fails a multi-step run
+REG_MAX_ROTATION_DEG = 30.0  # registration suite: largest perturbation angle
+AMBIGUITY_SUCCESS_ROT_DEG = 15.0  # ambiguity suite: largest rotation error of a success
 
 
 # ---------------------------------------------------------------------------
@@ -153,79 +160,53 @@ def sample_task(spec: TaskSpec, seed: int, config: StackConfig | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# policy providers
+# policies
 
 
-class PlanningProvider:
-    def __init__(self, params: PlanningBaselineParams | None = None, leg="front_left"):
-        self.params = params or PlanningBaselineParams()
-        self.leg = leg
-
-    def __call__(self, obs: Observation):
-        try:
-            return planning_baseline(obs.cloud, obs.goal, obs.obj, self.params, self.leg)
-        except NoPlanError:
-            return None
-
-
-class FlowProvider:
-    def __init__(self, params: PlanningBaselineParams | None = None, leg="front_left"):
-        self.params = params or PlanningBaselineParams()
-        self.leg = leg
-
-    def __call__(self, obs: Observation):
-        try:
-            return flow_baseline(obs.cloud, obs.goal, obs.obj, self.params, self.leg)
-        except NoPlanError:
-            return None
-
-
-class RandomLocationProvider:
-    def __init__(self, leg="front_left"):
-        self.leg = leg
-
-    def __call__(self, obs: Observation):
-        return random_location_baseline(obs.cloud, obs.goal, obs.seed, self.leg)
-
-
-class NullProvider:
-    """Zero motion at index 0; the lower-bound sanity policy."""
-
-    def __call__(self, obs: Observation):
-        return ObjectCentricAction(0, np.zeros(3), "front_left")
-
-
-class OracleTeleportProvider:
-    """Debug upper bound: the episode moves the object straight to the goal."""
-
-    def __call__(self, obs: Observation):
-        return "oracle_teleport"
-
-
-class MapReplayProvider:
-    """Replays an externally produced actor/critic map file through the
-    greedy selector (cloud sizes must match the recorded maps)."""
-
-    def __init__(self, path: str):
-        self.actor, self.critic = load_maps(path)
-
-    def __call__(self, obs: Observation):
-        return select_greedy(self.actor, self.critic)
+def _or_none(baseline, obs: Observation):
+    """The baseline's action, or None when the planner finds no face."""
+    try:
+        return baseline(obs.cloud, obs.goal, obs.obj)
+    except NoPlanError:
+        return None
 
 
 def make_provider(name: str):
+    """The policy called `name`, as a function of an Observation. It returns
+    an ObjectCentricAction, which carries its leg; "oracle_teleport"; or
+    None when it has no plan. The baselines use the front-left leg.
+
+      planning     planning_baseline; None when it finds no face to push
+      flow         flow_baseline: the planner's contact, the goal flow there
+      random       random_location_baseline, seeded by the observation
+      null         zero motion at point 0; the lower-bound sanity policy
+      oracle       "oracle_teleport": the episode moves the object straight
+                   to the goal (a debug upper bound)
+      maps:<path>  greedy selection over the actor/critic maps in the file;
+                   a ValueError when the observed cloud's size differs from
+                   the maps' point count
+    """
+    # the baselines are looked up when called, so a wrapped module global is used
     if name == "planning":
-        return PlanningProvider()
+        return lambda obs: _or_none(planning_baseline, obs)
     if name == "flow":
-        return FlowProvider()
+        return lambda obs: _or_none(flow_baseline, obs)
     if name == "random":
-        return RandomLocationProvider()
+        return lambda obs: random_location_baseline(obs.cloud, obs.goal, obs.seed)
     if name == "null":
-        return NullProvider()
+        return lambda obs: ObjectCentricAction(0, np.zeros(3), "front_left")
     if name == "oracle":
-        return OracleTeleportProvider()
+        return lambda obs: "oracle_teleport"
     if name.startswith("maps:"):
-        return MapReplayProvider(name.split(":", 1)[1])
+        actor, critic = load_maps(name.split(":", 1)[1])
+        n_points = len(critic.q_values)
+
+        def replay(obs: Observation) -> ObjectCentricAction:
+            if len(obs.cloud) != n_points:
+                raise ValueError(f"maps cover {n_points} points but the observed cloud "
+                                 f"has {len(obs.cloud)}")
+            return select_greedy(actor, critic)
+        return replay
     raise ValueError(f"unknown policy {name!r}")
 
 
@@ -259,12 +240,12 @@ def evaluate(policy_name: str, spec: TaskSpec, n_episodes: int, seed: int = 0,
         raise ValueError("need at least one episode")
     options = options or EpisodeOptions()
     config = config or StackConfig()
-    provider = make_provider(policy_name)
+    policy = make_provider(policy_name)
     episodes = []
     for i in range(n_episodes):
         ep_seed = seed + i
         task = sample_task(spec, ep_seed, config)
-        trace = run_episode(task, provider, options, config)
+        trace = run_episode(task, policy, options, config)
         episodes.append({"seed": ep_seed, "outcome": trace.outcome,
                          "success": trace.success, "steps": trace.steps_used,
                          "final_mean_flow": trace.final_mean_flow,
@@ -312,16 +293,14 @@ def multi_step_protocol(policy_name: str, seed: int = 0,
                         options: EpisodeOptions | None = None,
                         config: StackConfig | None = None,
                         target_distance: float = 1.0,
-                        sub_goal_distance: float = 0.10,
-                        max_steps: int = 20,
-                        y_limit: float = 0.20,
                         y_correction: bool = False) -> MultiStepResult:
     """Push the box one meter forward in sub-goal increments, re-observing
     and repositioning the base after every action.
 
     Runs on run_episode with a goal schedule: each action aims
-    sub_goal_distance ahead of the object's current pose, and the verdict
-    fails on exceeding the step budget or drifting laterally past the limit.
+    SUB_GOAL_DISTANCE ahead of the object's current pose, and the verdict
+    fails on exceeding MULTI_STEP_MAX_STEPS actions or drifting laterally
+    past Y_LIMIT.
     """
     config = config or StackConfig()
     options = options or EpisodeOptions(reposition="walk")
@@ -335,14 +314,14 @@ def multi_step_protocol(policy_name: str, seed: int = 0,
     def sub_goal(obj: SimObject) -> RigidTransform:
         dy = -float(obj.pose.translation[1] - y_start) if y_correction else 0.0
         return RigidTransform(obj.pose.rotation,
-                              obj.pose.translation + np.array([sub_goal_distance, dy, 0.0]))
+                              obj.pose.translation + np.array([SUB_GOAL_DISTANCE, dy, 0.0]))
 
     def verdict(obj: SimObject, mean_flow: float, steps_used: int) -> str | None:
         if float(obj.pose.translation[0]) - x_start >= target_distance:
             return "success"
-        if steps_used >= max_steps:
+        if steps_used >= MULTI_STEP_MAX_STEPS:
             return "fail_steps"
-        if y_err_cm(obj.pose) > y_limit * 100.0:
+        if y_err_cm(obj.pose) > Y_LIMIT * 100.0:
             return "fail_y"
         return None
 
@@ -389,8 +368,7 @@ class RegBenchResult:
     icp_exits: dict = field(default_factory=dict)  # ICP starts per exit rule, all cases
 
 
-def registration_benchmark(n_cases: int = 200, seed: int = 0,
-                           max_rotation_deg: float = 30.0) -> RegBenchResult:
+def registration_benchmark(n_cases: int = 200, seed: int = 0) -> RegBenchResult:
     """Synthetic suite: partial (<=70% visibility) scans registered to full
     scans under bounded random perturbations; reports rotation/translation
     mean absolute error of the recovered transforms and how often each ICP
@@ -405,7 +383,7 @@ def registration_benchmark(n_cases: int = 200, seed: int = 0,
         scan = full_scan(obj, 400, seed=int(rng.integers(2 ** 31)))
         source = _crop_visibility(scan, rng)
 
-        angle = math.radians(rng.uniform(0.0, max_rotation_deg))
+        angle = math.radians(rng.uniform(0.0, REG_MAX_ROTATION_DEG))
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         true = RigidTransform.rotation_about(rotation_exp(axis * angle), scan.centroid)
@@ -431,8 +409,7 @@ class AmbiguityBenchResult:
     trials: int
 
 
-def ambiguity_benchmark(n_trials: int = 40, seed: int = 0,
-                        success_rot_deg: float = 15.0) -> AmbiguityBenchResult:
+def ambiguity_benchmark(n_trials: int = 40, seed: int = 0) -> AmbiguityBenchResult:
     """Near-square prism with a corner stud: single-shot registration snaps to
     the wrong 90-degree minimum for large yaw offsets; the rank-sum augmented
     pipeline should recover the true pose far more often."""
@@ -455,7 +432,7 @@ def ambiguity_benchmark(n_trials: int = 40, seed: int = 0,
                                          seed=int(rng.integers(2 ** 31))).transform
         for est, bucket in ((single, "single"), (aug, "aug")):
             err = compose(est, true.inverse())
-            ok = math.degrees(err.rotation_angle()) < success_rot_deg
+            ok = math.degrees(err.rotation_angle()) < AMBIGUITY_SUCCESS_ROT_DEG
             if bucket == "single":
                 single_ok += ok
             else:

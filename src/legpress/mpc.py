@@ -37,13 +37,14 @@ RAIBERT_MAX_OFFSET = 0.15  # m; cap on the foothold's velocity offset
 # ---------------------------------------------------------------------------
 # gait scheduling
 
+TROT_OFFSETS = (0.0, 0.5, 0.5, 0.0)  # phase offset per leg: diagonal pairs in phase
+
 
 @dataclass(frozen=True)
 class GaitSchedule:
     mode: str  # stand | trot
     period: float | None  # trot timing; None on a stand gait
     duty: float | None
-    offsets: tuple = (0.0, 0.5, 0.5, 0.0)  # diagonal pairs in phase
     lifted: tuple = ()
 
     @staticmethod
@@ -60,14 +61,14 @@ class GaitSchedule:
         """True when the leg is in stance at time t."""
         if self.mode == "stand":
             return leg not in self.lifted
-        phase = (t / self.period + self.offsets[leg]) % 1.0
+        phase = (t / self.period + TROT_OFFSETS[leg]) % 1.0
         return phase < self.duty
 
     def swing_phase(self, t: float, leg: int) -> float:
         """Progress through the current swing in [0, 1); 0 if in stance."""
         if self.query(t, leg):
             return 0.0
-        phase = (t / self.period + self.offsets[leg]) % 1.0
+        phase = (t / self.period + TROT_OFFSETS[leg]) % 1.0
         return (phase - self.duty) / (1.0 - self.duty)
 
     @property

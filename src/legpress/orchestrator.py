@@ -7,6 +7,10 @@ while the stance legs run force MPC, lower the leg and recover, and walk
 (or, in simulation-protocol mode, teleport) whenever the object leaves the
 manipulation workspace.
 
+The policy is a plain function of the Observation, and the action it
+returns names the manipulation leg. The reach check uses the front-left
+leg, the leg of every baseline.
+
 A goal schedule decides where each action aims and when the episode ends.
 The default schedule is one fixed goal: success once the mean goal flow is
 under the threshold, otherwise the action budget. Distant goals use moving
@@ -40,7 +44,7 @@ from .sensing import (
 )
 from .simworld import (
     FRONT_LEFT,
-    FRONT_RIGHT,
+    LEG_NAMES,
     SimObject,
     SimulationDivergence,
     WorldState,
@@ -81,8 +85,6 @@ ALLOWED_TRANSITIONS = {
     (MANIPULATION, QP_STAND),
 }
 
-LEG_INDEX = {"front_left": FRONT_LEFT, "front_right": FRONT_RIGHT}
-
 
 @dataclass
 class StandoffPose:
@@ -93,11 +95,12 @@ class StandoffPose:
         self.position = np.asarray(self.position, dtype=float).reshape(3)
 
 
-def reach_check(object_centroid, world: WorldState, leg_name: str = "front_left"):
-    """'reachable' when the centroid passes the swing workspace test from the
-    current base pose; otherwise the standoff pose that puts the object the
-    configured standoff distance ahead of the chosen shoulder."""
-    leg = world.robot.legs[LEG_INDEX[leg_name]]
+def reach_check(object_centroid, world: WorldState):
+    """'reachable' when the centroid passes the front-left leg's swing
+    workspace test from the current base pose; otherwise the standoff pose
+    that puts the object the configured standoff distance ahead of that
+    leg's shoulder."""
+    leg = world.robot.legs[FRONT_LEFT]
     centroid = np.asarray(object_centroid, dtype=float)
     probe = centroid.copy()
     probe[2] = max(min(probe[2], 0.12), 0.02)  # contact heights live near the ground
@@ -132,7 +135,6 @@ class EpisodeOptions:
     max_steps: int = 7
     reposition: str = "teleport"  # teleport | walk (teleport mirrors the sim protocol)
     pose_source: str = "ground_truth"  # ground_truth | register
-    leg: str = "front_left"  # manipulation leg: front_left | front_right
 
 
 @dataclass
@@ -230,7 +232,6 @@ class _OrchestratorCore:
         self.command_velocity = np.zeros(2)  # world frame
         self.command_yaw_rate = 0.0
         self.executor: SwingExecutor | None = None
-        self.manip_leg = LEG_INDEX[options.leg]
         self.trace: EpisodeTrace | None = None
         self._swing_marks: dict = {}
 
@@ -260,7 +261,7 @@ class _OrchestratorCore:
         idx = [i for i in range(4) if i != lifted]
         return self.world.robot.feet_pos[idx, :2].mean(axis=0)
 
-    def drive_towards(self, target_xy, yaw_target=None, gain=1.5, v_max=0.12):
+    def drive_towards(self, target_xy, yaw_target, gain, v_max):
         e = np.asarray(target_xy) - self.world.robot.srb.position[:2]
         v = gain * e
         n = float(np.linalg.norm(v))
@@ -327,8 +328,8 @@ class _OrchestratorCore:
             self.control_step()
 
     def _swing_target(self, leg_index: int, dt: float):
-        if self.state == MANIPULATION and leg_index == self.manip_leg \
-                and self.executor is not None:
+        # in MANIPULATION the action's leg is the only one in swing
+        if self.state == MANIPULATION and self.executor is not None:
             p, v, _ = self.executor.tick(self.world.robot.feet_pos[leg_index], dt)
             return p, v
         if self.state == WALKING:
@@ -428,12 +429,13 @@ def metric_mean_flow(task: TaskInstance, obj: SimObject, local_cloud: np.ndarray
     return float(np.mean(np.linalg.norm(goal - current, axis=1)))
 
 
-def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | None = None,
+def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = None,
                 config: StackConfig | None = None,
                 schedule: GoalSchedule | None = None) -> EpisodeTrace:
     """Closed-loop episode: observe, act through the FSM, repeat until the
     schedule's verdict ends it (by default: goal flow under the threshold, or
-    the action budget spent).
+    the action budget spent). `policy(obs)` returns an ObjectCentricAction,
+    whose leg executes it, "oracle_teleport", or None when it has no plan.
 
     Faults (timeouts, divergence, empty observations) end the episode with a
     fault outcome; they never raise out of the harness.
@@ -467,7 +469,7 @@ def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | N
         trace.final_pose = obj.pose
         return trace
 
-    standoff = reach_check(obj.pose.translation, world, options.leg)
+    standoff = reach_check(obj.pose.translation, world)
     if isinstance(standoff, StandoffPose):
         core.teleport_to(standoff)  # initial placement mirrors the eval protocol
 
@@ -476,7 +478,7 @@ def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | N
         mean = check_success()
         outcome = schedule.verdict(obj, mean, trace.steps_used)
         while outcome is None:
-            reach = reach_check(obj.pose.translation, world, options.leg)
+            reach = reach_check(obj.pose.translation, world)
             if isinstance(reach, StandoffPose):
                 if not core.reposition(reach):
                     return finish("fault:walking_timeout", check_success())
@@ -493,7 +495,7 @@ def run_episode(task: TaskInstance, policy_provider, options: EpisodeOptions | N
             rel = estimate_relative_goal(core, goal_pose, observed, obs_seed)
             obs = Observation(observed, GoalSpec.from_cloud(rel, observed), obj,
                               int(rng.integers(2 ** 31)))
-            action = policy_provider(obs)
+            action = policy(obs)
             trace.steps_used += 1
             if action is None:
                 return finish("fault:no_action", check_success())
@@ -524,8 +526,7 @@ def _execute_action(core: _OrchestratorCore, observed: PointCloud,
     check then repositions the base); hard failures raise EpisodeFault."""
     world = core.world
     ocfg = config.orchestrator
-    leg_index = LEG_INDEX[action.leg]
-    core.manip_leg = leg_index
+    leg_index = LEG_NAMES.index(action.leg)
     contact = observed.points[action.contact_index]
     motion = action.motion_params.copy()
     max_norm = config.swing.max_motion_norm

@@ -1,11 +1,13 @@
 """Object-centric action space and the deterministic baseline policies.
 
 An action is a contact index into the observed object cloud, a 3D motion
-vector executed after contact, and the leg that executes it. Learned
-policies are out of scope here, but their artifacts plug in: per-point
-critic maps (Q-values) and actor maps (motion parameters) with one or two
-leg channels can be loaded from the columnar interchange format and pushed
-through the same greedy selection.
+vector executed after contact, and the leg that executes it. The action is
+the one place the manipulation leg is decided; the baselines use the
+front-left leg. Learned policies are out of scope here, but their artifacts
+plug in: per-point critic maps (Q-values) and actor maps (motion parameters)
+with one or two leg channels can be loaded from the columnar interchange
+format and pushed through the same greedy selection, which picks the leg
+too.
 """
 from __future__ import annotations
 
@@ -15,10 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import PointCloud, RigidTransform, apply_transform
+from .simworld import LEG_NAMES
 
-LEG_CHANNELS = ("front_left", "front_right")
+LEG_CHANNELS = LEG_NAMES[:2]  # the legs an action can use, in critic-channel order
 Q_CLAMP = (-20.0, 0.0)
-DEFAULT_MAX_MOTION = 0.35  # m, exceeds the leg reach by design
+
+# planning baseline, tuned once on the cube and then frozen for every object
+PUSH_PITCH_DOWN_RAD = math.radians(16.0)
+PUSH_GAIN = 1.35
+FLIP_MAGNITUDE = 0.18  # m
+MAX_MOTION = 0.35  # m, exceeds the leg reach by design
+MIN_PUSH = 0.04  # m
 
 
 class NoPlanError(RuntimeError):
@@ -164,31 +173,17 @@ def _goal_decomposition(goal: GoalSpec, obj):
     return flip_needed, flip_dir, displacement
 
 
-@dataclass
-class PlanningBaselineParams:
-    """Tuned once on the cube and then frozen for every object."""
-
-    push_pitch_down_rad: float = math.radians(16.0)
-    push_gain: float = 1.35
-    flip_magnitude: float = 0.18
-    max_motion: float = DEFAULT_MAX_MOTION
-    min_push: float = 0.04
-
-
-def planning_baseline(cloud: PointCloud, goal: GoalSpec, obj,
-                      params: PlanningBaselineParams | None = None,
-                      leg: str = "front_left") -> ObjectCentricAction:
-    """Geometric contact policy: push at the center of the face opposing the
-    goal displacement with a downward-pitched motion vector; flip by pushing
-    the midpoint of the top edge opposite the flip direction horizontally.
-    Flip-and-push goals execute the flip first.
+def planning_baseline(cloud: PointCloud, goal: GoalSpec, obj) -> ObjectCentricAction:
+    """Geometric contact policy with the front-left leg: push at the center
+    of the face opposing the goal displacement with a downward-pitched motion
+    vector; flip by pushing the midpoint of the top edge opposite the flip
+    direction horizontally. Flip-and-push goals execute the flip first.
     """
-    p = params or PlanningBaselineParams()
     flip_needed, flip_dir, displacement = _goal_decomposition(goal, obj)
 
     if flip_needed:
         contact = _top_edge_midpoint(obj, flip_dir)
-        motion = flip_dir * p.flip_magnitude
+        motion = flip_dir * FLIP_MAGNITUDE
     else:
         d = displacement.copy()
         d[2] = 0.0
@@ -202,33 +197,31 @@ def planning_baseline(cloud: PointCloud, goal: GoalSpec, obj,
         if align[best] < math.cos(math.radians(60.0)):
             raise NoPlanError("no face within 60 degrees of the push direction")
         contact = centers[best]
-        mag = min(max(p.push_gain * dist, p.min_push), p.max_motion)
-        motion = mag * (math.cos(p.push_pitch_down_rad) * d_hat
-                        + math.sin(p.push_pitch_down_rad) * np.array([0.0, 0.0, -1.0]))
+        mag = min(max(PUSH_GAIN * dist, MIN_PUSH), MAX_MOTION)
+        motion = mag * (math.cos(PUSH_PITCH_DOWN_RAD) * d_hat
+                        + math.sin(PUSH_PITCH_DOWN_RAD) * np.array([0.0, 0.0, -1.0]))
 
     idx = int(np.argmin(np.linalg.norm(cloud.points - contact, axis=1)))
-    return ObjectCentricAction(idx, motion, leg)
+    return ObjectCentricAction(idx, motion, "front_left")
 
 
-def flow_baseline(cloud: PointCloud, goal: GoalSpec, obj,
-                  params: PlanningBaselineParams | None = None,
-                  leg: str = "front_left") -> ObjectCentricAction:
-    """Same contact selection as the planner; motion replaced by the flow
+def flow_baseline(cloud: PointCloud, goal: GoalSpec, obj) -> ObjectCentricAction:
+    """Same contact and leg as the planner; motion replaced by the flow
     between the observed and goal clouds at the contact point."""
-    base = planning_baseline(cloud, goal, obj, params, leg)
+    base = planning_baseline(cloud, goal, obj)
     flow, _ = goal_flow(cloud, goal.goal_cloud)
-    return ObjectCentricAction(base.contact_index, flow[base.contact_index], leg)
+    return ObjectCentricAction(base.contact_index, flow[base.contact_index], base.leg)
 
 
-def random_location_baseline(cloud: PointCloud, goal: GoalSpec, seed: int,
-                             leg: str = "front_left") -> ObjectCentricAction:
-    """Uniform contact index; motion from the flow rule at that point."""
+def random_location_baseline(cloud: PointCloud, goal: GoalSpec, seed: int) -> ObjectCentricAction:
+    """Uniform contact index with the front-left leg; motion from the flow
+    rule at that point."""
     if len(cloud) == 0:
         raise ValueError("empty cloud")
     rng = np.random.default_rng(seed)
     idx = int(rng.integers(len(cloud)))
     flow, _ = goal_flow(cloud, goal.goal_cloud)
-    return ObjectCentricAction(idx, flow[idx], leg)
+    return ObjectCentricAction(idx, flow[idx], "front_left")
 
 
 # ---------------------------------------------------------------------------

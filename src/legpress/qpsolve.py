@@ -69,10 +69,6 @@ class QpProblem:
     def n(self) -> int:
         return len(self.gradient)
 
-    def objective(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.hessian @ x + self.gradient @ x)
-
 
 @dataclass
 class QpSolution:

@@ -127,7 +127,7 @@ def _indexed_target(target: PointCloud):
     if len(target) < 10:
         raise ValueError("need at least 10 points per cloud")
     if target.normals is None:
-        target = estimate_normals(target, k_neighbors=min(12, len(target)))
+        target = estimate_normals(target)
     return target, cKDTree(target.points)
 
 

@@ -292,7 +292,6 @@ def leg_jacobians_local(legs) -> np.ndarray:
 class IkResult:
     reachable: bool
     joint_angles: np.ndarray | None
-    clamped_target: np.ndarray  # equals the target when reachable
 
 
 def _ik_local(d, side, l_abd, lt, lc, limits):
@@ -333,25 +332,13 @@ def _ik_local(d, side, l_abd, lt, lc, limits):
 
 
 def leg_inverse_kinematics(target: np.ndarray, leg: LegModel, trunk: SrbState) -> IkResult:
-    """Joint angles reaching the world target, or an unreachable result
-    carrying the closest reachable point, clamped along the hip-to-target ray
-    onto the geometric reach band of the leg."""
+    """Joint angles reaching the world target, or an unreachable result."""
     R = _rotation(trunk.rpy)
-    hip_world = trunk.position + R @ leg.hip_offset
-    d = R.T @ (np.asarray(target, dtype=float) - hip_world)
+    d = R.T @ (np.asarray(target, dtype=float) - (trunk.position + R @ leg.hip_offset))
     q = _ik_local(d.tolist(), leg.side, *leg.link_lengths, leg.joint_limits)
-    if q is not None:
-        return IkResult(True, np.array(q), np.asarray(target, dtype=float).copy())
-
-    l_abd, lt, lc = leg.link_lengths
-    r_max = math.hypot(l_abd, lt + lc)
-    r_min = math.hypot(l_abd, abs(lt - lc)) + 1e-6
-    dist = float(np.linalg.norm(d))
-    if dist < 1e-9:
-        return IkResult(False, None, hip_world + R @ np.array([0.0, leg.side * l_abd,
-                                                               -(lt + lc) * 0.7]))
-    scale = min(max(dist, r_min), r_max * (1.0 - 1e-9)) / dist
-    return IkResult(False, None, hip_world + R @ (d * scale))
+    if q is None:
+        return IkResult(False, None)
+    return IkResult(True, np.array(q))
 
 
 def _cofactor_solve(A, b, det: float) -> list:
@@ -729,9 +716,6 @@ class RobotState:
 
     def rotation(self) -> np.ndarray:
         return self.srb.rotation()
-
-    def hip_world(self, i: int) -> np.ndarray:
-        return self.srb.position + _rotation(self.srb.rpy) @ self.legs[i].hip_offset
 
     def copy(self) -> "RobotState":
         return RobotState(self.srb.copy(), [l.copy() for l in self.legs],

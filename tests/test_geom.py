@@ -85,7 +85,7 @@ def test_apply_transform_identity_and_translation():
 
 
 def test_apply_transform_yaw_90():
-    t = RigidTransform.from_euler(0.0, 0.0, math.pi / 2)
+    t = RigidTransform(euler_zyx_to_matrix(0.0, 0.0, math.pi / 2), np.zeros(3))
     cloud = PointCloud([[1.0, 0.0, 0.0]])
     out = apply_transform(t, cloud)
     assert np.max(np.abs(out.points[0] - np.array([0.0, 1.0, 0.0]))) < 1e-9

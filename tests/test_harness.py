@@ -8,7 +8,7 @@ import pytest
 
 from legpress import cli, harness, orchestrator
 from legpress.config import StackConfig, load_config
-from legpress.geom import RigidTransform
+from legpress.geom import RigidTransform, compose
 from legpress.harness import (
     AmbiguityBenchResult,
     TaskSpec,
@@ -19,7 +19,15 @@ from legpress.harness import (
     registration_benchmark,
     sample_task,
 )
-from legpress.orchestrator import EpisodeOptions
+from legpress.orchestrator import EpisodeOptions, EpisodeTrace, Observation
+from legpress.policy import (
+    GoalSpec,
+    flow_baseline,
+    load_maps,
+    planning_baseline,
+    random_location_baseline,
+    select_greedy,
+)
 from legpress.sensing import full_scan
 from legpress.simworld import ConvexMesh, SimObject, rest_pose_on_ground
 
@@ -279,3 +287,112 @@ def test_settle_sink_follows_the_configured_gravity():
     assert sinks[0.0] == 0.0
     assert sinks[9.81] > 0.0
     assert sinks[19.62] == pytest.approx(2.0 * sinks[9.81], rel=1e-9)
+
+
+# -- named policies -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def push_observation():
+    """The seed-0 box_push_fixed object as a full 400-point scan, with the
+    task goal relative to the object's pose."""
+    task = sample_task(TaskSpec("box_push_fixed"), 0)
+    cloud = full_scan(task.obj, 400, seed=0)
+    rel = compose(task.goal_pose, task.obj.pose.inverse())
+    return Observation(cloud, GoalSpec.from_cloud(rel, cloud), task.obj, 0)
+
+
+@pytest.mark.parametrize("name, direct", [
+    ("planning", lambda obs: planning_baseline(obs.cloud, obs.goal, obs.obj)),
+    ("flow", lambda obs: flow_baseline(obs.cloud, obs.goal, obs.obj)),
+    ("random", lambda obs: random_location_baseline(obs.cloud, obs.goal, obs.seed)),
+])
+def test_a_named_baseline_is_the_direct_call_with_the_front_left_leg(
+        name, direct, push_observation):
+    action = harness.make_provider(name)(push_observation)
+    expected = direct(push_observation)
+    assert action.leg == expected.leg == "front_left"
+    assert action.contact_index == expected.contact_index
+    assert np.array_equal(action.motion_params, expected.motion_params)
+
+
+def test_null_and_oracle_policies(push_observation):
+    action = harness.make_provider("null")(push_observation)
+    assert (action.contact_index, action.leg) == (0, "front_left")
+    assert np.array_equal(action.motion_params, np.zeros(3))
+    assert harness.make_provider("oracle")(push_observation) == "oracle_teleport"
+
+
+def test_planning_has_no_action_for_a_zero_displacement_goal(push_observation):
+    obs = push_observation
+    still = Observation(obs.cloud, GoalSpec.from_cloud(RigidTransform.identity(), obs.cloud),
+                        obs.obj, obs.seed)
+    assert harness.make_provider("planning")(still) is None
+
+
+def test_an_unknown_policy_name_is_rejected():
+    with pytest.raises(ValueError, match="unknown policy 'greedy'"):
+        harness.make_provider("greedy")
+
+
+def test_a_policy_calls_the_planner_bound_in_the_module_when_it_is_called(
+        push_observation, monkeypatch):
+    """A wrapper installed after the policy was made still sees every call."""
+    policy = harness.make_provider("planning")
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return planning_baseline(*args)
+
+    monkeypatch.setattr(harness, "planning_baseline", wrapped)
+    assert policy(push_observation).contact_index == \
+        planning_baseline(push_observation.cloud, push_observation.goal,
+                          push_observation.obj).contact_index
+    assert len(calls) == 1
+
+
+def write_maps(path, q: np.ndarray) -> str:
+    """Actor/critic file with q (n, channels) and motion (0.1 * channel, 0, 0)."""
+    lines = ["# point_index leg_channel mx my mz q"]
+    lines += [f"{i} {c} {0.1 * c} 0.0 0.0 {q[i, c]}"
+              for i in range(q.shape[0]) for c in range(q.shape[1])]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.fixture
+def right_leg_maps(tmp_path):
+    """Maps over 400 points whose best entry is point 123 with the right leg."""
+    q = np.full((400, 2), -10.0)
+    q[123, 1] = -1.0
+    return write_maps(tmp_path / "maps.txt", q)
+
+
+def test_maps_replay_the_greedy_action(right_leg_maps, push_observation):
+    action = harness.make_provider(f"maps:{right_leg_maps}")(push_observation)
+    expected = select_greedy(*load_maps(right_leg_maps))
+    assert (action.contact_index, action.leg) == (expected.contact_index, expected.leg) \
+        == (123, "front_right")
+    assert np.array_equal(action.motion_params, expected.motion_params)
+
+
+def test_eval_executes_the_leg_the_maps_pick(right_leg_maps, tmp_path, capsys):
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--task", "box_push_fixed", "--policy", f"maps:{right_leg_maps}",
+                     "--episodes", "1", "--max-steps", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    trace = EpisodeTrace.read_jsonl(str(out / "trace_box_push_fixed_0.jsonl"))
+    assert [(a["contact_index"], a["leg"]) for a in trace.actions] == [(123, "front_right")]
+    assert any(r["type"] == "transition" and r["to"] == "MANIPULATION" for r in trace.records)
+
+
+def test_maps_of_another_cloud_size_exit_2_with_a_json_record(tmp_path, capsys):
+    q = np.full((500, 1), -10.0)
+    q[450, 0] = -1.0
+    path = write_maps(tmp_path / "maps.txt", q)
+    assert cli.main(["eval", "--task", "box_push_fixed", "--policy", f"maps:{path}",
+                     "--episodes", "1", "--max-steps", "1"]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": "maps cover 500 points but the observed cloud has 400"}

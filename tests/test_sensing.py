@@ -114,7 +114,8 @@ def test_render_exact_point_count():
     cloud = render_object_cloud(world, cam, 0, 400, seed=7)
     assert len(cloud) == 400
     assert cloud.normals is not None
-    cloud.validate()
+    assert np.all(np.isfinite(cloud.points))
+    assert np.max(np.abs(np.linalg.norm(cloud.normals, axis=1) - 1.0)) <= 1e-6
 
 
 def test_render_no_back_face_points():
