@@ -78,6 +78,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_multistep(args) -> int:
+    if args.runs < 1:
+        raise ValueError("need at least one run")
     config = load_config(args.config)
     options = EpisodeOptions(reposition=args.reposition, pose_source=args.pose_source)
     _print_blas_env()
@@ -112,11 +114,14 @@ def cmd_regbench(args) -> int:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    """Seeds from '0-9', '3' or '0-2,7' (ranges inclusive)."""
+    """Seeds from '0-9', '3' or '0-2,7' (ranges inclusive, low to high)."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise ValueError(f"seed range {part!r} runs from high to low")
+        seeds.extend(range(lo, hi + 1))
     return seeds
 
 

@@ -97,8 +97,11 @@ def dot3(a, b) -> float:
 
 
 def matvec3(M, x) -> list:
-    """M x."""
-    return [dot3(M[0], x), dot3(M[1], x), dot3(M[2], x)]
+    """M x: each entry the `dot3` of a row and x."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
+    x0, x1, x2 = x
+    return [m00 * x0 + m01 * x1 + m02 * x2, m10 * x0 + m11 * x1 + m12 * x2,
+            m20 * x0 + m21 * x1 + m22 * x2]
 
 
 def matvec3_t(M, x) -> list:

@@ -373,6 +373,8 @@ def registration_benchmark(n_cases: int = 200, seed: int = 0) -> RegBenchResult:
     scans under bounded random perturbations; reports rotation/translation
     mean absolute error of the recovered transforms and how often each ICP
     start stopped on each exit rule."""
+    if n_cases < 1:
+        raise ValueError("need at least one registration case")
     rng = np.random.default_rng(seed)
     rot_errs, trans_errs = [], []
     exits = dict.fromkeys(EXITS, 0)
@@ -413,6 +415,8 @@ def ambiguity_benchmark(n_trials: int = 40, seed: int = 0) -> AmbiguityBenchResu
     """Near-square prism with a corner stud: single-shot registration snaps to
     the wrong 90-degree minimum for large yaw offsets; the rank-sum augmented
     pipeline should recover the true pose far more often."""
+    if n_trials < 1:
+        raise ValueError("need at least one ambiguity trial")
     rng = np.random.default_rng(seed)
     aug_ok = single_ok = 0
     shape = Compound(((Box((0.08, 0.08, 0.05)), (0.0, 0.0, 0.0)),

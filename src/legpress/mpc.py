@@ -11,9 +11,11 @@ condensation, so the QP is over U alone:
 U holds the force triples of the feet in stance at each horizon step and
 nothing else, so a swing foot's force is zero by construction: the QP has
 no swing-foot columns and no equality rows, only a friction pyramid and
-vertical bounds per stance triple. One instance owns a QP solver and is
-re-solved every `force_update_period` sim steps while the last force set is
-replayed through the (re-evaluated) Jacobian-transpose map in between.
+vertical bounds per stance triple. These constraints depend only on the
+stance count, so an instance builds them once per count and keeps them as
+read-only arrays. One instance owns a QP solver and is re-solved every
+`force_update_period` sim steps while the last force set is replayed through
+the (re-evaluated) Jacobian-transpose map in between.
 """
 from __future__ import annotations
 
@@ -190,6 +192,18 @@ class ForceMpc:
         self.inertia = np.diag(config.robot.trunk_inertia)
         self.solver = QpSolver()
         self.prev_forces = np.zeros((N_LEGS, 3))
+        self._constraints = {}  # stance count -> read-only (C, lo, hi)
+
+    def constraints(self, n_stance: int) -> tuple:
+        """build_constraints of this config, built once per stance count as
+        read-only arrays."""
+        if n_stance not in self._constraints:
+            cfg = self.config
+            arrays = build_constraints(n_stance, cfg.friction, cfg.f_min, cfg.f_max)
+            for a in arrays:
+                a.flags.writeable = False
+            self._constraints[n_stance] = arrays
+        return self._constraints[n_stance]
 
     def reference_trajectory(self, state: SrbState, command) -> np.ndarray:
         """Integrate (yaw rate, vx, vy, height) from the current state."""
@@ -197,15 +211,14 @@ class ForceMpc:
         k = self.config.horizon
         yaw0 = state.rpy[2]
         v_world = rot_z(yaw0) @ np.array([vx, vy, 0.0])
+        t = np.arange(1, k + 1) * self.dt  # the end of each horizon step
         ref = np.zeros((k, NX))
-        for i in range(k):
-            t = (i + 1) * self.dt
-            ref[i, 2] = yaw0 + yaw_rate * t
-            ref[i, 3:5] = state.position[:2] + v_world[:2] * t
-            ref[i, 5] = height
-            ref[i, 8] = yaw_rate
-            ref[i, 9:11] = v_world[:2]
-            ref[i, 12] = state.gravity_placeholder
+        ref[:, 2] = yaw0 + yaw_rate * t
+        ref[:, 3:5] = state.position[:2] + v_world[:2] * t[:, None]
+        ref[:, 5] = height
+        ref[:, 8] = yaw_rate
+        ref[:, 9:11] = v_world[:2]
+        ref[:, 12] = state.gravity_placeholder
         return ref
 
     def step(self, state: SrbState, command, foot_positions, gait: GaitSchedule,
@@ -217,7 +230,7 @@ class ForceMpc:
                           for i in range(k)])
         A_qp, B_qp = condense(lin.A, lin.B, k)
         B_qp = B_qp[:, np.repeat(flags.ravel(), 3)]  # stance force columns only
-        C, lo, hi = build_constraints(int(flags.sum()), cfg.friction, cfg.f_min, cfg.f_max)
+        C, lo, hi = self.constraints(int(flags.sum()))
         qp = condensed_to_qp(A_qp, B_qp, state.as_vector(),
                              self.reference_trajectory(state, command),
                              cfg.state_weights, cfg.force_weight, C, lo, hi)
@@ -231,16 +244,19 @@ class ForceMpc:
         return MpcResult(forces, False, lin.validity_warning)
 
 
-def stance_torques(robot: RobotState, forces: np.ndarray) -> np.ndarray:
-    """Joint torques realizing ground reaction forces: tau = -J^T f per leg,
-    computed as -Jl^T (R^T f) on the float rows of the trunk rotation R and
-    each leg's trunk-frame Jacobian Jl. Returns a (4, 3) array."""
+def stance_torques(robot: RobotState, forces: np.ndarray, stance) -> list:
+    """Joint torques realizing ground reaction forces on the legs whose
+    stance flag is set: tau = -J^T f per leg, computed as -Jl^T (R^T f) on the
+    float rows of the trunk rotation R and each leg's trunk-frame Jacobian Jl.
+    Returns the 12 torques as a flat list of floats, zeros for a swing leg."""
     R = rotation_rows(robot.srb)
-    tau = []
-    for leg, f in zip(robot.legs, np.asarray(forces, dtype=float).reshape(N_LEGS, 3).tolist()):
-        t0, t1, t2 = matvec3_t(leg_jacobian_rows(leg), matvec3_t(R, f))
-        tau.append((-t0, -t1, -t2))
-    return np.array(tau)
+    rows = np.asarray(forces, dtype=float).reshape(N_LEGS, 3).tolist()
+    tau = [0.0] * (3 * N_LEGS)
+    for i, leg in enumerate(robot.legs):
+        if stance[i]:
+            t0, t1, t2 = matvec3_t(leg_jacobian_rows(leg), matvec3_t(R, rows[i]))
+            tau[3 * i:3 * i + 3] = -t0, -t1, -t2
+    return tau
 
 
 def raibert_foothold(leg: LegModel, command_velocity, gait: GaitSchedule,

@@ -229,7 +229,7 @@ class _OrchestratorCore:
         self.gait = GaitSchedule.stand()
         self.forces = np.zeros((4, 3))
         self.step_count = 0
-        self.command_velocity = np.zeros(2)  # world frame
+        self.command_velocity = (0.0, 0.0)  # world frame
         self.command_yaw_rate = 0.0
         self.executor: SwingExecutor | None = None
         self.trace: EpisodeTrace | None = None
@@ -262,21 +262,26 @@ class _OrchestratorCore:
         return self.world.robot.feet_pos[idx, :2].mean(axis=0)
 
     def drive_towards(self, target_xy, yaw_target, gain, v_max):
-        e = np.asarray(target_xy) - self.world.robot.srb.position[:2]
-        v = gain * e
-        n = float(np.linalg.norm(v))
+        """Command gain times the position error, capped at v_max, and twice
+        the yaw error, capped at 0.6 rad/s (on floats; the norm is numpy's)."""
+        srb = self.world.robot.srb
+        tx, ty = np.asarray(target_xy, dtype=float).tolist()
+        px, py, _ = srb.position.tolist()
+        vx, vy = gain * (tx - px), gain * (ty - py)
+        n = float(np.linalg.norm([vx, vy]))
         if n > v_max:
-            v *= v_max / n
-        self.command_velocity[:] = v
+            s = v_max / n
+            vx, vy = vx * s, vy * s
+        self.command_velocity = (vx, vy)
         if yaw_target is not None:
-            err = math.atan2(math.sin(yaw_target - self.world.robot.srb.rpy[2]),
-                             math.cos(yaw_target - self.world.robot.srb.rpy[2]))
-            self.command_yaw_rate = float(np.clip(2.0 * err, -0.6, 0.6))
+            d = yaw_target - float(srb.rpy[2])
+            err = math.atan2(math.sin(d), math.cos(d))
+            self.command_yaw_rate = min(0.6, max(-0.6, 2.0 * err))
         else:
             self.command_yaw_rate = 0.0
 
     def hold_station(self):
-        self.command_velocity[:] = 0.0
+        self.command_velocity = (0.0, 0.0)
         self.command_yaw_rate = 0.0
 
     def nominal_foothold(self, leg_index: int) -> np.ndarray:
@@ -288,13 +293,14 @@ class _OrchestratorCore:
 
     def control_step(self) -> None:
         world = self.world
-        srb = world.robot.srb
+        robot = world.robot
+        srb = robot.srb
         if self.step_count % self.cfg.mpc.force_update_period == 0:
             yaw = srb.rpy[2]
             v_robot = rot_z(yaw).T @ np.array([*self.command_velocity, 0.0])
             command = (self.command_yaw_rate, v_robot[0], v_robot[1],
                        self.cfg.mpc.stand_height)
-            res = self.mpc.step(srb, command, world.robot.feet_pos, self.gait, world.time)
+            res = self.mpc.step(srb, command, robot.feet_pos, self.gait, world.time)
             if res.fault:
                 raise EpisodeFault("mpc_solver_fault")
             self.forces = res.forces
@@ -304,20 +310,20 @@ class _OrchestratorCore:
                     "srb": [round(float(v), 6) for v in srb.as_vector()],
                     "objects": [_pose_record(o) for o in world.objects],
                 })
-        tau = stance_torques(world.robot, self.forces)
+        stance = [self.gait.query(world.time, i) for i in range(4)]
+        tau = stance_torques(robot, self.forces, stance)
         dt = self.cfg.sim.dt
-
         for i in range(4):
-            if self.gait.query(world.time, i):
+            if stance[i]:
                 continue
             p_des, v_des = self._swing_target(i, dt)
             cmd = impedance_torque_tracking(
-                world.robot.legs[i], srb, world.robot.feet_pos[i],
-                world.robot.feet_vel[i], p_des, v_des, self.gains)
-            tau[i] = cmd.torques
+                robot.legs[i], srb, robot.feet_pos[i].tolist(), robot.feet_vel[i].tolist(),
+                p_des, v_des, self.gains)
+            tau[3 * i:3 * i + 3] = cmd.torques.tolist()
 
         try:
-            sim_step(world, tau.reshape(-1), dt)
+            sim_step(world, tau, dt)
         except SimulationDivergence as e:
             raise EpisodeFault(f"simulation_divergence ({e})") from e
         self.step_count += 1
@@ -328,6 +334,7 @@ class _OrchestratorCore:
             self.control_step()
 
     def _swing_target(self, leg_index: int, dt: float):
+        """Desired foot point and velocity of a swing leg, as float lists."""
         # in MANIPULATION the action's leg is the only one in swing
         if self.state == MANIPULATION and self.executor is not None:
             p, v, _ = self.executor.tick(self.world.robot.feet_pos[leg_index], dt)
@@ -335,7 +342,7 @@ class _OrchestratorCore:
         if self.state == WALKING:
             return self._trot_swing_target(leg_index)
         # POST_ACT and any residual case: settle onto the nominal foothold
-        return self.nominal_foothold(leg_index), np.zeros(3)
+        return self.nominal_foothold(leg_index).tolist(), [0.0, 0.0, 0.0]
 
     def _trot_swing_target(self, leg_index: int):
         gait = self.gait
@@ -352,7 +359,7 @@ class _OrchestratorCore:
         start = mark[1]
         pos = start + phase * (target - start)
         pos[2] = self.cfg.robot.foot_radius + 0.04 * math.sin(math.pi * min(phase, 1.0))
-        return pos, np.zeros(3)
+        return pos.tolist(), [0.0, 0.0, 0.0]
 
     # -- repositioning -------------------------------------------------------
 

@@ -20,7 +20,7 @@ reads the trunk, feet and objects once with `.tolist()` and writes them back
 once into the same public arrays (an object gets a new `RigidTransform`), and
 hands its floats to `_sync_legs`, which writes only joint state except at a
 joint stop. On floats are: the leg sync (hip point, foot offset in the hip
-frame, velocity relative to the trunk, joint-velocity solve), the actuator
+frame, the closed-form joint angles and their Jacobian), the actuator
 tip forces (the transposed Jacobian solve, with a damped least-squares
 fallback near a singular Jacobian), the ground contacts of the feet and of
 each object vertex below the ground, the foot-object contacts, the friction
@@ -51,19 +51,19 @@ Numpy stays where it is the better tool or a reference depends on it:
     `SrbState.rotation()` to it bit for bit and `regbench` inputs go through
     it, so the rotation rows are its values;
   - the SVD that re-orthonormalises each orientation every 64 steps;
-  - the array accessors `leg_jacobian`, `leg_jacobians_local` and
-    `SrbState.rotation`, which build their arrays on request; the numpy
-    forms of the stance torques and the impedance law are kept only as test
-    references.
-Leg kinematics once per tick, as float rows. The rotation of an rpy value
-and a leg's trunk-frame Jacobian for a joint-angle value are computed once
-and shared, keyed on the bytes of the values, so an in-place write (a
-teleport) can never read a stale entry. The rotation memo holds the
-read-only array and its rows, the Jacobian memo rows only. `_sync_legs` fills
-the Jacobian entry of the joint angles it sets; the controllers and the next
-tick's actuator map read it through `rotation_rows` and `leg_jacobian_rows`.
-Rows are tuples and safe to share; array accessors hand out new arrays or
-copies. The float 3-vector helpers are public in `geom`.
+  - `SrbState.rotation`, which hands out a copy of the slot's array; the
+    numpy forms of the stance torques and the impedance law are kept only as
+    test references.
+Leg kinematics once per tick, as float rows. Each `SrbState` keeps one slot
+with the bytes of its rpy, the read-only rotation array and its rows; each
+`LegModel` keeps one slot with the bytes of its joint angles and its
+trunk-frame Jacobian rows. A read checks the slot against the current bytes
+and recomputes on a mismatch, so an in-place write (a teleport) can never
+read a stale value. `_sync_legs` fills each leg's slot from the float angles
+it has just solved; the controllers and the next tick's actuator map read the
+slots through `rotation_rows` and `leg_jacobian_rows`. Rows are tuples and
+safe to share; array accessors hand out new arrays or copies. The float
+3-vector helpers are public in `geom`.
 """
 from __future__ import annotations
 
@@ -144,6 +144,8 @@ class SrbState:
     angular_velocity: np.ndarray
     linear_velocity: np.ndarray
     gravity_placeholder: float = 9.81
+    # (bytes of rpy, read-only rotation matrix, its rows), see rotation_rows
+    _rot: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rpy = np.asarray(self.rpy, dtype=float).reshape(3).copy()
@@ -156,7 +158,7 @@ class SrbState:
                                self.linear_velocity, [self.gravity_placeholder]])
 
     def rotation(self) -> np.ndarray:
-        return _rotation(self.rpy).copy()
+        return _rotation(self).copy()
 
     def copy(self) -> "SrbState":
         return SrbState(self.rpy, self.position, self.angular_velocity,
@@ -170,12 +172,12 @@ class LegModel:
     link_lengths: tuple  # (abduction offset, thigh, calf)
     joint_limits: tuple  # (lo, hi) per joint: hip roll, hip pitch, knee
     joint_angles: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    joint_velocities: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    # (bytes of joint_angles, trunk-frame Jacobian rows), see leg_jacobian_rows
+    _jac: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.hip_offset = np.asarray(self.hip_offset, dtype=float).reshape(3)
         self.joint_angles = np.asarray(self.joint_angles, dtype=float).reshape(3).copy()
-        self.joint_velocities = np.asarray(self.joint_velocities, dtype=float).reshape(3).copy()
 
     @property
     def shoulder(self) -> np.ndarray:
@@ -184,8 +186,7 @@ class LegModel:
 
     def copy(self) -> "LegModel":
         return LegModel(self.hip_offset.copy(), self.side, self.link_lengths,
-                        self.joint_limits, self.joint_angles.copy(),
-                        self.joint_velocities.copy())
+                        self.joint_limits, self.joint_angles.copy())
 
 
 def make_legs(rc: RobotConfig) -> list[LegModel]:
@@ -199,25 +200,29 @@ def make_legs(rc: RobotConfig) -> list[LegModel]:
 
 
 # ---------------------------------------------------------------------------
-# leg kinematics: float math on the joint angles; the rotation and the local
-# Jacobian are shared per value (see the module docstring)
+# leg kinematics: float math on the joint angles; the trunk rotation and each
+# leg's local Jacobian are kept in a slot on their object (see the module
+# docstring)
 
 
-@functools.lru_cache(maxsize=16)
-def _rotation_of(rpy_bytes: bytes) -> tuple:
-    R = _freeze(euler_zyx_to_matrix(*np.frombuffer(rpy_bytes).tolist()))
-    return R, tuple(map(tuple, R.tolist()))
+def _rotation_slot(trunk: SrbState) -> tuple:
+    """The trunk's rotation slot, recomputed when rpy no longer has its bytes."""
+    key = trunk.rpy.tobytes()
+    slot = trunk._rot
+    if slot[0] != key:
+        R = _freeze(euler_zyx_to_matrix(*trunk.rpy.tolist()))
+        slot = trunk._rot = (key, R, tuple(map(tuple, R.tolist())))
+    return slot
 
 
-def _rotation(rpy: np.ndarray) -> np.ndarray:
-    """Read-only rotation matrix of a float64 rpy array, shared per value."""
-    return _rotation_of(rpy.tobytes())[0]
+def _rotation(trunk: SrbState) -> np.ndarray:
+    """Read-only rotation matrix of the trunk's rpy."""
+    return _rotation_slot(trunk)[1]
 
 
 def rotation_rows(trunk: SrbState) -> tuple:
-    """The trunk rotation as three float rows, shared per rpy value: the rows
-    of `trunk.rotation()`."""
-    return _rotation_of(trunk.rpy.tobytes())[1]
+    """The trunk rotation as three float rows: the rows of `trunk.rotation()`."""
+    return _rotation_slot(trunk)[2]
 
 
 @functools.lru_cache(maxsize=16)
@@ -256,36 +261,27 @@ def _jac_local(q1, q2, q3, side, l_abd, lt, lc):
             (py, c1 * dwz2, c1 * dwz3))
 
 
-@functools.lru_cache(maxsize=16)
-def _jac_of(q_bytes: bytes, side, l_abd, lt, lc) -> tuple:
-    return _jac_local(*np.frombuffer(q_bytes).tolist(), side, l_abd, lt, lc)
-
-
 def leg_jacobian_rows(leg: LegModel) -> tuple:
     """Trunk-frame Jacobian d(foot offset)/d(joint angles) of the leg's joint
-    angles as three float rows, shared per value."""
-    return _jac_of(leg.joint_angles.tobytes(), leg.side, *leg.link_lengths)
+    angles as three float rows, recomputed when the angles no longer have the
+    slot's bytes."""
+    key = leg.joint_angles.tobytes()
+    slot = leg._jac
+    if slot[0] != key:
+        slot = leg._jac = (key, _jac_local(*leg.joint_angles.tolist(), leg.side,
+                                           *leg.link_lengths))
+    return slot[1]
 
 
 def leg_forward_kinematics(leg: LegModel, trunk: SrbState) -> np.ndarray:
     """World-frame foot position from trunk pose and joint angles."""
     local = np.array(_fk_local(*leg.joint_angles.tolist(), leg.side, *leg.link_lengths))
-    return trunk.position + _rotation(trunk.rpy) @ (leg.hip_offset + local)
+    return trunk.position + _rotation(trunk) @ (leg.hip_offset + local)
 
 
 def shoulder_point(leg: LegModel, trunk: SrbState) -> np.ndarray:
     """World-frame shoulder point of the leg."""
-    return trunk.position + _rotation(trunk.rpy) @ leg.shoulder
-
-
-def leg_jacobian(leg: LegModel, trunk: SrbState) -> np.ndarray:
-    """World-frame 3x3 Jacobian d(foot position)/d(joint angles)."""
-    return _rotation(trunk.rpy) @ np.array(leg_jacobian_rows(leg))
-
-
-def leg_jacobians_local(legs) -> np.ndarray:
-    """Trunk-frame Jacobians of the legs, stacked (n, 3, 3)."""
-    return np.array([leg_jacobian_rows(leg) for leg in legs])
+    return trunk.position + _rotation(trunk) @ leg.shoulder
 
 
 @dataclass
@@ -333,7 +329,7 @@ def _ik_local(d, side, l_abd, lt, lc, limits):
 
 def leg_inverse_kinematics(target: np.ndarray, leg: LegModel, trunk: SrbState) -> IkResult:
     """Joint angles reaching the world target, or an unreachable result."""
-    R = _rotation(trunk.rpy)
+    R = _rotation(trunk)
     d = R.T @ (np.asarray(target, dtype=float) - (trunk.position + R @ leg.hip_offset))
     q = _ik_local(d.tolist(), leg.side, *leg.link_lengths, leg.joint_limits)
     if q is None:
@@ -768,19 +764,19 @@ def seat_feet(world: WorldState) -> None:
 
 
 def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
-    """Recompute joint angles/velocities from foot points; clamp feet that
-    drifted out of the workspace back onto the reachable boundary.
+    """Recompute joint angles from foot points and fill each leg's Jacobian
+    slot from the angles just solved; feet that drifted out of the workspace
+    ride with the trunk at their joint stops.
 
     The trunk and feet come in as floats: the rows of the trunk rotation, the
     trunk position, velocity and angular velocity, and the feet's point and
     velocity lists, all equal to the robot's arrays. A leg at its joint stops
     moves its foot and corrects the trunk velocity in these lists and in the
-    arrays; otherwise only joint state is written."""
+    arrays; otherwise only the joint angles and the slot are written."""
     robot = world.robot
     mf = world.config.robot.foot_mass
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
     p0, p1, p2 = pos
-    w0, w1, w2 = w
     for i, leg in enumerate(robot.legs):
         o0, o1, o2 = off = leg.hip_offset.tolist()
         fp = feet_p[i]
@@ -806,21 +802,10 @@ def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
                 robot.srb.linear_velocity[:] = v
             feet_p[i] = robot.feet_pos[i] = p_new
             feet_v[i] = robot.feet_vel[i] = v_new
-            leg.joint_velocities[:] = 0.0
             continue
         leg.joint_angles[:] = q
-        # the foot velocity relative to the trunk, fv - v - w x (fp - pos), in
-        # the trunk frame; reading the Jacobian fills its memo for the
-        # controllers' tick
-        x0, x1, x2 = fp[0] - p0, fp[1] - p1, fp[2] - p2
-        fv = feet_v[i]
-        u0 = fv[0] - v[0] - (w1 * x2 - w2 * x1)
-        u1 = fv[1] - v[1] - (w2 * x0 - w0 * x2)
-        u2 = fv[2] - v[2] - (w0 * x1 - w1 * x0)
-        leg.joint_velocities[:] = _solve3(
-            leg_jacobian_rows(leg), (r00 * u0 + r10 * u1 + r20 * u2,
-                                     r01 * u0 + r11 * u1 + r21 * u2,
-                                     r02 * u0 + r12 * u1 + r22 * u2))
+        # the controllers' tick and the next step read this Jacobian
+        leg._jac = (leg.joint_angles.tobytes(), _jac_local(*q, leg.side, *leg.link_lengths))
 
 
 def _normal_force(pen, pen_rate, cc: ContactConfig, m_eff: float, dt: float) -> float:

@@ -11,7 +11,7 @@ Kp is what the foot presses with.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,17 +35,22 @@ class UnreachableActionError(RuntimeError):
     """Contact point outside the leg workspace even for planning purposes."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImpedanceGains:
+    """Read-only gain matrices, also held as float rows for the torque law."""
+
     K_p: np.ndarray
     K_d: np.ndarray
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.K_p = np.asarray(self.K_p, dtype=float)
-        self.K_d = np.asarray(self.K_d, dtype=float)
-        for M in (self.K_p, self.K_d):
+        for name in ("K_p", "K_d"):
+            M = np.array(getattr(self, name), dtype=float)
             if np.max(np.abs(M - M.T)) > 1e-12 or np.any(np.linalg.eigvalsh(M) < -1e-12):
                 raise ValueError("gain matrices must be symmetric PSD")
+            M.flags.writeable = False
+            object.__setattr__(self, name, M)
+        object.__setattr__(self, "_rows", (self.K_p.tolist(), self.K_d.tolist()))
 
     @staticmethod
     def from_config(cfg: SwingConfig) -> "ImpedanceGains":
@@ -62,20 +67,17 @@ def impedance_torque_tracking(leg: LegModel, trunk: SrbState, p_foot, v_foot,
                               p_des, v_des, gains: ImpedanceGains) -> ImpedanceCommand:
     """Exactly the foot-space PD law, with the measured foot state supplied
     by the caller (the simulator knows the foot point and velocity exactly).
+    The four vectors are 3-sequences, at their fastest as Python floats.
     Near-singular Jacobians still produce torques but are flagged."""
     Jl = leg_jacobian_rows(leg)
-    ep = [a - b for a, b in zip(_floats(p_des), _floats(p_foot))]
-    ev = [a - b for a, b in zip(_floats(v_des), _floats(v_foot))]
-    fp, fd = matvec3(gains.K_p.tolist(), ep), matvec3(gains.K_d.tolist(), ev)
+    ep = [a - b for a, b in zip(p_des, p_foot)]
+    ev = [a - b for a, b in zip(v_des, v_foot)]
+    kp, kd = gains._rows
+    fp, fd = matvec3(kp, ep), matvec3(kd, ev)
     f = [fp[0] + fd[0], fp[1] + fd[1], fp[2] + fd[2]]
     # J = R Jl, so J^T f = Jl^T (R^T f) and det J = det Jl (det R = 1)
     tau = matvec3_t(Jl, matvec3_t(rotation_rows(trunk), f))
     return ImpedanceCommand(np.array(tau), abs(det3(Jl)) < 1e-6)
-
-
-def _floats(x) -> list:
-    """A 3-vector as three Python floats."""
-    return np.asarray(x, dtype=float).reshape(3).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +138,20 @@ class SwingPlan:
     def duration(self) -> float:
         return self.waypoints[-1].time
 
-    def target_at(self, t: float) -> tuple[np.ndarray, np.ndarray, str]:
-        """Linear interpolation along the time-stamped waypoints."""
+    def target_at(self, t: float) -> tuple[list, list, str]:
+        """Linear interpolation along the time-stamped waypoints: position
+        and velocity as lists of three floats, and the phase."""
         wps = self.waypoints
         if t <= wps[0].time:
-            return wps[0].position.copy(), np.zeros(3), wps[0].phase
+            return wps[0].position.tolist(), [0.0, 0.0, 0.0], wps[0].phase
         for a, b in zip(wps[:-1], wps[1:]):
             if t <= b.time:
                 span = max(b.time - a.time, 1e-9)
                 s = (t - a.time) / span
-                pos = a.position + s * (b.position - a.position)
-                vel = (b.position - a.position) / span
-                return pos, vel, b.phase
-        return wps[-1].position.copy(), np.zeros(3), wps[-1].phase
+                pa, pb = a.position.tolist(), b.position.tolist()
+                d = [y - x for x, y in zip(pa, pb)]
+                return [x + s * dk for x, dk in zip(pa, d)], [dk / span for dk in d], b.phase
+        return wps[-1].position.tolist(), [0.0, 0.0, 0.0], wps[-1].phase
 
 
 class SwingExecutor:
@@ -168,7 +171,8 @@ class SwingExecutor:
         return self.t >= self.plan.duration
 
     def tick(self, foot_pos, dt: float):
-        """Advance and return (p_des, v_des, phase)."""
+        """Advance and return (p_des, v_des, phase), the vectors as lists of
+        three floats."""
         gate = (self.t < self._contact_time <= self.t + dt)
         if gate:
             close = float(np.linalg.norm(np.asarray(foot_pos) - self.plan.contact_point)) \
@@ -176,7 +180,7 @@ class SwingExecutor:
             if not close and self._held < HOLD_TIMEOUT:
                 self._held += dt
                 phase = self.plan.target_at(self._contact_time - 1e-9)[2]
-                return self.plan.contact_point.copy(), np.zeros(3), phase
+                return self.plan.contact_point.tolist(), [0.0, 0.0, 0.0], phase
         self.t += dt
         return self.plan.target_at(self.t)
 

@@ -9,8 +9,10 @@ from legpress.geom import (
     RigidTransform,
     apply_transform,
     compose,
+    dot3,
     euler_zyx_to_matrix,
     matrix_to_euler_zyx,
+    matvec3,
     rotation_exp,
 )
 
@@ -149,3 +151,12 @@ def test_rotation_about_center_keeps_center_fixed():
     c = rng.normal(size=3)
     t = RigidTransform.rotation_about(rotation_exp(rng.normal(size=3)), c)
     assert np.max(np.abs(t.apply(c) - c)) < 1e-12
+
+
+def test_matvec3_equals_the_dot3_form():
+    """Each entry of M x is the dot3 of a row and x, bit for bit."""
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        M = (rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-6, 6, size=(3, 3))).tolist()
+        x = (rng.normal(size=3) * 10.0 ** rng.integers(-6, 6, size=3)).tolist()
+        assert matvec3(M, x) == [dot3(M[0], x), dot3(M[1], x), dot3(M[2], x)]

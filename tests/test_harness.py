@@ -71,6 +71,25 @@ def test_multi_step_y_error_is_read_from_the_final_pose(teleport_run):
     assert res.outcome == traces[0].outcome
 
 
+def test_multi_step_walk_reaches_the_target(monkeypatch):
+    """Seed-0 run in walk mode: it trots to the second standoff pose (trot
+    MPC schedules, Raibert footholds, two swing legs)."""
+    traces = []
+    run_episode = harness.run_episode
+
+    def recording(*args, **kwargs):
+        traces.append(run_episode(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(harness, "run_episode", recording)
+    res = multi_step_protocol("planning", seed=0, options=EpisodeOptions(reposition="walk"),
+                              target_distance=0.2)
+    assert res.outcome == "success"
+    assert res.steps == 2
+    assert res.y_error_cm == pytest.approx(2.526069637498182, abs=1e-4)
+    assert any(r["type"] == "transition" and r["to"] == "WALKING" for r in traces[0].records)
+
+
 def test_multi_step_oracle_teleports_through_the_sub_goals():
     res = multi_step_protocol("oracle", seed=0, options=EpisodeOptions(reposition="teleport"),
                               target_distance=0.2)
@@ -235,6 +254,24 @@ def test_bad_input_exits_2_with_a_json_record(tmp_path, capsys):
         "error": "ValueError", "message": "unknown config key [robot] trunk_masss"}
     assert cli.main(["replay", "--trace", str(tmp_path / "missing.jsonl")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["regbench", "--cases", "0"], "need at least one registration case"),
+    (["regbench", "--cases", "1", "--ambiguity", "-1"], "need at least one ambiguity trial"),
+    (["multistep", "--runs", "0"], "need at least one run"),
+    (["sweep", "--seeds", "5-3"], "seed range '5-3' runs from high to low"),
+])
+def test_empty_work_exits_2_with_a_json_record(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+
+
+def test_empty_benchmark_suites_are_rejected():
+    with pytest.raises(ValueError, match="at least one registration case"):
+        registration_benchmark(0)
+    with pytest.raises(ValueError, match="at least one ambiguity trial"):
+        ambiguity_benchmark(0)
 
 
 def test_a_bug_in_a_command_propagates(monkeypatch, capsys):

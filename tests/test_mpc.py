@@ -4,7 +4,7 @@ import math
 import numpy as np
 
 from legpress.config import GaitConfig, StackConfig
-from legpress.geom import euler_zyx_to_matrix, rot_y, rot_z
+from legpress.geom import euler_zyx_to_matrix, matvec3_t, rot_y, rot_z
 from legpress.mpc import (
     ForceMpc,
     GaitSchedule,
@@ -15,7 +15,7 @@ from legpress.mpc import (
     stance_torques,
 )
 from legpress.qpsolve import QpProblem, QpSolver
-from legpress.simworld import SrbState, leg_jacobians_local, standing_world, step
+from legpress.simworld import SrbState, leg_jacobian_rows, rotation_rows, standing_world, step
 
 
 MASS = 12.0
@@ -212,6 +212,44 @@ def test_trot_phase_equalities_zero_swing_pair():
     assert C.shape == (5 * int(flags.sum()), 3 * int(flags.sum()))
 
 
+def test_cached_constraints_equal_a_fresh_build_and_are_read_only():
+    mpc = ForceMpc(StackConfig())
+    cfg = mpc.config
+    for n in (40, 30, 20, 31, 40):
+        cached = mpc.constraints(n)
+        assert mpc.constraints(n) is cached
+        for a, b in zip(cached, build_constraints(n, cfg.friction, cfg.f_min, cfg.f_max)):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable
+
+
+def _loop_reference(mpc, state, command):
+    """reference_trajectory as a loop over the horizon rows."""
+    yaw_rate, vx, vy, height = command
+    yaw0 = state.rpy[2]
+    v_world = rot_z(yaw0) @ np.array([vx, vy, 0.0])
+    ref = np.zeros((mpc.config.horizon, 13))
+    for i in range(mpc.config.horizon):
+        t = (i + 1) * mpc.dt
+        ref[i, 2] = yaw0 + yaw_rate * t
+        ref[i, 3:5] = state.position[:2] + v_world[:2] * t
+        ref[i, 5] = height
+        ref[i, 8] = yaw_rate
+        ref[i, 9:11] = v_world[:2]
+        ref[i, 12] = state.gravity_placeholder
+    return ref
+
+
+def test_reference_trajectory_equals_the_loop_form():
+    rng = np.random.default_rng(46)
+    mpc = ForceMpc(StackConfig())
+    for trial in range(200):
+        state, _, _, _, command = _random_instance(rng, trial)
+        state.rpy[2] = rng.uniform(-math.pi, math.pi)
+        assert np.array_equal(mpc.reference_trajectory(state, command),
+                              _loop_reference(mpc, state, command))
+
+
 def _random_instance(rng, trial):
     """A perturbed standing state with a stand, one-leg-lifted or trot gait."""
     state = SrbState(rng.normal(scale=0.05, size=3),
@@ -336,8 +374,7 @@ def test_closed_loop_stand_five_seconds():
                            world.robot.feet_pos, gait, world.time)
             assert not res.fault
             forces = res.forces
-        tau = stance_torques(world.robot, forces)
-        step(world, tau.reshape(-1))
+        step(world, stance_torques(world.robot, forces, (True,) * 4))
         if world.time > 1.0:  # after the initial settle
             max_height_err = max(max_height_err,
                                  abs(world.robot.srb.position[2] - cfg.mpc.stand_height))
@@ -348,7 +385,8 @@ def test_closed_loop_stand_five_seconds():
 
 def test_stance_torques_match_the_numpy_products():
     """The float rows give -J_i^T (R^T f_i) leg by leg as the numpy products
-    of the rotation and Jacobian arrays do, to rounding, as a (4, 3) array."""
+    of the rotation and Jacobian arrays do, to rounding, as a flat list of 12
+    floats."""
     rng = np.random.default_rng(41)
     world = standing_world()
     robot = world.robot
@@ -358,11 +396,39 @@ def test_stance_torques_match_the_numpy_products():
             leg.joint_angles[:] = rng.uniform(-2.0, 2.0, 3)
         forces = rng.normal(scale=30.0, size=(4, 3))
         R = euler_zyx_to_matrix(*robot.srb.rpy)
-        expected = np.array([-leg_jacobians_local([leg])[0].T @ (R.T @ forces[i])
+        expected = np.array([-np.array(leg_jacobian_rows(leg)).T @ (R.T @ forces[i])
                              for i, leg in enumerate(robot.legs)])
-        tau = stance_torques(robot, forces)
-        assert tau.shape == (4, 3) and tau.dtype == np.float64
-        np.testing.assert_allclose(tau, expected, rtol=1e-12, atol=0.0)
+        tau = stance_torques(robot, forces, (True,) * 4)
+        assert len(tau) == 12 and all(type(x) is float for x in tau)
+        np.testing.assert_allclose(np.reshape(tau, (4, 3)), expected, rtol=1e-12, atol=0.0)
+
+
+def _every_leg_torques(robot, forces):
+    """The (4, 3) torques -Jl^T (R^T f) of all four legs on float rows, the
+    form that computed the swing legs' rows too."""
+    R = rotation_rows(robot.srb)
+    tau = []
+    for leg, f in zip(robot.legs, np.asarray(forces).tolist()):
+        t0, t1, t2 = matvec3_t(leg_jacobian_rows(leg), matvec3_t(R, f))
+        tau.append((-t0, -t1, -t2))
+    return np.array(tau)
+
+
+def test_stance_only_torques_equal_the_stance_rows_of_every_leg():
+    """Bit for bit: each stance leg's torques equal its row of the all-legs
+    form, and a leg out of stance gets zeros."""
+    rng = np.random.default_rng(42)
+    world = standing_world()
+    robot = world.robot
+    for _ in range(200):
+        robot.srb.rpy[:] = rng.uniform(-0.5, 0.5, 3)
+        for leg in robot.legs:
+            leg.joint_angles[:] = rng.uniform(-2.0, 2.0, 3)
+        forces = rng.normal(scale=30.0, size=(4, 3))
+        stance = rng.uniform(size=4) < 0.7
+        tau = np.reshape(stance_torques(robot, forces, stance.tolist()), (4, 3))
+        assert np.array_equal(tau[stance], _every_leg_torques(robot, forces)[stance])
+        assert np.array_equal(tau[~stance], np.zeros((int((~stance).sum()), 3)))
 
 
 # -- raibert -------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from legpress import mpc, orchestrator, simworld, swingctl
 from legpress.config import StackConfig
 from legpress.geom import RigidTransform
 from legpress.harness import TaskSpec, make_provider, sample_task
 from legpress.orchestrator import EpisodeOptions, EpisodeTrace, GoalSchedule, run_episode
+from legpress.simworld import standing_world
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +82,44 @@ def test_schedule_moves_the_goal_and_decides_the_outcome(cfg, push_task):
     assert calls[-1][0] - x0 == pytest.approx(0.10, abs=0.01)
     assert [-r for r in trace.rewards] == pytest.approx([c[1] for c in calls], abs=1e-9)
     assert trace.final_pose.translation[0] == calls[-1][0]
+
+
+def test_the_benchmark_seams_are_the_layer_functions():
+    """The benchmark times each layer at the orchestrator's module binding,
+    so each must be the layer's own function."""
+    assert orchestrator.sim_step is simworld.step
+    assert orchestrator.stance_torques is mpc.stance_torques
+    assert orchestrator.impedance_torque_tracking is swingctl.impedance_torque_tracking
+
+
+def _numpy_drive(srb, target_xy, yaw_target, gain, v_max):
+    """drive_towards on numpy arrays: the command velocity and yaw rate."""
+    v = gain * (np.asarray(target_xy) - srb.position[:2])
+    n = float(np.linalg.norm(v))
+    if n > v_max:
+        v *= v_max / n
+    if yaw_target is None:
+        return v, 0.0
+    err = math.atan2(math.sin(yaw_target - srb.rpy[2]), math.cos(yaw_target - srb.rpy[2]))
+    return v, float(np.clip(2.0 * err, -0.6, 0.6))
+
+
+def test_drive_towards_equals_the_numpy_form():
+    world = standing_world()
+    core = orchestrator._OrchestratorCore(world, EpisodeOptions(), np.random.default_rng(0))
+    srb = world.robot.srb
+    rng = np.random.default_rng(9)
+    saturated = clipped = 0
+    for _ in range(2000):
+        srb.position[:] = rng.normal(scale=0.3, size=3)
+        srb.rpy[:] = rng.uniform(-math.pi, math.pi, size=3)
+        target = srb.position[:2] + rng.normal(scale=0.15, size=2)
+        yaw_target = None if rng.uniform() < 0.3 else float(rng.uniform(-4.0, 4.0))
+        gain, v_max = (1.2, 0.22) if rng.uniform() < 0.5 else (2.0, 0.08)
+        core.drive_towards(target, yaw_target, gain, v_max)
+        v, yaw_rate = _numpy_drive(srb, target, yaw_target, gain, v_max)
+        assert np.array_equal(core.command_velocity, v)
+        assert core.command_yaw_rate == yaw_rate
+        saturated += float(np.linalg.norm(gain * (target - srb.position[:2]))) > v_max
+        clipped += abs(yaw_rate) == 0.6
+    assert saturated > 100 and clipped > 100

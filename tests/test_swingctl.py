@@ -6,8 +6,7 @@ from legpress.simworld import (
     Box,
     SimObject,
     leg_forward_kinematics,
-    leg_jacobian,
-    leg_jacobians_local,
+    leg_jacobian_rows,
     rest_pose_on_ground,
     shoulder_point,
     standing_world,
@@ -28,8 +27,12 @@ def setup_leg(q=(0.1, 0.8, -1.5)):
     world = standing_world()
     leg = world.robot.legs[0]
     leg.joint_angles[:] = q
-    leg.joint_velocities[:] = 0.0
     return world, leg
+
+
+def leg_jacobian(leg, trunk):
+    """World-frame 3x3 Jacobian d(foot position)/d(joint angles)."""
+    return trunk.rotation() @ np.array(leg_jacobian_rows(leg))
 
 
 def fd_jacobian(leg, trunk, eps=1e-7):
@@ -44,12 +47,12 @@ def fd_jacobian(leg, trunk, eps=1e-7):
     return J
 
 
-def foot_state(leg, trunk):
+def foot_state(leg, trunk, joint_velocities=np.zeros(3)):
     """Foot position from forward kinematics and foot velocity rebuilt from
     the trunk twist and the leg-frame Jacobian times the joint velocities."""
     p_foot = leg_forward_kinematics(leg, trunk)
     v_foot = trunk.linear_velocity + np.cross(trunk.angular_velocity, p_foot - trunk.position) \
-        + trunk.rotation() @ (leg_jacobians_local([leg])[0] @ leg.joint_velocities)
+        + trunk.rotation() @ (np.array(leg_jacobian_rows(leg)) @ joint_velocities)
     return p_foot, v_foot
 
 
@@ -94,11 +97,11 @@ def test_torque_law_exactness_with_velocity_term():
     trunk = world.robot.srb
     trunk.linear_velocity[:] = (0.1, -0.05, 0.02)
     trunk.angular_velocity[:] = (0.02, 0.1, -0.07)
-    leg.joint_velocities[:] = rng.normal(scale=0.5, size=3)
+    qd = rng.normal(scale=0.5, size=3)
     gains = ImpedanceGains(450.0 * np.eye(3), 10.0 * np.eye(3))
     p_des = rng.normal(size=3)
     v_des = rng.normal(size=3)
-    p_foot, v_foot = foot_state(leg, trunk)
+    p_foot, v_foot = foot_state(leg, trunk, qd)
     cmd = impedance_torque_tracking(leg, trunk, p_foot, v_foot, p_des, v_des, gains)
     # reconstruct from independently evaluated pieces
     f = 450.0 * (p_des - p_foot) + 10.0 * (v_des - v_foot)
@@ -168,6 +171,15 @@ def test_singular_flag_agrees_with_numpy_at_the_determinant_edge():
     assert flags(bent - 1e-10) == (False, False)
 
 
+def test_gains_are_read_only():
+    K = 450.0 * np.eye(3)
+    gains = ImpedanceGains(K, np.eye(3))
+    K[0, 0] = 1.0  # the caller's array is copied
+    assert gains.K_p[0, 0] == 450.0
+    with pytest.raises(ValueError):
+        gains.K_p[0, 0] = 1.0
+
+
 def test_gains_must_be_psd():
     with pytest.raises(ValueError):
         ImpedanceGains(np.diag([1.0, -2.0, 1.0]), np.eye(3))
@@ -214,6 +226,37 @@ def test_unreachable_contact_raises():
     with pytest.raises(UnreachableActionError):
         plan_swing(np.array([2.0, 0.0, 0.02]), np.array([0.1, 0, 0]),
                    leg, world.robot.srb, world.config.swing, 0)
+
+
+def _numpy_target_at(plan, t):
+    """SwingPlan.target_at on the waypoint arrays."""
+    wps = plan.waypoints
+    if t <= wps[0].time:
+        return wps[0].position.copy(), np.zeros(3)
+    for a, b in zip(wps[:-1], wps[1:]):
+        if t <= b.time:
+            span = max(b.time - a.time, 1e-9)
+            s = (t - a.time) / span
+            return (a.position + s * (b.position - a.position),
+                    (b.position - a.position) / span)
+    return wps[-1].position.copy(), np.zeros(3)
+
+
+def test_target_at_equals_the_numpy_form():
+    world = standing_world()
+    leg = world.robot.legs[0]
+    shoulder = shoulder_point(leg, world.robot.srb)
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        contact = shoulder + np.array([0.14, 0.02, -0.23]) + rng.uniform(-0.02, 0.02, 3)
+        plan = plan_swing(contact, rng.uniform(-0.1, 0.1, 3), leg, world.robot.srb,
+                          world.config.swing, 0)
+        times = [w.time for w in plan.waypoints]
+        for t in [-0.1, *times, *rng.uniform(-0.1, plan.duration + 0.1, 50)]:
+            pos, vel, _ = plan.target_at(t)
+            want_pos, want_vel = _numpy_target_at(plan, t)
+            assert type(pos) is list and type(vel) is list
+            assert np.array_equal(pos, want_pos) and np.array_equal(vel, want_vel)
 
 
 def test_waypoint_times_strictly_increasing_and_lift_clears():
