@@ -2,8 +2,10 @@
 
 File format is INI (configparser): one section per subsystem, keys matching
 the dataclass field names. Vector values are comma-separated. Only keys that
-appear in the file override the defaults. The file path can come from the
-CLI flag or the LEGPRESS_CONFIG environment variable.
+appear in the file override the defaults; an unknown section or key is an
+error, as is a zero or negative value the stack divides by (see
+`load_config`). The file path can come from the CLI flag or the
+LEGPRESS_CONFIG environment variable.
 
 Schema (all values SI):
 
@@ -139,12 +141,30 @@ def _coerce(section: str, key: str, raw: str, current):
     return raw
 
 
+# values the stack divides by or counts steps with
+_POSITIVE = (("sim", "dt"), ("robot", "trunk_mass"), ("robot", "foot_mass"),
+             ("mpc", "horizon"), ("mpc", "force_update_period"), ("gait", "trot_period"))
+
+
+def _check_values(cfg: StackConfig) -> None:
+    for section, key in _POSITIVE:
+        value = getattr(getattr(cfg, section), key)
+        if not value > 0:
+            raise ValueError(f"config [{section}] {key} must be positive, got {value!r}")
+    duty = cfg.gait.trot_duty
+    if not 0.0 < duty <= 1.0:
+        raise ValueError(f"config [gait] trot_duty must be in (0, 1], got {duty!r}")
+
+
 def load_config(path: str | None = None) -> StackConfig:
     """Build a StackConfig from defaults, overridden by the file when given.
 
     With path=None the LEGPRESS_CONFIG environment variable is consulted;
-    when that is unset too, pure defaults are returned. An unknown key or a
-    malformed value raises ValueError, a missing file FileNotFoundError.
+    when that is unset too, pure defaults are returned. An unknown section or
+    key, a malformed value, a non-positive `sim.dt`, `robot.trunk_mass`,
+    `robot.foot_mass`, `mpc.horizon`, `mpc.force_update_period` or
+    `gait.trot_period`, or a `gait.trot_duty` outside (0, 1] raises
+    ValueError; a missing file raises FileNotFoundError.
     """
     cfg = StackConfig()
     if path is None:
@@ -155,6 +175,10 @@ def load_config(path: str | None = None) -> StackConfig:
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     parser.read(path)
+    known = {f.name for f in fields(cfg)}
+    for section in parser.sections():
+        if section not in known:
+            raise ValueError(f"unknown config section [{section}]")
     for section_field in fields(cfg):
         if not parser.has_section(section_field.name):
             continue
@@ -164,5 +188,6 @@ def load_config(path: str | None = None) -> StackConfig:
             if key not in valid:
                 raise ValueError(f"unknown config key [{section_field.name}] {key}")
             setattr(sub, key, _coerce(section_field.name, key, raw, getattr(sub, key)))
+    _check_values(cfg)
     return cfg
 

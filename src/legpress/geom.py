@@ -40,8 +40,18 @@ def skew(v) -> np.ndarray:
 
 
 def euler_zyx_to_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Rotation matrix from ZYX Euler angles (roll about x first, yaw about z last)."""
-    return rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
+    """Rotation matrix from ZYX Euler angles (roll about x first, yaw about z last).
+
+    The three factors are the entries of `rot_z(yaw)`, `rot_y(pitch)` and
+    `rot_x(roll)`, built as one array: the same two products on the same
+    values as `rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)`, so the same bits."""
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    M = np.array([cy, -sy, 0.0, sy, cy, 0.0, 0.0, 0.0, 1.0,
+                  cp, 0.0, sp, 0.0, 1.0, 0.0, -sp, 0.0, cp,
+                  1.0, 0.0, 0.0, 0.0, cr, -sr, 0.0, sr, cr]).reshape(3, 3, 3)
+    return M[0] @ M[1] @ M[2]
 
 
 def matrix_to_euler_zyx(R: np.ndarray) -> tuple[float, float, float]:

@@ -244,18 +244,21 @@ class ForceMpc:
         return MpcResult(forces, False, lin.validity_warning)
 
 
-def stance_torques(robot: RobotState, forces: np.ndarray, stance) -> list:
+def stance_torques(robot: RobotState, forces, stance) -> list:
     """Joint torques realizing ground reaction forces on the legs whose
     stance flag is set: tau = -J^T f per leg, computed as -Jl^T (R^T f) on the
     float rows of the trunk rotation R and each leg's trunk-frame Jacobian Jl.
+    `forces` holds the four legs' force triples as float rows
+    (`MpcResult.forces.tolist()`) or as a (4, 3) array, which is converted.
     Returns the 12 torques as a flat list of floats, zeros for a swing leg."""
+    if isinstance(forces, np.ndarray):
+        forces = forces.tolist()
     R = rotation_rows(robot.srb)
-    rows = np.asarray(forces, dtype=float).reshape(N_LEGS, 3).tolist()
     tau = [0.0] * (3 * N_LEGS)
     for i, leg in enumerate(robot.legs):
         if stance[i]:
-            t0, t1, t2 = matvec3_t(leg_jacobian_rows(leg), matvec3_t(R, rows[i]))
-            tau[3 * i:3 * i + 3] = -t0, -t1, -t2
+            t0, t1, t2 = matvec3_t(leg_jacobian_rows(leg), matvec3_t(R, forces[i]))
+            tau[3 * i], tau[3 * i + 1], tau[3 * i + 2] = -t0, -t1, -t2
     return tau
 
 

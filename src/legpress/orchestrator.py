@@ -65,6 +65,7 @@ from .swingctl import (
 TRACE_SCHEMA = "legpress-trace-v1"
 METRIC_POINTS = 400  # object surface samples behind the goal-flow metric
 SETTLE_TIME = 0.3  # s simulated after each placement, before the next check
+_ZERO_FORCES = ((0.0, 0.0, 0.0),) * 4  # force rows before the first MPC solve
 
 QP_STAND = "QP_STAND"
 COM_SHIFT = "COM_SHIFT"
@@ -135,6 +136,13 @@ class EpisodeOptions:
     max_steps: int = 7
     reposition: str = "teleport"  # teleport | walk (teleport mirrors the sim protocol)
     pose_source: str = "ground_truth"  # ground_truth | register
+
+    def __post_init__(self):
+        if self.reposition not in ("teleport", "walk"):
+            raise ValueError(f"reposition must be 'teleport' or 'walk', got {self.reposition!r}")
+        if self.pose_source not in ("ground_truth", "register"):
+            raise ValueError("pose_source must be 'ground_truth' or 'register', "
+                             f"got {self.pose_source!r}")
 
 
 @dataclass
@@ -227,7 +235,7 @@ class _OrchestratorCore:
         self.state = QP_STAND
         self.state_entry_time = world.time
         self.gait = GaitSchedule.stand()
-        self.forces = np.zeros((4, 3))
+        self.forces = _ZERO_FORCES  # the last MPC solve's force rows
         self.step_count = 0
         self.command_velocity = (0.0, 0.0)  # world frame
         self.command_yaw_rate = 0.0
@@ -254,8 +262,11 @@ class _OrchestratorCore:
 
     # -- posture helpers ----------------------------------------------------
 
-    def nominal_com_xy(self) -> np.ndarray:
-        return self.world.robot.feet_pos[:, :2].mean(axis=0)
+    def nominal_com_xy(self) -> tuple:
+        """Mean xy of the four feet as a float pair, summed in row order as
+        numpy's `feet_pos[:, :2].mean(axis=0)` sums them."""
+        (x0, y0, _), (x1, y1, _), (x2, y2, _), (x3, y3, _) = self.world.robot.feet_pos.tolist()
+        return (x0 + x1 + x2 + x3) / 4.0, (y0 + y1 + y2 + y3) / 4.0
 
     def support_centroid_xy(self, lifted: int) -> np.ndarray:
         idx = [i for i in range(4) if i != lifted]
@@ -265,7 +276,7 @@ class _OrchestratorCore:
         """Command gain times the position error, capped at v_max, and twice
         the yaw error, capped at 0.6 rad/s (on floats; the norm is numpy's)."""
         srb = self.world.robot.srb
-        tx, ty = np.asarray(target_xy, dtype=float).tolist()
+        tx, ty = map(float, target_xy)
         px, py, _ = srb.position.tolist()
         vx, vy = gain * (tx - px), gain * (ty - py)
         n = float(np.linalg.norm([vx, vy]))
@@ -303,7 +314,7 @@ class _OrchestratorCore:
             res = self.mpc.step(srb, command, robot.feet_pos, self.gait, world.time)
             if res.fault:
                 raise EpisodeFault("mpc_solver_fault")
-            self.forces = res.forces
+            self.forces = res.forces.tolist()
             if self.trace is not None:
                 self.trace.records.append({
                     "type": "tick", "t": round(world.time, 6), "fsm": self.state,
@@ -320,7 +331,7 @@ class _OrchestratorCore:
             cmd = impedance_torque_tracking(
                 robot.legs[i], srb, robot.feet_pos[i].tolist(), robot.feet_vel[i].tolist(),
                 p_des, v_des, self.gains)
-            tau[3 * i:3 * i + 3] = cmd.torques.tolist()
+            tau[3 * i], tau[3 * i + 1], tau[3 * i + 2] = cmd.torques
 
         try:
             sim_step(world, tau, dt)
@@ -385,7 +396,7 @@ class _OrchestratorCore:
         srb.linear_velocity[:] = 0.0
         srb.angular_velocity[:] = 0.0
         seat_feet(world)
-        self.forces[:] = 0.0
+        self.forces = _ZERO_FORCES
         self.step_count = 0
 
     def walk_to(self, standoff: StandoffPose) -> bool:

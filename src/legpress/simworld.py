@@ -16,25 +16,34 @@ Leg numbering: 0 = front-left, 1 = front-right, 2 = rear-left,
 3 = rear-right. World frame: x forward, y left, z up.
 
 Speed, gated on outcomes. The per-tick path runs on Python floats. `step`
-reads the trunk, feet and objects once with `.tolist()` and writes them back
-once into the same public arrays (an object gets a new `RigidTransform`), and
-hands its floats to `_sync_legs`, which writes only joint state except at a
-joint stop. On floats are: the leg sync (hip point, foot offset in the hip
-frame, the closed-form joint angles and their Jacobian), the actuator
-tip forces (the transposed Jacobian solve, with a damped least-squares
-fallback near a singular Jacobian), the ground contacts of the feet and of
-each object vertex below the ground, the foot-object contacts, the friction
-pass, the integration (a float Rodrigues update, Euler angles through
-`geom.matrix_to_euler_zyx` on float rows with its gimbal check, and the
-object's world inertia and its inverse as Ro I^(+-1) Ro' of body values
-computed once per inertia value) and the torque and velocity checks. A foot
-farther from an object than the shape's bounding radius plus the foot radius
-skips the signed distance (see `_set_vertices`); on `push_box` that is 94 % of
-the foot-object checks. `mpc.stance_torques` and
-`swingctl.impedance_torque_tracking` compute on the same float rows. All of
-this rounds differently from numpy's BLAS calls in the last bits, so a
-trajectory is not bit-identical to a plain numpy formulation of the same
-model, and a change to this path is judged by what the simulation does:
+takes its 12 torques as floats, reads the trunk, feet and objects once with
+`.tolist()` and writes them back once into the same public arrays, a
+3-vector item by item (an object gets a new `RigidTransform`), and hands its
+floats to `_sync_legs`, which writes only joint state except at a joint stop.
+What is fixed within a tick is computed once per tick, not per contact or
+per sweep: each object's friction min(mu, mu_ground) and body inertia rows,
+the damper clamp min(d_normal, 0.25 m_eff / dt) of each contact kind (a foot,
+an object on its n support vertices, a foot on an object with the reduced
+mass), 1/mf and 1/m, and each contact's offset from the object origin and
+Coulomb budget mu fn dt, which the friction pass reads; the contact records'
+body names are made once. Every division and every sum keeps its operands
+and its order, so these rewrites change no bit. On floats are: the leg sync
+(hip point, foot offset in the hip frame, the closed-form joint angles and
+their Jacobian), the actuator tip forces (the transposed Jacobian solve,
+with a damped least-squares fallback near a singular Jacobian), the ground
+contacts of the feet and of each object vertex below the ground, the
+foot-object contacts, the friction pass, the integration (a float Rodrigues
+update, Euler angles through `geom.matrix_to_euler_zyx` on float rows with
+its gimbal check, and the object's world inertia and its inverse as
+Ro I^(+-1) Ro' of body values computed once per inertia value) and the
+torque and velocity checks. A foot farther from an object than the shape's
+bounding radius plus the foot radius skips the signed distance (see
+`_set_vertices`); on `push_box` that is 94 % of the foot-object checks.
+`mpc.stance_torques` and `swingctl.impedance_torque_tracking` compute on the
+same float rows. All of this rounds differently from numpy's BLAS calls in
+the last bits, so a trajectory is not bit-identical to a plain numpy
+formulation of the same model, and a change to this path is judged by what
+the simulation does:
   - `legpress sweep --seeds 0-9`: every task and seed keeps its outcome,
     action count and fault class, and the final flow or lateral error moves
     only by rounding (episodes whose outcome rounding alone decides are
@@ -49,7 +58,9 @@ Numpy stays where it is the better tool or a reference depends on it:
     tick's float Rodrigues map is tested against it;
   - `geom.euler_zyx_to_matrix`, which gives the trunk rotation: a test pins
     `SrbState.rotation()` to it bit for bit and `regbench` inputs go through
-    it, so the rotation rows are its values;
+    it, so the rotation rows are its values. It builds its three factors as
+    one array and multiplies them with two 3x3 `@`, the products and values
+    of `rot_z @ rot_y @ rot_x`;
   - the SVD that re-orthonormalises each orientation every 64 steps;
   - `SrbState.rotation`, which hands out a copy of the slot's array; the
     numpy forms of the stance torques and the impedance law are kept only as
@@ -117,13 +128,6 @@ def _rotation_exp(x: float, y: float, z: float) -> list:
     return [[1.0 + c * (-kz * kz - ky * ky), -s * kz + c * (ky * kx), s * ky + c * (kz * kx)],
             [s * kz + c * (kx * ky), 1.0 + c * (-kz * kz - kx * kx), -s * kx + c * (kz * ky)],
             [-s * ky + c * (kx * kz), s * kx + c * (ky * kz), 1.0 + c * (-ky * ky - kx * kx)]]
-
-
-def _point_velocity(v, w, r) -> tuple:
-    """Velocity v + w x r of the body point at offset r from the body origin,
-    on float triples."""
-    c0, c1, c2 = cross3(w, r)
-    return (v[0] + c0, v[1] + c1, v[2] + c2)
 
 
 class SimulationDivergence(RuntimeError):
@@ -658,9 +662,13 @@ class SimObject:
     def __post_init__(self):
         self.linear_velocity = np.asarray(self.linear_velocity, dtype=float).reshape(3).copy()
         self.angular_velocity = np.asarray(self.angular_velocity, dtype=float).reshape(3).copy()
-        self.inertia = np.asarray(self.inertia, dtype=float).reshape(3, 3)
+        self.inertia = I = np.asarray(self.inertia, dtype=float).reshape(3, 3)
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
+        # the step inverts the inertia; an indefinite one is no rigid body
+        if not (np.all(np.isfinite(I)) and np.max(np.abs(I - I.T)) <= 1e-12 * np.max(np.abs(I))
+                and np.linalg.eigvalsh(I)[0] > 0.0):
+            raise ValueError("inertia must be symmetric positive definite")
 
     @staticmethod
     def from_shape(shape, pose: RigidTransform, density: float = 300.0,
@@ -803,23 +811,29 @@ def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
             feet_p[i] = robot.feet_pos[i] = p_new
             feet_v[i] = robot.feet_vel[i] = v_new
             continue
-        leg.joint_angles[:] = q
+        a = leg.joint_angles
+        a[0], a[1], a[2] = q
         # the controllers' tick and the next step read this Jacobian
         leg._jac = (leg.joint_angles.tobytes(), _jac_local(*q, leg.side, *leg.link_lengths))
 
 
-def _normal_force(pen, pen_rate, cc: ContactConfig, m_eff: float, dt: float) -> float:
-    """Spring-damper normal force magnitude, clamped nonnegative.
-
-    The damper coefficient is clamped by the effective mass so light bodies
-    stay stable under explicit integration at the configured dt."""
-    d_eff = min(cc.d_normal, 0.25 * m_eff / dt)
-    return cc.k_normal * pen + d_eff * pen_rate
+def _contact_law(cc: ContactConfig, m_eff: float, dt: float) -> tuple:
+    """Stiffness k and damping d of a penalty contact on the effective mass
+    m_eff: the normal force is k pen + d pen_rate, and a contact without a
+    positive force is dropped. The damper is clamped by the effective mass so
+    light bodies stay stable under explicit integration at the configured dt.
+    `step` takes the pair once per contact kind and tick."""
+    return cc.k_normal, min(cc.d_normal, 0.25 * m_eff / dt)
 
 
 # friction contact kinds; a contact between the normal pass and the impulse
-# pass is (kind, foot, object index, point, normal, fn, record)
+# pass is (kind, foot, object index, r, normal, Coulomb budget, record): r is
+# the contact point's offset from the object's origin (None for a foot on the
+# ground) and the budget mu * fn * dt is the tick's cap on the summed impulse
 _FOOT_GROUND, _OBJ_GROUND, _FOOT_OBJ = "foot_ground", "obj_ground", "foot_obj"
+# the record's body names, made once
+_FOOT_NAMES = tuple(f"foot_{i}" for i in range(4))
+_FOOT_GROUND_BODIES = tuple((name, "ground") for name in _FOOT_NAMES)
 
 
 def _abs_max(values: list) -> float:
@@ -829,63 +843,67 @@ def _abs_max(values: list) -> float:
     return max(map(abs, values))
 
 
-def _friction_pass(fric, objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
-                   mf: float, mu_ground: float, dt: float) -> None:
+def _friction_pass(fric, objects, feet_v, obj_v, obj_w, obj_L, obj_I_inv,
+                   mf: float, dt: float) -> None:
     """Friction impulses: project the tangential relative velocity, capped by
     Coulomb. Two Gauss-Seidel sweeps in contact order, so corner contacts of
     one body stop cleanly instead of trading residual momentum; the Coulomb
     budget is shared across sweeps.
 
-    Works on floats: object i has translation obj_t[i], velocity obj_v[i],
-    angular velocity obj_w[i], momentum obj_L[i] and world inverse inertia
-    rows obj_I_inv[i]. Updates the velocities, the momenta and each contact
-    record's tangential force in place. The 3-vector components are written
-    out: a comprehension per vector cost more than its arithmetic."""
+    Works on floats: object i has velocity obj_v[i], angular velocity
+    obj_w[i], momentum obj_L[i] and world inverse inertia rows obj_I_inv[i].
+    Updates the velocities, the momenta and each contact record's tangential
+    force in place. The 3-vector components are written out: a comprehension
+    or a helper call per vector cost more than its arithmetic."""
+    inv_mf = 1.0 / mf
+    inv_m = [1.0 / obj.mass for obj in objects]
     applied = [0.0] * len(fric)
     for _sweep in range(2):
-        for ci, (kind, foot, oi, point, n, fn, rec) in enumerate(fric):
+        for ci, (kind, foot, oi, r, n, budget, rec) in enumerate(fric):
             if kind is _FOOT_GROUND:
                 v0, v1, v2 = feet_v[foot]
-                mu = mu_ground
             else:
-                obj = objects[oi]
-                t = obj_t[oi]
-                r = (point[0] - t[0], point[1] - t[1], point[2] - t[2])
-                v0, v1, v2 = _point_velocity(obj_v[oi], obj_w[oi], r)
+                # the object's point velocity v + w x r
+                r0, r1, r2 = r
+                w0, w1, w2 = obj_w[oi]
+                u = obj_v[oi]
+                v0 = u[0] + (w1 * r2 - w2 * r1)
+                v1 = u[1] + (w2 * r0 - w0 * r2)
+                v2 = u[2] + (w0 * r1 - w1 * r0)
                 if kind is _FOOT_OBJ:
                     fv = feet_v[foot]
                     v0, v1, v2 = fv[0] - v0, fv[1] - v1, fv[2] - v2
-                mu = min(obj.friction, mu_ground)
             n0, n1, n2 = n
             vn = v0 * n0 + v1 * n1 + v2 * n2
             t0, t1, t2 = v0 - vn * n0, v1 - vn * n1, v2 - vn * n2
             speed = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
             if speed < 1e-12:
                 continue
-            t_hat = (t0 / speed, t1 / speed, t2 / speed)
+            h0, h1, h2 = t0 / speed, t1 / speed, t2 / speed
             if kind is _FOOT_GROUND:
-                k_inv = 1.0 / mf
+                k_inv = inv_mf
             else:
                 (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = obj_I_inv[oi]
-                x0, x1, x2 = cross3(r, t_hat)
-                k_inv = 1.0 / obj.mass + (x0 * (a00 * x0 + a01 * x1 + a02 * x2)
-                                          + x1 * (a10 * x0 + a11 * x1 + a12 * x2)
-                                          + x2 * (a20 * x0 + a21 * x1 + a22 * x2))
+                x0, x1, x2 = r1 * h2 - r2 * h1, r2 * h0 - r0 * h2, r0 * h1 - r1 * h0
+                k_inv = inv_m[oi] + (x0 * (a00 * x0 + a01 * x1 + a02 * x2)
+                                     + x1 * (a10 * x0 + a11 * x1 + a12 * x2)
+                                     + x2 * (a20 * x0 + a21 * x1 + a22 * x2))
                 if kind is _FOOT_OBJ:
-                    k_inv = 1.0 / mf + k_inv
-            j = min(speed / k_inv, max(mu * fn * dt - applied[ci], 0.0))
+                    k_inv = inv_mf + k_inv
+            j = min(speed / k_inv, max(budget - applied[ci], 0.0))
             if j <= 0.0:
                 continue
             applied[ci] += j
             rec.tangential_force = applied[ci] / dt
-            i0, i1, i2 = imp = (-j * t_hat[0], -j * t_hat[1], -j * t_hat[2])
+            i0, i1, i2 = -j * h0, -j * h1, -j * h2
             if kind is not _OBJ_GROUND:
                 fv = feet_v[foot]
                 fv[0], fv[1], fv[2] = fv[0] + i0 / mf, fv[1] + i1 / mf, fv[2] + i2 / mf
             if kind is not _FOOT_GROUND:
                 v, L = obj_v[oi], obj_L[oi]
-                c0, c1, c2 = cross3(r, imp)
-                m = obj.mass
+                # r x imp
+                c0, c1, c2 = r1 * i2 - r2 * i1, r2 * i0 - r0 * i2, r0 * i1 - r1 * i0
+                m = objects[oi].mass
                 if kind is _OBJ_GROUND:
                     v[0], v[1], v[2] = v[0] + i0 / m, v[1] + i1 / m, v[2] + i2 / m
                     L[0], L[1], L[2] = L[0] + c0, L[1] + c1, L[2] + c2
@@ -898,7 +916,8 @@ def _friction_pass(fric, objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
 
 
 def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldState:
-    """Advance the world one step under 12 commanded joint torques (4 legs x 3).
+    """Advance the world one step under 12 commanded joint torques (4 legs x 3),
+    given as 12 numbers.
 
     Normal contact is penalty spring-damper; friction is a per-contact
     tangential impulse capped at mu*fn*dt (Coulomb), applied to the updated
@@ -912,7 +931,9 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
         dt = cfg.sim.dt
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    tau = np.asarray(joint_torques, dtype=float).reshape(12).tolist()
+    tau = list(map(float, joint_torques))
+    if len(tau) != 12:
+        raise ValueError(f"expected 12 joint torques, got {len(tau)}")
     if not all(map(math.isfinite, tau)):
         raise ValueError("joint torques must be finite")
     robot = world.robot
@@ -923,6 +944,7 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
     rf = rc.foot_radius
     g = cfg.sim.gravity if world.gravity_enabled else 0.0
     gz = -g  # gravity vector (0, 0, gz)
+    mu_ground = cc.friction
 
     # the state as floats, read once
     R = rotation_rows(srb)
@@ -955,26 +977,29 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
 
     up_f = (0.0, 0.0, 1.0)
     if world.ground_enabled:
+        k_foot, d_foot = _contact_law(cc, mf, dt)
         for i in range(4):
             pen = rf - feet_p[i][2]
             if pen <= 0.0:
                 continue
-            fn = _normal_force(pen, -feet_v[i][2], cc, mf, dt)
+            fn = k_foot * pen + d_foot * -feet_v[i][2]
             if fn <= 0.0:
                 continue
             feet_force[i][2] += fn
-            rec = ContactRecord(pen, fn, 0.0, (f"foot_{i}", "ground"))
+            rec = ContactRecord(pen, fn, 0.0, _FOOT_GROUND_BODIES[i])
             contacts.append(rec)
-            fric.append((_FOOT_GROUND, i, -1, feet_p[i], up_f, fn, rec))
+            fric.append((_FOOT_GROUND, i, -1, None, up_f, mu_ground * fn * dt, rec))
 
-    # per-object float state: rotation rows, translation, velocities, force, torque
-    obj_R, obj_t, obj_v, obj_w, obj_force, obj_torque = [], [], [], [], [], []
+    # per-object float state: rotation rows, translation, velocities, force,
+    # torque and the body inertia rows
+    obj_R, obj_t, obj_v, obj_w, obj_force, obj_torque, obj_I = [], [], [], [], [], [], []
     for oi, obj in enumerate(world.objects):
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = Ro = obj.pose.rotation.tolist()
         t0, t1, t2 = t = obj.pose.translation.tolist()
         v_o = obj.linear_velocity.tolist()
         w_o = obj.angular_velocity.tolist()
         m = obj.mass
+        mu = min(obj.friction, mu_ground)
         force = [0.0, 0.0, m * gz] if world.gravity_enabled else [0.0, 0.0, 0.0]
         torque = [0.0, 0.0, 0.0]
         if world.ground_enabled:
@@ -985,21 +1010,24 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
                 if pz < 0.0:
                     below.append((r00 * x + r01 * y + r02 * z + t0,
                                   r10 * x + r11 * y + r12 * z + t1, pz))
-            n_sup = max(len(below), 1)
+            if below:
+                k_sup, d_sup = _contact_law(cc, m / len(below), dt)
+                bodies = (obj.name, "ground")
             for p in below:
                 x0, x1, x2 = p[0] - t0, p[1] - t1, p[2] - t2
                 vz = v_o[2] + (w_o[0] * x1 - w_o[1] * x0)
-                fn = _normal_force(-p[2], -vz, cc, m / n_sup, dt)
+                fn = k_sup * -p[2] + d_sup * -vz
                 if fn <= 0.0:
                     continue
                 # r x (fn * up)
                 force[2] += fn
                 torque[0] += x1 * fn
                 torque[1] -= x0 * fn
-                rec = ContactRecord(-p[2], fn, 0.0, (obj.name, "ground"))
+                rec = ContactRecord(-p[2], fn, 0.0, bodies)
                 contacts.append(rec)
-                fric.append((_OBJ_GROUND, -1, oi, p, up_f, fn, rec))
+                fric.append((_OBJ_GROUND, -1, oi, (x0, x1, x2), up_f, mu * fn * dt, rec))
         far = obj.shape._radius + rf
+        k_red, d_red = _contact_law(cc, mf * m / (mf + m), dt)  # a foot on the object
         for i in range(4):
             fp, fv = feet_p[i], feet_v[i]
             d = (fp[0] - t0, fp[1] - t1, fp[2] - t2)
@@ -1009,30 +1037,36 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
             pen = rf - sd
             if pen <= 0.0:
                 continue
-            n = matvec3(Ro, nl.tolist())
-            cp = [fp[k] - n[k] * sd for k in range(3)]
-            r = [cp[k] - t[k] for k in range(3)]
-            pv = _point_velocity(v_o, w_o, r)
-            pen_rate = -dot3(n, [fv[k] - pv[k] for k in range(3)])
-            m_red = mf * m / (mf + m)
-            fn = _normal_force(pen, pen_rate, cc, m_red, dt)
+            n0, n1, n2 = n = matvec3(Ro, nl.tolist())
+            # the contact point, its offset r from the object origin and the
+            # object's velocity v + w x r there
+            r0 = (fp[0] - n0 * sd) - t0
+            r1 = (fp[1] - n1 * sd) - t1
+            r2 = (fp[2] - n2 * sd) - t2
+            w0, w1, w2 = w_o
+            pen_rate = -(n0 * (fv[0] - (v_o[0] + (w1 * r2 - w2 * r1)))
+                         + n1 * (fv[1] - (v_o[1] + (w2 * r0 - w0 * r2)))
+                         + n2 * (fv[2] - (v_o[2] + (w0 * r1 - w1 * r0))))
+            fn = k_red * pen + d_red * pen_rate
             if fn <= 0.0:
                 continue
-            f = [fn * n[k] for k in range(3)]
-            c = cross3(r, f)
+            f = (fn * n0, fn * n1, fn * n2)
+            c = cross3((r0, r1, r2), f)
+            ff = feet_force[i]
             for k in range(3):
-                feet_force[i][k] += f[k]
+                ff[k] += f[k]
                 force[k] -= f[k]
                 torque[k] -= c[k]
-            rec = ContactRecord(pen, fn, 0.0, (f"foot_{i}", obj.name))
+            rec = ContactRecord(pen, fn, 0.0, (_FOOT_NAMES[i], obj.name))
             contacts.append(rec)
-            fric.append((_FOOT_OBJ, i, oi, cp, n, fn, rec))
+            fric.append((_FOOT_OBJ, i, oi, (r0, r1, r2), n, mu * fn * dt, rec))
         obj_R.append(Ro)
         obj_t.append(t)
         obj_v.append(v_o)
         obj_w.append(w_o)
         obj_force.append(force)
         obj_torque.append(torque)
+        obj_I.append(_inertia_rows(obj.inertia))
 
     # velocity integration (positions update after the friction pass); the
     # world inertia and its inverse are Ro I^(+-1) Ro' of the memoised body values
@@ -1040,32 +1074,38 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
     if not world.fixed_base:
         wb = matvec3_t(R, w)
         Lw = matvec3(R, (I0 * wb[0], I1 * wb[1], I2 * wb[2]))
-        L_trunk = [Lw[k] + trunk_torque[k] * dt for k in range(3)]
-        v = [v[k] + trunk_force[k] / m_trunk * dt for k in range(3)]
+        L_trunk = [Lw[0] + trunk_torque[0] * dt, Lw[1] + trunk_torque[1] * dt,
+                   Lw[2] + trunk_torque[2] * dt]
+        v = [v[0] + trunk_force[0] / m_trunk * dt, v[1] + trunk_force[1] / m_trunk * dt,
+             v[2] + trunk_force[2] / m_trunk * dt]
     obj_L = []
     obj_I_inv = []  # world inverse inertia per object, as float rows
     for oi, obj in enumerate(world.objects):
         Ro = obj_R[oi]
-        I_b, I_b_inv = _inertia_rows(obj.inertia)
+        I_b, I_b_inv = obj_I[oi]
         Lw = matvec3(Ro, matvec3(I_b, matvec3_t(Ro, obj_w[oi])))
-        obj_L.append([Lw[k] + obj_torque[oi][k] * dt for k in range(3)])
-        obj_I_inv.append(_sandwich(Ro, I_b_inv))
+        tq = obj_torque[oi]
+        L = [Lw[0] + tq[0] * dt, Lw[1] + tq[1] * dt, Lw[2] + tq[2] * dt]
+        obj_L.append(L)
+        I_inv = _sandwich(Ro, I_b_inv)
+        obj_I_inv.append(I_inv)
         v_o, force = obj_v[oi], obj_force[oi]
-        for k in range(3):
-            v_o[k] += force[k] / obj.mass * dt
-        obj_w[oi] = matvec3(obj_I_inv[oi], obj_L[oi])
+        m = obj.mass
+        v_o[0] += force[0] / m * dt
+        v_o[1] += force[1] / m * dt
+        v_o[2] += force[2] / m * dt
+        obj_w[oi] = matvec3(I_inv, L)
     for fv, ff in zip(feet_v, feet_force):
         fv[0] += ff[0] / mf * dt
         fv[1] += ff[1] / mf * dt
         fv[2] += ff[2] / mf * dt
 
-    _friction_pass(fric, world.objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
-                   mf, cc.friction, dt)
+    _friction_pass(fric, world.objects, feet_v, obj_v, obj_w, obj_L, obj_I_inv, mf, dt)
 
     # position/orientation integration with post-impulse velocities
     renorm = world._steps % _RENORM_EVERY == 0
     if not world.fixed_base:
-        pos = [pos[k] + v[k] * dt for k in range(3)]
+        pos = [pos[0] + v[0] * dt, pos[1] + v[1] * dt, pos[2] + v[2] * dt]
         Lb = matvec3_t(R, L_trunk)
         w_mid = matvec3(R, (Lb[0] / I0, Lb[1] / I1, Lb[2] / I2))
         R_new = matmul3(_rotation_exp(w_mid[0] * dt, w_mid[1] * dt, w_mid[2] * dt), R)
@@ -1078,10 +1118,15 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
                 f"trunk orientation left the valid envelope: {e}") from e
         Lb = matvec3_t(R_new, L_trunk)
         w = matvec3(R_new, (Lb[0] / I0, Lb[1] / I1, Lb[2] / I2))
-        srb.rpy[:] = rpy
-        srb.position[:] = pos
-        srb.angular_velocity[:] = w
-        srb.linear_velocity[:] = v
+        # item writes: a slice assignment from a sequence costs twice as much
+        a = srb.rpy
+        a[0], a[1], a[2] = rpy
+        a = srb.position
+        a[0], a[1], a[2] = pos
+        a = srb.angular_velocity
+        a[0], a[1], a[2] = w
+        a = srb.linear_velocity
+        a[0], a[1], a[2] = v
         R = rotation_rows(srb)
 
     for oi, obj in enumerate(world.objects):
@@ -1090,10 +1135,12 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
         Ro_new = matmul3(_rotation_exp(w_mid[0] * dt, w_mid[1] * dt, w_mid[2] * dt), Ro)
         if renorm:
             Ro_new = orthonormalize(np.array(Ro_new)).tolist()
-        I_b_inv = _inertia_rows(obj.inertia)[1]
-        obj.linear_velocity[:] = v_o
-        obj.angular_velocity[:] = matvec3(Ro_new, matvec3(I_b_inv, matvec3_t(Ro_new, L)))
-        obj.pose = RigidTransform(np.array(Ro_new), np.array([t[k] + v_o[k] * dt for k in range(3)]))
+        a = obj.linear_velocity
+        a[0], a[1], a[2] = v_o
+        a = obj.angular_velocity
+        a[0], a[1], a[2] = matvec3(Ro_new, matvec3(obj_I[oi][1], matvec3_t(Ro_new, L)))
+        obj.pose = RigidTransform(np.array(Ro_new), np.array(
+            [t[0] + v_o[0] * dt, t[1] + v_o[1] * dt, t[2] + v_o[2] * dt]))
 
     feet_p = [[fp[0] + fv[0] * dt, fp[1] + fv[1] * dt, fp[2] + fv[2] * dt]
               for fp, fv in zip(feet_p, feet_v)]

@@ -59,7 +59,7 @@ class ImpedanceGains:
 
 @dataclass
 class ImpedanceCommand:
-    torques: np.ndarray
+    torques: list  # the leg's three joint torques, as floats
     singular: bool = False
 
 
@@ -77,7 +77,7 @@ def impedance_torque_tracking(leg: LegModel, trunk: SrbState, p_foot, v_foot,
     f = [fp[0] + fd[0], fp[1] + fd[1], fp[2] + fd[2]]
     # J = R Jl, so J^T f = Jl^T (R^T f) and det J = det Jl (det R = 1)
     tau = matvec3_t(Jl, matvec3_t(rotation_rows(trunk), f))
-    return ImpedanceCommand(np.array(tau), abs(det3(Jl)) < 1e-6)
+    return ImpedanceCommand(tau, abs(det3(Jl)) < 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from legpress.geom import (
+    GIMBAL_MARGIN,
     GimbalLockError,
     PointCloud,
     RigidTransform,
@@ -13,6 +14,9 @@ from legpress.geom import (
     euler_zyx_to_matrix,
     matrix_to_euler_zyx,
     matvec3,
+    rot_x,
+    rot_y,
+    rot_z,
     rotation_exp,
 )
 
@@ -160,3 +164,17 @@ def test_matvec3_equals_the_dot3_form():
         M = (rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-6, 6, size=(3, 3))).tolist()
         x = (rng.normal(size=3) * 10.0 ** rng.integers(-6, 6, size=3)).tolist()
         assert matvec3(M, x) == [dot3(M[0], x), dot3(M[1], x), dot3(M[2], x)]
+
+
+def test_euler_matrix_equals_the_product_of_its_factors():
+    """The one-array construction gives rot_z @ rot_y @ rot_x bit for bit:
+    10,000 angle triples over the full range and 2,000 with the pitch within
+    1e-3 rad of the gimbal margin, on either side of it."""
+    rng = np.random.default_rng(9)
+    angles = rng.uniform(-math.pi, math.pi, size=(12000, 3))
+    angles[:10000, 1] *= 0.5
+    edge = math.pi / 2.0 - GIMBAL_MARGIN
+    angles[10000:, 1] = rng.choice([-1.0, 1.0], 2000) * (edge + rng.uniform(-1e-3, 1e-3, 2000))
+    for roll, pitch, yaw in angles.tolist():
+        assert np.array_equal(euler_zyx_to_matrix(roll, pitch, yaw),
+                              rot_z(yaw) @ rot_y(pitch) @ rot_x(roll))

@@ -256,6 +256,39 @@ def test_bad_input_exits_2_with_a_json_record(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
 
+EVAL_ARGV = ["eval", "--task", "box_push_fixed", "--policy", "null", "--episodes", "1",
+             "--max-steps", "1"]
+
+
+def test_an_unknown_config_section_exits_2_with_a_json_record(tmp_path, capsys):
+    path = tmp_path / "stack.ini"
+    path.write_text("[simm]\ndt = 0.002\n")
+    with pytest.raises(ValueError, match=r"unknown config section \[simm\]"):
+        load_config(str(path))
+    assert cli.main(["--config", str(path), *EVAL_ARGV]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "unknown config section [simm]"}
+
+
+@pytest.mark.parametrize("section, key, raw, message", [
+    ("sim", "dt", "0.0", "must be positive, got 0.0"),
+    ("robot", "trunk_mass", "0.0", "must be positive, got 0.0"),
+    ("robot", "foot_mass", "-0.1", "must be positive, got -0.1"),
+    ("mpc", "horizon", "0", "must be positive, got 0"),
+    ("mpc", "force_update_period", "0", "must be positive, got 0"),
+    ("gait", "trot_period", "0.0", "must be positive, got 0.0"),
+    ("gait", "trot_duty", "0.0", "must be in (0, 1], got 0.0"),
+    ("gait", "trot_duty", "1.5", "must be in (0, 1], got 1.5"),
+])
+def test_a_value_the_stack_divides_by_exits_2_when_out_of_range(section, key, raw, message,
+                                                                 tmp_path, capsys):
+    path = tmp_path / "stack.ini"
+    path.write_text(f"[{section}]\n{key} = {raw}\n")
+    assert cli.main(["--config", str(path), *EVAL_ARGV]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": f"config [{section}] {key} {message}"}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["regbench", "--cases", "0"], "need at least one registration case"),
     (["regbench", "--cases", "1", "--ambiguity", "-1"], "need at least one ambiguity trial"),

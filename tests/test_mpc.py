@@ -416,7 +416,8 @@ def _every_leg_torques(robot, forces):
 
 def test_stance_only_torques_equal_the_stance_rows_of_every_leg():
     """Bit for bit: each stance leg's torques equal its row of the all-legs
-    form, and a leg out of stance gets zeros."""
+    form, and a leg out of stance gets zeros. Force rows, as lists or tuples,
+    give the list the (4, 3) array gives."""
     rng = np.random.default_rng(42)
     world = standing_world()
     robot = world.robot
@@ -429,6 +430,10 @@ def test_stance_only_torques_equal_the_stance_rows_of_every_leg():
         tau = np.reshape(stance_torques(robot, forces, stance.tolist()), (4, 3))
         assert np.array_equal(tau[stance], _every_leg_torques(robot, forces)[stance])
         assert np.array_equal(tau[~stance], np.zeros((int((~stance).sum()), 3)))
+        from_array = stance_torques(robot, forces, stance.tolist())
+        rows = forces.tolist()
+        assert stance_torques(robot, rows, stance.tolist()) == from_array
+        assert stance_torques(robot, tuple(map(tuple, rows)), stance.tolist()) == from_array
 
 
 # -- raibert -------------------------------------------------------------------

@@ -123,3 +123,27 @@ def test_drive_towards_equals_the_numpy_form():
         saturated += float(np.linalg.norm(gain * (target - srb.position[:2]))) > v_max
         clipped += abs(yaw_rate) == 0.6
     assert saturated > 100 and clipped > 100
+
+
+def test_nominal_com_equals_the_numpy_mean():
+    """The float COM target of the post-action shift is numpy's
+    `feet_pos[:, :2].mean(axis=0)` bit for bit, and the shift's target built
+    from it is too."""
+    world = standing_world()
+    core = orchestrator._OrchestratorCore(world, EpisodeOptions(), np.random.default_rng(0))
+    feet = world.robot.feet_pos
+    rng = np.random.default_rng(10)
+    for _ in range(10000):
+        feet[:] = rng.normal(scale=0.3, size=(4, 3)) * 10.0 ** rng.integers(-3, 3)
+        com = core.nominal_com_xy()
+        mean = feet[:, :2].mean(axis=0)
+        assert all(type(x) is float for x in com) and com == tuple(mean.tolist())
+        tri = core.support_centroid_xy(int(rng.integers(4)))
+        assert np.array_equal(com + 0.7 * (tri - com), mean + 0.7 * (tri - mean))
+
+
+@pytest.mark.parametrize("field, value", [("reposition", "teleprot"),
+                                          ("pose_source", "ground-truth")])
+def test_episode_options_reject_an_unknown_mode(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be .* got {value!r}"):
+        EpisodeOptions(**{field: value})

@@ -11,6 +11,7 @@ from legpress.geom import (
     GIMBAL_MARGIN,
     GimbalLockError,
     RigidTransform,
+    cross3,
     euler_zyx_to_matrix,
     matrix_to_euler_zyx,
     rotation_exp,
@@ -218,6 +219,15 @@ def test_ik_1000_random_reachable_targets():
 # -- dynamics -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("count", [11, 13])
+def test_step_takes_exactly_12_torques(count):
+    world = standing_world()
+    before = _end_state(world)
+    with pytest.raises(ValueError, match=f"expected 12 joint torques, got {count}"):
+        step(world, [0.0] * count)
+    assert world.time == 0.0 and np.array_equal(_end_state(world), before)
+
+
 def test_free_fall_matches_ballistic():
     world = standing_world()
     world.ground_enabled = False
@@ -384,6 +394,24 @@ def test_push_check_rejects_contact_off_surface():
     with pytest.raises(ValueError):
         quasi_static_push_check(obj, obj.pose.translation + np.array([0.3, 0, 0]),
                                 np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("inertia", [
+    np.diag([1e-3, 1e-3, 0.0]),  # singular: the step's inverse fails
+    np.diag([1e-3, 1e-3, -1e-3]),  # indefinite: wrong dynamics, silently
+    np.array([[1e-3, 2e-4, 0.0], [0.0, 1e-3, 0.0], [0.0, 0.0, 1e-3]]),  # not symmetric
+    np.diag([1e-3, np.nan, 1e-3]),
+])
+def test_an_inertia_that_is_not_symmetric_positive_definite_is_rejected(inertia):
+    with pytest.raises(ValueError, match="inertia must be symmetric positive definite"):
+        SimObject(Box((0.1, 0.1, 0.1)), RigidTransform.identity(), inertia=inertia)
+
+
+def test_every_catalog_shape_has_an_accepted_inertia():
+    for split in ("train", "eval"):
+        for shape in harness.object_catalog(split):
+            obj = SimObject.from_shape(shape, RigidTransform.identity())
+            assert np.linalg.eigvalsh(obj.inertia)[0] > 0.0
 
 
 # -- shapes --------------------------------------------------------------------
@@ -957,24 +985,22 @@ def test_far_foot_skip_never_drops_a_contact(name):
 # -- friction pass against its numpy formulation --------------------------------
 
 
-def _numpy_friction_pass(fric, objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
-                         mf, mu_ground, dt):
+def _numpy_friction_pass(fric, objects, feet_v, obj_v, obj_w, obj_L, obj_I_inv, mf, dt):
     """The friction pass as it was written before its float rewrite: every
-    3-vector dot and every inverse-inertia product is a numpy call."""
+    3-vector dot and every inverse-inertia product is a numpy call. Each
+    contact brings its offset r from the object origin and its Coulomb
+    budget mu * fn * dt."""
     I_inv = [np.array(M) for M in obj_I_inv]
     applied = [0.0] * len(fric)
     for _sweep in range(2):
-        for ci, (kind, foot, oi, point, n, fn, rec) in enumerate(fric):
+        for ci, (kind, foot, oi, r, n, budget, rec) in enumerate(fric):
             if kind == "foot_ground":
                 v_rel = feet_v[foot]
-                mu = mu_ground
             else:
                 obj = objects[oi]
-                r = [point[k] - obj_t[oi][k] for k in range(3)]
                 v_rel = (np.array(obj_v[oi]) + np.cross(obj_w[oi], r)).tolist()
                 if kind == "foot_obj":
                     v_rel = [feet_v[foot][k] - v_rel[k] for k in range(3)]
-                mu = min(obj.friction, mu_ground)
             vn = float(np.array(v_rel) @ np.array(n))
             v_t = np.array([v_rel[k] - vn * n[k] for k in range(3)])
             speed = math.sqrt(float(v_t @ v_t))
@@ -988,7 +1014,7 @@ def _numpy_friction_pass(fric, objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_
                 k_inv = 1.0 / obj.mass + float(rx @ I_inv[oi] @ rx)
                 if kind == "foot_obj":
                     k_inv = 1.0 / mf + k_inv
-            j = min(speed / k_inv, max(mu * fn * dt - applied[ci], 0.0))
+            j = min(speed / k_inv, max(budget - applied[ci], 0.0))
             if j <= 0.0:
                 continue
             applied[ci] += j
@@ -1039,7 +1065,7 @@ def test_friction_pass_matches_its_numpy_formulation(name, monkeypatch):
     _numpy_friction_pass(*ref)
 
     def outputs(a):
-        fric, _, feet_v, _, obj_v, obj_w = a[:6]
+        fric, _, feet_v, obj_v, obj_w = a[:5]
         return [np.ravel(feet_v), np.ravel(obj_v), np.ravel(obj_w),
                 np.array([c[-1].tangential_force for c in fric])]
 
@@ -1052,6 +1078,139 @@ def test_friction_pass_matches_its_numpy_formulation(name, monkeypatch):
     f_ref = outputs(ref)[-1]
     slipped = {c[0] for c, f in zip(ref[0], f_ref) if f > 0.0}
     assert slipping <= slipped
+
+
+def _parent_friction_pass(fric, objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
+                          mf, mu_ground, dt):
+    """The float friction pass before the per-tick values left its loop: it
+    takes each contact's point and normal force, forms r = point - t, the
+    point velocity, 1/m, 1/mf and the Coulomb budget per contact and sweep."""
+    applied = [0.0] * len(fric)
+    for _sweep in range(2):
+        for ci, (kind, foot, oi, point, n, fn, rec) in enumerate(fric):
+            if kind is simworld._FOOT_GROUND:
+                v0, v1, v2 = feet_v[foot]
+                mu = mu_ground
+            else:
+                obj = objects[oi]
+                t = obj_t[oi]
+                r = (point[0] - t[0], point[1] - t[1], point[2] - t[2])
+                c0, c1, c2 = cross3(obj_w[oi], r)
+                u = obj_v[oi]
+                v0, v1, v2 = u[0] + c0, u[1] + c1, u[2] + c2
+                if kind is simworld._FOOT_OBJ:
+                    fv = feet_v[foot]
+                    v0, v1, v2 = fv[0] - v0, fv[1] - v1, fv[2] - v2
+                mu = min(obj.friction, mu_ground)
+            n0, n1, n2 = n
+            vn = v0 * n0 + v1 * n1 + v2 * n2
+            t0, t1, t2 = v0 - vn * n0, v1 - vn * n1, v2 - vn * n2
+            speed = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
+            if speed < 1e-12:
+                continue
+            t_hat = (t0 / speed, t1 / speed, t2 / speed)
+            if kind is simworld._FOOT_GROUND:
+                k_inv = 1.0 / mf
+            else:
+                (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = obj_I_inv[oi]
+                x0, x1, x2 = cross3(r, t_hat)
+                k_inv = 1.0 / obj.mass + (x0 * (a00 * x0 + a01 * x1 + a02 * x2)
+                                          + x1 * (a10 * x0 + a11 * x1 + a12 * x2)
+                                          + x2 * (a20 * x0 + a21 * x1 + a22 * x2))
+                if kind is simworld._FOOT_OBJ:
+                    k_inv = 1.0 / mf + k_inv
+            j = min(speed / k_inv, max(mu * fn * dt - applied[ci], 0.0))
+            if j <= 0.0:
+                continue
+            applied[ci] += j
+            rec.tangential_force = applied[ci] / dt
+            i0, i1, i2 = imp = (-j * t_hat[0], -j * t_hat[1], -j * t_hat[2])
+            if kind is not simworld._OBJ_GROUND:
+                fv = feet_v[foot]
+                fv[0], fv[1], fv[2] = fv[0] + i0 / mf, fv[1] + i1 / mf, fv[2] + i2 / mf
+            if kind is not simworld._FOOT_GROUND:
+                v, L = obj_v[oi], obj_L[oi]
+                c0, c1, c2 = cross3(r, imp)
+                m = obj.mass
+                if kind is simworld._OBJ_GROUND:
+                    v[0], v[1], v[2] = v[0] + i0 / m, v[1] + i1 / m, v[2] + i2 / m
+                    L[0], L[1], L[2] = L[0] + c0, L[1] + c1, L[2] + c2
+                else:
+                    v[0], v[1], v[2] = v[0] - i0 / m, v[1] - i1 / m, v[2] - i2 / m
+                    L[0], L[1], L[2] = L[0] - c0, L[1] - c1, L[2] - c2
+                L0, L1, L2 = L
+                obj_w[oi] = [a00 * L0 + a01 * L1 + a02 * L2, a10 * L0 + a11 * L1 + a12 * L2,
+                             a20 * L0 + a21 * L1 + a22 * L2]
+
+
+def _random_contact_set(rng, n_objects, n_contacts, mf, mu_ground, dt):
+    """Inputs of a random friction pass in both forms: the parent's (point,
+    normal force, mu_ground) and the step's (r = point - t, Coulomb budget
+    mu * fn * dt, as `step` forms them). Every kind appears, on several
+    objects; the normal forces span budgets that bind and budgets that do not."""
+    objects, obj_t, obj_v, obj_w, obj_L, obj_I_inv = [], [], [], [], [], []
+    for oi in range(n_objects):
+        A = rng.normal(size=(3, 3))
+        objects.append(SimObject(Box((0.1, 0.1, 0.1)), RigidTransform.identity(),
+                                 mass=float(rng.uniform(0.05, 2.0)),
+                                 friction=float(rng.uniform(0.2, 0.9)), name=f"o{oi}"))
+        obj_t.append(rng.normal(scale=0.3, size=3).tolist())
+        obj_v.append(rng.normal(scale=0.2, size=3).tolist())
+        obj_w.append(rng.normal(scale=2.0, size=3).tolist())
+        obj_L.append(rng.normal(scale=0.01, size=3).tolist())
+        obj_I_inv.append((50.0 * (A @ A.T + 0.5 * np.eye(3))).tolist())
+    feet_v = rng.normal(scale=0.2, size=(4, 3)).tolist()
+    kinds = [simworld._FOOT_GROUND, simworld._OBJ_GROUND, simworld._FOOT_OBJ]
+    old, new = [], []
+    for ci in range(n_contacts):
+        kind = kinds[ci % 3] if ci < 3 else kinds[rng.integers(3)]
+        foot = -1 if kind is simworld._OBJ_GROUND else int(rng.integers(4))
+        oi = -1 if kind is simworld._FOOT_GROUND else int(rng.integers(n_objects))
+        point = rng.normal(scale=0.3, size=3).tolist()
+        if kind is simworld._FOOT_OBJ:
+            n = rng.normal(size=3)
+            n = (n / np.linalg.norm(n)).tolist()
+        else:
+            n = (0.0, 0.0, 1.0)
+        fn = float(10.0 ** rng.uniform(-2.0, 3.0))
+        rec_old = simworld.ContactRecord(0.001, fn, 0.0, ("a", "b"))
+        rec_new = simworld.ContactRecord(0.001, fn, 0.0, ("a", "b"))
+        old.append((kind, foot, oi, point, n, fn, rec_old))
+        if kind is simworld._FOOT_GROUND:
+            new.append((kind, foot, oi, None, n, mu_ground * fn * dt, rec_new))
+        else:
+            t = obj_t[oi]
+            mu = min(objects[oi].friction, mu_ground)
+            r = (point[0] - t[0], point[1] - t[1], point[2] - t[2])
+            new.append((kind, foot, oi, r, n, mu * fn * dt, rec_new))
+    state = (feet_v, obj_v, obj_w, obj_L)
+    return objects, obj_t, obj_I_inv, old, new, state
+
+
+def test_friction_pass_equals_the_parent_float_pass():
+    """Bit for bit, on 300 random contact sets of every kind over one to four
+    objects: the velocities, momenta and each record's tangential force."""
+    rng = np.random.default_rng(46)
+    mf, mu_ground, dt = 0.1, 0.5, 0.001
+    capped = free = 0
+    for _ in range(300):
+        objects, obj_t, obj_I_inv, old, new, state = _random_contact_set(
+            rng, int(rng.integers(1, 5)), int(rng.integers(3, 25)), mf, mu_ground, dt)
+        s_old, s_new = copy.deepcopy(state), copy.deepcopy(state)
+        feet_v, obj_v, obj_w, obj_L = s_old
+        _parent_friction_pass(old, objects, feet_v, obj_t, obj_v, obj_w, obj_L, obj_I_inv,
+                              mf, mu_ground, dt)
+        feet_v, obj_v, obj_w, obj_L = s_new
+        simworld._friction_pass(new, objects, feet_v, obj_v, obj_w, obj_L, obj_I_inv, mf, dt)
+        assert s_new == s_old
+        f_old = [c[-1].tangential_force for c in old]
+        assert [c[-1].tangential_force for c in new] == f_old
+        for c, f in zip(old, f_old):
+            capped += f > 0.0 and f == pytest.approx(c[-1].normal_force * min(
+                mu_ground, 1.0 if c[2] < 0 else objects[c[2]].friction), rel=1e-12)
+            free += f > 0.0
+    # both branches of the Coulomb cap ran
+    assert capped > 100 and free - capped > 100
 
 
 # -- memoised kinematics -------------------------------------------------------
@@ -1113,7 +1272,7 @@ def test_leg_jacobian_follows_in_place_joint_writes():
     def controllers():
         imp = impedance_torque_tracking(robot.legs[0], srb, p, v, p_des, np.zeros(3), gains)
         return (rotation_rows(srb), leg_jacobian_rows(robot.legs[0]),
-                np.array(stance_torques(robot, forces, ALL_STANCE)), imp.torques)
+                np.array(stance_torques(robot, forces, ALL_STANCE)), np.asarray(imp.torques))
 
     before = controllers()
     srb.rpy[:] = (0.02, -0.01, 0.4)

@@ -139,9 +139,14 @@ def test_impedance_law_matches_the_numpy_form():
         p_foot, v_foot, p_des, v_des = rng.normal(scale=0.2, size=(4, 3))
         cmd = impedance_torque_tracking(leg, trunk, p_foot, v_foot, p_des, v_des, gains)
         tau, singular = impedance_reference(leg, trunk, p_foot, v_foot, p_des, v_des, gains)
-        assert cmd.torques.shape == (3,) and cmd.torques.dtype == np.float64
+        assert isinstance(cmd.torques, list) and len(cmd.torques) == 3
         np.testing.assert_allclose(cmd.torques, tau, rtol=1e-12, atol=0.0)
         assert cmd.singular == singular
+        # float inputs, as the control tick passes them: a list of floats
+        # with the same values
+        rows = impedance_torque_tracking(leg, trunk, p_foot.tolist(), v_foot.tolist(),
+                                         p_des.tolist(), v_des.tolist(), gains).torques
+        assert all(type(x) is float for x in rows) and rows == cmd.torques
 
 
 def test_singular_flag_agrees_with_numpy_at_the_determinant_edge():
