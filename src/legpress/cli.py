@@ -3,7 +3,8 @@
 Subcommands:
   eval      run seeded episodes of a benchmark task with a policy
   multistep run the one-meter multi-step distant-goal protocol
-  regbench  registration synthetic suite (rotation/translation MAE, ICP exits)
+  regbench  registration synthetic suite (rotation/translation MAE, ICP exits
+            and iterations)
   simcheck  simulator invariant suite: one line per row of SIM_CHECKS, the
             table the Tier-1 tests assert too
   sweep     seeded outcome sweep: every task with the planning policy, the
@@ -105,6 +106,9 @@ def cmd_regbench(args) -> int:
     print(f"rotation_mae_deg={res.rotation_mae_deg!r}")
     print(f"translation_mae={res.translation_mae!r}")
     print(" ".join(["icp_exits"] + [f"{k}={v}" for k, v in res.icp_exits.items()]))
+    starts = sum(res.icp_exits.values())
+    mean = res.icp_iterations / starts if starts else 0.0
+    print(f"icp_iterations starts={starts} total={res.icp_iterations} mean={mean!r}")
     if args.ambiguity:
         amb = ambiguity_benchmark(args.ambiguity, seed=args.seed)
         print(f"ambiguity_trials={amb.trials}")

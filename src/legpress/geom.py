@@ -149,6 +149,16 @@ class RigidTransform:
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float).reshape(3))
 
     @staticmethod
+    def from_arrays(rotation: np.ndarray, translation: np.ndarray) -> "RigidTransform":
+        """The transform of a float (3, 3) rotation array and a float (3,)
+        translation array, kept as they are: for a caller that has just built
+        both, without the conversion and reshape of the constructor."""
+        t = object.__new__(RigidTransform)
+        object.__setattr__(t, "rotation", rotation)
+        object.__setattr__(t, "translation", translation)
+        return t
+
+    @staticmethod
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
 

@@ -366,18 +366,20 @@ class RegBenchResult:
     translation_mae: float
     cases: int
     icp_exits: dict = field(default_factory=dict)  # ICP starts per exit rule, all cases
+    icp_iterations: int = 0  # ICP iterations of all starts, all cases
 
 
 def registration_benchmark(n_cases: int = 200, seed: int = 0) -> RegBenchResult:
     """Synthetic suite: partial (<=70% visibility) scans registered to full
     scans under bounded random perturbations; reports rotation/translation
-    mean absolute error of the recovered transforms and how often each ICP
-    start stopped on each exit rule."""
+    mean absolute error of the recovered transforms, how often each ICP
+    start stopped on each exit rule and how many iterations the starts ran."""
     if n_cases < 1:
         raise ValueError("need at least one registration case")
     rng = np.random.default_rng(seed)
     rot_errs, trans_errs = [], []
     exits = dict.fromkeys(EXITS, 0)
+    iterations = 0
     for case in range(n_cases):
         shape = _asymmetric_shape(rng)
         obj = SimObject.from_shape(shape, RigidTransform.identity())
@@ -395,13 +397,15 @@ def registration_benchmark(n_cases: int = 200, seed: int = 0) -> RegBenchResult:
         result = register_with_augmentation(source, target, seed=int(rng.integers(2 ** 31)))
         for cand in result.candidates:
             exits[cand.exit] += 1
+            iterations += cand.iterations
         est = result.transform
         err = compose(est, true.inverse())
         rot_errs.append(math.degrees(err.rotation_angle()))
         # translation error measured at the object centroid
         c = scan.centroid
         trans_errs.append(float(np.linalg.norm(est.apply(c) - true.apply(c))))
-    return RegBenchResult(float(np.mean(rot_errs)), float(np.mean(trans_errs)), n_cases, exits)
+    return RegBenchResult(float(np.mean(rot_errs)), float(np.mean(trans_errs)), n_cases, exits,
+                          iterations)
 
 
 @dataclass

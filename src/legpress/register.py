@@ -12,11 +12,17 @@ original source onto the target.
 
 All starts of one registration run in lockstep against one target KD-tree,
 built once together with the target's normals and reused by the Chamfer
-scoring; `icp_register` is the same core with one start.
+scoring; `icp_register` is the same core with one start. The starts' current
+and best transforms are stacked (k, 3, 3) rotation and (k, 3) translation
+arrays; `RigidTransform`s are made only for the results, from rows that no
+later iteration writes. Per start and iteration only the residual and the
+`np.linalg.lstsq` solve remain; everything else runs once per iteration for
+all starts. Both entry points reject a cloud with a NaN or infinite point
+before any work.
 
 Exactness. Every result is bit-identical to running each start alone with
-plain numpy, one call per start. The calls made once per iteration for all
-live starts, and why each gives every start the bits of its own call:
+plain numpy, one call per start. Each batched operation, and why it gives
+every start the bits of the call it replaces:
 - the stacked `np.matmul` of the sources with the transposed rotations
   replaces one `p @ R.T` per start: numpy runs one gemm per slice, with the
   same operands and transpose flags;
@@ -24,26 +30,45 @@ live starts, and why each gives every start the bits of its own call:
   start: each point's nearest neighbour is found on its own;
 - `np.median(axis=1)` replaces one `np.median` per start: the same partition
   picks the same middle values, which are averaged in the same order;
-- the reject threshold and mask, and the boolean gathers of the kept points,
-  their matches and the matches' normals, replace the per-start forms: a mask
-  over rows concatenates the per-start selections in start order;
+- the reject threshold and mask, and the boolean gathers of the kept points
+  and their match indices, replace the per-start forms: a mask over rows
+  concatenates the per-start selections in start order;
+- one `np.take` from an (n, 6) array of target points and normals replaces
+  the two fancy-index gathers: it copies the same values, and the system
+  reads its two column halves with the same values per row;
 - the residual `einsum` and the point-to-plane columns (the operations
   `np.cross` performs) are computed per kept row, so stacking rows does not
   change them;
-- each candidate's Chamfer distance queries the shared target tree, built
-  from the same points as the tree it replaces.
-What stays per start is what reduces over a start's rows or its transform:
-the residual mean (a segmented sum such as `np.add.reduceat` adds in another
-order than the pairwise sum of `np.mean`), the `np.linalg.lstsq` solve,
-`rotation_exp`, `compose` and the step norm. A
-hand-written dot or matrix product would round differently from the BLAS
-call it replaced. A start leaves the batch on exactly the exit rule and
-iteration at which it would have stopped alone.
-`cKDTree.query` is the floor. On a 2-core x86 host, with 186 source and 400
-target points on average, an ICP start-iteration costs about 350 us in
-lockstep against 390-440 us alone, and the query is about 150 us of it; the
-per-start Gauss-Newton step (`lstsq`, `rotation_exp`) is next at about 80 us. Threading the query (`workers=2`)
-made it 2-3x slower there.
+- a start's residual `math.sqrt(float(sq[rows].sum()) / count)` is its
+  `np.sqrt(np.mean(sq[rows]))`: the mean is that pairwise sum divided by the
+  count, and both square roots are correctly rounded;
+- `_rotation_exp_rows` replaces `rotation_exp` per start: the angle is the
+  square root of a (m, 1, 3) @ (m, 3, 1) matmul, which numpy runs as one BLAS
+  dot per slice, the dot `np.linalg.norm` takes; K K is one gemm per slice;
+  sine and cosine are `math.sin` and `math.cos` per start, as `rotation_exp`
+  takes them (numpy's SIMD ufuncs may round differently); the sums are
+  elementwise, in the same order;
+- `compose` of the steps with the current transforms is the stacked matmuls
+  delta @ R (one gemm per slice) and delta @ t (one gemv per slice, as for a
+  3-vector) plus the step's translation;
+- the step test: the translation norm is the same row dot, the trace of
+  each step's rotation is `np.trace(axis1=1, axis2=2)`, which sums each
+  diagonal in `np.trace`'s order, and the angle is `math.acos` per start;
+- the Chamfer scoring moves each candidate's source once and queries the
+  source->target side of all candidates on the shared target tree at once.
+What stays per start is the `np.linalg.lstsq` solve, LAPACK on that start's
+rows, and the residual sum (a segmented sum such as `np.add.reduceat` adds
+in another order than the pairwise sum). A hand-written dot or matrix
+product would round differently from the BLAS call it replaced. A start
+leaves the batch on exactly the exit rule and iteration at which it would
+have stopped alone.
+`cKDTree.query` is the floor. On a 2-core x86 host, on
+`registration_benchmark(140, seed=0)` (182 source and 400 target points, 4.3
+live starts per iteration on average), an ICP start-iteration costs
+about 210-260 us: the query 100-125 us, `lstsq` 35-40 us and everything else
+75-90 us. With a Rodrigues map, `compose` and step test per start it cost
+250-330 us, 100-135 us of it outside the query and `lstsq`. Threading the
+query (`workers=2`) made it 2-3x slower there.
 """
 from __future__ import annotations
 
@@ -53,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import PointCloud, RigidTransform, compose, rotation_exp, rot_z
+from .geom import PointCloud, RigidTransform, compose, rot_z
 from .sensing import estimate_normals
 
 CHAMFER_RANK_WEIGHT = 1.5  # preference weighting on the Chamfer ranking
@@ -86,19 +111,23 @@ def flow_distance(source: PointCloud, t: RigidTransform) -> float:
     """Mean displacement the transform imputes to the source points."""
     if len(source) == 0:
         raise ValueError("empty cloud")
-    moved = t.apply(source.points)
-    return float(np.mean(np.linalg.norm(moved - source.points, axis=1)))
+    return _mean_displacement(t.apply(source.points), source.points)
+
+
+def _mean_displacement(moved: np.ndarray, points: np.ndarray) -> float:
+    return float(np.mean(np.linalg.norm(moved - points, axis=1)))
 
 
 def chamfer_distance(a: PointCloud, b: PointCloud) -> float:
     """Symmetric mean nearest-neighbor distance (non-squared)."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("empty cloud")
-    return _chamfer(a.points, b.points, cKDTree(b.points))
+    d_ab, _ = cKDTree(b.points).query(a.points)
+    return _chamfer(d_ab, a.points, b.points)
 
 
-def _chamfer(a: np.ndarray, b: np.ndarray, tree_b: cKDTree) -> float:
-    d_ab, _ = tree_b.query(a)
+def _chamfer(d_ab: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """The Chamfer distance of a and b, given each point of a's distance to b."""
     d_ba, _ = cKDTree(a).query(b)
     return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
 
@@ -116,10 +145,30 @@ def _point_to_plane_system(src, dst, nrm):
     return A, -np.einsum("ij,ij->i", src - dst, nrm)
 
 
-def _gauss_newton_step(A, b) -> RigidTransform:
-    """The step minimizing sum(((R p + t - q) . n)^2) to first order."""
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return RigidTransform(rotation_exp(x[:3]), x[3:])
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of V: the square root of the row's dot
+    with itself, the BLAS dot that norm takes."""
+    return np.sqrt(np.matmul(V[:, None, :], V[:, :, None])).reshape(len(V))
+
+
+def _rotation_exp_rows(W: np.ndarray) -> np.ndarray:
+    """`geom.rotation_exp` of each row of W, bit for bit, as a (m, 3, 3) stack.
+
+    A row with angle th >= 1e-12 gives I + sin(th) K + (1 - cos(th)) K K with
+    K = skew(w / th). A smaller row keeps K = skew(w) and takes sin 1 and
+    1 - cos 0, which leaves exactly I + skew(w), the small-angle branch."""
+    th = _row_norms(W)
+    small = th < 1e-12
+    th[small] = 1.0
+    k0, k1, k2 = (W / th[:, None]).T
+    zero = np.zeros(len(W))
+    K = np.array([zero, -k2, k1, k2, zero, -k0, -k1, k0, zero]).T.reshape(-1, 3, 3)
+    # math.sin and math.cos, as rotation_exp takes them; numpy's rounds otherwise
+    angles = th.tolist()
+    sin = np.array([math.sin(a) for a in angles])
+    one_minus_cos = np.array([1.0 - math.cos(a) for a in angles])
+    sin[small], one_minus_cos[small] = 1.0, 0.0
+    return np.eye(3) + sin[:, None, None] * K + one_minus_cos[:, None, None] * np.matmul(K, K)
 
 
 def _indexed_target(target: PointCloud):
@@ -129,6 +178,12 @@ def _indexed_target(target: PointCloud):
     if target.normals is None:
         target = estimate_normals(target)
     return target, cKDTree(target.points)
+
+
+def _check_finite(source: PointCloud, target: PointCloud) -> None:
+    for name, cloud in (("source", source), ("target", target)):
+        if not np.isfinite(cloud.points).all():
+            raise ValueError(f"{name} cloud has non-finite points")
 
 
 def _icp_lockstep(sources: list, target: PointCloud, tree: cKDTree) -> list:
@@ -144,56 +199,80 @@ def _icp_lockstep(sources: list, target: PointCloud, tree: cKDTree) -> list:
     k, n = stacked.shape[:2]
     if n < 10:
         raise ValueError("need at least 10 points per cloud")
-    T = [RigidTransform.identity()] * k
-    best_T, best_res, streak = list(T), [math.inf] * k, [0] * k
+    matches = np.hstack([target.points, target.normals])  # a match's point and normal
+    # every start's current and best transform as stacked rotations and
+    # translations; a start's rows are not written after it leaves the batch,
+    # so its result's transform is a view of them
+    rot, trans = np.tile(np.eye(3), (k, 1, 1)), np.zeros((k, 3))
+    best_rot, best_trans = rot.copy(), trans.copy()
+    best_res, streak = [math.inf] * k, [0] * k
     results = [None] * k
+
+    def exit_with(s, rotations, translations, res, rule, it):
+        results[s] = IcpResult(RigidTransform(rotations[s], translations[s]), res, rule, it)
+
     live = list(range(k))
     for it in range(1, ICP_MAX_ITER + 1):
-        rot_t = np.stack([T[s].rotation for s in live]).transpose(0, 2, 1)
-        trans = np.stack([T[s].translation for s in live])
-        moved = np.matmul(stacked[live], rot_t) + trans[:, None, :]
+        moved = np.matmul(stacked[live], rot[live].transpose(0, 2, 1)) + trans[live][:, None, :]
         dist, idx = tree.query(moved.reshape(-1, 3))
         dist, idx = dist.reshape(len(live), n), idx.reshape(len(live), n)
         med = np.median(dist, axis=1)
         keep = dist <= np.maximum(REJECT_MEDIAN_FACTOR * med, 1e-9)[:, None]
         counts = np.count_nonzero(keep, axis=1)
         keep[counts < MIN_KEPT] = False
-        hit = idx[keep]
-        A, b = _point_to_plane_system(moved[keep], target.points[hit], target.normals[hit])
+        hit = np.take(matches, idx[keep], axis=0)
+        A, b = _point_to_plane_system(moved[keep], hit[:, :3], hit[:, 3:])
         sq = b ** 2
 
-        stepping, end = [], 0
+        stepping, improved, residuals, steps, end = [], [], [], [], 0
         for s, count in zip(live, counts.tolist()):
             if count < MIN_KEPT:
-                results[s] = IcpResult(best_T[s], best_res[s], "few_points", it)
+                exit_with(s, best_rot, best_trans, best_res[s], "few_points", it)
                 continue
             rows = slice(end, end + count)
             end += count
-            res = float(np.sqrt(np.mean(sq[rows])))
+            res = math.sqrt(float(sq[rows].sum()) / count)
             if res < best_res[s] - 1e-12:
-                best_res[s], best_T[s], streak[s] = res, T[s], 0
+                best_res[s], streak[s] = res, 0
+                improved.append(s)
             else:
                 streak[s] += 1
                 if streak[s] >= DIVERGE_PATIENCE:
-                    results[s] = IcpResult(best_T[s], best_res[s], "patience", it)
+                    exit_with(s, best_rot, best_trans, best_res[s], "patience", it)
                     continue
-            delta = _gauss_newton_step(A[rows], b[rows])
-            T[s] = compose(delta, T[s])
-            if float(np.linalg.norm(delta.translation)) + delta.rotation_angle() < ICP_TOL:
-                results[s] = IcpResult(T[s], res, "step_tol", it)
-                continue
+            x, *_ = np.linalg.lstsq(A[rows], b[rows], rcond=None)
             stepping.append(s)
-        live = stepping
+            residuals.append(res)
+            steps.append(x)
+        best_rot[improved], best_trans[improved] = rot[improved], trans[improved]
+        live = []
+        if not stepping:
+            break
+        # the Gauss-Newton steps of all stepping starts: x = (rotation vector,
+        # translation), applied after the current transform
+        steps = np.array(steps)
+        delta = _rotation_exp_rows(steps[:, :3])
+        rot[stepping] = np.matmul(delta, rot[stepping])
+        trans[stepping] = np.matmul(delta, trans[stepping][:, :, None])[:, :, 0] + steps[:, 3:]
+        # step size: translation norm plus the rotation angle, as
+        # RigidTransform.rotation_angle takes it
+        cos = ((np.trace(delta, axis1=1, axis2=2) - 1.0) / 2.0).tolist()
+        for s, res, t_norm, c in zip(stepping, residuals, _row_norms(steps[:, 3:]).tolist(), cos):
+            if t_norm + math.acos(min(1.0, max(-1.0, c))) < ICP_TOL:
+                exit_with(s, rot, trans, res, "step_tol", it)
+            else:
+                live.append(s)
         if not live:
             break
     for s in live:
-        results[s] = IcpResult(best_T[s], best_res[s], "max_iter", ICP_MAX_ITER)
+        exit_with(s, best_rot, best_trans, best_res[s], "max_iter", ICP_MAX_ITER)
     return results
 
 
 def icp_register(source: PointCloud, target: PointCloud) -> IcpResult:
     """Point-to-plane ICP from source to target, from the identity: the
     lockstep core with one start."""
+    _check_finite(source, target)
     target, tree = _indexed_target(target)
     return _icp_lockstep([source.points], target, tree)[0]
 
@@ -204,6 +283,7 @@ class RegistrationCandidate:
     flow_distance: float
     chamfer_distance: float
     exit: str  # why this start's ICP stopped, one of EXITS
+    iterations: int = 0  # the ICP iterations this start ran
     rank_flow: int = 0
     rank_chamfer: int = 0
     weighted_rank_sum: float = 0.0
@@ -249,6 +329,7 @@ def register_with_augmentation(source: PointCloud, target: PointCloud,
     random yaw rotations of the source about its centroid. Ties break
     toward lower Chamfer distance, then lower candidate index.
     """
+    _check_finite(source, target)
     rng = np.random.default_rng(seed)
     centroid = source.centroid
     rotations = [RigidTransform.identity()]
@@ -257,13 +338,17 @@ def register_with_augmentation(source: PointCloud, target: PointCloud,
         rotations.append(RigidTransform.rotation_about(rot_z(yaw), centroid))
 
     target, tree = _indexed_target(target)
-    starts = _icp_lockstep([R_aug.apply(source.points) for R_aug in rotations], target, tree)
-    candidates = []
-    for R_aug, est in zip(rotations, starts):
-        combined = compose(est.transform, R_aug)
-        flow = flow_distance(source, combined)
-        cham = _chamfer(combined.apply(source.points), target.points, tree)
-        candidates.append(RegistrationCandidate(combined, flow, cham, est.exit))
+    points = source.points
+    starts = _icp_lockstep([R_aug.apply(points) for R_aug in rotations], target, tree)
+    combined = [compose(est.transform, R_aug) for R_aug, est in zip(rotations, starts)]
+    moved = np.stack([c.apply(points) for c in combined])
+    # the source->target side of every candidate's Chamfer distance in one query
+    d_ab, _ = tree.query(moved.reshape(-1, 3))
+    d_ab = d_ab.reshape(len(combined), len(points))
+    candidates = [
+        RegistrationCandidate(c, _mean_displacement(m, points), _chamfer(d, m, target.points),
+                              est.exit, est.iterations)
+        for c, m, d, est in zip(combined, moved, d_ab, starts)]
 
     flows = [c.flow_distance for c in candidates]
     chams = [c.chamfer_distance for c in candidates]

@@ -18,8 +18,11 @@ Leg numbering: 0 = front-left, 1 = front-right, 2 = rear-left,
 Speed, gated on outcomes. The per-tick path runs on Python floats. `step`
 takes its 12 torques as floats, reads the trunk, feet and objects once with
 `.tolist()` and writes them back once into the same public arrays, a
-3-vector item by item (an object gets a new `RigidTransform`), and hands its
-floats to `_sync_legs`, which writes only joint state except at a joint stop.
+3-vector item by item and the feet with one flat write each (an object gets a
+new `RigidTransform`, made by `RigidTransform.from_arrays` from the two arrays
+just built), and hands its floats to `_sync_legs`, which writes only joint
+state except at a joint stop and reads each hip offset as the float triple
+its leg keeps beside the read-only array.
 What is fixed within a tick is computed once per tick, not per contact or
 per sweep: each object's friction min(mu, mu_ground) and body inertia rows,
 the damper clamp min(d_normal, 0.25 m_eff / dt) of each contact kind (a foot,
@@ -171,16 +174,18 @@ class SrbState:
 
 @dataclass
 class LegModel:
-    hip_offset: np.ndarray  # trunk frame, from trunk COM
+    hip_offset: np.ndarray  # trunk frame, from trunk COM; read-only
     side: float  # +1 left, -1 right
     link_lengths: tuple  # (abduction offset, thigh, calf)
     joint_limits: tuple  # (lo, hi) per joint: hip roll, hip pitch, knee
     joint_angles: np.ndarray = field(default_factory=lambda: np.zeros(3))
     # (bytes of joint_angles, trunk-frame Jacobian rows), see leg_jacobian_rows
     _jac: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _hip: tuple = field(default=(), init=False, repr=False, compare=False)  # hip_offset's floats
 
     def __post_init__(self):
-        self.hip_offset = np.asarray(self.hip_offset, dtype=float).reshape(3)
+        self.hip_offset = _freeze(np.array(self.hip_offset, dtype=float).reshape(3))
+        self._hip = tuple(self.hip_offset.tolist())
         self.joint_angles = np.asarray(self.joint_angles, dtype=float).reshape(3).copy()
 
     @property
@@ -189,7 +194,7 @@ class LegModel:
         return self.hip_offset + np.array([0.0, self.side * self.link_lengths[0], 0.0])
 
     def copy(self) -> "LegModel":
-        return LegModel(self.hip_offset.copy(), self.side, self.link_lengths,
+        return LegModel(self.hip_offset, self.side, self.link_lengths,
                         self.joint_limits, self.joint_angles.copy())
 
 
@@ -715,8 +720,12 @@ class ContactRecord:
 class RobotState:
     srb: SrbState
     legs: list
-    feet_pos: np.ndarray  # (4, 3) world
-    feet_vel: np.ndarray  # (4, 3) world
+    feet_pos: np.ndarray  # (4, 3) world, C-contiguous: `step` writes it flat
+    feet_vel: np.ndarray  # (4, 3) world, C-contiguous
+
+    def __post_init__(self):
+        self.feet_pos = np.ascontiguousarray(self.feet_pos, dtype=float)
+        self.feet_vel = np.ascontiguousarray(self.feet_vel, dtype=float)
 
     def rotation(self) -> np.ndarray:
         return self.srb.rotation()
@@ -786,7 +795,7 @@ def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
     p0, p1, p2 = pos
     for i, leg in enumerate(robot.legs):
-        o0, o1, o2 = off = leg.hip_offset.tolist()
+        o0, o1, o2 = off = leg._hip
         fp = feet_p[i]
         # the foot from the hip point pos + R off, in the trunk frame
         e0 = fp[0] - (p0 + (r00 * o0 + r01 * o1 + r02 * o2))
@@ -1139,13 +1148,14 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
         a[0], a[1], a[2] = v_o
         a = obj.angular_velocity
         a[0], a[1], a[2] = matvec3(Ro_new, matvec3(obj_I[oi][1], matvec3_t(Ro_new, L)))
-        obj.pose = RigidTransform(np.array(Ro_new), np.array(
+        obj.pose = RigidTransform.from_arrays(np.array(Ro_new), np.array(
             [t[0] + v_o[0] * dt, t[1] + v_o[1] * dt, t[2] + v_o[2] * dt]))
 
     feet_p = [[fp[0] + fv[0] * dt, fp[1] + fv[1] * dt, fp[2] + fv[2] * dt]
               for fp, fv in zip(feet_p, feet_v)]
-    robot.feet_vel[:] = feet_v
-    robot.feet_pos[:] = feet_p
+    # one flat write each (the arrays are C-contiguous, see RobotState)
+    robot.feet_vel.ravel()[:] = [*feet_v[0], *feet_v[1], *feet_v[2], *feet_v[3]]
+    robot.feet_pos.ravel()[:] = [*feet_p[0], *feet_p[1], *feet_p[2], *feet_p[3]]
 
     world._steps += 1
     _sync_legs(world, R, pos, v, w, feet_p, feet_v)

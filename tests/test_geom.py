@@ -80,6 +80,15 @@ def test_rotation_closure():
         assert is_rotation(r1 @ r2)
 
 
+def test_transform_from_arrays_keeps_them_and_equals_the_constructor():
+    R, t = rotation_exp([0.1, -0.2, 0.3]), np.array([0.4, 0.5, -0.6])
+    got = RigidTransform.from_arrays(R, t)
+    assert got.rotation is R and got.translation is t
+    assert np.array_equal(got.apply(np.eye(3)), RigidTransform(R, t).apply(np.eye(3)))
+    with pytest.raises(AttributeError):
+        got.translation = t
+
+
 def test_apply_transform_identity_and_translation():
     cloud = PointCloud(np.array([[0.0, 0, 0], [1, 2, 3], [-1, 0, 0.5]]))
     same = apply_transform(RigidTransform.identity(), cloud)

@@ -185,13 +185,14 @@ def test_every_table_starts_with_the_blas_threads(argv, capsys, monkeypatch):
 
 def test_regbench_prints_how_every_icp_start_stopped(capsys):
     """Three cases of seven starts each; the errors are the pinned ones of
-    test_shape_sets_are_unchanged."""
+    test_shape_sets_are_unchanged, and the iterations the starts' own."""
     assert cli.main(["regbench", "--cases", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1:] == ["cases=3",
                          "rotation_mae_deg=0.5690493233593162",
                          "translation_mae=0.0002989511626947668",
-                         "icp_exits step_tol=11 patience=10 few_points=0 max_iter=0"]
+                         "icp_exits step_tol=11 patience=10 few_points=0 max_iter=0",
+                         "icp_iterations starts=21 total=294 mean=14.0"]
 
 
 def test_sweep_counts_faults_by_class(capsys, monkeypatch):

@@ -17,8 +17,8 @@ from legpress.register import (
     IcpResult,
     RegistrationCandidate,
     RegistrationResult,
-    _gauss_newton_step,
     _point_to_plane_system,
+    _rotation_exp_rows,
     chamfer_distance,
     flow_distance,
     icp_register,
@@ -115,17 +115,10 @@ def test_icp_recovers_known_small_transform():
     assert float(np.mean(np.linalg.norm(moved - want, axis=1))) < 0.002
 
 
-def test_point_to_plane_system_equals_the_stacked_cross_product(monkeypatch):
-    """The column-built system matrix has the bits of [src x nrm | nrm], so the
-    Gauss-Newton step is the one np.hstack and np.cross gave."""
-    systems = []
-    lstsq = np.linalg.lstsq
-
-    def recording(A, b, rcond=None):
-        systems.append(A.copy())
-        return lstsq(A, b, rcond=rcond)
-
-    monkeypatch.setattr(register.np.linalg, "lstsq", recording)
+def test_point_to_plane_system_equals_the_stacked_cross_product():
+    """The column-built system has the bits of [src x nrm | nrm] and
+    -((src - dst) . nrm), also when the matches and their normals are the
+    column halves of one gathered (n, 6) array, as the ICP loop passes them."""
     rng = np.random.default_rng(3)
     for n in (6, 37, 400):
         for _ in range(20):
@@ -133,18 +126,59 @@ def test_point_to_plane_system_equals_the_stacked_cross_product(monkeypatch):
             dst = src + rng.normal(scale=0.005, size=(n, 3))
             nrm = rng.normal(size=(n, 3))
             nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-            got = _gauss_newton_step(*_point_to_plane_system(src, dst, nrm))
-            A = np.hstack([np.cross(src, nrm), nrm])
-            assert np.array_equal(systems[-1], A)
-            x, *_ = lstsq(A, -np.einsum("ij,ij->i", src - dst, nrm), rcond=None)
-            assert np.array_equal(got.translation, x[3:])
-            assert np.array_equal(got.rotation, rotation_exp(x[:3]))
+            A_ref = np.hstack([np.cross(src, nrm), nrm])
+            b_ref = -np.einsum("ij,ij->i", src - dst, nrm)
+            hit = np.hstack([dst, nrm])
+            for A, b in (_point_to_plane_system(src, dst, nrm),
+                         _point_to_plane_system(src, hit[:, :3], hit[:, 3:])):
+                assert np.array_equal(A, A_ref)
+                assert np.array_equal(b, b_ref)
+
+
+def test_batched_rotation_map_equals_rotation_exp_per_row():
+    """Every slice of the batched Rodrigues map has the bits of rotation_exp,
+    on both sides of its 1e-12 small-angle threshold and at exactly zero."""
+    rng = np.random.default_rng(4)
+    rows = [rng.normal(size=3) * 10.0 ** e for e in rng.uniform(-16.0, 0.5, 3000)]
+    rows += [np.zeros(3), np.array([0.0, -0.0, 1e-300]), np.array([1e-12, 0.0, 0.0]),
+             np.array([0.0, 9.999999e-13, 0.0]), np.array([1e-12, 1e-12, 0.0])]
+    small = 0
+    for lo in range(0, len(rows), 7):
+        W = np.array(rows[lo:lo + 7])
+        got = _rotation_exp_rows(W)
+        for w, R in zip(W, got):
+            assert np.array_equal(R, rotation_exp(w))
+            small += float(np.linalg.norm(w)) < 1e-12
+    assert 300 < small < len(rows) - 300
 
 
 def test_icp_rejects_tiny_clouds():
     small = PointCloud(np.random.default_rng(0).normal(size=(5, 3)))
     with pytest.raises(ValueError):
         icp_register(small, small)
+
+
+@pytest.mark.parametrize("register_fn", [icp_register, register_with_augmentation])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_source_point_is_rejected_before_any_work(register_fn, bad, monkeypatch):
+    monkeypatch.setattr(register, "cKDTree", None)  # no KD-tree may be built or queried
+    cloud = lshape_cloud(50)
+    points = cloud.points.copy()
+    points[17, 1] = bad
+    with pytest.raises(ValueError, match="^source cloud has non-finite points$"):
+        register_fn(PointCloud(points), cloud)
+
+
+@pytest.mark.parametrize("register_fn", [icp_register, register_with_augmentation])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_target_point_is_rejected_before_any_work(register_fn, bad, monkeypatch):
+    monkeypatch.setattr(register, "cKDTree", None)
+    monkeypatch.setattr(register, "estimate_normals", None)
+    cloud = lshape_cloud(50)
+    points = cloud.points.copy()
+    points[3, 2] = bad
+    with pytest.raises(ValueError, match="^target cloud has non-finite points$"):
+        register_fn(cloud, PointCloud(points))
 
 
 # -- rank-sum selection ------------------------------------------------------------
@@ -381,3 +415,31 @@ def test_lockstep_matches_the_reference_on_every_exit_rule(monkeypatch):
     assert {r.exit for r in sparse} == {"few_points", "patience", "step_tol"}
     for batch in (capped, sparse):
         assert len({r.iterations for r in batch}) > 2
+
+
+def test_lockstep_takes_the_small_angle_branch_beside_ordinary_starts(monkeypatch):
+    """A cloud registered onto itself: the unrotated start finds every point
+    on its own match, so its Gauss-Newton step is exactly zero and the
+    batched Rodrigues map takes its th < 1e-12 branch for that row, in the
+    same batch as the six yaw starts, which take ordinary steps."""
+    checked = Checked(monkeypatch)
+    rows = []
+    rotation_map = register._rotation_exp_rows
+
+    def recording(W):
+        rows.append([float(np.linalg.norm(w)) for w in W])
+        return rotation_map(W)
+
+    monkeypatch.setattr(register, "_rotation_exp_rows", recording)
+    cloud = lshape_cloud(200, seed=11)
+    res = checked.register(cloud, cloud, seed=4)
+    batch = checked.batches[-1]
+    assert len(batch) == 1 + register.N_AUGMENT
+    assert len(rows[0]) == len(batch) and rows[0][0] == 0.0
+    assert all(th > 1e-3 for th in rows[0][1:])
+    assert (batch[0].exit, batch[0].iterations, batch[0].residual) == ("step_tol", 1, 0.0)
+    assert_same_transform(batch[0].transform, RigidTransform.identity())
+    assert max(r.iterations for r in batch) > 1
+    assert res.winner_index == 0
+    assert res.candidates[0].iterations == 1
+    assert [c.iterations for c in res.candidates] == [r.iterations for r in batch]

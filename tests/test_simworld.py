@@ -21,6 +21,7 @@ from legpress.simworld import (
     Compound,
     ConvexMesh,
     Cylinder,
+    RobotState,
     SimObject,
     SimulationDivergence,
     SrbState,
@@ -1353,6 +1354,51 @@ def test_step_after_in_place_pose_write_matches_a_fresh_copy():
         step(w1, tau)
         step(w2, tau)
     assert np.array_equal(_end_state(w1), _end_state(w2))
+
+
+def test_hip_offset_is_read_only_and_kept_as_floats():
+    given = np.array([0.19, 0.05, 0.0])
+    leg = make_legs(StackConfig().robot)[0]
+    leg = simworld.LegModel(given, leg.side, leg.link_lengths, leg.joint_limits)
+    assert given.flags.writeable  # the leg keeps its own copy
+    for each in (leg, leg.copy(), *standing_world().robot.legs):
+        assert not each.hip_offset.flags.writeable
+        assert each._hip == tuple(each.hip_offset.tolist())
+        assert all(type(x) is float for x in each._hip)
+        with pytest.raises(ValueError):
+            each.hip_offset[0] = 1.0
+    assert leg.copy()._hip == (0.19, 0.05, 0.0)
+
+
+def test_step_gives_each_object_a_new_pose_and_writes_the_feet_in_place():
+    world = scene_resting("box", n_steps=0)
+    obj = world.objects[0]
+    feet_p, feet_v, before = world.robot.feet_pos, world.robot.feet_vel, obj.pose
+    step(world, _pin_torques(world, _stand_forces(world)))
+    assert world.robot.feet_pos is feet_p and world.robot.feet_vel is feet_v
+    pose = obj.pose
+    assert pose is not before
+    assert pose.rotation.shape == (3, 3) and pose.translation.shape == (3,)
+    assert pose.rotation.dtype == pose.translation.dtype == np.float64
+    with pytest.raises(AttributeError):
+        pose.rotation = np.eye(3)
+
+
+def test_feet_given_in_any_memory_layout_step_like_contiguous_ones():
+    """`step` writes the feet through one flat view, so a robot keeps its feet
+    C-contiguous whatever layout they were given in."""
+    w1 = standing_world()
+    w2 = w1.copy()
+    r2 = w2.robot
+    w2.robot = RobotState(r2.srb, r2.legs, np.asfortranarray(r2.feet_pos),
+                          np.asfortranarray(r2.feet_vel))
+    assert w2.robot.feet_pos.flags.c_contiguous and w2.robot.feet_vel.flags.c_contiguous
+    tau = _pin_torques(w1, _stand_forces(w1))
+    for _ in range(5):
+        step(w1, tau)
+        step(w2, tau)
+    assert np.array_equal(_end_state(w1), _end_state(w2))
+    assert not np.array_equal(w1.robot.feet_vel, np.zeros((4, 3)))
 
 
 @pytest.mark.xfail(strict=True, reason="the vertical contact mode of this cylinder has "
