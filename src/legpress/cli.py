@@ -9,7 +9,9 @@ Subcommands:
             table the Tier-1 tests assert too
   sweep     seeded outcome sweep: every task with the planning policy, the
             multi-step protocol in walk and teleport mode; the gate for any
-            change that moves a trajectory
+            change that moves a trajectory. With --against FILE (a table sweep
+            printed earlier) it then lists the episodes whose outcome class or
+            steps moved, the count changes per task and `moved N of M`
   replay    recompute and print the summary of a trace file
 
 The first line of `eval`, `multistep`, `regbench` and `sweep` records the BLAS
@@ -27,7 +29,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -64,10 +68,10 @@ def _episode_options(args) -> EpisodeOptions:
 def cmd_eval(args) -> int:
     config = load_config(args.config)
     spec = TaskSpec(args.task, object_split=args.split)
+    options = _episode_options(args)
     _print_blas_env()
     report = evaluate(args.policy, spec, args.episodes, seed=args.seed,
-                      options=_episode_options(args), config=config,
-                      out_dir=args.out)
+                      options=options, config=config, out_dir=args.out)
     print(f"task={report.task} policy={report.policy} episodes={len(report.episodes)}")
     print(f"success_rate={report.success_rate!r}")
     print(f"mean_reward={report.mean_reward!r}")
@@ -130,33 +134,84 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _sweep_episode(name: str, mode: str | None, seed: int, cfg: StackConfig,
-                   max_steps: int) -> tuple[str, str]:
+                   options: EpisodeOptions) -> tuple[str, str]:
     """Outcome and detail text of one planning-policy episode; a multi-step
     run when mode names its reposition mode."""
     if mode is not None:
         res = multi_step_protocol("planning", seed=seed,
                                   options=EpisodeOptions(reposition=mode), config=cfg)
         return res.outcome, f"steps={res.steps} y_error_cm={res.y_error_cm!r}"
-    ep = evaluate("planning", TaskSpec(name), 1, seed=seed,
-                  options=EpisodeOptions(max_steps=max_steps), config=cfg).episodes[0]
+    ep = evaluate("planning", TaskSpec(name), 1, seed=seed, options=options,
+                  config=cfg).episodes[0]
     return ep["outcome"], f"steps={ep['steps']} final_mean_flow={ep['final_mean_flow']!r}"
+
+
+_SWEEP_ROW = re.compile(r"  seed=(\d+) outcome=(.*?) steps=(\d+) ")
+
+
+def _read_sweep_table(lines) -> dict:
+    """{(task line, seed): (outcome class, steps)} of a `sweep` table. The
+    outcome class is the outcome before its parenthesised detail: the fault
+    class of a fault."""
+    rows, task = {}, None
+    for line in lines:
+        if line.startswith("task="):
+            task = line.rstrip("\n")
+        elif (m := _SWEEP_ROW.match(line)) and task is not None:
+            rows[task, int(m[1])] = (m[2].split(" (")[0], int(m[3]))
+    return rows
+
+
+def _count_text(classes) -> str:
+    """'class=count ...' in class order."""
+    return " ".join(f"{k}={v}" for k, v in sorted(Counter(classes).items()))
+
+
+def _print_moved(rows: dict, before: dict) -> None:
+    """Each episode of rows whose outcome class or steps differ from before
+    (or that before lacks), each task whose counts changed, and the total."""
+    moved = 0
+    for (task, seed), now in rows.items():
+        was = before.get((task, seed))
+        if was != now:
+            moved += 1
+            old = "absent" if was is None else f"{was[0]} steps={was[1]}"
+            print(f"  moved {task} seed={seed}: {old} -> {now[0]} steps={now[1]}")
+    for task in dict.fromkeys(t for t, _ in rows):
+        old, new = (_count_text(c for (t, _), (c, _) in table.items() if t == task)
+                    for table in (before, rows))
+        if old != new:
+            print(f"  counts {task}: {old} -> {new}")
+    print(f"moved {moved} of {len(rows)}")
 
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     seeds = _parse_seeds(args.seeds)
+    options = EpisodeOptions(max_steps=args.max_steps)
+    before = None
+    if args.against is not None:
+        with open(args.against) as fh:
+            before = _read_sweep_table(fh)
+        if not before:
+            raise ValueError(f"{args.against} holds no sweep rows")
     _print_blas_env()
     groups = [(name, mode) for name in args.tasks
               for mode in (("walk", "teleport") if name == "multi_step_1m" else (None,))]
+    table = []
     for name, mode in groups:
-        print(f"task={name}" + (f" reposition={mode}" if mode else ""))
-        counts = {}
+        table.append(f"task={name}" + (f" reposition={mode}" if mode else ""))
+        print(table[-1])
+        classes = []
         for seed in seeds:
-            outcome, detail = _sweep_episode(name, mode, seed, cfg, args.max_steps)
-            fault_class = outcome.split(" (")[0]
-            counts[fault_class] = counts.get(fault_class, 0) + 1
-            print(f"  seed={seed} outcome={outcome} {detail}")
-        print("  counts " + " ".join(f"{k}={v}" for k, v in sorted(counts.items())))
+            outcome, detail = _sweep_episode(name, mode, seed, cfg, options)
+            classes.append(outcome.split(" (")[0])
+            table.append(f"  seed={seed} outcome={outcome} {detail}")
+            print(table[-1])
+        print("  counts " + _count_text(classes))
+    if before is not None:
+        print(f"against {args.against}")
+        _print_moved(_read_sweep_table(table), before)
     return 0
 
 
@@ -331,6 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--max-steps", type=int, default=2,
                     help="action budget of the single-goal tasks; multi-step keeps its own")
     pw.add_argument("--tasks", nargs="+", choices=TASK_NAMES, default=list(TASK_NAMES))
+    pw.add_argument("--against", default=None, metavar="FILE",
+                    help="a table sweep printed earlier: after this table, print "
+                         "the episodes whose outcome class or steps moved")
     pw.set_defaults(fn=cmd_sweep)
 
     pp = sub.add_parser("replay", help="recompute a trace summary")

@@ -138,6 +138,8 @@ class EpisodeOptions:
     pose_source: str = "ground_truth"  # ground_truth | register
 
     def __post_init__(self):
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
         if self.reposition not in ("teleport", "walk"):
             raise ValueError(f"reposition must be 'teleport' or 'walk', got {self.reposition!r}")
         if self.pose_source not in ("ground_truth", "register"):

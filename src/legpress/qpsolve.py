@@ -17,12 +17,14 @@ problem infeasible. H⁻¹a of an active row never changes, so it is stored with
 the row. The force MPC's rows almost never bind, so most solves make no
 active-set change, and no warm start or tuning is needed.
 
-The active set found is solved once more as an exact KKT system with
-iterative refinement; the result is "optimal" only when its KKT residual is
-at most KKT_TOL. Each term of the residual is relative to its own size (see
-kkt_residual): the rounding of a correct solve grows with the gradient and
-the multipliers, but a row off its bound must not pass because some other
-multiplier is large.
+A non-empty active set found is solved once more as an exact KKT system
+with iterative refinement; with an empty one the result is the unconstrained
+minimum -H⁻¹g from the Cholesky factor, with zero multipliers. Either way
+the result is "optimal" only when its KKT residual is at most KKT_TOL. Each
+term of the residual is relative to its own size (see kkt_residual): the
+rounding of a correct solve grows with the gradient and the multipliers,
+but a row off its bound must not pass because some other multiplier is
+large.
 """
 from __future__ import annotations
 
@@ -132,7 +134,7 @@ class QpSolver:
         except np.linalg.LinAlgError as exc:
             raise ValueError("hessian must be positive definite") from exc
         C, lo, hi, n = p.C, p.c_lo, p.c_hi, p.n
-        x = scipy.linalg.cho_solve(factor, -p.gradient)
+        x = x0 = scipy.linalg.cho_solve(factor, -p.gradient)
         # active rows as N x <= beta (each row of C signed toward its bound),
         # with multipliers u >= 0 (free on equality rows), W = H⁻¹N' and
         # M = N H⁻¹N'
@@ -193,10 +195,12 @@ class QpSolver:
                 del rows[drop], bounds[drop]
                 keep = np.arange(len(u)) != drop
                 N, W, M, u = N[keep], W[:, keep], M[np.ix_(keep, keep)], u[keep]
-        xs, lam = _solve_active_kkt(p, rows, np.array(bounds))
         y = np.zeros(len(C))
-        y[rows] = lam
-        sol = QpSolution(xs, y, status, 0.0, changes)
+        if rows:
+            x, y[rows] = _solve_active_kkt(p, rows, np.array(bounds))
+        else:  # the unconstrained minimum, from the factor already held
+            x = x0
+        sol = QpSolution(x, y, status, 0.0, changes)
         sol.kkt_residual = kkt_residual(p, sol)
         if status == "optimal" and sol.kkt_residual > KKT_TOL:
             sol.status = "inaccurate"

@@ -15,69 +15,53 @@ machine precision instead of drifting with the naive w-update.
 Leg numbering: 0 = front-left, 1 = front-right, 2 = rear-left,
 3 = rear-right. World frame: x forward, y left, z up.
 
-Speed, gated on outcomes. The per-tick path runs on Python floats. `step`
-takes its 12 torques as floats, reads the trunk, feet and objects once with
-`.tolist()` and writes them back once into the same public arrays, a
-3-vector item by item and the feet with one flat write each (an object gets a
-new `RigidTransform`, made by `RigidTransform.from_arrays` from the two arrays
-just built), and hands its floats to `_sync_legs`, which writes only joint
-state except at a joint stop and reads each hip offset as the float triple
-its leg keeps beside the read-only array.
-What is fixed within a tick is computed once per tick, not per contact or
-per sweep: each object's friction min(mu, mu_ground) and body inertia rows,
-the damper clamp min(d_normal, 0.25 m_eff / dt) of each contact kind (a foot,
-an object on its n support vertices, a foot on an object with the reduced
-mass), 1/mf and 1/m, and each contact's offset from the object origin and
-Coulomb budget mu fn dt, which the friction pass reads; the contact records'
-body names are made once. Every division and every sum keeps its operands
-and its order, so these rewrites change no bit. On floats are: the leg sync
-(hip point, foot offset in the hip frame, the closed-form joint angles and
-their Jacobian), the actuator tip forces (the transposed Jacobian solve,
-with a damped least-squares fallback near a singular Jacobian), the ground
-contacts of the feet and of each object vertex below the ground, the
-foot-object contacts, the friction pass, the integration (a float Rodrigues
-update, Euler angles through `geom.matrix_to_euler_zyx` on float rows with
-its gimbal check, and the object's world inertia and its inverse as
-Ro I^(+-1) Ro' of body values computed once per inertia value) and the
-torque and velocity checks. A foot farther from an object than the shape's
-bounding radius plus the foot radius skips the signed distance (see
-`_set_vertices`); on `push_box` that is 94 % of the foot-object checks.
-`mpc.stance_torques` and `swingctl.impedance_torque_tracking` compute on the
-same float rows. All of this rounds differently from numpy's BLAS calls in
-the last bits, so a trajectory is not bit-identical to a plain numpy
-formulation of the same model, and a change to this path is judged by what
-the simulation does:
-  - `legpress sweep --seeds 0-9`: every task and seed keeps its outcome,
-    action count and fault class, and the final flow or lateral error moves
-    only by rounding (episodes whose outcome rounding alone decides are
-    named in the change log);
+Resting objects sleep. There are no object-object contacts, so each object
+and the ground form an island of their own that only a foot can disturb. An
+object falls asleep when, for SLEEP_TIME, every tick found it in ground
+contact, with no foot centre within its bound (the shape's `_radius` plus the
+foot radius, see `_feet_near`) and every component of its velocity and
+angular velocity after the tick under SLEEP_LINEAR_TOL and SLEEP_ANGULAR_TOL.
+Asleep, its velocities are exactly zero, its pose arrays are read-only, the
+ground contact records of the tick it fell asleep stay in `contact_set`, and
+a tick only tests the four feet against its bound. It wakes, and is stepped
+in full from that tick, when a foot comes within the bound (the test that
+makes skipping a far foot exact, so no contact is missed), when its pose is
+replaced or a velocity is written non-zero, or when ground or gravity is
+off. A `ConvexMesh` has an infinite bound and never sleeps. `SimObject.copy`
+carries the sleep state, so a copy steps like the original bit for bit.
+
+The tick runs on Python floats. `step` reads the trunk, feet and objects
+once with `.tolist()`, computes on float rows what is fixed within a tick
+once per tick, and writes back once into the same arrays; an object gets a
+new `RigidTransform`. Leg kinematics sit in one slot per state: each
+`SrbState` keeps the bytes of its rpy with the read-only rotation and its
+rows, each `LegModel` the bytes of its joint angles with its trunk-frame
+Jacobian rows. A read checks the slot against the current bytes, so an
+in-place write (a teleport) never reads a stale value. Rows are tuples and
+safe to share; array accessors hand out new arrays or copies. The float
+3-vector helpers are public in `geom`.
+
+Outcome gate. Float rows and sleep round differently from a plain numpy
+formulation of the same model, so a trajectory is not bit-identical to one,
+and a change to the tick is judged by what the simulation does:
+  - `legpress sweep --seeds 0-9 --against FILE`: every task and seed keeps its
+    outcome, action count and fault class, and the final flow or lateral
+    error moves only by rounding (episodes whose outcome rounding alone
+    decides are named in the change log);
   - `cli.SIM_CHECKS` (`legpress simcheck`): determinism, momentum, friction
     cone and stand force within their bounds;
   - the pinned end states in `tests/test_simworld.py` at rtol 1e-9 and atol
     1e-12. A scene that moves past them is re-recorded, with every moved
     value listed in the change log.
 Numpy stays where it is the better tool or a reference depends on it:
-  - `geom.rotation_exp`, because `register`'s bit-exact rule rests on it; the
+  - `geom.rotation_exp`, on which `register`'s bit-exact rule rests; the
     tick's float Rodrigues map is tested against it;
   - `geom.euler_zyx_to_matrix`, which gives the trunk rotation: a test pins
     `SrbState.rotation()` to it bit for bit and `regbench` inputs go through
-    it, so the rotation rows are its values. It builds its three factors as
-    one array and multiplies them with two 3x3 `@`, the products and values
-    of `rot_z @ rot_y @ rot_x`;
+    it;
   - the SVD that re-orthonormalises each orientation every 64 steps;
-  - `SrbState.rotation`, which hands out a copy of the slot's array; the
-    numpy forms of the stance torques and the impedance law are kept only as
-    test references.
-Leg kinematics once per tick, as float rows. Each `SrbState` keeps one slot
-with the bytes of its rpy, the read-only rotation array and its rows; each
-`LegModel` keeps one slot with the bytes of its joint angles and its
-trunk-frame Jacobian rows. A read checks the slot against the current bytes
-and recomputes on a mismatch, so an in-place write (a teleport) can never
-read a stale value. `_sync_legs` fills each leg's slot from the float angles
-it has just solved; the controllers and the next tick's actuator map read the
-slots through `rotation_rows` and `leg_jacobian_rows`. Rows are tuples and
-safe to share; array accessors hand out new arrays or copies. The float
-3-vector helpers are public in `geom`.
+  - the numpy forms of the stance torques and the impedance law, kept only
+    as test references.
 """
 from __future__ import annotations
 
@@ -107,6 +91,11 @@ FRONT_LEFT, FRONT_RIGHT, REAR_LEFT, REAR_RIGHT = 0, 1, 2, 3
 
 _VEL_LIMIT = 100.0  # m/s; anything past this is a blown-up simulation
 _RENORM_EVERY = 64  # steps between orientation re-orthonormalizations
+# an object falls asleep after SLEEP_TIME of ticks in ground contact, with no
+# foot within its bound and every velocity component under these tolerances
+SLEEP_LINEAR_TOL = 1e-9  # m/s
+SLEEP_ANGULAR_TOL = 1e-9  # rad/s
+SLEEP_TIME = 0.1  # s
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -663,6 +652,11 @@ class SimObject:
     inertia: np.ndarray = field(default_factory=lambda: np.eye(3) * 1e-3)
     friction: float = 0.5
     name: str = "object"
+    # (the pose the last step wrote, the quiet ticks that ended with it)
+    _rest: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
+    # while asleep: (the ground contact records of the tick it fell asleep,
+    # its translation as floats); None while awake
+    _sleep: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.linear_velocity = np.asarray(self.linear_velocity, dtype=float).reshape(3).copy()
@@ -681,10 +675,17 @@ class SimObject:
         m, I = shape.mass_properties(density)
         return SimObject(shape, pose, mass=m, inertia=I, friction=friction, name=name)
 
+    @property
+    def asleep(self) -> bool:
+        """Whether `step` holds the object at rest (see the module docstring)."""
+        return self._sleep is not None
+
     def copy(self) -> "SimObject":
-        return SimObject(self.shape, self.pose, self.linear_velocity.copy(),
-                         self.angular_velocity.copy(), self.mass,
-                         self.inertia.copy(), self.friction, self.name)
+        o = SimObject(self.shape, self.pose, self.linear_velocity.copy(),
+                      self.angular_velocity.copy(), self.mass,
+                      self.inertia.copy(), self.friction, self.name)
+        o._rest, o._sleep = self._rest, self._sleep
+        return o
 
 
 def rest_pose_on_ground(shape, xy=(0.0, 0.0), yaw: float = 0.0,
@@ -852,6 +853,32 @@ def _abs_max(values: list) -> float:
     return max(map(abs, values))
 
 
+def _feet_near(feet_p, t, far: float) -> list:
+    """(foot, its centre's offset from t) for each foot whose centre is within
+    `far` of the point t. With t an object's origin and `far` its bound, the
+    shape's `_radius` plus the foot radius, every other foot is provably out
+    of contact with the object (see `_set_vertices`): `step` skips its signed
+    distance, and an object with no foot near may sleep."""
+    t0, t1, t2 = t
+    far2 = far * far
+    near = []
+    for i, fp in enumerate(feet_p):
+        d = (fp[0] - t0, fp[1] - t1, fp[2] - t2)
+        if not dot3(d, d) > far2:
+            near.append((i, d))
+    return near
+
+
+def _fall_asleep(obj: SimObject, ground: tuple, t: list) -> None:
+    """Hold the object at rest: exactly zero velocities, read-only pose arrays
+    (the pose `step` has just made) and the tick's ground contact records."""
+    obj.linear_velocity[:] = 0.0
+    obj.angular_velocity[:] = 0.0
+    obj.pose.rotation.flags.writeable = False
+    obj.pose.translation.flags.writeable = False
+    obj._sleep = (ground, t)
+
+
 def _friction_pass(fric, objects, feet_v, obj_v, obj_w, obj_L, obj_I_inv,
                    mf: float, dt: float) -> None:
     """Friction impulses: project the tangential relative velocity, capped by
@@ -999,10 +1026,34 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
             contacts.append(rec)
             fric.append((_FOOT_GROUND, i, -1, None, up_f, mu_ground * fn * dt, rec))
 
-    # per-object float state: rotation rows, translation, velocities, force,
-    # torque and the body inertia rows
+    # an object sleeps through a tick when it was asleep and nothing wakes it:
+    # its pose is the one it fell asleep in, its velocities are still zero,
+    # ground and gravity are on and no foot is near. It keeps its ground
+    # contact records and is not stepped. A woken object is stepped in full
+    # and counts its quiet ticks from zero
+    sleep_ticks = max(1, round(SLEEP_TIME / dt))
+    may_sleep = world.ground_enabled and world.gravity_enabled
+    awake = []
+    # per awake object, float state: rotation rows, translation, velocities,
+    # force, torque, the body inertia rows and, when the tick may count
+    # toward its sleep, (first and end index of its ground contacts, quiet
+    # ticks so far), else None
     obj_R, obj_t, obj_v, obj_w, obj_force, obj_torque, obj_I = [], [], [], [], [], [], []
-    for oi, obj in enumerate(world.objects):
+    obj_calm = []
+    for obj in world.objects:
+        far = obj.shape._radius + rf
+        asleep = obj._sleep
+        if asleep is not None:
+            if (may_sleep and obj.pose is obj._rest[0]
+                    and not any(obj.linear_velocity.tolist())
+                    and not any(obj.angular_velocity.tolist())
+                    and not _feet_near(feet_p, asleep[1], far)):
+                contacts.extend(asleep[0])
+                continue
+            obj._sleep = None
+            obj._rest = (obj._rest[0], 0)
+        oi = len(awake)
+        awake.append(obj)
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = Ro = obj.pose.rotation.tolist()
         t0, t1, t2 = t = obj.pose.translation.tolist()
         v_o = obj.linear_velocity.tolist()
@@ -1011,6 +1062,7 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
         mu = min(obj.friction, mu_ground)
         force = [0.0, 0.0, m * gz] if world.gravity_enabled else [0.0, 0.0, 0.0]
         torque = [0.0, 0.0, 0.0]
+        first = len(contacts)
         if world.ground_enabled:
             # the world points of the vertices under the ground plane
             below = []
@@ -1035,13 +1087,14 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
                 rec = ContactRecord(-p[2], fn, 0.0, bodies)
                 contacts.append(rec)
                 fric.append((_OBJ_GROUND, -1, oi, (x0, x1, x2), up_f, mu * fn * dt, rec))
-        far = obj.shape._radius + rf
+        end = len(contacts)
+        near = _feet_near(feet_p, t, far)
+        rest_pose, quiet = obj._rest
+        obj_calm.append((first, end, quiet if obj.pose is rest_pose else 0)
+                        if may_sleep and end > first and not near else None)
         k_red, d_red = _contact_law(cc, mf * m / (mf + m), dt)  # a foot on the object
-        for i in range(4):
+        for i, d in near:
             fp, fv = feet_p[i], feet_v[i]
-            d = (fp[0] - t0, fp[1] - t1, fp[2] - t2)
-            if dot3(d, d) > far * far:
-                continue  # provably out of contact, see _set_vertices
             sd, nl = obj.shape.signed_distance(matvec3_t(Ro, d))
             pen = rf - sd
             if pen <= 0.0:
@@ -1089,7 +1142,7 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
              v[2] + trunk_force[2] / m_trunk * dt]
     obj_L = []
     obj_I_inv = []  # world inverse inertia per object, as float rows
-    for oi, obj in enumerate(world.objects):
+    for oi, obj in enumerate(awake):
         Ro = obj_R[oi]
         I_b, I_b_inv = obj_I[oi]
         Lw = matvec3(Ro, matvec3(I_b, matvec3_t(Ro, obj_w[oi])))
@@ -1109,7 +1162,7 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
         fv[1] += ff[1] / mf * dt
         fv[2] += ff[2] / mf * dt
 
-    _friction_pass(fric, world.objects, feet_v, obj_v, obj_w, obj_L, obj_I_inv, mf, dt)
+    _friction_pass(fric, awake, feet_v, obj_v, obj_w, obj_L, obj_I_inv, mf, dt)
 
     # position/orientation integration with post-impulse velocities
     renorm = world._steps % _RENORM_EVERY == 0
@@ -1138,7 +1191,7 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
         a[0], a[1], a[2] = v
         R = rotation_rows(srb)
 
-    for oi, obj in enumerate(world.objects):
+    for oi, obj in enumerate(awake):
         Ro, t, v_o, L = obj_R[oi], obj_t[oi], obj_v[oi], obj_L[oi]
         w_mid = obj_w[oi]
         Ro_new = matmul3(_rotation_exp(w_mid[0] * dt, w_mid[1] * dt, w_mid[2] * dt), Ro)
@@ -1147,9 +1200,18 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
         a = obj.linear_velocity
         a[0], a[1], a[2] = v_o
         a = obj.angular_velocity
-        a[0], a[1], a[2] = matvec3(Ro_new, matvec3(obj_I[oi][1], matvec3_t(Ro_new, L)))
-        obj.pose = RigidTransform.from_arrays(np.array(Ro_new), np.array(
-            [t[0] + v_o[0] * dt, t[1] + v_o[1] * dt, t[2] + v_o[2] * dt]))
+        a[0], a[1], a[2] = w_o = matvec3(Ro_new, matvec3(obj_I[oi][1], matvec3_t(Ro_new, L)))
+        t = [t[0] + v_o[0] * dt, t[1] + v_o[1] * dt, t[2] + v_o[2] * dt]
+        pose = obj.pose = RigidTransform.from_arrays(np.array(Ro_new), np.array(t))
+        calm = obj_calm[oi]
+        quiet = 0
+        if (calm is not None
+                and all(-SLEEP_LINEAR_TOL < x < SLEEP_LINEAR_TOL for x in v_o)
+                and all(-SLEEP_ANGULAR_TOL < x < SLEEP_ANGULAR_TOL for x in w_o)):
+            quiet = calm[2] + 1
+            if quiet >= sleep_ticks:
+                _fall_asleep(obj, tuple(contacts[calm[0]:calm[1]]), t)
+        obj._rest = (pose, quiet)
 
     feet_p = [[fp[0] + fv[0] * dt, fp[1] + fv[1] * dt, fp[2] + fv[2] * dt]
               for fp, fv in zip(feet_p, feet_v)]

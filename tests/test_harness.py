@@ -216,6 +216,60 @@ def test_sweep_counts_faults_by_class(capsys, monkeypatch):
     assert lines[6] == "  counts fault:simulation_divergence=2 max_steps=1 success=1"
 
 
+def _fake_sweep(monkeypatch, capsys, argv) -> list[str]:
+    """The lines `sweep` prints for argv when every flip episode diverges on
+    its first action with a seed-dependent detail, and every multi-step run
+    succeeds in 3 steps."""
+    def fake_episode(task, provider, options, config):
+        trace = orchestrator.EpisodeTrace(task.name, task.seed)
+        trace.outcome = f"fault:simulation_divergence (velocity {100 + task.seed}.5 m/s)"
+        trace.steps_used, trace.final_mean_flow = 1, 0.25
+        return trace
+
+    monkeypatch.setattr(harness, "run_episode", fake_episode)
+    monkeypatch.setattr(cli, "multi_step_protocol",
+                        lambda *a, **k: harness.MultiStepResult(3, 0.5, "success"))
+    assert cli.main(["sweep", "--seeds", "0-2", "--tasks", "box_flip_push_random",
+                     "multi_step_1m", *argv]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_sweep_against_its_own_table_moves_nothing(tmp_path, capsys, monkeypatch):
+    table = _fake_sweep(monkeypatch, capsys, [])
+    path = tmp_path / "before.txt"
+    path.write_text("\n".join(table) + "\n")
+    lines = _fake_sweep(monkeypatch, capsys, ["--against", str(path)])
+    assert lines[:len(table)] == table
+    assert lines[len(table):] == [f"against {path}", "moved 0 of 9"]
+
+
+def test_sweep_against_reports_each_moved_episode_and_count(tmp_path, capsys, monkeypatch):
+    """Only the outcome class and the steps are compared: a fault's detail
+    and the final flow may differ."""
+    table = _fake_sweep(monkeypatch, capsys, [])
+    before = [line.replace("velocity 101.5", "velocity 107.5").replace("0.25", "0.3")
+              for line in table]
+    walk_seed_1 = before.index("task=multi_step_1m reposition=walk") + 2
+    assert before[walk_seed_1].startswith("  seed=1 outcome=success steps=3 ")
+    before[walk_seed_1] = "  seed=1 outcome=fail_y steps=4 y_error_cm=21.0"
+    path = tmp_path / "before.txt"
+    path.write_text("\n".join(before) + "\n")
+    lines = _fake_sweep(monkeypatch, capsys, ["--against", str(path)])
+    assert lines[len(table):] == [
+        f"against {path}",
+        "  moved task=multi_step_1m reposition=walk seed=1: fail_y steps=4 -> success steps=3",
+        "  counts task=multi_step_1m reposition=walk: fail_y=1 success=2 -> success=3",
+        "moved 1 of 9"]
+
+
+def test_sweep_against_a_file_without_rows_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("env OPENBLAS_NUM_THREADS=1\n")
+    assert cli.main(["sweep", "--against", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": f"{path} holds no sweep rows"}
+
+
 def write_config(cfg: StackConfig, path: str) -> None:
     """Dump every key of cfg in the format load_config reads."""
     parser = configparser.ConfigParser()
@@ -295,6 +349,11 @@ def test_a_value_the_stack_divides_by_exits_2_when_out_of_range(section, key, ra
     (["regbench", "--cases", "1", "--ambiguity", "-1"], "need at least one ambiguity trial"),
     (["multistep", "--runs", "0"], "need at least one run"),
     (["sweep", "--seeds", "5-3"], "seed range '5-3' runs from high to low"),
+    (["eval", "--task", "box_push_fixed", "--policy", "planning", "--episodes", "1",
+      "--max-steps", "0"], "max_steps must be at least 1, got 0"),
+    (["eval", "--task", "box_push_fixed", "--policy", "planning", "--episodes", "1",
+      "--max-steps", "-3"], "max_steps must be at least 1, got -3"),
+    (["sweep", "--seeds", "0", "--max-steps", "0"], "max_steps must be at least 1, got 0"),
 ])
 def test_empty_work_exits_2_with_a_json_record(argv, message, capsys):
     assert cli.main(argv) == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linprog
 
 from legpress import qpsolve
@@ -50,6 +51,22 @@ def test_inactive_rows_make_no_change():
     s = solve(p)
     assert s.status == "optimal" and s.iterations == 0
     assert s.primal[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_no_binding_row_keeps_the_cholesky_minimum():
+    """An empty active set is solved by the factor the solver holds: x is
+    cho_solve(H, -g) bit for bit, with zero multipliers, and no KKT re-solve."""
+    rng = np.random.default_rng(12)
+    A = rng.normal(size=(12, 12))
+    H = A @ A.T + 12.0 * np.eye(12)
+    g = rng.normal(size=12)
+    C = rng.normal(size=(20, 12))
+    p = QpProblem(H, g, C=C, c_lo=np.full(20, -1e3), c_hi=np.full(20, 1e3))
+    s = solve(p)
+    assert s.status == "optimal" and s.iterations == 0
+    assert np.array_equal(s.primal, scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), -g))
+    assert np.array_equal(s.dual, np.zeros(20))
+    assert s.kkt_residual <= qpsolve.KKT_TOL
 
 
 def test_equality_rows_exact():

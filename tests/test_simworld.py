@@ -694,7 +694,7 @@ PINNED_END_STATES = {
         1.0000000000000002, 0.402382137362493, 0.04905549258580857,
         0.024982342000000008, 3.990054278606195e-14, 2.5439263473713678e-14,
         -1.7964021514966566e-16, -2.8383646868804408e-14, 1.5671070315125014e-14,
-        -4.495953872301098e-12,
+        0.0,
     ],
     "resting_cylinder": [
         -0.027378566517823614, 0.004637335024377131, -1.47390034528146e-05,
@@ -1422,3 +1422,167 @@ def test_the_stiffest_catalog_cylinder_stays_at_rest():
         step(world, np.zeros(12))
         worst = max(worst, abs(float(world.objects[0].pose.translation[2]) - z_rest))
     assert worst < 1e-6
+
+
+# -- resting objects sleep --------------------------------------------------------
+
+
+def _sleep_ticks(world) -> int:
+    return round(simworld.SLEEP_TIME / world.config.sim.dt)
+
+
+def _box_beside_a_fixed_robot(x=0.33, slide=True):
+    """A box on the ground in line with the front-left foot of a fixed-base
+    robot, more than its bound from every foot; sliding and spinning until
+    friction stops it, or set down at its penalty rest pose."""
+    cfg = StackConfig()
+    shape = Box((0.08, 0.08, 0.06))
+    obj = SimObject.from_shape(shape, RigidTransform.identity())
+    world = standing_world(cfg)
+    world.fixed_base = True
+    foot = world.robot.feet_pos[0]
+    obj.pose = rest_pose_on_ground(shape, xy=(x, foot[1]), contact=cfg.contact, mass=obj.mass)
+    if slide:
+        obj.linear_velocity[:] = (-0.05, 0.02, 0.0)
+        obj.angular_velocity[:] = (0.0, 0.0, 0.5)
+    world.objects.append(obj)
+    world.robot.feet_pos[0, 2] += 0.005
+    return world
+
+
+def _drive_front_left_foot(world):
+    """One tick with the front-left foot driven forward at 0.1 m/s."""
+    world.robot.feet_vel[0] = (0.1, 0.0, 0.0)
+    step(world, np.zeros(12))
+
+
+def _ground_records(world, obj):
+    return [rec for rec in world.contact_set if rec.bodies == (obj.name, "ground")]
+
+
+def test_a_resting_box_falls_asleep_after_the_stated_time_and_holds_still():
+    world = _box_beside_a_fixed_robot(slide=False)
+    obj = world.objects[0]
+    n = _sleep_ticks(world)
+    assert n == 100
+    for _ in range(n - 1):  # set down at rest, it is quiet from the first tick
+        step(world, np.zeros(12))
+        assert not obj.asleep
+    step(world, np.zeros(12))
+    assert obj.asleep
+    pose, contacts = obj.pose, world.contact_set[:]
+    kept = (pose.rotation.tobytes(), pose.translation.tobytes())
+    ground = _ground_records(world, obj)
+    assert len(ground) == 4
+    for _ in range(1000):
+        step(world, np.zeros(12))
+        assert obj.asleep and obj.pose is pose
+        assert _ground_records(world, obj) == ground
+    assert (pose.rotation.tobytes(), pose.translation.tobytes()) == kept
+    assert len(world.contact_set) == len(contacts)
+    assert not obj.linear_velocity.any() and not obj.angular_velocity.any()
+
+
+def _asleep_box():
+    world = _box_beside_a_fixed_robot(slide=False)
+    for _ in range(_sleep_ticks(world)):
+        step(world, np.zeros(12))
+    assert world.objects[0].asleep
+    return world, world.objects[0]
+
+
+def test_a_foot_within_the_bound_wakes_the_box_on_that_tick():
+    world, obj = _asleep_box()
+    hx = obj.shape.extents[0] / 2.0
+    rf = world.config.robot.foot_radius
+    world.robot.feet_pos[0, 0] = obj.pose.translation[0] - hx - rf + 0.002  # 2 mm deep
+    pose = obj.pose
+    step(world, np.zeros(12))
+    assert not obj.asleep and obj.pose is not pose
+    assert [rec for rec in world.contact_set if rec.bodies == ("foot_0", obj.name)]
+    assert obj.linear_velocity[0] > 0.0
+
+
+def test_a_new_pose_or_a_velocity_wakes_the_box_and_its_pose_is_read_only():
+    world, obj = _asleep_box()
+    with pytest.raises(ValueError):
+        obj.pose.translation[0] = 1.0
+    with pytest.raises(ValueError):
+        obj.pose.rotation[0, 0] = 1.0
+    obj.pose = RigidTransform(obj.pose.rotation.copy(), obj.pose.translation + (0.01, 0.0, 0.0))
+    pose = obj.pose
+    step(world, np.zeros(12))
+    assert not obj.asleep and obj.pose is not pose
+
+    world, obj = _asleep_box()
+    x = float(obj.pose.translation[0])
+    obj.linear_velocity[0] = 1e-3
+    step(world, np.zeros(12))
+    assert not obj.asleep and obj.pose.translation[0] > x
+
+    for switch in ("ground_enabled", "gravity_enabled"):
+        world, obj = _asleep_box()
+        setattr(world, switch, False)
+        step(world, np.zeros(12))
+        assert not obj.asleep
+
+
+def test_stepping_a_copy_equals_stepping_the_world_through_sleep_and_wake():
+    w1 = _box_beside_a_fixed_robot()
+    w2 = w1.copy()
+    worlds, seen = [w1, w2], []
+    for k in range(1100):
+        if k == 400:
+            assert w1.objects[0].asleep
+            worlds.append(w1.copy())
+        for w in worlds:
+            _drive_front_left_foot(w)
+        seen.append(w1.objects[0].asleep)
+        assert len({w.objects[0].asleep for w in worlds}) == 1
+    assert seen[399] and not seen[-1]  # fell asleep, then the foot woke it
+    for w in worlds[1:]:
+        assert np.array_equal(_end_state(w), _end_state(w1))
+        assert [(r.penetration, r.normal_force, r.tangential_force, r.bodies)
+                for r in w.contact_set] == [
+            (r.penetration, r.normal_force, r.tangential_force, r.bodies)
+            for r in w1.contact_set]
+
+
+def test_a_box_pushed_after_it_slept_ends_where_an_awake_box_does(monkeypatch):
+    """The box slides to a stop, sleeps for about 0.3 s and is pushed about
+    2.5 cm by the front-left foot. The awake reference never sleeps: its
+    tolerances are 0. Measured: the end poses differ by 2.7e-13 m and
+    3.5e-13 in the rotation entries."""
+    def run():
+        world = _box_beside_a_fixed_robot()
+        obj = world.objects[0]
+        asleep = 0
+        for _ in range(1100):
+            _drive_front_left_foot(world)
+            asleep += obj.asleep
+        return obj, asleep
+
+    obj, asleep = run()
+    assert asleep > 250 and not obj.asleep
+    monkeypatch.setattr(simworld, "SLEEP_LINEAR_TOL", 0.0)
+    monkeypatch.setattr(simworld, "SLEEP_ANGULAR_TOL", 0.0)
+    ref, never = run()
+    assert never == 0
+    assert ref.pose.translation[0] > 0.35  # pushed 2 cm past where it was set down
+    assert np.max(np.abs(obj.pose.translation - ref.pose.translation)) < 1e-11
+    assert np.max(np.abs(obj.pose.rotation - ref.pose.rotation)) < 1e-11
+
+
+def test_the_stiffest_catalog_cylinder_never_falls_asleep():
+    """The unstable vertical contact mode of the shape of the strict xfail
+    test above never stays under the sleep tolerances for the stated time."""
+    cfg = StackConfig()
+    shape = harness.object_catalog("train")[1]
+    obj = SimObject.from_shape(shape, RigidTransform.identity())
+    obj.pose = rest_pose_on_ground(shape, xy=(0.45, 0.0), contact=cfg.contact, mass=obj.mass,
+                                   gravity=cfg.sim.gravity)
+    world = standing_world(cfg, objects=[obj])
+    world.fixed_base = True
+    for _ in range(1000):
+        step(world, np.zeros(12))
+        assert not obj.asleep
