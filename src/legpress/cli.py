@@ -11,7 +11,10 @@ Subcommands:
             multi-step protocol in walk and teleport mode; the gate for any
             change that moves a trajectory. With --against FILE (a table sweep
             printed earlier) it then lists the episodes whose outcome class or
-            steps moved, the count changes per task and `moved N of M`
+            steps moved, the count changes per task and `moved N of M`. With
+            --jobs N it runs the episodes in up to N worker processes (no more
+            than the CPU count), each with one BLAS thread, and prints the
+            table the serial run prints
   replay    recompute and print the summary of a trace file
 
 The first line of `eval`, `multistep`, `regbench` and `sweep` records the BLAS
@@ -28,10 +31,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import re
 import sys
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from itertools import repeat
 
 import numpy as np
 
@@ -50,11 +57,13 @@ from .orchestrator import EpisodeOptions, EpisodeTrace
 from .simworld import Box, SimObject, rest_pose_on_ground, standing_world, step
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _print_blas_env() -> None:
     """First line of a results table: the BLAS thread variables, `unset` for
     an absent one, so that two tables can be compared."""
-    print("env " + " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in
-                            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")))
+    print("env " + " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in _BLAS_VARS))
 
 
 def _episode_options(args) -> EpisodeOptions:
@@ -185,7 +194,33 @@ def _print_moved(rows: dict, before: dict) -> None:
     print(f"moved {moved} of {len(rows)}")
 
 
+@contextmanager
+def _ordered_map(workers: int):
+    """A `map` that yields its results in order: the built-in one for one
+    worker, else the `map` of a pool of that many spawned processes, each
+    started with one BLAS thread. On exit, episodes not yet started are
+    cancelled and every worker has ended."""
+    if workers == 1:
+        yield map
+        return
+    saved = {var: os.environ.get(var) for var in _BLAS_VARS}
+    # a spawned worker's BLAS reads these when the worker imports numpy
+    os.environ.update(dict.fromkeys(_BLAS_VARS, "1"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     seeds = _parse_seeds(args.seeds)
     options = EpisodeOptions(max_steps=args.max_steps)
@@ -198,17 +233,21 @@ def cmd_sweep(args) -> int:
     _print_blas_env()
     groups = [(name, mode) for name in args.tasks
               for mode in (("walk", "teleport") if name == "multi_step_1m" else (None,))]
+    work = [(name, mode, seed) for name, mode in groups for seed in seeds]
+    workers = min(args.jobs, os.cpu_count() or 1, len(work))
     table = []
-    for name, mode in groups:
-        table.append(f"task={name}" + (f" reposition={mode}" if mode else ""))
-        print(table[-1])
-        classes = []
-        for seed in seeds:
-            outcome, detail = _sweep_episode(name, mode, seed, cfg, options)
-            classes.append(outcome.split(" (")[0])
-            table.append(f"  seed={seed} outcome={outcome} {detail}")
+    with _ordered_map(workers) as ordered_map:
+        episodes = ordered_map(_sweep_episode, *zip(*work), repeat(cfg), repeat(options))
+        for name, mode in groups:
+            table.append(f"task={name}" + (f" reposition={mode}" if mode else ""))
             print(table[-1])
-        print("  counts " + _count_text(classes))
+            classes = []
+            for seed in seeds:
+                outcome, detail = next(episodes)
+                classes.append(outcome.split(" (")[0])
+                table.append(f"  seed={seed} outcome={outcome} {detail}")
+                print(table[-1])
+            print("  counts " + _count_text(classes))
     if before is not None:
         print(f"against {args.against}")
         _print_moved(_read_sweep_table(table), before)
@@ -389,6 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--against", default=None, metavar="FILE",
                     help="a table sweep printed earlier: after this table, print "
                          "the episodes whose outcome class or steps moved")
+    pw.add_argument("--jobs", type=int, default=1, metavar="N",
+                    help="worker processes, at most the CPU count; the table "
+                         "is the serial one")
     pw.set_defaults(fn=cmd_sweep)
 
     pp = sub.add_parser("replay", help="recompute a trace summary")

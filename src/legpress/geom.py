@@ -129,6 +129,26 @@ def matmul3(A, B) -> list:
              a0 * b02 + a1 * b12 + a2 * b22] for a0, a1, a2 in A]
 
 
+def threshold_norm(v, limit: float) -> float:
+    """`np.linalg.norm(v)` as far as a comparison with `limit` can tell, for a
+    short float sequence v: numpy's norm when the float sum of squares lies
+    within a relative 1e-9 of limit squared (or when limit is not above
+    1e-150, so that its square may not be a normal float), otherwise the
+    square root of that sum, which is then on the same side of limit as
+    numpy's norm. Both sums are within a few ulps of the exact squared norm,
+    far inside the band, so every comparison with limit decides as numpy's
+    norm would. A caller that scales by the norm takes numpy's once the
+    comparison says so."""
+    s = 0.0
+    for x in v:
+        s += x * x
+    if limit > 1e-150:
+        l2 = limit * limit
+        if s < l2 * (1.0 - 1e-9) or s > l2 * (1.0 + 1e-9):
+            return math.sqrt(s)
+    return float(np.linalg.norm(v))
+
+
 def det3(A) -> float:
     """det A by cofactors along the first row."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A

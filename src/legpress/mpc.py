@@ -20,12 +20,12 @@ the (re-evaluated) Jacobian-transpose map in between.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import GaitConfig, StackConfig
-from .geom import matvec3_t, rot_z, skew
+from .geom import rot_z, skew, threshold_norm
 from .qpsolve import QpProblem, QpSolver
 from .simworld import (LegModel, RobotState, SrbState, leg_jacobian_rows, rotation_rows,
                        shoulder_point)
@@ -48,6 +48,12 @@ class GaitSchedule:
     period: float | None  # trot timing; None on a stand gait
     duty: float | None
     lifted: tuple = ()
+    # a stand gait's four stance flags, made once; None on a trot
+    _flags: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.mode == "stand":
+            object.__setattr__(self, "_flags", tuple(l not in self.lifted for l in range(N_LEGS)))
 
     @staticmethod
     def stand(lifted: tuple = ()) -> "GaitSchedule":
@@ -65,6 +71,13 @@ class GaitSchedule:
             return leg not in self.lifted
         phase = (t / self.period + TROT_OFFSETS[leg]) % 1.0
         return phase < self.duty
+
+    def stance(self, t: float) -> tuple:
+        """The four legs' `query` flags at time t, as a tuple."""
+        if self._flags is not None:
+            return self._flags
+        x, duty = t / self.period, self.duty
+        return tuple((x + offset) % 1.0 < duty for offset in TROT_OFFSETS)
 
     def swing_phase(self, t: float, leg: int) -> float:
         """Progress through the current swing in [0, 1); 0 if in stance."""
@@ -226,8 +239,7 @@ class ForceMpc:
         cfg = self.config
         k = cfg.horizon
         lin = linearize_srb(state, foot_positions, self.mass, self.inertia, self.dt)
-        flags = np.array([[gait.query(t + i * self.dt, l) for l in range(N_LEGS)]
-                          for i in range(k)])
+        flags = np.array([gait.stance(t + i * self.dt) for i in range(k)])
         A_qp, B_qp = condense(lin.A, lin.B, k)
         B_qp = B_qp[:, np.repeat(flags.ravel(), 3)]  # stance force columns only
         C, lo, hi = self.constraints(int(flags.sum()))
@@ -250,15 +262,22 @@ def stance_torques(robot: RobotState, forces, stance) -> list:
     float rows of the trunk rotation R and each leg's trunk-frame Jacobian Jl.
     `forces` holds the four legs' force triples as float rows
     (`MpcResult.forces.tolist()`) or as a (4, 3) array, which is converted.
-    Returns the 12 torques as a flat list of floats, zeros for a swing leg."""
+    Returns the 12 torques as a flat list of floats, zeros for a swing leg.
+    Both products are written out in `geom.matvec3_t`'s order."""
     if isinstance(forces, np.ndarray):
         forces = forces.tolist()
-    R = rotation_rows(robot.srb)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation_rows(robot.srb)
     tau = [0.0] * (3 * N_LEGS)
     for i, leg in enumerate(robot.legs):
         if stance[i]:
-            t0, t1, t2 = matvec3_t(leg_jacobian_rows(leg), matvec3_t(R, forces[i]))
-            tau[3 * i], tau[3 * i + 1], tau[3 * i + 2] = -t0, -t1, -t2
+            f0, f1, f2 = forces[i]
+            y0 = r00 * f0 + r10 * f1 + r20 * f2
+            y1 = r01 * f0 + r11 * f1 + r21 * f2
+            y2 = r02 * f0 + r12 * f1 + r22 * f2
+            (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = leg_jacobian_rows(leg)
+            tau[3 * i] = -(j00 * y0 + j10 * y1 + j20 * y2)
+            tau[3 * i + 1] = -(j01 * y0 + j11 * y1 + j21 * y2)
+            tau[3 * i + 2] = -(j02 * y0 + j12 * y1 + j22 * y2)
     return tau
 
 
@@ -273,7 +292,6 @@ def raibert_foothold(leg: LegModel, command_velocity, gait: GaitSchedule,
     stance_t = gait.stance_time if math.isfinite(gait.stance_time) else 0.25
     offset = (stance_t / 2.0) * v_cmd + k_v * (state.linear_velocity - v_cmd)
     offset[2] = 0.0
-    norm = float(np.linalg.norm(offset))
-    if norm > RAIBERT_MAX_OFFSET:
-        offset *= RAIBERT_MAX_OFFSET / norm
+    if threshold_norm(offset.tolist(), RAIBERT_MAX_OFFSET) > RAIBERT_MAX_OFFSET:
+        offset *= RAIBERT_MAX_OFFSET / float(np.linalg.norm(offset))
     return proj + offset

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .config import StackConfig
-from .geom import PointCloud, RigidTransform, compose, rot_z
+from .geom import PointCloud, RigidTransform, compose, rot_z, threshold_norm
 from .mpc import ForceMpc, GaitSchedule, raibert_foothold, stance_torques
 from .policy import GoalSpec, ObjectCentricAction
 from .register import register_with_augmentation
@@ -276,14 +276,14 @@ class _OrchestratorCore:
 
     def drive_towards(self, target_xy, yaw_target, gain, v_max):
         """Command gain times the position error, capped at v_max, and twice
-        the yaw error, capped at 0.6 rad/s (on floats; the norm is numpy's)."""
+        the yaw error, capped at 0.6 rad/s (on floats; the cap compares and
+        scales as numpy's norm does, see `geom.threshold_norm`)."""
         srb = self.world.robot.srb
         tx, ty = map(float, target_xy)
         px, py, _ = srb.position.tolist()
         vx, vy = gain * (tx - px), gain * (ty - py)
-        n = float(np.linalg.norm([vx, vy]))
-        if n > v_max:
-            s = v_max / n
+        if threshold_norm((vx, vy), v_max) > v_max:
+            s = v_max / float(np.linalg.norm([vx, vy]))
             vx, vy = vx * s, vy * s
         self.command_velocity = (vx, vy)
         if yaw_target is not None:
@@ -323,7 +323,7 @@ class _OrchestratorCore:
                     "srb": [round(float(v), 6) for v in srb.as_vector()],
                     "objects": [_pose_record(o) for o in world.objects],
                 })
-        stance = [self.gait.query(world.time, i) for i in range(4)]
+        stance = self.gait.stance(world.time)
         tau = stance_torques(robot, self.forces, stance)
         dt = self.cfg.sim.dt
         for i in range(4):
@@ -408,11 +408,12 @@ class _OrchestratorCore:
         self.gait = GaitSchedule.trot(cfg.gait.trot_period, cfg.gait.trot_duty)
         self._swing_marks.clear()
         arrived = False
+        sx, sy, _ = standoff.position.tolist()
         while self.time_in_state() < cfg.orchestrator.timeout_walking:
             self.drive_towards(standoff.position[:2], standoff.yaw, gain=1.2, v_max=0.22)
             self.control_step()
-            pos_err = float(np.linalg.norm(
-                self.world.robot.srb.position[:2] - standoff.position[:2]))
+            px, py, _ = self.world.robot.srb.position.tolist()
+            pos_err = threshold_norm((px - sx, py - sy), 0.03)
             yaw_err = abs(math.atan2(math.sin(standoff.yaw - self.world.robot.srb.rpy[2]),
                                      math.cos(standoff.yaw - self.world.robot.srb.rpy[2])))
             if pos_err < 0.03 and yaw_err < 0.1:
@@ -585,13 +586,14 @@ def _execute_action(core: _OrchestratorCore, observed: PointCloud,
 
     # lower the leg and restore the stance
     core.transition(POST_ACT_COM_SHIFT)
-    nominal = core.nominal_foothold(leg_index)
+    nominal = core.nominal_foothold(leg_index).tolist()
     t0 = world.time
     while world.time - t0 < 2.0 * ocfg.com_shift_duration:
         core.drive_towards(core.nominal_com_xy(), None, gain=2.0, v_max=0.08)
         core.control_step()
-        if world.time - t0 > 0.3 \
-                and np.linalg.norm(world.robot.feet_pos[leg_index] - nominal) < 0.02:
+        if world.time - t0 > 0.3 and threshold_norm(
+                [a - b for a, b in zip(world.robot.feet_pos[leg_index].tolist(), nominal)],
+                0.02) < 0.02:
             break
     core.gait = GaitSchedule.stand()
     core.hold_station()

@@ -21,54 +21,28 @@ all starts. Both entry points reject a cloud with a NaN or infinite point
 before any work.
 
 Exactness. Every result is bit-identical to running each start alone with
-plain numpy, one call per start. Each batched operation, and why it gives
-every start the bits of the call it replaces:
-- the stacked `np.matmul` of the sources with the transposed rotations
-  replaces one `p @ R.T` per start: numpy runs one gemm per slice, with the
-  same operands and transpose flags;
-- one `cKDTree.query` over the stacked moved points replaces one query per
-  start: each point's nearest neighbour is found on its own;
-- `np.median(axis=1)` replaces one `np.median` per start: the same partition
-  picks the same middle values, which are averaged in the same order;
-- the reject threshold and mask, and the boolean gathers of the kept points
-  and their match indices, replace the per-start forms: a mask over rows
-  concatenates the per-start selections in start order;
-- one `np.take` from an (n, 6) array of target points and normals replaces
-  the two fancy-index gathers: it copies the same values, and the system
-  reads its two column halves with the same values per row;
-- the residual `einsum` and the point-to-plane columns (the operations
-  `np.cross` performs) are computed per kept row, so stacking rows does not
-  change them;
-- a start's residual `math.sqrt(float(sq[rows].sum()) / count)` is its
-  `np.sqrt(np.mean(sq[rows]))`: the mean is that pairwise sum divided by the
-  count, and both square roots are correctly rounded;
-- `_rotation_exp_rows` replaces `rotation_exp` per start: the angle is the
-  square root of a (m, 1, 3) @ (m, 3, 1) matmul, which numpy runs as one BLAS
-  dot per slice, the dot `np.linalg.norm` takes; K K is one gemm per slice;
-  sine and cosine are `math.sin` and `math.cos` per start, as `rotation_exp`
-  takes them (numpy's SIMD ufuncs may round differently); the sums are
-  elementwise, in the same order;
-- `compose` of the steps with the current transforms is the stacked matmuls
-  delta @ R (one gemm per slice) and delta @ t (one gemv per slice, as for a
-  3-vector) plus the step's translation;
-- the step test: the translation norm is the same row dot, the trace of
-  each step's rotation is `np.trace(axis1=1, axis2=2)`, which sums each
-  diagonal in `np.trace`'s order, and the angle is `math.acos` per start;
-- the Chamfer scoring moves each candidate's source once and queries the
-  source->target side of all candidates on the shared target tree at once.
-What stays per start is the `np.linalg.lstsq` solve, LAPACK on that start's
-rows, and the residual sum (a segmented sum such as `np.add.reduceat` adds
-in another order than the pairwise sum). A hand-written dot or matrix
-product would round differently from the BLAS call it replaced. A start
-leaves the batch on exactly the exit rule and iteration at which it would
-have stopped alone.
+plain numpy, one call per start: a batched operation gives each start the
+values of the call it replaces only where numpy computes each row, slice or
+point on its own, with the same operands in the same order (stacked
+matmuls run one gemm or gemv per slice, one KD-tree query finds each point's
+neighbour on its own, masks over rows concatenate the per-start selections
+in start order). The median of each start's distances is `np.partition` at
+`np.median`'s own kth and then the mean of the middle column or columns:
+order statistics are unique values, and the mean of one or two values is
+their sum over the count, as `np.median` takes it; its NaN pass has nothing
+to find, since both clouds are checked finite. Per start stay the
+`np.linalg.lstsq` solve (LAPACK on that start's rows), the residual's
+pairwise sum (a segmented sum adds in another order) and the `math.sin` and
+`math.cos` of the Rodrigues map, as `geom.rotation_exp` takes them (numpy's
+SIMD ufuncs may round otherwise). A hand-written dot or matrix product would
+round differently from the BLAS call it replaced. A start leaves the batch
+on exactly the exit rule and iteration at which it would have stopped alone.
+
 `cKDTree.query` is the floor. On a 2-core x86 host, on
 `registration_benchmark(140, seed=0)` (182 source and 400 target points, 4.3
 live starts per iteration on average), an ICP start-iteration costs
 about 210-260 us: the query 100-125 us, `lstsq` 35-40 us and everything else
-75-90 us. With a Rodrigues map, `compose` and step test per start it cost
-250-330 us, 100-135 us of it outside the query and `lstsq`. Threading the
-query (`workers=2`) made it 2-3x slower there.
+75-90 us. Threading the query (`workers=2`) made it 2-3x slower there.
 """
 from __future__ import annotations
 
@@ -87,11 +61,9 @@ DIVERGE_PATIENCE = 5
 ICP_MAX_ITER = 50
 ICP_TOL = 1e-6  # translation + rotation step (m + rad) that counts as converged
 N_AUGMENT = 6  # random yaw starts beside the unrotated source
-MIN_KEPT = 6  # fewest kept correspondences that still give a step
 # why an ICP start stopped: step under ICP_TOL, DIVERGE_PATIENCE iterations
-# without a better residual, fewer than MIN_KEPT correspondences kept, or
-# ICP_MAX_ITER iterations run
-EXITS = ("step_tol", "patience", "few_points", "max_iter")
+# without a better residual, or ICP_MAX_ITER iterations run
+EXITS = ("step_tol", "patience", "max_iter")
 
 
 @dataclass
@@ -171,6 +143,15 @@ def _rotation_exp_rows(W: np.ndarray) -> np.ndarray:
     return np.eye(3) + sin[:, None, None] * K + one_minus_cos[:, None, None] * np.matmul(K, K)
 
 
+def _row_medians(dist: np.ndarray) -> np.ndarray:
+    """`np.median(dist, axis=1)` of a finite 2-D array, bit for bit: the
+    partition at numpy's kth, then the mean of the middle column or columns,
+    without numpy's NaN pass."""
+    n = dist.shape[1]
+    mid = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    return np.mean(np.partition(dist, mid, axis=1)[:, mid[0]:mid[-1] + 1], axis=1)
+
+
 def _indexed_target(target: PointCloud):
     """The target with normals (estimated if it has none) and its KD-tree."""
     if len(target) < 10:
@@ -191,9 +172,11 @@ def _icp_lockstep(sources: list, target: PointCloud, tree: cKDTree) -> list:
     indexed target, from the identity, all starts stepping together.
 
     Each iteration rejects correspondences beyond REJECT_MEDIAN_FACTOR times
-    the median distance. A start whose residual has not improved for
-    DIVERGE_PATIENCE straight iterations returns its best transform with
-    converged=False. One IcpResult per source, in order.
+    the median distance. With n >= 10 points, the floor(n/2) + 1 >= 6 points
+    nearest their matches are always kept, enough for a step. A start whose
+    residual has not improved for DIVERGE_PATIENCE straight iterations
+    returns its best transform with converged=False. One IcpResult per
+    source, in order.
     """
     stacked = np.stack(sources)
     k, n = stacked.shape[:2]
@@ -216,19 +199,15 @@ def _icp_lockstep(sources: list, target: PointCloud, tree: cKDTree) -> list:
         moved = np.matmul(stacked[live], rot[live].transpose(0, 2, 1)) + trans[live][:, None, :]
         dist, idx = tree.query(moved.reshape(-1, 3))
         dist, idx = dist.reshape(len(live), n), idx.reshape(len(live), n)
-        med = np.median(dist, axis=1)
+        med = _row_medians(dist)
         keep = dist <= np.maximum(REJECT_MEDIAN_FACTOR * med, 1e-9)[:, None]
         counts = np.count_nonzero(keep, axis=1)
-        keep[counts < MIN_KEPT] = False
         hit = np.take(matches, idx[keep], axis=0)
         A, b = _point_to_plane_system(moved[keep], hit[:, :3], hit[:, 3:])
         sq = b ** 2
 
         stepping, improved, residuals, steps, end = [], [], [], [], 0
         for s, count in zip(live, counts.tolist()):
-            if count < MIN_KEPT:
-                exit_with(s, best_rot, best_trans, best_res[s], "few_points", it)
-                continue
             rows = slice(end, end + count)
             end += count
             res = math.sqrt(float(sq[rows].sum()) / count)

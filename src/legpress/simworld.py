@@ -38,8 +38,12 @@ new `RigidTransform`. Leg kinematics sit in one slot per state: each
 rows, each `LegModel` the bytes of its joint angles with its trunk-frame
 Jacobian rows. A read checks the slot against the current bytes, so an
 in-place write (a teleport) never reads a stale value. Rows are tuples and
-safe to share; array accessors hand out new arrays or copies. The float
-3-vector helpers are public in `geom`.
+safe to share; array accessors hand out new arrays or copies. Where a helper
+call per vector would cost more than its arithmetic, the tick writes the
+products out in the helper's order: the tip-force solve on the Jacobian rows
+(`_tip_forces`, `_solve3`'s expressions), the friction pass, the IK's clamps
+(`_clamp`, `min(max())`'s values). The velocity check is one pass over the
+components (`_check_speeds`). The float 3-vector helpers are public in `geom`.
 
 Outcome gate. Float rows and sleep round differently from a plain numpy
 formulation of the same model, so a trajectory is not bit-identical to one,
@@ -171,16 +175,15 @@ class LegModel:
     # (bytes of joint_angles, trunk-frame Jacobian rows), see leg_jacobian_rows
     _jac: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     _hip: tuple = field(default=(), init=False, repr=False, compare=False)  # hip_offset's floats
+    # trunk-frame shoulder point: the hip moved out by the abduction offset; read-only
+    shoulder: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.hip_offset = _freeze(np.array(self.hip_offset, dtype=float).reshape(3))
         self._hip = tuple(self.hip_offset.tolist())
+        self.shoulder = _freeze(self.hip_offset
+                                + np.array([0.0, self.side * self.link_lengths[0], 0.0]))
         self.joint_angles = np.asarray(self.joint_angles, dtype=float).reshape(3).copy()
-
-    @property
-    def shoulder(self) -> np.ndarray:
-        """Trunk-frame shoulder point: the hip moved out by the abduction offset."""
-        return self.hip_offset + np.array([0.0, self.side * self.link_lengths[0], 0.0])
 
     def copy(self) -> "LegModel":
         return LegModel(self.hip_offset, self.side, self.link_lengths,
@@ -282,6 +285,12 @@ def shoulder_point(leg: LegModel, trunk: SrbState) -> np.ndarray:
     return trunk.position + _rotation(trunk) @ leg.shoulder
 
 
+def _clamp(x: float, lo: float, hi: float) -> float:
+    """`min(hi, max(lo, x))` for lo < hi by comparisons: the same value, a
+    NaN giving lo."""
+    return x if lo < x < hi else (hi if x >= hi else lo)
+
+
 @dataclass
 class IkResult:
     reachable: bool
@@ -299,7 +308,7 @@ def _ik_local(d, side, l_abd, lt, lc, limits):
     if r < l_abd + 1e-12:
         return None
     phi = math.atan2(dz, dy)
-    alpha = math.acos(min(1.0, max(-1.0, side * l_abd / r)))
+    alpha = math.acos(_clamp(side * l_abd / r, -1.0, 1.0))
     # the hip roll q1 = phi -+ alpha puts the foot at z = -+ r sin(alpha) in
     # the rolled leg plane; the foot-below branch is tried first
     h = r * math.sin(alpha)
@@ -316,9 +325,8 @@ def _ik_local(d, side, l_abd, lt, lc, limits):
         D = (L2 - lt * lt - lc * lc) / (2.0 * lt * lc)
         if D > 1.0 + 1e-9 or D < -1.0 - 1e-9:
             continue
-        D = min(1.0 - 1e-12, max(-1.0, D))
-        q3 = -math.acos(D)
-        gamma = math.acos(min(1.0, max(-1.0, (lt * lt + L2 - lc * lc) / (2.0 * lt * L))))
+        q3 = -math.acos(_clamp(D, -1.0, 1.0 - 1e-12))
+        gamma = math.acos(_clamp((lt * lt + L2 - lc * lc) / (2.0 * lt * L), -1.0, 1.0))
         q2 = math.atan2(-dx, -z_leg) + gamma
         if lo1 <= q1 <= hi1 and lo2 <= q2 <= hi2 and lo3 <= q3 <= hi3:
             return (q1, q2, q3)
@@ -350,6 +358,35 @@ def _cofactor_solve(A, b, det: float) -> list:
           - a01 * (a10 * b2 - b1 * a20)
           + b0 * (a10 * a21 - a11 * a20)) * inv_det
     return [x0, x1, x2]
+
+
+def _tip_forces(R, legs, tau: list) -> list:
+    """World-frame tip force (f0, f1, f2) of each leg under its three of the
+    12 joint torques: tau = (R J)' f, solved as J' (R' f) = tau on the
+    trunk rotation rows R and each leg's Jacobian rows J. The solve is
+    `_solve3` of the rows of J', written out on the rows of J with the same
+    expressions in the same order, each shared cofactor computed once; near a
+    singular J (|det| < 1e-6) it is `_solve3` itself."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    forces = []
+    for i, leg in enumerate(legs):
+        J = (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = leg_jacobian_rows(leg)
+        b0, b1, b2 = tau[3 * i:3 * i + 3]
+        m0 = j11 * j22 - j21 * j12
+        m1 = j01 * j22 - j21 * j02
+        m2 = j01 * j12 - j11 * j02
+        det = j00 * m0 - j10 * m1 + j20 * m2
+        if abs(det) >= 1e-6:
+            inv_det = 1.0 / det
+            n0, n2 = b1 * j22 - j21 * b2, j01 * b2 - b1 * j02
+            x0 = (b0 * m0 - j10 * n0 + j20 * (b1 * j12 - j11 * b2)) * inv_det
+            x1 = (j00 * n0 - b0 * m1 + j20 * n2) * inv_det
+            x2 = (j00 * (j11 * b2 - b1 * j12) - j10 * n2 + b0 * m2) * inv_det
+        else:
+            x0, x1, x2 = _solve3(tuple(zip(*J)), (b0, b1, b2))
+        forces.append((r00 * x0 + r01 * x1 + r02 * x2, r10 * x0 + r11 * x1 + r12 * x2,
+                       r20 * x0 + r21 * x1 + r22 * x2))
+    return forces
 
 
 def _solve3(A, b) -> list:
@@ -709,7 +746,7 @@ def rest_pose_on_ground(shape, xy=(0.0, 0.0), yaw: float = 0.0,
 # world
 
 
-@dataclass
+@dataclass(slots=True)
 class ContactRecord:
     penetration: float
     normal_force: float
@@ -851,6 +888,16 @@ def _abs_max(values: list) -> float:
     if any(map(math.isnan, values)):
         return math.nan
     return max(map(abs, values))
+
+
+def _check_speeds(speeds: list) -> None:
+    """Raise SimulationDivergence when a velocity component is NaN, infinite
+    or past _VEL_LIMIT in magnitude, in one pass: a NaN fails both
+    comparisons, as an infinity fails one. The message reports `_abs_max`."""
+    for x in speeds:
+        if not -_VEL_LIMIT <= x <= _VEL_LIMIT:
+            raise SimulationDivergence(
+                f"velocity {_abs_max(speeds):.1f} m/s exceeds the plausibility limit")
 
 
 def _feet_near(feet_p, t, far: float) -> list:
@@ -996,14 +1043,12 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
     contacts: list[ContactRecord] = []
     fric: list[tuple] = []
 
-    # actuator tip forces (massless legs transmit the reaction to the trunk):
-    # tau = (R J)' f, solved as J' (R' f) = tau
-    for i, leg in enumerate(robot.legs):
-        f0, f1, f2 = f = matvec3(R, _solve3(tuple(zip(*leg_jacobian_rows(leg))),
-                                            tau[3 * i:3 * i + 3]))
+    # actuator tip forces (massless legs transmit the reaction to the trunk)
+    p0, p1, p2 = pos
+    for fp, (f0, f1, f2) in zip(feet_p, _tip_forces(R, robot.legs, tau)):
         feet_force.append([f0, f1, f2 + mf * gz])
-        fp = feet_p[i]
-        c0, c1, c2 = cross3((fp[0] - pos[0], fp[1] - pos[1], fp[2] - pos[2]), f)
+        d0, d1, d2 = fp[0] - p0, fp[1] - p1, fp[2] - p2
+        c0, c1, c2 = d1 * f2 - d2 * f1, d2 * f0 - d0 * f2, d0 * f1 - d1 * f0
         trunk_force[0] -= f0
         trunk_force[1] -= f1
         trunk_force[2] -= f2
@@ -1224,10 +1269,10 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
     world.contact_set = contacts
     world.time += dt
 
-    vmax = _abs_max([*v, *feet_v[0], *feet_v[1], *feet_v[2], *feet_v[3],
-                     *(x for v_o in obj_v for x in v_o)])
-    if vmax > _VEL_LIMIT or not math.isfinite(vmax):
-        raise SimulationDivergence(f"velocity {vmax:.1f} m/s exceeds the plausibility limit")
+    speeds = [*v, *feet_v[0], *feet_v[1], *feet_v[2], *feet_v[3]]
+    for v_o in obj_v:
+        speeds += v_o
+    _check_speeds(speeds)
     return world
 
 

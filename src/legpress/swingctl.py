@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SwingConfig
-from .geom import det3, matvec3, matvec3_t
+from .geom import det3, matvec3, matvec3_t, threshold_norm
 from .simworld import (
     LegModel,
     SrbState,
@@ -133,6 +133,20 @@ class SwingPlan:
     pre_contact_point: np.ndarray
     contact_point: np.ndarray
     push_endpoint: np.ndarray  # after workspace clipping
+    # per pair of consecutive waypoints, made once: (end time, start time,
+    # span, start row, end row minus start row, velocity row, end phase)
+    _segments: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        wps = self.waypoints
+        segments = []
+        for a, b in zip(wps[:-1], wps[1:]):
+            span = max(b.time - a.time, 1e-9)
+            pa, pb = a.position.tolist(), b.position.tolist()
+            d = tuple(y - x for x, y in zip(pa, pb))
+            segments.append((b.time, a.time, span, tuple(pa), d,
+                             tuple(dk / span for dk in d), b.phase))
+        self._segments = tuple(segments)
 
     @property
     def duration(self) -> float:
@@ -144,13 +158,10 @@ class SwingPlan:
         wps = self.waypoints
         if t <= wps[0].time:
             return wps[0].position.tolist(), [0.0, 0.0, 0.0], wps[0].phase
-        for a, b in zip(wps[:-1], wps[1:]):
-            if t <= b.time:
-                span = max(b.time - a.time, 1e-9)
-                s = (t - a.time) / span
-                pa, pb = a.position.tolist(), b.position.tolist()
-                d = [y - x for x, y in zip(pa, pb)]
-                return [x + s * dk for x, dk in zip(pa, d)], [dk / span for dk in d], b.phase
+        for t_b, t_a, span, pa, d, vel, phase in self._segments:
+            if t <= t_b:
+                s = (t - t_a) / span
+                return [x + s * dk for x, dk in zip(pa, d)], list(vel), phase
         return wps[-1].position.tolist(), [0.0, 0.0, 0.0], wps[-1].phase
 
 
@@ -175,8 +186,10 @@ class SwingExecutor:
         three floats."""
         gate = (self.t < self._contact_time <= self.t + dt)
         if gate:
-            close = float(np.linalg.norm(np.asarray(foot_pos) - self.plan.contact_point)) \
-                < self.cfg.approach_threshold
+            gap = [a - b for a, b in zip(np.asarray(foot_pos, dtype=float).tolist(),
+                                         self.plan.contact_point.tolist())]
+            limit = self.cfg.approach_threshold
+            close = threshold_norm(gap, limit) < limit
             if not close and self._held < HOLD_TIMEOUT:
                 self._held += dt
                 phase = self.plan.target_at(self._contact_time - 1e-9)[2]

@@ -18,6 +18,7 @@ from legpress.geom import (
     rot_y,
     rot_z,
     rotation_exp,
+    threshold_norm,
 )
 
 
@@ -187,3 +188,44 @@ def test_euler_matrix_equals_the_product_of_its_factors():
     for roll, pitch, yaw in angles.tolist():
         assert np.array_equal(euler_zyx_to_matrix(roll, pitch, yaw),
                               rot_z(yaw) @ rot_y(pitch) @ rot_x(roll))
+
+
+@pytest.mark.parametrize("limit", [0.01, 0.02, 0.03, 0.08, 0.15, 0.22, 3e-7])
+def test_threshold_norm_decides_as_numpy_next_to_the_limit(limit):
+    """On 100,000 2- and 3-vectors whose norm lies within a relative 1e-12 of
+    the limit (the stack's limits, and a tiny one), every comparison with the
+    limit decides as numpy's norm does, and the helper hands out numpy's norm
+    itself there."""
+    rng = np.random.default_rng(int(limit * 1e6))
+    for dim in (2, 3):
+        d = rng.normal(size=(50_000, dim))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        vectors = d * (limit * (1.0 + rng.uniform(-1e-12, 1e-12, size=(50_000, 1))))
+        below = above = 0
+        for v in vectors.tolist():
+            got, want = threshold_norm(v, limit), float(np.linalg.norm(v))
+            assert got == want
+            assert (got < limit, got > limit) == (want < limit, want > limit)
+            below += want < limit
+            above += want > limit
+        assert below > 1000 and above > 1000
+
+
+def test_threshold_norm_off_the_band_and_off_the_floats():
+    """Off the band the square root of the float sum of squares lies on
+    numpy's side of the limit; NaN, infinities and limits that are not
+    positive normal squares go to numpy."""
+    rng = np.random.default_rng(62)
+    for _ in range(20_000):
+        v = (rng.normal(size=int(rng.integers(2, 4))) * 10.0 ** rng.uniform(-3, 1)).tolist()
+        limit = float(10.0 ** rng.uniform(-3, 1))
+        got, want = threshold_norm(v, limit), float(np.linalg.norm(v))
+        assert (got < limit, got > limit, got == limit) == \
+            (want < limit, want > limit, want == limit)
+    for v in ([math.nan, 0.0], [math.inf, 1.0], [-math.inf, 0.0, 0.0], [1e200, 1e200],
+              [1e-170, 0.0], [0.0, 0.0, 0.0]):
+        for limit in (0.02, 0.0, -1.0, math.inf, math.nan, 1e-160):
+            with np.errstate(over="ignore"):
+                got, want = threshold_norm(v, limit), float(np.linalg.norm(v))
+            assert (got < limit, got > limit, got == limit) == \
+                (want < limit, want > limit, want == limit)

@@ -1,6 +1,8 @@
 import configparser
 import hashlib
 import json
+import multiprocessing
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -191,7 +193,7 @@ def test_regbench_prints_how_every_icp_start_stopped(capsys):
     assert lines[1:] == ["cases=3",
                          "rotation_mae_deg=0.5690493233593162",
                          "translation_mae=0.0002989511626947668",
-                         "icp_exits step_tol=11 patience=10 few_points=0 max_iter=0",
+                         "icp_exits step_tol=11 patience=10 max_iter=0",
                          "icp_iterations starts=21 total=294 mean=14.0"]
 
 
@@ -260,6 +262,21 @@ def test_sweep_against_reports_each_moved_episode_and_count(tmp_path, capsys, mo
         "  moved task=multi_step_1m reposition=walk seed=1: fail_y steps=4 -> success steps=3",
         "  counts task=multi_step_1m reposition=walk: fail_y=1 success=2 -> success=3",
         "moved 1 of 9"]
+
+
+def test_sweep_with_two_jobs_prints_the_serial_table(capsys):
+    """Two real episodes in two spawned workers give the serial run's output
+    byte for byte; no worker outlives the command and the BLAS variables of
+    the calling process are as they were."""
+    argv = ["sweep", "--seeds", "0-1", "--max-steps", "1", "--tasks", "box_push_fixed"]
+    env = {var: os.environ.get(var) for var in cli._BLAS_VARS}
+    assert cli.main(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert cli.main(argv + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert multiprocessing.active_children() == []
+    assert {var: os.environ.get(var) for var in cli._BLAS_VARS} == env
+    assert serial.splitlines()[2].startswith("  seed=0 outcome=success steps=1 ")
 
 
 def test_sweep_against_a_file_without_rows_exits_2(tmp_path, capsys):
@@ -354,6 +371,7 @@ def test_a_value_the_stack_divides_by_exits_2_when_out_of_range(section, key, ra
     (["eval", "--task", "box_push_fixed", "--policy", "planning", "--episodes", "1",
       "--max-steps", "-3"], "max_steps must be at least 1, got -3"),
     (["sweep", "--seeds", "0", "--max-steps", "0"], "max_steps must be at least 1, got 0"),
+    (["sweep", "--seeds", "0", "--jobs", "0"], "--jobs must be at least 1, got 0"),
 ])
 def test_empty_work_exits_2_with_a_json_record(argv, message, capsys):
     assert cli.main(argv) == 2

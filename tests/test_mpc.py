@@ -212,6 +212,30 @@ def test_trot_phase_equalities_zero_swing_pair():
     assert C.shape == (5 * int(flags.sum()), 3 * int(flags.sum()))
 
 
+def test_stance_flags_equal_the_per_leg_queries():
+    """`stance(t)` is the tuple of the four `query(t, leg)` flags, for stand
+    gaits (one tuple, made once) and trots, at seeded times and on the
+    phase boundaries."""
+    rng = np.random.default_rng(66)
+    trot = GaitSchedule.trot(GAIT.trot_period, GAIT.trot_duty)
+    gaits = [GaitSchedule.stand(), *(GaitSchedule.stand(lifted=(l,)) for l in range(4)),
+             trot, GaitSchedule.trot(0.3, 0.7)]
+    times = [*rng.uniform(0.0, 30.0, 2000), *(k * 0.001 for k in range(3000)),
+             *(k * trot.period * 0.5 for k in range(100))]
+    changes = 0
+    for gait in gaits:
+        last = None
+        for t in times:
+            flags = gait.stance(t)
+            assert type(flags) is tuple
+            assert flags == tuple(gait.query(t, l) for l in range(4))
+            changes += last is not None and flags != last
+            last = flags
+        if gait.mode == "stand":
+            assert gait.stance(0.0) is gait.stance(7.5)
+    assert changes > 1000
+
+
 def test_cached_constraints_equal_a_fresh_build_and_are_read_only():
     mpc = ForceMpc(StackConfig())
     cfg = mpc.config

@@ -123,6 +123,19 @@ def test_drive_towards_equals_the_numpy_form():
         saturated += float(np.linalg.norm(gain * (target - srb.position[:2]))) > v_max
         clipped += abs(yaw_rate) == 0.6
     assert saturated > 100 and clipped > 100
+    # commands within a relative 1e-12 of the cap, where numpy's norm decides
+    capped = 0
+    for _ in range(2000):
+        srb.position[:] = rng.normal(scale=0.3, size=3)
+        gain, v_max = (1.2, 0.22) if rng.uniform() < 0.5 else (2.0, 0.08)
+        u = rng.normal(size=2)
+        u *= v_max * (1.0 + rng.uniform(-1e-12, 1e-12)) / (gain * float(np.linalg.norm(u)))
+        target = srb.position[:2] + u
+        core.drive_towards(target, None, gain, v_max)
+        v, _ = _numpy_drive(srb, target, None, gain, v_max)
+        assert np.array_equal(core.command_velocity, v)
+        capped += float(np.linalg.norm(gain * (target - srb.position[:2]))) > v_max
+    assert 500 < capped < 1500
 
 
 def test_nominal_com_equals_the_numpy_mean():

@@ -276,8 +276,7 @@ def reference_icp(source, target):
         dist, idx = tree.query(moved)
         med = float(np.median(dist))
         keep = dist <= max(register.REJECT_MEDIAN_FACTOR * med, 1e-9)
-        if np.sum(keep) < 6:
-            return IcpResult(best_T, best_res, "few_points", it)
+        assert np.sum(keep) > len(dist) // 2  # see test_the_median_reject_keeps_over_half
         dst = target.points[idx[keep]]
         nrm = target.normals[idx[keep]]
         res = float(np.sqrt(np.mean(np.einsum("ij,ij->i", moved[keep] - dst, nrm) ** 2)))
@@ -393,28 +392,55 @@ def test_lockstep_matches_the_sequential_reference_on_the_benchmark_suites(monke
 
 
 def test_lockstep_matches_the_reference_on_every_exit_rule(monkeypatch):
-    """The suite cases above reach neither max_iter nor few_points (with at
-    least 10 points and a reject factor of 3, the half of the points nearest
-    their matches are always kept), so these batches are built to: an
-    iteration cap of 10, and a reject factor of 0.5 on a 12-point source, half
-    on target points and half 0.3 m above them."""
+    """The suite cases above never reach max_iter, so this batch is built to:
+    an iteration cap of 10."""
     checked = Checked(monkeypatch)
     monkeypatch.setattr(register, "ICP_MAX_ITER", 10)
     source = lshape_cloud(150, seed=9)
     true = RigidTransform.rotation_about(rot_z(math.radians(40.0)), source.centroid)
     checked.register(source, apply_transform(true, lshape_cloud(400, seed=10)), seed=1)
     capped = checked.batches[-1]
+    assert {r.exit for r in capped} == set(register.EXITS)
+    assert len({r.iterations for r in capped}) > 2
 
-    monkeypatch.setattr(register, "REJECT_MEDIAN_FACTOR", 0.5)
+
+def test_the_median_reject_keeps_over_half_of_the_points(monkeypatch):
+    """With n >= 10 finite distances, every distance up to the median is at
+    most REJECT_MEDIAN_FACTOR times it (an even count's median is at least
+    half its upper middle value, and the factor is at least 2), so at least
+    floor(n/2) + 1 >= 6 correspondences are kept and every start can step.
+    Checked on rows built to keep the fewest: the upper half far away, ties,
+    zeros and a zero median; then on a 12-point source, half on the target
+    and half 0.3 m above it, through the registration, whose reference
+    asserts the bound for every start and iteration."""
+    assert register.REJECT_MEDIAN_FACTOR >= 2.0
+    rng = np.random.default_rng(61)
+    rows = []
+    for n in range(10, 41):
+        low = n // 2 + 1
+        rows += [np.concatenate([rng.uniform(0.0, 1e-3, low), rng.uniform(1e3, 1e6, n - low)]),
+                 np.concatenate([np.full(low, 0.02), np.full(n - low, 5.0)]),
+                 np.concatenate([np.zeros(n // 2), rng.uniform(1.0, 2.0, n - n // 2)]),
+                 np.zeros(n), rng.exponential(size=n) ** 8]
+    for dist in rows:
+        keep = dist <= max(register.REJECT_MEDIAN_FACTOR * float(np.median(dist)), 1e-9)
+        assert np.count_nonzero(keep) >= len(dist) // 2 + 1 >= 6
+
+    checked = Checked(monkeypatch)
     target = lshape_cloud(40, seed=10)
     far = target.points[6:12] + np.array([0.0, 0.0, 0.3])
     checked.register(PointCloud(np.vstack([target.points[:6], far])), target, seed=2)
-    sparse = checked.batches[-1]
+    assert len(checked.batches[-1]) == 1 + register.N_AUGMENT
 
-    assert {r.exit for r in capped} == {"max_iter", "patience", "step_tol"}
-    assert {r.exit for r in sparse} == {"few_points", "patience", "step_tol"}
-    for batch in (capped, sparse):
-        assert len({r.iterations for r in batch}) > 2
+
+@pytest.mark.parametrize("n", [10, 11, 180, 181, 400])
+def test_row_medians_equal_np_median(n):
+    """The partition at numpy's kth and the mean of the middle column or
+    columns give np.median's bits, for odd and even widths, ties included."""
+    rng = np.random.default_rng(n)
+    for dist in (rng.exponential(size=(7, n)), rng.integers(0, 4, size=(5, n)) * 0.1,
+                 rng.normal(size=(1, n)) ** 2 * 1e-9):
+        assert np.array_equal(register._row_medians(dist), np.median(dist, axis=1))
 
 
 def test_lockstep_takes_the_small_angle_branch_beside_ordinary_starts(monkeypatch):

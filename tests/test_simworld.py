@@ -239,7 +239,10 @@ def test_free_fall_matches_ballistic():
     assert abs(world.robot.srb.linear_velocity[2] - (v0 - g * dt)) < 1e-9
 
 
-def test_box_at_rest_stays_put():
+def test_box_at_rest_stays_put(monkeypatch):
+    """Penalty contact alone holds the box still for 1 s: sleep is off."""
+    monkeypatch.setattr(simworld, "SLEEP_LINEAR_TOL", 0.0)
+    monkeypatch.setattr(simworld, "SLEEP_ANGULAR_TOL", 0.0)
     cfg = StackConfig()
     shape = Box((0.07, 0.07, 0.05))
     obj = SimObject.from_shape(shape, RigidTransform.identity())
@@ -252,6 +255,7 @@ def test_box_at_rest_stays_put():
     R0 = obj.pose.rotation.copy()
     for _ in range(1000):
         step(world, np.zeros(12))
+        assert not obj.asleep
     assert np.max(np.abs(world.objects[0].pose.translation - p0)) < 1e-4
     assert np.max(np.abs(world.objects[0].pose.rotation - R0)) < 1e-4
 
@@ -959,6 +963,73 @@ def test_float_solve_matches_numpy_and_damps_near_a_singularity():
         M = A.T @ A + 1e-6 * np.eye(3)
         np.testing.assert_allclose(x, np.linalg.solve(M, A.T @ b),
                                    rtol=2.0 * np.finfo(float).eps * np.linalg.cond(M))
+
+
+def test_tip_forces_equal_the_transposed_solve_on_near_singular_legs():
+    """Bit for bit: each leg's tip force is `matvec3(R, _solve3(J', tau))`,
+    on ordinary joint angles and on nearly straight knees, whose Jacobians
+    take the damped branch."""
+    rng = np.random.default_rng(63)
+    legs = make_legs(StackConfig().robot)
+    damped = 0
+    for k in range(2000):
+        R = rotation_exp(rng.normal(size=3)).tolist()
+        for leg in legs:
+            leg.joint_angles[:] = rng.uniform(-2.0, 2.0, 3)
+            if k % 2:
+                leg.joint_angles[2] = rng.normal(scale=10.0 ** -rng.uniform(3, 9))
+        tau = (rng.normal(scale=5.0, size=12) * 10.0 ** rng.uniform(-3, 2)).tolist()
+        want = [tuple(simworld.matvec3(R, simworld._solve3(tuple(zip(*leg_jacobian_rows(leg))),
+                                                            tau[3 * i:3 * i + 3])))
+                for i, leg in enumerate(legs)]
+        assert simworld._tip_forces(R, legs, tau) == want
+        damped += sum(abs(simworld.det3(leg_jacobian_rows(leg))) < 1e-6 for leg in legs)
+    assert 500 < damped < 4 * 2000 - 500  # both branches, often
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 100.00000000000001, -150.0])
+def test_the_speed_check_raises_exactly_as_the_abs_max_form(bad):
+    """With a NaN, an infinity or a value past the limit at any position of
+    the trunk, feet and two objects' velocities, the one-pass check raises,
+    with the message of the `_abs_max` form; at the limit it does not."""
+    rng = np.random.default_rng(64)
+    for n in (15, 21):
+        for pos in range(n):
+            for _ in range(3):
+                speeds = rng.uniform(-100.0, 100.0, n).tolist()
+                speeds[int(rng.integers(n))] = float(rng.choice([100.0, -100.0]))
+                vmax = simworld._abs_max(speeds)
+                assert not (vmax > 100.0 or not math.isfinite(vmax))
+                simworld._check_speeds(speeds)
+                speeds[pos] = bad
+                vmax = simworld._abs_max(speeds)
+                assert vmax > 100.0 or not math.isfinite(vmax)
+                with pytest.raises(SimulationDivergence) as e:
+                    simworld._check_speeds(speeds)
+                assert str(e.value) == f"velocity {vmax:.1f} m/s exceeds the plausibility limit"
+
+
+def test_the_ik_clamp_equals_min_max_at_the_edges():
+    """`_clamp` gives `min(hi, max(lo, x))` bit for bit for the IK's bounds,
+    at and one ulp either side of each bound, for NaN, infinities, signed
+    zeros and seeded draws."""
+    rng = np.random.default_rng(65)
+    for lo, hi in ((-1.0, 1.0), (-1.0, 1.0 - 1e-12)):
+        edges = [lo, hi] + [math.nextafter(b, s) for b in (lo, hi) for s in (-math.inf, math.inf)]
+        values = edges + [math.nan, math.inf, -math.inf, 0.0, -0.0, *rng.uniform(-1.1, 1.1, 1000)]
+        for x in values:
+            got, want = simworld._clamp(x, lo, hi), min(hi, max(lo, x))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert simworld._clamp(math.nan, -1.0, 1.0) == -1.0
+
+
+def test_the_shoulder_is_made_once_and_read_only():
+    for leg in make_legs(StackConfig().robot):
+        want = leg.hip_offset + np.array([0.0, leg.side * leg.link_lengths[0], 0.0])
+        assert np.array_equal(leg.shoulder, want) and leg.shoulder is leg.shoulder
+        assert np.array_equal(leg.copy().shoulder, want)
+        with pytest.raises(ValueError):
+            leg.shoulder[1] = 0.0
 
 
 @pytest.mark.parametrize("name", ["box", "cylinder", "l_prism"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -237,14 +239,14 @@ def _numpy_target_at(plan, t):
     """SwingPlan.target_at on the waypoint arrays."""
     wps = plan.waypoints
     if t <= wps[0].time:
-        return wps[0].position.copy(), np.zeros(3)
+        return wps[0].position.copy(), np.zeros(3), wps[0].phase
     for a, b in zip(wps[:-1], wps[1:]):
         if t <= b.time:
             span = max(b.time - a.time, 1e-9)
             s = (t - a.time) / span
             return (a.position + s * (b.position - a.position),
-                    (b.position - a.position) / span)
-    return wps[-1].position.copy(), np.zeros(3)
+                    (b.position - a.position) / span, b.phase)
+    return wps[-1].position.copy(), np.zeros(3), wps[-1].phase
 
 
 def test_target_at_equals_the_numpy_form():
@@ -258,10 +260,12 @@ def test_target_at_equals_the_numpy_form():
                           world.config.swing, 0)
         times = [w.time for w in plan.waypoints]
         for t in [-0.1, *times, *rng.uniform(-0.1, plan.duration + 0.1, 50)]:
-            pos, vel, _ = plan.target_at(t)
-            want_pos, want_vel = _numpy_target_at(plan, t)
+            pos, vel, phase = plan.target_at(t)
+            want_pos, want_vel, want_phase = _numpy_target_at(plan, t)
             assert type(pos) is list and type(vel) is list
             assert np.array_equal(pos, want_pos) and np.array_equal(vel, want_vel)
+            assert phase == want_phase
+            vel[0] = math.nan  # a caller's write reaches no later call
 
 
 def test_waypoint_times_strictly_increasing_and_lift_clears():
