@@ -213,12 +213,12 @@ class PointCloud:
     """Ordered 3D points with optional unit normals.
 
     Point order is meaningful: index i in one cloud corresponds to index i in
-    a correspondent cloud (goal flow relies on this).
+    a correspondent cloud (goal flow relies on this). Points and normals are
+    in the world frame.
     """
 
     points: np.ndarray
     normals: np.ndarray | None = None
-    frame: str = "world"
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -240,4 +240,4 @@ def apply_transform(t: RigidTransform, cloud: PointCloud) -> PointCloud:
     if len(cloud) == 0:
         raise ValueError("cannot transform an empty cloud")
     normals = None if cloud.normals is None else cloud.normals @ t.rotation.T
-    return PointCloud(t.apply(cloud.points), normals, cloud.frame)
+    return PointCloud(t.apply(cloud.points), normals)

@@ -51,6 +51,7 @@ MULTI_STEP_MAX_STEPS = 20
 Y_LIMIT = 0.20  # m, lateral drift that fails a multi-step run
 REG_MAX_ROTATION_DEG = 30.0  # registration suite: largest perturbation angle
 AMBIGUITY_SUCCESS_ROT_DEG = 15.0  # ambiguity suite: largest rotation error of a success
+MAX_VISIBLE = 0.7  # registration suites: largest share of a scan left in a partial view
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +345,20 @@ def _asymmetric_shape(rng):
     return ConvexMesh(tuple(map(tuple, pts)))
 
 
-def _crop_visibility(cloud: PointCloud, rng, max_keep: float = 0.7) -> PointCloud:
+def _crop_visibility(cloud: PointCloud, rng) -> PointCloud:
     """Occlude from a random viewpoint (hidden point removal), then trim down
-    to at most the requested fraction of the original points."""
+    to at most MAX_VISIBLE of the original points."""
     d = rng.normal(size=3)
     d /= np.linalg.norm(d)
     vp = cloud.centroid + d * 1.5
     vis = hidden_point_removal(cloud, vp)
     keep = vis
-    limit = int(max_keep * len(cloud))
+    limit = int(MAX_VISIBLE * len(cloud))
     if len(keep) > limit:
         keep = rng.choice(keep, size=limit, replace=False)
     keep = np.sort(keep)
     normals = None if cloud.normals is None else cloud.normals[keep]
-    return PointCloud(cloud.points[keep], normals, cloud.frame)
+    return PointCloud(cloud.points[keep], normals)
 
 
 @dataclass
@@ -423,6 +424,11 @@ def ambiguity_benchmark(n_trials: int = 40, seed: int = 0) -> AmbiguityBenchResu
         raise ValueError("need at least one ambiguity trial")
     rng = np.random.default_rng(seed)
     aug_ok = single_ok = 0
+
+    def ok(est: RigidTransform, true: RigidTransform) -> bool:
+        err = compose(est, true.inverse())
+        return math.degrees(err.rotation_angle()) < AMBIGUITY_SUCCESS_ROT_DEG
+
     shape = Compound(((Box((0.08, 0.08, 0.05)), (0.0, 0.0, 0.0)),
                       (Box((0.02, 0.02, 0.03)), (0.03, 0.03, 0.04))))
     for _ in range(n_trials):
@@ -435,14 +441,7 @@ def ambiguity_benchmark(n_trials: int = 40, seed: int = 0) -> AmbiguityBenchResu
         true = compose(RigidTransform(np.eye(3), rng.uniform(-0.03, 0.03, size=3)), true)
         target = apply_transform(true, full_scan(obj, 400, seed=int(rng.integers(2 ** 31))))
 
-        single = icp_register(source, target).transform
-        aug = register_with_augmentation(source, target,
-                                         seed=int(rng.integers(2 ** 31))).transform
-        for est, bucket in ((single, "single"), (aug, "aug")):
-            err = compose(est, true.inverse())
-            ok = math.degrees(err.rotation_angle()) < AMBIGUITY_SUCCESS_ROT_DEG
-            if bucket == "single":
-                single_ok += ok
-            else:
-                aug_ok += ok
+        single_ok += ok(icp_register(source, target).transform, true)
+        aug_ok += ok(register_with_augmentation(source, target,
+                                                seed=int(rng.integers(2 ** 31))).transform, true)
     return AmbiguityBenchResult(aug_ok / n_trials, single_ok / n_trials, n_trials)

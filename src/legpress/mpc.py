@@ -65,25 +65,21 @@ class GaitSchedule:
             raise ValueError("duty factor must be in (0, 1]")
         return GaitSchedule("trot", period=period, duty=duty)
 
-    def query(self, t: float, leg: int) -> bool:
-        """True when the leg is in stance at time t."""
-        if self.mode == "stand":
-            return leg not in self.lifted
-        phase = (t / self.period + TROT_OFFSETS[leg]) % 1.0
-        return phase < self.duty
-
     def stance(self, t: float) -> tuple:
-        """The four legs' `query` flags at time t, as a tuple."""
+        """The four legs' stance flags at time t, as a tuple: a stand gait's
+        legs are in stance unless lifted, a trot leg while its phase
+        (t / period + its offset) mod 1 is under the duty factor."""
         if self._flags is not None:
             return self._flags
         x, duty = t / self.period, self.duty
         return tuple((x + offset) % 1.0 < duty for offset in TROT_OFFSETS)
 
     def swing_phase(self, t: float, leg: int) -> float:
-        """Progress through the current swing in [0, 1); 0 if in stance."""
-        if self.query(t, leg):
-            return 0.0
+        """Progress of a trot leg through its current swing in [0, 1); 0 if
+        in stance."""
         phase = (t / self.period + TROT_OFFSETS[leg]) % 1.0
+        if phase < self.duty:
+            return 0.0
         return (phase - self.duty) / (1.0 - self.duty)
 
     @property
@@ -261,11 +257,9 @@ def stance_torques(robot: RobotState, forces, stance) -> list:
     stance flag is set: tau = -J^T f per leg, computed as -Jl^T (R^T f) on the
     float rows of the trunk rotation R and each leg's trunk-frame Jacobian Jl.
     `forces` holds the four legs' force triples as float rows
-    (`MpcResult.forces.tolist()`) or as a (4, 3) array, which is converted.
-    Returns the 12 torques as a flat list of floats, zeros for a swing leg.
-    Both products are written out in `geom.matvec3_t`'s order."""
-    if isinstance(forces, np.ndarray):
-        forces = forces.tolist()
+    (`MpcResult.forces.tolist()`). Returns the 12 torques as a flat list of
+    floats, zeros for a swing leg. Both products are written out in
+    `geom.matvec3_t`'s order."""
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation_rows(robot.srb)
     tau = [0.0] * (3 * N_LEGS)
     for i, leg in enumerate(robot.legs):

@@ -54,7 +54,6 @@ from .simworld import (
     step as sim_step,
 )
 from .swingctl import (
-    ImpedanceGains,
     SwingExecutor,
     UnreachableActionError,
     impedance_torque_tracking,
@@ -63,6 +62,8 @@ from .swingctl import (
 )
 
 TRACE_SCHEMA = "legpress-trace-v1"
+# the header keys a trace file must have; success_threshold may be absent
+TRACE_HEADER_KEYS = ("schema", "task", "seed", "outcome", "steps_used", "final_mean_flow")
 METRIC_POINTS = 400  # object surface samples behind the goal-flow metric
 SETTLE_TIME = 0.3  # s simulated after each placement, before the next check
 _ZERO_FORCES = ((0.0, 0.0, 0.0),) * 4  # force rows before the first MPC solve
@@ -79,11 +80,7 @@ ALLOWED_TRANSITIONS = {
     (COM_SHIFT, MANIPULATION),
     (MANIPULATION, POST_ACT_COM_SHIFT),
     (POST_ACT_COM_SHIFT, QP_STAND),
-    (POST_ACT_COM_SHIFT, WALKING),
     (WALKING, QP_STAND),
-    # fault recoveries re-enter the stand state
-    (COM_SHIFT, QP_STAND),
-    (MANIPULATION, QP_STAND),
 }
 
 
@@ -204,15 +201,29 @@ class EpisodeTrace:
 
     @staticmethod
     def read_jsonl(path: str) -> "EpisodeTrace":
+        """The trace in a file that write_jsonl wrote. Raises ValueError when
+        the first line is not a TRACE_SCHEMA header with TRACE_HEADER_KEYS,
+        or a later line is not a record with a type (and a check without
+        its reward)."""
         with open(path) as fh:
             head = json.loads(fh.readline())
+            if not (isinstance(head, dict) and all(k in head for k in TRACE_HEADER_KEYS)):
+                raise ValueError(f"{path}: the first line is not a trace header with the keys "
+                                 f"{', '.join(TRACE_HEADER_KEYS)}")
+            if head["schema"] != TRACE_SCHEMA:
+                raise ValueError(f"{path}: trace schema {head['schema']!r}, "
+                                 f"expected {TRACE_SCHEMA!r}")
             trace = EpisodeTrace(head["task"], head["seed"], head["schema"])
             trace.outcome = head["outcome"]
             trace.steps_used = head["steps_used"]
             trace.final_mean_flow = head["final_mean_flow"]
             trace.success_threshold = head.get("success_threshold", trace.success_threshold)
-            for line in fh:
+            for number, line in enumerate(fh, 2):
                 rec = json.loads(line)
+                if not (isinstance(rec, dict) and "type" in rec
+                        and (rec["type"] != "check" or "reward" in rec)):
+                    raise ValueError(f"{path} line {number}: not a trace record with a type "
+                                     f"(and a reward on a check)")
                 trace.records.append(rec)
                 if rec["type"] == "check":
                     trace.rewards.append(rec["reward"])
@@ -232,7 +243,12 @@ class _OrchestratorCore:
         self.options = options
         self.rng = rng
         self.mpc = ForceMpc(self.cfg)
-        self.gains = ImpedanceGains.from_config(self.cfg.swing)
+        swing = self.cfg.swing
+        # a negative stiffness or damping pushes the foot away from its target
+        if not (swing.kp >= 0.0 and swing.kd >= 0.0):
+            raise ValueError(f"swing gains must be non-negative, got kp={swing.kp!r} "
+                             f"kd={swing.kd!r}")
+        self.kp, self.kd = float(swing.kp), float(swing.kd)
         self.camera = CameraModel.from_config(self.cfg.camera)
         self.state = QP_STAND
         self.state_entry_time = world.time
@@ -332,11 +348,11 @@ class _OrchestratorCore:
             p_des, v_des = self._swing_target(i, dt)
             cmd = impedance_torque_tracking(
                 robot.legs[i], srb, robot.feet_pos[i].tolist(), robot.feet_vel[i].tolist(),
-                p_des, v_des, self.gains)
+                p_des, v_des, self.kp, self.kd)
             tau[3 * i], tau[3 * i + 1], tau[3 * i + 2] = cmd.torques
 
         try:
-            sim_step(world, tau, dt)
+            sim_step(world, tau)
         except SimulationDivergence as e:
             raise EpisodeFault(f"simulation_divergence ({e})") from e
         self.step_count += 1
@@ -350,8 +366,7 @@ class _OrchestratorCore:
         """Desired foot point and velocity of a swing leg, as float lists."""
         # in MANIPULATION the action's leg is the only one in swing
         if self.state == MANIPULATION and self.executor is not None:
-            p, v, _ = self.executor.tick(self.world.robot.feet_pos[leg_index], dt)
-            return p, v
+            return self.executor.tick(self.world.robot.feet_pos[leg_index], dt)
         if self.state == WALKING:
             return self._trot_swing_target(leg_index)
         # POST_ACT and any residual case: settle onto the nominal foothold

@@ -59,8 +59,10 @@ class CriticMap:
             self.q_values = self.q_values[:, None]
         if self.q_values.shape[1] not in (1, 2):
             raise ValueError("critic map must have 1 or 2 leg channels")
-        if np.any(self.q_values < Q_CLAMP[0] - 1e-9) or np.any(self.q_values > Q_CLAMP[1] + 1e-9):
-            raise ValueError(f"q values must lie in {Q_CLAMP}")
+        q = self.q_values
+        # written so that a NaN fails it too
+        if not np.all((q >= Q_CLAMP[0] - 1e-9) & (q <= Q_CLAMP[1] + 1e-9)):
+            raise ValueError(f"q values must be finite and lie in {Q_CLAMP}")
 
 
 @dataclass
@@ -231,16 +233,31 @@ def random_location_baseline(cloud: PointCloud, goal: GoalSpec, seed: int) -> Ob
 
 
 def load_maps(path: str) -> tuple[ActorMap, CriticMap]:
+    """The actor and critic maps of a file in the interchange format. A line
+    without six fields, with a negative point index, a channel other than 0
+    or 1, a value that is not a finite number, or the point and channel of
+    an earlier line raises ValueError naming the line."""
     entries = {}
     n = ch = 0
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             toks = line.split()
-            i, c = int(toks[0]), int(toks[1])
-            entries[(i, c)] = [float(v) for v in toks[2:6]]
+            try:
+                if len(toks) != 6:
+                    raise ValueError
+                i, c, vals = int(toks[0]), int(toks[1]), [float(v) for v in toks[2:]]
+                if not (i >= 0 and 0 <= c < len(LEG_CHANNELS) and all(map(math.isfinite, vals))):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{path} line {number}: expected 'point_index leg_channel "
+                                 f"mx my mz q' with point_index >= 0, leg_channel 0 or 1 "
+                                 f"and finite values, got {line!r}") from None
+            if (i, c) in entries:
+                raise ValueError(f"{path} line {number}: point {i} channel {c} given again")
+            entries[(i, c)] = vals
             n = max(n, i + 1)
             ch = max(ch, c + 1)
     motion = np.zeros((n, ch, 3))

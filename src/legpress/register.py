@@ -287,15 +287,16 @@ def _ranks(values) -> np.ndarray:
     return ranks
 
 
-def select_by_rank_sum(flows, chamfers, chamfer_weight: float = CHAMFER_RANK_WEIGHT):
-    """Winner index + per-candidate (rank_flow, rank_chamfer, weighted sum).
+def select_by_rank_sum(flows, chamfers):
+    """Winner index + per-candidate (rank_flow, rank_chamfer, weighted sum),
+    the sum being rank_flow + CHAMFER_RANK_WEIGHT * rank_chamfer.
 
     Ties break toward lower Chamfer distance, then lower index."""
     flows = np.asarray(flows, dtype=float)
     chamfers = np.asarray(chamfers, dtype=float)
     rf = _ranks(flows)
     rc = _ranks(chamfers)
-    sums = rf + chamfer_weight * rc
+    sums = rf + CHAMFER_RANK_WEIGHT * rc
     order = sorted(range(len(flows)), key=lambda i: (sums[i], chamfers[i], i))
     return order[0], rf, rc, sums
 

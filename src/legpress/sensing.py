@@ -21,6 +21,7 @@ from .simworld import WorldState
 HPR_RADIUS_FACTOR = 100.0  # Katz heuristic: R = factor * max range
 RENDER_OVERSAMPLE = 6  # surface samples drawn per requested point before culling
 NEAR_CLIP = 0.01  # m in front of the camera
+NORMAL_NEIGHBORS = 12  # points in each local covariance of estimate_normals
 
 
 class EmptyObservationError(RuntimeError):
@@ -130,15 +131,17 @@ def _hpr_degenerate(rel, norms, flipped):
     return np.arange(len(rel))
 
 
-def estimate_normals(cloud: PointCloud, k_neighbors: int = 12,
-                     viewpoint=None) -> PointCloud:
-    """Per-point normals from the smallest local covariance eigenvector,
-    oriented toward the viewpoint when one is given."""
+def estimate_normals(cloud: PointCloud) -> PointCloud:
+    """Per-point unit normals: the eigenvector of the smallest eigenvalue of
+    the covariance of the point's NORMAL_NEIGHBORS nearest points (all points
+    of a smaller cloud). The sign is the eigensolver's: a normal is not
+    oriented. A point whose neighbours are duplicates or collinear takes the
+    normal of the last point before it that has one, or +z."""
     pts = cloud.points
     n = len(pts)
     if n < 3:
         raise ValueError("need at least 3 points for normal estimation")
-    k = min(k_neighbors, n)
+    k = min(NORMAL_NEIGHBORS, n)
     tree = cKDTree(pts)
     _, idx = tree.query(pts, k=k)
     normals = np.zeros((n, 3))
@@ -152,12 +155,8 @@ def estimate_normals(cloud: PointCloud, k_neighbors: int = 12,
             continue
         normals[i] = v[:, 0]
         fallback = normals[i]
-    if viewpoint is not None:
-        to_vp = np.asarray(viewpoint, dtype=float) - pts
-        flip = np.einsum("ij,ij->i", normals, to_vp) < 0.0
-        normals[flip] *= -1.0
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(pts.copy(), normals, cloud.frame)
+    return PointCloud(pts.copy(), normals)
 
 
 def _resample(pts, nrm, n_points, rng):
@@ -180,7 +179,7 @@ def full_scan(obj, n_points: int, seed: int) -> PointCloud:
     """Occlusion-free surface scan (the registration target side)."""
     rng = np.random.default_rng(seed)
     pts, nrm = sample_object_surface(obj, n_points, rng)
-    return PointCloud(pts, nrm, "world")
+    return PointCloud(pts, nrm)
 
 
 def render_object_cloud(world: WorldState, cam: CameraModel, object_index: int,
@@ -203,7 +202,7 @@ def render_object_cloud(world: WorldState, cam: CameraModel, object_index: int,
         raise EmptyObservationError(f"object {object_index} outside the camera frustum")
     pts, nrm = pts[keep], nrm[keep]
 
-    vis = hidden_point_removal(PointCloud(pts, frame="world"), vp)
+    vis = hidden_point_removal(PointCloud(pts), vp)
     pts, nrm = pts[vis], nrm[vis]
     pts, nrm = _resample(pts, nrm, n_points, rng)
-    return PointCloud(pts, nrm, "world")
+    return PointCloud(pts, nrm)

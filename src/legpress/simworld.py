@@ -64,8 +64,12 @@ Numpy stays where it is the better tool or a reference depends on it:
     `SrbState.rotation()` to it bit for bit and `regbench` inputs go through
     it;
   - the SVD that re-orthonormalises each orientation every 64 steps;
-  - the numpy forms of the stance torques and the impedance law, kept only
-    as test references.
+  - `leg_inverse_kinematics`, which maps the target into the hip frame with
+    the rotation array and returns the joint angles as an array: it runs in
+    the reach test, never in the tick;
+  - the numpy forms of the stance torques and of the impedance law
+    (`kp (p_des - p) + kd (v_des - v)` on arrays, mapped by the world
+    Jacobian's transpose), kept only as test references.
 """
 from __future__ import annotations
 
@@ -100,6 +104,8 @@ _RENORM_EVERY = 64  # steps between orientation re-orthonormalizations
 SLEEP_LINEAR_TOL = 1e-9  # m/s
 SLEEP_ANGULAR_TOL = 1e-9  # rad/s
 SLEEP_TIME = 0.1  # s
+OBJECT_DENSITY = 300.0  # kg/m^3 of every object made from a shape
+CYLINDER_SIDES = 16  # sides of the prism a Cylinder's vertices span
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -291,12 +297,6 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return x if lo < x < hi else (hi if x >= hi else lo)
 
 
-@dataclass
-class IkResult:
-    reachable: bool
-    joint_angles: np.ndarray | None
-
-
 def _ik_local(d, side, l_abd, lt, lc, limits):
     """Closed-form 3-DOF solve in the hip frame, knee-backward branch.
 
@@ -333,14 +333,14 @@ def _ik_local(d, side, l_abd, lt, lc, limits):
     return None
 
 
-def leg_inverse_kinematics(target: np.ndarray, leg: LegModel, trunk: SrbState) -> IkResult:
-    """Joint angles reaching the world target, or an unreachable result."""
+def leg_inverse_kinematics(target: np.ndarray, leg: LegModel,
+                           trunk: SrbState) -> np.ndarray | None:
+    """Joint angles reaching the world target within the joint limits, or
+    None when no such angles exist."""
     R = _rotation(trunk)
     d = R.T @ (np.asarray(target, dtype=float) - (trunk.position + R @ leg.hip_offset))
     q = _ik_local(d.tolist(), leg.side, *leg.link_lengths, leg.joint_limits)
-    if q is None:
-        return IkResult(False, None)
-    return IkResult(True, np.array(q))
+    return None if q is None else np.array(q)
 
 
 def _cofactor_solve(A, b, det: float) -> list:
@@ -488,13 +488,12 @@ class Box:
 class Cylinder:
     radius: float
     height: float
-    sides: int = 16
 
     def __post_init__(self):
-        ang = np.linspace(0.0, 2.0 * math.pi, self.sides, endpoint=False)
+        ang = np.linspace(0.0, 2.0 * math.pi, CYLINDER_SIDES, endpoint=False)
         ring = np.stack([self.radius * np.cos(ang), self.radius * np.sin(ang)], axis=1)
-        top = np.column_stack([ring, np.full(self.sides, self.height / 2.0)])
-        bot = np.column_stack([ring, np.full(self.sides, -self.height / 2.0)])
+        top = np.column_stack([ring, np.full(CYLINDER_SIDES, self.height / 2.0)])
+        bot = np.column_stack([ring, np.full(CYLINDER_SIDES, -self.height / 2.0)])
         _set_vertices(self, np.vstack([top, bot]))
 
     def vertices(self) -> np.ndarray:
@@ -707,10 +706,10 @@ class SimObject:
             raise ValueError("inertia must be symmetric positive definite")
 
     @staticmethod
-    def from_shape(shape, pose: RigidTransform, density: float = 300.0,
-                   friction: float = 0.5, name: str = "object") -> "SimObject":
-        m, I = shape.mass_properties(density)
-        return SimObject(shape, pose, mass=m, inertia=I, friction=friction, name=name)
+    def from_shape(shape, pose: RigidTransform) -> "SimObject":
+        """The shape as a body of OBJECT_DENSITY."""
+        m, I = shape.mass_properties(OBJECT_DENSITY)
+        return SimObject(shape, pose, mass=m, inertia=I)
 
     @property
     def asleep(self) -> bool:
@@ -764,9 +763,6 @@ class RobotState:
     def __post_init__(self):
         self.feet_pos = np.ascontiguousarray(self.feet_pos, dtype=float)
         self.feet_vel = np.ascontiguousarray(self.feet_vel, dtype=float)
-
-    def rotation(self) -> np.ndarray:
-        return self.srb.rotation()
 
     def copy(self) -> "RobotState":
         return RobotState(self.srb.copy(), [l.copy() for l in self.legs],
@@ -998,9 +994,9 @@ def _friction_pass(fric, objects, feet_v, obj_v, obj_w, obj_L, obj_I_inv,
                              a20 * L0 + a21 * L1 + a22 * L2]
 
 
-def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldState:
-    """Advance the world one step under 12 commanded joint torques (4 legs x 3),
-    given as 12 numbers.
+def step(world: WorldState, joint_torques) -> WorldState:
+    """Advance the world one step of the config's `sim.dt` under 12 commanded
+    joint torques (4 legs x 3), given as 12 numbers.
 
     Normal contact is penalty spring-damper; friction is a per-contact
     tangential impulse capped at mu*fn*dt (Coulomb), applied to the updated
@@ -1010,8 +1006,7 @@ def step(world: WorldState, joint_torques, dt: float | None = None) -> WorldStat
     limit.
     """
     cfg = world.config
-    if dt is None:
-        dt = cfg.sim.dt
+    dt = cfg.sim.dt
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     tau = list(map(float, joint_torques))

@@ -1,13 +1,14 @@
 """Impedance control and swing planning for the manipulation leg.
 
 The torque law is the Cartesian foot-space PD mapped through the transposed
-leg Jacobian:
+leg Jacobian, with one scalar gain per term (the config's `swing.kp` and
+`swing.kd`: the same stiffness and damping along every axis):
 
-    tau = J^T (Kp (p_des - p_foot) + Kd (v_des - v_foot))
+    tau = J^T (kp (p_des - p_foot) + kd (v_des - v_foot))
 
 Force modulation during pushing is emergent: the commanded post-contact
 displacement may exceed what the object allows, and the tracking error times
-Kp is what the foot presses with.
+kp is what the foot presses with.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SwingConfig
-from .geom import det3, matvec3, matvec3_t, threshold_norm
+from .geom import det3, matvec3_t, threshold_norm
 from .simworld import (
     LegModel,
     SrbState,
@@ -35,28 +36,6 @@ class UnreachableActionError(RuntimeError):
     """Contact point outside the leg workspace even for planning purposes."""
 
 
-@dataclass(frozen=True)
-class ImpedanceGains:
-    """Read-only gain matrices, also held as float rows for the torque law."""
-
-    K_p: np.ndarray
-    K_d: np.ndarray
-    _rows: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name in ("K_p", "K_d"):
-            M = np.array(getattr(self, name), dtype=float)
-            if np.max(np.abs(M - M.T)) > 1e-12 or np.any(np.linalg.eigvalsh(M) < -1e-12):
-                raise ValueError("gain matrices must be symmetric PSD")
-            M.flags.writeable = False
-            object.__setattr__(self, name, M)
-        object.__setattr__(self, "_rows", (self.K_p.tolist(), self.K_d.tolist()))
-
-    @staticmethod
-    def from_config(cfg: SwingConfig) -> "ImpedanceGains":
-        return ImpedanceGains(cfg.kp * np.eye(3), cfg.kd * np.eye(3))
-
-
 @dataclass
 class ImpedanceCommand:
     torques: list  # the leg's three joint torques, as floats
@@ -64,17 +43,13 @@ class ImpedanceCommand:
 
 
 def impedance_torque_tracking(leg: LegModel, trunk: SrbState, p_foot, v_foot,
-                              p_des, v_des, gains: ImpedanceGains) -> ImpedanceCommand:
+                              p_des, v_des, kp: float, kd: float) -> ImpedanceCommand:
     """Exactly the foot-space PD law, with the measured foot state supplied
     by the caller (the simulator knows the foot point and velocity exactly).
     The four vectors are 3-sequences, at their fastest as Python floats.
     Near-singular Jacobians still produce torques but are flagged."""
     Jl = leg_jacobian_rows(leg)
-    ep = [a - b for a, b in zip(p_des, p_foot)]
-    ev = [a - b for a, b in zip(v_des, v_foot)]
-    kp, kd = gains._rows
-    fp, fd = matvec3(kp, ep), matvec3(kd, ev)
-    f = [fp[0] + fd[0], fp[1] + fd[1], fp[2] + fd[2]]
+    f = [kp * (a - b) + kd * (c - d) for a, b, c, d in zip(p_des, p_foot, v_des, v_foot)]
     # J = R Jl, so J^T f = Jl^T (R^T f) and det J = det Jl (det R = 1)
     tau = matvec3_t(Jl, matvec3_t(rotation_rows(trunk), f))
     return ImpedanceCommand(tau, abs(det3(Jl)) < 1e-6)
@@ -94,7 +69,7 @@ def is_reachable(target, leg: LegModel, trunk: SrbState) -> bool:
     target = np.asarray(target, dtype=float)
     if np.linalg.norm(target - shoulder_point(leg, trunk)) > workspace_radius(leg):
         return False
-    return leg_inverse_kinematics(target, leg, trunk).reachable
+    return leg_inverse_kinematics(target, leg, trunk) is not None
 
 
 def clip_to_workspace(start, target, leg: LegModel, trunk: SrbState) -> np.ndarray:
@@ -134,7 +109,7 @@ class SwingPlan:
     contact_point: np.ndarray
     push_endpoint: np.ndarray  # after workspace clipping
     # per pair of consecutive waypoints, made once: (end time, start time,
-    # span, start row, end row minus start row, velocity row, end phase)
+    # span, start row, end row minus start row, velocity row)
     _segments: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -145,24 +120,24 @@ class SwingPlan:
             pa, pb = a.position.tolist(), b.position.tolist()
             d = tuple(y - x for x, y in zip(pa, pb))
             segments.append((b.time, a.time, span, tuple(pa), d,
-                             tuple(dk / span for dk in d), b.phase))
+                             tuple(dk / span for dk in d)))
         self._segments = tuple(segments)
 
     @property
     def duration(self) -> float:
         return self.waypoints[-1].time
 
-    def target_at(self, t: float) -> tuple[list, list, str]:
+    def target_at(self, t: float) -> tuple[list, list]:
         """Linear interpolation along the time-stamped waypoints: position
-        and velocity as lists of three floats, and the phase."""
+        and velocity as lists of three floats."""
         wps = self.waypoints
         if t <= wps[0].time:
-            return wps[0].position.tolist(), [0.0, 0.0, 0.0], wps[0].phase
-        for t_b, t_a, span, pa, d, vel, phase in self._segments:
+            return wps[0].position.tolist(), [0.0, 0.0, 0.0]
+        for t_b, t_a, span, pa, d, vel in self._segments:
             if t <= t_b:
                 s = (t - t_a) / span
-                return [x + s * dk for x, dk in zip(pa, d)], list(vel), phase
-        return wps[-1].position.tolist(), [0.0, 0.0, 0.0], wps[-1].phase
+                return [x + s * dk for x, dk in zip(pa, d)], list(vel)
+        return wps[-1].position.tolist(), [0.0, 0.0, 0.0]
 
 
 class SwingExecutor:
@@ -182,8 +157,7 @@ class SwingExecutor:
         return self.t >= self.plan.duration
 
     def tick(self, foot_pos, dt: float):
-        """Advance and return (p_des, v_des, phase), the vectors as lists of
-        three floats."""
+        """Advance and return (p_des, v_des) as lists of three floats."""
         gate = (self.t < self._contact_time <= self.t + dt)
         if gate:
             gap = [a - b for a, b in zip(np.asarray(foot_pos, dtype=float).tolist(),
@@ -192,8 +166,7 @@ class SwingExecutor:
             close = threshold_norm(gap, limit) < limit
             if not close and self._held < HOLD_TIMEOUT:
                 self._held += dt
-                phase = self.plan.target_at(self._contact_time - 1e-9)[2]
-                return self.plan.contact_point.tolist(), [0.0, 0.0, 0.0], phase
+                return self.plan.contact_point.tolist(), [0.0, 0.0, 0.0]
         self.t += dt
         return self.plan.target_at(self.t)
 

@@ -3,12 +3,13 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from legpress import cli, harness, orchestrator
+from legpress import cli, config, harness, orchestrator
 from legpress.config import StackConfig, load_config
 from legpress.geom import RigidTransform, compose
 from legpress.harness import (
@@ -135,6 +136,38 @@ def test_replay_falls_back_to_the_default_threshold(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "success_threshold=0.03\n" in out
     assert "success_consistency=ok" in out
+
+
+TRACE_HEAD = {"schema": "legpress-trace-v1", "task": "box_push_fixed", "seed": 0,
+              "outcome": "max_steps", "steps_used": 7, "final_mean_flow": 0.04}
+
+
+@pytest.mark.parametrize("head, message", [
+    ({k: v for k, v in TRACE_HEAD.items() if k != "task"},
+     "the first line is not a trace header with the keys schema, task, seed, outcome, "
+     "steps_used, final_mean_flow"),
+    (["legpress-trace-v1"], "the first line is not a trace header"),
+    ({**TRACE_HEAD, "schema": "legpress-trace-v0"},
+     "trace schema 'legpress-trace-v0', expected 'legpress-trace-v1'"),
+], ids=["without_task", "not_an_object", "another_schema"])
+def test_replay_of_a_file_without_a_trace_header_exits_2(head, message, tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(head) + "\n")
+    assert cli.main(["replay", "--trace", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("record", [{"t": 1.0}, {"type": "check", "t": 1.0}, ["check"]],
+                         ids=["without_type", "check_without_reward", "not_an_object"])
+def test_replay_of_a_record_without_its_keys_exits_2(record, tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    check = {"type": "check", "t": 9.0, "mean_flow": 0.04, "reward": -0.04}
+    path.write_text("\n".join(json.dumps(r) for r in (TRACE_HEAD, check, record)) + "\n")
+    assert cli.main(["replay", "--trace", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{path} line 3: ")
 
 
 def test_simcheck_passes_its_four_invariants(capsys):
@@ -301,6 +334,24 @@ def write_config(cfg: StackConfig, path: str) -> None:
                 parser.set(section_field.name, f.name, repr(v))
     with open(path, "w") as fh:
         parser.write(fh)
+
+
+def test_the_config_docstring_lists_every_key_in_order():
+    """The schema in the config module docstring is the only user
+    documentation of the file format: its sections and each section's keys
+    are the dataclass fields, in order."""
+    listed, section = {}, None
+    for line in config.__doc__.split("Schema (all values SI):", 1)[1].splitlines():
+        if m := re.match(r"\s*\[(\w+)\](.*)", line):
+            section, line = m[1], m[2]
+            listed[section] = []
+        if section is not None:
+            listed[section] += [re.sub(r"\s*\(\d+\)$", "", key.strip())
+                                for key in line.split(",") if key.strip()]
+    cfg = StackConfig()
+    assert list(listed) == [f.name for f in fields(cfg)]
+    for f in fields(cfg):
+        assert listed[f.name] == [g.name for g in fields(getattr(cfg, f.name))], f.name
 
 
 def test_written_config_loads_back_to_the_defaults(tmp_path):
@@ -533,6 +584,15 @@ def test_eval_executes_the_leg_the_maps_pick(right_leg_maps, tmp_path, capsys):
     trace = EpisodeTrace.read_jsonl(str(out / "trace_box_push_fixed_0.jsonl"))
     assert [(a["contact_index"], a["leg"]) for a in trace.actions] == [(123, "front_right")]
     assert any(r["type"] == "transition" and r["to"] == "MANIPULATION" for r in trace.records)
+
+
+def test_a_malformed_maps_file_exits_2_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "maps.txt"
+    path.write_text("0 0 0.1 0.0 0.0 -1.0\n-1 0 0.1 0.0 0.0 -0.5\n")
+    assert cli.main(["eval", "--task", "box_push_fixed", "--policy", f"maps:{path}",
+                     "--episodes", "1", "--max-steps", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{path} line 2: ")
 
 
 def test_maps_of_another_cloud_size_exit_2_with_a_json_record(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 from legpress.config import GaitConfig, StackConfig
 from legpress.geom import euler_zyx_to_matrix, matvec3_t, rot_y, rot_z
 from legpress.mpc import (
+    TROT_OFFSETS,
     ForceMpc,
     GaitSchedule,
     build_constraints,
@@ -202,7 +203,7 @@ def test_trot_phase_equalities_zero_swing_pair():
     """At trot phase 0 the swing pair's forces are zero because step 0 has
     columns for the front-left and rear-right triples only."""
     gait = GaitSchedule.trot(GAIT.trot_period, GAIT.trot_duty)
-    flags = np.array([[gait.query(i * 0.05, l) for l in range(4)] for i in range(10)])
+    flags = np.array([gait.stance(i * 0.05) for i in range(10)])
     # diagonal pair FL+RR in stance at phase 0
     assert flags[0, 0] and flags[0, 3]
     assert not flags[0, 1] and not flags[0, 2]
@@ -212,8 +213,17 @@ def test_trot_phase_equalities_zero_swing_pair():
     assert C.shape == (5 * int(flags.sum()), 3 * int(flags.sum()))
 
 
+def _query(gait, t, leg):
+    """Whether the leg is in stance at time t, leg by leg: a stand gait's
+    unlifted legs, a trot leg while its phase is under the duty factor."""
+    if gait.mode == "stand":
+        return leg not in gait.lifted
+    phase = (t / gait.period + TROT_OFFSETS[leg]) % 1.0
+    return phase < gait.duty
+
+
 def test_stance_flags_equal_the_per_leg_queries():
-    """`stance(t)` is the tuple of the four `query(t, leg)` flags, for stand
+    """`stance(t)` is the tuple of the four per-leg `_query` flags, for stand
     gaits (one tuple, made once) and trots, at seeded times and on the
     phase boundaries."""
     rng = np.random.default_rng(66)
@@ -228,7 +238,7 @@ def test_stance_flags_equal_the_per_leg_queries():
         for t in times:
             flags = gait.stance(t)
             assert type(flags) is tuple
-            assert flags == tuple(gait.query(t, l) for l in range(4))
+            assert flags == tuple(_query(gait, t, l) for l in range(4))
             changes += last is not None and flags != last
             last = flags
         if gait.mode == "stand":
@@ -305,7 +315,7 @@ def _all_feet_forces(mpc, state, command, feet, gait, t):
     for i in range(k):
         for l in range(4):
             base = 12 * i + 3 * l
-            if not gait.query(t + i * mpc.dt, l):
+            if not gait.stance(t + i * mpc.dt)[l]:
                 rows.extend(np.eye(12 * k)[base:base + 3])
                 lo.extend([0.0] * 3)
                 hi.extend([0.0] * 3)
@@ -351,7 +361,7 @@ def test_returned_forces_satisfy_constraints_random_instances():
         assert not res.fault
         for l in range(4):
             f = res.forces[l]
-            if gait.query(t, l):
+            if gait.stance(t)[l]:
                 assert abs(f[0]) <= cfg.friction * f[2] + 1e-8
                 assert abs(f[1]) <= cfg.friction * f[2] + 1e-8
                 assert cfg.f_min - 1e-8 <= f[2] <= cfg.f_max + 1e-8
@@ -398,7 +408,7 @@ def test_closed_loop_stand_five_seconds():
                            world.robot.feet_pos, gait, world.time)
             assert not res.fault
             forces = res.forces
-        step(world, stance_torques(world.robot, forces, (True,) * 4))
+        step(world, stance_torques(world.robot, forces.tolist(), (True,) * 4))
         if world.time > 1.0:  # after the initial settle
             max_height_err = max(max_height_err,
                                  abs(world.robot.srb.position[2] - cfg.mpc.stand_height))
@@ -422,7 +432,7 @@ def test_stance_torques_match_the_numpy_products():
         R = euler_zyx_to_matrix(*robot.srb.rpy)
         expected = np.array([-np.array(leg_jacobian_rows(leg)).T @ (R.T @ forces[i])
                              for i, leg in enumerate(robot.legs)])
-        tau = stance_torques(robot, forces, (True,) * 4)
+        tau = stance_torques(robot, forces.tolist(), (True,) * 4)
         assert len(tau) == 12 and all(type(x) is float for x in tau)
         np.testing.assert_allclose(np.reshape(tau, (4, 3)), expected, rtol=1e-12, atol=0.0)
 
@@ -440,8 +450,8 @@ def _every_leg_torques(robot, forces):
 
 def test_stance_only_torques_equal_the_stance_rows_of_every_leg():
     """Bit for bit: each stance leg's torques equal its row of the all-legs
-    form, and a leg out of stance gets zeros. Force rows, as lists or tuples,
-    give the list the (4, 3) array gives."""
+    form, and a leg out of stance gets zeros. Force rows as tuples give the
+    list that rows as lists give."""
     rng = np.random.default_rng(42)
     world = standing_world()
     robot = world.robot
@@ -451,13 +461,12 @@ def test_stance_only_torques_equal_the_stance_rows_of_every_leg():
             leg.joint_angles[:] = rng.uniform(-2.0, 2.0, 3)
         forces = rng.normal(scale=30.0, size=(4, 3))
         stance = rng.uniform(size=4) < 0.7
-        tau = np.reshape(stance_torques(robot, forces, stance.tolist()), (4, 3))
+        rows = forces.tolist()
+        from_lists = stance_torques(robot, rows, stance.tolist())
+        tau = np.reshape(from_lists, (4, 3))
         assert np.array_equal(tau[stance], _every_leg_torques(robot, forces)[stance])
         assert np.array_equal(tau[~stance], np.zeros((int((~stance).sum()), 3)))
-        from_array = stance_torques(robot, forces, stance.tolist())
-        rows = forces.tolist()
-        assert stance_torques(robot, rows, stance.tolist()) == from_array
-        assert stance_torques(robot, tuple(map(tuple, rows)), stance.tolist()) == from_array
+        assert stance_torques(robot, tuple(map(tuple, rows)), stance.tolist()) == from_lists
 
 
 # -- raibert -------------------------------------------------------------------

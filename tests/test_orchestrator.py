@@ -35,6 +35,21 @@ def test_planning_push_succeeds_in_one_action(planning_trace):
     assert len(planning_trace.actions) == 1
 
 
+@pytest.mark.parametrize("task_name, pose_source, shape, flow", [
+    ("multiobj_push_fixed", "ground_truth", "Compound", 0.0434738),
+    # the goal registered from the camera cloud pushes the box away from the
+    # true goal; pinned as it stands
+    ("box_push_random", "register", "Box", 0.5275872),
+])
+def test_short_episodes_keep_their_pinned_outcome(cfg, task_name, pose_source, shape, flow):
+    task = sample_task(TaskSpec(task_name), 0, cfg)
+    trace = run_episode(task, make_provider("planning"),
+                        EpisodeOptions(max_steps=1, pose_source=pose_source), cfg)
+    assert type(task.obj.shape).__name__ == shape
+    assert (trace.outcome, trace.steps_used) == ("max_steps", 1)
+    assert trace.final_mean_flow == pytest.approx(flow, abs=1e-6)
+
+
 def test_trace_file_reads_back_equal(planning_trace, tmp_path):
     path = str(tmp_path / "trace.jsonl")
     planning_trace.write_jsonl(path)

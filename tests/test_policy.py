@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -318,3 +319,33 @@ def test_critic_clamp_enforced():
         CriticMap(np.array([[1.0]]))
     with pytest.raises(ValueError):
         CriticMap(np.array([[-25.0]]))
+
+
+def test_critic_rejects_a_q_value_that_is_not_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="q values must be finite"):
+            CriticMap(np.array([[bad], [-0.5]]))
+
+
+@pytest.mark.parametrize("line", [
+    "0 0 0.1 0.0",  # four fields
+    "0 0 0.1 0.0 0.0 -1.0 7",  # seven fields
+    "-1 0 0.1 0.0 0.0 -0.5",  # would overwrite point 0
+    "1 2 0.1 0.0 0.0 -0.5",  # a third leg channel
+    "1 0 nan 0.0 0.0 -0.5",
+    "1 0 0.1 0.0 0.0 inf",
+    "1 x 0.1 0.0 0.0 -0.5",
+    "1.5 0 0.1 0.0 0.0 -0.5",
+])
+def test_load_maps_names_the_line_of_a_malformed_entry(tmp_path, line):
+    path = tmp_path / "maps.txt"
+    path.write_text("# point_index leg_channel mx my mz q\n0 0 0.1 0.0 0.0 -1.0\n" + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path} line 3: ") + ".*" + re.escape(line)):
+        load_maps(str(path))
+
+
+def test_load_maps_rejects_an_entry_given_twice(tmp_path):
+    path = tmp_path / "maps.txt"
+    path.write_text("0 0 0.1 0.0 0.0 -5.0\n1 0 0.1 0.0 0.0 -2.0\n0 0 0.2 0.0 0.0 -1.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path} line 3: point 0 channel 0 given again")):
+        load_maps(str(path))

@@ -190,7 +190,7 @@ def test_rank_sum_arithmetic_rule():
     # candidate 2 ranks (flow 3, chamfer 2): 3 + 1.5*2 = 6.0
     flows = [0.2, 0.1, 0.3]
     chams = [0.01, 0.03, 0.02]
-    win, rf, rc, sums = select_by_rank_sum(flows, chams, 1.5)
+    win, rf, rc, sums = select_by_rank_sum(flows, chams)
     assert list(rf) == [2, 1, 3]
     assert list(rc) == [1, 3, 2]
     assert sums[0] == 3.5 and sums[1] == 5.5
@@ -198,11 +198,12 @@ def test_rank_sum_arithmetic_rule():
 
 
 def test_rank_sum_tie_breaks_on_chamfer_then_index():
-    # equal sums; candidate 1 has the lower chamfer
-    flows = [0.1, 0.2]
-    chams = [0.02, 0.01]
-    win, rf, rc, sums = select_by_rank_sum(flows, chams, 1.0)
-    assert sums[0] == sums[1]
+    # candidates 0 (flow 1, chamfer 3) and 1 (flow 4, chamfer 1) tie at
+    # 1 + 1.5*3 = 4 + 1.5*1 = 5.5; candidate 1 has the lower chamfer
+    flows = [0.1, 0.4, 0.2, 0.3]
+    chams = [0.03, 0.01, 0.04, 0.02]
+    win, rf, rc, sums = select_by_rank_sum(flows, chams)
+    assert sums[0] == sums[1] == 5.5 and min(sums[2:]) > 5.5
     assert win == 1
 
 
@@ -265,7 +266,7 @@ def reference_icp(source, target):
     if len(source) < 10 or len(target) < 10:
         raise ValueError("need at least 10 points per cloud")
     if target.normals is None:
-        target = estimate_normals(target, k_neighbors=min(12, len(target)))
+        target = estimate_normals(target)
     T = RigidTransform.identity()
     tree = cKDTree(target.points)
     best_T, best_res = T, math.inf

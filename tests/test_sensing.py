@@ -6,6 +6,7 @@ import pytest
 from legpress.config import StackConfig
 from legpress.geom import PointCloud, RigidTransform
 from legpress.sensing import (
+    NORMAL_NEIGHBORS,
     CameraModel,
     EmptyObservationError,
     estimate_normals,
@@ -162,9 +163,8 @@ def test_render_object_behind_camera_raises():
 def test_normals_planar_patch():
     rng = np.random.default_rng(62)
     pts = np.column_stack([rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 200), np.zeros(200)])
-    out = estimate_normals(PointCloud(pts), 12, viewpoint=np.array([0, 0, 5.0]))
+    out = estimate_normals(PointCloud(pts))
     assert np.max(np.abs(np.abs(out.normals[:, 2]) - 1.0)) < 1e-3
-    assert np.all(out.normals[:, 2] > 0)  # oriented toward the viewpoint
 
 
 def test_normals_sphere_radial():
@@ -172,7 +172,7 @@ def test_normals_sphere_radial():
     dirs = rng.normal(size=(2000, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = dirs * 0.3
-    out = estimate_normals(PointCloud(pts), 10, viewpoint=np.array([0.0, 0, 10.0]))
+    out = estimate_normals(PointCloud(pts))
     cosang = np.abs(np.einsum("ij,ij->i", out.normals, dirs))
     frac = np.mean(cosang > math.cos(math.radians(5.0)))
     assert frac >= 0.95
@@ -180,15 +180,23 @@ def test_normals_sphere_radial():
 
 def test_normals_three_coplanar_points_exact():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1.0, 0]])
-    out = estimate_normals(PointCloud(pts), 3, viewpoint=np.array([0, 0, 2.0]))
-    assert np.max(np.abs(out.normals - [0, 0, 1.0])) < 1e-12
+    out = estimate_normals(PointCloud(pts))
+    assert np.max(np.abs(np.abs(out.normals) - [0, 0, 1.0])) < 1e-12
 
 
 def test_normals_duplicate_points_fall_back():
-    pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 0]])
-    out = estimate_normals(PointCloud(pts), 2, viewpoint=np.array([0, 0, 2.0]))
+    """Every neighbourhood of a point repeated more than NORMAL_NEIGHBORS
+    times is that point alone: the copies before the first normal take +z,
+    the copies after the other points the last point's normal."""
+    plane = [[1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 0], [2.0, 0, 0], [0.0, 2, 0]]
+    copies = [[5.0, 5.0, 5.0]] * (NORMAL_NEIGHBORS + 1)
+    pts = np.array(copies + plane + copies)
+    out = estimate_normals(PointCloud(pts))
     assert np.all(np.isfinite(out.normals))
     assert np.allclose(np.linalg.norm(out.normals, axis=1), 1.0)
+    n = len(copies)
+    assert np.array_equal(out.normals[:n], np.tile([0.0, 0.0, 1.0], (n, 1)))
+    assert np.array_equal(out.normals[-n:], np.tile(out.normals[-n - 1], (n, 1)))
 
 
 def test_full_scan_covers_surface():

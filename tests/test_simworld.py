@@ -36,7 +36,7 @@ from legpress.simworld import (
     step,
 )
 from legpress.mpc import stance_torques
-from legpress.swingctl import ImpedanceGains, impedance_torque_tracking
+from legpress.swingctl import impedance_torque_tracking
 
 
 ALL_STANCE = (True, True, True, True)
@@ -186,9 +186,9 @@ def test_ik_round_trip_current_configuration():
         leg = default_leg(int(rng.integers(4)))
         leg.joint_angles[:] = random_valid_q(rng, leg)
         target = leg_forward_kinematics(leg, trunk)
-        res = leg_inverse_kinematics(target, leg, trunk)
-        assert res.reachable
-        leg.joint_angles[:] = res.joint_angles
+        q = leg_inverse_kinematics(target, leg, trunk)
+        assert q is not None
+        leg.joint_angles[:] = q
         assert np.linalg.norm(leg_forward_kinematics(leg, trunk) - target) < 1e-6
 
 
@@ -196,9 +196,7 @@ def test_ik_gross_out_of_reach_is_unreachable():
     leg = default_leg(0)
     trunk = level_trunk((0, 0, 0.3))
     hip = trunk.position + leg.hip_offset
-    res = leg_inverse_kinematics(hip + np.array([10.0, 0.0, -0.1]), leg, trunk)
-    assert not res.reachable
-    assert res.joint_angles is None
+    assert leg_inverse_kinematics(hip + np.array([10.0, 0.0, -0.1]), leg, trunk) is None
 
 
 def test_ik_1000_random_reachable_targets():
@@ -210,9 +208,9 @@ def test_ik_1000_random_reachable_targets():
         leg.joint_angles[:] = random_valid_q(rng, leg)
         target = leg_forward_kinematics(leg, trunk)
         leg.joint_angles[:] = 0.0
-        res = leg_inverse_kinematics(target, leg, trunk)
-        assert res.reachable, f"target from valid q reported unreachable: {target}"
-        leg.joint_angles[:] = res.joint_angles
+        q = leg_inverse_kinematics(target, leg, trunk)
+        assert q is not None, f"target from valid q reported unreachable: {target}"
+        leg.joint_angles[:] = q
         assert np.linalg.norm(leg_forward_kinematics(leg, trunk) - target) < 1e-6
         count += 1
 
@@ -235,8 +233,17 @@ def test_free_fall_matches_ballistic():
     g = world.config.sim.gravity
     dt = world.config.sim.dt
     v0 = world.robot.srb.linear_velocity[2]
-    step(world, np.zeros(12), dt)
+    step(world, np.zeros(12))
     assert abs(world.robot.srb.linear_velocity[2] - (v0 - g * dt)) < 1e-9
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.001])
+def test_a_non_positive_dt_is_rejected(dt):
+    world = standing_world()
+    world.config.sim.dt = dt
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step(world, np.zeros(12))
+    assert world.time == 0.0
 
 
 def test_box_at_rest_stays_put(monkeypatch):
@@ -604,7 +611,8 @@ def scene_foot_press(n_steps=300):
     box and dragged along it."""
     cfg = StackConfig()
     shape = Box((0.08, 0.08, 0.05))
-    obj = SimObject.from_shape(shape, RigidTransform.identity(), density=3000.0)
+    mass, inertia = shape.mass_properties(3000.0)
+    obj = SimObject(shape, RigidTransform.identity(), mass=mass, inertia=inertia)
     world = standing_world(cfg)
     world.fixed_base = True
     foot = world.robot.feet_pos[0]
@@ -1336,13 +1344,14 @@ def test_leg_jacobian_follows_in_place_joint_writes():
     tau = _pin_torques(world, _stand_forces(world))
     for _ in range(3):
         step(world, tau)
-    forces = np.array(_stand_forces(world)) + 1.0
-    gains = ImpedanceGains.from_config(world.config.swing)
+    forces = (np.array(_stand_forces(world)) + 1.0).tolist()
+    swing = world.config.swing
     p, v = robot.feet_pos[0].copy(), robot.feet_vel[0].copy()
     p_des = p + np.array([0.02, -0.01, 0.03])
 
     def controllers():
-        imp = impedance_torque_tracking(robot.legs[0], srb, p, v, p_des, np.zeros(3), gains)
+        imp = impedance_torque_tracking(robot.legs[0], srb, p, v, p_des, np.zeros(3),
+                                        swing.kp, swing.kd)
         return (rotation_rows(srb), leg_jacobian_rows(robot.legs[0]),
                 np.array(stance_torques(robot, forces, ALL_STANCE)), np.asarray(imp.torques))
 
@@ -1404,7 +1413,7 @@ def test_mutating_returned_kinematics_does_not_leak():
     # neither do writes into the returned torques
     world = standing_world()
     robot = world.robot
-    forces = np.array(_stand_forces(world))
+    forces = _stand_forces(world)
     tau = stance_torques(robot, forces, ALL_STANCE)
     kept_tau = list(tau)
     tau[:] = [0.0] * 12

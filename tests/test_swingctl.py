@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from legpress import cli
+from legpress.config import StackConfig
 from legpress.geom import RigidTransform
+from legpress.harness import TaskSpec, make_provider, sample_task
+from legpress.orchestrator import run_episode
 from legpress.simworld import (
     Box,
     SimObject,
@@ -15,7 +19,6 @@ from legpress.simworld import (
     step,
 )
 from legpress.swingctl import (
-    ImpedanceGains,
     SwingExecutor,
     UnreachableActionError,
     impedance_torque_tracking,
@@ -62,8 +65,8 @@ def test_zero_error_zero_torque():
     world, leg = setup_leg()
     trunk = world.robot.srb
     p, v = foot_state(leg, trunk)
-    gains = ImpedanceGains.from_config(world.config.swing)
-    cmd = impedance_torque_tracking(leg, trunk, p, v, p, np.zeros(3), gains)
+    swing = world.config.swing
+    cmd = impedance_torque_tracking(leg, trunk, p, v, p, np.zeros(3), swing.kp, swing.kd)
     assert np.max(np.abs(cmd.torques)) < 1e-10
 
 
@@ -72,8 +75,7 @@ def test_unit_error_matches_fd_jacobian_transpose():
     trunk = world.robot.srb
     p, v = foot_state(leg, trunk)
     e = np.array([0.3, -0.2, 0.5])
-    gains = ImpedanceGains(450.0 * np.eye(3), np.zeros((3, 3)))
-    cmd = impedance_torque_tracking(leg, trunk, p, v, p + e, np.zeros(3), gains)
+    cmd = impedance_torque_tracking(leg, trunk, p, v, p + e, np.zeros(3), 450.0, 0.0)
     expected = fd_jacobian(leg, trunk).T @ (450.0 * e)
     assert np.max(np.abs(cmd.torques - expected)) < 1e-4  # fd-limited
     # algebraic exactness against the analytic jacobian
@@ -85,11 +87,10 @@ def test_zero_gains_zero_torque_any_state():
     rng = np.random.default_rng(50)
     world, leg = setup_leg()
     trunk = world.robot.srb
-    gains = ImpedanceGains(np.zeros((3, 3)), np.zeros((3, 3)))
     p, v = foot_state(leg, trunk)
     for _ in range(20):
         cmd = impedance_torque_tracking(leg, trunk, p, v, rng.normal(size=3),
-                                        rng.normal(size=3), gains)
+                                        rng.normal(size=3), 0.0, 0.0)
         assert np.max(np.abs(cmd.torques)) == 0.0
 
 
@@ -100,11 +101,10 @@ def test_torque_law_exactness_with_velocity_term():
     trunk.linear_velocity[:] = (0.1, -0.05, 0.02)
     trunk.angular_velocity[:] = (0.02, 0.1, -0.07)
     qd = rng.normal(scale=0.5, size=3)
-    gains = ImpedanceGains(450.0 * np.eye(3), 10.0 * np.eye(3))
     p_des = rng.normal(size=3)
     v_des = rng.normal(size=3)
     p_foot, v_foot = foot_state(leg, trunk, qd)
-    cmd = impedance_torque_tracking(leg, trunk, p_foot, v_foot, p_des, v_des, gains)
+    cmd = impedance_torque_tracking(leg, trunk, p_foot, v_foot, p_des, v_des, 450.0, 10.0)
     # reconstruct from independently evaluated pieces
     f = 450.0 * (p_des - p_foot) + 10.0 * (v_des - v_foot)
     expected = leg_jacobian(leg, trunk).T @ f
@@ -113,18 +113,19 @@ def test_torque_law_exactness_with_velocity_term():
 
 def test_singularity_flag_on_straight_leg():
     world, leg = setup_leg((0.0, 0.3, -1e-9))
-    gains = ImpedanceGains.from_config(world.config.swing)
+    swing = world.config.swing
     p, v = foot_state(leg, world.robot.srb)
-    cmd = impedance_torque_tracking(leg, world.robot.srb, p, v, np.zeros(3), np.zeros(3), gains)
+    cmd = impedance_torque_tracking(leg, world.robot.srb, p, v, np.zeros(3), np.zeros(3),
+                                    swing.kp, swing.kd)
     assert cmd.singular
     assert np.all(np.isfinite(cmd.torques))
 
 
-def impedance_reference(leg, trunk, p_foot, v_foot, p_des, v_des, gains):
-    """The impedance law on numpy arrays: J^T (Kp (p_des - p) + Kd (v_des - v))
+def impedance_reference(leg, trunk, p_foot, v_foot, p_des, v_des, kp, kd):
+    """The impedance law on numpy arrays: J^T (kp (p_des - p) + kd (v_des - v))
     with the world Jacobian J, and its singular flag |det J| < 1e-6."""
     J = leg_jacobian(leg, trunk)
-    f = gains.K_p @ (p_des - p_foot) + gains.K_d @ (v_des - v_foot)
+    f = kp * (p_des - p_foot) + kd * (v_des - v_foot)
     return J.T @ f, abs(float(np.linalg.det(J))) < 1e-6
 
 
@@ -136,18 +137,17 @@ def test_impedance_law_matches_the_numpy_form():
         trunk.rpy[:] = rng.uniform(-0.5, 0.5, 3)
         leg = world.robot.legs[rng.integers(4)]
         leg.joint_angles[:] = rng.uniform(-2.0, 2.0, 3)
-        A, B = rng.normal(size=(2, 3, 3))
-        gains = ImpedanceGains(300.0 * A @ A.T, 10.0 * B @ B.T)
+        kp, kd = rng.uniform(0.0, 900.0), rng.uniform(0.0, 30.0)
         p_foot, v_foot, p_des, v_des = rng.normal(scale=0.2, size=(4, 3))
-        cmd = impedance_torque_tracking(leg, trunk, p_foot, v_foot, p_des, v_des, gains)
-        tau, singular = impedance_reference(leg, trunk, p_foot, v_foot, p_des, v_des, gains)
+        cmd = impedance_torque_tracking(leg, trunk, p_foot, v_foot, p_des, v_des, kp, kd)
+        tau, singular = impedance_reference(leg, trunk, p_foot, v_foot, p_des, v_des, kp, kd)
         assert isinstance(cmd.torques, list) and len(cmd.torques) == 3
         np.testing.assert_allclose(cmd.torques, tau, rtol=1e-12, atol=0.0)
         assert cmd.singular == singular
         # float inputs, as the control tick passes them: a list of floats
         # with the same values
         rows = impedance_torque_tracking(leg, trunk, p_foot.tolist(), v_foot.tolist(),
-                                         p_des.tolist(), v_des.tolist(), gains).torques
+                                         p_des.tolist(), v_des.tolist(), kp, kd).torques
         assert all(type(x) is float for x in rows) and rows == cmd.torques
 
 
@@ -158,14 +158,14 @@ def test_singular_flag_agrees_with_numpy_at_the_determinant_edge():
     world, leg = setup_leg()
     trunk = world.robot.srb
     trunk.rpy[:] = (0.1, -0.2, 0.3)
-    gains = ImpedanceGains.from_config(world.config.swing)
+    gains = world.config.swing.kp, world.config.swing.kd
 
     def flags(q3):
         leg.joint_angles[:] = (0.1, 0.3, q3)
         p, v = foot_state(leg, trunk)
         p_des = p + 0.01
-        cmd = impedance_torque_tracking(leg, trunk, p, v, p_des, np.zeros(3), gains)
-        return cmd.singular, impedance_reference(leg, trunk, p, v, p_des, np.zeros(3), gains)[1]
+        cmd = impedance_torque_tracking(leg, trunk, p, v, p_des, np.zeros(3), *gains)
+        return cmd.singular, impedance_reference(leg, trunk, p, v, p_des, np.zeros(3), *gains)[1]
 
     straight, bent = -1e-6, -1e-3  # |det J| about 2e-9 and 2e-5
     for _ in range(100):
@@ -178,18 +178,21 @@ def test_singular_flag_agrees_with_numpy_at_the_determinant_edge():
     assert flags(bent - 1e-10) == (False, False)
 
 
-def test_gains_are_read_only():
-    K = 450.0 * np.eye(3)
-    gains = ImpedanceGains(K, np.eye(3))
-    K[0, 0] = 1.0  # the caller's array is copied
-    assert gains.K_p[0, 0] == 450.0
-    with pytest.raises(ValueError):
-        gains.K_p[0, 0] = 1.0
-
-
-def test_gains_must_be_psd():
-    with pytest.raises(ValueError):
-        ImpedanceGains(np.diag([1.0, -2.0, 1.0]), np.eye(3))
+def test_gains_must_be_psd(tmp_path, capsys):
+    """A scalar gain is positive semi-definite when it is not negative: a
+    negative kp or kd stops the episode before its first tick, and the CLI
+    exits 2 with a JSON record."""
+    for key in ("kp", "kd"):
+        cfg = StackConfig()
+        setattr(cfg.swing, key, -1.0)
+        task = sample_task(TaskSpec("box_push_fixed"), 0, cfg)
+        with pytest.raises(ValueError, match="swing gains must be non-negative"):
+            run_episode(task, make_provider("null"), config=cfg)
+        path = tmp_path / f"{key}.ini"
+        path.write_text(f"[swing]\n{key} = -1e-9\n")
+        assert cli.main(["--config", str(path), "eval", "--task", "box_push_fixed",
+                         "--policy", "null", "--episodes", "1"]) == 2
+        assert "swing gains must be non-negative" in capsys.readouterr().err
 
 
 # -- planning -------------------------------------------------------------------
@@ -239,14 +242,14 @@ def _numpy_target_at(plan, t):
     """SwingPlan.target_at on the waypoint arrays."""
     wps = plan.waypoints
     if t <= wps[0].time:
-        return wps[0].position.copy(), np.zeros(3), wps[0].phase
+        return wps[0].position.copy(), np.zeros(3)
     for a, b in zip(wps[:-1], wps[1:]):
         if t <= b.time:
             span = max(b.time - a.time, 1e-9)
             s = (t - a.time) / span
             return (a.position + s * (b.position - a.position),
-                    (b.position - a.position) / span, b.phase)
-    return wps[-1].position.copy(), np.zeros(3), wps[-1].phase
+                    (b.position - a.position) / span)
+    return wps[-1].position.copy(), np.zeros(3)
 
 
 def test_target_at_equals_the_numpy_form():
@@ -260,11 +263,10 @@ def test_target_at_equals_the_numpy_form():
                           world.config.swing, 0)
         times = [w.time for w in plan.waypoints]
         for t in [-0.1, *times, *rng.uniform(-0.1, plan.duration + 0.1, 50)]:
-            pos, vel, phase = plan.target_at(t)
-            want_pos, want_vel, want_phase = _numpy_target_at(plan, t)
+            pos, vel = plan.target_at(t)
+            want_pos, want_vel = _numpy_target_at(plan, t)
             assert type(pos) is list and type(vel) is list
             assert np.array_equal(pos, want_pos) and np.array_equal(vel, want_vel)
-            assert phase == want_phase
             vel[0] = math.nan  # a caller's write reaches no later call
 
 
@@ -295,7 +297,7 @@ def pinned_trunk_world():
 def test_reachable_target_converges_within_one_second():
     world = pinned_trunk_world()
     world.gravity_enabled = False
-    gains = ImpedanceGains.from_config(world.config.swing)
+    swing = world.config.swing
     leg_i = 0
     target = shoulder_point(world.robot.legs[leg_i], world.robot.srb) + \
         np.array([0.13, 0.03, -0.20])
@@ -305,7 +307,7 @@ def test_reachable_target_converges_within_one_second():
         cmd = impedance_torque_tracking(
             world.robot.legs[leg_i], world.robot.srb,
             world.robot.feet_pos[leg_i], world.robot.feet_vel[leg_i],
-            target, np.zeros(3), gains)
+            target, np.zeros(3), swing.kp, swing.kd)
         tau[leg_i] = cmd.torques
         step(world, tau.reshape(-1))
     assert np.linalg.norm(world.robot.feet_pos[leg_i] - target) < 0.01
@@ -325,16 +327,15 @@ def test_full_plan_passes_near_contact_point_on_box():
     plan = plan_swing(contact, np.array([0.12, 0.0, -0.03]), leg, world.robot.srb,
                       cfg.swing, leg_i, foot_start=world.robot.feet_pos[leg_i])
     ex = SwingExecutor(plan, cfg.swing)
-    gains = ImpedanceGains.from_config(cfg.swing)
     dt = cfg.sim.dt
     min_dist = np.inf
     while not ex.done and ex.t < plan.duration + 2.0:
-        p_des, v_des, _ = ex.tick(world.robot.feet_pos[leg_i], dt)
+        p_des, v_des = ex.tick(world.robot.feet_pos[leg_i], dt)
         tau = np.zeros((4, 3))
         cmd = impedance_torque_tracking(leg, world.robot.srb,
                                         world.robot.feet_pos[leg_i],
                                         world.robot.feet_vel[leg_i],
-                                        p_des, v_des, gains)
+                                        p_des, v_des, cfg.swing.kp, cfg.swing.kd)
         tau[leg_i] = cmd.torques
         step(world, tau.reshape(-1))
         min_dist = min(min_dist, float(np.linalg.norm(world.robot.feet_pos[leg_i] - contact)))
