@@ -134,7 +134,9 @@ def _parse_seeds(text: str) -> list[int]:
     """Seeds from '0-9', '3' or '0-2,7' (ranges inclusive, low to high)."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
+        lo, dash, hi = part.partition("-")
+        if dash and not hi:
+            raise ValueError(f"seed range {part!r} has no end")
         lo, hi = int(lo), int(hi or lo)
         if hi < lo:
             raise ValueError(f"seed range {part!r} runs from high to low")

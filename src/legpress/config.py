@@ -22,8 +22,8 @@ Schema (all values SI):
     [swing]      kp, kd, pre_contact_distance, lift_clearance, push_speed,
                  approach_threshold, max_motion_norm
     [gait]       trot_period, trot_duty, raibert_velocity_gain
-    [orchestrator] com_shift_factor, com_shift_duration, timeout_com_shift,
-                 timeout_manipulation, timeout_walking, standoff_distance
+    [orchestrator] com_shift_factor, com_shift_duration, timeout_manipulation,
+                 timeout_walking, standoff_distance
 """
 from __future__ import annotations
 
@@ -109,7 +109,6 @@ class GaitConfig:
 class OrchestratorConfig:
     com_shift_factor: float = 0.7
     com_shift_duration: float = 0.8
-    timeout_com_shift: float = 2.0
     timeout_manipulation: float = 5.0
     timeout_walking: float = 15.0
     standoff_distance: float = 0.15

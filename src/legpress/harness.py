@@ -345,20 +345,23 @@ def _asymmetric_shape(rng):
     return ConvexMesh(tuple(map(tuple, pts)))
 
 
+def _scan(shape, pose: RigidTransform, rng) -> PointCloud:
+    """A 400-point full scan of the shape at the pose, seeded from rng."""
+    return full_scan(shape, pose, 400, seed=int(rng.integers(2 ** 31)))
+
+
 def _crop_visibility(cloud: PointCloud, rng) -> PointCloud:
-    """Occlude from a random viewpoint (hidden point removal), then trim down
-    to at most MAX_VISIBLE of the original points."""
+    """Occlude a full scan from a random viewpoint (hidden point removal),
+    then trim it down to at most MAX_VISIBLE of its points, normals kept."""
     d = rng.normal(size=3)
     d /= np.linalg.norm(d)
     vp = cloud.centroid + d * 1.5
-    vis = hidden_point_removal(cloud, vp)
-    keep = vis
+    keep = hidden_point_removal(cloud, vp)
     limit = int(MAX_VISIBLE * len(cloud))
     if len(keep) > limit:
         keep = rng.choice(keep, size=limit, replace=False)
     keep = np.sort(keep)
-    normals = None if cloud.normals is None else cloud.normals[keep]
-    return PointCloud(cloud.points[keep], normals)
+    return PointCloud(cloud.points[keep], cloud.normals[keep])
 
 
 @dataclass
@@ -383,9 +386,8 @@ def registration_benchmark(n_cases: int = 200, seed: int = 0) -> RegBenchResult:
     iterations = 0
     for case in range(n_cases):
         shape = _asymmetric_shape(rng)
-        obj = SimObject.from_shape(shape, RigidTransform.identity())
-        obj.pose = rest_pose_on_ground(shape, yaw=float(rng.uniform(-math.pi, math.pi)))
-        scan = full_scan(obj, 400, seed=int(rng.integers(2 ** 31)))
+        pose = rest_pose_on_ground(shape, yaw=float(rng.uniform(-math.pi, math.pi)))
+        scan = _scan(shape, pose, rng)
         source = _crop_visibility(scan, rng)
 
         angle = math.radians(rng.uniform(0.0, REG_MAX_ROTATION_DEG))
@@ -393,7 +395,7 @@ def registration_benchmark(n_cases: int = 200, seed: int = 0) -> RegBenchResult:
         axis /= np.linalg.norm(axis)
         true = RigidTransform.rotation_about(rotation_exp(axis * angle), scan.centroid)
         true = compose(RigidTransform(np.eye(3), rng.uniform(-0.05, 0.05, size=3)), true)
-        target = apply_transform(true, full_scan(obj, 400, seed=int(rng.integers(2 ** 31))))
+        target = apply_transform(true, _scan(shape, pose, rng))
 
         result = register_with_augmentation(source, target, seed=int(rng.integers(2 ** 31)))
         for cand in result.candidates:
@@ -431,15 +433,14 @@ def ambiguity_benchmark(n_trials: int = 40, seed: int = 0) -> AmbiguityBenchResu
 
     shape = Compound(((Box((0.08, 0.08, 0.05)), (0.0, 0.0, 0.0)),
                       (Box((0.02, 0.02, 0.03)), (0.03, 0.03, 0.04))))
+    pose = rest_pose_on_ground(shape)
     for _ in range(n_trials):
-        obj = SimObject.from_shape(shape, RigidTransform.identity())
-        obj.pose = rest_pose_on_ground(shape)
-        scan = full_scan(obj, 400, seed=int(rng.integers(2 ** 31)))
+        scan = _scan(shape, pose, rng)
         source = _crop_visibility(scan, rng)
         yaw = math.radians(rng.uniform(45.0, 135.0)) * (1 if rng.uniform() < 0.5 else -1)
         true = RigidTransform.rotation_about(rot_z(yaw), scan.centroid)
         true = compose(RigidTransform(np.eye(3), rng.uniform(-0.03, 0.03, size=3)), true)
-        target = apply_transform(true, full_scan(obj, 400, seed=int(rng.integers(2 ** 31))))
+        target = apply_transform(true, _scan(shape, pose, rng))
 
         single_ok += ok(icp_register(source, target).transform, true)
         aug_ok += ok(register_with_augmentation(source, target,

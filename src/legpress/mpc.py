@@ -189,7 +189,9 @@ class MpcResult:
 
 
 class ForceMpc:
-    """Holds the solver workspace and the previous solution for fallback.
+    """Holds the solver workspace and the constraints per stance count. A
+    solve that is not optimal returns zero forces with `fault` set, and a
+    fault is final: the episode ends on it.
 
     The model step is the hold interval, sim dt * force_update_period: a
     shorter one destabilizes the sampled-data loop."""
@@ -200,7 +202,6 @@ class ForceMpc:
         self.mass = float(config.robot.trunk_mass)
         self.inertia = np.diag(config.robot.trunk_inertia)
         self.solver = QpSolver()
-        self.prev_forces = np.zeros((N_LEGS, 3))
         self._constraints = {}  # stance count -> read-only (C, lo, hi)
 
     def constraints(self, n_stance: int) -> tuple:
@@ -244,11 +245,10 @@ class ForceMpc:
                              cfg.state_weights, cfg.force_weight, C, lo, hi)
         sol = self.solver.solve(qp)
         if sol.status != "optimal":
-            return MpcResult(self.prev_forces.copy(), fault=True,
+            return MpcResult(np.zeros((N_LEGS, 3)), fault=True,
                              linearization_warning=lin.validity_warning)
         forces = np.zeros((N_LEGS, 3))
         forces[flags[0]] = sol.primal[:3 * int(flags[0].sum())].reshape(-1, 3)
-        self.prev_forces = forces.copy()
         return MpcResult(forces, False, lin.validity_warning)
 
 

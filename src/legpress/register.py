@@ -10,15 +10,17 @@ per metric, and the lowest weighted rank sum wins. The known augmentation
 rotation is composed back so the returned transform always maps the
 original source onto the target.
 
-All starts of one registration run in lockstep against one target KD-tree,
-built once together with the target's normals and reused by the Chamfer
-scoring; `icp_register` is the same core with one start. The starts' current
-and best transforms are stacked (k, 3, 3) rotation and (k, 3) translation
-arrays; `RigidTransform`s are made only for the results, from rows that no
-later iteration writes. Per start and iteration only the residual and the
-`np.linalg.lstsq` solve remain; everything else runs once per iteration for
-all starts. Both entry points reject a cloud with a NaN or infinite point
-before any work.
+The target must carry normals, since point-to-plane ICP reads only the
+target's; a full scan (`sensing.full_scan`) carries its analytic ones. All
+starts of one registration run in lockstep against one target KD-tree, built
+once and reused by the Chamfer scoring; `icp_register` is the same core with
+one start. The starts' current and best transforms are stacked (k, 3, 3)
+rotation and (k, 3) translation arrays; `RigidTransform`s are made only for
+the results, from rows that no later iteration writes. Per start and
+iteration only the residual and the `np.linalg.lstsq` solve remain;
+everything else runs once per iteration for all starts. Both entry points
+reject a cloud with a NaN or infinite point before any work, and then a
+target of fewer than 10 points or without normals.
 
 Exactness. Every result is bit-identical to running each start alone with
 plain numpy, one call per start: a batched operation gives each start the
@@ -53,7 +55,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geom import PointCloud, RigidTransform, compose, rot_z
-from .sensing import estimate_normals
 
 CHAMFER_RANK_WEIGHT = 1.5  # preference weighting on the Chamfer ranking
 REJECT_MEDIAN_FACTOR = 3.0
@@ -152,13 +153,13 @@ def _row_medians(dist: np.ndarray) -> np.ndarray:
     return np.mean(np.partition(dist, mid, axis=1)[:, mid[0]:mid[-1] + 1], axis=1)
 
 
-def _indexed_target(target: PointCloud):
-    """The target with normals (estimated if it has none) and its KD-tree."""
+def _indexed_target(target: PointCloud) -> cKDTree:
+    """The KD-tree of a target of at least 10 points that carries normals."""
     if len(target) < 10:
         raise ValueError("need at least 10 points per cloud")
     if target.normals is None:
-        target = estimate_normals(target)
-    return target, cKDTree(target.points)
+        raise ValueError("target cloud has no normals (a full scan carries them)")
+    return cKDTree(target.points)
 
 
 def _check_finite(source: PointCloud, target: PointCloud) -> None:
@@ -252,7 +253,7 @@ def icp_register(source: PointCloud, target: PointCloud) -> IcpResult:
     """Point-to-plane ICP from source to target, from the identity: the
     lockstep core with one start."""
     _check_finite(source, target)
-    target, tree = _indexed_target(target)
+    tree = _indexed_target(target)
     return _icp_lockstep([source.points], target, tree)[0]
 
 
@@ -317,7 +318,7 @@ def register_with_augmentation(source: PointCloud, target: PointCloud,
         yaw = rng.uniform(0.0, 2.0 * math.pi)
         rotations.append(RigidTransform.rotation_about(rot_z(yaw), centroid))
 
-    target, tree = _indexed_target(target)
+    tree = _indexed_target(target)
     points = source.points
     starts = _icp_lockstep([R_aug.apply(points) for R_aug in rotations], target, tree)
     combined = [compose(est.transform, R_aug) for R_aug, est in zip(rotations, starts)]

@@ -4,7 +4,9 @@ Object clouds are produced by sampling the analytic shape surfaces (no
 rasterizer), culling to the camera frustum and backfaces, then applying
 spherical-flipping hidden point removal so only camera-visible surface
 remains, and finally resampling to the exact requested point count.
-Everything is deterministic per seed.
+Scans take a shape and a pose, not a simulated body, and every point keeps
+the analytic outward normal of the face it was drawn on; registration reads
+those normals and never estimates any. Everything is deterministic per seed.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import ConvexHull, QhullError
 
 from .config import CameraConfig
 from .geom import PointCloud, RigidTransform, rot_y
@@ -21,7 +23,6 @@ from .simworld import WorldState
 HPR_RADIUS_FACTOR = 100.0  # Katz heuristic: R = factor * max range
 RENDER_OVERSAMPLE = 6  # surface samples drawn per requested point before culling
 NEAR_CLIP = 0.01  # m in front of the camera
-NORMAL_NEIGHBORS = 12  # points in each local covariance of estimate_normals
 
 
 class EmptyObservationError(RuntimeError):
@@ -131,34 +132,6 @@ def _hpr_degenerate(rel, norms, flipped):
     return np.arange(len(rel))
 
 
-def estimate_normals(cloud: PointCloud) -> PointCloud:
-    """Per-point unit normals: the eigenvector of the smallest eigenvalue of
-    the covariance of the point's NORMAL_NEIGHBORS nearest points (all points
-    of a smaller cloud). The sign is the eigensolver's: a normal is not
-    oriented. A point whose neighbours are duplicates or collinear takes the
-    normal of the last point before it that has one, or +z."""
-    pts = cloud.points
-    n = len(pts)
-    if n < 3:
-        raise ValueError("need at least 3 points for normal estimation")
-    k = min(NORMAL_NEIGHBORS, n)
-    tree = cKDTree(pts)
-    _, idx = tree.query(pts, k=k)
-    normals = np.zeros((n, 3))
-    fallback = None
-    for i in range(n):
-        nb = pts[idx[i]]
-        cov = np.cov(nb.T)
-        w, v = np.linalg.eigh(cov)
-        if w[1] < 1e-14:  # degenerate (duplicates or collinear): reuse a neighbor
-            normals[i] = fallback if fallback is not None else np.array([0.0, 0.0, 1.0])
-            continue
-        normals[i] = v[:, 0]
-        fallback = normals[i]
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(pts.copy(), normals)
-
-
 def _resample(pts, nrm, n_points, rng):
     m = len(pts)
     if m >= n_points:
@@ -168,17 +141,19 @@ def _resample(pts, nrm, n_points, rng):
     return pts[idx], nrm[idx]
 
 
-def sample_object_surface(obj, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """World-frame surface points + outward normals of a posed object."""
-    pts, nrm = obj.shape.sample_surface(rng, n)
-    R, t = obj.pose.rotation, obj.pose.translation
+def sample_object_surface(shape, pose: RigidTransform, n: int,
+                          rng) -> tuple[np.ndarray, np.ndarray]:
+    """World-frame surface points + outward normals of the shape at the pose."""
+    pts, nrm = shape.sample_surface(rng, n)
+    R, t = pose.rotation, pose.translation
     return pts @ R.T + t, nrm @ R.T
 
 
-def full_scan(obj, n_points: int, seed: int) -> PointCloud:
-    """Occlusion-free surface scan (the registration target side)."""
+def full_scan(shape, pose: RigidTransform, n_points: int, seed: int) -> PointCloud:
+    """Occlusion-free surface scan with outward normals (the registration
+    target side)."""
     rng = np.random.default_rng(seed)
-    pts, nrm = sample_object_surface(obj, n_points, rng)
+    pts, nrm = sample_object_surface(shape, pose, n_points, rng)
     return PointCloud(pts, nrm)
 
 
@@ -190,7 +165,8 @@ def render_object_cloud(world: WorldState, cam: CameraModel, object_index: int,
     Raises EmptyObservationError when nothing falls inside the frustum."""
     rng = np.random.default_rng(seed)
     obj = world.objects[object_index]
-    pts, nrm = sample_object_surface(obj, max(n_points * RENDER_OVERSAMPLE, 1200), rng)
+    n_sample = max(n_points * RENDER_OVERSAMPLE, 1200)
+    pts, nrm = sample_object_surface(obj.shape, obj.pose, n_sample, rng)
 
     pose = cam.pose_in_world(world.robot.srb.position, world.robot.srb.rotation())
     vp = pose.translation

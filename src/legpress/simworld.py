@@ -7,6 +7,9 @@ acts on the trunk at the foot point, which is what makes the trunk dynamics
 exactly the single-rigid-body model the force controller assumes. Ground and
 object interaction is penalty contact (spring-damper normal, Coulomb-capped
 friction impulses) integrated with semi-implicit Euler at a fixed dt.
+Objects are `Box`, `Cylinder` and `Compound` bodies, whose signed distances
+are Euclidean outside the shape; `ConvexMesh` is a scan-only shape of the
+registration suites, and `SimObject` rejects it.
 
 Angular state is advanced in momentum form (L = I w updated, w recovered
 from the new orientation), so free tumbling conserves angular momentum to
@@ -27,8 +30,8 @@ a tick only tests the four feet against its bound. It wakes, and is stepped
 in full from that tick, when a foot comes within the bound (the test that
 makes skipping a far foot exact, so no contact is missed), when its pose is
 replaced or a velocity is written non-zero, or when ground or gravity is
-off. A `ConvexMesh` has an infinite bound and never sleeps. `SimObject.copy`
-carries the sleep state, so a copy steps like the original bit for bit.
+off. `SimObject.copy` carries the sleep state, so a copy steps like the
+original bit for bit.
 
 The tick runs on Python floats. `step` reads the trunk, feet and objects
 once with `.tolist()`, computes on float rows what is fixed within a tick
@@ -411,18 +414,17 @@ def _solve3(A, b) -> list:
 # `vertices()` hands out a copy.
 
 
-def _set_vertices(shape, verts: np.ndarray, euclidean: bool = True) -> None:
+def _set_vertices(shape, verts: np.ndarray) -> None:
     """Store the shape's read-only vertex array, its float rows and `_radius`,
     the radius of a ball about the body origin that holds the shape: the
     largest vertex norm, padded against rounding (a cylinder's rim vertices
-    sit on its circle). A foot centre farther than `_radius` plus the foot
-    radius is out of contact when the signed distance is Euclidean, so `step`
-    skips it. A shape whose distance is not Euclidean stores inf and is never
-    skipped."""
+    sit on its circle). The signed distance is Euclidean, so a foot centre
+    farther than `_radius` plus the foot radius is out of contact and `step`
+    skips it."""
     object.__setattr__(shape, "_verts", _freeze(verts))
     object.__setattr__(shape, "_vert_rows", tuple(map(tuple, verts.tolist())))
     radius = float(np.sqrt(np.max(np.sum(verts * verts, axis=1)))) * (1.0 + 1e-9)
-    object.__setattr__(shape, "_radius", radius if euclidean else math.inf)
+    object.__setattr__(shape, "_radius", radius)
 
 
 @dataclass(frozen=True)
@@ -547,7 +549,8 @@ class Cylinder:
 
 @dataclass(frozen=True)
 class ConvexMesh:
-    """Convex hull of a vertex set; non-vertex points are ignored."""
+    """Convex hull of a vertex set; non-vertex points are ignored. A scan-only
+    shape: it is sampled and rested, never simulated (see `SimObject`)."""
 
     points: tuple
 
@@ -556,19 +559,11 @@ class ConvexMesh:
         pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
         hull = ConvexHull(pts)
         object.__setattr__(self, "points", tuple(map(tuple, pts)))
-        object.__setattr__(self, "_eqs", hull.equations)  # a.x + b <= 0 inside
         object.__setattr__(self, "_simplices", pts[hull.simplices])
-        # the face-plane distance underestimates outside, so no foot is skipped
-        _set_vertices(self, pts[hull.vertices], euclidean=False)
+        _set_vertices(self, pts[hull.vertices])
 
     def vertices(self) -> np.ndarray:
         return self._verts.copy()
-
-    def signed_distance(self, p) -> tuple[float, np.ndarray]:
-        # halfspace form: exact inside, face-plane approximation outside
-        vals = self._eqs[:, :3] @ np.asarray(p, dtype=float) + self._eqs[:, 3]
-        i = int(np.argmax(vals))
-        return float(vals[i]), self._eqs[i, :3].copy()
 
     def sample_surface(self, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
         tri = self._simplices
@@ -588,30 +583,6 @@ class ConvexMesh:
         u[swap], v[swap] = 1.0 - u[swap], 1.0 - v[swap]
         pts = tri[idx, 0] + u[:, None] * ab[idx] + v[:, None] * ac[idx]
         return pts, nrms[idx]
-
-    def mass_properties(self, density: float) -> tuple[float, np.ndarray]:
-        # tetrahedron decomposition about the centroid
-        centroid = self._verts.mean(axis=0)
-        m_total = 0.0
-        com = np.zeros(3)
-        tets = []
-        for tri in self._simplices:
-            vol = abs(np.dot(tri[0] - centroid, np.cross(tri[1] - centroid, tri[2] - centroid))) / 6.0
-            c = (tri[0] + tri[1] + tri[2] + centroid) / 4.0
-            m = density * vol
-            m_total += m
-            com += m * c
-            tets.append((m, c, tri))
-        com /= m_total
-        I = np.zeros((3, 3))
-        for m, c, tri in tets:
-            # point-mass approximation per tetrahedron, adequate at desk scale
-            d = c - com
-            I += m * ((d @ d) * np.eye(3) - np.outer(d, d))
-            for v in (*tri, centroid):
-                d = (v - com) * 0.5
-                I += (m / 4.0) * ((d @ d) * np.eye(3) - np.outer(d, d))
-        return m_total, I
 
 
 @dataclass(frozen=True)
@@ -695,6 +666,9 @@ class SimObject:
     _sleep: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.shape, (Box, Cylinder, Compound)):
+            raise TypeError("the simulator steps Box, Cylinder and Compound bodies, "
+                            f"not {type(self.shape).__name__}")
         self.linear_velocity = np.asarray(self.linear_velocity, dtype=float).reshape(3).copy()
         self.angular_velocity = np.asarray(self.angular_velocity, dtype=float).reshape(3).copy()
         self.inertia = I = np.asarray(self.inertia, dtype=float).reshape(3, 3)

@@ -32,7 +32,7 @@ from legpress.policy import (
     select_greedy,
 )
 from legpress.sensing import full_scan
-from legpress.simworld import ConvexMesh, SimObject, rest_pose_on_ground
+from legpress.simworld import ConvexMesh, rest_pose_on_ground
 
 
 def _vertex_digest(shapes) -> str:
@@ -423,6 +423,8 @@ def test_a_value_the_stack_divides_by_exits_2_when_out_of_range(section, key, ra
       "--max-steps", "-3"], "max_steps must be at least 1, got -3"),
     (["sweep", "--seeds", "0", "--max-steps", "0"], "max_steps must be at least 1, got 0"),
     (["sweep", "--seeds", "0", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["sweep", "--seeds", "3-"], "seed range '3-' has no end"),
+    (["sweep", "--seeds", "0-2,7-"], "seed range '7-' has no end"),
 ])
 def test_empty_work_exits_2_with_a_json_record(argv, message, capsys):
     assert cli.main(argv) == 2
@@ -465,9 +467,7 @@ def test_surface_scans_and_registration_are_unchanged():
     mesh = ConvexMesh(tuple(map(tuple, np.random.default_rng(5).uniform(-0.05, 0.05, (14, 3)))))
     digests = {}
     for shape in (box, cylinder, mesh, l_prism):
-        obj = SimObject.from_shape(shape, RigidTransform.identity())
-        obj.pose = rest_pose_on_ground(shape, yaw=0.3)
-        scan = full_scan(obj, 400, seed=11)
+        scan = full_scan(shape, rest_pose_on_ground(shape, yaw=0.3), 400, seed=11)
         digest = hashlib.sha256(scan.points.tobytes() + scan.normals.tobytes()).hexdigest()
         digests[type(shape).__name__] = digest[:16]
     assert digests == {"Box": "3b76b4fa535b6006", "Cylinder": "a94309782270c9b6",
@@ -496,7 +496,7 @@ def push_observation():
     """The seed-0 box_push_fixed object as a full 400-point scan, with the
     task goal relative to the object's pose."""
     task = sample_task(TaskSpec("box_push_fixed"), 0)
-    cloud = full_scan(task.obj, 400, seed=0)
+    cloud = full_scan(task.obj.shape, task.obj.pose, 400, seed=0)
     rel = compose(task.goal_pose, task.obj.pose.inverse())
     return Observation(cloud, GoalSpec.from_cloud(rel, cloud), task.obj, 0)
 

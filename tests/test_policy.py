@@ -30,7 +30,7 @@ def make_box_obj(dims=(0.08, 0.08, 0.08), xy=(0.0, 0.0), yaw=0.0):
 
 
 def observed(obj, n=400, seed=0):
-    return full_scan(obj, n, seed)
+    return full_scan(obj.shape, obj.pose, n, seed)
 
 
 # -- selection ---------------------------------------------------------------

@@ -25,16 +25,15 @@ from legpress.register import (
     register_with_augmentation,
     select_by_rank_sum,
 )
-from legpress.sensing import estimate_normals, full_scan
-from legpress.simworld import Box, Compound, SimObject
+from legpress.sensing import full_scan
+from legpress.simworld import Box, Compound
 
 
 def lshape_cloud(n=400, seed=0):
     """Asymmetric object scan (an L-prism) for unambiguous registration."""
     shape = Compound(((Box((0.10, 0.05, 0.04)), (0.0, 0.0, 0.0)),
                       (Box((0.05, 0.05, 0.04)), (-0.025, 0.0, 0.04))))
-    obj = SimObject.from_shape(shape, RigidTransform.identity())
-    return full_scan(obj, n, seed)
+    return full_scan(shape, RigidTransform.identity(), n, seed)
 
 
 # -- metrics -------------------------------------------------------------------
@@ -173,10 +172,25 @@ def test_a_non_finite_source_point_is_rejected_before_any_work(register_fn, bad,
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_target_point_is_rejected_before_any_work(register_fn, bad, monkeypatch):
     monkeypatch.setattr(register, "cKDTree", None)
-    monkeypatch.setattr(register, "estimate_normals", None)
     cloud = lshape_cloud(50)
     points = cloud.points.copy()
     points[3, 2] = bad
+    with pytest.raises(ValueError, match="^target cloud has non-finite points$"):
+        register_fn(cloud, PointCloud(points))
+
+
+@pytest.mark.parametrize("register_fn", [icp_register, register_with_augmentation])
+def test_a_target_without_normals_is_rejected(register_fn, monkeypatch):
+    """Point-to-plane ICP reads the target's normals, which a full scan
+    carries; none is estimated. The finiteness and size checks come first."""
+    monkeypatch.setattr(register, "cKDTree", None)
+    cloud = lshape_cloud(50)
+    with pytest.raises(ValueError, match="^target cloud has no normals"):
+        register_fn(cloud, PointCloud(cloud.points))
+    with pytest.raises(ValueError, match="^need at least 10 points per cloud$"):
+        register_fn(cloud, PointCloud(cloud.points[:9]))
+    points = cloud.points.copy()
+    points[3, 2] = math.nan
     with pytest.raises(ValueError, match="^target cloud has non-finite points$"):
         register_fn(cloud, PointCloud(points))
 
@@ -265,8 +279,6 @@ def test_augmentation_recovers_large_yaw():
 def reference_icp(source, target):
     if len(source) < 10 or len(target) < 10:
         raise ValueError("need at least 10 points per cloud")
-    if target.normals is None:
-        target = estimate_normals(target)
     T = RigidTransform.identity()
     tree = cKDTree(target.points)
     best_T, best_res = T, math.inf

@@ -6,10 +6,8 @@ import pytest
 from legpress.config import StackConfig
 from legpress.geom import PointCloud, RigidTransform
 from legpress.sensing import (
-    NORMAL_NEIGHBORS,
     CameraModel,
     EmptyObservationError,
-    estimate_normals,
     full_scan,
     hidden_point_removal,
     render_object_cloud,
@@ -157,54 +155,14 @@ def test_render_object_behind_camera_raises():
         render_object_cloud(world, cam, 0, 400, seed=13)
 
 
-# -- normals ---------------------------------------------------------------------
-
-
-def test_normals_planar_patch():
-    rng = np.random.default_rng(62)
-    pts = np.column_stack([rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 200), np.zeros(200)])
-    out = estimate_normals(PointCloud(pts))
-    assert np.max(np.abs(np.abs(out.normals[:, 2]) - 1.0)) < 1e-3
-
-
-def test_normals_sphere_radial():
-    rng = np.random.default_rng(63)
-    dirs = rng.normal(size=(2000, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts = dirs * 0.3
-    out = estimate_normals(PointCloud(pts))
-    cosang = np.abs(np.einsum("ij,ij->i", out.normals, dirs))
-    frac = np.mean(cosang > math.cos(math.radians(5.0)))
-    assert frac >= 0.95
-
-
-def test_normals_three_coplanar_points_exact():
-    pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1.0, 0]])
-    out = estimate_normals(PointCloud(pts))
-    assert np.max(np.abs(np.abs(out.normals) - [0, 0, 1.0])) < 1e-12
-
-
-def test_normals_duplicate_points_fall_back():
-    """Every neighbourhood of a point repeated more than NORMAL_NEIGHBORS
-    times is that point alone: the copies before the first normal take +z,
-    the copies after the other points the last point's normal."""
-    plane = [[1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 0], [2.0, 0, 0], [0.0, 2, 0]]
-    copies = [[5.0, 5.0, 5.0]] * (NORMAL_NEIGHBORS + 1)
-    pts = np.array(copies + plane + copies)
-    out = estimate_normals(PointCloud(pts))
-    assert np.all(np.isfinite(out.normals))
-    assert np.allclose(np.linalg.norm(out.normals, axis=1), 1.0)
-    n = len(copies)
-    assert np.array_equal(out.normals[:n], np.tile([0.0, 0.0, 1.0], (n, 1)))
-    assert np.array_equal(out.normals[-n:], np.tile(out.normals[-n - 1], (n, 1)))
-
-
 def test_full_scan_covers_surface():
-    world = world_with_box()
-    scan = full_scan(world.objects[0], 500, seed=15)
+    """Every scan point lies on the posed surface and carries that face's
+    outward normal: the normals registration reads."""
+    obj = world_with_box().objects[0]
+    scan = full_scan(obj.shape, obj.pose, 500, seed=15)
     assert len(scan) == 500
-    obj = world.objects[0]
     R, t = obj.pose.rotation, obj.pose.translation
-    for p in scan.points[:50]:
-        sd, _ = obj.shape.signed_distance(R.T @ (p - t))
+    for p, n in zip(scan.points[:50], scan.normals[:50]):
+        sd, n_local = obj.shape.signed_distance(R.T @ (p - t))
         assert abs(sd) < 1e-9
+        assert np.allclose(n, R @ n_local, atol=1e-9)

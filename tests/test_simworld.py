@@ -436,11 +436,13 @@ def test_compound_and_mesh_mass_properties_positive():
     assert m > 0
     assert np.all(np.linalg.eigvalsh(I) > 0)
 
-    rng = np.random.default_rng(7)
-    mesh = ConvexMesh(tuple(map(tuple, rng.uniform(-0.05, 0.05, size=(12, 3)))))
-    m, I = mesh.mass_properties(300.0)
-    assert m > 0
-    assert np.all(np.linalg.eigvalsh(I) > 1e-12)
+
+def test_the_simulator_rejects_a_convex_mesh():
+    """`ConvexMesh` is a scan-only shape: it has no exact signed distance and
+    no mass properties, so it never becomes a body."""
+    mesh = ConvexMesh(tuple(map(tuple, np.random.default_rng(7).uniform(-0.05, 0.05, (12, 3)))))
+    with pytest.raises(TypeError, match="steps Box, Cylinder and Compound bodies, not ConvexMesh"):
+        SimObject(mesh, rest_pose_on_ground(mesh))
 
 
 def test_cylinder_signed_distance_and_sampling():
@@ -581,15 +583,10 @@ def _l_prism():
                      (Box((0.05, 0.05, 0.05)), (-0.02, 0.05, 0.0))))
 
 
-def _mesh():
-    return ConvexMesh(tuple(map(tuple, np.random.default_rng(5).uniform(-0.04, 0.04, (14, 3)))))
-
-
 PIN_SHAPES = {
     "box": lambda: Box((0.08, 0.06, 0.05)),
     "cylinder": lambda: Cylinder(0.035, 0.06),
     "l_prism": _l_prism,
-    "mesh": _mesh,
 }
 
 
@@ -758,31 +755,6 @@ PINNED_END_STATES = {
         -2.7634479453227026e-10, 7.0297017750150485e-09, 4.310317148943769e-09,
         4.356420399806379e-12,
     ],
-    "resting_mesh": [
-        -0.027378566517823614, 0.004637335024377131, -1.47390034528146e-05,
-        -0.0003762484149871394, -0.0006900279576304921, 0.28421175121335707,
-        -0.19284607618637534, 0.039575690165991814, 0.0006704973827641204,
-        -0.0031575804997461135, -0.005432873361561745, 0.03297234334716019,
-        9.81, 0.1900001923076923, 0.1270004757955839,
-        0.016919347979457534, 0.1900001923076923, -0.12699970656481469,
-        0.01690389179884898, -0.1899998076923077, 0.1270004757955839,
-        0.016906892625384803, -0.1899998076923077, -0.12699970656481469,
-        0.016891076317019995, 0.0, 0.0,
-        -0.00012747616115689538, 1.0842021724855044e-19, 0.0,
-        -0.00023953013799975494, 0.0, 0.0,
-        -0.0002375276625722674, 0.0, -1.0842021724855044e-19,
-        -0.00035534605648648745, 0.030058992699769416, 0.8923218341613391,
-        -1.7967944140260521, 0.029902826863690057, 0.8858220358014613,
-        -1.7837246767961936, 0.030020216037628614, 0.887019804958477,
-        -1.7861407966695242, 0.029865389267476505, 0.8804719579289827,
-        -1.7729755471211812, 0.9372108143368846, -0.3415808942431118,
-        -0.07041578074601362, 0.34111588604201953, 0.9398312212142527,
-        -0.018900474086504224, 0.07263499005136786, -0.006306212730551293,
-        0.9973386535682023, 0.4005292678081585, 0.049752052491923056,
-        0.03629094582805577, 8.226729957527942e-05, -0.0016372117805594764,
-        0.000726275848489855, 0.06417467975804769, 0.03379974397197711,
-        -0.03272128156428116,
-    ],
     "foot_press": [
         0.0, 0.0, 0.0,
         0.0, 0.0, 0.28,
@@ -938,7 +910,7 @@ def test_euler_extraction_reads_float_rows_with_the_same_gimbal_check():
         step(world, np.zeros(12))
 
 
-@pytest.mark.parametrize("name", ["box", "cylinder", "l_prism", "mesh"])
+@pytest.mark.parametrize("name", ["box", "cylinder", "l_prism"])
 def test_world_inverse_inertia_is_the_rotated_body_inverse(name):
     obj = SimObject.from_shape(PIN_SHAPES[name](), RigidTransform.identity())
     I_b_inv = simworld._inertia_rows(obj.inertia)[1]
@@ -1043,9 +1015,7 @@ def test_the_shoulder_is_made_once_and_read_only():
 @pytest.mark.parametrize("name", ["box", "cylinder", "l_prism"])
 def test_far_foot_skip_never_drops_a_contact(name):
     """`step` skips a foot farther than the shape's `_radius` plus the foot
-    radius; the full signed distance must then find no contact. A mesh's
-    face-plane distance underestimates outside, so it never skips."""
-    assert PIN_SHAPES["mesh"]()._radius == math.inf
+    radius; the full signed distance must then find no contact."""
     shape = PIN_SHAPES[name]()
     rf = StackConfig().robot.foot_radius
     far = shape._radius + rf

@@ -342,3 +342,29 @@ def test_full_plan_passes_near_contact_point_on_box():
     assert min_dist < 0.015
     # and the box actually moved forward
     assert world.objects[0].pose.translation[0] > 0.32 + 0.01
+
+
+@pytest.mark.xfail(strict=True, reason="the executor takes its contact time from the first "
+                   "'push' waypoint, which plan_swing gives to the push end (waypoints[4]), "
+                   "so the gate holds after the push instead of at contact")
+def test_the_contact_gate_holds_at_the_contact_waypoint():
+    """A foot that never reaches the contact point is held there, from the
+    contact waypoint's time on (waypoints[3], the end of the approach)."""
+    world = standing_world()
+    leg = world.robot.legs[0]
+    cfg = world.config
+    contact = shoulder_point(leg, world.robot.srb) + np.array([0.14, 0.02, -0.23])
+    plan = plan_swing(contact, np.array([0.08, 0.0, -0.02]), leg, world.robot.srb,
+                      cfg.swing, 0)
+    assert np.array_equal(plan.waypoints[3].position, plan.contact_point)
+    away = plan.contact_point + np.array([0.0, 0.0, 0.2])  # far past the threshold
+    ex = SwingExecutor(plan, cfg.swing)
+    dt = cfg.sim.dt
+    first_hold = None
+    while not ex.done and first_hold is None:
+        t = ex.t
+        ex.tick(away, dt)
+        if ex.t == t:
+            first_hold = t
+    assert first_hold is not None
+    assert abs(first_hold - plan.waypoints[3].time) <= dt
