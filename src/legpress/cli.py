@@ -263,21 +263,23 @@ def cmd_sweep(args) -> int:
 
 def _determinism_violation(cfg: StackConfig) -> float:
     """Largest difference between two worlds with a box under the same
-    random torques: trunk, feet and object pose."""
+    random torques, and a copy of the first taken halfway: trunk, feet and
+    object pose."""
     shape = Box((0.07, 0.07, 0.05))
     obj = SimObject.from_shape(shape, rest_pose_on_ground(shape))
-    w1 = standing_world(cfg, objects=[obj.copy()])
-    w2 = standing_world(cfg, objects=[obj.copy()])
+    worlds = [standing_world(cfg, objects=[obj.copy()]) for _ in range(2)]
     tau = np.random.default_rng(31).normal(scale=0.5, size=(50, 12))
     for k in range(50):
-        step(w1, tau[k])
-        step(w2, tau[k])
+        if k == 25:
+            worlds.append(worlds[0].copy())
+        for w in worlds:
+            step(w, tau[k])
 
     def state(w):
         o = w.objects[0]
         return np.concatenate([w.robot.srb.as_vector(), w.robot.feet_pos.ravel(),
                                o.pose.translation, o.pose.rotation.ravel()])
-    return float(np.max(np.abs(state(w1) - state(w2))))
+    return float(max(np.max(np.abs(state(w) - state(worlds[0]))) for w in worlds[1:]))
 
 
 def _momentum_violation(cfg: StackConfig) -> float:

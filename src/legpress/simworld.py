@@ -37,13 +37,15 @@ The tick runs on Python floats. `step` reads the trunk, feet and objects
 once with `.tolist()`, computes on float rows what is fixed within a tick
 once per tick, and writes back once into the same arrays; an object gets a
 new `RigidTransform`. Leg kinematics sit in one slot per state: each
-`SrbState` keeps the bytes of its rpy with the read-only rotation and its
-rows, each `LegModel` the bytes of its joint angles with its trunk-frame
-Jacobian rows. A read checks the slot against the current bytes, so an
-in-place write (a teleport) never reads a stale value. Rows are tuples and
-safe to share; array accessors hand out new arrays or copies. Where a helper
-call per vector would cost more than its arithmetic, the tick writes the
-products out in the helper's order: the tip-force solve on the Jacobian rows
+`SrbState` keeps the rotation the last step integrated (rows, and a
+read-only array made on the first numpy read) under the bytes of the rpy
+written from it, each `LegModel` the bytes of its joint angles with its
+trunk-frame Jacobian rows. A read checks the slot against the current bytes,
+so an in-place write (a teleport) never reads a stale value: it is rebuilt,
+the trunk's through `euler_zyx_to_matrix`. Rows are tuples and safe to share;
+array accessors hand out new arrays or copies. Where a helper call per vector
+would cost more than its arithmetic, the tick writes the products out in the
+helper's order: the tip-force solve on the Jacobian rows
 (`_tip_forces`, `_solve3`'s expressions), the friction pass, the IK's clamps
 (`_clamp`, `min(max())`'s values). The velocity check is one pass over the
 components (`_check_speeds`). The float 3-vector helpers are public in `geom`.
@@ -63,9 +65,9 @@ and a change to the tick is judged by what the simulation does:
 Numpy stays where it is the better tool or a reference depends on it:
   - `geom.rotation_exp`, on which `register`'s bit-exact rule rests; the
     tick's float Rodrigues map is tested against it;
-  - `geom.euler_zyx_to_matrix`, which gives the trunk rotation: a test pins
-    `SrbState.rotation()` to it bit for bit and `regbench` inputs go through
-    it;
+  - `geom.euler_zyx_to_matrix`, which gives the trunk rotation of an rpy
+    written from outside `step` (a test pins that bit for bit) and through
+    which `regbench` inputs go;
   - the SVD that re-orthonormalises each orientation every 64 steps;
   - `leg_inverse_kinematics`, which maps the target into the hip frame with
     the rotation array and returns the joint angles as an array: it runs in
@@ -146,14 +148,16 @@ class SimulationDivergence(RuntimeError):
 @dataclass
 class SrbState:
     """13-component trunk state: rpy, position, world angular velocity,
-    linear velocity and the constant gravity placeholder the MPC expects."""
+    linear velocity and the constant gravity placeholder the MPC expects.
+    rpy is the chart that the MPC and the traces read; the rotation is the one
+    `step` integrated, kept under the bytes of rpy (see `_rotation_slot`)."""
 
     rpy: np.ndarray
     position: np.ndarray
     angular_velocity: np.ndarray
     linear_velocity: np.ndarray
     gravity_placeholder: float = 9.81
-    # (bytes of rpy, read-only rotation matrix, its rows), see rotation_rows
+    # (bytes of rpy, read-only rotation matrix or None until read, its rows)
     _rot: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -170,8 +174,10 @@ class SrbState:
         return _rotation(self).copy()
 
     def copy(self) -> "SrbState":
-        return SrbState(self.rpy, self.position, self.angular_velocity,
-                        self.linear_velocity, self.gravity_placeholder)
+        srb = SrbState(self.rpy, self.position, self.angular_velocity,
+                       self.linear_velocity, self.gravity_placeholder)
+        srb._rot = self._rot  # immutable rows, read-only array
+        return srb
 
 
 @dataclass
@@ -216,7 +222,9 @@ def make_legs(rc: RobotConfig) -> list[LegModel]:
 
 
 def _rotation_slot(trunk: SrbState) -> tuple:
-    """The trunk's rotation slot, recomputed when rpy no longer has its bytes."""
+    """The trunk's rotation slot. `step` fills it with the rotation it
+    integrated, keyed by the rpy it wrote from it; an rpy written from outside
+    misses the key and is rebuilt through `euler_zyx_to_matrix`."""
     key = trunk.rpy.tobytes()
     slot = trunk._rot
     if slot[0] != key:
@@ -226,12 +234,16 @@ def _rotation_slot(trunk: SrbState) -> tuple:
 
 
 def _rotation(trunk: SrbState) -> np.ndarray:
-    """Read-only rotation matrix of the trunk's rpy."""
-    return _rotation_slot(trunk)[1]
+    """Read-only trunk rotation matrix, made from the slot's rows once."""
+    slot = _rotation_slot(trunk)
+    if slot[1] is None:
+        slot = trunk._rot = (slot[0], _freeze(np.array(slot[2])), slot[2])
+    return slot[1]
 
 
 def rotation_rows(trunk: SrbState) -> tuple:
-    """The trunk rotation as three float rows: the rows of `trunk.rotation()`."""
+    """The trunk rotation as three float rows: the rows of `trunk.rotation()`,
+    after a step those of the rotation it integrated."""
     return _rotation_slot(trunk)[2]
 
 
@@ -1203,7 +1215,8 @@ def step(world: WorldState, joint_torques) -> WorldState:
         a[0], a[1], a[2] = w
         a = srb.linear_velocity
         a[0], a[1], a[2] = v
-        R = rotation_rows(srb)
+        R = tuple(map(tuple, R_new))
+        srb._rot = (srb.rpy.tobytes(), None, R)
 
     for oi, obj in enumerate(awake):
         Ro, t, v_o, L = obj_R[oi], obj_t[oi], obj_v[oi], obj_L[oi]

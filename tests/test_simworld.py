@@ -1276,6 +1276,48 @@ def test_rotation_follows_in_place_rpy_writes():
     srb.rpy[:] = (0.1, -0.2, 0.3)
     assert np.array_equal(srb.rotation(), R0)
 
+    # in a stepped free-base world the slot holds the integrated rotation; a
+    # teleport-style write is rebuilt from its rpy, and the next step starts
+    # from that rebuild, not from the rotation the last step left
+    world = _torque_free_tumbling_world()
+    for _ in range(70):
+        step(world, np.zeros(12))
+    srb = world.robot.srb
+    stale = srb._rot
+    srb.rpy[:] = (0.02, -0.01, 0.4)
+    R = euler_zyx_to_matrix(0.02, -0.01, 0.4)
+    assert np.array_equal(srb.rotation(), R)
+    assert rotation_rows(srb) == tuple(map(tuple, R.tolist()))
+    fresh, kept = world.copy(), world.copy()
+    _clear_kinematics_slots(fresh.robot)
+    kept.robot.srb._rot = (srb.rpy.tobytes(), None, stale[2])
+    for w in (world, fresh, kept):
+        step(w, np.zeros(12))
+    assert np.array_equal(_end_state(world), _end_state(fresh))
+    assert np.max(np.abs(_end_state(world) - _end_state(kept))) > 1e-3
+
+
+def _torque_free_tumbling_world():
+    """A standing world with ground and gravity off and the trunk spinning:
+    under zero joint torques nothing acts on the trunk."""
+    world = standing_world()
+    world.gravity_enabled = world.ground_enabled = False
+    world.robot.srb.angular_velocity[:] = (0.4, -0.3, 0.6)
+    return world
+
+
+def test_a_tumbling_trunk_keeps_its_rpy_chart_and_stays_a_rotation():
+    """5,000 ticks of torque-free tumbling: the rpy each step writes is the
+    chart of the rotation it keeps, and the every-64-step re-orthonormalisation
+    holds that rotation on SO(3)."""
+    world = _torque_free_tumbling_world()
+    srb = world.robot.srb
+    for _ in range(5000):
+        step(world, np.zeros(12))
+        assert matrix_to_euler_zyx(rotation_rows(srb)) == tuple(srb.rpy.tolist())
+    R = np.array(rotation_rows(srb))
+    assert np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-13
+
 
 def _clear_kinematics_slots(robot):
     robot.srb._rot = (None, None, None)
@@ -1347,19 +1389,42 @@ def test_leg_jacobian_follows_in_place_joint_writes():
 
 def test_a_step_fills_the_kinematics_slots_with_its_new_values():
     """After a step each leg's slot holds the bytes of the angles the leg
-    sync solved and their Jacobian, and the trunk's slot its new rpy; a read
-    with the slots emptied gives the same rows."""
+    sync solved and their Jacobian, and a read with the slots emptied gives
+    the same rows. The trunk's slot holds the rotation the step integrated,
+    keyed by the bytes of the rpy written from it; a rebuild from that rpy
+    agrees to rounding."""
     world = standing_world()
     world.robot.srb.angular_velocity[:] = (0.1, -0.2, 0.3)
     step(world, _pin_torques(world, _stand_forces(world)))
     robot = world.robot
     jac = [leg._jac for leg in robot.legs]
-    rot = robot.srb._rot
     assert [key for key, _ in jac] == [leg.joint_angles.tobytes() for leg in robot.legs]
-    assert rot[0] == robot.srb.rpy.tobytes()
     _clear_kinematics_slots(robot)
     assert [leg_jacobian_rows(leg) for leg in robot.legs] == [rows for _, rows in jac]
-    assert rotation_rows(robot.srb) == rot[2]
+
+    # torque free, the integrated rotation follows from the pre-step state:
+    # the first step re-orthonormalises it, the second does not
+    world = _torque_free_tumbling_world()
+    srb = world.robot.srb
+    I0, I1, I2 = world.config.robot.trunk_inertia
+    dt = world.config.sim.dt
+    for renorm in (True, False):
+        assert (world._steps % simworld._RENORM_EVERY == 0) is renorm
+        R = rotation_rows(srb)
+        wb = simworld.matvec3_t(R, srb.angular_velocity.tolist())
+        L = simworld.matvec3(R, (I0 * wb[0], I1 * wb[1], I2 * wb[2]))
+        Lb = simworld.matvec3_t(R, L)
+        w_mid = simworld.matvec3(R, (Lb[0] / I0, Lb[1] / I1, Lb[2] / I2))
+        R_new = simworld.matmul3(
+            simworld._rotation_exp(w_mid[0] * dt, w_mid[1] * dt, w_mid[2] * dt), R)
+        if renorm:
+            R_new = simworld.orthonormalize(np.array(R_new)).tolist()
+        step(world, np.zeros(12))
+        rot = srb._rot
+        assert rot[0] == srb.rpy.tobytes()
+        assert rot[2] == tuple(map(tuple, R_new))
+        _clear_kinematics_slots(world.robot)
+        assert np.max(np.abs(np.array(rotation_rows(srb)) - np.array(rot[2]))) <= 1e-15
 
 
 def test_mutating_returned_kinematics_does_not_leak():
@@ -1596,6 +1661,24 @@ def test_stepping_a_copy_equals_stepping_the_world_through_sleep_and_wake():
                 for r in w.contact_set] == [
             (r.penetration, r.normal_force, r.tangential_force, r.bodies)
             for r in w1.contact_set]
+
+
+def test_a_copy_of_a_free_base_world_steps_like_the_world():
+    """The copy carries the trunk's rotation slot: a copy taken after 100
+    ticks of a spinning trunk on its stance torques, and a copy of that copy,
+    end 1,000 ticks later where the world does, bit for bit."""
+    world = standing_world()
+    world.robot.srb.angular_velocity[:] = (0.1, -0.2, 0.3)
+    forces = _stand_forces(world)
+    for _ in range(100):
+        step(world, stance_torques(world.robot, forces, ALL_STANCE))
+    copy_ = world.copy()
+    worlds = [world, copy_, copy_.copy()]
+    for _ in range(1000):
+        for w in worlds:
+            step(w, stance_torques(w.robot, forces, ALL_STANCE))
+    for w in worlds[1:]:
+        assert np.array_equal(_end_state(w), _end_state(world))
 
 
 def test_a_box_pushed_after_it_slept_ends_where_an_awake_box_does(monkeypatch):
