@@ -27,8 +27,7 @@ import numpy as np
 from .config import GaitConfig, StackConfig
 from .geom import rot_z, skew, threshold_norm
 from .qpsolve import QpProblem, QpSolver
-from .simworld import (LegModel, RobotState, SrbState, leg_jacobian_rows, rotation_rows,
-                       shoulder_point)
+from .simworld import LegModel, RobotState, SrbState, shoulder_point
 
 N_LEGS = 4
 NX = 13
@@ -260,7 +259,7 @@ def stance_torques(robot: RobotState, forces, stance) -> list:
     (`MpcResult.forces.tolist()`). Returns the 12 torques as a flat list of
     floats, zeros for a swing leg. Both products are written out in
     `geom.matvec3_t`'s order."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation_rows(robot.srb)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = robot.srb.rotation_rows
     tau = [0.0] * (3 * N_LEGS)
     for i, leg in enumerate(robot.legs):
         if stance[i]:
@@ -268,7 +267,7 @@ def stance_torques(robot: RobotState, forces, stance) -> list:
             y0 = r00 * f0 + r10 * f1 + r20 * f2
             y1 = r01 * f0 + r11 * f1 + r21 * f2
             y2 = r02 * f0 + r12 * f1 + r22 * f2
-            (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = leg_jacobian_rows(leg)
+            (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = leg.jacobian_rows
             tau[3 * i] = -(j00 * y0 + j10 * y1 + j20 * y2)
             tau[3 * i + 1] = -(j01 * y0 + j11 * y1 + j21 * y2)
             tau[3 * i + 2] = -(j02 * y0 + j12 * y1 + j22 * y2)

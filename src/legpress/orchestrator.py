@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -403,15 +403,15 @@ class _OrchestratorCore:
 
     def teleport_to(self, standoff: StandoffPose) -> None:
         """Simulation-protocol reset of the base onto the standoff pose with
-        a small pose perturbation, feet re-seated under the shoulders."""
+        a small pose perturbation: a new trunk state at rest in that pose,
+        feet re-seated under the shoulders."""
         world = self.world
         jitter_xy = self.rng.uniform(-0.02, 0.02, size=2)
         jitter_yaw = self.rng.uniform(-0.05, 0.05)
-        srb = world.robot.srb
-        srb.position[:] = standoff.position + np.array([*jitter_xy, 0.0])
-        srb.rpy[:] = (0.0, 0.0, standoff.yaw + jitter_yaw)
-        srb.linear_velocity[:] = 0.0
-        srb.angular_velocity[:] = 0.0
+        world.robot.srb = replace(
+            world.robot.srb, rpy=(0.0, 0.0, standoff.yaw + jitter_yaw),
+            position=standoff.position + np.array([*jitter_xy, 0.0]),
+            angular_velocity=np.zeros(3), linear_velocity=np.zeros(3))
         seat_feet(world)
         self.forces = _ZERO_FORCES
         self.step_count = 0

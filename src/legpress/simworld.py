@@ -36,19 +36,21 @@ original bit for bit.
 The tick runs on Python floats. `step` reads the trunk, feet and objects
 once with `.tolist()`, computes on float rows what is fixed within a tick
 once per tick, and writes back once into the same arrays; an object gets a
-new `RigidTransform`. Leg kinematics sit in one slot per state: each
-`SrbState` keeps the rotation the last step integrated (rows, and a
-read-only array made on the first numpy read) under the bytes of the rpy
-written from it, each `LegModel` the bytes of its joint angles with its
-trunk-frame Jacobian rows. A read checks the slot against the current bytes,
-so an in-place write (a teleport) never reads a stale value: it is rebuilt,
-the trunk's through `euler_zyx_to_matrix`. Rows are tuples and safe to share;
-array accessors hand out new arrays or copies. Where a helper call per vector
-would cost more than its arithmetic, the tick writes the products out in the
-helper's order: the tip-force solve on the Jacobian rows
-(`_tip_forces`, `_solve3`'s expressions), the friction pass, the IK's clamps
-(`_clamp`, `min(max())`'s values). The velocity check is one pass over the
-components (`_check_speeds`). The float 3-vector helpers are public in `geom`.
+new `RigidTransform`. Derived rows are written with their source, and the
+source arrays are read-only. `SrbState.rotation_rows` is the trunk rotation:
+the constructor builds it from rpy, and `step` writes the rotation it
+integrated together with the rpy chart of it. `LegModel.jacobian_rows` is
+the trunk-frame Jacobian of the joint angles, written with them by the leg
+sync. `SimObject` keeps its inertia and the inverse as rows made once. `rpy`,
+`joint_angles` and `inertia` are read-only, so no reader can find rows that
+disagree with their source; a new pose is a new state (`dataclasses.replace`).
+Rows are tuples and safe to share; array accessors hand out new arrays or
+copies. Where a helper call per vector would cost more than its arithmetic,
+the tick writes the products out in the helper's order: the tip-force solve
+on the Jacobian rows (`_tip_forces`, `_solve3`'s expressions), the friction
+pass, the IK's clamps (`_clamp`, `min(max())`'s values). The velocity check
+is one pass over the components (`_check_speeds`). The float 3-vector helpers
+are public in `geom`.
 
 Outcome gate. Float rows and sleep round differently from a plain numpy
 formulation of the same model, so a trajectory is not bit-identical to one,
@@ -65,9 +67,9 @@ and a change to the tick is judged by what the simulation does:
 Numpy stays where it is the better tool or a reference depends on it:
   - `geom.rotation_exp`, on which `register`'s bit-exact rule rests; the
     tick's float Rodrigues map is tested against it;
-  - `geom.euler_zyx_to_matrix`, which gives the trunk rotation of an rpy
-    written from outside `step` (a test pins that bit for bit) and through
-    which `regbench` inputs go;
+  - `geom.euler_zyx_to_matrix`, which gives the rotation rows of a
+    constructed trunk state (a test pins that bit for bit) and through which
+    `regbench` inputs go;
   - the SVD that re-orthonormalises each orientation every 64 steps;
   - `leg_inverse_kinematics`, which maps the target into the hip frame with
     the rotation array and returns the joint angles as an array: it runs in
@@ -78,7 +80,6 @@ Numpy stays where it is the better tool or a reference depends on it:
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -149,46 +150,64 @@ class SimulationDivergence(RuntimeError):
 class SrbState:
     """13-component trunk state: rpy, position, world angular velocity,
     linear velocity and the constant gravity placeholder the MPC expects.
-    rpy is the chart that the MPC and the traces read; the rotation is the one
-    `step` integrated, kept under the bytes of rpy (see `_rotation_slot`)."""
+    `rotation_rows` is the trunk rotation as three float rows, written with
+    its source: the constructor builds it from rpy through
+    `euler_zyx_to_matrix`, and `step` writes the rotation it integrated
+    together with the rpy chart of it. rpy, the chart the MPC and the traces
+    read, is a read-only view of a buffer that only `step` writes; a trunk in
+    another pose is a new state (`dataclasses.replace`)."""
 
     rpy: np.ndarray
     position: np.ndarray
     angular_velocity: np.ndarray
     linear_velocity: np.ndarray
     gravity_placeholder: float = 9.81
-    # (bytes of rpy, read-only rotation matrix or None until read, its rows)
-    _rot: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
+    rotation_rows: tuple = field(init=False, repr=False, compare=False)
+    _rpy: np.ndarray = field(init=False, repr=False, compare=False)  # the buffer rpy views
 
     def __post_init__(self):
-        self.rpy = np.asarray(self.rpy, dtype=float).reshape(3).copy()
+        self._rpy = np.array(self.rpy, dtype=float).reshape(3)
+        self.rpy = _freeze(self._rpy.view())
         self.position = np.asarray(self.position, dtype=float).reshape(3).copy()
         self.angular_velocity = np.asarray(self.angular_velocity, dtype=float).reshape(3).copy()
         self.linear_velocity = np.asarray(self.linear_velocity, dtype=float).reshape(3).copy()
+        self.rotation_rows = tuple(map(tuple, euler_zyx_to_matrix(*self._rpy.tolist()).tolist()))
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.rpy, self.position, self.angular_velocity,
                                self.linear_velocity, [self.gravity_placeholder]])
 
     def rotation(self) -> np.ndarray:
-        return _rotation(self).copy()
+        return np.array(self.rotation_rows)
 
     def copy(self) -> "SrbState":
         srb = SrbState(self.rpy, self.position, self.angular_velocity,
                        self.linear_velocity, self.gravity_placeholder)
-        srb._rot = self._rot  # immutable rows, read-only array
+        # an integrated rotation is not the rebuild from its rpy to the bit
+        srb.rotation_rows = self.rotation_rows
         return srb
+
+    def __setstate__(self, state):
+        # a deep copy or unpickling copies the view apart from its buffer
+        self.__dict__.update(state)
+        self.rpy = _freeze(self._rpy.view())
 
 
 @dataclass
 class LegModel:
+    """One 3-DOF leg on the trunk. `jacobian_rows` is the trunk-frame
+    Jacobian d(foot offset)/d(joint angles) as three float rows, written with
+    the angles: built by the constructor, and by the leg sync in the same
+    write as the angles it solves. `joint_angles` is a read-only view of that
+    buffer; a leg at other angles is a new leg (`dataclasses.replace`)."""
+
     hip_offset: np.ndarray  # trunk frame, from trunk COM; read-only
     side: float  # +1 left, -1 right
     link_lengths: tuple  # (abduction offset, thigh, calf)
     joint_limits: tuple  # (lo, hi) per joint: hip roll, hip pitch, knee
     joint_angles: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    # (bytes of joint_angles, trunk-frame Jacobian rows), see leg_jacobian_rows
-    _jac: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    jacobian_rows: tuple = field(init=False, repr=False, compare=False)
+    _q: np.ndarray = field(init=False, repr=False, compare=False)  # the buffer joint_angles views
     _hip: tuple = field(default=(), init=False, repr=False, compare=False)  # hip_offset's floats
     # trunk-frame shoulder point: the hip moved out by the abduction offset; read-only
     shoulder: np.ndarray = field(init=False, repr=False, compare=False)
@@ -198,11 +217,18 @@ class LegModel:
         self._hip = tuple(self.hip_offset.tolist())
         self.shoulder = _freeze(self.hip_offset
                                 + np.array([0.0, self.side * self.link_lengths[0], 0.0]))
-        self.joint_angles = np.asarray(self.joint_angles, dtype=float).reshape(3).copy()
+        self._q = np.array(self.joint_angles, dtype=float).reshape(3)
+        self.joint_angles = _freeze(self._q.view())
+        self.jacobian_rows = _jac_local(*self._q.tolist(), self.side, *self.link_lengths)
 
     def copy(self) -> "LegModel":
         return LegModel(self.hip_offset, self.side, self.link_lengths,
-                        self.joint_limits, self.joint_angles.copy())
+                        self.joint_limits, self.joint_angles)
+
+    def __setstate__(self, state):
+        # a deep copy or unpickling copies the view apart from its buffer
+        self.__dict__.update(state)
+        self.joint_angles = _freeze(self._q.view())
 
 
 def make_legs(rc: RobotConfig) -> list[LegModel]:
@@ -216,46 +242,7 @@ def make_legs(rc: RobotConfig) -> list[LegModel]:
 
 
 # ---------------------------------------------------------------------------
-# leg kinematics: float math on the joint angles; the trunk rotation and each
-# leg's local Jacobian are kept in a slot on their object (see the module
-# docstring)
-
-
-def _rotation_slot(trunk: SrbState) -> tuple:
-    """The trunk's rotation slot. `step` fills it with the rotation it
-    integrated, keyed by the rpy it wrote from it; an rpy written from outside
-    misses the key and is rebuilt through `euler_zyx_to_matrix`."""
-    key = trunk.rpy.tobytes()
-    slot = trunk._rot
-    if slot[0] != key:
-        R = _freeze(euler_zyx_to_matrix(*trunk.rpy.tolist()))
-        slot = trunk._rot = (key, R, tuple(map(tuple, R.tolist())))
-    return slot
-
-
-def _rotation(trunk: SrbState) -> np.ndarray:
-    """Read-only trunk rotation matrix, made from the slot's rows once."""
-    slot = _rotation_slot(trunk)
-    if slot[1] is None:
-        slot = trunk._rot = (slot[0], _freeze(np.array(slot[2])), slot[2])
-    return slot[1]
-
-
-def rotation_rows(trunk: SrbState) -> tuple:
-    """The trunk rotation as three float rows: the rows of `trunk.rotation()`,
-    after a step those of the rotation it integrated."""
-    return _rotation_slot(trunk)[2]
-
-
-@functools.lru_cache(maxsize=16)
-def _inertia_of(inertia_bytes: bytes) -> tuple:
-    I = np.frombuffer(inertia_bytes).reshape(3, 3)
-    return tuple(map(tuple, I.tolist())), tuple(map(tuple, np.linalg.inv(I).tolist()))
-
-
-def _inertia_rows(inertia: np.ndarray) -> tuple:
-    """Body inertia and its inverse as float rows, shared per value."""
-    return _inertia_of(inertia.tobytes())
+# leg kinematics: float math on the joint angles
 
 
 def _fk_local(q1, q2, q3, side, l_abd, lt, lc):
@@ -283,27 +270,15 @@ def _jac_local(q1, q2, q3, side, l_abd, lt, lc):
             (py, c1 * dwz2, c1 * dwz3))
 
 
-def leg_jacobian_rows(leg: LegModel) -> tuple:
-    """Trunk-frame Jacobian d(foot offset)/d(joint angles) of the leg's joint
-    angles as three float rows, recomputed when the angles no longer have the
-    slot's bytes."""
-    key = leg.joint_angles.tobytes()
-    slot = leg._jac
-    if slot[0] != key:
-        slot = leg._jac = (key, _jac_local(*leg.joint_angles.tolist(), leg.side,
-                                           *leg.link_lengths))
-    return slot[1]
-
-
 def leg_forward_kinematics(leg: LegModel, trunk: SrbState) -> np.ndarray:
     """World-frame foot position from trunk pose and joint angles."""
     local = np.array(_fk_local(*leg.joint_angles.tolist(), leg.side, *leg.link_lengths))
-    return trunk.position + _rotation(trunk) @ (leg.hip_offset + local)
+    return trunk.position + trunk.rotation() @ (leg.hip_offset + local)
 
 
 def shoulder_point(leg: LegModel, trunk: SrbState) -> np.ndarray:
     """World-frame shoulder point of the leg."""
-    return trunk.position + _rotation(trunk) @ leg.shoulder
+    return trunk.position + trunk.rotation() @ leg.shoulder
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:
@@ -352,7 +327,7 @@ def leg_inverse_kinematics(target: np.ndarray, leg: LegModel,
                            trunk: SrbState) -> np.ndarray | None:
     """Joint angles reaching the world target within the joint limits, or
     None when no such angles exist."""
-    R = _rotation(trunk)
+    R = trunk.rotation()
     d = R.T @ (np.asarray(target, dtype=float) - (trunk.position + R @ leg.hip_offset))
     q = _ik_local(d.tolist(), leg.side, *leg.link_lengths, leg.joint_limits)
     return None if q is None else np.array(q)
@@ -385,7 +360,7 @@ def _tip_forces(R, legs, tau: list) -> list:
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
     forces = []
     for i, leg in enumerate(legs):
-        J = (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = leg_jacobian_rows(leg)
+        J = (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = leg.jacobian_rows
         b0, b1, b2 = tau[3 * i:3 * i + 3]
         m0 = j11 * j22 - j21 * j12
         m1 = j01 * j22 - j21 * j02
@@ -668,9 +643,12 @@ class SimObject:
     linear_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     angular_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     mass: float = 1.0
-    inertia: np.ndarray = field(default_factory=lambda: np.eye(3) * 1e-3)
+    inertia: np.ndarray = field(default_factory=lambda: np.eye(3) * 1e-3)  # body frame; read-only
     friction: float = 0.5
     name: str = "object"
+    # the inertia and its inverse as float rows, made once with the inertia
+    inertia_rows: tuple = field(init=False, repr=False, compare=False)
+    inverse_inertia_rows: tuple = field(init=False, repr=False, compare=False)
     # (the pose the last step wrote, the quiet ticks that ended with it)
     _rest: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
     # while asleep: (the ground contact records of the tick it fell asleep,
@@ -683,13 +661,15 @@ class SimObject:
                             f"not {type(self.shape).__name__}")
         self.linear_velocity = np.asarray(self.linear_velocity, dtype=float).reshape(3).copy()
         self.angular_velocity = np.asarray(self.angular_velocity, dtype=float).reshape(3).copy()
-        self.inertia = I = np.asarray(self.inertia, dtype=float).reshape(3, 3)
+        self.inertia = I = _freeze(np.array(self.inertia, dtype=float).reshape(3, 3))
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
         # the step inverts the inertia; an indefinite one is no rigid body
         if not (np.all(np.isfinite(I)) and np.max(np.abs(I - I.T)) <= 1e-12 * np.max(np.abs(I))
                 and np.linalg.eigvalsh(I)[0] > 0.0):
             raise ValueError("inertia must be symmetric positive definite")
+        self.inertia_rows = tuple(map(tuple, I.tolist()))
+        self.inverse_inertia_rows = tuple(map(tuple, np.linalg.inv(I).tolist()))
 
     @staticmethod
     def from_shape(shape, pose: RigidTransform) -> "SimObject":
@@ -705,7 +685,7 @@ class SimObject:
     def copy(self) -> "SimObject":
         o = SimObject(self.shape, self.pose, self.linear_velocity.copy(),
                       self.angular_velocity.copy(), self.mass,
-                      self.inertia.copy(), self.friction, self.name)
+                      self.inertia, self.friction, self.name)
         o._rest, o._sleep = self._rest, self._sleep
         return o
 
@@ -796,20 +776,21 @@ def seat_feet(world: WorldState) -> None:
         robot.feet_pos[i] = shoulder_point(leg, srb)
         robot.feet_pos[i, 2] = world.config.robot.foot_radius
     robot.feet_vel[:] = 0.0
-    _sync_legs(world, rotation_rows(srb), srb.position.tolist(), srb.linear_velocity.tolist(),
+    _sync_legs(world, srb.rotation_rows, srb.position.tolist(), srb.linear_velocity.tolist(),
                srb.angular_velocity.tolist(), robot.feet_pos.tolist(), robot.feet_vel.tolist())
 
 
 def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
-    """Recompute joint angles from foot points and fill each leg's Jacobian
-    slot from the angles just solved; feet that drifted out of the workspace
+    """Recompute joint angles from foot points and write each leg's Jacobian
+    rows with the angles just solved; feet that drifted out of the workspace
     ride with the trunk at their joint stops.
 
     The trunk and feet come in as floats: the rows of the trunk rotation, the
     trunk position, velocity and angular velocity, and the feet's point and
     velocity lists, all equal to the robot's arrays. A leg at its joint stops
     moves its foot and corrects the trunk velocity in these lists and in the
-    arrays; otherwise only the joint angles and the slot are written."""
+    arrays; otherwise only the joint angles and their Jacobian rows are
+    written."""
     robot = world.robot
     mf = world.config.robot.foot_mass
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
@@ -840,10 +821,10 @@ def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
             feet_p[i] = robot.feet_pos[i] = p_new
             feet_v[i] = robot.feet_vel[i] = v_new
             continue
-        a = leg.joint_angles
+        a = leg._q
         a[0], a[1], a[2] = q
         # the controllers' tick and the next step read this Jacobian
-        leg._jac = (leg.joint_angles.tobytes(), _jac_local(*q, leg.side, *leg.link_lengths))
+        leg.jacobian_rows = _jac_local(*q, leg.side, *leg.link_lengths)
 
 
 def _contact_law(cc: ContactConfig, m_eff: float, dt: float) -> tuple:
@@ -1011,7 +992,7 @@ def step(world: WorldState, joint_torques) -> WorldState:
     mu_ground = cc.friction
 
     # the state as floats, read once
-    R = rotation_rows(srb)
+    R = srb.rotation_rows
     pos = srb.position.tolist()
     v = srb.linear_velocity.tolist()
     w = srb.angular_velocity.tolist()
@@ -1061,10 +1042,10 @@ def step(world: WorldState, joint_torques) -> WorldState:
     may_sleep = world.ground_enabled and world.gravity_enabled
     awake = []
     # per awake object, float state: rotation rows, translation, velocities,
-    # force, torque, the body inertia rows and, when the tick may count
+    # force, torque and, when the tick may count
     # toward its sleep, (first and end index of its ground contacts, quiet
     # ticks so far), else None
-    obj_R, obj_t, obj_v, obj_w, obj_force, obj_torque, obj_I = [], [], [], [], [], [], []
+    obj_R, obj_t, obj_v, obj_w, obj_force, obj_torque = [], [], [], [], [], []
     obj_calm = []
     for obj in world.objects:
         far = obj.shape._radius + rf
@@ -1154,10 +1135,9 @@ def step(world: WorldState, joint_torques) -> WorldState:
         obj_w.append(w_o)
         obj_force.append(force)
         obj_torque.append(torque)
-        obj_I.append(_inertia_rows(obj.inertia))
 
     # velocity integration (positions update after the friction pass); the
-    # world inertia and its inverse are Ro I^(+-1) Ro' of the memoised body values
+    # world inertia and its inverse are Ro I^(+-1) Ro' of the object's body rows
     I0, I1, I2 = rc.trunk_inertia
     if not world.fixed_base:
         wb = matvec3_t(R, w)
@@ -1170,12 +1150,11 @@ def step(world: WorldState, joint_torques) -> WorldState:
     obj_I_inv = []  # world inverse inertia per object, as float rows
     for oi, obj in enumerate(awake):
         Ro = obj_R[oi]
-        I_b, I_b_inv = obj_I[oi]
-        Lw = matvec3(Ro, matvec3(I_b, matvec3_t(Ro, obj_w[oi])))
+        Lw = matvec3(Ro, matvec3(obj.inertia_rows, matvec3_t(Ro, obj_w[oi])))
         tq = obj_torque[oi]
         L = [Lw[0] + tq[0] * dt, Lw[1] + tq[1] * dt, Lw[2] + tq[2] * dt]
         obj_L.append(L)
-        I_inv = _sandwich(Ro, I_b_inv)
+        I_inv = _sandwich(Ro, obj.inverse_inertia_rows)
         obj_I_inv.append(I_inv)
         v_o, force = obj_v[oi], obj_force[oi]
         m = obj.mass
@@ -1207,7 +1186,7 @@ def step(world: WorldState, joint_torques) -> WorldState:
         Lb = matvec3_t(R_new, L_trunk)
         w = matvec3(R_new, (Lb[0] / I0, Lb[1] / I1, Lb[2] / I2))
         # item writes: a slice assignment from a sequence costs twice as much
-        a = srb.rpy
+        a = srb._rpy
         a[0], a[1], a[2] = rpy
         a = srb.position
         a[0], a[1], a[2] = pos
@@ -1215,8 +1194,7 @@ def step(world: WorldState, joint_torques) -> WorldState:
         a[0], a[1], a[2] = w
         a = srb.linear_velocity
         a[0], a[1], a[2] = v
-        R = tuple(map(tuple, R_new))
-        srb._rot = (srb.rpy.tobytes(), None, R)
+        R = srb.rotation_rows = tuple(map(tuple, R_new))
 
     for oi, obj in enumerate(awake):
         Ro, t, v_o, L = obj_R[oi], obj_t[oi], obj_v[oi], obj_L[oi]
@@ -1227,7 +1205,8 @@ def step(world: WorldState, joint_torques) -> WorldState:
         a = obj.linear_velocity
         a[0], a[1], a[2] = v_o
         a = obj.angular_velocity
-        a[0], a[1], a[2] = w_o = matvec3(Ro_new, matvec3(obj_I[oi][1], matvec3_t(Ro_new, L)))
+        a[0], a[1], a[2] = w_o = matvec3(Ro_new, matvec3(obj.inverse_inertia_rows,
+                                                         matvec3_t(Ro_new, L)))
         t = [t[0] + v_o[0] * dt, t[1] + v_o[1] * dt, t[2] + v_o[2] * dt]
         pose = obj.pose = RigidTransform.from_arrays(np.array(Ro_new), np.array(t))
         calm = obj_calm[oi]

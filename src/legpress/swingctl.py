@@ -23,8 +23,6 @@ from .simworld import (
     SrbState,
     leg_forward_kinematics,
     leg_inverse_kinematics,
-    leg_jacobian_rows,
-    rotation_rows,
     shoulder_point,
 )
 
@@ -48,10 +46,10 @@ def impedance_torque_tracking(leg: LegModel, trunk: SrbState, p_foot, v_foot,
     by the caller (the simulator knows the foot point and velocity exactly).
     The four vectors are 3-sequences, at their fastest as Python floats.
     Near-singular Jacobians still produce torques but are flagged."""
-    Jl = leg_jacobian_rows(leg)
+    Jl = leg.jacobian_rows
     f = [kp * (a - b) + kd * (c - d) for a, b, c, d in zip(p_des, p_foot, v_des, v_foot)]
     # J = R Jl, so J^T f = Jl^T (R^T f) and det J = det Jl (det R = 1)
-    tau = matvec3_t(Jl, matvec3_t(rotation_rows(trunk), f))
+    tau = matvec3_t(Jl, matvec3_t(trunk.rotation_rows, f))
     return ImpedanceCommand(tau, abs(det3(Jl)) < 1e-6)
 
 

@@ -16,7 +16,8 @@ from legpress.mpc import (
     stance_torques,
 )
 from legpress.qpsolve import QpProblem, QpSolver
-from legpress.simworld import SrbState, leg_jacobian_rows, rotation_rows, standing_world, step
+from legpress.simworld import SrbState, standing_world, step
+from posing import posed
 
 
 MASS = 12.0
@@ -121,8 +122,7 @@ def test_linearization_error_second_order_in_dt():
 
 
 def test_linearization_warning_flag():
-    state = stand_state()
-    state.rpy[1] = 0.5
+    state = posed(stand_state(), (0.0, 0.5, 0.0))
     lin = linearize_srb(state, stand_feet(), MASS, INERTIA, 0.03)
     assert lin.validity_warning
 
@@ -279,7 +279,7 @@ def test_reference_trajectory_equals_the_loop_form():
     mpc = ForceMpc(StackConfig())
     for trial in range(200):
         state, _, _, _, command = _random_instance(rng, trial)
-        state.rpy[2] = rng.uniform(-math.pi, math.pi)
+        state = posed(state, (*state.rpy[:2], rng.uniform(-math.pi, math.pi)))
         assert np.array_equal(mpc.reference_trajectory(state, command),
                               _loop_reference(mpc, state, command))
 
@@ -425,12 +425,11 @@ def test_stance_torques_match_the_numpy_products():
     world = standing_world()
     robot = world.robot
     for _ in range(300):
-        robot.srb.rpy[:] = rng.uniform(-0.5, 0.5, 3)
-        for leg in robot.legs:
-            leg.joint_angles[:] = rng.uniform(-2.0, 2.0, 3)
+        robot.srb = posed(robot.srb, rng.uniform(-0.5, 0.5, 3))
+        robot.legs = [posed(leg, rng.uniform(-2.0, 2.0, 3)) for leg in robot.legs]
         forces = rng.normal(scale=30.0, size=(4, 3))
         R = euler_zyx_to_matrix(*robot.srb.rpy)
-        expected = np.array([-np.array(leg_jacobian_rows(leg)).T @ (R.T @ forces[i])
+        expected = np.array([-np.array(leg.jacobian_rows).T @ (R.T @ forces[i])
                              for i, leg in enumerate(robot.legs)])
         tau = stance_torques(robot, forces.tolist(), (True,) * 4)
         assert len(tau) == 12 and all(type(x) is float for x in tau)
@@ -440,10 +439,10 @@ def test_stance_torques_match_the_numpy_products():
 def _every_leg_torques(robot, forces):
     """The (4, 3) torques -Jl^T (R^T f) of all four legs on float rows, the
     form that computed the swing legs' rows too."""
-    R = rotation_rows(robot.srb)
+    R = robot.srb.rotation_rows
     tau = []
     for leg, f in zip(robot.legs, np.asarray(forces).tolist()):
-        t0, t1, t2 = matvec3_t(leg_jacobian_rows(leg), matvec3_t(R, f))
+        t0, t1, t2 = matvec3_t(leg.jacobian_rows, matvec3_t(R, f))
         tau.append((-t0, -t1, -t2))
     return np.array(tau)
 
@@ -456,9 +455,8 @@ def test_stance_only_torques_equal_the_stance_rows_of_every_leg():
     world = standing_world()
     robot = world.robot
     for _ in range(200):
-        robot.srb.rpy[:] = rng.uniform(-0.5, 0.5, 3)
-        for leg in robot.legs:
-            leg.joint_angles[:] = rng.uniform(-2.0, 2.0, 3)
+        robot.srb = posed(robot.srb, rng.uniform(-0.5, 0.5, 3))
+        robot.legs = [posed(leg, rng.uniform(-2.0, 2.0, 3)) for leg in robot.legs]
         forces = rng.normal(scale=30.0, size=(4, 3))
         stance = rng.uniform(size=4) < 0.7
         rows = forces.tolist()

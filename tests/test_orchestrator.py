@@ -8,7 +8,9 @@ from legpress.config import StackConfig
 from legpress.geom import RigidTransform
 from legpress.harness import TaskSpec, make_provider, sample_task
 from legpress.orchestrator import EpisodeOptions, EpisodeTrace, GoalSchedule, run_episode
+from legpress.geom import euler_zyx_to_matrix
 from legpress.simworld import standing_world
+from posing import posed
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +109,39 @@ def test_the_benchmark_seams_are_the_layer_functions():
     assert orchestrator.impedance_torque_tracking is swingctl.impedance_torque_tracking
 
 
+def test_teleport_replaces_the_trunk_with_one_at_rest_in_the_standoff_pose():
+    """After a teleport the trunk is a new state at rest in the jittered
+    standoff pose: its rotation rows are `euler_zyx_to_matrix(0, 0, yaw)` bit
+    for bit, not rows integrated by earlier steps, and one step from there
+    matches the same step taken on a copy of the world."""
+    world = standing_world()
+    world.gravity_enabled = world.ground_enabled = False
+    world.robot.srb.angular_velocity[:] = (0.4, -0.3, 0.6)
+    for _ in range(50):
+        simworld.step(world, np.zeros(12))
+    before = world.robot.srb
+    core = orchestrator._OrchestratorCore(world, EpisodeOptions(), np.random.default_rng(3))
+    standoff = orchestrator.StandoffPose([0.1, -0.05, world.config.mpc.stand_height], 0.4)
+    core.teleport_to(standoff)
+    srb = world.robot.srb
+    assert srb is not before
+    roll, pitch, yaw = srb.rpy.tolist()
+    assert roll == pitch == 0.0 and abs(yaw - 0.4) <= 0.05
+    assert srb.rotation_rows == tuple(map(tuple, euler_zyx_to_matrix(0.0, 0.0, yaw).tolist()))
+    assert np.max(np.abs(srb.position - standoff.position)) <= 0.02
+    assert not srb.linear_velocity.any() and not srb.angular_velocity.any()
+
+    twin = world.copy()
+    forces = [(0.0, 0.0, 2.0)] * 4
+    for w in (world, twin):
+        simworld.step(w, mpc.stance_torques(w.robot, forces, (True,) * 4))
+    a, b = world.robot, twin.robot
+    assert np.array_equal(a.srb.as_vector(), b.srb.as_vector())
+    assert a.srb.rotation_rows == b.srb.rotation_rows
+    assert np.array_equal(a.feet_pos, b.feet_pos) and np.array_equal(a.feet_vel, b.feet_vel)
+    assert [leg.jacobian_rows for leg in a.legs] == [leg.jacobian_rows for leg in b.legs]
+
+
 def _numpy_drive(srb, target_xy, yaw_target, gain, v_max):
     """drive_towards on numpy arrays: the command velocity and yaw rate."""
     v = gain * (np.asarray(target_xy) - srb.position[:2])
@@ -127,7 +162,7 @@ def test_drive_towards_equals_the_numpy_form():
     saturated = clipped = 0
     for _ in range(2000):
         srb.position[:] = rng.normal(scale=0.3, size=3)
-        srb.rpy[:] = rng.uniform(-math.pi, math.pi, size=3)
+        srb = world.robot.srb = posed(srb, rng.uniform(-math.pi, math.pi, size=3))
         target = srb.position[:2] + rng.normal(scale=0.15, size=2)
         yaw_target = None if rng.uniform() < 0.3 else float(rng.uniform(-4.0, 4.0))
         gain, v_max = (1.2, 0.22) if rng.uniform() < 0.5 else (2.0, 0.08)

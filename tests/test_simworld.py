@@ -27,16 +27,15 @@ from legpress.simworld import (
     SrbState,
     leg_forward_kinematics,
     leg_inverse_kinematics,
-    leg_jacobian_rows,
     make_legs,
     quasi_static_push_check,
     rest_pose_on_ground,
-    rotation_rows,
     standing_world,
     step,
 )
 from legpress.mpc import stance_torques
 from legpress.swingctl import impedance_torque_tracking
+from posing import posed
 
 
 ALL_STANCE = (True, True, True, True)
@@ -52,7 +51,7 @@ def level_trunk(pos=(0.0, 0.0, 0.3)):
 
 def leg_jacobian_local(leg):
     """Trunk-frame Jacobian of one leg (no trunk rotation applied)."""
-    return np.array(leg_jacobian_rows(leg))
+    return np.array(leg.jacobian_rows)
 
 
 def leg_jacobian(leg, trunk):
@@ -73,9 +72,8 @@ def random_valid_q(rng, leg):
 
 
 def test_fk_zero_configuration_straight_leg():
-    leg = default_leg(0)
+    leg = posed(default_leg(0), np.zeros(3))
     trunk = level_trunk((0, 0, 0))
-    leg.joint_angles[:] = 0.0
     p = leg_forward_kinematics(leg, trunk)
     l_abd, lt, lc = leg.link_lengths
     expected = leg.hip_offset + np.array([0.0, leg.side * l_abd, -(lt + lc)])
@@ -84,20 +82,18 @@ def test_fk_zero_configuration_straight_leg():
 
 def test_fk_right_knee_bend_matches_hand_geometry():
     # knee at -pi/2, hip pitch 0: planar two-link, calf folded backward
-    leg = default_leg(0)
+    leg = posed(default_leg(0), (0.0, 0.0, -math.pi / 2))
     trunk = level_trunk((0, 0, 0))
     l_abd, lt, lc = leg.link_lengths
-    leg.joint_angles[:] = (0.0, 0.0, -math.pi / 2)
     p = leg_forward_kinematics(leg, trunk)
     expected = leg.hip_offset + np.array([lc, leg.side * l_abd, -lt])
     assert np.max(np.abs(p - expected)) < 1e-12
 
 
 def test_fk_respects_trunk_pose():
-    leg = default_leg(1)
+    leg = posed(default_leg(1), (0.2, 0.6, -1.1))
     trunk = SrbState(np.array([0.1, -0.05, 0.7]), np.array([0.4, -0.2, 0.33]),
                      np.zeros(3), np.zeros(3))
-    leg.joint_angles[:] = (0.2, 0.6, -1.1)
     p = leg_forward_kinematics(leg, trunk)
     # independent recomputation from scratch
     R = euler_zyx_to_matrix(*trunk.rpy)
@@ -125,24 +121,21 @@ def test_jacobian_finite_difference_1000_configs():
     worst = 0.0
     for _ in range(1000):
         leg = default_leg(int(rng.integers(4)))
-        leg.joint_angles[:] = random_valid_q(rng, leg)
+        leg = posed(leg, random_valid_q(rng, leg))
         J = leg_jacobian(leg, trunk)
         scale = max(1.0, np.max(np.abs(J)))
         eps = 1e-6
         for j in range(3):
-            leg.joint_angles[j] += eps
-            p_plus = leg_forward_kinematics(leg, trunk)
-            leg.joint_angles[j] -= 2 * eps
-            p_minus = leg_forward_kinematics(leg, trunk)
-            leg.joint_angles[j] += eps
+            dq = eps * np.eye(3)[j]
+            p_plus = leg_forward_kinematics(posed(leg, leg.joint_angles + dq), trunk)
+            p_minus = leg_forward_kinematics(posed(leg, leg.joint_angles - dq), trunk)
             fd = (p_plus - p_minus) / (2 * eps)
             worst = max(worst, float(np.max(np.abs(fd - J[:, j])) / scale))
     assert worst < 1e-4
 
 
 def test_jacobian_singular_when_fully_extended():
-    leg = default_leg(0)
-    leg.joint_angles[:] = (0.1, 0.4, 0.0)  # straight knee
+    leg = posed(default_leg(0), (0.1, 0.4, 0.0))  # straight knee
     J = leg_jacobian(leg, level_trunk())
     assert abs(np.linalg.det(J)) < 1e-9
 
@@ -150,8 +143,7 @@ def test_jacobian_singular_when_fully_extended():
 def test_jacobian_hip_roll_column_perpendicular_to_leg_plane():
     # with zero hip roll the leg plane is the trunk x-z plane; the roll column
     # must be orthogonal to it (pure y motion has zero x component)
-    leg = default_leg(0)
-    leg.joint_angles[:] = (0.0, 0.7, -1.2)
+    leg = posed(default_leg(0), (0.0, 0.7, -1.2))
     J = leg_jacobian(leg, level_trunk())
     col = J[:, 0]
     assert abs(col[0]) < 1e-12
@@ -164,13 +156,12 @@ def test_fk_linearization_error_second_order():
     trunk = level_trunk()
     for _ in range(100):
         leg = default_leg(int(rng.integers(4)))
-        leg.joint_angles[:] = random_valid_q(rng, leg)
+        leg = posed(leg, random_valid_q(rng, leg))
         q0 = leg.joint_angles.copy()
         p0 = leg_forward_kinematics(leg, trunk)
         J = leg_jacobian(leg, trunk)
         delta = rng.normal(size=3) * 1e-6
-        leg.joint_angles[:] = q0 + delta
-        p1 = leg_forward_kinematics(leg, trunk)
+        p1 = leg_forward_kinematics(posed(leg, q0 + delta), trunk)
         err = np.linalg.norm(p1 - p0 - J @ delta)
         assert err < 10.0 * np.dot(delta, delta) ** 1.0 * 1e6 * 1e-6  # O(|delta|^2)
         assert err < 1e-11
@@ -184,12 +175,11 @@ def test_ik_round_trip_current_configuration():
     trunk = level_trunk()
     for _ in range(50):
         leg = default_leg(int(rng.integers(4)))
-        leg.joint_angles[:] = random_valid_q(rng, leg)
+        leg = posed(leg, random_valid_q(rng, leg))
         target = leg_forward_kinematics(leg, trunk)
         q = leg_inverse_kinematics(target, leg, trunk)
         assert q is not None
-        leg.joint_angles[:] = q
-        assert np.linalg.norm(leg_forward_kinematics(leg, trunk) - target) < 1e-6
+        assert np.linalg.norm(leg_forward_kinematics(posed(leg, q), trunk) - target) < 1e-6
 
 
 def test_ik_gross_out_of_reach_is_unreachable():
@@ -205,13 +195,10 @@ def test_ik_1000_random_reachable_targets():
     count = 0
     while count < 1000:
         leg = default_leg(int(rng.integers(4)))
-        leg.joint_angles[:] = random_valid_q(rng, leg)
-        target = leg_forward_kinematics(leg, trunk)
-        leg.joint_angles[:] = 0.0
+        target = leg_forward_kinematics(posed(leg, random_valid_q(rng, leg)), trunk)
         q = leg_inverse_kinematics(target, leg, trunk)
         assert q is not None, f"target from valid q reported unreachable: {target}"
-        leg.joint_angles[:] = q
-        assert np.linalg.norm(leg_forward_kinematics(leg, trunk) - target) < 1e-6
+        assert np.linalg.norm(leg_forward_kinematics(posed(leg, q), trunk) - target) < 1e-6
         count += 1
 
 
@@ -636,8 +623,7 @@ def scene_straight_leg():
     world = standing_world()
     world.gravity_enabled = False
     world.ground_enabled = False
-    leg = world.robot.legs[0]
-    leg.joint_angles[:] = (0.0, 0.0, 0.0)
+    leg = world.robot.legs[0] = posed(world.robot.legs[0], (0.0, 0.0, 0.0))
     world.robot.feet_pos[0] = leg_forward_kinematics(leg, world.robot.srb)
     tau = _pin_torques(world, [(0.0, 0.0, -1.0)] * 4)
     return _run_pin(world, tau, 200)
@@ -904,7 +890,7 @@ def test_euler_extraction_reads_float_rows_with_the_same_gimbal_check():
     # the tick reports a trunk that crosses the margin as a divergence
     world = standing_world()
     world.gravity_enabled = world.ground_enabled = False
-    world.robot.srb.rpy[:] = (0.0, edge - 1e-4, 0.0)
+    world.robot.srb = posed(world.robot.srb, (0.0, edge - 1e-4, 0.0))
     world.robot.srb.angular_velocity[:] = (0.0, 1.0, 0.0)
     with pytest.raises(SimulationDivergence, match="trunk orientation"):
         step(world, np.zeros(12))
@@ -913,7 +899,7 @@ def test_euler_extraction_reads_float_rows_with_the_same_gimbal_check():
 @pytest.mark.parametrize("name", ["box", "cylinder", "l_prism"])
 def test_world_inverse_inertia_is_the_rotated_body_inverse(name):
     obj = SimObject.from_shape(PIN_SHAPES[name](), RigidTransform.identity())
-    I_b_inv = simworld._inertia_rows(obj.inertia)[1]
+    I_b_inv = obj.inverse_inertia_rows
     rng = np.random.default_rng(43)
     for _ in range(20):
         Ro = rotation_exp(rng.normal(size=3))
@@ -933,8 +919,7 @@ def test_float_solve_matches_numpy_and_damps_near_a_singularity():
     # determinant threshold and takes the damped least-squares branch. Its
     # normal matrix has a condition number near 2e5, so two correct solves
     # agree only to about twice eps times that (cofactors against LU: 8e-11)
-    leg = default_leg(0)
-    leg.joint_angles[:] = 0.0
+    leg = posed(default_leg(0), np.zeros(3))
     J = leg_jacobian_local(leg)
     for _ in range(20):
         A, b = J + 1e-7 * rng.normal(size=(3, 3)), rng.normal(size=3)
@@ -954,16 +939,17 @@ def test_tip_forces_equal_the_transposed_solve_on_near_singular_legs():
     damped = 0
     for k in range(2000):
         R = rotation_exp(rng.normal(size=3)).tolist()
-        for leg in legs:
-            leg.joint_angles[:] = rng.uniform(-2.0, 2.0, 3)
+        for i, leg in enumerate(legs):
+            q = rng.uniform(-2.0, 2.0, 3)
             if k % 2:
-                leg.joint_angles[2] = rng.normal(scale=10.0 ** -rng.uniform(3, 9))
+                q[2] = rng.normal(scale=10.0 ** -rng.uniform(3, 9))
+            legs[i] = posed(leg, q)
         tau = (rng.normal(scale=5.0, size=12) * 10.0 ** rng.uniform(-3, 2)).tolist()
-        want = [tuple(simworld.matvec3(R, simworld._solve3(tuple(zip(*leg_jacobian_rows(leg))),
+        want = [tuple(simworld.matvec3(R, simworld._solve3(tuple(zip(*leg.jacobian_rows)),
                                                             tau[3 * i:3 * i + 3])))
                 for i, leg in enumerate(legs)]
         assert simworld._tip_forces(R, legs, tau) == want
-        damped += sum(abs(simworld.det3(leg_jacobian_rows(leg))) < 1e-6 for leg in legs)
+        damped += sum(abs(simworld.det3(leg.jacobian_rows)) < 1e-6 for leg in legs)
     assert 500 < damped < 4 * 2000 - 500  # both branches, often
 
 
@@ -1263,34 +1249,46 @@ def test_friction_pass_equals_the_parent_float_pass():
     assert capped > 100 and free - capped > 100
 
 
-# -- memoised kinematics -------------------------------------------------------
+# -- derived rows are written with their source ----------------------------------
+
+
+def _rows(R) -> tuple:
+    return tuple(map(tuple, R.tolist()))
 
 
 def test_rotation_follows_in_place_rpy_writes():
+    """rpy is read-only: a write in place raises and leaves the trunk as it
+    was. A trunk in another pose is a new state, whose rotation rows are
+    `euler_zyx_to_matrix` of its rpy bit for bit, and the next step starts
+    from those rows."""
     srb = SrbState(np.array([0.1, -0.2, 0.3]), np.zeros(3), np.zeros(3), np.zeros(3))
     R0 = srb.rotation()
-    srb.rpy[:] = (0.0, 0.05, -1.0)
-    assert np.array_equal(srb.rotation(), euler_zyx_to_matrix(0.0, 0.05, -1.0))
-    srb.rpy[2] = 0.7
-    assert np.array_equal(srb.rotation(), euler_zyx_to_matrix(0.0, 0.05, 0.7))
-    srb.rpy[:] = (0.1, -0.2, 0.3)
-    assert np.array_equal(srb.rotation(), R0)
+    assert np.array_equal(R0, euler_zyx_to_matrix(0.1, -0.2, 0.3))
+    with pytest.raises(ValueError):
+        srb.rpy[:] = (0.0, 0.05, -1.0)
+    with pytest.raises(ValueError):
+        srb.rpy[2] = 0.7
+    assert srb.rpy.tolist() == [0.1, -0.2, 0.3] and srb.rotation_rows == _rows(R0)
+    moved = posed(srb, (0.0, 0.05, -1.0))
+    assert moved.rotation_rows == _rows(euler_zyx_to_matrix(0.0, 0.05, -1.0))
+    assert np.array_equal(posed(moved, (0.1, -0.2, 0.3)).rotation(), R0)
 
-    # in a stepped free-base world the slot holds the integrated rotation; a
-    # teleport-style write is rebuilt from its rpy, and the next step starts
-    # from that rebuild, not from the rotation the last step left
+    # in a stepped free-base world the rows are the rotation the steps
+    # integrated; a replaced trunk's rows are rebuilt from its rpy, and the
+    # next step starts from that rebuild, not from the rotation the last step
+    # left
     world = _torque_free_tumbling_world()
     for _ in range(70):
         step(world, np.zeros(12))
-    srb = world.robot.srb
-    stale = srb._rot
-    srb.rpy[:] = (0.02, -0.01, 0.4)
+    stale = world.robot.srb.rotation_rows
+    with pytest.raises(ValueError):
+        world.robot.srb.rpy[:] = (0.02, -0.01, 0.4)
+    srb = world.robot.srb = posed(world.robot.srb, (0.02, -0.01, 0.4))
     R = euler_zyx_to_matrix(0.02, -0.01, 0.4)
     assert np.array_equal(srb.rotation(), R)
-    assert rotation_rows(srb) == tuple(map(tuple, R.tolist()))
+    assert srb.rotation_rows == _rows(R)
     fresh, kept = world.copy(), world.copy()
-    _clear_kinematics_slots(fresh.robot)
-    kept.robot.srb._rot = (srb.rpy.tobytes(), None, stale[2])
+    kept.robot.srb.rotation_rows = stale
     for w in (world, fresh, kept):
         step(w, np.zeros(12))
     assert np.array_equal(_end_state(world), _end_state(fresh))
@@ -1314,45 +1312,39 @@ def test_a_tumbling_trunk_keeps_its_rpy_chart_and_stays_a_rotation():
     srb = world.robot.srb
     for _ in range(5000):
         step(world, np.zeros(12))
-        assert matrix_to_euler_zyx(rotation_rows(srb)) == tuple(srb.rpy.tolist())
-    R = np.array(rotation_rows(srb))
+        assert matrix_to_euler_zyx(srb.rotation_rows) == tuple(srb.rpy.tolist())
+    R = np.array(srb.rotation_rows)
     assert np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-13
 
 
-def _clear_kinematics_slots(robot):
-    robot.srb._rot = (None, None, None)
-    for leg in robot.legs:
-        leg._jac = (None, None)
-
-
 def test_leg_jacobian_follows_in_place_joint_writes():
-    leg = default_leg(2)
+    """joint_angles is read-only: a write in place raises. A leg at other
+    angles is a new leg whose Jacobian rows are those of its angles; a
+    teleport replaces the trunk and the legs, and the rows, the stance
+    torques, the impedance law and the next step then see the new values."""
+    leg = posed(default_leg(2), (0.1, 0.6, -1.2))
     trunk = level_trunk()
-    leg.joint_angles[:] = (0.1, 0.6, -1.2)
     J1 = leg_jacobian_local(leg)
-    leg.joint_angles[1] = 0.9
+    with pytest.raises(ValueError):
+        leg.joint_angles[1] = 0.9
+    assert leg.joint_angles.tolist() == [0.1, 0.6, -1.2]
+    leg = posed(leg, (0.1, 0.9, -1.2))
     J2 = leg_jacobian_local(leg)
     fd = np.empty((3, 3))
     eps = 1e-6
     for j in range(3):
-        leg.joint_angles[j] += eps
-        p_plus = leg_forward_kinematics(leg, trunk)
-        leg.joint_angles[j] -= 2 * eps
-        p_minus = leg_forward_kinematics(leg, trunk)
-        leg.joint_angles[j] += eps
+        dq = eps * np.eye(3)[j]
+        p_plus = leg_forward_kinematics(posed(leg, leg.joint_angles + dq), trunk)
+        p_minus = leg_forward_kinematics(posed(leg, leg.joint_angles - dq), trunk)
         fd[:, j] = (p_plus - p_minus) / (2 * eps)
     assert np.max(np.abs(J2 - fd)) < 1e-6
     assert np.max(np.abs(J2 - J1)) > 1e-2
-    leg.joint_angles[:] = (0.1, 0.9, -1.2)  # undo the finite-difference drift
-    trunk.rpy[:] = (0.2, -0.1, 0.5)
+    trunk = posed(trunk, (0.2, -0.1, 0.5))
     assert np.array_equal(leg_jacobian(leg, trunk),
                           euler_zyx_to_matrix(0.2, -0.1, 0.5) @ leg_jacobian_local(leg))
 
-    # a teleport writes rpy and joint angles in place: the rows, the stance
-    # torques, the impedance law and the next step then see the new values,
-    # each equal to its result computed again with the slots emptied
     world = standing_world()
-    robot, srb = world.robot, world.robot.srb
+    robot = world.robot
     tau = _pin_torques(world, _stand_forces(world))
     for _ in range(3):
         step(world, tau)
@@ -1361,46 +1353,43 @@ def test_leg_jacobian_follows_in_place_joint_writes():
     p, v = robot.feet_pos[0].copy(), robot.feet_vel[0].copy()
     p_des = p + np.array([0.02, -0.01, 0.03])
 
-    def controllers():
-        imp = impedance_torque_tracking(robot.legs[0], srb, p, v, p_des, np.zeros(3),
+    def controllers(robot):
+        imp = impedance_torque_tracking(robot.legs[0], robot.srb, p, v, p_des, np.zeros(3),
                                         swing.kp, swing.kd)
-        return (rotation_rows(srb), leg_jacobian_rows(robot.legs[0]),
+        return (robot.srb.rotation_rows, robot.legs[0].jacobian_rows,
                 np.array(stance_torques(robot, forces, ALL_STANCE)), np.asarray(imp.torques))
 
-    before = controllers()
-    srb.rpy[:] = (0.02, -0.01, 0.4)
-    robot.legs[0].joint_angles[:] = (0.05, 0.7, -1.3)
-    after = controllers()
-    _clear_kinematics_slots(robot)
-    fresh = controllers()
+    before = controllers(robot)
+    robot.srb = posed(robot.srb, (0.02, -0.01, 0.4))
+    robot.legs[0] = posed(robot.legs[0], (0.05, 0.7, -1.3))
+    after = controllers(robot)
+    fresh = controllers(world.copy().robot)
     assert after[:2] == fresh[:2]
-    assert after[0] == tuple(map(tuple, euler_zyx_to_matrix(0.02, -0.01, 0.4).tolist()))
+    assert after[0] == _rows(euler_zyx_to_matrix(0.02, -0.01, 0.4))
+    assert after[1] == simworld._jac_local(0.05, 0.7, -1.3, robot.legs[0].side,
+                                           *robot.legs[0].link_lengths)
     for a, f, b in zip(after[2:], fresh[2:], before[2:]):
         assert np.array_equal(a, f)
         assert np.max(np.abs(a - b)) > 1e-2
-    # the next step: a world whose slots held the old values, against a copy
-    # stepped with its slots emptied
+    # the next step, against a copy
     twin = world.copy()
     step(world, tau)
-    _clear_kinematics_slots(twin.robot)
     step(twin, tau)
     assert np.array_equal(_end_state(world), _end_state(twin))
 
 
 def test_a_step_fills_the_kinematics_slots_with_its_new_values():
-    """After a step each leg's slot holds the bytes of the angles the leg
-    sync solved and their Jacobian, and a read with the slots emptied gives
-    the same rows. The trunk's slot holds the rotation the step integrated,
-    keyed by the bytes of the rpy written from it; a rebuild from that rpy
-    agrees to rounding."""
+    """After a step each leg's Jacobian rows are those of the angles the leg
+    sync solved: the rows of a leg built at those angles. The trunk's rows are
+    the rotation the step integrated, of which rpy is the chart; a rebuild
+    from that rpy agrees to rounding, and a copy keeps the integrated rows,
+    not the rebuild."""
     world = standing_world()
     world.robot.srb.angular_velocity[:] = (0.1, -0.2, 0.3)
     step(world, _pin_torques(world, _stand_forces(world)))
-    robot = world.robot
-    jac = [leg._jac for leg in robot.legs]
-    assert [key for key, _ in jac] == [leg.joint_angles.tobytes() for leg in robot.legs]
-    _clear_kinematics_slots(robot)
-    assert [leg_jacobian_rows(leg) for leg in robot.legs] == [rows for _, rows in jac]
+    for leg in world.robot.legs:
+        assert leg.jacobian_rows == posed(leg, leg.joint_angles).jacobian_rows
+        assert leg.copy().jacobian_rows == leg.jacobian_rows
 
     # torque free, the integrated rotation follows from the pre-step state:
     # the first step re-orthonormalises it, the second does not
@@ -1410,7 +1399,7 @@ def test_a_step_fills_the_kinematics_slots_with_its_new_values():
     dt = world.config.sim.dt
     for renorm in (True, False):
         assert (world._steps % simworld._RENORM_EVERY == 0) is renorm
-        R = rotation_rows(srb)
+        R = srb.rotation_rows
         wb = simworld.matvec3_t(R, srb.angular_velocity.tolist())
         L = simworld.matvec3(R, (I0 * wb[0], I1 * wb[1], I2 * wb[2]))
         Lb = simworld.matvec3_t(R, L)
@@ -1420,28 +1409,33 @@ def test_a_step_fills_the_kinematics_slots_with_its_new_values():
         if renorm:
             R_new = simworld.orthonormalize(np.array(R_new)).tolist()
         step(world, np.zeros(12))
-        rot = srb._rot
-        assert rot[0] == srb.rpy.tobytes()
-        assert rot[2] == tuple(map(tuple, R_new))
-        _clear_kinematics_slots(world.robot)
-        assert np.max(np.abs(np.array(rotation_rows(srb)) - np.array(rot[2]))) <= 1e-15
+        assert srb.rotation_rows == tuple(map(tuple, R_new))
+        rebuilt = posed(srb, srb.rpy).rotation_rows
+        assert np.max(np.abs(np.array(rebuilt) - np.array(srb.rotation_rows))) <= 1e-15
+    # a copy keeps the integrated rows, which at some ticks differ from the
+    # rebuild in the last bits
+    differs = 0
+    for _ in range(100):
+        step(world, np.zeros(12))
+        assert world.copy().robot.srb.rotation_rows == srb.rotation_rows
+        differs += posed(srb, srb.rpy).rotation_rows != srb.rotation_rows
+    assert differs > 0
 
 
 def test_mutating_returned_kinematics_does_not_leak():
-    leg = default_leg(1)
+    leg = posed(default_leg(1), (-0.1, 0.8, -1.5))
     trunk = SrbState(np.array([0.05, 0.02, -0.4]), np.array([0.0, 0.0, 0.3]),
                      np.zeros(3), np.zeros(3))
-    leg.joint_angles[:] = (-0.1, 0.8, -1.5)
     R, Jl, J = trunk.rotation(), leg_jacobian_local(leg), leg_jacobian(leg, trunk)
     kept = R.copy(), Jl.copy(), J.copy()
-    rows = rotation_rows(trunk), leg_jacobian_rows(leg)
+    rows = trunk.rotation_rows, leg.jacobian_rows
     for M in (R, Jl, J):
         M[:] = 0.0
     assert np.array_equal(trunk.rotation(), kept[0])
     assert np.array_equal(leg_jacobian_local(leg), kept[1])
     assert np.array_equal(leg_jacobian(leg, trunk), kept[2])
     # the shared rows are immutable and unchanged by writes to the arrays
-    assert (rotation_rows(trunk), leg_jacobian_rows(leg)) == rows
+    assert (trunk.rotation_rows, leg.jacobian_rows) == rows
     assert np.array_equal(np.array(rows[0]), kept[0])
     assert np.array_equal(np.array(rows[1]), kept[1])
     assert all(type(r) is tuple for M in rows for r in (M, *M))
@@ -1456,14 +1450,18 @@ def test_mutating_returned_kinematics_does_not_leak():
 
 
 def test_step_after_in_place_pose_write_matches_a_fresh_copy():
-    # a teleport writes rpy and joint angles in place; the next step must not
-    # reuse kinematics of the old values
+    """A pose is not written in place (the write raises); a world whose
+    trunk and leg were replaced steps like a copy of it."""
     w1 = standing_world()
     tau = _pin_torques(w1, _stand_forces(w1))
     for _ in range(3):
         step(w1, tau)
-    w1.robot.srb.rpy[:] = (0.02, -0.01, 0.4)
-    w1.robot.legs[0].joint_angles[:] = (0.05, 0.7, -1.3)
+    for write in (lambda: w1.robot.srb.rpy.__setitem__(0, 0.02),
+                  lambda: w1.robot.legs[0].joint_angles.__setitem__(0, 0.05)):
+        with pytest.raises(ValueError):
+            write()
+    w1.robot.srb = posed(w1.robot.srb, (0.02, -0.01, 0.4))
+    w1.robot.legs[0] = posed(w1.robot.legs[0], (0.05, 0.7, -1.3))
     w2 = w1.copy()
     for _ in range(2):
         step(w1, tau)
@@ -1483,6 +1481,21 @@ def test_hip_offset_is_read_only_and_kept_as_floats():
         with pytest.raises(ValueError):
             each.hip_offset[0] = 1.0
     assert leg.copy()._hip == (0.19, 0.05, 0.0)
+
+
+def test_object_inertia_is_a_read_only_copy_with_its_rows():
+    """The object keeps a read-only copy of the inertia it is given, with the
+    inertia and its inverse as float rows; the caller's array stays writable."""
+    given = np.diag([2e-3, 3e-3, 4e-3])
+    obj = SimObject(Box((0.1, 0.1, 0.1)), RigidTransform.identity(), inertia=given)
+    assert given.flags.writeable  # the object keeps its own copy
+    given[0, 0] = 1.0
+    for each in (obj, obj.copy()):
+        assert not each.inertia.flags.writeable
+        with pytest.raises(ValueError):
+            each.inertia[0, 0] = 1.0
+        assert each.inertia_rows == ((2e-3, 0.0, 0.0), (0.0, 3e-3, 0.0), (0.0, 0.0, 4e-3))
+        assert each.inverse_inertia_rows == _rows(np.linalg.inv(np.diag([2e-3, 3e-3, 4e-3])))
 
 
 def test_step_gives_each_object_a_new_pose_and_writes_the_feet_in_place():
@@ -1664,16 +1677,16 @@ def test_stepping_a_copy_equals_stepping_the_world_through_sleep_and_wake():
 
 
 def test_a_copy_of_a_free_base_world_steps_like_the_world():
-    """The copy carries the trunk's rotation slot: a copy taken after 100
-    ticks of a spinning trunk on its stance torques, and a copy of that copy,
-    end 1,000 ticks later where the world does, bit for bit."""
+    """The copy carries the trunk's rotation rows: a copy taken after 100
+    ticks of a spinning trunk on its stance torques, a copy of that copy and
+    a deep copy end 1,000 ticks later where the world does, bit for bit."""
     world = standing_world()
     world.robot.srb.angular_velocity[:] = (0.1, -0.2, 0.3)
     forces = _stand_forces(world)
     for _ in range(100):
         step(world, stance_torques(world.robot, forces, ALL_STANCE))
     copy_ = world.copy()
-    worlds = [world, copy_, copy_.copy()]
+    worlds = [world, copy_, copy_.copy(), copy.deepcopy(world)]
     for _ in range(1000):
         for w in worlds:
             step(w, stance_torques(w.robot, forces, ALL_STANCE))

@@ -12,7 +12,6 @@ from legpress.simworld import (
     Box,
     SimObject,
     leg_forward_kinematics,
-    leg_jacobian_rows,
     rest_pose_on_ground,
     shoulder_point,
     standing_world,
@@ -26,28 +25,26 @@ from legpress.swingctl import (
     plan_swing,
     workspace_radius,
 )
+from posing import posed
 
 
 def setup_leg(q=(0.1, 0.8, -1.5)):
     world = standing_world()
-    leg = world.robot.legs[0]
-    leg.joint_angles[:] = q
+    leg = world.robot.legs[0] = posed(world.robot.legs[0], q)
     return world, leg
 
 
 def leg_jacobian(leg, trunk):
     """World-frame 3x3 Jacobian d(foot position)/d(joint angles)."""
-    return trunk.rotation() @ np.array(leg_jacobian_rows(leg))
+    return trunk.rotation() @ np.array(leg.jacobian_rows)
 
 
 def fd_jacobian(leg, trunk, eps=1e-7):
     J = np.zeros((3, 3))
     for j in range(3):
-        leg.joint_angles[j] += eps
-        p_plus = leg_forward_kinematics(leg, trunk)
-        leg.joint_angles[j] -= 2 * eps
-        p_minus = leg_forward_kinematics(leg, trunk)
-        leg.joint_angles[j] += eps
+        dq = eps * np.eye(3)[j]
+        p_plus = leg_forward_kinematics(posed(leg, leg.joint_angles + dq), trunk)
+        p_minus = leg_forward_kinematics(posed(leg, leg.joint_angles - dq), trunk)
         J[:, j] = (p_plus - p_minus) / (2 * eps)
     return J
 
@@ -57,7 +54,7 @@ def foot_state(leg, trunk, joint_velocities=np.zeros(3)):
     the trunk twist and the leg-frame Jacobian times the joint velocities."""
     p_foot = leg_forward_kinematics(leg, trunk)
     v_foot = trunk.linear_velocity + np.cross(trunk.angular_velocity, p_foot - trunk.position) \
-        + trunk.rotation() @ (np.array(leg_jacobian_rows(leg)) @ joint_velocities)
+        + trunk.rotation() @ (np.array(leg.jacobian_rows) @ joint_velocities)
     return p_foot, v_foot
 
 
@@ -134,9 +131,8 @@ def test_impedance_law_matches_the_numpy_form():
     world = standing_world()
     trunk = world.robot.srb
     for _ in range(300):
-        trunk.rpy[:] = rng.uniform(-0.5, 0.5, 3)
-        leg = world.robot.legs[rng.integers(4)]
-        leg.joint_angles[:] = rng.uniform(-2.0, 2.0, 3)
+        trunk = posed(trunk, rng.uniform(-0.5, 0.5, 3))
+        leg = posed(world.robot.legs[rng.integers(4)], rng.uniform(-2.0, 2.0, 3))
         kp, kd = rng.uniform(0.0, 900.0), rng.uniform(0.0, 30.0)
         p_foot, v_foot, p_des, v_des = rng.normal(scale=0.2, size=(4, 3))
         cmd = impedance_torque_tracking(leg, trunk, p_foot, v_foot, p_des, v_des, kp, kd)
@@ -155,13 +151,12 @@ def test_singular_flag_agrees_with_numpy_at_the_determinant_edge():
     """Bisect the knee angle to where |det J| crosses 1e-6 near the straight
     knee; 1e-10 rad to either side (|det J| moves about 2e-12) both forms
     give the same flag, set on the inner side only."""
-    world, leg = setup_leg()
-    trunk = world.robot.srb
-    trunk.rpy[:] = (0.1, -0.2, 0.3)
+    world, _ = setup_leg()
+    trunk = posed(world.robot.srb, (0.1, -0.2, 0.3))
     gains = world.config.swing.kp, world.config.swing.kd
 
     def flags(q3):
-        leg.joint_angles[:] = (0.1, 0.3, q3)
+        leg = posed(world.robot.legs[0], (0.1, 0.3, q3))
         p, v = foot_state(leg, trunk)
         p_des = p + 0.01
         cmd = impedance_torque_tracking(leg, trunk, p, v, p_des, np.zeros(3), *gains)
