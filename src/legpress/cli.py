@@ -4,7 +4,7 @@ Subcommands:
   eval      run seeded episodes of a benchmark task with a policy
   multistep run the one-meter multi-step distant-goal protocol
   regbench  registration synthetic suite (rotation/translation MAE, ICP exits
-            and iterations)
+            and iterations, degraded cases and cases won by a rotated start)
   simcheck  simulator invariant suite: one line per row of SIM_CHECKS, the
             table the Tier-1 tests assert too
   sweep     seeded outcome sweep: every task with the planning policy, the
@@ -12,13 +12,15 @@ Subcommands:
             change that moves a trajectory. With --against FILE (a table sweep
             printed earlier) it then lists the episodes whose outcome class or
             steps moved, the count changes per task and `moved N of M`. With
-            --jobs N it runs the episodes in up to N worker processes (no more
-            than the CPU count), each with one BLAS thread, and prints the
+            --jobs N it runs the episodes in up to N processes (no more than
+            the usable cores), the calling one among them, and prints the
             table the serial run prints
   replay    recompute and print the summary of a trace file
 
 The first line of `eval`, `multistep`, `regbench` and `sweep` records the BLAS
-thread variables, which the last digits of their results depend on.
+thread variables, which the last digits of their results depend on. The second
+line of `regbench` records how many processes share its cases (`shares=N`),
+which its timing depends on and its results do not.
 
 The configuration file path comes from --config or the LEGPRESS_CONFIG
 environment variable; defaults apply otherwise. Exit code 0 on success.
@@ -31,14 +33,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import re
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from itertools import repeat
 
 import numpy as np
 
@@ -49,8 +47,10 @@ from .harness import (
     TaskSpec,
     ambiguity_benchmark,
     evaluate,
+    map_shares,
     multi_step_protocol,
     registration_benchmark,
+    usable_cores,
 )
 from .mpc import ForceMpc, GaitSchedule
 from .orchestrator import EpisodeOptions, EpisodeTrace
@@ -114,6 +114,7 @@ def cmd_multistep(args) -> int:
 
 def cmd_regbench(args) -> int:
     _print_blas_env()
+    print(f"shares={usable_cores()}")
     res = registration_benchmark(args.cases, seed=args.seed)
     print(f"cases={res.cases}")
     print(f"rotation_mae_deg={res.rotation_mae_deg!r}")
@@ -122,6 +123,8 @@ def cmd_regbench(args) -> int:
     starts = sum(res.icp_exits.values())
     mean = res.icp_iterations / starts if starts else 0.0
     print(f"icp_iterations starts={starts} total={res.icp_iterations} mean={mean!r}")
+    print(f"degraded={res.degraded}")
+    print(f"augmented_winners={res.augmented_winners}")
     if args.ambiguity:
         amb = ambiguity_benchmark(args.ambiguity, seed=args.seed)
         print(f"ambiguity_trials={amb.trials}")
@@ -196,30 +199,6 @@ def _print_moved(rows: dict, before: dict) -> None:
     print(f"moved {moved} of {len(rows)}")
 
 
-@contextmanager
-def _ordered_map(workers: int):
-    """A `map` that yields its results in order: the built-in one for one
-    worker, else the `map` of a pool of that many spawned processes, each
-    started with one BLAS thread. On exit, episodes not yet started are
-    cancelled and every worker has ended."""
-    if workers == 1:
-        yield map
-        return
-    saved = {var: os.environ.get(var) for var in _BLAS_VARS}
-    # a spawned worker's BLAS reads these when the worker imports numpy
-    os.environ.update(dict.fromkeys(_BLAS_VARS, "1"))
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-    try:
-        yield pool.map
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
@@ -236,20 +215,22 @@ def cmd_sweep(args) -> int:
     groups = [(name, mode) for name in args.tasks
               for mode in (("walk", "teleport") if name == "multi_step_1m" else (None,))]
     work = [(name, mode, seed) for name, mode in groups for seed in seeds]
-    workers = min(args.jobs, os.cpu_count() or 1, len(work))
+
+    def share(part: int, parts: int):
+        return (_sweep_episode(*work[i], cfg, options) for i in range(part, len(work), parts))
+
+    episodes = iter(map_shares(share, min(args.jobs, usable_cores(), len(work))))
     table = []
-    with _ordered_map(workers) as ordered_map:
-        episodes = ordered_map(_sweep_episode, *zip(*work), repeat(cfg), repeat(options))
-        for name, mode in groups:
-            table.append(f"task={name}" + (f" reposition={mode}" if mode else ""))
+    for name, mode in groups:
+        table.append(f"task={name}" + (f" reposition={mode}" if mode else ""))
+        print(table[-1])
+        classes = []
+        for seed in seeds:
+            outcome, detail = next(episodes)
+            classes.append(outcome.split(" (")[0])
+            table.append(f"  seed={seed} outcome={outcome} {detail}")
             print(table[-1])
-            classes = []
-            for seed in seeds:
-                outcome, detail = next(episodes)
-                classes.append(outcome.split(" (")[0])
-                table.append(f"  seed={seed} outcome={outcome} {detail}")
-                print(table[-1])
-            print("  counts " + _count_text(classes))
+        print("  counts " + _count_text(classes))
     if before is not None:
         print(f"against {args.against}")
         _print_moved(_read_sweep_table(table), before)
@@ -433,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="a table sweep printed earlier: after this table, print "
                          "the episodes whose outcome class or steps moved")
     pw.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="worker processes, at most the CPU count; the table "
-                         "is the serial one")
+                    help="processes, the calling one included, at most the "
+                         "usable cores; the table is the serial one")
     pw.set_defaults(fn=cmd_sweep)
 
     pp = sub.add_parser("replay", help="recompute a trace summary")

@@ -7,6 +7,16 @@ protocol. Success everywhere is mean goal flow under 3 cm. A policy is a
 plain function of the observation (see `make_provider`); the action it
 returns carries the manipulation leg, which is front-left for every
 baseline.
+
+Independent, seeded work runs on every usable core through `map_shares`:
+share 0 in the calling process, the other shares in forked children, and
+the results interleaved back into item order. The registration suites split
+their cases by residue (case % shares): every process replays the suite's
+one seeded stream and registers only its own cases, and the caller reduces
+the per-case rows in case order, so each result equals the one-process
+result bit for bit. `legpress sweep --jobs N` splits its episodes the same
+way; a forked child keeps the caller's BLAS threads, so its table is the
+serial one under any thread setting.
 """
 from __future__ import annotations
 
@@ -14,7 +24,11 @@ import csv
 import io
 import math
 import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -332,7 +346,102 @@ def multi_step_protocol(policy_name: str, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
+# shares: one map over the usable cores
+
+
+def usable_cores() -> int:
+    """How many CPUs this process may run on (its affinity mask); 1 where the
+    platform has no affinity call or no fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_share(share, part: int, parts: int, fd: int) -> None:
+    """Body of a forked child: pickle (True, the results of share `part`) or
+    (False, the exception it raised) to fd, then end the process. Never
+    returns, so the child never runs the caller's code after the fork."""
+    status = 1
+    try:
+        try:
+            payload = (True, list(share(part, parts)))
+        except BaseException as exc:  # handed to the caller, which raises it
+            payload = (False, exc)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(payload, fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, fd: int) -> tuple:
+    """(True, results) or (False, exception) of the child pid, once it ended.
+    The pipe is read before the wait, since a child with more results than
+    the pipe holds ends only once they are read."""
+    with os.fdopen(fd, "rb") as fh:
+        data = fh.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        return False, ChildProcessError(f"share process {pid} ended with status {code}")
+    return pickle.loads(data)  # written by this program's own child
+
+
+def map_shares(share, parts: int):
+    """The results of items 0, 1, 2, ... in item order, computed in `parts`
+    shares: share(part, parts) returns the results of items part,
+    part + parts, part + 2 * parts, ...
+
+    Share 0 runs in the calling process, shares 1 to parts - 1 in forked
+    children that send their results back pickled through a pipe. An
+    exception a share raises is raised here: the caller's own first (its
+    children are then killed), else the first child's in part order. No
+    child outlives the call. With one part, share(0, 1) is returned as it
+    is, so a lazy share streams its results.
+
+    Stdio is flushed before the fork, so text the caller buffered is printed
+    once. Forking is safe here: the program starts no threads of its own, and
+    OpenBLAS restarts its thread pool in a child, with the caller's thread
+    count.
+    """
+    if parts == 1:
+        return share(0, 1)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (pid, read end of its pipe)
+    try:
+        for part in range(1, parts):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _run_share(share, part, parts, write)
+            os.close(write)
+            children.append((pid, read))
+        results = [list(share(0, parts))]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        outcomes = [_reap(pid, read) for pid, read in children]
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+        results.append(value)
+    return [results[i % parts][i // parts] for i in range(sum(map(len, results)))]
+
+
+# ---------------------------------------------------------------------------
 # registration benchmark suites
+#
+# Each share replays the suite's whole seeded stream (shapes, source scans,
+# crops and every draw), so that each case gets the inputs it gets in one
+# process. A crop's draws depend on its scan, so every source scan is made; a
+# target scan draws only its seed, so only a share's own cases make theirs.
+# Replaying holds one case's inputs at a time, where building every case
+# before the fork would hold them all.
 
 
 def _asymmetric_shape(rng):
@@ -345,9 +454,9 @@ def _asymmetric_shape(rng):
     return ConvexMesh(tuple(map(tuple, pts)))
 
 
-def _scan(shape, pose: RigidTransform, rng) -> PointCloud:
-    """A 400-point full scan of the shape at the pose, seeded from rng."""
-    return full_scan(shape, pose, 400, seed=int(rng.integers(2 ** 31)))
+def _scan(shape, pose: RigidTransform, seed: int) -> PointCloud:
+    """A 400-point full scan of the shape at the pose."""
+    return full_scan(shape, pose, 400, seed=seed)
 
 
 def _crop_visibility(cloud: PointCloud, rng) -> PointCloud:
@@ -371,23 +480,20 @@ class RegBenchResult:
     cases: int
     icp_exits: dict = field(default_factory=dict)  # ICP starts per exit rule, all cases
     icp_iterations: int = 0  # ICP iterations of all starts, all cases
+    degraded: int = 0  # cases in which no ICP start converged
+    augmented_winners: int = 0  # cases won by a rotated start
 
 
-def registration_benchmark(n_cases: int = 200, seed: int = 0) -> RegBenchResult:
-    """Synthetic suite: partial (<=70% visibility) scans registered to full
-    scans under bounded random perturbations; reports rotation/translation
-    mean absolute error of the recovered transforms, how often each ICP
-    start stopped on each exit rule and how many iterations the starts ran."""
-    if n_cases < 1:
-        raise ValueError("need at least one registration case")
+def _registration_share(n_cases: int, seed: int, part: int, parts: int) -> list:
+    """Rows of cases part, part + parts, ... of the suite: rotation error
+    (deg), translation error at the scan centroid (m), the exit rule of each
+    ICP start, the starts' iterations, degraded, won by a rotated start."""
     rng = np.random.default_rng(seed)
-    rot_errs, trans_errs = [], []
-    exits = dict.fromkeys(EXITS, 0)
-    iterations = 0
+    rows = []
     for case in range(n_cases):
         shape = _asymmetric_shape(rng)
         pose = rest_pose_on_ground(shape, yaw=float(rng.uniform(-math.pi, math.pi)))
-        scan = _scan(shape, pose, rng)
+        scan = _scan(shape, pose, int(rng.integers(2 ** 31)))
         source = _crop_visibility(scan, rng)
 
         angle = math.radians(rng.uniform(0.0, REG_MAX_ROTATION_DEG))
@@ -395,20 +501,41 @@ def registration_benchmark(n_cases: int = 200, seed: int = 0) -> RegBenchResult:
         axis /= np.linalg.norm(axis)
         true = RigidTransform.rotation_about(rotation_exp(axis * angle), scan.centroid)
         true = compose(RigidTransform(np.eye(3), rng.uniform(-0.05, 0.05, size=3)), true)
-        target = apply_transform(true, _scan(shape, pose, rng))
+        target_seed, register_seed = int(rng.integers(2 ** 31)), int(rng.integers(2 ** 31))
+        if case % parts != part:
+            continue
 
-        result = register_with_augmentation(source, target, seed=int(rng.integers(2 ** 31)))
-        for cand in result.candidates:
-            exits[cand.exit] += 1
-            iterations += cand.iterations
+        target = apply_transform(true, _scan(shape, pose, target_seed))
+        result = register_with_augmentation(source, target, seed=register_seed)
         est = result.transform
         err = compose(est, true.inverse())
-        rot_errs.append(math.degrees(err.rotation_angle()))
-        # translation error measured at the object centroid
         c = scan.centroid
-        trans_errs.append(float(np.linalg.norm(est.apply(c) - true.apply(c))))
-    return RegBenchResult(float(np.mean(rot_errs)), float(np.mean(trans_errs)), n_cases, exits,
-                          iterations)
+        rows.append((math.degrees(err.rotation_angle()),
+                     float(np.linalg.norm(est.apply(c) - true.apply(c))),
+                     [cand.exit for cand in result.candidates],
+                     sum(cand.iterations for cand in result.candidates),
+                     result.degraded, result.winner_index != 0))
+    return rows
+
+
+def registration_benchmark(n_cases: int = 200, seed: int = 0) -> RegBenchResult:
+    """Synthetic suite: partial (<=70% visibility) scans registered to full
+    scans under bounded random perturbations; reports rotation/translation
+    mean absolute error of the recovered transforms, how often each ICP
+    start stopped on each exit rule, how many iterations the starts ran, and
+    how many cases degraded or went to a rotated start.
+
+    Runs one share of the cases per usable core, each process replaying the
+    seeded stream and registering cases part, part + parts, ...; the rows
+    are reduced in case order, so the result is the one-process result bit
+    for bit."""
+    if n_cases < 1:
+        raise ValueError("need at least one registration case")
+    rows = map_shares(partial(_registration_share, n_cases, seed), usable_cores())
+    rot_errs, trans_errs, exits, iterations, degraded, augmented = zip(*rows)
+    return RegBenchResult(float(np.mean(rot_errs)), float(np.mean(trans_errs)), n_cases,
+                          {rule: sum(case.count(rule) for case in exits) for rule in EXITS},
+                          sum(iterations), sum(degraded), sum(augmented))
 
 
 @dataclass
@@ -418,31 +545,47 @@ class AmbiguityBenchResult:
     trials: int
 
 
-def ambiguity_benchmark(n_trials: int = 40, seed: int = 0) -> AmbiguityBenchResult:
-    """Near-square prism with a corner stud: single-shot registration snaps to
-    the wrong 90-degree minimum for large yaw offsets; the rank-sum augmented
-    pipeline should recover the true pose far more often."""
-    if n_trials < 1:
-        raise ValueError("need at least one ambiguity trial")
+def _recovered(est: RigidTransform, true: RigidTransform) -> bool:
+    """An ambiguity success: within AMBIGUITY_SUCCESS_ROT_DEG of the truth."""
+    err = compose(est, true.inverse())
+    return math.degrees(err.rotation_angle()) < AMBIGUITY_SUCCESS_ROT_DEG
+
+
+def _ambiguity_share(n_trials: int, seed: int, part: int, parts: int) -> list:
+    """(augmented success, single-shot success) of trials part, part + parts,
+    ... of the suite."""
     rng = np.random.default_rng(seed)
-    aug_ok = single_ok = 0
-
-    def ok(est: RigidTransform, true: RigidTransform) -> bool:
-        err = compose(est, true.inverse())
-        return math.degrees(err.rotation_angle()) < AMBIGUITY_SUCCESS_ROT_DEG
-
     shape = Compound(((Box((0.08, 0.08, 0.05)), (0.0, 0.0, 0.0)),
                       (Box((0.02, 0.02, 0.03)), (0.03, 0.03, 0.04))))
     pose = rest_pose_on_ground(shape)
-    for _ in range(n_trials):
-        scan = _scan(shape, pose, rng)
+    rows = []
+    for trial in range(n_trials):
+        scan = _scan(shape, pose, int(rng.integers(2 ** 31)))
         source = _crop_visibility(scan, rng)
         yaw = math.radians(rng.uniform(45.0, 135.0)) * (1 if rng.uniform() < 0.5 else -1)
         true = RigidTransform.rotation_about(rot_z(yaw), scan.centroid)
         true = compose(RigidTransform(np.eye(3), rng.uniform(-0.03, 0.03, size=3)), true)
-        target = apply_transform(true, _scan(shape, pose, rng))
+        target_seed, register_seed = int(rng.integers(2 ** 31)), int(rng.integers(2 ** 31))
+        if trial % parts != part:
+            continue
 
-        single_ok += ok(icp_register(source, target).transform, true)
-        aug_ok += ok(register_with_augmentation(source, target,
-                                                seed=int(rng.integers(2 ** 31))).transform, true)
+        target = apply_transform(true, _scan(shape, pose, target_seed))
+        single = icp_register(source, target)
+        augmented = register_with_augmentation(source, target, seed=register_seed)
+        rows.append((_recovered(augmented.transform, true), _recovered(single.transform, true)))
+    return rows
+
+
+def ambiguity_benchmark(n_trials: int = 40, seed: int = 0) -> AmbiguityBenchResult:
+    """Near-square prism with a corner stud: single-shot registration snaps to
+    the wrong 90-degree minimum for large yaw offsets; the rank-sum augmented
+    pipeline should recover the true pose far more often.
+
+    Runs one share of the trials per usable core, as registration_benchmark
+    does, and counts the successes over all shares, so the rates are the
+    one-process rates exactly."""
+    if n_trials < 1:
+        raise ValueError("need at least one ambiguity trial")
+    rows = map_shares(partial(_ambiguity_share, n_trials, seed), usable_cores())
+    aug_ok, single_ok = (sum(column) for column in zip(*rows))
     return AmbiguityBenchResult(aug_ok / n_trials, single_ok / n_trials, n_trials)

@@ -45,6 +45,9 @@ on exactly the exit rule and iteration at which it would have stopped alone.
 live starts per iteration on average), an ICP start-iteration costs
 about 210-260 us: the query 100-125 us, `lstsq` 35-40 us and everything else
 75-90 us. Threading the query (`workers=2`) made it 2-3x slower there.
+So parallelism runs across cases, not inside one registration: the
+benchmark suites register their cases in one process per usable core
+(`harness.map_shares`).
 """
 from __future__ import annotations
 

@@ -1,9 +1,11 @@
 import configparser
 import hashlib
 import json
-import multiprocessing
 import os
 import re
+import subprocess
+import sys
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -218,16 +220,29 @@ def test_every_table_starts_with_the_blas_threads(argv, capsys, monkeypatch):
     assert not any(line.startswith("env ") for line in lines[1:])
 
 
+def test_regbench_records_its_process_count_after_the_blas_threads(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "usable_cores", lambda: 3)
+    monkeypatch.setattr(cli, "registration_benchmark",
+                        lambda *a, **k: harness.RegBenchResult(0.1, 0.001, 1))
+    assert cli.main(["regbench", "--cases", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("env OPENBLAS_NUM_THREADS=")
+    assert lines[1:3] == ["shares=3", "cases=1"]
+
+
 def test_regbench_prints_how_every_icp_start_stopped(capsys):
     """Three cases of seven starts each; the errors are the pinned ones of
     test_shape_sets_are_unchanged, and the iterations the starts' own."""
     assert cli.main(["regbench", "--cases", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1:] == ["cases=3",
+    assert lines[1] == f"shares={harness.usable_cores()}"
+    assert lines[2:] == ["cases=3",
                          "rotation_mae_deg=0.5690493233593162",
                          "translation_mae=0.0002989511626947668",
                          "icp_exits step_tol=11 patience=10 max_iter=0",
-                         "icp_iterations starts=21 total=294 mean=14.0"]
+                         "icp_iterations starts=21 total=294 mean=14.0",
+                         "degraded=0",
+                         "augmented_winners=3"]
 
 
 def test_sweep_counts_faults_by_class(capsys, monkeypatch):
@@ -298,7 +313,7 @@ def test_sweep_against_reports_each_moved_episode_and_count(tmp_path, capsys, mo
 
 
 def test_sweep_with_two_jobs_prints_the_serial_table(capsys):
-    """Two real episodes in two spawned workers give the serial run's output
+    """Two real episodes in two forked workers give the serial run's output
     byte for byte; no worker outlives the command and the BLAS variables of
     the calling process are as they were."""
     argv = ["sweep", "--seeds", "0-1", "--max-steps", "1", "--tasks", "box_push_fixed"]
@@ -307,9 +322,21 @@ def test_sweep_with_two_jobs_prints_the_serial_table(capsys):
     serial = capsys.readouterr().out
     assert cli.main(argv + ["--jobs", "2"]) == 0
     assert capsys.readouterr().out == serial
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     assert {var: os.environ.get(var) for var in cli._BLAS_VARS} == env
     assert serial.splitlines()[2].startswith("  seed=0 outcome=success steps=1 ")
+
+
+def test_sweep_jobs_are_capped_by_the_usable_cores(capsys, monkeypatch):
+    """On one usable core `--jobs 2` forks nothing and prints the serial table."""
+    serial = _fake_sweep(monkeypatch, capsys, [])
+    monkeypatch.setattr(cli, "usable_cores", lambda: 1)
+
+    def no_fork():
+        raise AssertionError("forked on one usable core")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _fake_sweep(monkeypatch, capsys, ["--jobs", "2"]) == serial
 
 
 def test_sweep_against_a_file_without_rows_exits_2(tmp_path, capsys):
@@ -429,6 +456,75 @@ def test_a_value_the_stack_divides_by_exits_2_when_out_of_range(section, key, ra
 def test_empty_work_exits_2_with_a_json_record(argv, message, capsys):
     assert cli.main(argv) == 2
     assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_the_suites_in_shares_equal_the_one_process_suites(parts, monkeypatch):
+    """Uneven shares (7 cases, 5 trials) give the one-process results bit for
+    bit, ICP exits and iterations included."""
+    monkeypatch.setattr(harness, "usable_cores", lambda: 1)
+    want = registration_benchmark(7, seed=4), ambiguity_benchmark(5, seed=4)
+    monkeypatch.setattr(harness, "usable_cores", lambda: parts)
+    assert (registration_benchmark(7, seed=4), ambiguity_benchmark(5, seed=4)) == want
+    assert sum(want[0].icp_exits.values()) == 49 and want[0].icp_iterations > 0
+    _assert_no_child_left()
+
+
+def test_map_shares_interleaves_the_shares_in_item_order():
+    def share(part, parts):
+        return [(part, item) for item in range(part, 8, parts)]
+
+    assert harness.map_shares(share, 3) == [(i % 3, i) for i in range(8)]
+    _assert_no_child_left()
+
+
+def _raise_in(raising_part, exc):
+    def share(part, parts):
+        if part == raising_part:
+            raise exc
+        if part != 0:
+            time.sleep(60)  # ended by the caller's failure, not waited for
+        return [part]
+    return share
+
+
+def test_an_exception_in_a_share_is_raised_by_the_caller_and_no_child_is_left():
+    with pytest.raises(KeyError, match="child's"):
+        harness.map_shares(_raise_in(1, KeyError("child's")), 2)
+    _assert_no_child_left()
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="caller's"):
+        harness.map_shares(_raise_in(0, ValueError("caller's")), 3)
+    assert time.perf_counter() - t0 < 30.0
+    _assert_no_child_left()
+
+
+def test_a_share_process_that_dies_raises_child_process_error():
+    def share(part, parts):
+        if part == 1:
+            os._exit(3)
+        return [part]
+
+    with pytest.raises(ChildProcessError, match="status 3"):
+        harness.map_shares(share, 2)
+    _assert_no_child_left()
+
+
+def test_text_buffered_before_the_fork_is_printed_once():
+    """stdout on a pipe is block-buffered: without a flush before the fork
+    each child would print the caller's buffered line again."""
+    code = ("print('buffered'); from legpress.harness import map_shares; "
+            "print(map_shares(lambda part, parts: [part], 3))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(harness.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert out.stdout == "buffered\n[0, 1, 2]\n"
 
 
 def test_empty_benchmark_suites_are_rejected():
