@@ -2,7 +2,9 @@
 
 Subcommands:
   eval      run seeded episodes of a benchmark task with a policy
-  multistep run the one-meter multi-step distant-goal protocol
+  multistep run the one-meter multi-step distant-goal protocol: every sub-goal
+            lies straight ahead along x, and lateral drift past the limit
+            fails a run
   regbench  registration synthetic suite (rotation/translation MAE, ICP exits
             and iterations, degraded cases and cases won by a rotated start)
   simcheck  simulator invariant suite: one line per row of SIM_CHECKS, the
@@ -100,7 +102,7 @@ def cmd_multistep(args) -> int:
     rows = []
     for i in range(args.runs):
         res = multi_step_protocol(args.policy, seed=args.seed + i, options=options,
-                                  config=config, y_correction=args.y_correction)
+                                  config=config)
         rows.append(res)
         print(f"run={args.seed + i} steps={res.steps} y_error_cm={res.y_error_cm!r} "
               f"outcome={res.outcome}")
@@ -392,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--reposition", choices=("teleport", "walk"), default="walk")
     pm.add_argument("--pose-source", choices=("ground_truth", "register"),
                     default="ground_truth")
-    pm.add_argument("--y-correction", action="store_true")
     pm.set_defaults(fn=cmd_multistep)
 
     pr = sub.add_parser("regbench", help="registration synthetic suite")

@@ -3,9 +3,13 @@
 File format is INI (configparser): one section per subsystem, keys matching
 the dataclass field names. Vector values are comma-separated. Only keys that
 appear in the file override the defaults; an unknown section or key is an
-error, as is a zero or negative value the stack divides by (see
+error, as is a value outside the range the stack divides or counts by (see
 `load_config`). The file path can come from the CLI flag or the
 LEGPRESS_CONFIG environment variable.
+
+The `[camera]` section is the trunk camera itself: sensing mounts it with
+`camera_pose` and renders through the world's config, so the camera has no
+object of its own.
 
 Schema (all values SI):
 
@@ -142,6 +146,7 @@ def _coerce(section: str, key: str, raw: str, current):
 
 # values the stack divides by or counts steps with
 _POSITIVE = (("sim", "dt"), ("robot", "trunk_mass"), ("robot", "foot_mass"),
+             ("camera", "width"), ("camera", "height"), ("camera", "object_points"),
              ("mpc", "horizon"), ("mpc", "force_update_period"), ("gait", "trot_period"))
 
 
@@ -150,6 +155,9 @@ def _check_values(cfg: StackConfig) -> None:
         value = getattr(getattr(cfg, section), key)
         if not value > 0:
             raise ValueError(f"config [{section}] {key} must be positive, got {value!r}")
+    fov = cfg.camera.horizontal_fov_deg
+    if not 0.0 < fov < 180.0:
+        raise ValueError(f"config [camera] horizontal_fov_deg must be in (0, 180), got {fov!r}")
     duty = cfg.gait.trot_duty
     if not 0.0 < duty <= 1.0:
         raise ValueError(f"config [gait] trot_duty must be in (0, 1], got {duty!r}")
@@ -160,10 +168,9 @@ def load_config(path: str | None = None) -> StackConfig:
 
     With path=None the LEGPRESS_CONFIG environment variable is consulted;
     when that is unset too, pure defaults are returned. An unknown section or
-    key, a malformed value, a non-positive `sim.dt`, `robot.trunk_mass`,
-    `robot.foot_mass`, `mpc.horizon`, `mpc.force_update_period` or
-    `gait.trot_period`, or a `gait.trot_duty` outside (0, 1] raises
-    ValueError; a missing file raises FileNotFoundError.
+    key, a malformed value, a non-positive value named in `_POSITIVE`, a
+    `camera.horizontal_fov_deg` outside (0, 180) or a `gait.trot_duty` outside
+    (0, 1] raises ValueError; a missing file raises FileNotFoundError.
     """
     cfg = StackConfig()
     if path is None:

@@ -36,6 +36,7 @@ from .config import StackConfig
 from .geom import (PointCloud, RigidTransform, apply_transform, compose, rot_x, rot_z,
                    rotation_exp)
 from .orchestrator import (
+    SUCCESS_THRESHOLD,
     EpisodeOptions,
     GoalSchedule,
     Observation,
@@ -117,7 +118,7 @@ def object_catalog(split: str = "train") -> list:
 @dataclass
 class TaskSpec:
     name: str
-    success_threshold: float = 0.03
+    success_threshold: float = SUCCESS_THRESHOLD
     object_split: str = "train"
 
 
@@ -307,15 +308,14 @@ class MultiStepResult:
 def multi_step_protocol(policy_name: str, seed: int = 0,
                         options: EpisodeOptions | None = None,
                         config: StackConfig | None = None,
-                        target_distance: float = 1.0,
-                        y_correction: bool = False) -> MultiStepResult:
+                        target_distance: float = 1.0) -> MultiStepResult:
     """Push the box one meter forward in sub-goal increments, re-observing
     and repositioning the base after every action.
 
     Runs on run_episode with a goal schedule: each action aims
-    SUB_GOAL_DISTANCE ahead of the object's current pose, and the verdict
-    fails on exceeding MULTI_STEP_MAX_STEPS actions or drifting laterally
-    past Y_LIMIT.
+    SUB_GOAL_DISTANCE ahead of the object's current pose along world x, with
+    no lateral correction, and the verdict fails on exceeding
+    MULTI_STEP_MAX_STEPS actions or drifting laterally past Y_LIMIT.
     """
     config = config or StackConfig()
     options = options or EpisodeOptions(reposition="walk")
@@ -327,9 +327,8 @@ def multi_step_protocol(policy_name: str, seed: int = 0,
         return abs(float(pose.translation[1]) - y_start) * 100.0
 
     def sub_goal(obj: SimObject) -> RigidTransform:
-        dy = -float(obj.pose.translation[1] - y_start) if y_correction else 0.0
         return RigidTransform(obj.pose.rotation,
-                              obj.pose.translation + np.array([SUB_GOAL_DISTANCE, dy, 0.0]))
+                              obj.pose.translation + np.array([SUB_GOAL_DISTANCE, 0.0, 0.0]))
 
     def verdict(obj: SimObject, mean_flow: float, steps_used: int) -> str | None:
         if float(obj.pose.translation[0]) - x_start >= target_distance:

@@ -19,7 +19,6 @@ the (re-evaluated) Jacobian-transpose map in between.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,10 +79,6 @@ class GaitSchedule:
         if phase < self.duty:
             return 0.0
         return (phase - self.duty) / (1.0 - self.duty)
-
-    @property
-    def stance_time(self) -> float:
-        return self.period * self.duty if self.mode == "trot" else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +271,14 @@ def stance_torques(robot: RobotState, forces, stance) -> list:
 
 def raibert_foothold(leg: LegModel, command_velocity, gait: GaitSchedule,
                      state: SrbState, gait_cfg: GaitConfig) -> np.ndarray:
-    """Touchdown target: shoulder projection + half-stance velocity feedforward
-    + velocity-error feedback, clipped to the leg workspace footprint."""
+    """Touchdown target on a trot gait: shoulder projection + half-stance
+    velocity feedforward + velocity-error feedback, clipped to the leg
+    workspace footprint."""
     k_v = gait_cfg.raibert_velocity_gain
     v_cmd = np.asarray(command_velocity, dtype=float).reshape(3)
     shoulder = shoulder_point(leg, state)
     proj = np.array([shoulder[0], shoulder[1], 0.0])
-    stance_t = gait.stance_time if math.isfinite(gait.stance_time) else 0.25
+    stance_t = gait.period * gait.duty
     offset = (stance_t / 2.0) * v_cmd + k_v * (state.linear_velocity - v_cmd)
     offset[2] = 0.0
     if threshold_norm(offset.tolist(), RAIBERT_MAX_OFFSET) > RAIBERT_MAX_OFFSET:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -36,12 +36,7 @@ from .geom import PointCloud, RigidTransform, compose, rot_z, threshold_norm
 from .mpc import ForceMpc, GaitSchedule, raibert_foothold, stance_torques
 from .policy import GoalSpec, ObjectCentricAction
 from .register import register_with_augmentation
-from .sensing import (
-    CameraModel,
-    EmptyObservationError,
-    full_scan,
-    render_object_cloud,
-)
+from .sensing import EmptyObservationError, full_scan, render_object_cloud
 from .simworld import (
     FRONT_LEFT,
     LEG_NAMES,
@@ -62,6 +57,7 @@ from .swingctl import (
 )
 
 TRACE_SCHEMA = "legpress-trace-v1"
+SUCCESS_THRESHOLD = 0.03  # m of mean goal flow; a task's default threshold
 # the header keys a trace file must have; success_threshold may be absent
 TRACE_HEADER_KEYS = ("schema", "task", "seed", "outcome", "steps_used", "final_mean_flow")
 METRIC_POINTS = 400  # object surface samples behind the goal-flow metric
@@ -93,17 +89,17 @@ class StandoffPose:
         self.position = np.asarray(self.position, dtype=float).reshape(3)
 
 
-def reach_check(object_centroid, world: WorldState):
-    """'reachable' when the centroid passes the front-left leg's swing
-    workspace test from the current base pose; otherwise the standoff pose
-    that puts the object the configured standoff distance ahead of that
-    leg's shoulder."""
+def reach_check(object_centroid, world: WorldState) -> StandoffPose | None:
+    """None when the centroid passes the front-left leg's swing workspace
+    test from the current base pose; otherwise the standoff pose that puts
+    the object the configured standoff distance ahead of that leg's
+    shoulder."""
     leg = world.robot.legs[FRONT_LEFT]
     centroid = np.asarray(object_centroid, dtype=float)
     probe = centroid.copy()
     probe[2] = max(min(probe[2], 0.12), 0.02)  # contact heights live near the ground
     if is_reachable(probe, leg, world.robot.srb):
-        return "reachable"
+        return None
     yaw = world.robot.srb.rpy[2]
     d = world.config.orchestrator.standoff_distance
     base = centroid - rot_z(yaw) @ (leg.shoulder + np.array([d, 0.0, 0.0]))
@@ -117,7 +113,7 @@ class TaskInstance:
     obj: SimObject
     goal_pose: RigidTransform  # absolute world pose of the object at the goal
     seed: int
-    success_threshold: float = 0.03
+    success_threshold: float = SUCCESS_THRESHOLD
 
 
 @dataclass
@@ -168,16 +164,16 @@ class GoalSchedule:
 class EpisodeTrace:
     """One episode's record. `records` is the trace: transitions, ticks,
     actions and checks in time order. `rewards` holds each check's reward."""
+    schema: ClassVar[str] = TRACE_SCHEMA
     task: str
     seed: int
-    schema: str = TRACE_SCHEMA
     records: list = field(default_factory=list)
     rewards: list = field(default_factory=list)
     outcome: str = "incomplete"
     steps_used: int = 0
     final_mean_flow: float = float("nan")
-    # the task's threshold; files written before it was stored read as 0.03
-    success_threshold: float = 0.03
+    # the task's threshold; files written before it was stored read as the default
+    success_threshold: float = SUCCESS_THRESHOLD
     final_pose: RigidTransform | None = None  # object pose at the end; not in the file
 
     @property
@@ -213,7 +209,7 @@ class EpisodeTrace:
             if head["schema"] != TRACE_SCHEMA:
                 raise ValueError(f"{path}: trace schema {head['schema']!r}, "
                                  f"expected {TRACE_SCHEMA!r}")
-            trace = EpisodeTrace(head["task"], head["seed"], head["schema"])
+            trace = EpisodeTrace(head["task"], head["seed"])
             trace.outcome = head["outcome"]
             trace.steps_used = head["steps_used"]
             trace.final_mean_flow = head["final_mean_flow"]
@@ -249,7 +245,6 @@ class _OrchestratorCore:
             raise ValueError(f"swing gains must be non-negative, got kp={swing.kp!r} "
                              f"kd={swing.kd!r}")
         self.kp, self.kd = float(swing.kp), float(swing.kd)
-        self.camera = CameraModel.from_config(self.cfg.camera)
         self.state = QP_STAND
         self.state_entry_time = world.time
         self.gait = GaitSchedule.stand()
@@ -504,7 +499,7 @@ def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = Non
         return trace
 
     standoff = reach_check(obj.pose.translation, world)
-    if isinstance(standoff, StandoffPose):
+    if standoff is not None:
         core.teleport_to(standoff)  # initial placement mirrors the eval protocol
 
     try:
@@ -513,15 +508,14 @@ def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = Non
         outcome = schedule.verdict(obj, mean, trace.steps_used)
         while outcome is None:
             reach = reach_check(obj.pose.translation, world)
-            if isinstance(reach, StandoffPose):
+            if reach is not None:
                 if not core.reposition(reach):
                     return finish("fault:walking_timeout", check_success())
                 continue  # re-run the reach check from the new base
 
             obs_seed = int(rng.integers(2 ** 31))
             try:
-                observed = render_object_cloud(world, core.camera, 0,
-                                               config.camera.object_points, obs_seed)
+                observed = render_object_cloud(world, config.camera.object_points, obs_seed)
             except EmptyObservationError:
                 return finish("fault:empty_observation", check_success())
 
@@ -571,7 +565,7 @@ def _execute_action(core: _OrchestratorCore, observed: PointCloud,
     leg = world.robot.legs[leg_index]
     try:
         plan = plan_swing(contact, motion, leg, world.robot.srb, config.swing,
-                          leg_index, foot_start=world.robot.feet_pos[leg_index])
+                          world.robot.feet_pos[leg_index])
     except UnreachableActionError:
         return
 

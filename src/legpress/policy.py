@@ -54,12 +54,9 @@ class CriticMap:
     q_values: np.ndarray  # (n_points, channels)
 
     def __post_init__(self):
-        self.q_values = np.asarray(self.q_values, dtype=float)
-        if self.q_values.ndim == 1:
-            self.q_values = self.q_values[:, None]
-        if self.q_values.shape[1] not in (1, 2):
-            raise ValueError("critic map must have 1 or 2 leg channels")
-        q = self.q_values
+        self.q_values = q = np.asarray(self.q_values, dtype=float)
+        if q.ndim != 2 or q.shape[1] not in (1, 2):
+            raise ValueError("critic map must be (n, 1|2)")
         # written so that a NaN fails it too
         if not np.all((q >= Q_CLAMP[0] - 1e-9) & (q <= Q_CLAMP[1] + 1e-9)):
             raise ValueError(f"q values must be finite and lie in {Q_CLAMP}")
@@ -70,10 +67,8 @@ class ActorMap:
     motion_params: np.ndarray  # (n_points, channels, 3)
 
     def __post_init__(self):
-        self.motion_params = np.asarray(self.motion_params, dtype=float)
-        if self.motion_params.ndim == 2:
-            self.motion_params = self.motion_params[:, None, :]
-        if self.motion_params.shape[2] != 3 or self.motion_params.shape[1] not in (1, 2):
+        self.motion_params = m = np.asarray(self.motion_params, dtype=float)
+        if m.ndim != 3 or m.shape[1] not in (1, 2) or m.shape[2] != 3:
             raise ValueError("actor map must be (n, 1|2, 3)")
 
 

@@ -1,5 +1,7 @@
 """Synthetic egocentric depth sensing.
 
+The camera is the config's `[camera]` section: `camera_pose` mounts it on
+the trunk and `render_object_cloud` reads it from the world's config.
 Object clouds are produced by sampling the analytic shape surfaces (no
 rasterizer), culling to the camera frustum and backfaces, then applying
 spherical-flipping hidden point removal so only camera-visible surface
@@ -11,7 +13,6 @@ those normals and never estimates any. Everything is deterministic per seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -29,52 +30,20 @@ class EmptyObservationError(RuntimeError):
     """Object entirely outside the camera frustum."""
 
 
-@dataclass
-class CameraModel:
-    width: int
-    height: int
-    horizontal_fov_deg: float
-    mount_offset: np.ndarray  # trunk frame
-    mount_pitch_deg: float  # rotation about trunk y axis
-
-    def __post_init__(self):
-        self.mount_offset = np.asarray(self.mount_offset, dtype=float).reshape(3)
-        if self.width < 1 or self.height < 1:
-            raise ValueError("camera resolution must be at least 1x1")
-        if not 0.0 < self.horizontal_fov_deg < 180.0:
-            raise ValueError("horizontal fov must be in (0, 180) degrees")
-
-    @staticmethod
-    def from_config(cfg: CameraConfig) -> "CameraModel":
-        return CameraModel(cfg.width, cfg.height, cfg.horizontal_fov_deg,
-                           np.asarray(cfg.offset), cfg.pitch_deg)
-
-    def pose_in_world(self, trunk_position, trunk_rotation) -> RigidTransform:
-        """Camera pose; optical axis z points out of the lens, x right in the
-        image, y down."""
-        pitch = math.radians(self.mount_pitch_deg)
-        look = rot_y(pitch) @ np.array([1.0, 0.0, 0.0])  # forward, pitched down
-        z_cam = look
-        x_cam = np.array([0.0, -1.0, 0.0])  # robot's right
-        y_cam = np.cross(z_cam, x_cam)
-        R_mount = np.column_stack([x_cam, y_cam, z_cam])
-        R = np.asarray(trunk_rotation) @ R_mount
-        t = np.asarray(trunk_position) + np.asarray(trunk_rotation) @ self.mount_offset
-        return RigidTransform(R, t)
-
-    @property
-    def tan_half_fov(self) -> tuple[float, float]:
-        th = math.tan(math.radians(self.horizontal_fov_deg) / 2.0)
-        tv = th * self.height / self.width
-        return th, tv
-
-    def in_frustum(self, points_cam: np.ndarray) -> np.ndarray:
-        th, tv = self.tan_half_fov
-        z = points_cam[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.abs(points_cam[:, 0] / z)
-            v = np.abs(points_cam[:, 1] / z)
-        return (z > NEAR_CLIP) & (u <= th) & (v <= tv)
+def camera_pose(cam: CameraConfig, trunk_position, trunk_rotation) -> RigidTransform:
+    """World pose of the camera `cam` on a trunk at this position and
+    rotation: mounted at `cam.offset` (trunk frame) and pitched down by
+    `cam.pitch_deg` about the trunk y axis. The optical axis z points out of
+    the lens, x right in the image, y down."""
+    pitch = math.radians(cam.pitch_deg)
+    z_cam = rot_y(pitch) @ np.array([1.0, 0.0, 0.0])  # forward, pitched down
+    x_cam = np.array([0.0, -1.0, 0.0])  # robot's right
+    y_cam = np.cross(z_cam, x_cam)
+    R_mount = np.column_stack([x_cam, y_cam, z_cam])
+    R = np.asarray(trunk_rotation) @ R_mount
+    offset = np.asarray(cam.offset, dtype=float)  # trunk frame
+    t = np.asarray(trunk_position) + np.asarray(trunk_rotation) @ offset
+    return RigidTransform(R, t)
 
 
 def hidden_point_removal(cloud: PointCloud, viewpoint) -> np.ndarray:
@@ -157,25 +126,32 @@ def full_scan(shape, pose: RigidTransform, n_points: int, seed: int) -> PointClo
     return PointCloud(pts, nrm)
 
 
-def render_object_cloud(world: WorldState, cam: CameraModel, object_index: int,
-                        n_points: int, seed: int) -> PointCloud:
-    """Camera-visible object surface as exactly n_points world-frame points
-    with outward normals. Deterministic per seed.
+def render_object_cloud(world: WorldState, n_points: int, seed: int) -> PointCloud:
+    """The first object's camera-visible surface, seen by the world config's
+    trunk camera, as exactly n_points world-frame points with outward
+    normals. Deterministic per seed.
 
     Raises EmptyObservationError when nothing falls inside the frustum."""
     rng = np.random.default_rng(seed)
-    obj = world.objects[object_index]
+    cam = world.config.camera
+    obj = world.objects[0]
     n_sample = max(n_points * RENDER_OVERSAMPLE, 1200)
     pts, nrm = sample_object_surface(obj.shape, obj.pose, n_sample, rng)
 
-    pose = cam.pose_in_world(world.robot.srb.position, world.robot.srb.rotation())
+    pose = camera_pose(cam, world.robot.srb.position, world.robot.srb.rotation())
     vp = pose.translation
     inv = pose.inverse()
     pts_cam = inv.apply(pts)
-    keep = cam.in_frustum(pts_cam)
+    th = math.tan(math.radians(cam.horizontal_fov_deg) / 2.0)  # frustum half-angle tangents
+    tv = th * cam.height / cam.width
+    z = pts_cam[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.abs(pts_cam[:, 0] / z)
+        v = np.abs(pts_cam[:, 1] / z)
+    keep = (z > NEAR_CLIP) & (u <= th) & (v <= tv)
     keep &= np.einsum("ij,ij->i", nrm, vp - pts) > 0.0  # backface cull
     if not np.any(keep):
-        raise EmptyObservationError(f"object {object_index} outside the camera frustum")
+        raise EmptyObservationError("the object is outside the camera frustum")
     pts, nrm = pts[keep], nrm[keep]
 
     vis = hidden_point_removal(PointCloud(pts), vp)

@@ -161,7 +161,7 @@ class SrbState:
     position: np.ndarray
     angular_velocity: np.ndarray
     linear_velocity: np.ndarray
-    gravity_placeholder: float = 9.81
+    gravity_placeholder: float = SimConfig.gravity
     rotation_rows: tuple = field(init=False, repr=False, compare=False)
     _rpy: np.ndarray = field(init=False, repr=False, compare=False)  # the buffer rpy views
 

@@ -21,7 +21,6 @@ from .geom import det3, matvec3_t, threshold_norm
 from .simworld import (
     LegModel,
     SrbState,
-    leg_forward_kinematics,
     leg_inverse_kinematics,
     shoulder_point,
 )
@@ -174,10 +173,10 @@ def _segment_time(a, b, speed) -> float:
 
 
 def plan_swing(contact_point, motion_vector, leg: LegModel, trunk: SrbState,
-               cfg: SwingConfig, leg_index: int, foot_start=None) -> SwingPlan:
-    """Timed waypoints: lift over, descend to the pre-contact point, close in
-    on the contact, push along the motion vector (clipped to the workspace
-    with its direction preserved), then retract.
+               cfg: SwingConfig, foot_start) -> SwingPlan:
+    """Timed waypoints from the foot at foot_start: lift over, descend to the
+    pre-contact point, close in on the contact, push along the motion vector
+    (clipped to the workspace with its direction preserved), then retract.
 
     Raises UnreachableActionError when the contact point itself is outside
     the workspace; the caller is expected to reposition the base first.
@@ -186,7 +185,7 @@ def plan_swing(contact_point, motion_vector, leg: LegModel, trunk: SrbState,
     motion = np.asarray(motion_vector, dtype=float)
     if not is_reachable(contact, leg, trunk):
         raise UnreachableActionError(
-            f"contact point {np.round(contact, 3)} outside leg {leg_index} workspace")
+            f"contact point {np.round(contact, 3)} outside the leg workspace")
 
     n = float(np.linalg.norm(motion))
     if n < 1e-9:
@@ -199,8 +198,7 @@ def plan_swing(contact_point, motion_vector, leg: LegModel, trunk: SrbState,
 
     push_end = clip_to_workspace(contact, contact + motion, leg, trunk)
 
-    start = np.asarray(foot_start, dtype=float) if foot_start is not None \
-        else leg_forward_kinematics(leg, trunk)
+    start = np.asarray(foot_start, dtype=float)
     apex = 0.5 * (start + pre)
     base_z = apex[2]
     apex[2] = max(start[2], pre[2]) + cfg.lift_clearance

@@ -424,6 +424,11 @@ def test_an_unknown_config_section_exits_2_with_a_json_record(tmp_path, capsys):
     ("sim", "dt", "0.0", "must be positive, got 0.0"),
     ("robot", "trunk_mass", "0.0", "must be positive, got 0.0"),
     ("robot", "foot_mass", "-0.1", "must be positive, got -0.1"),
+    ("camera", "width", "0", "must be positive, got 0"),
+    ("camera", "height", "-60", "must be positive, got -60"),
+    ("camera", "object_points", "0", "must be positive, got 0"),
+    ("camera", "horizontal_fov_deg", "180.0", "must be in (0, 180), got 180.0"),
+    ("camera", "horizontal_fov_deg", "0.0", "must be in (0, 180), got 0.0"),
     ("mpc", "horizon", "0", "must be positive, got 0"),
     ("mpc", "force_update_period", "0", "must be positive, got 0"),
     ("gait", "trot_period", "0.0", "must be positive, got 0.0"),

@@ -1,11 +1,14 @@
 """No legpress module imports, or reads as an attribute, another legpress
-module's `_`-prefixed name: modules talk through public names only."""
+module's `_`-prefixed name: modules talk through public names only. And
+every config key is read by the program outside the config module."""
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import legpress
+from legpress.config import StackConfig
 
 SRC = Path(legpress.__file__).parent
 MODULES = frozenset(p.stem for p in SRC.glob("*.py")) - {"__init__"}
@@ -75,3 +78,27 @@ def test_no_module_reads_another_modules_private_names():
     found = {p.name: private_reads(p.read_text(), p.stem) for p in sorted(SRC.glob("*.py"))}
     assert len(found) == len(MODULES) + 1
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def attribute_reads(source: str) -> set:
+    """The names read as attributes (`x.name`) in the source."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_the_attribute_scan_sees_reads_not_writes():
+    assert attribute_reads("a = cfg.camera.width\ncfg.sim.dt = 2") == {"camera", "width", "sim"}
+
+
+def test_every_config_key_is_read_outside_the_config_module():
+    """A settable value has a program caller: each field of each StackConfig
+    section is read as an attribute by some legpress module other than the
+    one that defines and loads it."""
+    read = set()
+    for path in SRC.glob("*.py"):
+        if path.stem != "config":
+            read |= attribute_reads(path.read_text())
+    cfg = StackConfig()
+    keys = [(section.name, key.name) for section in fields(cfg)
+            for key in fields(getattr(cfg, section.name))]
+    assert [f"[{section}] {key}" for section, key in keys if key not in read] == []

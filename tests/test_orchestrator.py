@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -62,6 +63,27 @@ def test_trace_file_reads_back_equal(planning_trace, tmp_path):
     for name in ("task", "seed", "schema", "outcome", "steps_used", "final_mean_flow",
                  "success_threshold"):
         assert getattr(back, name) == getattr(planning_trace, name), name
+
+
+def test_the_trace_schema_and_the_success_threshold_are_set_once():
+    """The schema is a class constant, not a field a caller could set, and
+    every success threshold defaults to the one module constant."""
+    assert "schema" not in {f.name for f in fields(EpisodeTrace)}
+    assert EpisodeTrace("box_push_fixed", 0).schema == orchestrator.TRACE_SCHEMA
+    assert orchestrator.SUCCESS_THRESHOLD == 0.03
+    for default in (EpisodeTrace("box_push_fixed", 0), TaskSpec("box_push_fixed")):
+        assert default.success_threshold == orchestrator.SUCCESS_THRESHOLD
+
+
+def test_reach_check_is_none_in_reach_and_a_standoff_pose_out_of_it():
+    world = standing_world()
+    leg = world.robot.legs[simworld.FRONT_LEFT]
+    near = simworld.shoulder_point(leg, world.robot.srb) + np.array([0.14, 0.02, -0.23])
+    assert orchestrator.reach_check(near, world) is None
+    far = np.array([1.0, 0.3, 0.04])
+    standoff = orchestrator.reach_check(far, world)
+    assert isinstance(standoff, orchestrator.StandoffPose)
+    assert standoff.position[2] == world.config.mpc.stand_height
 
 
 def test_provider_without_action_faults_and_spends_the_step(cfg, push_task):

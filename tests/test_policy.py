@@ -321,6 +321,18 @@ def test_critic_clamp_enforced():
         CriticMap(np.array([[-25.0]]))
 
 
+@pytest.mark.parametrize("make, values, message", [
+    (CriticMap, np.full(3, -1.0), "critic map must be (n, 1|2)"),
+    (CriticMap, np.full((3, 3), -1.0), "critic map must be (n, 1|2)"),
+    (ActorMap, np.zeros((3, 3)), "actor map must be (n, 1|2, 3)"),
+    (ActorMap, np.zeros((3, 3, 3)), "actor map must be (n, 1|2, 3)"),
+    (ActorMap, np.zeros((3, 1, 2)), "actor map must be (n, 1|2, 3)"),
+], ids=["critic_1d", "critic_3_channels", "actor_2d", "actor_3_channels", "actor_2_params"])
+def test_maps_take_one_shape_with_a_leg_channel_axis(make, values, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(values)
+
+
 def test_critic_rejects_a_q_value_that_is_not_finite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="q values must be finite"):

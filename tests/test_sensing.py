@@ -6,8 +6,8 @@ import pytest
 from legpress.config import StackConfig
 from legpress.geom import PointCloud, RigidTransform
 from legpress.sensing import (
-    CameraModel,
     EmptyObservationError,
+    camera_pose,
     full_scan,
     hidden_point_removal,
     render_object_cloud,
@@ -109,8 +109,7 @@ def test_single_point_in_front_visible():
 
 def test_render_exact_point_count():
     world = world_with_box()
-    cam = CameraModel.from_config(world.config.camera)
-    cloud = render_object_cloud(world, cam, 0, 400, seed=7)
+    cloud = render_object_cloud(world, 400, seed=7)
     assert len(cloud) == 400
     assert cloud.normals is not None
     assert np.all(np.isfinite(cloud.points))
@@ -119,8 +118,7 @@ def test_render_exact_point_count():
 
 def test_render_no_back_face_points():
     world = world_with_box(xy=(0.5, 0.0))
-    cam = CameraModel.from_config(world.config.camera)
-    cloud = render_object_cloud(world, cam, 0, 400, seed=8)
+    cloud = render_object_cloud(world, 400, seed=8)
     obj = world.objects[0]
     # back face of the box (+x side, away from the robot at the origin)
     back_x = obj.pose.translation[0] + 0.04
@@ -130,29 +128,48 @@ def test_render_no_back_face_points():
 
 def test_render_agrees_with_raycast_oracle():
     world = world_with_box()
-    cam = CameraModel.from_config(world.config.camera)
-    cloud = render_object_cloud(world, cam, 0, 300, seed=9)
+    cloud = render_object_cloud(world, 300, seed=9)
     obj = world.objects[0]
-    vp = cam.pose_in_world(world.robot.srb.position, world.robot.srb.rotation()).translation
+    vp = camera_pose(world.config.camera, world.robot.srb.position,
+                     world.robot.srb.rotation()).translation
     visible_ok = sum(not ray_hits_box_before(p, obj, vp) for p in cloud.points)
     assert visible_ok / len(cloud) >= 0.99
 
 
 def test_render_determinism_per_seed():
     world = world_with_box()
-    cam = CameraModel.from_config(world.config.camera)
-    a = render_object_cloud(world, cam, 0, 400, seed=11)
-    b = render_object_cloud(world, cam, 0, 400, seed=11)
-    c = render_object_cloud(world, cam, 0, 400, seed=12)
+    a = render_object_cloud(world, 400, seed=11)
+    b = render_object_cloud(world, 400, seed=11)
+    c = render_object_cloud(world, 400, seed=12)
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
 
 
+def test_camera_pose_of_the_default_config_on_a_standing_trunk():
+    """Pinned to the bit: the mount offset and 65-degree pitch on a level
+    trunk at the stand height."""
+    srb = standing_world().robot.srb
+    pose = camera_pose(StackConfig().camera, srb.position, srb.rotation())
+    c, s = 0.42261826174069944, 0.9063077870366499  # cos and sin of 65 degrees
+    assert pose.rotation.tobytes() == np.array(
+        [[0.0, -s, c], [-1.0, 0.0, 0.0], [0.0, -c, -s]]).tobytes()
+    assert pose.translation.tobytes() == np.array([0.24, 0.0, 0.42000000000000004]).tobytes()
+
+
+def test_rendering_reads_the_camera_of_the_world_config():
+    """A camera pitched up to 33 degrees loses the near part of the box that
+    the default 65 degrees sees whole."""
+    pitched = world_with_box()
+    pitched.config.camera.pitch_deg = 33.0
+    a = render_object_cloud(world_with_box(), 400, seed=11)
+    b = render_object_cloud(pitched, 400, seed=11)
+    assert np.ptp(b.points[:, 0]) < np.ptp(a.points[:, 0]) - 0.02
+
+
 def test_render_object_behind_camera_raises():
     world = world_with_box(xy=(-1.5, 0.0))
-    cam = CameraModel.from_config(world.config.camera)
     with pytest.raises(EmptyObservationError):
-        render_object_cloud(world, cam, 0, 400, seed=13)
+        render_object_cloud(world, 400, seed=13)
 
 
 def test_full_scan_covers_surface():

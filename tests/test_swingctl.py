@@ -200,7 +200,8 @@ def test_pre_contact_point_formula():
     shoulder = shoulder_point(leg, world.robot.srb)
     contact = shoulder + np.array([0.15, 0.0, -0.22])
     motion = np.array([0.1, 0.0, 0.0])
-    plan = plan_swing(contact, motion, leg, world.robot.srb, cfg, 0)
+    plan = plan_swing(contact, motion, leg, world.robot.srb, cfg,
+                      world.robot.feet_pos[0])
     expected = contact - cfg.pre_contact_distance * np.array([1.0, 0, 0])
     expected[2] += cfg.lift_clearance
     assert np.max(np.abs(plan.pre_contact_point - expected)) < 1e-9
@@ -213,7 +214,8 @@ def test_long_motion_clipped_direction_preserved():
     shoulder = shoulder_point(leg, world.robot.srb)
     contact = shoulder + np.array([0.12, 0.0, -0.24])
     motion = np.array([1.0, 0.0, 0.0])  # far beyond reach
-    plan = plan_swing(contact, motion, leg, world.robot.srb, cfg, 0)
+    plan = plan_swing(contact, motion, leg, world.robot.srb, cfg,
+                      world.robot.feet_pos[0])
     delta = plan.push_endpoint - plan.contact_point
     assert np.linalg.norm(delta) < 1.0
     assert np.linalg.norm(delta) > 0.01
@@ -230,7 +232,7 @@ def test_unreachable_contact_raises():
     leg = world.robot.legs[0]
     with pytest.raises(UnreachableActionError):
         plan_swing(np.array([2.0, 0.0, 0.02]), np.array([0.1, 0, 0]),
-                   leg, world.robot.srb, world.config.swing, 0)
+                   leg, world.robot.srb, world.config.swing, world.robot.feet_pos[0])
 
 
 def _numpy_target_at(plan, t):
@@ -255,7 +257,7 @@ def test_target_at_equals_the_numpy_form():
     for _ in range(20):
         contact = shoulder + np.array([0.14, 0.02, -0.23]) + rng.uniform(-0.02, 0.02, 3)
         plan = plan_swing(contact, rng.uniform(-0.1, 0.1, 3), leg, world.robot.srb,
-                          world.config.swing, 0)
+                          world.config.swing, world.robot.feet_pos[0])
         times = [w.time for w in plan.waypoints]
         for t in [-0.1, *times, *rng.uniform(-0.1, plan.duration + 0.1, 50)]:
             pos, vel = plan.target_at(t)
@@ -271,7 +273,8 @@ def test_waypoint_times_strictly_increasing_and_lift_clears():
     cfg = world.config.swing
     shoulder = shoulder_point(leg, world.robot.srb)
     contact = shoulder + np.array([0.14, 0.02, -0.23])
-    plan = plan_swing(contact, np.array([0.08, 0.0, -0.02]), leg, world.robot.srb, cfg, 0)
+    plan = plan_swing(contact, np.array([0.08, 0.0, -0.02]), leg, world.robot.srb, cfg,
+                      world.robot.feet_pos[0])
     times = [w.time for w in plan.waypoints]
     assert all(b > a for a, b in zip(times[:-1], times[1:]))
     apex = max(w.position[2] for w in plan.waypoints)
@@ -320,7 +323,7 @@ def test_full_plan_passes_near_contact_point_on_box():
     # contact point: center of the -x face
     contact = obj.pose.translation + np.array([-0.035, 0.0, 0.0])
     plan = plan_swing(contact, np.array([0.12, 0.0, -0.03]), leg, world.robot.srb,
-                      cfg.swing, leg_i, foot_start=world.robot.feet_pos[leg_i])
+                      cfg.swing, world.robot.feet_pos[leg_i])
     ex = SwingExecutor(plan, cfg.swing)
     dt = cfg.sim.dt
     min_dist = np.inf
@@ -350,7 +353,7 @@ def test_the_contact_gate_holds_at_the_contact_waypoint():
     cfg = world.config
     contact = shoulder_point(leg, world.robot.srb) + np.array([0.14, 0.02, -0.23])
     plan = plan_swing(contact, np.array([0.08, 0.0, -0.02]), leg, world.robot.srb,
-                      cfg.swing, 0)
+                      cfg.swing, world.robot.feet_pos[0])
     assert np.array_equal(plan.waypoints[3].position, plan.contact_point)
     away = plan.contact_point + np.array([0.0, 0.0, 0.2])  # far past the threshold
     ex = SwingExecutor(plan, cfg.swing)
