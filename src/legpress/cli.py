@@ -287,7 +287,7 @@ def _momentum_violation(cfg: StackConfig) -> float:
         ang = (R @ np.diag(cfg.robot.trunk_inertia) @ R.T @ srb.angular_velocity
                + m * np.cross(srb.position, srb.linear_velocity)
                + mf * np.cross(rb.feet_pos, rb.feet_vel).sum(axis=0)
-               + Ro @ obj.inertia @ Ro.T @ obj.angular_velocity
+               + Ro @ np.array(obj.inertia) @ Ro.T @ obj.angular_velocity
                + obj.mass * np.cross(obj.pose.translation, obj.linear_velocity))
         return np.concatenate([lin, ang])
 

@@ -3,9 +3,14 @@
 File format is INI (configparser): one section per subsystem, keys matching
 the dataclass field names. Vector values are comma-separated. Only keys that
 appear in the file override the defaults; an unknown section or key is an
-error, as is a value outside the range the stack divides or counts by (see
-`load_config`). The file path can come from the CLI flag or the
-LEGPRESS_CONFIG environment variable.
+error. The file path can come from the CLI flag or the LEGPRESS_CONFIG
+environment variable.
+
+`check_config` is the one range check: a value the stack divides or counts
+by must be positive, and a few values must lie in their range (see its
+docstring). `load_config` runs it on the file's values, and
+`simworld.standing_world` on every config a world is built from, so a config
+made or edited in code is checked before its first tick.
 
 The `[camera]` section is the trunk camera itself: sensing mounts it with
 `camera_pose` and renders through the world's config, so the camera has no
@@ -150,7 +155,11 @@ _POSITIVE = (("sim", "dt"), ("robot", "trunk_mass"), ("robot", "foot_mass"),
              ("mpc", "horizon"), ("mpc", "force_update_period"), ("gait", "trot_period"))
 
 
-def _check_values(cfg: StackConfig) -> None:
+def check_config(cfg: StackConfig) -> None:
+    """Raise ValueError when a value is out of its range: a value named in
+    `_POSITIVE` not positive, `camera.horizontal_fov_deg` outside (0, 180),
+    `gait.trot_duty` outside (0, 1], or a negative `swing.kp` or `swing.kd`
+    (a negative stiffness or damping pushes the foot away from its target)."""
     for section, key in _POSITIVE:
         value = getattr(getattr(cfg, section), key)
         if not value > 0:
@@ -161,6 +170,10 @@ def _check_values(cfg: StackConfig) -> None:
     duty = cfg.gait.trot_duty
     if not 0.0 < duty <= 1.0:
         raise ValueError(f"config [gait] trot_duty must be in (0, 1], got {duty!r}")
+    swing = cfg.swing
+    if not (swing.kp >= 0.0 and swing.kd >= 0.0):
+        raise ValueError(f"swing gains must be non-negative, got kp={swing.kp!r} "
+                         f"kd={swing.kd!r}")
 
 
 def load_config(path: str | None = None) -> StackConfig:
@@ -168,9 +181,8 @@ def load_config(path: str | None = None) -> StackConfig:
 
     With path=None the LEGPRESS_CONFIG environment variable is consulted;
     when that is unset too, pure defaults are returned. An unknown section or
-    key, a malformed value, a non-positive value named in `_POSITIVE`, a
-    `camera.horizontal_fov_deg` outside (0, 180) or a `gait.trot_duty` outside
-    (0, 1] raises ValueError; a missing file raises FileNotFoundError.
+    key, a malformed value or a value that fails `check_config` raises
+    ValueError; a missing file raises FileNotFoundError.
     """
     cfg = StackConfig()
     if path is None:
@@ -194,6 +206,6 @@ def load_config(path: str | None = None) -> StackConfig:
             if key not in valid:
                 raise ValueError(f"unknown config key [{section_field.name}] {key}")
             setattr(sub, key, _coerce(section_field.name, key, raw, getattr(sub, key)))
-    _check_values(cfg)
+    check_config(cfg)
     return cfg
 

@@ -102,7 +102,7 @@ def reach_check(object_centroid, world: WorldState) -> StandoffPose | None:
         return None
     yaw = world.robot.srb.rpy[2]
     d = world.config.orchestrator.standoff_distance
-    base = centroid - rot_z(yaw) @ (leg.shoulder + np.array([d, 0.0, 0.0]))
+    base = centroid - rot_z(yaw) @ (np.array(leg.shoulder) + np.array([d, 0.0, 0.0]))
     base[2] = world.config.mpc.stand_height
     return StandoffPose(base, yaw)
 
@@ -239,12 +239,7 @@ class _OrchestratorCore:
         self.options = options
         self.rng = rng
         self.mpc = ForceMpc(self.cfg)
-        swing = self.cfg.swing
-        # a negative stiffness or damping pushes the foot away from its target
-        if not (swing.kp >= 0.0 and swing.kd >= 0.0):
-            raise ValueError(f"swing gains must be non-negative, got kp={swing.kp!r} "
-                             f"kd={swing.kd!r}")
-        self.kp, self.kd = float(swing.kp), float(swing.kd)
+        self.kp, self.kd = float(self.cfg.swing.kp), float(self.cfg.swing.kd)
         self.state = QP_STAND
         self.state_entry_time = world.time
         self.gait = GaitSchedule.stand()

@@ -3,19 +3,23 @@
 Solves
     min  0.5 x'Hx + g'x
     s.t. lo <= C x <= hi
-where a row with lo == hi is an equality. H must be positive definite.
+where H must be positive definite and C may have no rows. A row with
+lo == hi is an equality and takes the path of every other row: it is added
+on the side it violates.
 
 The method is the dual active-set method of Goldfarb and Idnani (Math.
 Programming 27, 1983). It starts at the unconstrained minimum -H⁻¹g, which
-satisfies every dual condition, adds the equality rows, then repeatedly adds
-the most violated side of an inactive row. A full step makes that row active;
-a partial step stops where an active row's multiplier reaches zero and drops
-that row, then the same row is tried again. The multipliers stay of the right
-sign throughout, so the first primal-feasible point is the optimum. A new row
-that depends on the active rows while no active row can be dropped proves the
-problem infeasible. H⁻¹a of an active row never changes, so it is stored with
-the row. The force MPC's rows almost never bind, so most solves make no
-active-set change, and no warm start or tuning is needed.
+satisfies every dual condition, then repeatedly adds the most violated side
+of an inactive row. A full step makes that row active; a partial step stops
+where an active row's multiplier reaches zero and drops that row, then the
+same row is tried again. The multipliers stay of the right sign throughout,
+so the first primal-feasible point is the optimum. A new row that depends on
+the active rows while no active row can be dropped proves the problem
+infeasible; a row that already holds is never added, so a repeated or
+dependent row that agrees with the active ones costs nothing. H⁻¹a of an
+active row never changes, so it is stored with the row. The force MPC's rows
+almost never bind, so most solves make no active-set change, and no warm
+start or tuning is needed.
 
 A non-empty active set found is solved once more as an exact KKT system
 with iterative refinement; with an empty one the result is the unconstrained
@@ -42,9 +46,9 @@ RIDGE = 1e-8
 class QpProblem:
     hessian: np.ndarray
     gradient: np.ndarray
-    C: np.ndarray | None = None
-    c_lo: np.ndarray | None = None
-    c_hi: np.ndarray | None = None
+    C: np.ndarray
+    c_lo: np.ndarray
+    c_hi: np.ndarray
 
     def __post_init__(self):
         self.hessian = np.asarray(self.hessian, dtype=float)
@@ -54,18 +58,13 @@ class QpProblem:
             raise ValueError("hessian/gradient dimension mismatch")
         if np.max(np.abs(self.hessian - self.hessian.T)) > 1e-9:
             raise ValueError("hessian must be symmetric")
-        if self.C is None:
-            self.C = np.zeros((0, n))
-            self.c_lo = np.zeros(0)
-            self.c_hi = np.zeros(0)
-        else:
-            self.C = np.asarray(self.C, dtype=float).reshape(-1, n)
-            self.c_lo = np.asarray(self.c_lo, dtype=float).reshape(-1)
-            self.c_hi = np.asarray(self.c_hi, dtype=float).reshape(-1)
-            if len(self.c_lo) != len(self.C) or len(self.c_hi) != len(self.C):
-                raise ValueError("inequality bound dimension mismatch")
-            if np.any(self.c_lo > self.c_hi):
-                raise ValueError("c_lo must be <= c_hi elementwise")
+        self.C = np.asarray(self.C, dtype=float).reshape(-1, n)
+        self.c_lo = np.asarray(self.c_lo, dtype=float).reshape(-1)
+        self.c_hi = np.asarray(self.c_hi, dtype=float).reshape(-1)
+        if len(self.c_lo) != len(self.C) or len(self.c_hi) != len(self.C):
+            raise ValueError("inequality bound dimension mismatch")
+        if np.any(self.c_lo > self.c_hi):
+            raise ValueError("c_lo must be <= c_hi elementwise")
 
     @property
     def n(self) -> int:
@@ -136,22 +135,17 @@ class QpSolver:
         C, lo, hi, n = p.C, p.c_lo, p.c_hi, p.n
         x = x0 = scipy.linalg.cho_solve(factor, -p.gradient)
         # active rows as N x <= beta (each row of C signed toward its bound),
-        # with multipliers u >= 0 (free on equality rows), W = H⁻¹N' and
-        # M = N H⁻¹N'
+        # with multipliers u >= 0, W = H⁻¹N' and M = N H⁻¹N'
         rows, bounds = [], []
         N, W, M, u = np.zeros((0, n)), np.zeros((n, 0)), np.zeros((0, 0)), np.zeros(0)
-        pending_eq = list(np.flatnonzero(lo == hi))
         status, changes = "optimal", 0
         while status == "optimal":
             Cx = C @ x
-            if pending_eq:
-                r = pending_eq.pop(0)
-            else:
-                viol = np.maximum(Cx - hi, lo - Cx)
-                viol[rows] = -np.inf
-                if not len(viol) or viol.max() <= 1e-2 * KKT_TOL:
-                    break
-                r = int(np.argmax(viol))
+            viol = np.maximum(Cx - hi, lo - Cx)
+            viol[rows] = -np.inf
+            if not len(viol) or viol.max() <= 1e-2 * KKT_TOL:
+                break
+            r = int(np.argmax(viol))
             side = 1.0 if Cx[r] >= hi[r] else -1.0
             bound = hi[r] if side > 0 else lo[r]
             a = side * C[r]
@@ -169,13 +163,11 @@ class QpSolver:
                 dependent = len(rows) == n or curvature <= 1e-12 * float(a @ w)
                 t_full = np.inf if dependent else v / curvature
                 ratio = np.full(len(rows), np.inf)
-                free = (dual_dir > 0.0) & (lo[rows] != hi[rows])  # equalities stay
+                free = dual_dir > 0.0
                 ratio[free] = u[free] / dual_dir[free]
                 t_part = ratio.min(initial=np.inf)
                 if min(t_full, t_part) == np.inf:  # dependent, and nothing to drop
-                    # an equality row that already holds is redundant
-                    if lo[r] != hi[r] or abs(v) > 1e-2 * KKT_TOL:
-                        status = "infeasible"
+                    status = "infeasible"
                     break
                 t = min(t_full, t_part)
                 x = x - t * z

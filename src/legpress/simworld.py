@@ -36,21 +36,22 @@ original bit for bit.
 The tick runs on Python floats. `step` reads the trunk, feet and objects
 once with `.tolist()`, computes on float rows what is fixed within a tick
 once per tick, and writes back once into the same arrays; an object gets a
-new `RigidTransform`. Derived rows are written with their source, and the
-source arrays are read-only. `SrbState.rotation_rows` is the trunk rotation:
-the constructor builds it from rpy, and `step` writes the rotation it
-integrated together with the rpy chart of it. `LegModel.jacobian_rows` is
-the trunk-frame Jacobian of the joint angles, written with them by the leg
-sync. `SimObject` keeps its inertia and the inverse as rows made once. `rpy`,
-`joint_angles` and `inertia` are read-only, so no reader can find rows that
-disagree with their source; a new pose is a new state (`dataclasses.replace`).
-Rows are tuples and safe to share; array accessors hand out new arrays or
-copies. Where a helper call per vector would cost more than its arithmetic,
-the tick writes the products out in the helper's order: the tip-force solve
-on the Jacobian rows (`_tip_forces`, `_solve3`'s expressions), the friction
-pass, the IK's clamps (`_clamp`, `min(max())`'s values). The velocity check
-is one pass over the components (`_check_speeds`). The float 3-vector helpers
-are public in `geom`.
+new `RigidTransform`. Derived rows are written with their source, and each
+source is a tuple of floats: no reader can change it apart from its rows,
+and a deep copy or a pickle keeps the two together. `SrbState.rotation_rows`
+is the trunk rotation: the constructor builds it from `rpy`, and `step`
+writes the rotation it integrated together with the rpy chart of it.
+`LegModel.jacobian_rows` is the trunk-frame Jacobian of `joint_angles`,
+written with them by the leg sync. `SimObject.inertia` is float rows, and
+its inverse rows are made once with it. A new pose is a new state
+(`dataclasses.replace`). Numpy callers convert with `np.array`, which is
+exact; array accessors hand out new arrays or copies. Where a helper call
+per vector would cost more than its arithmetic, the tick writes the
+products out in the helper's order: the tip-force solve on the Jacobian rows
+(`_tip_forces`, `_solve3`'s expressions), the friction pass, the IK's clamps
+(`_clamp`, `min(max())`'s values). The velocity check is one pass over the
+components (`_check_speeds`). The float 3-vector helpers are public in
+`geom`.
 
 Outcome gate. Float rows and sleep round differently from a plain numpy
 formulation of the same model, so a trajectory is not bit-identical to one,
@@ -85,7 +86,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ContactConfig, RobotConfig, SimConfig, StackConfig
+from .config import ContactConfig, RobotConfig, SimConfig, StackConfig, check_config
 from .geom import (
     GimbalLockError,
     RigidTransform,
@@ -112,11 +113,6 @@ SLEEP_ANGULAR_TOL = 1e-9  # rad/s
 SLEEP_TIME = 0.1  # s
 OBJECT_DENSITY = 300.0  # kg/m^3 of every object made from a shape
 CYLINDER_SIDES = 16  # sides of the prism a Cylinder's vertices span
-
-
-def _freeze(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def _sandwich(R, M) -> list:
@@ -154,24 +150,22 @@ class SrbState:
     its source: the constructor builds it from rpy through
     `euler_zyx_to_matrix`, and `step` writes the rotation it integrated
     together with the rpy chart of it. rpy, the chart the MPC and the traces
-    read, is a read-only view of a buffer that only `step` writes; a trunk in
-    another pose is a new state (`dataclasses.replace`)."""
+    read, is a tuple of three floats; a trunk in another pose is a new state
+    (`dataclasses.replace`)."""
 
-    rpy: np.ndarray
+    rpy: tuple
     position: np.ndarray
     angular_velocity: np.ndarray
     linear_velocity: np.ndarray
     gravity_placeholder: float = SimConfig.gravity
     rotation_rows: tuple = field(init=False, repr=False, compare=False)
-    _rpy: np.ndarray = field(init=False, repr=False, compare=False)  # the buffer rpy views
 
     def __post_init__(self):
-        self._rpy = np.array(self.rpy, dtype=float).reshape(3)
-        self.rpy = _freeze(self._rpy.view())
+        self.rpy = tuple(map(float, self.rpy))
         self.position = np.asarray(self.position, dtype=float).reshape(3).copy()
         self.angular_velocity = np.asarray(self.angular_velocity, dtype=float).reshape(3).copy()
         self.linear_velocity = np.asarray(self.linear_velocity, dtype=float).reshape(3).copy()
-        self.rotation_rows = tuple(map(tuple, euler_zyx_to_matrix(*self._rpy.tolist()).tolist()))
+        self.rotation_rows = tuple(map(tuple, euler_zyx_to_matrix(*self.rpy).tolist()))
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.rpy, self.position, self.angular_velocity,
@@ -187,48 +181,35 @@ class SrbState:
         srb.rotation_rows = self.rotation_rows
         return srb
 
-    def __setstate__(self, state):
-        # a deep copy or unpickling copies the view apart from its buffer
-        self.__dict__.update(state)
-        self.rpy = _freeze(self._rpy.view())
-
 
 @dataclass
 class LegModel:
-    """One 3-DOF leg on the trunk. `jacobian_rows` is the trunk-frame
-    Jacobian d(foot offset)/d(joint angles) as three float rows, written with
-    the angles: built by the constructor, and by the leg sync in the same
-    write as the angles it solves. `joint_angles` is a read-only view of that
-    buffer; a leg at other angles is a new leg (`dataclasses.replace`)."""
+    """One 3-DOF leg on the trunk. The joint angles, the hip offset and the
+    shoulder point are tuples of three floats. `jacobian_rows` is the
+    trunk-frame Jacobian d(foot offset)/d(joint angles) as three float rows,
+    written with the angles: built by the constructor, and by the leg sync in
+    the same write as the angles it solves. A leg at other angles is a new leg
+    (`dataclasses.replace`)."""
 
-    hip_offset: np.ndarray  # trunk frame, from trunk COM; read-only
+    hip_offset: tuple  # trunk frame, from trunk COM
     side: float  # +1 left, -1 right
     link_lengths: tuple  # (abduction offset, thigh, calf)
     joint_limits: tuple  # (lo, hi) per joint: hip roll, hip pitch, knee
-    joint_angles: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    joint_angles: tuple = (0.0, 0.0, 0.0)
     jacobian_rows: tuple = field(init=False, repr=False, compare=False)
-    _q: np.ndarray = field(init=False, repr=False, compare=False)  # the buffer joint_angles views
-    _hip: tuple = field(default=(), init=False, repr=False, compare=False)  # hip_offset's floats
-    # trunk-frame shoulder point: the hip moved out by the abduction offset; read-only
-    shoulder: np.ndarray = field(init=False, repr=False, compare=False)
+    # trunk-frame shoulder point: the hip moved out by the abduction offset
+    shoulder: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.hip_offset = _freeze(np.array(self.hip_offset, dtype=float).reshape(3))
-        self._hip = tuple(self.hip_offset.tolist())
-        self.shoulder = _freeze(self.hip_offset
-                                + np.array([0.0, self.side * self.link_lengths[0], 0.0]))
-        self._q = np.array(self.joint_angles, dtype=float).reshape(3)
-        self.joint_angles = _freeze(self._q.view())
-        self.jacobian_rows = _jac_local(*self._q.tolist(), self.side, *self.link_lengths)
+        self.hip_offset = tuple(map(float, self.hip_offset))
+        abduction = (0.0, self.side * self.link_lengths[0], 0.0)
+        self.shoulder = tuple(h + a for h, a in zip(self.hip_offset, abduction))
+        self.joint_angles = tuple(map(float, self.joint_angles))
+        self.jacobian_rows = _jac_local(*self.joint_angles, self.side, *self.link_lengths)
 
     def copy(self) -> "LegModel":
         return LegModel(self.hip_offset, self.side, self.link_lengths,
                         self.joint_limits, self.joint_angles)
-
-    def __setstate__(self, state):
-        # a deep copy or unpickling copies the view apart from its buffer
-        self.__dict__.update(state)
-        self.joint_angles = _freeze(self._q.view())
 
 
 def make_legs(rc: RobotConfig) -> list[LegModel]:
@@ -236,7 +217,7 @@ def make_legs(rc: RobotConfig) -> list[LegModel]:
     ll = (rc.abduction_offset, rc.thigh_length, rc.calf_length)
     lim = (tuple(rc.hip_roll_limits), tuple(rc.hip_pitch_limits), tuple(rc.knee_limits))
     for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        legs.append(LegModel(np.array([sx * rc.hip_offset_x, sy * rc.hip_offset_y, 0.0]),
+        legs.append(LegModel((sx * rc.hip_offset_x, sy * rc.hip_offset_y, 0.0),
                              float(sy), ll, lim))
     return legs
 
@@ -272,13 +253,13 @@ def _jac_local(q1, q2, q3, side, l_abd, lt, lc):
 
 def leg_forward_kinematics(leg: LegModel, trunk: SrbState) -> np.ndarray:
     """World-frame foot position from trunk pose and joint angles."""
-    local = np.array(_fk_local(*leg.joint_angles.tolist(), leg.side, *leg.link_lengths))
-    return trunk.position + trunk.rotation() @ (leg.hip_offset + local)
+    local = np.array(_fk_local(*leg.joint_angles, leg.side, *leg.link_lengths))
+    return trunk.position + trunk.rotation() @ (np.array(leg.hip_offset) + local)
 
 
 def shoulder_point(leg: LegModel, trunk: SrbState) -> np.ndarray:
     """World-frame shoulder point of the leg."""
-    return trunk.position + trunk.rotation() @ leg.shoulder
+    return trunk.position + trunk.rotation() @ np.array(leg.shoulder)
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:
@@ -328,7 +309,7 @@ def leg_inverse_kinematics(target: np.ndarray, leg: LegModel,
     """Joint angles reaching the world target within the joint limits, or
     None when no such angles exist."""
     R = trunk.rotation()
-    d = R.T @ (np.asarray(target, dtype=float) - (trunk.position + R @ leg.hip_offset))
+    d = R.T @ (np.asarray(target, dtype=float) - (trunk.position + R @ np.array(leg.hip_offset)))
     q = _ik_local(d.tolist(), leg.side, *leg.link_lengths, leg.joint_limits)
     return None if q is None else np.array(q)
 
@@ -396,26 +377,27 @@ def _solve3(A, b) -> list:
 # shapes and objects
 
 
-# Each shape computes its vertex array once (`_verts`, read-only, and
-# `_vert_rows`, the same vertices as float triples for the step);
-# `vertices()` hands out a copy.
+class _Shape:
+    """A shape's vertices, computed once as float triples (`_vert_rows`, which
+    the step reads); `vertices()` hands them out as a new array."""
+
+    def vertices(self) -> np.ndarray:
+        return np.array(self._vert_rows)
 
 
 def _set_vertices(shape, verts: np.ndarray) -> None:
-    """Store the shape's read-only vertex array, its float rows and `_radius`,
-    the radius of a ball about the body origin that holds the shape: the
-    largest vertex norm, padded against rounding (a cylinder's rim vertices
-    sit on its circle). The signed distance is Euclidean, so a foot centre
-    farther than `_radius` plus the foot radius is out of contact and `step`
-    skips it."""
-    object.__setattr__(shape, "_verts", _freeze(verts))
+    """Store the shape's vertices as float rows and `_radius`, the radius of a
+    ball about the body origin that holds the shape: the largest vertex norm,
+    padded against rounding (a cylinder's rim vertices sit on its circle). The
+    signed distance is Euclidean, so a foot centre farther than `_radius` plus
+    the foot radius is out of contact and `step` skips it."""
     object.__setattr__(shape, "_vert_rows", tuple(map(tuple, verts.tolist())))
     radius = float(np.sqrt(np.max(np.sum(verts * verts, axis=1)))) * (1.0 + 1e-9)
     object.__setattr__(shape, "_radius", radius)
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(_Shape):
     extents: tuple  # full side lengths (x, y, z)
 
     def __post_init__(self):
@@ -423,9 +405,6 @@ class Box:
         object.__setattr__(self, "_half", (hx, hy, hz))
         _set_vertices(self, np.array([(sx * hx, sy * hy, sz * hz)
                                       for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]))
-
-    def vertices(self) -> np.ndarray:
-        return self._verts.copy()
 
     def signed_distance(self, p) -> tuple[float, np.ndarray]:
         hx, hy, hz = self._half
@@ -474,7 +453,7 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Shape):
     radius: float
     height: float
 
@@ -484,9 +463,6 @@ class Cylinder:
         top = np.column_stack([ring, np.full(CYLINDER_SIDES, self.height / 2.0)])
         bot = np.column_stack([ring, np.full(CYLINDER_SIDES, -self.height / 2.0)])
         _set_vertices(self, np.vstack([top, bot]))
-
-    def vertices(self) -> np.ndarray:
-        return self._verts.copy()
 
     def signed_distance(self, p) -> tuple[float, np.ndarray]:
         x, y, z = p
@@ -535,7 +511,7 @@ class Cylinder:
 
 
 @dataclass(frozen=True)
-class ConvexMesh:
+class ConvexMesh(_Shape):
     """Convex hull of a vertex set; non-vertex points are ignored. A scan-only
     shape: it is sampled and rested, never simulated (see `SimObject`)."""
 
@@ -549,9 +525,6 @@ class ConvexMesh:
         object.__setattr__(self, "_simplices", pts[hull.simplices])
         _set_vertices(self, pts[hull.vertices])
 
-    def vertices(self) -> np.ndarray:
-        return self._verts.copy()
-
     def sample_surface(self, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
         tri = self._simplices
         ab = tri[:, 1] - tri[:, 0]
@@ -560,7 +533,7 @@ class ConvexMesh:
         areas = 0.5 * np.linalg.norm(cross, axis=1)
         nrms = cross / (2.0 * areas[:, None] + 1e-300)
         # orient outward (centroid is interior for a convex body)
-        centroid = self._verts.mean(axis=0)
+        centroid = self.vertices().mean(axis=0)
         flip = np.einsum("ij,ij->i", nrms, tri[:, 0] - centroid) < 0.0
         nrms[flip] *= -1.0
         idx = rng.choice(len(tri), size=n, p=areas / areas.sum())
@@ -573,7 +546,7 @@ class ConvexMesh:
 
 
 @dataclass(frozen=True)
-class Compound:
+class Compound(_Shape):
     """Union of boxes at fixed translation offsets (L/T prisms)."""
 
     parts: tuple  # of (Box, offset 3-tuple)
@@ -584,9 +557,6 @@ class Compound:
                 raise TypeError(f"Compound parts must be Box, got {type(shape).__name__}")
         vs = [shape.vertices() + np.asarray(off) for shape, off in self.parts]
         _set_vertices(self, np.vstack(vs))
-
-    def vertices(self) -> np.ndarray:
-        return self._verts.copy()
 
     def signed_distance(self, p) -> tuple[float, np.ndarray]:
         p0, p1, p2 = p
@@ -643,11 +613,10 @@ class SimObject:
     linear_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     angular_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     mass: float = 1.0
-    inertia: np.ndarray = field(default_factory=lambda: np.eye(3) * 1e-3)  # body frame; read-only
+    inertia: tuple = ((1e-3, 0.0, 0.0), (0.0, 1e-3, 0.0), (0.0, 0.0, 1e-3))  # body frame rows
     friction: float = 0.5
     name: str = "object"
-    # the inertia and its inverse as float rows, made once with the inertia
-    inertia_rows: tuple = field(init=False, repr=False, compare=False)
+    # the inverse of the inertia as float rows, made once with the inertia
     inverse_inertia_rows: tuple = field(init=False, repr=False, compare=False)
     # (the pose the last step wrote, the quiet ticks that ended with it)
     _rest: tuple = field(default=(None, 0), init=False, repr=False, compare=False)
@@ -661,14 +630,14 @@ class SimObject:
                             f"not {type(self.shape).__name__}")
         self.linear_velocity = np.asarray(self.linear_velocity, dtype=float).reshape(3).copy()
         self.angular_velocity = np.asarray(self.angular_velocity, dtype=float).reshape(3).copy()
-        self.inertia = I = _freeze(np.array(self.inertia, dtype=float).reshape(3, 3))
+        I = np.array(self.inertia, dtype=float).reshape(3, 3)
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
         # the step inverts the inertia; an indefinite one is no rigid body
         if not (np.all(np.isfinite(I)) and np.max(np.abs(I - I.T)) <= 1e-12 * np.max(np.abs(I))
                 and np.linalg.eigvalsh(I)[0] > 0.0):
             raise ValueError("inertia must be symmetric positive definite")
-        self.inertia_rows = tuple(map(tuple, I.tolist()))
+        self.inertia = tuple(map(tuple, I.tolist()))
         self.inverse_inertia_rows = tuple(map(tuple, np.linalg.inv(I).tolist()))
 
     @staticmethod
@@ -757,8 +726,9 @@ class WorldState:
 
 def standing_world(config: StackConfig | None = None, objects=()) -> WorldState:
     """Robot standing level at the stand height with feet under the
-    shoulders, touching z=0."""
+    shoulders, touching z=0. The config must pass `check_config`."""
     config = config or StackConfig()
+    check_config(config)
     srb = SrbState(np.zeros(3), np.array([0.0, 0.0, config.mpc.stand_height]),
                    np.zeros(3), np.zeros(3), config.sim.gravity)
     world = WorldState(RobotState(srb, make_legs(config.robot), np.zeros((4, 3)),
@@ -796,7 +766,7 @@ def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
     p0, p1, p2 = pos
     for i, leg in enumerate(robot.legs):
-        o0, o1, o2 = off = leg._hip
+        o0, o1, o2 = off = leg.hip_offset
         fp = feet_p[i]
         # the foot from the hip point pos + R off, in the trunk frame
         e0 = fp[0] - (p0 + (r00 * o0 + r01 * o1 + r02 * o2))
@@ -809,7 +779,7 @@ def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
             # joint stops engaged: freeze the joints and let the foot ride
             # with the trunk this step, with a paired momentum correction on
             # a free trunk (a fixed base absorbs it)
-            local = _fk_local(*leg.joint_angles.tolist(), leg.side, *leg.link_lengths)
+            local = _fk_local(*leg.joint_angles, leg.side, *leg.link_lengths)
             b = matvec3(R, [off[k] + local[k] for k in range(3)])
             p_new = [pos[k] + b[k] for k in range(3)]
             c = cross3(w, [p_new[k] - pos[k] for k in range(3)])
@@ -821,8 +791,7 @@ def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
             feet_p[i] = robot.feet_pos[i] = p_new
             feet_v[i] = robot.feet_vel[i] = v_new
             continue
-        a = leg._q
-        a[0], a[1], a[2] = q
+        leg.joint_angles = q
         # the controllers' tick and the next step read this Jacobian
         leg.jacobian_rows = _jac_local(*q, leg.side, *leg.link_lengths)
 
@@ -1150,7 +1119,7 @@ def step(world: WorldState, joint_torques) -> WorldState:
     obj_I_inv = []  # world inverse inertia per object, as float rows
     for oi, obj in enumerate(awake):
         Ro = obj_R[oi]
-        Lw = matvec3(Ro, matvec3(obj.inertia_rows, matvec3_t(Ro, obj_w[oi])))
+        Lw = matvec3(Ro, matvec3(obj.inertia, matvec3_t(Ro, obj_w[oi])))
         tq = obj_torque[oi]
         L = [Lw[0] + tq[0] * dt, Lw[1] + tq[1] * dt, Lw[2] + tq[2] * dt]
         obj_L.append(L)
@@ -1185,9 +1154,8 @@ def step(world: WorldState, joint_torques) -> WorldState:
                 f"trunk orientation left the valid envelope: {e}") from e
         Lb = matvec3_t(R_new, L_trunk)
         w = matvec3(R_new, (Lb[0] / I0, Lb[1] / I1, Lb[2] / I2))
+        srb.rpy = rpy
         # item writes: a slice assignment from a sequence costs twice as much
-        a = srb._rpy
-        a[0], a[1], a[2] = rpy
         a = srb.position
         a[0], a[1], a[2] = pos
         a = srb.angular_velocity

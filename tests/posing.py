@@ -1,8 +1,8 @@
 """Test helper: a leg or trunk in a new pose.
 
-`LegModel.joint_angles` and `SrbState.rpy` are read-only, because each is
-written together with the rows derived from it. A test that needs other
-angles builds a new leg or trunk, which derives its rows in the constructor.
+`LegModel.joint_angles` and `SrbState.rpy` are tuples, written together
+with the rows derived from them. A test that needs other angles builds a new
+leg or trunk, which derives its rows in the constructor.
 """
 import dataclasses
 

@@ -444,6 +444,19 @@ def test_a_value_the_stack_divides_by_exits_2_when_out_of_range(section, key, ra
         "error": "ValueError", "message": f"config [{section}] {key} {message}"}
 
 
+def test_a_config_built_in_code_is_checked_before_the_first_tick():
+    """A config made or edited in code meets the check a loaded file meets:
+    an episode with a zero-width camera raises ValueError naming the key when
+    its world is built, not a division by zero at the first render."""
+    cfg = StackConfig()
+    cfg.camera.width = 0
+    task = sample_task(TaskSpec("box_push_fixed"), 0, cfg)
+    with pytest.raises(ValueError, match=r"^config \[camera\] width must be positive, got 0$"):
+        orchestrator.run_episode(task, harness.make_provider("planning"), config=cfg)
+    with pytest.raises(ValueError, match=r"^config \[camera\] width"):
+        config.check_config(cfg)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["regbench", "--cases", "0"], "need at least one registration case"),
     (["regbench", "--cases", "1", "--ambiguity", "-1"], "need at least one ambiguity trial"),

@@ -1,13 +1,16 @@
 """No legpress module imports, or reads as an attribute, another legpress
 module's `_`-prefixed name: modules talk through public names only. And
-every config key is read by the program outside the config module."""
+every config key is read by the program outside the config module, and is
+named in the config module's schema."""
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import legpress
+from legpress import config
 from legpress.config import StackConfig
 
 SRC = Path(legpress.__file__).parent
@@ -102,3 +105,43 @@ def test_every_config_key_is_read_outside_the_config_module():
     keys = [(section.name, key.name) for section in fields(cfg)
             for key in fields(getattr(cfg, section.name))]
     assert [f"[{section}] {key}" for section, key in keys if key not in read] == []
+
+
+def documented_schema(doc: str) -> dict:
+    """Section -> [(key, vector length or None)] from the schema block of a
+    config docstring: after the `Schema` line, `[section]` opens a section
+    whose comma-separated keys run on over the lines that follow, up to a
+    blank line; `key (n)` is a vector of n values."""
+    schema, section = {}, None
+    for line in doc.split("Schema", 1)[1].splitlines()[1:]:
+        if not line.strip():
+            if section is None:
+                continue
+            break
+        opened = re.match(r"\s*\[(\w+)\](.*)", line)
+        if opened:
+            section, line = opened.groups()
+            schema[section] = []
+        for item in filter(None, map(str.strip, line.split(","))):
+            key, length = re.fullmatch(r"(\w+)(?:\s*\((\d+)\))?", item).groups()
+            schema[section].append((key, None if length is None else int(length)))
+    return schema
+
+
+def test_the_schema_reader_reads_sections_keys_and_lengths():
+    doc = "Intro.\n\nSchema:\n\n    [a]  x, y (3),\n         z\n    [b]  w\n\nMore text, [c] q\n"
+    assert documented_schema(doc) == {"a": [("x", None), ("y", 3), ("z", None)],
+                                      "b": [("w", None)]}
+
+
+def test_the_config_docstring_names_every_section_and_key():
+    """The schema in the config module docstring names exactly the
+    StackConfig sections and fields, in order, with each vector's length."""
+    cfg = StackConfig()
+    want = {}
+    for section in fields(cfg):
+        sub = getattr(cfg, section.name)
+        values = [(key.name, getattr(sub, key.name)) for key in fields(sub)]
+        want[section.name] = [(key, len(v) if isinstance(v, tuple) else None)
+                              for key, v in values]
+    assert documented_schema(config.__doc__) == want

@@ -476,7 +476,7 @@ def test_raibert_zero_velocity_under_hip():
     gait = GaitSchedule.trot(GAIT.trot_period, GAIT.trot_duty)
     target = raibert_foothold(leg, np.zeros(3), gait, world.robot.srb, GAIT)
     srb = world.robot.srb
-    hip = srb.position + euler_zyx_to_matrix(*srb.rpy) @ leg.hip_offset
+    hip = srb.position + euler_zyx_to_matrix(*srb.rpy) @ np.array(leg.hip_offset)
     shoulder = hip + np.array([0, leg.side * leg.link_lengths[0], 0])
     assert np.max(np.abs(target[:2] - shoulder[:2])) < 1e-9
     assert target[2] == 0.0

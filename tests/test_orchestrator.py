@@ -147,7 +147,7 @@ def test_teleport_replaces_the_trunk_with_one_at_rest_in_the_standoff_pose():
     core.teleport_to(standoff)
     srb = world.robot.srb
     assert srb is not before
-    roll, pitch, yaw = srb.rpy.tolist()
+    roll, pitch, yaw = srb.rpy
     assert roll == pitch == 0.0 and abs(yaw - 0.4) <= 0.05
     assert srb.rotation_rows == tuple(map(tuple, euler_zyx_to_matrix(0.0, 0.0, yaw).tolist()))
     assert np.max(np.abs(srb.position - standoff.position)) <= 0.02

@@ -20,6 +20,11 @@ def objective(p: QpProblem, x: np.ndarray) -> float:
     return float(0.5 * x @ p.hessian @ x + p.gradient @ x)
 
 
+def _unconstrained(H, g) -> QpProblem:
+    """The problem with no rows: C has none."""
+    return QpProblem(H, g, C=np.zeros((0, len(g))), c_lo=np.zeros(0), c_hi=np.zeros(0))
+
+
 def _problem(H, g, C, hi, D=None) -> QpProblem:
     """One-sided rows C x <= hi, plus D x = 0 as rows with lo == hi."""
     lo = np.full(len(hi), -np.inf)
@@ -31,7 +36,7 @@ def _problem(H, g, C, hi, D=None) -> QpProblem:
 
 
 def test_unconstrained_min_norm_is_zero():
-    p = QpProblem(np.eye(3), np.zeros(3))
+    p = _unconstrained(np.eye(3), np.zeros(3))
     s = solve(p)
     assert s.status == "optimal"
     assert np.max(np.abs(s.primal)) < 1e-8
@@ -277,12 +282,12 @@ def test_row_dependent_on_an_equality_row():
 
 def test_rejects_asymmetric_hessian():
     with pytest.raises(ValueError):
-        QpProblem([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])
+        _unconstrained([[1.0, 0.5], [0.0, 1.0]], [0.0, 0.0])
 
 
 def test_rejects_indefinite_hessian():
     with pytest.raises(ValueError):
-        solve(QpProblem([[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0]))
+        solve(_unconstrained([[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0]))
 
 
 def test_rejects_crossed_bounds():

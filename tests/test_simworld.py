@@ -1,5 +1,7 @@
 import copy
 import math
+import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -76,7 +78,7 @@ def test_fk_zero_configuration_straight_leg():
     trunk = level_trunk((0, 0, 0))
     p = leg_forward_kinematics(leg, trunk)
     l_abd, lt, lc = leg.link_lengths
-    expected = leg.hip_offset + np.array([0.0, leg.side * l_abd, -(lt + lc)])
+    expected = np.array(leg.hip_offset) + np.array([0.0, leg.side * l_abd, -(lt + lc)])
     assert np.max(np.abs(p - expected)) < 1e-12
 
 
@@ -86,7 +88,7 @@ def test_fk_right_knee_bend_matches_hand_geometry():
     trunk = level_trunk((0, 0, 0))
     l_abd, lt, lc = leg.link_lengths
     p = leg_forward_kinematics(leg, trunk)
-    expected = leg.hip_offset + np.array([lc, leg.side * l_abd, -lt])
+    expected = np.array(leg.hip_offset) + np.array([lc, leg.side * l_abd, -lt])
     assert np.max(np.abs(p - expected)) < 1e-12
 
 
@@ -107,7 +109,7 @@ def test_fk_respects_trunk_pose():
                   leg.side * l_abd,
                   -lt * math.cos(q2) - lc * math.cos(q2 + q3)])
     Rx = euler_zyx_to_matrix(q1, 0, 0)
-    expected = trunk.position + R @ (leg.hip_offset + Rx @ w)
+    expected = trunk.position + R @ (np.array(leg.hip_offset) + Rx @ w)
     assert np.max(np.abs(p - expected)) < 1e-12
 
 
@@ -127,8 +129,8 @@ def test_jacobian_finite_difference_1000_configs():
         eps = 1e-6
         for j in range(3):
             dq = eps * np.eye(3)[j]
-            p_plus = leg_forward_kinematics(posed(leg, leg.joint_angles + dq), trunk)
-            p_minus = leg_forward_kinematics(posed(leg, leg.joint_angles - dq), trunk)
+            p_plus = leg_forward_kinematics(posed(leg, np.array(leg.joint_angles) + dq), trunk)
+            p_minus = leg_forward_kinematics(posed(leg, np.array(leg.joint_angles) - dq), trunk)
             fd = (p_plus - p_minus) / (2 * eps)
             worst = max(worst, float(np.max(np.abs(fd - J[:, j])) / scale))
     assert worst < 1e-4
@@ -157,7 +159,7 @@ def test_fk_linearization_error_second_order():
     for _ in range(100):
         leg = default_leg(int(rng.integers(4)))
         leg = posed(leg, random_valid_q(rng, leg))
-        q0 = leg.joint_angles.copy()
+        q0 = np.array(leg.joint_angles)
         p0 = leg_forward_kinematics(leg, trunk)
         J = leg_jacobian(leg, trunk)
         delta = rng.normal(size=3) * 1e-6
@@ -185,7 +187,7 @@ def test_ik_round_trip_current_configuration():
 def test_ik_gross_out_of_reach_is_unreachable():
     leg = default_leg(0)
     trunk = level_trunk((0, 0, 0.3))
-    hip = trunk.position + leg.hip_offset
+    hip = trunk.position + np.array(leg.hip_offset)
     assert leg_inverse_kinematics(hip + np.array([10.0, 0.0, -0.1]), leg, trunk) is None
 
 
@@ -270,7 +272,7 @@ def test_sliding_box_loses_energy_monotonically():
     def energy(w):
         o = w.objects[0]
         Rw = o.pose.rotation
-        I_w = Rw @ o.inertia @ Rw.T
+        I_w = Rw @ np.array(o.inertia) @ Rw.T
         ke = 0.5 * o.mass * o.linear_velocity @ o.linear_velocity + \
             0.5 * o.angular_velocity @ I_w @ o.angular_velocity
         pe_spring = sum(0.5 * cfg.contact.k_normal * rec.penetration ** 2
@@ -321,6 +323,54 @@ def test_joint_stop_leaves_a_fixed_base_at_rest():
     assert np.array_equal(world.robot.feet_pos[3],
                           leg_forward_kinematics(world.robot.legs[3], srb))
     assert np.array_equal(srb.linear_velocity, np.zeros(3))
+
+
+def _stop_scene_drift(ticks: int) -> list:
+    """The joint-stop scene: the standing robot with gravity and ground off,
+    its rear-right foot driven each tick by the world force (0, -6, 6) N
+    through the joint torques Jl' R' f, the other legs at zero torque. The
+    foot reaches its joint stops after 68 ticks. Returns the drift of the
+    robot's linear and angular momentum, feet included (as `legpress
+    simcheck`'s momentum row counts it), after each tick."""
+    world = standing_world()
+    world.gravity_enabled = world.ground_enabled = False
+    rc = world.config.robot
+    rb, m, mf = world.robot, rc.trunk_mass, rc.foot_mass
+
+    def momentum():
+        srb = rb.srb
+        R = srb.rotation()
+        lin = m * srb.linear_velocity + mf * rb.feet_vel.sum(axis=0)
+        ang = (R @ np.diag(rc.trunk_inertia) @ R.T @ srb.angular_velocity
+               + m * np.cross(srb.position, srb.linear_velocity)
+               + mf * np.cross(rb.feet_pos, rb.feet_vel).sum(axis=0))
+        return np.concatenate([lin, ang])
+
+    p0 = momentum()
+    f = np.array([0.0, -6.0, 6.0])
+    drift = []
+    for _ in range(ticks):
+        tau = np.zeros(12)
+        Jl = np.array(rb.legs[simworld.REAR_RIGHT].jacobian_rows)
+        tau[9:12] = Jl.T @ (rb.srb.rotation().T @ f)
+        step(world, tau)
+        drift.append(float(np.max(np.abs(momentum() - p0))))
+    return drift
+
+
+def test_the_stop_scene_conserves_momentum_until_the_stop():
+    """Before the foot reaches its joint stops, the tip force and its
+    reaction on the trunk cancel: the drift stays at rounding."""
+    assert max(_stop_scene_drift(68)) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_the_stop_scene_conserves_momentum_at_the_stop():
+    """At the stops the leg sync snaps the foot onto the trunk and pairs its
+    velocity change with a trunk linear velocity change only; the foot's
+    change of angular momentum is paired with nothing. Measured: the drift
+    reaches 0.998 after 300 ticks, and the trunk spins at 9.8 rad/s."""
+    assert max(_stop_scene_drift(300)) < 1e-6
 
 
 def test_divergence_reported():
@@ -378,8 +428,8 @@ def test_push_high_on_narrow_box_tips_and_rollout_agrees():
         f = np.array([min(0.005 * k * 9.81 * o.mass, 2.0 * o.mass * 9.81), 0.0, 0.0])
         arm = (o.pose.rotation @ np.array([-0.015, 0.0, 0.05]))
         o.linear_velocity += f / o.mass * cfg.sim.dt
-        o.angular_velocity += np.linalg.solve(
-            o.pose.rotation @ o.inertia @ o.pose.rotation.T, np.cross(arm, f)) * cfg.sim.dt
+        I_w = o.pose.rotation @ np.array(o.inertia) @ o.pose.rotation.T
+        o.angular_velocity += np.linalg.solve(I_w, np.cross(arm, f)) * cfg.sim.dt
         step(world, np.zeros(12))
         zaxis = world.objects[0].pose.rotation[:, 2]
         if zaxis[2] < 0.7:  # leaned over 45 degrees
@@ -903,7 +953,7 @@ def test_world_inverse_inertia_is_the_rotated_body_inverse(name):
     rng = np.random.default_rng(43)
     for _ in range(20):
         Ro = rotation_exp(rng.normal(size=3))
-        want = np.linalg.inv(Ro @ obj.inertia @ Ro.T)
+        want = np.linalg.inv(Ro @ np.array(obj.inertia) @ Ro.T)
         np.testing.assert_allclose(simworld._sandwich(Ro.tolist(), I_b_inv), want,
                                    rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -991,10 +1041,11 @@ def test_the_ik_clamp_equals_min_max_at_the_edges():
 
 def test_the_shoulder_is_made_once_and_read_only():
     for leg in make_legs(StackConfig().robot):
-        want = leg.hip_offset + np.array([0.0, leg.side * leg.link_lengths[0], 0.0])
-        assert np.array_equal(leg.shoulder, want) and leg.shoulder is leg.shoulder
-        assert np.array_equal(leg.copy().shoulder, want)
-        with pytest.raises(ValueError):
+        want = np.array(leg.hip_offset) + np.array([0.0, leg.side * leg.link_lengths[0], 0.0])
+        assert np.array(leg.shoulder).tobytes() == want.tobytes() and leg.shoulder is leg.shoulder
+        assert np.array(leg.copy().shoulder).tobytes() == want.tobytes()
+        assert all(type(x) is float for x in leg.shoulder)
+        with pytest.raises(TypeError):
             leg.shoulder[1] = 0.0
 
 
@@ -1257,18 +1308,18 @@ def _rows(R) -> tuple:
 
 
 def test_rotation_follows_in_place_rpy_writes():
-    """rpy is read-only: a write in place raises and leaves the trunk as it
+    """rpy is a tuple: a write in place raises and leaves the trunk as it
     was. A trunk in another pose is a new state, whose rotation rows are
     `euler_zyx_to_matrix` of its rpy bit for bit, and the next step starts
     from those rows."""
     srb = SrbState(np.array([0.1, -0.2, 0.3]), np.zeros(3), np.zeros(3), np.zeros(3))
     R0 = srb.rotation()
     assert np.array_equal(R0, euler_zyx_to_matrix(0.1, -0.2, 0.3))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         srb.rpy[:] = (0.0, 0.05, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         srb.rpy[2] = 0.7
-    assert srb.rpy.tolist() == [0.1, -0.2, 0.3] and srb.rotation_rows == _rows(R0)
+    assert srb.rpy == (0.1, -0.2, 0.3) and srb.rotation_rows == _rows(R0)
     moved = posed(srb, (0.0, 0.05, -1.0))
     assert moved.rotation_rows == _rows(euler_zyx_to_matrix(0.0, 0.05, -1.0))
     assert np.array_equal(posed(moved, (0.1, -0.2, 0.3)).rotation(), R0)
@@ -1281,7 +1332,7 @@ def test_rotation_follows_in_place_rpy_writes():
     for _ in range(70):
         step(world, np.zeros(12))
     stale = world.robot.srb.rotation_rows
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         world.robot.srb.rpy[:] = (0.02, -0.01, 0.4)
     srb = world.robot.srb = posed(world.robot.srb, (0.02, -0.01, 0.4))
     R = euler_zyx_to_matrix(0.02, -0.01, 0.4)
@@ -1312,30 +1363,30 @@ def test_a_tumbling_trunk_keeps_its_rpy_chart_and_stays_a_rotation():
     srb = world.robot.srb
     for _ in range(5000):
         step(world, np.zeros(12))
-        assert matrix_to_euler_zyx(srb.rotation_rows) == tuple(srb.rpy.tolist())
+        assert matrix_to_euler_zyx(srb.rotation_rows) == srb.rpy
     R = np.array(srb.rotation_rows)
     assert np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-13
 
 
 def test_leg_jacobian_follows_in_place_joint_writes():
-    """joint_angles is read-only: a write in place raises. A leg at other
+    """joint_angles is a tuple: a write in place raises. A leg at other
     angles is a new leg whose Jacobian rows are those of its angles; a
     teleport replaces the trunk and the legs, and the rows, the stance
     torques, the impedance law and the next step then see the new values."""
     leg = posed(default_leg(2), (0.1, 0.6, -1.2))
     trunk = level_trunk()
     J1 = leg_jacobian_local(leg)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         leg.joint_angles[1] = 0.9
-    assert leg.joint_angles.tolist() == [0.1, 0.6, -1.2]
+    assert leg.joint_angles == (0.1, 0.6, -1.2)
     leg = posed(leg, (0.1, 0.9, -1.2))
     J2 = leg_jacobian_local(leg)
     fd = np.empty((3, 3))
     eps = 1e-6
     for j in range(3):
         dq = eps * np.eye(3)[j]
-        p_plus = leg_forward_kinematics(posed(leg, leg.joint_angles + dq), trunk)
-        p_minus = leg_forward_kinematics(posed(leg, leg.joint_angles - dq), trunk)
+        p_plus = leg_forward_kinematics(posed(leg, np.array(leg.joint_angles) + dq), trunk)
+        p_minus = leg_forward_kinematics(posed(leg, np.array(leg.joint_angles) - dq), trunk)
         fd[:, j] = (p_plus - p_minus) / (2 * eps)
     assert np.max(np.abs(J2 - fd)) < 1e-6
     assert np.max(np.abs(J2 - J1)) > 1e-2
@@ -1456,10 +1507,9 @@ def test_step_after_in_place_pose_write_matches_a_fresh_copy():
     tau = _pin_torques(w1, _stand_forces(w1))
     for _ in range(3):
         step(w1, tau)
-    for write in (lambda: w1.robot.srb.rpy.__setitem__(0, 0.02),
-                  lambda: w1.robot.legs[0].joint_angles.__setitem__(0, 0.05)):
-        with pytest.raises(ValueError):
-            write()
+    for pose, value in ((w1.robot.srb.rpy, 0.02), (w1.robot.legs[0].joint_angles, 0.05)):
+        with pytest.raises(TypeError):
+            operator.setitem(pose, 0, value)
     w1.robot.srb = posed(w1.robot.srb, (0.02, -0.01, 0.4))
     w1.robot.legs[0] = posed(w1.robot.legs[0], (0.05, 0.7, -1.3))
     w2 = w1.copy()
@@ -1473,28 +1523,27 @@ def test_hip_offset_is_read_only_and_kept_as_floats():
     given = np.array([0.19, 0.05, 0.0])
     leg = make_legs(StackConfig().robot)[0]
     leg = simworld.LegModel(given, leg.side, leg.link_lengths, leg.joint_limits)
-    assert given.flags.writeable  # the leg keeps its own copy
+    given[0] = 1.0  # the leg keeps its own floats
     for each in (leg, leg.copy(), *standing_world().robot.legs):
-        assert not each.hip_offset.flags.writeable
-        assert each._hip == tuple(each.hip_offset.tolist())
-        assert all(type(x) is float for x in each._hip)
-        with pytest.raises(ValueError):
+        assert type(each.hip_offset) is tuple
+        assert all(type(x) is float for x in each.hip_offset)
+        with pytest.raises(TypeError):
             each.hip_offset[0] = 1.0
-    assert leg.copy()._hip == (0.19, 0.05, 0.0)
+    assert leg.copy().hip_offset == (0.19, 0.05, 0.0)
 
 
 def test_object_inertia_is_a_read_only_copy_with_its_rows():
-    """The object keeps a read-only copy of the inertia it is given, with the
-    inertia and its inverse as float rows; the caller's array stays writable."""
+    """The object keeps the inertia it is given, and its inverse, as float
+    rows; the caller's array stays writable and is not read again."""
     given = np.diag([2e-3, 3e-3, 4e-3])
     obj = SimObject(Box((0.1, 0.1, 0.1)), RigidTransform.identity(), inertia=given)
-    assert given.flags.writeable  # the object keeps its own copy
+    assert given.flags.writeable  # the object keeps its own rows
     given[0, 0] = 1.0
     for each in (obj, obj.copy()):
-        assert not each.inertia.flags.writeable
-        with pytest.raises(ValueError):
-            each.inertia[0, 0] = 1.0
-        assert each.inertia_rows == ((2e-3, 0.0, 0.0), (0.0, 3e-3, 0.0), (0.0, 0.0, 4e-3))
+        with pytest.raises(TypeError):
+            each.inertia[0][0] = 1.0
+        assert each.inertia == ((2e-3, 0.0, 0.0), (0.0, 3e-3, 0.0), (0.0, 0.0, 4e-3))
+        assert all(type(x) is float for row in each.inertia for x in row)
         assert each.inverse_inertia_rows == _rows(np.linalg.inv(np.diag([2e-3, 3e-3, 4e-3])))
 
 
@@ -1678,15 +1727,17 @@ def test_stepping_a_copy_equals_stepping_the_world_through_sleep_and_wake():
 
 def test_a_copy_of_a_free_base_world_steps_like_the_world():
     """The copy carries the trunk's rotation rows: a copy taken after 100
-    ticks of a spinning trunk on its stance torques, a copy of that copy and
-    a deep copy end 1,000 ticks later where the world does, bit for bit."""
+    ticks of a spinning trunk on its stance torques, a copy of that copy, a
+    deep copy and a pickle round trip (how `harness.map_shares` ships results
+    between processes) end 1,000 ticks later where the world does, bit for
+    bit."""
     world = standing_world()
     world.robot.srb.angular_velocity[:] = (0.1, -0.2, 0.3)
     forces = _stand_forces(world)
     for _ in range(100):
         step(world, stance_torques(world.robot, forces, ALL_STANCE))
     copy_ = world.copy()
-    worlds = [world, copy_, copy_.copy(), copy.deepcopy(world)]
+    worlds = [world, copy_, copy_.copy(), copy.deepcopy(world), pickle.loads(pickle.dumps(world))]
     for _ in range(1000):
         for w in worlds:
             step(w, stance_torques(w.robot, forces, ALL_STANCE))

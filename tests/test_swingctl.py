@@ -43,8 +43,8 @@ def fd_jacobian(leg, trunk, eps=1e-7):
     J = np.zeros((3, 3))
     for j in range(3):
         dq = eps * np.eye(3)[j]
-        p_plus = leg_forward_kinematics(posed(leg, leg.joint_angles + dq), trunk)
-        p_minus = leg_forward_kinematics(posed(leg, leg.joint_angles - dq), trunk)
+        p_plus = leg_forward_kinematics(posed(leg, np.array(leg.joint_angles) + dq), trunk)
+        p_minus = leg_forward_kinematics(posed(leg, np.array(leg.joint_angles) - dq), trunk)
         J[:, j] = (p_plus - p_minus) / (2 * eps)
     return J
 
