@@ -149,21 +149,27 @@ def _coerce(section: str, key: str, raw: str, current):
     return raw
 
 
-# values the stack divides by or counts steps with
-_POSITIVE = (("sim", "dt"), ("robot", "trunk_mass"), ("robot", "foot_mass"),
-             ("camera", "width"), ("camera", "height"), ("camera", "object_points"),
-             ("mpc", "horizon"), ("mpc", "force_update_period"), ("gait", "trot_period"))
+# values the stack divides by, inverts or counts steps with (each component)
+_POSITIVE = (("sim", "dt"), ("robot", "trunk_mass"), ("robot", "trunk_inertia"),
+             ("robot", "foot_mass"), ("contact", "k_normal"), ("camera", "width"),
+             ("camera", "height"), ("camera", "object_points"), ("mpc", "horizon"),
+             ("mpc", "force_update_period"), ("gait", "trot_period"))
+# a negative damper or friction coefficient feeds energy into a contact
+_NON_NEGATIVE = (("contact", "d_normal"), ("contact", "friction"))
 
 
 def check_config(cfg: StackConfig) -> None:
     """Raise ValueError when a value is out of its range: a value named in
-    `_POSITIVE` not positive, `camera.horizontal_fov_deg` outside (0, 180),
-    `gait.trot_duty` outside (0, 1], or a negative `swing.kp` or `swing.kd`
-    (a negative stiffness or damping pushes the foot away from its target)."""
-    for section, key in _POSITIVE:
-        value = getattr(getattr(cfg, section), key)
-        if not value > 0:
-            raise ValueError(f"config [{section}] {key} must be positive, got {value!r}")
+    `_POSITIVE` not positive, one in `_NON_NEGATIVE` negative,
+    `camera.horizontal_fov_deg` outside (0, 180), `gait.trot_duty` outside
+    (0, 1], or a negative `swing.kp` or `swing.kd` (a negative stiffness or
+    damping pushes the foot away from its target)."""
+    for keys, word, ok in ((_POSITIVE, "positive", lambda v: v > 0),
+                           (_NON_NEGATIVE, "non-negative", lambda v: v >= 0)):
+        for section, key in keys:
+            value = getattr(getattr(cfg, section), key)
+            if not all(map(ok, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"config [{section}] {key} must be {word}, got {value!r}")
     fov = cfg.camera.horizontal_fov_deg
     if not 0.0 < fov < 180.0:
         raise ValueError(f"config [camera] horizontal_fov_deg must be in (0, 180), got {fov!r}")

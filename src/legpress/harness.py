@@ -3,10 +3,10 @@
 Tasks mirror the evaluation suite: single-box pushes to fixed and random
 goals, 90-degree flip plus push, multi-object pushes over a procedural
 27-train/10-eval shape split, and the long-horizon one-meter multi-step
-protocol. Success everywhere is mean goal flow under 3 cm. A policy is a
-plain function of the observation (see `make_provider`); the action it
-returns carries the manipulation leg, which is front-left for every
-baseline.
+protocol. Success everywhere is mean goal flow under 3 cm, the task
+instance's default threshold. A policy is a function of the Observation
+(see `make_provider`); the action it returns carries the manipulation leg,
+which is front-left for every baseline.
 
 Independent, seeded work runs on every usable core through `map_shares`:
 share 0 in the calling process, the other shares in forked children, and
@@ -21,7 +21,6 @@ serial one under any thread setting.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import pickle
@@ -35,17 +34,10 @@ import numpy as np
 from .config import StackConfig
 from .geom import (PointCloud, RigidTransform, apply_transform, compose, rot_x, rot_z,
                    rotation_exp)
-from .orchestrator import (
-    SUCCESS_THRESHOLD,
-    EpisodeOptions,
-    GoalSchedule,
-    Observation,
-    TaskInstance,
-    run_episode,
-)
+from .orchestrator import EpisodeOptions, GoalSchedule, TaskInstance, run_episode
 from .policy import (
-    NoPlanError,
     ObjectCentricAction,
+    Observation,
     flow_baseline,
     load_maps,
     planning_baseline,
@@ -118,7 +110,6 @@ def object_catalog(split: str = "train") -> list:
 @dataclass
 class TaskSpec:
     name: str
-    success_threshold: float = SUCCESS_THRESHOLD
     object_split: str = "train"
 
 
@@ -136,8 +127,7 @@ def _push_goal_pose(obj: SimObject, dxy) -> RigidTransform:
                           obj.pose.translation + np.array([dxy[0], dxy[1], 0.0]))
 
 
-def _flip_goal_pose(obj: SimObject, direction: float, dxy,
-                    cfg: StackConfig) -> RigidTransform:
+def _flip_goal_pose(obj: SimObject, direction: float, dxy) -> RigidTransform:
     """90-degree flip about the forward axis (top travels toward +-y), then a
     translation; the goal pose rests on the ground."""
     R_flip = rot_x(-math.copysign(math.pi / 2.0, direction))
@@ -169,30 +159,23 @@ def sample_task(spec: TaskSpec, seed: int, config: StackConfig | None = None) ->
     elif name == "box_flip_push_random":
         direction = 1.0 if rng.uniform() < 0.5 else -1.0
         goal = _flip_goal_pose(obj, direction,
-                               (rng.uniform(0.10, 0.20), rng.uniform(-0.05, 0.05)), cfg)
+                               (rng.uniform(0.10, 0.20), rng.uniform(-0.05, 0.05)))
     else:  # multi_step_1m: the protocol drives sub-goals itself
         goal = _push_goal_pose(obj, (1.0, 0.0))
-    return TaskInstance(name, obj, goal, seed, spec.success_threshold)
+    return TaskInstance(name, obj, goal, seed)
 
 
 # ---------------------------------------------------------------------------
 # policies
 
 
-def _or_none(baseline, obs: Observation):
-    """The baseline's action, or None when the planner finds no face."""
-    try:
-        return baseline(obs.cloud, obs.goal, obs.obj)
-    except NoPlanError:
-        return None
-
-
 def make_provider(name: str):
     """The policy called `name`, as a function of an Observation. It returns
-    an ObjectCentricAction, which carries its leg; "oracle_teleport"; or
-    None when it has no plan. The baselines use the front-left leg.
+    an ObjectCentricAction, which carries its leg, or "oracle_teleport", and
+    raises NoPlanError when it has no plan. The baselines use the front-left
+    leg.
 
-      planning     planning_baseline; None when it finds no face to push
+      planning     planning_baseline; NoPlanError when it finds no face to push
       flow         flow_baseline: the planner's contact, the goal flow there
       random       random_location_baseline, seeded by the observation
       null         zero motion at point 0; the lower-bound sanity policy
@@ -204,11 +187,11 @@ def make_provider(name: str):
     """
     # the baselines are looked up when called, so a wrapped module global is used
     if name == "planning":
-        return lambda obs: _or_none(planning_baseline, obs)
+        return lambda obs: planning_baseline(obs)
     if name == "flow":
-        return lambda obs: _or_none(flow_baseline, obs)
+        return lambda obs: flow_baseline(obs)
     if name == "random":
-        return lambda obs: random_location_baseline(obs.cloud, obs.goal, obs.seed)
+        return lambda obs: random_location_baseline(obs)
     if name == "null":
         return lambda obs: ObjectCentricAction(0, np.zeros(3), "front_left")
     if name == "oracle":
@@ -238,14 +221,6 @@ class EvalReport:
     success_rate: float
     mean_reward: float
     mean_steps: float
-
-    def summary_rows(self):
-        rows = []
-        for e in self.episodes:
-            rows.append([self.task, self.policy, e["seed"], e["outcome"],
-                         int(e["success"]), e["steps"], repr(e["final_mean_flow"]),
-                         repr(e["reward"])])
-        return rows
 
 
 def evaluate(policy_name: str, spec: TaskSpec, n_episodes: int, seed: int = 0,
@@ -280,18 +255,18 @@ def evaluate(policy_name: str, spec: TaskSpec, n_episodes: int, seed: int = 0,
 
 
 def write_summary_csv(report: EvalReport, path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"# {SUMMARY_SCHEMA}"])
-    writer.writerow(["task", "policy", "seed", "outcome", "success", "steps",
-                     "final_mean_flow", "reward"])
-    for row in report.summary_rows():
-        writer.writerow(row)
-    writer.writerow(["# aggregate", report.task, report.policy,
-                     repr(report.success_rate), repr(report.mean_reward),
-                     repr(report.mean_steps)])
+    """A schema line, the header, one row per episode and the aggregate."""
     with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"# {SUMMARY_SCHEMA}"])
+        writer.writerow(["task", "policy", "seed", "outcome", "success", "steps",
+                         "final_mean_flow", "reward"])
+        writer.writerows([report.task, report.policy, e["seed"], e["outcome"],
+                          int(e["success"]), e["steps"], repr(e["final_mean_flow"]),
+                          repr(e["reward"])] for e in report.episodes)
+        writer.writerow(["# aggregate", report.task, report.policy,
+                         repr(report.success_rate), repr(report.mean_reward),
+                         repr(report.mean_steps)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Convex force MPC for the stance legs.
 
 The trunk is linearized about yaw only (roll/pitch assumed small), gravity
-enters through the constant placeholder state, and ground reaction forces
-are the only decision variables. States over the horizon are eliminated by
-condensation, so the QP is over U alone:
+enters as a constant 13th state (the configured `sim.gravity` appended to
+the trunk's 12), and ground reaction forces are the only decision
+variables. States over the horizon are eliminated by condensation, so the
+QP is over U alone:
 
     X = A_qp x0 + B_qp U
     J(U) = |X - x_ref|_L^2 + |U|_K^2
@@ -195,6 +196,7 @@ class ForceMpc:
         self.dt = config.sim.dt * config.mpc.force_update_period
         self.mass = float(config.robot.trunk_mass)
         self.inertia = np.diag(config.robot.trunk_inertia)
+        self.gravity = config.sim.gravity  # the constant 13th state
         self.solver = QpSolver()
         self._constraints = {}  # stance count -> read-only (C, lo, hi)
 
@@ -222,7 +224,7 @@ class ForceMpc:
         ref[:, 5] = height
         ref[:, 8] = yaw_rate
         ref[:, 9:11] = v_world[:2]
-        ref[:, 12] = state.gravity_placeholder
+        ref[:, 12] = self.gravity
         return ref
 
     def step(self, state: SrbState, command, foot_positions, gait: GaitSchedule,
@@ -234,7 +236,7 @@ class ForceMpc:
         A_qp, B_qp = condense(lin.A, lin.B, k)
         B_qp = B_qp[:, np.repeat(flags.ravel(), 3)]  # stance force columns only
         C, lo, hi = self.constraints(int(flags.sum()))
-        qp = condensed_to_qp(A_qp, B_qp, state.as_vector(),
+        qp = condensed_to_qp(A_qp, B_qp, np.append(state.as_vector(), self.gravity),
                              self.reference_trajectory(state, command),
                              cfg.state_weights, cfg.force_weight, C, lo, hi)
         sol = self.solver.solve(qp)

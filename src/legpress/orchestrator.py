@@ -7,20 +7,21 @@ while the stance legs run force MPC, lower the leg and recover, and walk
 (or, in simulation-protocol mode, teleport) whenever the object leaves the
 manipulation workspace.
 
-The policy is a plain function of the Observation, and the action it
-returns names the manipulation leg. The reach check uses the front-left
-leg, the leg of every baseline.
+The policy is a function of the Observation; the action it returns names
+the manipulation leg, and `NoPlanError` from it spends the step and ends the
+episode on `fault:no_action`. The reach check uses the front-left leg.
 
 A goal schedule decides where each action aims and when the episode ends.
 The default schedule is one fixed goal: success once the mean goal flow is
 under the threshold, otherwise the action budget. Distant goals use moving
 sub-goals and their own verdict on the same loop. Controller faults end any
-episode with a fault outcome.
+episode with a fault outcome; an illegal FSM transition is a bug and raises.
 
 Teleporting re-seats the feet under the shoulders through
 `simworld.seat_feet`, the same placement `standing_world` starts from. The
 episode trace has one store, `records`: its actions are read from it, and
-`rewards` lists the reward of each check.
+`rewards` lists the reward of each check. A tick's `srb` is the MPC's
+13-value state: the trunk's 12 and the configured gravity.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import numpy as np
 from .config import StackConfig
 from .geom import PointCloud, RigidTransform, compose, rot_z, threshold_norm
 from .mpc import ForceMpc, GaitSchedule, raibert_foothold, stance_torques
-from .policy import GoalSpec, ObjectCentricAction
+from .policy import GoalSpec, NoPlanError, ObjectCentricAction, Observation
 from .register import register_with_augmentation
 from .sensing import EmptyObservationError, full_scan, render_object_cloud
 from .simworld import (
@@ -114,14 +115,6 @@ class TaskInstance:
     goal_pose: RigidTransform  # absolute world pose of the object at the goal
     seed: int
     success_threshold: float = SUCCESS_THRESHOLD
-
-
-@dataclass
-class Observation:
-    cloud: PointCloud  # camera-visible object points, world frame
-    goal: GoalSpec
-    obj: SimObject  # shape/pose access for the geometric baselines
-    seed: int  # per-call policy seed
 
 
 @dataclass
@@ -231,9 +224,10 @@ class EpisodeFault(RuntimeError):
 
 
 class _OrchestratorCore:
-    """Owns the controllers and advances the world one sim step at a time."""
+    """Owns the controllers and the trace, and advances the world one sim
+    step at a time."""
 
-    def __init__(self, world: WorldState, options: EpisodeOptions, rng):
+    def __init__(self, world: WorldState, options: EpisodeOptions, rng, trace: EpisodeTrace):
         self.world = world
         self.cfg = world.config
         self.options = options
@@ -248,7 +242,7 @@ class _OrchestratorCore:
         self.command_velocity = (0.0, 0.0)  # world frame
         self.command_yaw_rate = 0.0
         self.executor: SwingExecutor | None = None
-        self.trace: EpisodeTrace | None = None
+        self.trace = trace
         self._swing_marks: dict = {}
 
     # -- state machine plumbing ------------------------------------------
@@ -257,11 +251,10 @@ class _OrchestratorCore:
         if new_state == self.state:
             return
         pair = (self.state, new_state)
-        if pair not in ALLOWED_TRANSITIONS:
-            raise EpisodeFault(f"illegal FSM transition {pair}")
-        if self.trace is not None:
-            self.trace.records.append({"type": "transition", "t": round(self.world.time, 6),
-                                       "from": self.state, "to": new_state})
+        if pair not in ALLOWED_TRANSITIONS:  # a bug in the caller, not an outcome
+            raise RuntimeError(f"illegal FSM transition {pair}")
+        self.trace.records.append({"type": "transition", "t": round(self.world.time, 6),
+                                   "from": self.state, "to": new_state})
         self.state = new_state
         self.state_entry_time = self.world.time
 
@@ -323,12 +316,11 @@ class _OrchestratorCore:
             if res.fault:
                 raise EpisodeFault("mpc_solver_fault")
             self.forces = res.forces.tolist()
-            if self.trace is not None:
-                self.trace.records.append({
-                    "type": "tick", "t": round(world.time, 6), "fsm": self.state,
-                    "srb": [round(float(v), 6) for v in srb.as_vector()],
-                    "objects": [_pose_record(o) for o in world.objects],
-                })
+            self.trace.records.append({
+                "type": "tick", "t": round(world.time, 6), "fsm": self.state,
+                "srb": [round(float(v), 6) for v in (*srb.as_vector(), self.cfg.sim.gravity)],
+                "objects": [_pose_record(o) for o in world.objects],
+            })
         stance = self.gait.stance(world.time)
         tau = stance_torques(robot, self.forces, stance)
         dt = self.cfg.sim.dt
@@ -459,10 +451,12 @@ def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = Non
     """Closed-loop episode: observe, act through the FSM, repeat until the
     schedule's verdict ends it (by default: goal flow under the threshold, or
     the action budget spent). `policy(obs)` returns an ObjectCentricAction,
-    whose leg executes it, "oracle_teleport", or None when it has no plan.
+    whose leg executes it, or "oracle_teleport", or raises NoPlanError.
+    `options.max_steps` bounds only the default schedule; a given schedule's
+    verdict owns its budget.
 
-    Faults (timeouts, divergence, empty observations) end the episode with a
-    fault outcome; they never raise out of the harness.
+    Faults (timeouts, divergence, empty observations, no plan) end the
+    episode with a fault outcome; they never raise out of the harness.
     """
     options = options or EpisodeOptions()
     config = config or StackConfig()
@@ -472,9 +466,8 @@ def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = Non
 
     world = standing_world(config, objects=[task.obj.copy()])
     obj = world.objects[0]
-    core = _OrchestratorCore(world, options, rng)
     trace = EpisodeTrace(task.name, seed, success_threshold=task.success_threshold)
-    core.trace = trace
+    core = _OrchestratorCore(world, options, rng, trace)
 
     metric_rng = np.random.default_rng(seed ^ 0x5EED)
     local_pts, _ = obj.shape.sample_surface(metric_rng, METRIC_POINTS)
@@ -510,7 +503,7 @@ def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = Non
 
             obs_seed = int(rng.integers(2 ** 31))
             try:
-                observed = render_object_cloud(world, config.camera.object_points, obs_seed)
+                observed = render_object_cloud(world, obs_seed)
             except EmptyObservationError:
                 return finish("fault:empty_observation", check_success())
 
@@ -518,9 +511,10 @@ def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = Non
             rel = estimate_relative_goal(core, goal_pose, observed, obs_seed)
             obs = Observation(observed, GoalSpec.from_cloud(rel, observed), obj,
                               int(rng.integers(2 ** 31)))
-            action = policy(obs)
             trace.steps_used += 1
-            if action is None:
+            try:
+                action = policy(obs)
+            except NoPlanError:
                 return finish("fault:no_action", check_success())
             if isinstance(action, str) and action == "oracle_teleport":
                 obj.pose = goal_pose  # debug upper bound
@@ -532,7 +526,7 @@ def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = Non
                        "motion": [round(float(v), 6) for v in action.motion_params],
                        "leg": action.leg}
                 trace.records.append(rec)
-                _execute_action(core, observed, action, config)
+                _execute_action(core, observed, action)
 
             mean = check_success()
             outcome = schedule.verdict(obj, mean, trace.steps_used)
@@ -542,12 +536,12 @@ def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = Non
 
 
 def _execute_action(core: _OrchestratorCore, observed: PointCloud,
-                    action: ObjectCentricAction, config: StackConfig) -> None:
+                    action: ObjectCentricAction) -> None:
     """COM shift, swing execution and recovery for one action.
 
     An unreachable contact skips the physical attempt (the main loop's reach
     check then repositions the base); hard failures raise EpisodeFault."""
-    world = core.world
+    world, config = core.world, core.cfg
     ocfg = config.orchestrator
     leg_index = LEG_NAMES.index(action.leg)
     contact = observed.points[action.contact_index]

@@ -1,13 +1,14 @@
-"""Object-centric action space and the deterministic baseline policies.
+"""The policy seam and the deterministic baseline policies.
 
-An action is a contact index into the observed object cloud, a 3D motion
-vector executed after contact, and the leg that executes it. The action is
-the one place the manipulation leg is decided; the baselines use the
-front-left leg. Learned policies are out of scope here, but their artifacts
-plug in: per-point critic maps (Q-values) and actor maps (motion parameters)
-with one or two leg channels can be loaded from the columnar interchange
-format and pushed through the same greedy selection, which picks the leg
-too.
+A policy is a function of an `Observation`. It returns an object-centric
+action, or raises `NoPlanError` when it has none. An action is a contact
+index into the observed object cloud, a 3D motion vector executed after
+contact, and the leg that executes it. The action is the one place the
+manipulation leg is decided; the baselines use the front-left leg. Learned
+policies are out of scope here, but their artifacts plug in: per-point
+critic maps (Q-values) and actor maps (motion parameters) with one or two
+leg channels can be loaded from the columnar interchange format and pushed
+through the same greedy selection, which picks the leg too.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import PointCloud, RigidTransform, apply_transform
-from .simworld import LEG_NAMES
+from .simworld import LEG_NAMES, SimObject
 
 LEG_CHANNELS = LEG_NAMES[:2]  # the legs an action can use, in critic-channel order
 Q_CLAMP = (-20.0, 0.0)
@@ -31,7 +32,8 @@ MIN_PUSH = 0.04  # m
 
 
 class NoPlanError(RuntimeError):
-    """The geometric planner found no admissible face for the goal."""
+    """A policy has no action for the observation (the episode records
+    `fault:no_action`)."""
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,14 @@ class GoalSpec:
     @staticmethod
     def from_cloud(relative_transform: RigidTransform, observed: PointCloud) -> "GoalSpec":
         return GoalSpec(relative_transform, apply_transform(relative_transform, observed))
+
+
+@dataclass
+class Observation:
+    cloud: PointCloud  # camera-visible object points, world frame
+    goal: GoalSpec
+    obj: SimObject  # shape/pose access for the geometric baselines
+    seed: int  # per-call policy seed
 
 
 def select_greedy(actor: ActorMap, critic: CriticMap) -> ObjectCentricAction:
@@ -170,16 +180,17 @@ def _goal_decomposition(goal: GoalSpec, obj):
     return flip_needed, flip_dir, displacement
 
 
-def planning_baseline(cloud: PointCloud, goal: GoalSpec, obj) -> ObjectCentricAction:
+def planning_baseline(obs: Observation) -> ObjectCentricAction:
     """Geometric contact policy with the front-left leg: push at the center
     of the face opposing the goal displacement with a downward-pitched motion
     vector; flip by pushing the midpoint of the top edge opposite the flip
     direction horizontally. Flip-and-push goals execute the flip first.
+    Raises NoPlanError when no face admits the goal.
     """
-    flip_needed, flip_dir, displacement = _goal_decomposition(goal, obj)
+    flip_needed, flip_dir, displacement = _goal_decomposition(obs.goal, obs.obj)
 
     if flip_needed:
-        contact = _top_edge_midpoint(obj, flip_dir)
+        contact = _top_edge_midpoint(obs.obj, flip_dir)
         motion = flip_dir * FLIP_MAGNITUDE
     else:
         d = displacement.copy()
@@ -188,7 +199,7 @@ def planning_baseline(cloud: PointCloud, goal: GoalSpec, obj) -> ObjectCentricAc
         if dist < 1e-9:
             raise NoPlanError("goal displacement is zero; nothing to push")
         d_hat = d / dist
-        centers, normals = _box_face_centers(obj)
+        centers, normals = _box_face_centers(obs.obj)
         align = normals @ (-d_hat)
         best = int(np.argmax(align))
         if align[best] < math.cos(math.radians(60.0)):
@@ -198,26 +209,25 @@ def planning_baseline(cloud: PointCloud, goal: GoalSpec, obj) -> ObjectCentricAc
         motion = mag * (math.cos(PUSH_PITCH_DOWN_RAD) * d_hat
                         + math.sin(PUSH_PITCH_DOWN_RAD) * np.array([0.0, 0.0, -1.0]))
 
-    idx = int(np.argmin(np.linalg.norm(cloud.points - contact, axis=1)))
+    idx = int(np.argmin(np.linalg.norm(obs.cloud.points - contact, axis=1)))
     return ObjectCentricAction(idx, motion, "front_left")
 
 
-def flow_baseline(cloud: PointCloud, goal: GoalSpec, obj) -> ObjectCentricAction:
+def flow_baseline(obs: Observation) -> ObjectCentricAction:
     """Same contact and leg as the planner; motion replaced by the flow
     between the observed and goal clouds at the contact point."""
-    base = planning_baseline(cloud, goal, obj)
-    flow, _ = goal_flow(cloud, goal.goal_cloud)
+    base = planning_baseline(obs)
+    flow, _ = goal_flow(obs.cloud, obs.goal.goal_cloud)
     return ObjectCentricAction(base.contact_index, flow[base.contact_index], base.leg)
 
 
-def random_location_baseline(cloud: PointCloud, goal: GoalSpec, seed: int) -> ObjectCentricAction:
-    """Uniform contact index with the front-left leg; motion from the flow
-    rule at that point."""
-    if len(cloud) == 0:
+def random_location_baseline(obs: Observation) -> ObjectCentricAction:
+    """Uniform contact index, drawn from the observation's seed, with the
+    front-left leg; motion from the flow rule at that point."""
+    if len(obs.cloud) == 0:
         raise ValueError("empty cloud")
-    rng = np.random.default_rng(seed)
-    idx = int(rng.integers(len(cloud)))
-    flow, _ = goal_flow(cloud, goal.goal_cloud)
+    idx = int(np.random.default_rng(obs.seed).integers(len(obs.cloud)))
+    flow, _ = goal_flow(obs.cloud, obs.goal.goal_cloud)
     return ObjectCentricAction(idx, flow[idx], "front_left")
 
 

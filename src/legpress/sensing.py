@@ -126,14 +126,15 @@ def full_scan(shape, pose: RigidTransform, n_points: int, seed: int) -> PointClo
     return PointCloud(pts, nrm)
 
 
-def render_object_cloud(world: WorldState, n_points: int, seed: int) -> PointCloud:
+def render_object_cloud(world: WorldState, seed: int) -> PointCloud:
     """The first object's camera-visible surface, seen by the world config's
-    trunk camera, as exactly n_points world-frame points with outward
-    normals. Deterministic per seed.
+    trunk camera, as exactly `object_points` (of that camera) world-frame
+    points with outward normals. Deterministic per seed.
 
     Raises EmptyObservationError when nothing falls inside the frustum."""
     rng = np.random.default_rng(seed)
     cam = world.config.camera
+    n_points = cam.object_points
     obj = world.objects[0]
     n_sample = max(n_points * RENDER_OVERSAMPLE, 1200)
     pts, nrm = sample_object_surface(obj.shape, obj.pose, n_sample, rng)

@@ -36,11 +36,14 @@ original bit for bit.
 The tick runs on Python floats. `step` reads the trunk, feet and objects
 once with `.tolist()`, computes on float rows what is fixed within a tick
 once per tick, and writes back once into the same arrays; an object gets a
-new `RigidTransform`. Derived rows are written with their source, and each
-source is a tuple of floats: no reader can change it apart from its rows,
-and a deep copy or a pickle keeps the two together. `SrbState.rotation_rows`
-is the trunk rotation: the constructor builds it from `rpy`, and `step`
-writes the rotation it integrated together with the rpy chart of it.
+new `RigidTransform`. The one later write is the leg sync's: a leg at its
+joint stops (`_sync_legs`) writes its foot's point and velocity rows and the
+trunk's linear velocity again after that write-back. Derived rows are
+written with their source, and each source is a tuple of floats: no reader
+can change it apart from its rows, and a deep copy or a pickle keeps the two
+together. `SrbState.rotation_rows` is the trunk rotation: the constructor
+builds it from `rpy`, and `step` writes the rotation it integrated together
+with the rpy chart of it.
 `LegModel.jacobian_rows` is the trunk-frame Jacobian of `joint_angles`,
 written with them by the leg sync. `SimObject.inertia` is float rows, and
 its inverse rows are made once with it. A new pose is a new state
@@ -144,10 +147,10 @@ class SimulationDivergence(RuntimeError):
 
 @dataclass
 class SrbState:
-    """13-component trunk state: rpy, position, world angular velocity,
-    linear velocity and the constant gravity placeholder the MPC expects.
-    `rotation_rows` is the trunk rotation as three float rows, written with
-    its source: the constructor builds it from rpy through
+    """12-component trunk state: rpy, position, world angular velocity and
+    linear velocity (the force MPC appends the configured gravity as its
+    13th). `rotation_rows` is the trunk rotation as three float rows, written
+    with its source: the constructor builds it from rpy through
     `euler_zyx_to_matrix`, and `step` writes the rotation it integrated
     together with the rpy chart of it. rpy, the chart the MPC and the traces
     read, is a tuple of three floats; a trunk in another pose is a new state
@@ -157,7 +160,6 @@ class SrbState:
     position: np.ndarray
     angular_velocity: np.ndarray
     linear_velocity: np.ndarray
-    gravity_placeholder: float = SimConfig.gravity
     rotation_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -169,14 +171,14 @@ class SrbState:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.rpy, self.position, self.angular_velocity,
-                               self.linear_velocity, [self.gravity_placeholder]])
+                               self.linear_velocity])
 
     def rotation(self) -> np.ndarray:
         return np.array(self.rotation_rows)
 
     def copy(self) -> "SrbState":
         srb = SrbState(self.rpy, self.position, self.angular_velocity,
-                       self.linear_velocity, self.gravity_placeholder)
+                       self.linear_velocity)
         # an integrated rotation is not the rebuild from its rpy to the bit
         srb.rotation_rows = self.rotation_rows
         return srb
@@ -730,7 +732,7 @@ def standing_world(config: StackConfig | None = None, objects=()) -> WorldState:
     config = config or StackConfig()
     check_config(config)
     srb = SrbState(np.zeros(3), np.array([0.0, 0.0, config.mpc.stand_height]),
-                   np.zeros(3), np.zeros(3), config.sim.gravity)
+                   np.zeros(3), np.zeros(3))
     world = WorldState(RobotState(srb, make_legs(config.robot), np.zeros((4, 3)),
                                   np.zeros((4, 3))), list(objects), config=config)
     seat_feet(world)

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,9 +24,11 @@ from legpress.harness import (
     registration_benchmark,
     sample_task,
 )
-from legpress.orchestrator import EpisodeOptions, EpisodeTrace, Observation
+from legpress.orchestrator import EpisodeOptions, EpisodeTrace
 from legpress.policy import (
     GoalSpec,
+    NoPlanError,
+    Observation,
     flow_baseline,
     load_maps,
     planning_baseline,
@@ -112,11 +114,26 @@ def test_cli_eval_trace_replays_consistently(tmp_path, capsys):
     assert "success_consistency=ok" in capsys.readouterr().out
 
 
+def test_eval_writes_the_summary_csv_byte_for_byte(tmp_path, capsys):
+    """Schema line, header, one row per episode and the aggregate line, as
+    `write_summary_csv` writes them: a change to the result record shows
+    here as a diff."""
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--task", "box_push_fixed", "--policy", "oracle",
+                     "--episodes", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "summary_box_push_fixed.csv").read_bytes() == (
+        b"# legpress-summary-v1\n"
+        b"task,policy,seed,outcome,success,steps,final_mean_flow,reward\n"
+        b"box_push_fixed,oracle,0,success,1,1,0.0,-0.0\n"
+        b"# aggregate,box_push_fixed,oracle,1.0,0.0,1.0\n")
+
+
 def test_replay_checks_against_the_stored_success_threshold(tmp_path, capsys):
     """A task with a non-default threshold replays as consistent: the check
     reads the threshold from the trace header."""
     cfg = StackConfig()
-    task = sample_task(TaskSpec("box_push_fixed", success_threshold=0.5), 0, cfg)
+    task = replace(sample_task(TaskSpec("box_push_fixed"), 0, cfg), success_threshold=0.5)
     trace = orchestrator.run_episode(task, lambda obs: None, EpisodeOptions(), cfg)
     assert trace.outcome == "success"
     assert 0.03 < -trace.rewards[-1] < 0.5  # a success only under the stored threshold
@@ -424,6 +441,11 @@ def test_an_unknown_config_section_exits_2_with_a_json_record(tmp_path, capsys):
     ("sim", "dt", "0.0", "must be positive, got 0.0"),
     ("robot", "trunk_mass", "0.0", "must be positive, got 0.0"),
     ("robot", "foot_mass", "-0.1", "must be positive, got -0.1"),
+    ("robot", "trunk_inertia", "0, 0.26, 0.24", "must be positive, got (0.0, 0.26, 0.24)"),
+    ("robot", "trunk_inertia", "0.07, -0.26, 0.24", "must be positive, got (0.07, -0.26, 0.24)"),
+    ("contact", "k_normal", "0", "must be positive, got 0.0"),
+    ("contact", "d_normal", "-5", "must be non-negative, got -5.0"),
+    ("contact", "friction", "-0.1", "must be non-negative, got -0.1"),
     ("camera", "width", "0", "must be positive, got 0"),
     ("camera", "height", "-60", "must be positive, got -60"),
     ("camera", "object_points", "0", "must be positive, got 0"),
@@ -616,9 +638,9 @@ def push_observation():
 
 
 @pytest.mark.parametrize("name, direct", [
-    ("planning", lambda obs: planning_baseline(obs.cloud, obs.goal, obs.obj)),
-    ("flow", lambda obs: flow_baseline(obs.cloud, obs.goal, obs.obj)),
-    ("random", lambda obs: random_location_baseline(obs.cloud, obs.goal, obs.seed)),
+    ("planning", lambda obs: planning_baseline(obs)),
+    ("flow", lambda obs: flow_baseline(obs)),
+    ("random", lambda obs: random_location_baseline(obs)),
 ])
 def test_a_named_baseline_is_the_direct_call_with_the_front_left_leg(
         name, direct, push_observation):
@@ -640,7 +662,8 @@ def test_planning_has_no_action_for_a_zero_displacement_goal(push_observation):
     obs = push_observation
     still = Observation(obs.cloud, GoalSpec.from_cloud(RigidTransform.identity(), obs.cloud),
                         obs.obj, obs.seed)
-    assert harness.make_provider("planning")(still) is None
+    with pytest.raises(NoPlanError):
+        harness.make_provider("planning")(still)
 
 
 def test_an_unknown_policy_name_is_rejected():
@@ -660,8 +683,7 @@ def test_a_policy_calls_the_planner_bound_in_the_module_when_it_is_called(
 
     monkeypatch.setattr(harness, "planning_baseline", wrapped)
     assert policy(push_observation).contact_index == \
-        planning_baseline(push_observation.cloud, push_observation.goal,
-                          push_observation.obj).contact_index
+        planning_baseline(push_observation).contact_index
     assert len(calls) == 1
 
 

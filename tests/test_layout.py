@@ -145,3 +145,54 @@ def test_the_config_docstring_names_every_section_and_key():
         want[section.name] = [(key, len(v) if isinstance(v, tuple) else None)
                               for key, v in values]
     assert documented_schema(config.__doc__) == want
+
+
+def unread_parameters(source: str) -> list:
+    """`line: name(parameter)` for each parameter that a module-level
+    function, or a method of a module-level class, never reads. A read in a
+    nested function or lambda counts. A method's receiver (the first
+    parameter of any method but a static one) is not checked, nor are
+    nested functions themselves: their caller fixes their signature."""
+    found = []
+
+    def check(fn, name, receiver):
+        a = fn.args
+        params = [*a.posonlyargs, *a.args][receiver:]
+        params += [*a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found.extend(f"{fn.lineno}: {name}({p.arg})" for p in params if p.arg not in read)
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(source).body:
+        if isinstance(node, functions):
+            check(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    check(item, f"{node.name}.{item.name}", 0 if static else 1)
+    return found
+
+
+def test_the_checker_finds_unread_parameters():
+    source = ("def f(a, b, *args, c, **kw):\n"
+              "    return a + (lambda: c)()\n"
+              "class K:\n"
+              "    def m(self, x, y):\n"
+              "        def verdict(obj, flow):\n"
+              "            return y\n"
+              "        return verdict\n"
+              "    @staticmethod\n"
+              "    def s(u, v=1):\n"
+              "        return v\n")
+    assert unread_parameters(source) == ["1: f(b)", "1: f(args)", "1: f(kw)", "4: K.m(x)",
+                                         "9: K.s(u)"]
+
+
+def test_no_function_has_a_parameter_it_never_reads():
+    """A settable value has a reader: every parameter of every module-level
+    function and method in the package is read by its body."""
+    found = {p.name: unread_parameters(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -23,6 +23,7 @@ from posing import posed
 MASS = 12.0
 GAIT = GaitConfig()
 INERTIA = np.diag([0.07, 0.26, 0.24])
+GRAVITY = StackConfig().sim.gravity  # the MPC's constant 13th state
 
 
 def stand_state(h=0.28):
@@ -43,7 +44,7 @@ def stand_feet(h=0.28):
 def test_linearize_gravity_only_ballistic():
     dt = 0.03
     lin = linearize_srb(stand_state(), stand_feet(), MASS, INERTIA, dt)
-    x = stand_state().as_vector()
+    x = np.append(stand_state().as_vector(), GRAVITY)
     x_next = lin.A @ x  # zero forces
     assert abs(x_next[11] - (-9.81 * dt)) < 1e-9
     assert abs(x_next[5] - x[5]) < 1e-12  # position updates with old velocity
@@ -57,7 +58,7 @@ def test_linearize_static_balance_single_foot():
     lin = linearize_srb(state, feet, MASS, INERTIA, dt)
     u = np.zeros(12)
     u[2] = MASS * 9.81
-    x_next = lin.A @ state.as_vector() + lin.B @ u
+    x_next = lin.A @ np.append(state.as_vector(), GRAVITY) + lin.B @ u
     assert np.max(np.abs(x_next[9:12])) < 1e-9  # no linear acceleration
     assert np.max(np.abs(x_next[6:9])) < 1e-9  # no angular acceleration
 
@@ -108,7 +109,7 @@ def test_linearization_error_second_order_in_dt():
                          rng.normal(scale=0.2, size=3))
         feet = stand_feet() + rng.normal(scale=0.02, size=(4, 3))
         forces = rng.normal(scale=5.0, size=12)
-        x = state.as_vector()
+        x = np.append(state.as_vector(), GRAVITY)
         for dt in errs:
             lin = linearize_srb(state, feet, MASS, INERTIA, dt)
             pred = lin.A @ x + lin.B @ forces
@@ -270,7 +271,7 @@ def _loop_reference(mpc, state, command):
         ref[i, 5] = height
         ref[i, 8] = yaw_rate
         ref[i, 9:11] = v_world[:2]
-        ref[i, 12] = state.gravity_placeholder
+        ref[i, 12] = mpc.gravity
     return ref
 
 
@@ -309,7 +310,7 @@ def _all_feet_forces(mpc, state, command, feet, gait, t):
     H = 2.0 * ((B_qp.T * L) @ B_qp + cfg.force_weight * np.eye(12 * k))
     H = 0.5 * (H + H.T)
     ref = mpc.reference_trajectory(state, command).reshape(-1)
-    g = 2.0 * ((B_qp.T * L) @ (A_qp @ state.as_vector() - ref))
+    g = 2.0 * ((B_qp.T * L) @ (A_qp @ np.append(state.as_vector(), mpc.gravity) - ref))
     scale = float(np.max(np.diag(H)))
     rows, lo, hi = [], [], []
     for i in range(k):

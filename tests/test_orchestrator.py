@@ -10,6 +10,7 @@ from legpress.geom import RigidTransform
 from legpress.harness import TaskSpec, make_provider, sample_task
 from legpress.orchestrator import EpisodeOptions, EpisodeTrace, GoalSchedule, run_episode
 from legpress.geom import euler_zyx_to_matrix
+from legpress.policy import NoPlanError
 from legpress.simworld import standing_world
 from posing import posed
 
@@ -71,7 +72,8 @@ def test_the_trace_schema_and_the_success_threshold_are_set_once():
     assert "schema" not in {f.name for f in fields(EpisodeTrace)}
     assert EpisodeTrace("box_push_fixed", 0).schema == orchestrator.TRACE_SCHEMA
     assert orchestrator.SUCCESS_THRESHOLD == 0.03
-    for default in (EpisodeTrace("box_push_fixed", 0), TaskSpec("box_push_fixed")):
+    for default in (EpisodeTrace("box_push_fixed", 0),
+                    sample_task(TaskSpec("box_push_fixed"), 0)):
         assert default.success_threshold == orchestrator.SUCCESS_THRESHOLD
 
 
@@ -86,11 +88,27 @@ def test_reach_check_is_none_in_reach_and_a_standoff_pose_out_of_it():
     assert standoff.position[2] == world.config.mpc.stand_height
 
 
+def _decline(obs):
+    raise NoPlanError("no plan for this observation")
+
+
 def test_provider_without_action_faults_and_spends_the_step(cfg, push_task):
-    trace = run_episode(push_task, lambda obs: None, EpisodeOptions(), cfg)
+    trace = run_episode(push_task, _decline, EpisodeOptions(), cfg)
     assert trace.outcome == "fault:no_action"
     assert trace.steps_used == 1
     assert trace.actions == []
+
+
+def test_an_illegal_fsm_transition_is_a_bug_not_an_episode_fault():
+    """The FSM refuses a transition outside ALLOWED_TRANSITIONS with a plain
+    RuntimeError, which run_episode does not turn into an outcome."""
+    core = orchestrator._OrchestratorCore(standing_world(), EpisodeOptions(),
+                                          np.random.default_rng(0), EpisodeTrace("core", 0))
+    with pytest.raises(RuntimeError,
+                       match=r"^illegal FSM transition \('QP_STAND', 'MANIPULATION'\)$") as info:
+        core.transition(orchestrator.MANIPULATION)
+    assert not isinstance(info.value, orchestrator.EpisodeFault)
+    assert core.state == orchestrator.QP_STAND and core.trace.records == []
 
 
 def test_oracle_reaches_the_goal_in_one_step(cfg, push_task):
@@ -142,7 +160,8 @@ def test_teleport_replaces_the_trunk_with_one_at_rest_in_the_standoff_pose():
     for _ in range(50):
         simworld.step(world, np.zeros(12))
     before = world.robot.srb
-    core = orchestrator._OrchestratorCore(world, EpisodeOptions(), np.random.default_rng(3))
+    core = orchestrator._OrchestratorCore(world, EpisodeOptions(), np.random.default_rng(3),
+                                          EpisodeTrace("core", 0))
     standoff = orchestrator.StandoffPose([0.1, -0.05, world.config.mpc.stand_height], 0.4)
     core.teleport_to(standoff)
     srb = world.robot.srb
@@ -178,7 +197,8 @@ def _numpy_drive(srb, target_xy, yaw_target, gain, v_max):
 
 def test_drive_towards_equals_the_numpy_form():
     world = standing_world()
-    core = orchestrator._OrchestratorCore(world, EpisodeOptions(), np.random.default_rng(0))
+    core = orchestrator._OrchestratorCore(world, EpisodeOptions(), np.random.default_rng(0),
+                                          EpisodeTrace("core", 0))
     srb = world.robot.srb
     rng = np.random.default_rng(9)
     saturated = clipped = 0
@@ -215,7 +235,8 @@ def test_nominal_com_equals_the_numpy_mean():
     `feet_pos[:, :2].mean(axis=0)` bit for bit, and the shift's target built
     from it is too."""
     world = standing_world()
-    core = orchestrator._OrchestratorCore(world, EpisodeOptions(), np.random.default_rng(0))
+    core = orchestrator._OrchestratorCore(world, EpisodeOptions(), np.random.default_rng(0),
+                                          EpisodeTrace("core", 0))
     feet = world.robot.feet_pos
     rng = np.random.default_rng(10)
     for _ in range(10000):

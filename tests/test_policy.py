@@ -11,6 +11,7 @@ from legpress.policy import (
     CriticMap,
     GoalSpec,
     NoPlanError,
+    Observation,
     flow_baseline,
     goal_flow,
     load_maps,
@@ -162,7 +163,7 @@ def test_planning_push_contact_on_back_face():
     obj = make_box_obj()
     cloud = observed(obj)
     goal = push_goal(obj, (0.15, 0.0))
-    act = planning_baseline(cloud, goal, obj)
+    act = planning_baseline(Observation(cloud, goal, obj, 0))
     contact = cloud.points[act.contact_index]
     # center of the -x face: x at the face, y,z near the centroid
     assert contact[0] < obj.pose.translation[0] - 0.03
@@ -180,7 +181,7 @@ def test_planning_flip_contact_top_edge():
     obj = make_box_obj()
     cloud = observed(obj)
     goal = flip_goal(obj, direction_y=-1.0)  # top travels toward -y
-    act = planning_baseline(cloud, goal, obj)
+    act = planning_baseline(Observation(cloud, goal, obj, 0))
     contact = cloud.points[act.contact_index]
     # top edge of the +y face (the side opposite the flip direction)
     assert contact[2] > obj.pose.translation[2] + 0.03
@@ -201,7 +202,7 @@ def test_planning_flip_then_push_decomposition():
                   [0, math.sin(angle), math.cos(angle)]])
     rel = RigidTransform(R, d - R @ obj.pose.translation + obj.pose.translation)
     goal = GoalSpec.from_cloud(rel, cloud)
-    act = planning_baseline(cloud, goal, obj)
+    act = planning_baseline(Observation(cloud, goal, obj, 0))
     # flip executes first: horizontal motion, top-edge contact
     assert abs(act.motion_params[2]) < 1e-9
     assert cloud.points[act.contact_index][2] > obj.pose.translation[2] + 0.03
@@ -212,7 +213,7 @@ def test_planning_no_plan_for_zero_goal():
     cloud = observed(obj)
     goal = GoalSpec.from_cloud(RigidTransform.identity(), cloud)
     with pytest.raises(NoPlanError):
-        planning_baseline(cloud, goal, obj)
+        planning_baseline(Observation(cloud, goal, obj, 0))
 
 
 def test_flow_baseline_pure_translation_everywhere():
@@ -221,7 +222,7 @@ def test_flow_baseline_pure_translation_everywhere():
     goal = push_goal(obj, (0.15, 0.0))
     flow, _ = goal_flow(cloud, goal.goal_cloud)
     assert np.allclose(flow, [0.15, 0.0, 0.0])
-    act = flow_baseline(cloud, goal, obj)
+    act = flow_baseline(Observation(cloud, goal, obj, 0))
     assert np.allclose(act.motion_params, [0.15, 0.0, 0.0])
 
 
@@ -229,7 +230,7 @@ def test_flow_baseline_flip_matches_rigid_motion():
     obj = make_box_obj()
     cloud = observed(obj)
     goal = flip_goal(obj)
-    act = flow_baseline(cloud, goal, obj)
+    act = flow_baseline(Observation(cloud, goal, obj, 0))
     i = act.contact_index
     expect = goal.goal_cloud.points[i] - cloud.points[i]
     assert np.max(np.abs(act.motion_params - expect)) < 1e-9
@@ -239,7 +240,7 @@ def test_flow_baseline_rotation_equivariance():
     obj = make_box_obj()
     cloud = observed(obj)
     goal = push_goal(obj, (0.12, -0.04))
-    act = flow_baseline(cloud, goal, obj)
+    act = flow_baseline(Observation(cloud, goal, obj, 0))
     R = rot_z(0.6)
     w = RigidTransform(R, np.zeros(3))
     obj2 = make_box_obj()
@@ -248,14 +249,14 @@ def test_flow_baseline_rotation_equivariance():
     rel2 = RigidTransform(R @ goal.relative_transform.rotation @ R.T,
                           R @ goal.relative_transform.translation)
     goal2 = GoalSpec.from_cloud(rel2, cloud2)
-    act2 = flow_baseline(cloud2, goal2, obj2)
+    act2 = flow_baseline(Observation(cloud2, goal2, obj2, 0))
     assert np.max(np.abs(act2.motion_params - R @ act.motion_params)) < 1e-9
 
 
 def test_random_location_single_point():
     cloud = PointCloud([[0.1, 0.2, 0.3]])
     goal = GoalSpec.from_cloud(RigidTransform(np.eye(3), [0.1, 0, 0]), cloud)
-    act = random_location_baseline(cloud, goal, seed=1)
+    act = random_location_baseline(Observation(cloud, goal, None, 1))
     assert act.contact_index == 0
 
 
@@ -265,7 +266,7 @@ def test_random_location_uniformity_chi_square():
     goal = push_goal(obj, (0.1, 0.0))
     counts = np.zeros(400)
     for s in range(10000):
-        act = random_location_baseline(cloud, goal, seed=s)
+        act = random_location_baseline(Observation(cloud, goal, obj, s))
         counts[act.contact_index] += 1
     chi2 = float(np.sum((counts - 25.0) ** 2 / 25.0))
     assert chi2 < stats.chi2.ppf(0.99, df=399)
@@ -275,8 +276,8 @@ def test_random_location_deterministic_per_seed():
     obj = make_box_obj()
     cloud = observed(obj)
     goal = push_goal(obj, (0.1, 0.0))
-    a = random_location_baseline(cloud, goal, seed=42)
-    b = random_location_baseline(cloud, goal, seed=42)
+    a = random_location_baseline(Observation(cloud, goal, obj, 42))
+    b = random_location_baseline(Observation(cloud, goal, obj, 42))
     assert a.contact_index == b.contact_index
     assert np.array_equal(a.motion_params, b.motion_params)
 

@@ -109,7 +109,7 @@ def test_single_point_in_front_visible():
 
 def test_render_exact_point_count():
     world = world_with_box()
-    cloud = render_object_cloud(world, 400, seed=7)
+    cloud = render_object_cloud(world, seed=7)
     assert len(cloud) == 400
     assert cloud.normals is not None
     assert np.all(np.isfinite(cloud.points))
@@ -118,7 +118,7 @@ def test_render_exact_point_count():
 
 def test_render_no_back_face_points():
     world = world_with_box(xy=(0.5, 0.0))
-    cloud = render_object_cloud(world, 400, seed=8)
+    cloud = render_object_cloud(world, seed=8)
     obj = world.objects[0]
     # back face of the box (+x side, away from the robot at the origin)
     back_x = obj.pose.translation[0] + 0.04
@@ -128,7 +128,8 @@ def test_render_no_back_face_points():
 
 def test_render_agrees_with_raycast_oracle():
     world = world_with_box()
-    cloud = render_object_cloud(world, 300, seed=9)
+    world.config.camera.object_points = 300
+    cloud = render_object_cloud(world, seed=9)
     obj = world.objects[0]
     vp = camera_pose(world.config.camera, world.robot.srb.position,
                      world.robot.srb.rotation()).translation
@@ -138,9 +139,9 @@ def test_render_agrees_with_raycast_oracle():
 
 def test_render_determinism_per_seed():
     world = world_with_box()
-    a = render_object_cloud(world, 400, seed=11)
-    b = render_object_cloud(world, 400, seed=11)
-    c = render_object_cloud(world, 400, seed=12)
+    a = render_object_cloud(world, seed=11)
+    b = render_object_cloud(world, seed=11)
+    c = render_object_cloud(world, seed=12)
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
 
@@ -161,15 +162,15 @@ def test_rendering_reads_the_camera_of_the_world_config():
     the default 65 degrees sees whole."""
     pitched = world_with_box()
     pitched.config.camera.pitch_deg = 33.0
-    a = render_object_cloud(world_with_box(), 400, seed=11)
-    b = render_object_cloud(pitched, 400, seed=11)
+    a = render_object_cloud(world_with_box(), seed=11)
+    b = render_object_cloud(pitched, seed=11)
     assert np.ptp(b.points[:, 0]) < np.ptp(a.points[:, 0]) - 0.02
 
 
 def test_render_object_behind_camera_raises():
     world = world_with_box(xy=(-1.5, 0.0))
     with pytest.raises(EmptyObservationError):
-        render_object_cloud(world, 400, seed=13)
+        render_object_cloud(world, seed=13)
 
 
 def test_full_scan_covers_surface():

@@ -607,7 +607,9 @@ def _run_pin(world, tau, n_steps):
 
 def _end_state(world) -> np.ndarray:
     rb = world.robot
-    parts = [rb.srb.as_vector(), rb.feet_pos.ravel(), rb.feet_vel.ravel()]
+    # the trunk state as the force MPC reads it, with gravity as its 13th value
+    parts = [rb.srb.as_vector(), [world.config.sim.gravity], rb.feet_pos.ravel(),
+             rb.feet_vel.ravel()]
     parts += [leg.joint_angles for leg in rb.legs]
     for o in world.objects:
         parts += [o.pose.rotation.ravel(), o.pose.translation, o.linear_velocity,
