@@ -260,7 +260,7 @@ def _determinism_violation(cfg: StackConfig) -> float:
 
     def state(w):
         o = w.objects[0]
-        return np.concatenate([w.robot.srb.as_vector(), w.robot.feet_pos.ravel(),
+        return np.concatenate([w.robot.srb.as_vector(), np.ravel(w.robot.feet_pos),
                                o.pose.translation, o.pose.rotation.ravel()])
     return float(max(np.max(np.abs(state(w) - state(worlds[0]))) for w in worlds[1:]))
 
@@ -270,25 +270,25 @@ def _momentum_violation(cfg: StackConfig) -> float:
     spinning box over 1000 steps without gravity or ground."""
     obj = SimObject.from_shape(Box((0.1, 0.07, 0.05)),
                                RigidTransform(np.eye(3), [0.5, 0.2, 0.4]))
-    obj.linear_velocity[:] = (0.1, -0.2, 0.05)
-    obj.angular_velocity[:] = (0.4, -0.3, 0.6)
+    obj.linear_velocity = (0.1, -0.2, 0.05)
+    obj.angular_velocity = (0.4, -0.3, 0.6)
     world = standing_world(cfg, objects=[obj])
     world.gravity_enabled = world.ground_enabled = False
     rb, srb = world.robot, world.robot.srb
-    srb.linear_velocity[:] = (0.02, 0.01, -0.01)
-    srb.angular_velocity[:] = (0.05, -0.02, 0.1)
-    rb.feet_vel[:] = srb.linear_velocity
+    srb.linear_velocity = (0.02, 0.01, -0.01)
+    srb.angular_velocity = (0.05, -0.02, 0.1)
+    rb.feet_vel = (srb.linear_velocity,) * 4
     m, mf = cfg.robot.trunk_mass, cfg.robot.foot_mass
 
     def momentum():
         R, Ro = srb.rotation(), obj.pose.rotation
-        lin = (m * srb.linear_velocity + mf * rb.feet_vel.sum(axis=0)
-               + obj.mass * obj.linear_velocity)
+        v, feet_v, v_o = map(np.array, (srb.linear_velocity, rb.feet_vel, obj.linear_velocity))
+        lin = m * v + mf * feet_v.sum(axis=0) + obj.mass * v_o
         ang = (R @ np.diag(cfg.robot.trunk_inertia) @ R.T @ srb.angular_velocity
-               + m * np.cross(srb.position, srb.linear_velocity)
-               + mf * np.cross(rb.feet_pos, rb.feet_vel).sum(axis=0)
+               + m * np.cross(srb.position, v)
+               + mf * np.cross(rb.feet_pos, feet_v).sum(axis=0)
                + Ro @ np.array(obj.inertia) @ Ro.T @ obj.angular_velocity
-               + obj.mass * np.cross(obj.pose.translation, obj.linear_velocity))
+               + obj.mass * np.cross(obj.pose.translation, v_o))
         return np.concatenate([lin, ang])
 
     p0 = momentum()
@@ -302,9 +302,8 @@ def _friction_cone_violation(cfg: StackConfig) -> float:
     while a box slides at (0.4, 0.2) m/s beside the standing robot."""
     shape = Box((0.08, 0.06, 0.05))
     obj = SimObject.from_shape(shape, RigidTransform.identity())
-    obj.pose = rest_pose_on_ground(shape, contact=cfg.contact, mass=obj.mass,
-                                   gravity=cfg.sim.gravity)
-    obj.linear_velocity[:] = (0.4, 0.2, 0.0)
+    obj.pose = rest_pose_on_ground(shape, config=cfg, mass=obj.mass)
+    obj.linear_velocity = (0.4, 0.2, 0.0)
     world = standing_world(cfg, objects=[obj])
     mu = min(obj.friction, cfg.contact.friction)
     excess = []

@@ -154,16 +154,17 @@ _POSITIVE = (("sim", "dt"), ("robot", "trunk_mass"), ("robot", "trunk_inertia"),
              ("robot", "foot_mass"), ("contact", "k_normal"), ("camera", "width"),
              ("camera", "height"), ("camera", "object_points"), ("mpc", "horizon"),
              ("mpc", "force_update_period"), ("gait", "trot_period"))
-# a negative damper or friction coefficient feeds energy into a contact
-_NON_NEGATIVE = (("contact", "d_normal"), ("contact", "friction"))
+# a negative damper or friction coefficient feeds energy into a contact, and
+# a negative swing stiffness or damping pushes the foot away from its target
+_NON_NEGATIVE = (("contact", "d_normal"), ("contact", "friction"), ("swing", "kp"),
+                 ("swing", "kd"))
 
 
 def check_config(cfg: StackConfig) -> None:
     """Raise ValueError when a value is out of its range: a value named in
     `_POSITIVE` not positive, one in `_NON_NEGATIVE` negative,
-    `camera.horizontal_fov_deg` outside (0, 180), `gait.trot_duty` outside
-    (0, 1], or a negative `swing.kp` or `swing.kd` (a negative stiffness or
-    damping pushes the foot away from its target)."""
+    `camera.horizontal_fov_deg` outside (0, 180) or `gait.trot_duty`
+    outside (0, 1]."""
     for keys, word, ok in ((_POSITIVE, "positive", lambda v: v > 0),
                            (_NON_NEGATIVE, "non-negative", lambda v: v >= 0)):
         for section, key in keys:
@@ -176,10 +177,6 @@ def check_config(cfg: StackConfig) -> None:
     duty = cfg.gait.trot_duty
     if not 0.0 < duty <= 1.0:
         raise ValueError(f"config [gait] trot_duty must be in (0, 1], got {duty!r}")
-    swing = cfg.swing
-    if not (swing.kp >= 0.0 and swing.kd >= 0.0):
-        raise ValueError(f"swing gains must be non-negative, got kp={swing.kp!r} "
-                         f"kd={swing.kd!r}")
 
 
 def load_config(path: str | None = None) -> StackConfig:

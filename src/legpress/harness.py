@@ -116,9 +116,8 @@ class TaskSpec:
 def _rest_object(shape, rng, cfg: StackConfig) -> SimObject:
     obj = SimObject.from_shape(shape, RigidTransform.identity())
     yaw = float(rng.uniform(-YAW_JITTER, YAW_JITTER))
-    obj.pose = rest_pose_on_ground(shape, xy=OBJECT_START_XY, yaw=yaw,
-                                   contact=cfg.contact, mass=obj.mass,
-                                   gravity=cfg.sim.gravity)
+    obj.pose = rest_pose_on_ground(shape, xy=OBJECT_START_XY, yaw=yaw, config=cfg,
+                                   mass=obj.mass)
     return obj
 
 

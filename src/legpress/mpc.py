@@ -93,7 +93,7 @@ class LinearizedDynamics:
     validity_warning: bool = False
 
 
-def linearize_srb(state: SrbState, foot_positions: np.ndarray, mass: float,
+def linearize_srb(state: SrbState, foot_positions, mass: float,
                   inertia: np.ndarray, mpc_dt: float) -> LinearizedDynamics:
     """Discrete one-step SRB model about the current yaw.
 
@@ -111,7 +111,7 @@ def linearize_srb(state: SrbState, foot_positions: np.ndarray, mass: float,
     A[11, 12] = -mpc_dt
 
     B = np.zeros((NX, 3 * N_LEGS))
-    com = state.position
+    com = np.array(state.position)
     for j in range(N_LEGS):
         r = np.asarray(foot_positions[j], dtype=float) - com
         B[6:9, 3 * j:3 * j + 3] = mpc_dt * (I_w_inv @ skew(r))
@@ -220,7 +220,7 @@ class ForceMpc:
         t = np.arange(1, k + 1) * self.dt  # the end of each horizon step
         ref = np.zeros((k, NX))
         ref[:, 2] = yaw0 + yaw_rate * t
-        ref[:, 3:5] = state.position[:2] + v_world[:2] * t[:, None]
+        ref[:, 3:5] = np.array(state.position[:2]) + v_world[:2] * t[:, None]
         ref[:, 5] = height
         ref[:, 8] = yaw_rate
         ref[:, 9:11] = v_world[:2]
@@ -281,7 +281,7 @@ def raibert_foothold(leg: LegModel, command_velocity, gait: GaitSchedule,
     shoulder = shoulder_point(leg, state)
     proj = np.array([shoulder[0], shoulder[1], 0.0])
     stance_t = gait.period * gait.duty
-    offset = (stance_t / 2.0) * v_cmd + k_v * (state.linear_velocity - v_cmd)
+    offset = (stance_t / 2.0) * v_cmd + k_v * (np.array(state.linear_velocity) - v_cmd)
     offset[2] = 0.0
     if threshold_norm(offset.tolist(), RAIBERT_MAX_OFFSET) > RAIBERT_MAX_OFFSET:
         offset *= RAIBERT_MAX_OFFSET / float(np.linalg.norm(offset))

@@ -265,13 +265,13 @@ class _OrchestratorCore:
 
     def nominal_com_xy(self) -> tuple:
         """Mean xy of the four feet as a float pair, summed in row order as
-        numpy's `feet_pos[:, :2].mean(axis=0)` sums them."""
-        (x0, y0, _), (x1, y1, _), (x2, y2, _), (x3, y3, _) = self.world.robot.feet_pos.tolist()
+        numpy's `np.array(feet_pos)[:, :2].mean(axis=0)` sums them."""
+        (x0, y0, _), (x1, y1, _), (x2, y2, _), (x3, y3, _) = self.world.robot.feet_pos
         return (x0 + x1 + x2 + x3) / 4.0, (y0 + y1 + y2 + y3) / 4.0
 
     def support_centroid_xy(self, lifted: int) -> np.ndarray:
         idx = [i for i in range(4) if i != lifted]
-        return self.world.robot.feet_pos[idx, :2].mean(axis=0)
+        return np.array(self.world.robot.feet_pos)[idx, :2].mean(axis=0)
 
     def drive_towards(self, target_xy, yaw_target, gain, v_max):
         """Command gain times the position error, capped at v_max, and twice
@@ -279,7 +279,7 @@ class _OrchestratorCore:
         scales as numpy's norm does, see `geom.threshold_norm`)."""
         srb = self.world.robot.srb
         tx, ty = map(float, target_xy)
-        px, py, _ = srb.position.tolist()
+        px, py, _ = srb.position
         vx, vy = gain * (tx - px), gain * (ty - py)
         if threshold_norm((vx, vy), v_max) > v_max:
             s = v_max / float(np.linalg.norm([vx, vy]))
@@ -329,8 +329,8 @@ class _OrchestratorCore:
                 continue
             p_des, v_des = self._swing_target(i, dt)
             cmd = impedance_torque_tracking(
-                robot.legs[i], srb, robot.feet_pos[i].tolist(), robot.feet_vel[i].tolist(),
-                p_des, v_des, self.kp, self.kd)
+                robot.legs[i], srb, robot.feet_pos[i], robot.feet_vel[i], p_des, v_des,
+                self.kp, self.kd)
             tau[3 * i], tau[3 * i + 1], tau[3 * i + 2] = cmd.torques
 
         try:
@@ -364,7 +364,7 @@ class _OrchestratorCore:
         target[2] = self.cfg.robot.foot_radius
         mark = self._swing_marks.get(leg_index)
         if mark is None or t - mark[0] > gait.period * (1.0 - gait.duty):
-            mark = (t, self.world.robot.feet_pos[leg_index].copy())
+            mark = (t, np.array(self.world.robot.feet_pos[leg_index]))
             self._swing_marks[leg_index] = mark
         start = mark[1]
         pos = start + phase * (target - start)
@@ -393,7 +393,7 @@ class _OrchestratorCore:
         world.robot.srb = replace(
             world.robot.srb, rpy=(0.0, 0.0, standoff.yaw + jitter_yaw),
             position=standoff.position + np.array([*jitter_xy, 0.0]),
-            angular_velocity=np.zeros(3), linear_velocity=np.zeros(3))
+            angular_velocity=(0.0, 0.0, 0.0), linear_velocity=(0.0, 0.0, 0.0))
         seat_feet(world)
         self.forces = _ZERO_FORCES
         self.step_count = 0
@@ -409,7 +409,7 @@ class _OrchestratorCore:
         while self.time_in_state() < cfg.orchestrator.timeout_walking:
             self.drive_towards(standoff.position[:2], standoff.yaw, gain=1.2, v_max=0.22)
             self.control_step()
-            px, py, _ = self.world.robot.srb.position.tolist()
+            px, py, _ = self.world.robot.srb.position
             pos_err = threshold_norm((px - sx, py - sy), 0.03)
             yaw_err = abs(math.atan2(math.sin(standoff.yaw - self.world.robot.srb.rpy[2]),
                                      math.cos(standoff.yaw - self.world.robot.srb.rpy[2])))
@@ -518,8 +518,7 @@ def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = Non
                 return finish("fault:no_action", check_success())
             if isinstance(action, str) and action == "oracle_teleport":
                 obj.pose = goal_pose  # debug upper bound
-                obj.linear_velocity[:] = 0.0
-                obj.angular_velocity[:] = 0.0
+                obj.linear_velocity = obj.angular_velocity = (0.0, 0.0, 0.0)
             else:
                 rec = {"type": "action", "t": round(world.time, 6), "step": trace.steps_used,
                        "contact_index": int(action.contact_index),
@@ -586,7 +585,7 @@ def _execute_action(core: _OrchestratorCore, observed: PointCloud,
         core.drive_towards(core.nominal_com_xy(), None, gain=2.0, v_max=0.08)
         core.control_step()
         if world.time - t0 > 0.3 and threshold_norm(
-                [a - b for a, b in zip(world.robot.feet_pos[leg_index].tolist(), nominal)],
+                [a - b for a, b in zip(world.robot.feet_pos[leg_index], nominal)],
                 0.02) < 0.02:
             break
     core.gait = GaitSchedule.stand()

@@ -29,32 +29,34 @@ ground contact records of the tick it fell asleep stay in `contact_set`, and
 a tick only tests the four feet against its bound. It wakes, and is stepped
 in full from that tick, when a foot comes within the bound (the test that
 makes skipping a far foot exact, so no contact is missed), when its pose is
-replaced or a velocity is written non-zero, or when ground or gravity is
+replaced or a velocity is set non-zero, or when ground or gravity is
 off. `SimObject.copy` carries the sleep state, so a copy steps like the
 original bit for bit.
 
-The tick runs on Python floats. `step` reads the trunk, feet and objects
-once with `.tolist()`, computes on float rows what is fixed within a tick
-once per tick, and writes back once into the same arrays; an object gets a
-new `RigidTransform`. The one later write is the leg sync's: a leg at its
-joint stops (`_sync_legs`) writes its foot's point and velocity rows and the
-trunk's linear velocity again after that write-back. Derived rows are
-written with their source, and each source is a tuple of floats: no reader
-can change it apart from its rows, and a deep copy or a pickle keeps the two
-together. `SrbState.rotation_rows` is the trunk rotation: the constructor
-builds it from `rpy`, and `step` writes the rotation it integrated together
-with the rpy chart of it.
+The state is tuples of Python floats: the trunk's rpy, position and
+velocities, the feet's points and velocities (four rows each), the joint
+angles and the objects' velocities; an object's pose is a `RigidTransform`.
+A state value changes by an assignment of the whole field or as a new state
+(`dataclasses.replace`), never in place. `step` reads the tuples, runs the
+tick and then the leg sync on float lists, computing on float rows what is
+fixed within a tick once per tick, and writes each trunk, feet and
+object-velocity field back once; an object gets a new `RigidTransform`. A
+leg at its joint stops (`_sync_legs`) edits only the tick's lists. Derived
+rows are written with their source, and each source is a tuple of floats:
+no reader can change it apart from its rows, and a deep copy or a pickle
+keeps the two together. `SrbState.rotation_rows` is the trunk rotation: the
+constructor builds it from `rpy`, and `step` writes the rotation it
+integrated together with the rpy chart of it.
 `LegModel.jacobian_rows` is the trunk-frame Jacobian of `joint_angles`,
 written with them by the leg sync. `SimObject.inertia` is float rows, and
-its inverse rows are made once with it. A new pose is a new state
-(`dataclasses.replace`). Numpy callers convert with `np.array`, which is
-exact; array accessors hand out new arrays or copies. Where a helper call
-per vector would cost more than its arithmetic, the tick writes the
-products out in the helper's order: the tip-force solve on the Jacobian rows
-(`_tip_forces`, `_solve3`'s expressions), the friction pass, the IK's clamps
-(`_clamp`, `min(max())`'s values). The velocity check is one pass over the
-components (`_check_speeds`). The float 3-vector helpers are public in
-`geom`.
+its inverse rows are made once with it. Numpy callers convert with
+`np.array`, which is exact; array accessors hand out new arrays or copies.
+Where a helper call per vector would cost more than its arithmetic, the tick
+writes the products out in the helper's order: the tip-force solve on the
+Jacobian rows (`_tip_forces`, `_solve3`'s expressions), the friction pass,
+the IK's clamps (`_clamp`, `min(max())`'s values). The velocity check is one
+pass over the components (`_check_speeds`). The float 3-vector helpers are
+public in `geom`.
 
 Outcome gate. Float rows and sleep round differently from a plain numpy
 formulation of the same model, so a trajectory is not bit-identical to one,
@@ -84,12 +86,13 @@ Numpy stays where it is the better tool or a reference depends on it:
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ContactConfig, RobotConfig, SimConfig, StackConfig, check_config
+from .config import ContactConfig, RobotConfig, StackConfig, check_config
 from .geom import (
     GimbalLockError,
     RigidTransform,
@@ -149,24 +152,23 @@ class SimulationDivergence(RuntimeError):
 class SrbState:
     """12-component trunk state: rpy, position, world angular velocity and
     linear velocity (the force MPC appends the configured gravity as its
-    13th). `rotation_rows` is the trunk rotation as three float rows, written
-    with its source: the constructor builds it from rpy through
-    `euler_zyx_to_matrix`, and `step` writes the rotation it integrated
-    together with the rpy chart of it. rpy, the chart the MPC and the traces
-    read, is a tuple of three floats; a trunk in another pose is a new state
-    (`dataclasses.replace`)."""
+    13th), each a tuple of three floats. `rotation_rows` is the trunk
+    rotation as three float rows, written with its source: the constructor
+    builds it from rpy through `euler_zyx_to_matrix`, and `step` writes the
+    rotation it integrated together with the rpy chart of it. A trunk in
+    another state is a new state (`dataclasses.replace`) or an assignment of
+    a whole field."""
 
     rpy: tuple
-    position: np.ndarray
-    angular_velocity: np.ndarray
-    linear_velocity: np.ndarray
+    position: tuple
+    angular_velocity: tuple
+    linear_velocity: tuple
     rotation_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.rpy = tuple(map(float, self.rpy))
-        self.position = np.asarray(self.position, dtype=float).reshape(3).copy()
-        self.angular_velocity = np.asarray(self.angular_velocity, dtype=float).reshape(3).copy()
-        self.linear_velocity = np.asarray(self.linear_velocity, dtype=float).reshape(3).copy()
+        self.rpy, self.position, self.angular_velocity, self.linear_velocity = (
+            tuple(map(float, np.reshape(x, 3)))
+            for x in (self.rpy, self.position, self.angular_velocity, self.linear_velocity))
         self.rotation_rows = tuple(map(tuple, euler_zyx_to_matrix(*self.rpy).tolist()))
 
     def as_vector(self) -> np.ndarray:
@@ -177,11 +179,9 @@ class SrbState:
         return np.array(self.rotation_rows)
 
     def copy(self) -> "SrbState":
-        srb = SrbState(self.rpy, self.position, self.angular_velocity,
-                       self.linear_velocity)
-        # an integrated rotation is not the rebuild from its rpy to the bit
-        srb.rotation_rows = self.rotation_rows
-        return srb
+        # every field is a tuple; an integrated rotation is not the rebuild
+        # from its rpy to the bit, so it is carried, not rebuilt
+        return copy.copy(self)
 
 
 @dataclass
@@ -256,12 +256,12 @@ def _jac_local(q1, q2, q3, side, l_abd, lt, lc):
 def leg_forward_kinematics(leg: LegModel, trunk: SrbState) -> np.ndarray:
     """World-frame foot position from trunk pose and joint angles."""
     local = np.array(_fk_local(*leg.joint_angles, leg.side, *leg.link_lengths))
-    return trunk.position + trunk.rotation() @ (np.array(leg.hip_offset) + local)
+    return np.array(trunk.position) + trunk.rotation() @ (np.array(leg.hip_offset) + local)
 
 
 def shoulder_point(leg: LegModel, trunk: SrbState) -> np.ndarray:
     """World-frame shoulder point of the leg."""
-    return trunk.position + trunk.rotation() @ np.array(leg.shoulder)
+    return np.array(trunk.position) + trunk.rotation() @ np.array(leg.shoulder)
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:
@@ -311,7 +311,8 @@ def leg_inverse_kinematics(target: np.ndarray, leg: LegModel,
     """Joint angles reaching the world target within the joint limits, or
     None when no such angles exist."""
     R = trunk.rotation()
-    d = R.T @ (np.asarray(target, dtype=float) - (trunk.position + R @ np.array(leg.hip_offset)))
+    d = R.T @ (np.asarray(target, dtype=float)
+               - (np.array(trunk.position) + R @ np.array(leg.hip_offset)))
     q = _ik_local(d.tolist(), leg.side, *leg.link_lengths, leg.joint_limits)
     return None if q is None else np.array(q)
 
@@ -610,10 +611,13 @@ class Compound(_Shape):
 
 @dataclass
 class SimObject:
+    """A rigid body of one shape at a `RigidTransform` pose; its world
+    velocities are tuples of three floats and its body inertia float rows."""
+
     shape: object
     pose: RigidTransform
-    linear_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    angular_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    linear_velocity: tuple = (0.0, 0.0, 0.0)
+    angular_velocity: tuple = (0.0, 0.0, 0.0)
     mass: float = 1.0
     inertia: tuple = ((1e-3, 0.0, 0.0), (0.0, 1e-3, 0.0), (0.0, 0.0, 1e-3))  # body frame rows
     friction: float = 0.5
@@ -630,8 +634,8 @@ class SimObject:
         if not isinstance(self.shape, (Box, Cylinder, Compound)):
             raise TypeError("the simulator steps Box, Cylinder and Compound bodies, "
                             f"not {type(self.shape).__name__}")
-        self.linear_velocity = np.asarray(self.linear_velocity, dtype=float).reshape(3).copy()
-        self.angular_velocity = np.asarray(self.angular_velocity, dtype=float).reshape(3).copy()
+        self.linear_velocity = tuple(map(float, np.reshape(self.linear_velocity, 3)))
+        self.angular_velocity = tuple(map(float, np.reshape(self.angular_velocity, 3)))
         I = np.array(self.inertia, dtype=float).reshape(3, 3)
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
@@ -654,27 +658,26 @@ class SimObject:
         return self._sleep is not None
 
     def copy(self) -> "SimObject":
-        o = SimObject(self.shape, self.pose, self.linear_velocity.copy(),
-                      self.angular_velocity.copy(), self.mass,
-                      self.inertia, self.friction, self.name)
-        o._rest, o._sleep = self._rest, self._sleep
-        return o
+        # the fields are shared: a step replaces the pose, the velocities and
+        # the sleep state whole and writes none of them in place
+        return copy.copy(self)
 
 
 def rest_pose_on_ground(shape, xy=(0.0, 0.0), yaw: float = 0.0,
-                        contact: ContactConfig | None = None,
-                        mass: float | None = None,
-                        gravity: float = SimConfig.gravity) -> RigidTransform:
-    """Pose with the shape resting on z=0, settled to penalty equilibrium
-    under the given gravity when the contact parameters and mass are
-    supplied."""
+                        config: StackConfig | None = None,
+                        mass: float | None = None) -> RigidTransform:
+    """Pose with the shape resting on z=0. Given the config and the mass, it
+    is settled to penalty equilibrium under the config's gravity, each
+    support vertex a spring of the stiffness that `step` gives an
+    object-ground contact (`_contact_law`)."""
     R = euler_zyx_to_matrix(0.0, 0.0, yaw)
     verts = shape.vertices() @ R.T
     zmin = float(verts[:, 2].min())
     z = -zmin
-    if contact is not None and mass is not None:
-        n_support = int(np.sum(verts[:, 2] < zmin + 1e-9))
-        z -= mass * gravity / (contact.k_normal * max(n_support, 1))
+    if config is not None and mass is not None:
+        n = max(int(np.sum(verts[:, 2] < zmin + 1e-9)), 1)  # support vertices
+        k, _ = _contact_law(config.contact, mass / n, config.sim.dt)
+        z -= mass * config.sim.gravity / (k * n)
     return RigidTransform(R, np.array([xy[0], xy[1], z]))
 
 
@@ -692,18 +695,22 @@ class ContactRecord:
 
 @dataclass
 class RobotState:
+    """The trunk, the legs and the feet, whose world points and velocities
+    are four rows each, a row a tuple of three floats."""
+
     srb: SrbState
     legs: list
-    feet_pos: np.ndarray  # (4, 3) world, C-contiguous: `step` writes it flat
-    feet_vel: np.ndarray  # (4, 3) world, C-contiguous
+    feet_pos: tuple
+    feet_vel: tuple
 
     def __post_init__(self):
-        self.feet_pos = np.ascontiguousarray(self.feet_pos, dtype=float)
-        self.feet_vel = np.ascontiguousarray(self.feet_vel, dtype=float)
+        self.feet_pos, self.feet_vel = (
+            tuple(tuple(map(float, r)) for r in np.reshape(rows, (4, 3)))
+            for rows in (self.feet_pos, self.feet_vel))
 
     def copy(self) -> "RobotState":
         return RobotState(self.srb.copy(), [l.copy() for l in self.legs],
-                          self.feet_pos.copy(), self.feet_vel.copy())
+                          self.feet_pos, self.feet_vel)
 
 
 @dataclass
@@ -731,25 +738,30 @@ def standing_world(config: StackConfig | None = None, objects=()) -> WorldState:
     shoulders, touching z=0. The config must pass `check_config`."""
     config = config or StackConfig()
     check_config(config)
-    srb = SrbState(np.zeros(3), np.array([0.0, 0.0, config.mpc.stand_height]),
-                   np.zeros(3), np.zeros(3))
-    world = WorldState(RobotState(srb, make_legs(config.robot), np.zeros((4, 3)),
-                                  np.zeros((4, 3))), list(objects), config=config)
+    zero = (0.0, 0.0, 0.0)
+    srb = SrbState(zero, (0.0, 0.0, config.mpc.stand_height), zero, zero)
+    world = WorldState(RobotState(srb, make_legs(config.robot), (zero,) * 4, (zero,) * 4),
+                       list(objects), config=config)
     seat_feet(world)
     return world
 
 
 def seat_feet(world: WorldState) -> None:
     """Put every foot at rest on the ground under its shoulder, for the
-    current trunk pose, and solve the joint angles to match."""
+    current trunk pose, and solve the joint angles to match. The leg sync
+    runs on float lists, and the trunk velocity and the feet are written back
+    once after it, as in `step`."""
     robot = world.robot
     srb = robot.srb
-    for i, leg in enumerate(robot.legs):
-        robot.feet_pos[i] = shoulder_point(leg, srb)
-        robot.feet_pos[i, 2] = world.config.robot.foot_radius
-    robot.feet_vel[:] = 0.0
-    _sync_legs(world, srb.rotation_rows, srb.position.tolist(), srb.linear_velocity.tolist(),
-               srb.angular_velocity.tolist(), robot.feet_pos.tolist(), robot.feet_vel.tolist())
+    feet_p = []
+    for leg in robot.legs:
+        x, y, _ = shoulder_point(leg, srb).tolist()
+        feet_p.append([x, y, world.config.robot.foot_radius])
+    feet_v = [[0.0, 0.0, 0.0] for _ in feet_p]
+    v = list(srb.linear_velocity)
+    _sync_legs(world, srb.rotation_rows, srb.position, v, srb.angular_velocity, feet_p, feet_v)
+    srb.linear_velocity = tuple(v)
+    robot.feet_pos, robot.feet_vel = tuple(map(tuple, feet_p)), tuple(map(tuple, feet_v))
 
 
 def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
@@ -757,17 +769,16 @@ def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
     rows with the angles just solved; feet that drifted out of the workspace
     ride with the trunk at their joint stops.
 
-    The trunk and feet come in as floats: the rows of the trunk rotation, the
-    trunk position, velocity and angular velocity, and the feet's point and
-    velocity lists, all equal to the robot's arrays. A leg at its joint stops
-    moves its foot and corrects the trunk velocity in these lists and in the
-    arrays; otherwise only the joint angles and their Jacobian rows are
-    written."""
-    robot = world.robot
+    The trunk and feet come in as the caller's floats: the rows of the trunk
+    rotation, the trunk position, the velocity list v, the angular velocity,
+    and the lists of the feet's point and velocity rows. A leg at its joint
+    stops moves its foot in feet_p and feet_v and, on a free trunk, corrects
+    v; the caller writes them back. Of the robot, only each leg's joint
+    angles and their Jacobian rows are written here."""
     mf = world.config.robot.foot_mass
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
     p0, p1, p2 = pos
-    for i, leg in enumerate(robot.legs):
+    for i, leg in enumerate(world.robot.legs):
         o0, o1, o2 = off = leg.hip_offset
         fp = feet_p[i]
         # the foot from the hip point pos + R off, in the trunk frame
@@ -789,9 +800,8 @@ def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
             if not world.fixed_base:
                 dv = [v_new[k] - feet_v[i][k] for k in range(3)]
                 v[:] = [v[k] - dv[k] * mf / world.config.robot.trunk_mass for k in range(3)]
-                robot.srb.linear_velocity[:] = v
-            feet_p[i] = robot.feet_pos[i] = p_new
-            feet_v[i] = robot.feet_vel[i] = v_new
+            feet_p[i] = p_new
+            feet_v[i] = v_new
             continue
         leg.joint_angles = q
         # the controllers' tick and the next step read this Jacobian
@@ -848,16 +858,6 @@ def _feet_near(feet_p, t, far: float) -> list:
         if not dot3(d, d) > far2:
             near.append((i, d))
     return near
-
-
-def _fall_asleep(obj: SimObject, ground: tuple, t: list) -> None:
-    """Hold the object at rest: exactly zero velocities, read-only pose arrays
-    (the pose `step` has just made) and the tick's ground contact records."""
-    obj.linear_velocity[:] = 0.0
-    obj.angular_velocity[:] = 0.0
-    obj.pose.rotation.flags.writeable = False
-    obj.pose.translation.flags.writeable = False
-    obj._sleep = (ground, t)
 
 
 def _friction_pass(fric, objects, feet_v, obj_v, obj_w, obj_L, obj_I_inv,
@@ -962,13 +962,13 @@ def step(world: WorldState, joint_torques) -> WorldState:
     gz = -g  # gravity vector (0, 0, gz)
     mu_ground = cc.friction
 
-    # the state as floats, read once
+    # the state as floats, read once; the lists the tick updates in place
     R = srb.rotation_rows
-    pos = srb.position.tolist()
-    v = srb.linear_velocity.tolist()
-    w = srb.angular_velocity.tolist()
-    feet_p = robot.feet_pos.tolist()
-    feet_v = robot.feet_vel.tolist()
+    pos = srb.position
+    v = list(srb.linear_velocity)
+    w = srb.angular_velocity
+    feet_p = robot.feet_pos
+    feet_v = [list(fv) for fv in robot.feet_vel]
     m_trunk = rc.trunk_mass
     trunk_force = [0.0, 0.0, m_trunk * gz]
     trunk_torque = [0.0, 0.0, 0.0]
@@ -1022,9 +1022,8 @@ def step(world: WorldState, joint_torques) -> WorldState:
         far = obj.shape._radius + rf
         asleep = obj._sleep
         if asleep is not None:
-            if (may_sleep and obj.pose is obj._rest[0]
-                    and not any(obj.linear_velocity.tolist())
-                    and not any(obj.angular_velocity.tolist())
+            if (may_sleep and obj.pose is obj._rest[0] and not any(obj.linear_velocity)
+                    and not any(obj.angular_velocity)
                     and not _feet_near(feet_p, asleep[1], far)):
                 contacts.extend(asleep[0])
                 continue
@@ -1034,8 +1033,8 @@ def step(world: WorldState, joint_torques) -> WorldState:
         awake.append(obj)
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = Ro = obj.pose.rotation.tolist()
         t0, t1, t2 = t = obj.pose.translation.tolist()
-        v_o = obj.linear_velocity.tolist()
-        w_o = obj.angular_velocity.tolist()
+        v_o = list(obj.linear_velocity)
+        w_o = obj.angular_velocity
         m = obj.mass
         mu = min(obj.friction, mu_ground)
         force = [0.0, 0.0, m * gz] if world.gravity_enabled else [0.0, 0.0, 0.0]
@@ -1156,15 +1155,7 @@ def step(world: WorldState, joint_torques) -> WorldState:
                 f"trunk orientation left the valid envelope: {e}") from e
         Lb = matvec3_t(R_new, L_trunk)
         w = matvec3(R_new, (Lb[0] / I0, Lb[1] / I1, Lb[2] / I2))
-        srb.rpy = rpy
-        # item writes: a slice assignment from a sequence costs twice as much
-        a = srb.position
-        a[0], a[1], a[2] = pos
-        a = srb.angular_velocity
-        a[0], a[1], a[2] = w
-        a = srb.linear_velocity
-        a[0], a[1], a[2] = v
-        R = srb.rotation_rows = tuple(map(tuple, R_new))
+        R = tuple(map(tuple, R_new))
 
     for oi, obj in enumerate(awake):
         Ro, t, v_o, L = obj_R[oi], obj_t[oi], obj_v[oi], obj_L[oi]
@@ -1172,11 +1163,7 @@ def step(world: WorldState, joint_torques) -> WorldState:
         Ro_new = matmul3(_rotation_exp(w_mid[0] * dt, w_mid[1] * dt, w_mid[2] * dt), Ro)
         if renorm:
             Ro_new = orthonormalize(np.array(Ro_new)).tolist()
-        a = obj.linear_velocity
-        a[0], a[1], a[2] = v_o
-        a = obj.angular_velocity
-        a[0], a[1], a[2] = w_o = matvec3(Ro_new, matvec3(obj.inverse_inertia_rows,
-                                                         matvec3_t(Ro_new, L)))
+        w_o = matvec3(Ro_new, matvec3(obj.inverse_inertia_rows, matvec3_t(Ro_new, L)))
         t = [t[0] + v_o[0] * dt, t[1] + v_o[1] * dt, t[2] + v_o[2] * dt]
         pose = obj.pose = RigidTransform.from_arrays(np.array(Ro_new), np.array(t))
         calm = obj_calm[oi]
@@ -1185,18 +1172,25 @@ def step(world: WorldState, joint_torques) -> WorldState:
                 and all(-SLEEP_LINEAR_TOL < x < SLEEP_LINEAR_TOL for x in v_o)
                 and all(-SLEEP_ANGULAR_TOL < x < SLEEP_ANGULAR_TOL for x in w_o)):
             quiet = calm[2] + 1
-            if quiet >= sleep_ticks:
-                _fall_asleep(obj, tuple(contacts[calm[0]:calm[1]]), t)
+        if quiet >= sleep_ticks:
+            # asleep: exactly zero velocities, read-only pose arrays (the pose
+            # just made) and the tick's ground contact records
+            v_o = w_o = (0.0, 0.0, 0.0)
+            pose.rotation.flags.writeable = pose.translation.flags.writeable = False
+            obj._sleep = (tuple(contacts[calm[0]:calm[1]]), t)
+        obj.linear_velocity, obj.angular_velocity = tuple(v_o), tuple(w_o)
         obj._rest = (pose, quiet)
 
     feet_p = [[fp[0] + fv[0] * dt, fp[1] + fv[1] * dt, fp[2] + fv[2] * dt]
               for fp, fv in zip(feet_p, feet_v)]
-    # one flat write each (the arrays are C-contiguous, see RobotState)
-    robot.feet_vel.ravel()[:] = [*feet_v[0], *feet_v[1], *feet_v[2], *feet_v[3]]
-    robot.feet_pos.ravel()[:] = [*feet_p[0], *feet_p[1], *feet_p[2], *feet_p[3]]
-
     world._steps += 1
     _sync_legs(world, R, pos, v, w, feet_p, feet_v)
+    # the one write-back of the trunk and the feet, after the leg sync
+    if not world.fixed_base:
+        srb.rpy, srb.rotation_rows = rpy, R
+    srb.position, srb.linear_velocity, srb.angular_velocity = tuple(pos), tuple(v), tuple(w)
+    robot.feet_pos = tuple(map(tuple, feet_p))
+    robot.feet_vel = tuple(map(tuple, feet_v))
     world.contact_set = contacts
     world.time += dt
 

@@ -157,8 +157,7 @@ class SwingExecutor:
         """Advance and return (p_des, v_des) as lists of three floats."""
         gate = (self.t < self._contact_time <= self.t + dt)
         if gate:
-            gap = [a - b for a, b in zip(np.asarray(foot_pos, dtype=float).tolist(),
-                                         self.plan.contact_point.tolist())]
+            gap = [a - b for a, b in zip(foot_pos, self.plan.contact_point.tolist())]
             limit = self.cfg.approach_threshold
             close = threshold_norm(gap, limit) < limit
             if not close and self._held < HOLD_TIMEOUT:

@@ -1,7 +1,8 @@
 """No legpress module imports, or reads as an attribute, another legpress
 module's `_`-prefixed name: modules talk through public names only. And
 every config key is read by the program outside the config module, and is
-named in the config module's schema."""
+named in the config module's schema. Every expected failure in the tests is
+a strict xfail that names the ROADMAP item whose fix removes its mark."""
 import ast
 import re
 from dataclasses import fields
@@ -14,6 +15,7 @@ from legpress import config
 from legpress.config import StackConfig
 
 SRC = Path(legpress.__file__).parent
+TESTS = Path(__file__).parent
 MODULES = frozenset(p.stem for p in SRC.glob("*.py")) - {"__init__"}
 
 
@@ -195,4 +197,56 @@ def test_no_function_has_a_parameter_it_never_reads():
     """A settable value has a reader: every parameter of every module-level
     function and method in the package is read by its body."""
     found = {p.name: unread_parameters(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _is_xfail_mark(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "xfail"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "mark"
+            and isinstance(node.value.value, ast.Name) and node.value.value.id == "pytest")
+
+
+def unnamed_xfails(source: str) -> list:
+    """`line: reason` for each `pytest.mark.xfail` in the source whose reason
+    is not a string that starts with `ROADMAP item N`, and `line: strict=False`
+    for each one that turns strictness off. A mark without a reason reads as
+    the reason ''."""
+    tree = ast.parse(source)
+    found, called = [], set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _is_xfail_mark(node.func)):
+            continue
+        called.add(id(node.func))
+        given = {k.arg: k.value for k in node.keywords}
+        reason = given.get("reason")
+        text = reason.value if isinstance(reason, ast.Constant) else ""
+        if not (isinstance(text, str) and re.match(r"ROADMAP item \d+", text)):
+            found.append(f"{node.lineno}: {text!r}")
+        strict = given.get("strict")
+        if isinstance(strict, ast.Constant) and strict.value is False:
+            found.append(f"{node.lineno}: strict=False")
+    for node in ast.walk(tree):
+        if _is_xfail_mark(node) and id(node) not in called:
+            found.append(f"{node.lineno}: ''")
+    return sorted(found, key=lambda line: int(line.split(":")[0]))
+
+
+def test_the_checker_finds_xfails_that_name_no_roadmap_item():
+    source = ('@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the cylinder")\n'
+              'def test_a(): pass\n'
+              '@pytest.mark.xfail(reason="the " "gate")\n'
+              'def test_b(): pass\n'
+              '@pytest.mark.xfail\n'
+              'def test_c(): pass\n'
+              'cases = [pytest.param(1, marks=pytest.mark.xfail(reason="ROADMAP item: 3"))]\n'
+              '@pytest.mark.xfail(reason="ROADMAP item 2", strict=False)\n'
+              'def test_d(): pytest.skip("ROADMAP item 4")\n')
+    assert unnamed_xfails(source) == ["3: 'the gate'", "5: ''", "7: 'ROADMAP item: 3'",
+                                      "8: strict=False"]
+
+
+def test_every_xfail_names_the_roadmap_item_that_removes_it():
+    """A test may fail only as a strict xfail (`xfail_strict` in
+    pyproject.toml) whose reason names its fix: `ROADMAP item N`."""
+    found = {p.name: unnamed_xfails(p.read_text()) for p in sorted(TESTS.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}

@@ -383,7 +383,7 @@ def test_forward_command_produces_forward_push():
 def test_weight_scaling_leaves_argmin_unchanged():
     cfg = StackConfig()
     state = stand_state()
-    state.linear_velocity[:] = (0.1, -0.05, 0.0)
+    state.linear_velocity = (0.1, -0.05, 0.0)
     mpc1 = ForceMpc(cfg)
     res1 = mpc1.step(state, (0.1, 0.2, 0.0, 0.28), stand_feet(), GaitSchedule.stand(), 0.0)
     mpc_cfg = dataclasses.replace(cfg.mpc,

@@ -156,7 +156,7 @@ def test_teleport_replaces_the_trunk_with_one_at_rest_in_the_standoff_pose():
     matches the same step taken on a copy of the world."""
     world = standing_world()
     world.gravity_enabled = world.ground_enabled = False
-    world.robot.srb.angular_velocity[:] = (0.4, -0.3, 0.6)
+    world.robot.srb.angular_velocity = (0.4, -0.3, 0.6)
     for _ in range(50):
         simworld.step(world, np.zeros(12))
     before = world.robot.srb
@@ -170,7 +170,7 @@ def test_teleport_replaces_the_trunk_with_one_at_rest_in_the_standoff_pose():
     assert roll == pitch == 0.0 and abs(yaw - 0.4) <= 0.05
     assert srb.rotation_rows == tuple(map(tuple, euler_zyx_to_matrix(0.0, 0.0, yaw).tolist()))
     assert np.max(np.abs(srb.position - standoff.position)) <= 0.02
-    assert not srb.linear_velocity.any() and not srb.angular_velocity.any()
+    assert not any(srb.linear_velocity) and not any(srb.angular_velocity)
 
     twin = world.copy()
     forces = [(0.0, 0.0, 2.0)] * 4
@@ -203,7 +203,7 @@ def test_drive_towards_equals_the_numpy_form():
     rng = np.random.default_rng(9)
     saturated = clipped = 0
     for _ in range(2000):
-        srb.position[:] = rng.normal(scale=0.3, size=3)
+        srb.position = tuple(rng.normal(scale=0.3, size=3).tolist())
         srb = world.robot.srb = posed(srb, rng.uniform(-math.pi, math.pi, size=3))
         target = srb.position[:2] + rng.normal(scale=0.15, size=2)
         yaw_target = None if rng.uniform() < 0.3 else float(rng.uniform(-4.0, 4.0))
@@ -218,7 +218,7 @@ def test_drive_towards_equals_the_numpy_form():
     # commands within a relative 1e-12 of the cap, where numpy's norm decides
     capped = 0
     for _ in range(2000):
-        srb.position[:] = rng.normal(scale=0.3, size=3)
+        srb.position = tuple(rng.normal(scale=0.3, size=3).tolist())
         gain, v_max = (1.2, 0.22) if rng.uniform() < 0.5 else (2.0, 0.08)
         u = rng.normal(size=2)
         u *= v_max * (1.0 + rng.uniform(-1e-12, 1e-12)) / (gain * float(np.linalg.norm(u)))
@@ -232,15 +232,15 @@ def test_drive_towards_equals_the_numpy_form():
 
 def test_nominal_com_equals_the_numpy_mean():
     """The float COM target of the post-action shift is numpy's
-    `feet_pos[:, :2].mean(axis=0)` bit for bit, and the shift's target built
-    from it is too."""
+    `feet[:, :2].mean(axis=0)` of the feet array bit for bit, and the shift's
+    target built from it is too."""
     world = standing_world()
     core = orchestrator._OrchestratorCore(world, EpisodeOptions(), np.random.default_rng(0),
                                           EpisodeTrace("core", 0))
-    feet = world.robot.feet_pos
     rng = np.random.default_rng(10)
     for _ in range(10000):
-        feet[:] = rng.normal(scale=0.3, size=(4, 3)) * 10.0 ** rng.integers(-3, 3)
+        feet = rng.normal(scale=0.3, size=(4, 3)) * 10.0 ** rng.integers(-3, 3)
+        world.robot.feet_pos = tuple(map(tuple, feet.tolist()))
         com = core.nominal_com_xy()
         mean = feet[:, :2].mean(axis=0)
         assert all(type(x) is float for x in com) and com == tuple(mean.tolist())

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from legpress import harness, simworld
+from legpress import harness, orchestrator, simworld
 from legpress.cli import SIM_CHECKS
 from legpress.config import StackConfig
 from legpress.geom import (
@@ -49,6 +49,20 @@ def default_leg(i=0):
 
 def level_trunk(pos=(0.0, 0.0, 0.3)):
     return SrbState(np.zeros(3), np.array(pos, dtype=float), np.zeros(3), np.zeros(3))
+
+
+def _with_row(rows, i, row) -> tuple:
+    """The feet rows with row i replaced: a new tuple of float rows, the
+    form `step` writes."""
+    return tuple(tuple(map(float, row)) if k == i else r for k, r in enumerate(rows))
+
+
+def _send_robot_away(world) -> None:
+    """The trunk set to x = -2 m and the feet moved 2 m back with it, far
+    from an object in front of the standing robot."""
+    srb = world.robot.srb
+    srb.position = (-2.0, *srb.position[1:])
+    world.robot.feet_pos = tuple((x - 2.0, y, z) for x, y, z in world.robot.feet_pos)
 
 
 def leg_jacobian_local(leg):
@@ -242,11 +256,9 @@ def test_box_at_rest_stays_put(monkeypatch):
     cfg = StackConfig()
     shape = Box((0.07, 0.07, 0.05))
     obj = SimObject.from_shape(shape, RigidTransform.identity())
-    obj.pose = rest_pose_on_ground(shape, contact=cfg.contact, mass=obj.mass)
+    obj.pose = rest_pose_on_ground(shape, config=cfg, mass=obj.mass)
     world = standing_world(cfg, objects=[obj])
-    world.robot.srb.position[0] = -2.0  # robot far away, feet off the object
-    for i in range(4):
-        world.robot.feet_pos[i][0] -= 2.0
+    _send_robot_away(world)  # feet off the object
     p0 = obj.pose.translation.copy()
     R0 = obj.pose.rotation.copy()
     for _ in range(1000):
@@ -262,19 +274,17 @@ def test_sliding_box_loses_energy_monotonically():
     cfg = StackConfig()
     shape = Box((0.08, 0.06, 0.05))
     obj = SimObject.from_shape(shape, RigidTransform.identity())
-    obj.pose = rest_pose_on_ground(shape, contact=cfg.contact, mass=obj.mass)
-    obj.linear_velocity[:] = (0.5, 0.0, 0.0)
+    obj.pose = rest_pose_on_ground(shape, config=cfg, mass=obj.mass)
+    obj.linear_velocity = (0.5, 0.0, 0.0)
     world = standing_world(cfg, objects=[obj])
-    world.robot.srb.position[0] = -2.0
-    for i in range(4):
-        world.robot.feet_pos[i][0] -= 2.0
+    _send_robot_away(world)
 
     def energy(w):
         o = w.objects[0]
         Rw = o.pose.rotation
         I_w = Rw @ np.array(o.inertia) @ Rw.T
-        ke = 0.5 * o.mass * o.linear_velocity @ o.linear_velocity + \
-            0.5 * o.angular_velocity @ I_w @ o.angular_velocity
+        v_o, w_o = np.array(o.linear_velocity), np.array(o.angular_velocity)
+        ke = 0.5 * o.mass * v_o @ v_o + 0.5 * w_o @ I_w @ w_o
         pe_spring = sum(0.5 * cfg.contact.k_normal * rec.penetration ** 2
                         for rec in w.contact_set if rec.bodies[0] == o.name)
         pe_grav = o.mass * cfg.sim.gravity * o.pose.translation[2]
@@ -317,7 +327,8 @@ def test_joint_stop_leaves_a_fixed_base_at_rest():
     trunk; a fixed base absorbs the paired momentum correction."""
     world = standing_world()
     world.fixed_base = True
-    world.robot.feet_pos[3, 1] -= 0.5
+    x, y, z = world.robot.feet_pos[3]
+    world.robot.feet_pos = _with_row(world.robot.feet_pos, 3, (x, y - 0.5, z))
     step(world, np.zeros(12))
     srb = world.robot.srb
     assert np.array_equal(world.robot.feet_pos[3],
@@ -325,37 +336,44 @@ def test_joint_stop_leaves_a_fixed_base_at_rest():
     assert np.array_equal(srb.linear_velocity, np.zeros(3))
 
 
-def _stop_scene_drift(ticks: int) -> list:
+def _stop_scene(ticks: int):
     """The joint-stop scene: the standing robot with gravity and ground off,
     its rear-right foot driven each tick by the world force (0, -6, 6) N
     through the joint torques Jl' R' f, the other legs at zero torque. The
-    foot reaches its joint stops after 68 ticks. Returns the drift of the
-    robot's linear and angular momentum, feet included (as `legpress
-    simcheck`'s momentum row counts it), after each tick."""
+    foot reaches its joint stops after 68 ticks. Yields the world before the
+    first tick and after each tick."""
     world = standing_world()
     world.gravity_enabled = world.ground_enabled = False
-    rc = world.config.robot
-    rb, m, mf = world.robot, rc.trunk_mass, rc.foot_mass
-
-    def momentum():
-        srb = rb.srb
-        R = srb.rotation()
-        lin = m * srb.linear_velocity + mf * rb.feet_vel.sum(axis=0)
-        ang = (R @ np.diag(rc.trunk_inertia) @ R.T @ srb.angular_velocity
-               + m * np.cross(srb.position, srb.linear_velocity)
-               + mf * np.cross(rb.feet_pos, rb.feet_vel).sum(axis=0))
-        return np.concatenate([lin, ang])
-
-    p0 = momentum()
+    rb = world.robot
     f = np.array([0.0, -6.0, 6.0])
-    drift = []
+    yield world
     for _ in range(ticks):
         tau = np.zeros(12)
         Jl = np.array(rb.legs[simworld.REAR_RIGHT].jacobian_rows)
         tau[9:12] = Jl.T @ (rb.srb.rotation().T @ f)
         step(world, tau)
-        drift.append(float(np.max(np.abs(momentum() - p0))))
-    return drift
+        yield world
+
+
+def _robot_momentum(world) -> np.ndarray:
+    """The robot's linear and angular momentum, feet included (as `legpress
+    simcheck`'s momentum row counts it)."""
+    rc, rb = world.config.robot, world.robot
+    m, mf, srb = rc.trunk_mass, rc.foot_mass, rb.srb
+    R = srb.rotation()
+    v, feet_v = np.array(srb.linear_velocity), np.array(rb.feet_vel)
+    lin = m * v + mf * feet_v.sum(axis=0)
+    ang = (R @ np.diag(rc.trunk_inertia) @ R.T @ np.array(srb.angular_velocity)
+           + m * np.cross(srb.position, v)
+           + mf * np.cross(rb.feet_pos, feet_v).sum(axis=0))
+    return np.concatenate([lin, ang])
+
+
+def _stop_scene_drift(ticks: int) -> list:
+    """The drift of the robot's momentum after each tick of the stop scene."""
+    worlds = _stop_scene(ticks)
+    p0 = _robot_momentum(next(worlds))
+    return [float(np.max(np.abs(_robot_momentum(w) - p0))) for w in worlds]
 
 
 def test_the_stop_scene_conserves_momentum_until_the_stop():
@@ -373,9 +391,35 @@ def test_the_stop_scene_conserves_momentum_at_the_stop():
     assert max(_stop_scene_drift(300)) < 1e-6
 
 
+def test_the_stop_corrections_of_the_leg_sync_are_what_step_writes_back(monkeypatch):
+    """In the stop scene the leg sync moves the stopped foot and corrects the
+    free trunk's velocity in the tick's float lists; `step` then writes
+    exactly those values back."""
+    synced = []
+    real_sync = simworld._sync_legs
+
+    def recording(world, R, pos, v, w, feet_p, feet_v):
+        before = list(v), [list(p) for p in feet_p]
+        real_sync(world, R, pos, v, w, feet_p, feet_v)
+        synced.append(((list(v), [list(p) for p in feet_p]) != before,
+                       tuple(v), tuple(map(tuple, feet_p)), tuple(map(tuple, feet_v))))
+
+    monkeypatch.setattr(simworld, "_sync_legs", recording)
+    worlds = _stop_scene(300)
+    next(worlds)
+    stopped = 0
+    for world in worlds:
+        corrected, v, feet_p, feet_v = synced[-1]
+        rb = world.robot
+        assert (rb.srb.linear_velocity, rb.feet_pos, rb.feet_vel) == (v, feet_p, feet_v)
+        stopped += corrected
+    assert len(synced) == 1 + 300  # `standing_world` seats the feet through the sync
+    assert stopped > 200  # measured: 229 of the 300 ticks
+
+
 def test_divergence_reported():
     world = standing_world()
-    world.robot.srb.linear_velocity[:] = (200.0, 0.0, 0.0)
+    world.robot.srb.linear_velocity = (200.0, 0.0, 0.0)
     with pytest.raises(SimulationDivergence):
         step(world, np.zeros(12))
 
@@ -387,7 +431,7 @@ def make_resting_box(ex=0.08, ey=0.08, ez=0.06):
     cfg = StackConfig()
     shape = Box((ex, ey, ez))
     obj = SimObject.from_shape(shape, RigidTransform.identity())
-    obj.pose = rest_pose_on_ground(shape, contact=cfg.contact, mass=obj.mass)
+    obj.pose = rest_pose_on_ground(shape, config=cfg, mass=obj.mass)
     return obj
 
 
@@ -411,7 +455,7 @@ def test_push_high_on_narrow_box_tips_and_rollout_agrees():
     cfg = StackConfig()
     shape = Box((0.03, 0.03, 0.12))
     obj = SimObject.from_shape(shape, RigidTransform.identity())
-    obj.pose = rest_pose_on_ground(shape, contact=cfg.contact, mass=obj.mass)
+    obj.pose = rest_pose_on_ground(shape, config=cfg, mass=obj.mass)
     cp = obj.pose.translation + np.array([-0.015, 0.0, 0.05])
     verdict = quasi_static_push_check(obj, cp, np.array([1.0, 0.0, 0.0]),
                                       ground_friction=cfg.contact.friction)
@@ -419,17 +463,16 @@ def test_push_high_on_narrow_box_tips_and_rollout_agrees():
 
     # rollout: apply a slowly increasing horizontal force at the same height
     world = standing_world(cfg, objects=[obj])
-    world.robot.srb.position[0] = -2.0
-    for i in range(4):
-        world.robot.feet_pos[i][0] -= 2.0
+    _send_robot_away(world)
     tipped = False
     for k in range(4000):
         o = world.objects[0]
         f = np.array([min(0.005 * k * 9.81 * o.mass, 2.0 * o.mass * 9.81), 0.0, 0.0])
         arm = (o.pose.rotation @ np.array([-0.015, 0.0, 0.05]))
-        o.linear_velocity += f / o.mass * cfg.sim.dt
+        v = np.array(o.linear_velocity) + f / o.mass * cfg.sim.dt
         I_w = o.pose.rotation @ np.array(o.inertia) @ o.pose.rotation.T
-        o.angular_velocity += np.linalg.solve(I_w, np.cross(arm, f)) * cfg.sim.dt
+        w = np.array(o.angular_velocity) + np.linalg.solve(I_w, np.cross(arm, f)) * cfg.sim.dt
+        o.linear_velocity, o.angular_velocity = tuple(v.tolist()), tuple(w.tolist())
         step(world, np.zeros(12))
         zaxis = world.objects[0].pose.rotation[:, 2]
         if zaxis[2] < 0.7:  # leaned over 45 degrees
@@ -608,8 +651,8 @@ def _run_pin(world, tau, n_steps):
 def _end_state(world) -> np.ndarray:
     rb = world.robot
     # the trunk state as the force MPC reads it, with gravity as its 13th value
-    parts = [rb.srb.as_vector(), [world.config.sim.gravity], rb.feet_pos.ravel(),
-             rb.feet_vel.ravel()]
+    parts = [rb.srb.as_vector(), [world.config.sim.gravity], np.ravel(rb.feet_pos),
+             np.ravel(rb.feet_vel)]
     parts += [leg.joint_angles for leg in rb.legs]
     for o in world.objects:
         parts += [o.pose.rotation.ravel(), o.pose.translation, o.linear_velocity,
@@ -634,10 +677,10 @@ def scene_resting(name, n_steps=300):
     cfg = StackConfig()
     shape = PIN_SHAPES[name]()
     obj = SimObject.from_shape(shape, RigidTransform.identity())
-    obj.pose = rest_pose_on_ground(shape, xy=(0.4, 0.05), yaw=0.3, contact=cfg.contact,
+    obj.pose = rest_pose_on_ground(shape, xy=(0.4, 0.05), yaw=0.3, config=cfg,
                                    mass=obj.mass)
-    obj.linear_velocity[:] = (0.15, -0.05, 0.0)
-    obj.angular_velocity[:] = (0.0, 0.0, 1.5)
+    obj.linear_velocity = (0.15, -0.05, 0.0)
+    obj.angular_velocity = (0.0, 0.0, 1.5)
     world = standing_world(cfg, objects=[obj])
     return _run_pin(world, _pin_torques(world, _stand_forces(world)), n_steps)
 
@@ -653,7 +696,7 @@ def scene_foot_press(n_steps=300):
     world.fixed_base = True
     foot = world.robot.feet_pos[0]
     obj.pose = rest_pose_on_ground(shape, xy=(foot[0] + 0.04 + 0.019, foot[1] + 0.01),
-                                   contact=cfg.contact, mass=obj.mass)
+                                   config=cfg, mass=obj.mass)
     world.objects.append(obj)
     forces = _stand_forces(world)
     forces[0] = (6.0, 1.5, forces[0][2])
@@ -676,7 +719,8 @@ def scene_straight_leg():
     world.gravity_enabled = False
     world.ground_enabled = False
     leg = world.robot.legs[0] = posed(world.robot.legs[0], (0.0, 0.0, 0.0))
-    world.robot.feet_pos[0] = leg_forward_kinematics(leg, world.robot.srb)
+    world.robot.feet_pos = _with_row(world.robot.feet_pos, 0,
+                                     leg_forward_kinematics(leg, world.robot.srb))
     tau = _pin_torques(world, [(0.0, 0.0, -1.0)] * 4)
     return _run_pin(world, tau, 200)
 
@@ -686,8 +730,8 @@ def scene_fixed_base():
     cfg = StackConfig()
     obj = SimObject.from_shape(Box((0.1, 0.07, 0.05)),
                                RigidTransform(np.eye(3), [0.3, 0.1, 0.2]))
-    obj.linear_velocity[:] = (0.1, -0.2, 0.05)
-    obj.angular_velocity[:] = (0.4, -0.3, 0.6)
+    obj.linear_velocity = (0.1, -0.2, 0.05)
+    obj.angular_velocity = (0.4, -0.3, 0.6)
     world = standing_world(cfg, objects=[obj])
     world.fixed_base = True
     world.gravity_enabled = False
@@ -701,13 +745,13 @@ def scene_tumbling():
     obj = SimObject.from_shape(Cylinder(0.03, 0.08),
                                RigidTransform(euler_zyx_to_matrix(0.3, -0.2, 0.5),
                                               (0.5, -0.2, 0.4)))
-    obj.angular_velocity[:] = (3.0, -2.0, 4.0)
+    obj.angular_velocity = (3.0, -2.0, 4.0)
     world = standing_world(cfg, objects=[obj])
     world.gravity_enabled = False
     world.ground_enabled = False
     srb = world.robot.srb
-    srb.angular_velocity[:] = (0.4, -0.3, 0.8)
-    world.robot.feet_vel[:] = srb.linear_velocity
+    srb.angular_velocity = (0.4, -0.3, 0.8)
+    world.robot.feet_vel = (srb.linear_velocity,) * 4
     return _run_pin(world, _pin_torques(world, [(0.0, 0.0, 0.3)] * 4), 130)
 
 
@@ -943,7 +987,7 @@ def test_euler_extraction_reads_float_rows_with_the_same_gimbal_check():
     world = standing_world()
     world.gravity_enabled = world.ground_enabled = False
     world.robot.srb = posed(world.robot.srb, (0.0, edge - 1e-4, 0.0))
-    world.robot.srb.angular_velocity[:] = (0.0, 1.0, 0.0)
+    world.robot.srb.angular_velocity = (0.0, 1.0, 0.0)
     with pytest.raises(SimulationDivergence, match="trunk orientation"):
         step(world, np.zeros(12))
 
@@ -1353,7 +1397,7 @@ def _torque_free_tumbling_world():
     under zero joint torques nothing acts on the trunk."""
     world = standing_world()
     world.gravity_enabled = world.ground_enabled = False
-    world.robot.srb.angular_velocity[:] = (0.4, -0.3, 0.6)
+    world.robot.srb.angular_velocity = (0.4, -0.3, 0.6)
     return world
 
 
@@ -1403,7 +1447,7 @@ def test_leg_jacobian_follows_in_place_joint_writes():
         step(world, tau)
     forces = (np.array(_stand_forces(world)) + 1.0).tolist()
     swing = world.config.swing
-    p, v = robot.feet_pos[0].copy(), robot.feet_vel[0].copy()
+    p, v = np.array(robot.feet_pos[0]), np.array(robot.feet_vel[0])
     p_des = p + np.array([0.02, -0.01, 0.03])
 
     def controllers(robot):
@@ -1438,7 +1482,7 @@ def test_a_step_fills_the_kinematics_slots_with_its_new_values():
     from that rpy agrees to rounding, and a copy keeps the integrated rows,
     not the rebuild."""
     world = standing_world()
-    world.robot.srb.angular_velocity[:] = (0.1, -0.2, 0.3)
+    world.robot.srb.angular_velocity = (0.1, -0.2, 0.3)
     step(world, _pin_torques(world, _stand_forces(world)))
     for leg in world.robot.legs:
         assert leg.jacobian_rows == posed(leg, leg.joint_angles).jacobian_rows
@@ -1453,7 +1497,7 @@ def test_a_step_fills_the_kinematics_slots_with_its_new_values():
     for renorm in (True, False):
         assert (world._steps % simworld._RENORM_EVERY == 0) is renorm
         R = srb.rotation_rows
-        wb = simworld.matvec3_t(R, srb.angular_velocity.tolist())
+        wb = simworld.matvec3_t(R, srb.angular_velocity)
         L = simworld.matvec3(R, (I0 * wb[0], I1 * wb[1], I2 * wb[2]))
         Lb = simworld.matvec3_t(R, L)
         w_mid = simworld.matvec3(R, (Lb[0] / I0, Lb[1] / I1, Lb[2] / I2))
@@ -1549,12 +1593,13 @@ def test_object_inertia_is_a_read_only_copy_with_its_rows():
         assert each.inverse_inertia_rows == _rows(np.linalg.inv(np.diag([2e-3, 3e-3, 4e-3])))
 
 
-def test_step_gives_each_object_a_new_pose_and_writes_the_feet_in_place():
+def test_step_gives_each_object_a_new_pose_and_the_feet_new_rows():
     world = scene_resting("box", n_steps=0)
     obj = world.objects[0]
     feet_p, feet_v, before = world.robot.feet_pos, world.robot.feet_vel, obj.pose
     step(world, _pin_torques(world, _stand_forces(world)))
-    assert world.robot.feet_pos is feet_p and world.robot.feet_vel is feet_v
+    assert world.robot.feet_pos is not feet_p and world.robot.feet_vel is not feet_v
+    assert world.robot.feet_pos != feet_p and world.robot.feet_vel != feet_v
     pose = obj.pose
     assert pose is not before
     assert pose.rotation.shape == (3, 3) and pose.translation.shape == (3,)
@@ -1563,15 +1608,17 @@ def test_step_gives_each_object_a_new_pose_and_writes_the_feet_in_place():
         pose.rotation = np.eye(3)
 
 
-def test_feet_given_in_any_memory_layout_step_like_contiguous_ones():
-    """`step` writes the feet through one flat view, so a robot keeps its feet
-    C-contiguous whatever layout they were given in."""
+def test_feet_given_as_arrays_of_any_layout_step_like_float_rows():
+    """A robot keeps its feet as rows of floats, whatever array layout they
+    were given in, and steps like the robot it was made from."""
     w1 = standing_world()
     w2 = w1.copy()
     r2 = w2.robot
     w2.robot = RobotState(r2.srb, r2.legs, np.asfortranarray(r2.feet_pos),
                           np.asfortranarray(r2.feet_vel))
-    assert w2.robot.feet_pos.flags.c_contiguous and w2.robot.feet_vel.flags.c_contiguous
+    assert (w2.robot.feet_pos, w2.robot.feet_vel) == (w1.robot.feet_pos, w1.robot.feet_vel)
+    assert all(type(x) is float for rows in (w2.robot.feet_pos, w2.robot.feet_vel)
+               for row in rows for x in row)
     tau = _pin_torques(w1, _stand_forces(w1))
     for _ in range(5):
         step(w1, tau)
@@ -1580,8 +1627,8 @@ def test_feet_given_in_any_memory_layout_step_like_contiguous_ones():
     assert not np.array_equal(w1.robot.feet_vel, np.zeros((4, 3)))
 
 
-@pytest.mark.xfail(strict=True, reason="the vertical contact mode of this cylinder has "
-                   "omega*dt = 2.17, past the 1.87 stability limit of the damped "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the vertical contact mode of this "
+                   "cylinder has omega*dt = 2.17, past the 1.87 stability limit of the damped "
                    "symplectic step, so it never comes to rest; the contact-model fix "
                    "removes this mark")
 def test_the_stiffest_catalog_cylinder_stays_at_rest():
@@ -1591,8 +1638,7 @@ def test_the_stiffest_catalog_cylinder_stays_at_rest():
     shape = harness.object_catalog("train")[1]
     assert isinstance(shape, Cylinder)
     obj = SimObject.from_shape(shape, RigidTransform.identity())
-    obj.pose = rest_pose_on_ground(shape, xy=(0.45, 0.0), contact=cfg.contact, mass=obj.mass,
-                                   gravity=cfg.sim.gravity)
+    obj.pose = rest_pose_on_ground(shape, xy=(0.45, 0.0), config=cfg, mass=obj.mass)
     z_rest = float(obj.pose.translation[2])
     world = standing_world(cfg, objects=[obj])
     world.fixed_base = True
@@ -1620,18 +1666,19 @@ def _box_beside_a_fixed_robot(x=0.33, slide=True):
     world = standing_world(cfg)
     world.fixed_base = True
     foot = world.robot.feet_pos[0]
-    obj.pose = rest_pose_on_ground(shape, xy=(x, foot[1]), contact=cfg.contact, mass=obj.mass)
+    obj.pose = rest_pose_on_ground(shape, xy=(x, foot[1]), config=cfg, mass=obj.mass)
     if slide:
-        obj.linear_velocity[:] = (-0.05, 0.02, 0.0)
-        obj.angular_velocity[:] = (0.0, 0.0, 0.5)
+        obj.linear_velocity = (-0.05, 0.02, 0.0)
+        obj.angular_velocity = (0.0, 0.0, 0.5)
     world.objects.append(obj)
-    world.robot.feet_pos[0, 2] += 0.005
+    x, y, z = foot
+    world.robot.feet_pos = _with_row(world.robot.feet_pos, 0, (x, y, z + 0.005))
     return world
 
 
 def _drive_front_left_foot(world):
     """One tick with the front-left foot driven forward at 0.1 m/s."""
-    world.robot.feet_vel[0] = (0.1, 0.0, 0.0)
+    world.robot.feet_vel = _with_row(world.robot.feet_vel, 0, (0.1, 0.0, 0.0))
     step(world, np.zeros(12))
 
 
@@ -1659,7 +1706,7 @@ def test_a_resting_box_falls_asleep_after_the_stated_time_and_holds_still():
         assert _ground_records(world, obj) == ground
     assert (pose.rotation.tobytes(), pose.translation.tobytes()) == kept
     assert len(world.contact_set) == len(contacts)
-    assert not obj.linear_velocity.any() and not obj.angular_velocity.any()
+    assert not any(obj.linear_velocity) and not any(obj.angular_velocity)
 
 
 def _asleep_box():
@@ -1674,7 +1721,9 @@ def test_a_foot_within_the_bound_wakes_the_box_on_that_tick():
     world, obj = _asleep_box()
     hx = obj.shape.extents[0] / 2.0
     rf = world.config.robot.foot_radius
-    world.robot.feet_pos[0, 0] = obj.pose.translation[0] - hx - rf + 0.002  # 2 mm deep
+    _, y, z = world.robot.feet_pos[0]
+    x = float(obj.pose.translation[0]) - hx - rf + 0.002  # 2 mm deep
+    world.robot.feet_pos = _with_row(world.robot.feet_pos, 0, (x, y, z))
     pose = obj.pose
     step(world, np.zeros(12))
     assert not obj.asleep and obj.pose is not pose
@@ -1695,7 +1744,7 @@ def test_a_new_pose_or_a_velocity_wakes_the_box_and_its_pose_is_read_only():
 
     world, obj = _asleep_box()
     x = float(obj.pose.translation[0])
-    obj.linear_velocity[0] = 1e-3
+    obj.linear_velocity = (1e-3, *obj.linear_velocity[1:])
     step(world, np.zeros(12))
     assert not obj.asleep and obj.pose.translation[0] > x
 
@@ -1734,7 +1783,7 @@ def test_a_copy_of_a_free_base_world_steps_like_the_world():
     between processes) end 1,000 ticks later where the world does, bit for
     bit."""
     world = standing_world()
-    world.robot.srb.angular_velocity[:] = (0.1, -0.2, 0.3)
+    world.robot.srb.angular_velocity = (0.1, -0.2, 0.3)
     forces = _stand_forces(world)
     for _ in range(100):
         step(world, stance_torques(world.robot, forces, ALL_STANCE))
@@ -1778,10 +1827,66 @@ def test_the_stiffest_catalog_cylinder_never_falls_asleep():
     cfg = StackConfig()
     shape = harness.object_catalog("train")[1]
     obj = SimObject.from_shape(shape, RigidTransform.identity())
-    obj.pose = rest_pose_on_ground(shape, xy=(0.45, 0.0), contact=cfg.contact, mass=obj.mass,
-                                   gravity=cfg.sim.gravity)
+    obj.pose = rest_pose_on_ground(shape, xy=(0.45, 0.0), config=cfg, mass=obj.mass)
     world = standing_world(cfg, objects=[obj])
     world.fixed_base = True
     for _ in range(1000):
         step(world, np.zeros(12))
         assert not obj.asleep
+
+
+# -- the state is float tuples ------------------------------------------------------
+
+
+def _state_fields(world) -> dict:
+    """The trunk position and velocities, the feet rows and the first
+    object's velocities."""
+    srb, rb, obj = world.robot.srb, world.robot, world.objects[0]
+    return {"position": (srb.position,), "linear_velocity": (srb.linear_velocity,),
+            "angular_velocity": (srb.angular_velocity,), "feet_pos": rb.feet_pos,
+            "feet_vel": rb.feet_vel, "object linear_velocity": (obj.linear_velocity,),
+            "object angular_velocity": (obj.angular_velocity,)}
+
+
+def test_the_state_is_float_tuples_that_cannot_be_written_in_place():
+    """After construction from arrays, a step, a copy, a pickle round trip,
+    `seat_feet` and a teleport, each of the seven state fields is a tuple of
+    three floats (a feet field four of them), and a write in place raises."""
+    obj = SimObject(Box((0.08, 0.06, 0.05)), RigidTransform(np.eye(3), [0.4, 0.0, 0.1]),
+                    np.array([0.1, 0.0, -0.2]), np.array([0.0, 0.3, 0.5]))
+    def check(stage, w):
+        for name, rows in _state_fields(w).items():
+            assert type(rows) is tuple and len(rows) == (4 if name.startswith("feet") else 1)
+            for row in rows:
+                assert type(row) is tuple and len(row) == 3, (stage, name)
+                assert all(type(x) is float for x in row), (stage, name)
+                with pytest.raises(TypeError):
+                    row[0] = 1.0
+
+    world = standing_world(objects=[obj])
+    check("constructed", world)
+    step(world, _pin_torques(world, _stand_forces(world)))
+    check("stepped", world)
+    check("copied", world.copy())
+    check("unpickled", pickle.loads(pickle.dumps(world)))
+    seated = world.copy()
+    simworld.seat_feet(seated)
+    check("seated", seated)
+    teleported = world.copy()
+    core = orchestrator._OrchestratorCore(teleported, orchestrator.EpisodeOptions(),
+                                          np.random.default_rng(5),
+                                          orchestrator.EpisodeTrace("core", 0))
+    core.teleport_to(orchestrator.StandoffPose([0.1, -0.05, 0.28], 0.4))
+    check("teleported", teleported)
+    with pytest.raises(TypeError):
+        world.robot.srb.linear_velocity[0] = 1.0
+    with pytest.raises(TypeError):
+        world.robot.feet_pos[0] = (0.0, 0.0, 0.0)
+    # a value of another shape is rejected where it is given
+    srb = world.robot.srb
+    with pytest.raises(ValueError):
+        SrbState(srb.rpy, srb.position[:2], srb.angular_velocity, srb.linear_velocity)
+    with pytest.raises(ValueError):
+        RobotState(srb, world.robot.legs, world.robot.feet_pos[:3], world.robot.feet_vel)
+    with pytest.raises(ValueError):
+        SimObject(obj.shape, obj.pose, (0.0, 0.0, 0.0, 0.0))

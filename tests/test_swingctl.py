@@ -95,8 +95,8 @@ def test_torque_law_exactness_with_velocity_term():
     rng = np.random.default_rng(51)
     world, leg = setup_leg()
     trunk = world.robot.srb
-    trunk.linear_velocity[:] = (0.1, -0.05, 0.02)
-    trunk.angular_velocity[:] = (0.02, 0.1, -0.07)
+    trunk.linear_velocity = (0.1, -0.05, 0.02)
+    trunk.angular_velocity = (0.02, 0.1, -0.07)
     qd = rng.normal(scale=0.5, size=3)
     p_des = rng.normal(size=3)
     v_des = rng.normal(size=3)
@@ -181,13 +181,14 @@ def test_gains_must_be_psd(tmp_path, capsys):
         cfg = StackConfig()
         setattr(cfg.swing, key, -1.0)
         task = sample_task(TaskSpec("box_push_fixed"), 0, cfg)
-        with pytest.raises(ValueError, match="swing gains must be non-negative"):
+        with pytest.raises(ValueError, match=rf"config \[swing\] {key} must be non-negative, "
+                                             r"got -1\.0"):
             run_episode(task, make_provider("null"), config=cfg)
         path = tmp_path / f"{key}.ini"
         path.write_text(f"[swing]\n{key} = -1e-9\n")
         assert cli.main(["--config", str(path), "eval", "--task", "box_push_fixed",
                          "--policy", "null", "--episodes", "1"]) == 2
-        assert "swing gains must be non-negative" in capsys.readouterr().err
+        assert f"config [swing] {key} must be non-negative, got -1e-09" in capsys.readouterr().err
 
 
 # -- planning -------------------------------------------------------------------
@@ -316,7 +317,7 @@ def test_full_plan_passes_near_contact_point_on_box():
     cfg = world.config
     shape = Box((0.07, 0.07, 0.05))
     obj = SimObject.from_shape(shape, RigidTransform.identity())
-    obj.pose = rest_pose_on_ground(shape, xy=(0.32, 0.13), contact=cfg.contact, mass=obj.mass)
+    obj.pose = rest_pose_on_ground(shape, xy=(0.32, 0.13), config=cfg, mass=obj.mass)
     world.objects.append(obj)
     leg_i = 0
     leg = world.robot.legs[leg_i]
@@ -342,9 +343,9 @@ def test_full_plan_passes_near_contact_point_on_box():
     assert world.objects[0].pose.translation[0] > 0.32 + 0.01
 
 
-@pytest.mark.xfail(strict=True, reason="the executor takes its contact time from the first "
-                   "'push' waypoint, which plan_swing gives to the push end (waypoints[4]), "
-                   "so the gate holds after the push instead of at contact")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the executor takes its contact time "
+                   "from the first 'push' waypoint, which plan_swing gives to the push end "
+                   "(waypoints[4]), so the gate holds after the push instead of at contact")
 def test_the_contact_gate_holds_at_the_contact_waypoint():
     """A foot that never reaches the contact point is held there, from the
     contact waypoint's time on (waypoints[3], the end of the approach)."""
