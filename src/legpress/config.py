@@ -151,9 +151,10 @@ def _coerce(section: str, key: str, raw: str, current):
 
 # values the stack divides by, inverts or counts steps with (each component)
 _POSITIVE = (("sim", "dt"), ("robot", "trunk_mass"), ("robot", "trunk_inertia"),
-             ("robot", "foot_mass"), ("contact", "k_normal"), ("camera", "width"),
-             ("camera", "height"), ("camera", "object_points"), ("mpc", "horizon"),
-             ("mpc", "force_update_period"), ("gait", "trot_period"))
+             ("robot", "thigh_length"), ("robot", "calf_length"), ("robot", "foot_mass"),
+             ("contact", "k_normal"), ("camera", "width"), ("camera", "height"),
+             ("camera", "object_points"), ("mpc", "horizon"), ("mpc", "force_update_period"),
+             ("gait", "trot_period"))
 # a negative damper or friction coefficient feeds energy into a contact, and
 # a negative swing stiffness or damping pushes the foot away from its target
 _NON_NEGATIVE = (("contact", "d_normal"), ("contact", "friction"), ("swing", "kp"),
@@ -162,7 +163,9 @@ _NON_NEGATIVE = (("contact", "d_normal"), ("contact", "friction"), ("swing", "kp
 
 def check_config(cfg: StackConfig) -> None:
     """Raise ValueError when a value is out of its range: a value named in
-    `_POSITIVE` not positive, one in `_NON_NEGATIVE` negative,
+    `_POSITIVE` not positive (the IK divides by the link lengths), one in
+    `_NON_NEGATIVE` negative, a `[robot]` joint-limit pair whose low limit
+    is not below its high limit (the IK clamps into it),
     `camera.horizontal_fov_deg` outside (0, 180) or `gait.trot_duty`
     outside (0, 1]."""
     for keys, word, ok in ((_POSITIVE, "positive", lambda v: v > 0),
@@ -171,6 +174,10 @@ def check_config(cfg: StackConfig) -> None:
             value = getattr(getattr(cfg, section), key)
             if not all(map(ok, value if isinstance(value, tuple) else (value,))):
                 raise ValueError(f"config [{section}] {key} must be {word}, got {value!r}")
+    for key in ("hip_roll_limits", "hip_pitch_limits", "knee_limits"):
+        lo, hi = getattr(cfg.robot, key)
+        if not lo < hi:
+            raise ValueError(f"config [robot] {key} must have low < high, got {(lo, hi)!r}")
     fov = cfg.camera.horizontal_fov_deg
     if not 0.0 < fov < 180.0:
         raise ValueError(f"config [camera] horizontal_fov_deg must be in (0, 180), got {fov!r}")
@@ -185,17 +192,16 @@ def load_config(path: str | None = None) -> StackConfig:
     With path=None the LEGPRESS_CONFIG environment variable is consulted;
     when that is unset too, pure defaults are returned. An unknown section or
     key, a malformed value or a value that fails `check_config` raises
-    ValueError; a missing file raises FileNotFoundError.
+    ValueError; a path that cannot be opened raises the OSError of `open`.
     """
     cfg = StackConfig()
     if path is None:
         path = os.environ.get(ENV_CONFIG_VAR)
     if not path:
         return cfg
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    parser.read(path)
+    with open(path) as fh:
+        parser.read_file(fh, source=path)
     known = {f.name for f in fields(cfg)}
     for section in parser.sections():
         if section not in known:

@@ -83,11 +83,8 @@ ALLOWED_TRANSITIONS = {
 
 @dataclass
 class StandoffPose:
-    position: np.ndarray  # base target, world
+    position: tuple  # base target, world, as three floats
     yaw: float
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
 
 
 def reach_check(object_centroid, world: WorldState) -> StandoffPose | None:
@@ -97,15 +94,14 @@ def reach_check(object_centroid, world: WorldState) -> StandoffPose | None:
     shoulder."""
     leg = world.robot.legs[FRONT_LEFT]
     centroid = np.asarray(object_centroid, dtype=float)
-    probe = centroid.copy()
-    probe[2] = max(min(probe[2], 0.12), 0.02)  # contact heights live near the ground
+    # contact heights live near the ground
+    probe = (centroid[0], centroid[1], max(min(centroid[2], 0.12), 0.02))
     if is_reachable(probe, leg, world.robot.srb):
         return None
     yaw = world.robot.srb.rpy[2]
     d = world.config.orchestrator.standoff_distance
     base = centroid - rot_z(yaw) @ (np.array(leg.shoulder) + np.array([d, 0.0, 0.0]))
-    base[2] = world.config.mpc.stand_height
-    return StandoffPose(base, yaw)
+    return StandoffPose((float(base[0]), float(base[1]), world.config.mpc.stand_height), yaw)
 
 
 @dataclass
@@ -286,8 +282,7 @@ class _OrchestratorCore:
             vx, vy = vx * s, vy * s
         self.command_velocity = (vx, vy)
         if yaw_target is not None:
-            d = yaw_target - float(srb.rpy[2])
-            err = math.atan2(math.sin(d), math.cos(d))
+            err = _yaw_error(yaw_target, srb.rpy[2])
             self.command_yaw_rate = min(0.6, max(-0.6, 2.0 * err))
         else:
             self.command_yaw_rate = 0.0
@@ -296,10 +291,11 @@ class _OrchestratorCore:
         self.command_velocity = (0.0, 0.0)
         self.command_yaw_rate = 0.0
 
-    def nominal_foothold(self, leg_index: int) -> np.ndarray:
+    def nominal_foothold(self, leg_index: int) -> tuple:
+        """The ground point under the leg's shoulder, as three floats."""
         leg = self.world.robot.legs[leg_index]
         p = shoulder_point(leg, self.world.robot.srb)
-        return np.array([p[0], p[1], self.cfg.robot.foot_radius])
+        return float(p[0]), float(p[1]), self.cfg.robot.foot_radius
 
     # -- low-level tick ----------------------------------------------------
 
@@ -352,7 +348,7 @@ class _OrchestratorCore:
         if self.state == WALKING:
             return self._trot_swing_target(leg_index)
         # POST_ACT and any residual case: settle onto the nominal foothold
-        return self.nominal_foothold(leg_index).tolist(), [0.0, 0.0, 0.0]
+        return self.nominal_foothold(leg_index), [0.0, 0.0, 0.0]
 
     def _trot_swing_target(self, leg_index: int):
         gait = self.gait
@@ -361,7 +357,6 @@ class _OrchestratorCore:
         leg = self.world.robot.legs[leg_index]
         v_cmd = np.array([*self.command_velocity, 0.0])
         target = raibert_foothold(leg, v_cmd, gait, self.world.robot.srb, self.cfg.gait)
-        target[2] = self.cfg.robot.foot_radius
         mark = self._swing_marks.get(leg_index)
         if mark is None or t - mark[0] > gait.period * (1.0 - gait.duty):
             mark = (t, np.array(self.world.robot.feet_pos[leg_index]))
@@ -388,11 +383,12 @@ class _OrchestratorCore:
         a small pose perturbation: a new trunk state at rest in that pose,
         feet re-seated under the shoulders."""
         world = self.world
-        jitter_xy = self.rng.uniform(-0.02, 0.02, size=2)
+        jx, jy = self.rng.uniform(-0.02, 0.02, size=2)
         jitter_yaw = self.rng.uniform(-0.05, 0.05)
+        x, y, z = standoff.position
         world.robot.srb = replace(
             world.robot.srb, rpy=(0.0, 0.0, standoff.yaw + jitter_yaw),
-            position=standoff.position + np.array([*jitter_xy, 0.0]),
+            position=(x + jx, y + jy, z),
             angular_velocity=(0.0, 0.0, 0.0), linear_velocity=(0.0, 0.0, 0.0))
         seat_feet(world)
         self.forces = _ZERO_FORCES
@@ -405,14 +401,13 @@ class _OrchestratorCore:
         self.gait = GaitSchedule.trot(cfg.gait.trot_period, cfg.gait.trot_duty)
         self._swing_marks.clear()
         arrived = False
-        sx, sy, _ = standoff.position.tolist()
+        sx, sy, _ = standoff.position
         while self.time_in_state() < cfg.orchestrator.timeout_walking:
             self.drive_towards(standoff.position[:2], standoff.yaw, gain=1.2, v_max=0.22)
             self.control_step()
             px, py, _ = self.world.robot.srb.position
             pos_err = threshold_norm((px - sx, py - sy), 0.03)
-            yaw_err = abs(math.atan2(math.sin(standoff.yaw - self.world.robot.srb.rpy[2]),
-                                     math.cos(standoff.yaw - self.world.robot.srb.rpy[2])))
+            yaw_err = abs(_yaw_error(standoff.yaw, self.world.robot.srb.rpy[2]))
             if pos_err < 0.03 and yaw_err < 0.1:
                 arrived = True
                 break
@@ -421,6 +416,12 @@ class _OrchestratorCore:
         self.transition(QP_STAND)
         self.run_for(SETTLE_TIME)
         return arrived
+
+
+def _yaw_error(target: float, yaw: float) -> float:
+    """target - yaw, wrapped to [-pi, pi]."""
+    d = target - yaw
+    return math.atan2(math.sin(d), math.cos(d))
 
 
 def _pose_record(obj: SimObject):
@@ -579,7 +580,7 @@ def _execute_action(core: _OrchestratorCore, observed: PointCloud,
 
     # lower the leg and restore the stance
     core.transition(POST_ACT_COM_SHIFT)
-    nominal = core.nominal_foothold(leg_index).tolist()
+    nominal = core.nominal_foothold(leg_index)
     t0 = world.time
     while world.time - t0 < 2.0 * ocfg.com_shift_duration:
         core.drive_towards(core.nominal_com_xy(), None, gain=2.0, v_max=0.08)

@@ -8,8 +8,9 @@ exactly the single-rigid-body model the force controller assumes. Ground and
 object interaction is penalty contact (spring-damper normal, Coulomb-capped
 friction impulses) integrated with semi-implicit Euler at a fixed dt.
 Objects are `Box`, `Cylinder` and `Compound` bodies, whose signed distances
-are Euclidean outside the shape; `ConvexMesh` is a scan-only shape of the
-registration suites, and `SimObject` rejects it.
+are Euclidean outside the shape and come with the outward normal as three
+floats; `ConvexMesh` is a scan-only shape of the registration suites, and
+`SimObject` rejects it.
 
 Angular state is advanced in momentum form (L = I w updated, w recovered
 from the new orientation), so free tumbling conserves angular momentum to
@@ -409,7 +410,9 @@ class Box(_Shape):
         _set_vertices(self, np.array([(sx * hx, sy * hy, sz * hz)
                                       for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]))
 
-    def signed_distance(self, p) -> tuple[float, np.ndarray]:
+    def signed_distance(self, p) -> tuple[float, tuple]:
+        """The distance of the body-frame point p to the surface, negative
+        inside, and the outward unit normal there as three floats."""
         hx, hy, hz = self._half
         x, y, z = p
         qx, qy, qz = abs(x) - hx, abs(y) - hy, abs(z) - hz
@@ -417,16 +420,14 @@ class Box(_Shape):
             # inside: nearest face
             m = max(qx, qy, qz)
             if m == qx:
-                n = np.array([math.copysign(1.0, x), 0.0, 0.0])
-            elif m == qy:
-                n = np.array([0.0, math.copysign(1.0, y), 0.0])
-            else:
-                n = np.array([0.0, 0.0, math.copysign(1.0, z)])
-            return m, n
+                return m, (math.copysign(1.0, x), 0.0, 0.0)
+            if m == qy:
+                return m, (0.0, math.copysign(1.0, y), 0.0)
+            return m, (0.0, 0.0, math.copysign(1.0, z))
         ox, oy, oz = max(qx, 0.0), max(qy, 0.0), max(qz, 0.0)
         dist = math.sqrt(ox * ox + oy * oy + oz * oz)
-        n = np.array([math.copysign(ox, x), math.copysign(oy, y), math.copysign(oz, z)]) / dist
-        return dist, n
+        return dist, (math.copysign(ox, x) / dist, math.copysign(oy, y) / dist,
+                      math.copysign(oz, z) / dist)
 
     def sample_surface(self, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
         ex, ey, ez = self.extents
@@ -467,22 +468,21 @@ class Cylinder(_Shape):
         bot = np.column_stack([ring, np.full(CYLINDER_SIDES, -self.height / 2.0)])
         _set_vertices(self, np.vstack([top, bot]))
 
-    def signed_distance(self, p) -> tuple[float, np.ndarray]:
+    def signed_distance(self, p) -> tuple[float, tuple]:
+        """As `Box.signed_distance`."""
         x, y, z = p
         rr = math.hypot(x, y)
         dr = rr - self.radius
         dz = abs(z) - self.height / 2.0
         if dr <= 0.0 and dz <= 0.0:
             if dr > dz:
-                n = np.array([x / rr, y / rr, 0.0]) if rr > 1e-12 else np.array([1.0, 0.0, 0.0])
-                return dr, n
-            return dz, np.array([0.0, 0.0, math.copysign(1.0, z)])
+                return dr, ((x / rr, y / rr, 0.0) if rr > 1e-12 else (1.0, 0.0, 0.0))
+            return dz, (0.0, 0.0, math.copysign(1.0, z))
         odr, odz = max(dr, 0.0), max(dz, 0.0)
         dist = math.hypot(odr, odz)
         nx, ny = (x / rr, y / rr) if rr > 1e-12 else (1.0, 0.0)
-        n = np.array([(nx * odr + 0.0) / dist, (ny * odr + 0.0) / dist,
-                      (0.0 * odr + math.copysign(odz, z)) / dist])
-        return dist, n
+        return dist, ((nx * odr + 0.0) / dist, (ny * odr + 0.0) / dist,
+                      (0.0 * odr + math.copysign(odz, z)) / dist)
 
     def sample_surface(self, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
         side_area = 2.0 * math.pi * self.radius * self.height
@@ -561,7 +561,8 @@ class Compound(_Shape):
         vs = [shape.vertices() + np.asarray(off) for shape, off in self.parts]
         _set_vertices(self, np.vstack(vs))
 
-    def signed_distance(self, p) -> tuple[float, np.ndarray]:
+    def signed_distance(self, p) -> tuple[float, tuple]:
+        """The signed distance and normal of the nearest part."""
         p0, p1, p2 = p
         best = None
         for shape, off in self.parts:
@@ -1076,7 +1077,7 @@ def step(world: WorldState, joint_torques) -> WorldState:
             pen = rf - sd
             if pen <= 0.0:
                 continue
-            n0, n1, n2 = n = matvec3(Ro, nl.tolist())
+            n0, n1, n2 = n = matvec3(Ro, nl)
             # the contact point, its offset r from the object origin and the
             # object's velocity v + w x r there
             r0 = (fp[0] - n0 * sd) - t0

@@ -9,10 +9,16 @@ leg Jacobian, with one scalar gain per term (the config's `swing.kp` and
 Force modulation during pushing is emergent: the commanded post-contact
 displacement may exceed what the object allows, and the tracking error times
 kp is what the foot presses with.
+
+A swing plan is its waypoints, its contact point and its gate time. Each
+waypoint is a time and a position of three floats, and the contact point is
+the contact waypoint's triple. `plan_swing` computes them with numpy (norms,
+workspace clips, reach tests) and stores floats, so `target_at` and the
+executor's tick interpolate and compare floats without a conversion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,30 +101,20 @@ def clip_to_workspace(start, target, leg: LegModel, trunk: SrbState) -> np.ndarr
 @dataclass
 class Waypoint:
     time: float
-    position: np.ndarray
-    phase: str  # lift | approach | push | retract
+    position: tuple  # three floats, world frame
 
 
 @dataclass
 class SwingPlan:
+    """Six timed waypoints (the foot's start, the apex, the pre-contact
+    point, the contact, the push end and the retract point), the contact
+    point (the triple of `waypoints[3].position`) and the gate time: the
+    executor's tick that would pass it waits for the foot at the contact
+    point (see `SwingExecutor`). `plan_swing` sets it to the push end's
+    time."""
     waypoints: list
-    pre_contact_point: np.ndarray
-    contact_point: np.ndarray
-    push_endpoint: np.ndarray  # after workspace clipping
-    # per pair of consecutive waypoints, made once: (end time, start time,
-    # span, start row, end row minus start row, velocity row)
-    _segments: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        wps = self.waypoints
-        segments = []
-        for a, b in zip(wps[:-1], wps[1:]):
-            span = max(b.time - a.time, 1e-9)
-            pa, pb = a.position.tolist(), b.position.tolist()
-            d = tuple(y - x for x, y in zip(pa, pb))
-            segments.append((b.time, a.time, span, tuple(pa), d,
-                             tuple(dk / span for dk in d)))
-        self._segments = tuple(segments)
+    contact_point: tuple
+    gate_time: float
 
     @property
     def duration(self) -> float:
@@ -129,42 +125,44 @@ class SwingPlan:
         and velocity as lists of three floats."""
         wps = self.waypoints
         if t <= wps[0].time:
-            return wps[0].position.tolist(), [0.0, 0.0, 0.0]
-        for t_b, t_a, span, pa, d, vel in self._segments:
-            if t <= t_b:
-                s = (t - t_a) / span
-                return [x + s * dk for x, dk in zip(pa, d)], list(vel)
-        return wps[-1].position.tolist(), [0.0, 0.0, 0.0]
+            return list(wps[0].position), [0.0, 0.0, 0.0]
+        for a, b in zip(wps[:-1], wps[1:]):
+            if t <= b.time:
+                span = max(b.time - a.time, 1e-9)
+                s = (t - a.time) / span
+                d = [y - x for x, y in zip(a.position, b.position)]
+                return [x + s * dk for x, dk in zip(a.position, d)], [dk / span for dk in d]
+        return list(wps[-1].position), [0.0, 0.0, 0.0]
 
 
 class SwingExecutor:
-    """Plays a SwingPlan through time and gates the approach-to-push
-    transition on actual foot proximity to the contact point."""
+    """Plays a SwingPlan through time. On the tick that would pass the
+    plan's gate time it holds the contact point, without advancing, until
+    the foot is within the approach threshold of it or HOLD_TIMEOUT has
+    passed."""
 
     def __init__(self, plan: SwingPlan, cfg: SwingConfig):
         self.plan = plan
         self.cfg = cfg
         self.t = 0.0
         self._held = 0.0
-        # the contact waypoint ends the approach
-        self._contact_time = next(w.time for w in plan.waypoints if w.phase == "push")
 
     @property
     def done(self) -> bool:
         return self.t >= self.plan.duration
 
     def tick(self, foot_pos, dt: float):
-        """Advance and return (p_des, v_des) as lists of three floats."""
-        gate = (self.t < self._contact_time <= self.t + dt)
-        if gate:
-            gap = [a - b for a, b in zip(foot_pos, self.plan.contact_point.tolist())]
+        """Advance and return (p_des, v_des), each three floats."""
+        plan = self.plan
+        if self.t < plan.gate_time <= self.t + dt:
+            gap = [a - b for a, b in zip(foot_pos, plan.contact_point)]
             limit = self.cfg.approach_threshold
             close = threshold_norm(gap, limit) < limit
             if not close and self._held < HOLD_TIMEOUT:
                 self._held += dt
-                return self.plan.contact_point.tolist(), [0.0, 0.0, 0.0]
+                return plan.contact_point, [0.0, 0.0, 0.0]
         self.t += dt
-        return self.plan.target_at(self.t)
+        return plan.target_at(self.t)
 
 
 def _segment_time(a, b, speed) -> float:
@@ -187,10 +185,7 @@ def plan_swing(contact_point, motion_vector, leg: LegModel, trunk: SrbState,
             f"contact point {np.round(contact, 3)} outside the leg workspace")
 
     n = float(np.linalg.norm(motion))
-    if n < 1e-9:
-        direction = np.array([1.0, 0.0, 0.0])
-    else:
-        direction = motion / n
+    direction = np.array([1.0, 0.0, 0.0]) if n < 1e-9 else motion / n
     pre = contact - cfg.pre_contact_distance * direction
     pre[2] += cfg.lift_clearance
     pre = clip_to_workspace(contact, pre, leg, trunk)
@@ -198,25 +193,20 @@ def plan_swing(contact_point, motion_vector, leg: LegModel, trunk: SrbState,
     push_end = clip_to_workspace(contact, contact + motion, leg, trunk)
 
     start = np.asarray(foot_start, dtype=float)
-    apex = 0.5 * (start + pre)
-    base_z = apex[2]
-    apex[2] = max(start[2], pre[2]) + cfg.lift_clearance
+    base = 0.5 * (start + pre)
     # the fold limit bounds how high the foot can come; keep the via point valid
-    base = apex.copy()
-    base[2] = base_z
-    apex = clip_to_workspace(base, apex, leg, trunk)
+    apex = clip_to_workspace(
+        base, (base[0], base[1], max(start[2], pre[2]) + cfg.lift_clearance), leg, trunk)
 
+    # lift to the apex, descend to the pre-contact point, close in on the
+    # contact, push, and retract to the pre-contact point
     lift_speed = 2.0 * cfg.push_speed
-    wps = [Waypoint(0.0, start.copy(), "lift")]
-    t = _segment_time(start, apex, lift_speed)
-    wps.append(Waypoint(t, apex, "lift"))
-    t += _segment_time(apex, pre, lift_speed)
-    wps.append(Waypoint(t, pre.copy(), "approach"))
-    t += _segment_time(pre, contact, cfg.push_speed)
-    wps.append(Waypoint(t, contact.copy(), "approach"))
-    t += _segment_time(contact, push_end, cfg.push_speed)
-    wps.append(Waypoint(t, push_end.copy(), "push"))
-    retract = pre.copy()
-    t += _segment_time(push_end, retract, lift_speed)
-    wps.append(Waypoint(t, retract, "retract"))
-    return SwingPlan(wps, pre, contact, push_end)
+    points = (start, apex, pre, contact, push_end, pre)
+    speeds = (lift_speed, lift_speed, cfg.push_speed, cfg.push_speed, lift_speed)
+    t = 0.0
+    wps = [Waypoint(t, tuple(map(float, start)))]
+    for a, b, speed in zip(points[:-1], points[1:], speeds):
+        t += _segment_time(a, b, speed)
+        wps.append(Waypoint(t, tuple(map(float, b))))
+    # the gate is the push end's time, so it holds after the push, not at contact
+    return SwingPlan(wps, wps[3].position, wps[4].time)

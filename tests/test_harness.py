@@ -443,6 +443,9 @@ def test_an_unknown_config_section_exits_2_with_a_json_record(tmp_path, capsys):
     ("robot", "foot_mass", "-0.1", "must be positive, got -0.1"),
     ("robot", "trunk_inertia", "0, 0.26, 0.24", "must be positive, got (0.0, 0.26, 0.24)"),
     ("robot", "trunk_inertia", "0.07, -0.26, 0.24", "must be positive, got (0.07, -0.26, 0.24)"),
+    ("robot", "thigh_length", "0", "must be positive, got 0.0"),
+    ("robot", "calf_length", "-0.2", "must be positive, got -0.2"),
+    ("robot", "knee_limits", "1, -1", "must have low < high, got (1.0, -1.0)"),
     ("contact", "k_normal", "0", "must be positive, got 0.0"),
     ("contact", "d_normal", "-5", "must be non-negative, got -5.0"),
     ("contact", "friction", "-0.1", "must be non-negative, got -0.1"),
@@ -464,6 +467,22 @@ def test_a_value_the_stack_divides_by_exits_2_when_out_of_range(section, key, ra
     assert cli.main(["--config", str(path), *EVAL_ARGV]) == 2
     assert json.loads(capsys.readouterr().err) == {
         "error": "ValueError", "message": f"config [{section}] {key} {message}"}
+
+
+@pytest.mark.parametrize("name, error", [("", IsADirectoryError),
+                                         ("missing.ini", FileNotFoundError)])
+def test_a_config_path_that_cannot_be_read_exits_2(name, error, tmp_path, capsys,
+                                                   monkeypatch):
+    """A directory or a missing file, given by --config or by the
+    environment variable, is the error of opening it, not the defaults."""
+    path = str(tmp_path / name)
+    with pytest.raises(error):
+        load_config(path)
+    assert cli.main(["--config", path, *EVAL_ARGV]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error.__name__
+    monkeypatch.setenv(config.ENV_CONFIG_VAR, path)
+    assert cli.main(EVAL_ARGV) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error.__name__
 
 
 def test_a_config_built_in_code_is_checked_before_the_first_tick():

@@ -2,7 +2,8 @@
 module's `_`-prefixed name: modules talk through public names only. And
 every config key is read by the program outside the config module, and is
 named in the config module's schema. Every expected failure in the tests is
-a strict xfail that names the ROADMAP item whose fix removes its mark."""
+a strict xfail that names the ROADMAP item whose fix removes its mark. The
+package's settable values do not grow."""
 import ast
 import re
 from dataclasses import fields
@@ -198,6 +199,73 @@ def test_no_function_has_a_parameter_it_never_reads():
     function and method in the package is read by its body."""
     found = {p.name: unread_parameters(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _named(node, name: str) -> bool:
+    """node is `name` or `x.name`, called or not."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _init_field(stmt) -> bool:
+    """stmt is an annotated class field that the dataclass `__init__` takes:
+    not a `ClassVar`, not `field(init=False)`."""
+    if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+        return False
+    if "ClassVar" in ast.unparse(stmt.annotation):
+        return False
+    value = stmt.value
+    return not (isinstance(value, ast.Call) and _named(value, "field") and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in value.keywords))
+
+
+def settable_values(source: str) -> dict:
+    """The values a caller can set in the source, by kind: the parameters of
+    every `def` (nested ones and method receivers included, lambdas not), the
+    init fields of every dataclass, and every `add_argument` option."""
+    counts = {"parameters": 0, "fields": 0, "options": 0}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            counts["parameters"] += (len(a.posonlyargs) + len(a.args) + len(a.kwonlyargs)
+                                     + (a.vararg is not None) + (a.kwarg is not None))
+        elif isinstance(node, ast.ClassDef) and any(_named(d, "dataclass")
+                                                    for d in node.decorator_list):
+            counts["fields"] += sum(map(_init_field, node.body))
+        elif isinstance(node, ast.Call) and _named(node, "add_argument"):
+            counts["options"] += 1
+    return counts
+
+
+def test_the_settable_values_scan_counts_parameters_fields_and_options():
+    source = ("@dataclass(frozen=True)\n"
+              "class A:\n"
+              "    x: float\n"
+              "    y: tuple = (0.0, 0.0)\n"
+              "    z: list = field(default_factory=list)\n"
+              "    rows: tuple = field(init=False)\n"
+              "    schema: ClassVar[str] = 'v1'\n"
+              "    w = 3\n"
+              "    def m(self, a, *rest, b=1, **kw):\n"
+              "        def inner(c):\n"
+              "            return lambda d: c\n"
+              "        return inner\n"
+              "class B:\n"
+              "    u: int = 0\n"
+              "p.add_argument('--seed', type=int)\n")
+    assert settable_values(source) == {"parameters": 6, "fields": 3, "options": 1}
+
+
+# the count of `src/legpress` today: a change that adds a settable value
+# raises it in its own diff
+SETTABLE_VALUES = 722
+
+
+def test_settable_values_do_not_grow():
+    totals = [sum(settable_values(p.read_text()).values()) for p in SRC.glob("*.py")]
+    assert sum(totals) <= SETTABLE_VALUES
 
 
 def _is_xfail_mark(node) -> bool:

@@ -162,14 +162,14 @@ def test_teleport_replaces_the_trunk_with_one_at_rest_in_the_standoff_pose():
     before = world.robot.srb
     core = orchestrator._OrchestratorCore(world, EpisodeOptions(), np.random.default_rng(3),
                                           EpisodeTrace("core", 0))
-    standoff = orchestrator.StandoffPose([0.1, -0.05, world.config.mpc.stand_height], 0.4)
+    standoff = orchestrator.StandoffPose((0.1, -0.05, world.config.mpc.stand_height), 0.4)
     core.teleport_to(standoff)
     srb = world.robot.srb
     assert srb is not before
     roll, pitch, yaw = srb.rpy
     assert roll == pitch == 0.0 and abs(yaw - 0.4) <= 0.05
     assert srb.rotation_rows == tuple(map(tuple, euler_zyx_to_matrix(0.0, 0.0, yaw).tolist()))
-    assert np.max(np.abs(srb.position - standoff.position)) <= 0.02
+    assert np.max(np.abs(np.subtract(srb.position, standoff.position))) <= 0.02
     assert not any(srb.linear_velocity) and not any(srb.angular_velocity)
 
     twin = world.copy()

@@ -205,7 +205,7 @@ def test_pre_contact_point_formula():
                       world.robot.feet_pos[0])
     expected = contact - cfg.pre_contact_distance * np.array([1.0, 0, 0])
     expected[2] += cfg.lift_clearance
-    assert np.max(np.abs(plan.pre_contact_point - expected)) < 1e-9
+    assert np.max(np.abs(np.array(plan.waypoints[2].position) - expected)) < 1e-9
 
 
 def test_long_motion_clipped_direction_preserved():
@@ -217,15 +217,16 @@ def test_long_motion_clipped_direction_preserved():
     motion = np.array([1.0, 0.0, 0.0])  # far beyond reach
     plan = plan_swing(contact, motion, leg, world.robot.srb, cfg,
                       world.robot.feet_pos[0])
-    delta = plan.push_endpoint - plan.contact_point
+    push_end = np.array(plan.waypoints[4].position)
+    delta = push_end - np.array(plan.contact_point)
     assert np.linalg.norm(delta) < 1.0
     assert np.linalg.norm(delta) > 0.01
     d_hat = delta / np.linalg.norm(delta)
     assert np.max(np.abs(d_hat - np.array([1.0, 0, 0]))) < 1e-6
     # endpoint sits essentially on the workspace boundary
-    r = np.linalg.norm(plan.push_endpoint - shoulder)
+    r = np.linalg.norm(push_end - shoulder)
     assert r <= workspace_radius(leg) + 1e-9
-    assert not is_reachable(plan.push_endpoint + 2e-3 * d_hat, leg, world.robot.srb)
+    assert not is_reachable(push_end + 2e-3 * d_hat, leg, world.robot.srb)
 
 
 def test_unreachable_contact_raises():
@@ -237,17 +238,17 @@ def test_unreachable_contact_raises():
 
 
 def _numpy_target_at(plan, t):
-    """SwingPlan.target_at on the waypoint arrays."""
+    """SwingPlan.target_at on the waypoint positions as arrays."""
     wps = plan.waypoints
     if t <= wps[0].time:
-        return wps[0].position.copy(), np.zeros(3)
+        return np.array(wps[0].position), np.zeros(3)
     for a, b in zip(wps[:-1], wps[1:]):
         if t <= b.time:
             span = max(b.time - a.time, 1e-9)
             s = (t - a.time) / span
-            return (a.position + s * (b.position - a.position),
-                    (b.position - a.position) / span)
-    return wps[-1].position.copy(), np.zeros(3)
+            pa, pb = np.array(a.position), np.array(b.position)
+            return pa + s * (pb - pa), (pb - pa) / span
+    return np.array(wps[-1].position), np.zeros(3)
 
 
 def test_target_at_equals_the_numpy_form():
@@ -259,6 +260,9 @@ def test_target_at_equals_the_numpy_form():
         contact = shoulder + np.array([0.14, 0.02, -0.23]) + rng.uniform(-0.02, 0.02, 3)
         plan = plan_swing(contact, rng.uniform(-0.1, 0.1, 3), leg, world.robot.srb,
                           world.config.swing, world.robot.feet_pos[0])
+        assert all(type(w.position) is tuple and list(map(type, w.position)) == [float] * 3
+                   for w in plan.waypoints)
+        assert plan.contact_point is plan.waypoints[3].position
         times = [w.time for w in plan.waypoints]
         for t in [-0.1, *times, *rng.uniform(-0.1, plan.duration + 0.1, 50)]:
             pos, vel = plan.target_at(t)
@@ -343,9 +347,9 @@ def test_full_plan_passes_near_contact_point_on_box():
     assert world.objects[0].pose.translation[0] > 0.32 + 0.01
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the executor takes its contact time "
-                   "from the first 'push' waypoint, which plan_swing gives to the push end "
-                   "(waypoints[4]), so the gate holds after the push instead of at contact")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: plan_swing sets the plan's gate_time "
+                   "to the push end's time (waypoints[4]), so the gate holds after the push "
+                   "instead of at contact")
 def test_the_contact_gate_holds_at_the_contact_waypoint():
     """A foot that never reaches the contact point is held there, from the
     contact waypoint's time on (waypoints[3], the end of the approach)."""
@@ -355,8 +359,8 @@ def test_the_contact_gate_holds_at_the_contact_waypoint():
     contact = shoulder_point(leg, world.robot.srb) + np.array([0.14, 0.02, -0.23])
     plan = plan_swing(contact, np.array([0.08, 0.0, -0.02]), leg, world.robot.srb,
                       cfg.swing, world.robot.feet_pos[0])
-    assert np.array_equal(plan.waypoints[3].position, plan.contact_point)
-    away = plan.contact_point + np.array([0.0, 0.0, 0.2])  # far past the threshold
+    assert plan.waypoints[3].position == plan.contact_point
+    away = np.array(plan.contact_point) + np.array([0.0, 0.0, 0.2])  # far past the threshold
     ex = SwingExecutor(plan, cfg.swing)
     dt = cfg.sim.dt
     first_hold = None
