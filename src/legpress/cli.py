@@ -56,7 +56,7 @@ from .harness import (
 )
 from .mpc import ForceMpc, GaitSchedule
 from .orchestrator import EpisodeOptions, EpisodeTrace
-from .simworld import Box, SimObject, rest_pose_on_ground, standing_world, step
+from .simworld import REAR_RIGHT, Box, SimObject, rest_pose_on_ground, standing_world, step
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -297,6 +297,46 @@ def _momentum_violation(cfg: StackConfig) -> float:
     return float(np.max(np.abs(momentum() - p0)))
 
 
+def _robot_momentum(world) -> np.ndarray:
+    """The robot's linear and angular momentum about the origin, feet
+    included."""
+    rc, rb = world.config.robot, world.robot
+    m, mf, srb = rc.trunk_mass, rc.foot_mass, rb.srb
+    R = srb.rotation()
+    v, feet_v = np.array(srb.linear_velocity), np.array(rb.feet_vel)
+    lin = m * v + mf * feet_v.sum(axis=0)
+    ang = (R @ np.diag(rc.trunk_inertia) @ R.T @ np.array(srb.angular_velocity)
+           + m * np.cross(srb.position, v)
+           + mf * np.cross(rb.feet_pos, feet_v).sum(axis=0))
+    return np.concatenate([lin, ang])
+
+
+def _stop_scene(cfg: StackConfig):
+    """The joint-stop scene: the standing robot with gravity and ground off,
+    its rear-right foot driven each tick by the world force (0, -6, 6) N
+    through the joint torques Jl' R' f, the other legs at zero torque, for
+    300 ticks. The foot reaches its joint stops after 68 ticks and rides on
+    them. Yields the world before the first tick and after each tick."""
+    world = standing_world(cfg)
+    world.gravity_enabled = world.ground_enabled = False
+    rb = world.robot
+    f = np.array([0.0, -6.0, 6.0])
+    yield world
+    for _ in range(300):
+        tau = np.zeros(12)
+        Jl = np.array(rb.legs[REAR_RIGHT].jacobian_rows)
+        tau[9:12] = Jl.T @ (rb.srb.rotation().T @ f)
+        step(world, tau)
+        yield world
+
+
+def _joint_stop_violation(cfg: StackConfig) -> float:
+    """Largest drift of the robot's momentum over the stop scene."""
+    worlds = _stop_scene(cfg)
+    p0 = _robot_momentum(next(worlds))
+    return float(max(np.max(np.abs(_robot_momentum(w) - p0)) for w in worlds))
+
+
 def _friction_cone_violation(cfg: StackConfig) -> float:
     """Largest excess of tangential over mu times normal force at any contact
     while a box slides at (0.4, 0.2) m/s beside the standing robot."""
@@ -328,6 +368,7 @@ def _stand_error(cfg: StackConfig) -> np.ndarray:
 SIM_CHECKS = (  # (name, worst violation of a StackConfig, bound)
     ("determinism", _determinism_violation, 0.0),
     ("momentum", _momentum_violation, 1e-6),
+    ("joint stop momentum", _joint_stop_violation, 1e-6),
     ("friction cone", _friction_cone_violation, 1e-9),
     ("stand force z", lambda cfg: float(np.max(_stand_error(cfg)[:, 2])), 1e-3),
     ("stand force xy", lambda cfg: float(np.max(_stand_error(cfg)[:, :2])), 1e-6),

@@ -190,9 +190,11 @@ def load_config(path: str | None = None) -> StackConfig:
     """Build a StackConfig from defaults, overridden by the file when given.
 
     With path=None the LEGPRESS_CONFIG environment variable is consulted;
-    when that is unset too, pure defaults are returned. An unknown section or
-    key, a malformed value or a value that fails `check_config` raises
-    ValueError; a path that cannot be opened raises the OSError of `open`.
+    when that is unset too, pure defaults are returned. A file that
+    configparser cannot parse (a key before any section, a key or section
+    given twice), an unknown section or key, a malformed value or a value
+    that fails `check_config` raises ValueError; a path that cannot be opened
+    raises the OSError of `open`.
     """
     cfg = StackConfig()
     if path is None:
@@ -201,7 +203,10 @@ def load_config(path: str | None = None) -> StackConfig:
         return cfg
     parser = configparser.ConfigParser()
     with open(path) as fh:
-        parser.read_file(fh, source=path)
+        try:
+            parser.read_file(fh, source=path)
+        except configparser.Error as e:  # its message names the file and the line
+            raise ValueError(" ".join(str(e).split())) from None
     known = {f.name for f in fields(cfg)}
     for section in parser.sections():
         if section not in known:

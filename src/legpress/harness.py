@@ -3,8 +3,8 @@
 Tasks mirror the evaluation suite: single-box pushes to fixed and random
 goals, 90-degree flip plus push, multi-object pushes over a procedural
 27-train/10-eval shape split, and the long-horizon one-meter multi-step
-protocol. Success everywhere is mean goal flow under 3 cm, the task
-instance's default threshold. A policy is a function of the Observation
+protocol. Success everywhere is mean goal flow under 3 cm, the threshold
+of every task instance. A policy is a function of the Observation
 (see `make_provider`); the action it returns carries the manipulation leg,
 which is front-left for every baseline.
 
@@ -216,10 +216,19 @@ def make_provider(name: str):
 class EvalReport:
     task: str
     policy: str
-    episodes: list  # per-episode dicts
-    success_rate: float
-    mean_reward: float
-    mean_steps: float
+    episodes: list  # dicts of seed, outcome, steps and final_mean_flow
+
+    @property
+    def success_rate(self) -> float:
+        return float(np.mean([e["outcome"] == "success" for e in self.episodes]))
+
+    @property
+    def mean_reward(self) -> float:
+        return float(np.mean([-e["final_mean_flow"] for e in self.episodes]))
+
+    @property
+    def mean_steps(self) -> float:
+        return float(np.mean([e["steps"] for e in self.episodes]))
 
 
 def evaluate(policy_name: str, spec: TaskSpec, n_episodes: int, seed: int = 0,
@@ -237,17 +246,11 @@ def evaluate(policy_name: str, spec: TaskSpec, n_episodes: int, seed: int = 0,
         task = sample_task(spec, ep_seed, config)
         trace = run_episode(task, policy, options, config)
         episodes.append({"seed": ep_seed, "outcome": trace.outcome,
-                         "success": trace.success, "steps": trace.steps_used,
-                         "final_mean_flow": trace.final_mean_flow,
-                         "reward": -trace.final_mean_flow})
+                         "steps": trace.steps_used, "final_mean_flow": trace.final_mean_flow})
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             trace.write_jsonl(os.path.join(out_dir, f"trace_{spec.name}_{ep_seed}.jsonl"))
-    report = EvalReport(
-        spec.name, policy_name, episodes,
-        success_rate=float(np.mean([e["success"] for e in episodes])),
-        mean_reward=float(np.mean([e["reward"] for e in episodes])),
-        mean_steps=float(np.mean([e["steps"] for e in episodes])))
+    report = EvalReport(spec.name, policy_name, episodes)
     if out_dir is not None:
         write_summary_csv(report, os.path.join(out_dir, f"summary_{spec.name}.csv"))
     return report
@@ -261,8 +264,9 @@ def write_summary_csv(report: EvalReport, path: str) -> None:
         writer.writerow(["task", "policy", "seed", "outcome", "success", "steps",
                          "final_mean_flow", "reward"])
         writer.writerows([report.task, report.policy, e["seed"], e["outcome"],
-                          int(e["success"]), e["steps"], repr(e["final_mean_flow"]),
-                          repr(e["reward"])] for e in report.episodes)
+                          int(e["outcome"] == "success"), e["steps"],
+                          repr(e["final_mean_flow"]), repr(-e["final_mean_flow"])]
+                         for e in report.episodes)
         writer.writerow(["# aggregate", report.task, report.policy,
                          repr(report.success_rate), repr(report.mean_reward),
                          repr(report.mean_steps)])

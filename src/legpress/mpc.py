@@ -86,21 +86,15 @@ class GaitSchedule:
 # linearized dynamics and condensation
 
 
-@dataclass
-class LinearizedDynamics:
-    A: np.ndarray  # 13x13
-    B: np.ndarray  # 13x12
-    validity_warning: bool = False
-
-
 def linearize_srb(state: SrbState, foot_positions, mass: float,
-                  inertia: np.ndarray, mpc_dt: float) -> LinearizedDynamics:
-    """Discrete one-step SRB model about the current yaw.
+                  inertia: np.ndarray, mpc_dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete one-step SRB model about the current yaw: (A, B), 13x13 and
+    13x12.
 
     Foot positions are world frame; B columns map each foot's force to
     angular and linear velocity changes through the r x f torque arm.
     """
-    roll, pitch, yaw = state.rpy
+    yaw = state.rpy[2]
     Rz = rot_z(yaw)
     I_w = Rz @ np.asarray(inertia, dtype=float) @ Rz.T
     I_w_inv = np.linalg.inv(I_w)
@@ -117,7 +111,7 @@ def linearize_srb(state: SrbState, foot_positions, mass: float,
         B[6:9, 3 * j:3 * j + 3] = mpc_dt * (I_w_inv @ skew(r))
         B[9:12, 3 * j:3 * j + 3] = (mpc_dt / mass) * np.eye(3)
 
-    return LinearizedDynamics(A, B, abs(roll) > ANGLE_WARN or abs(pitch) > ANGLE_WARN)
+    return A, B
 
 
 def condense(A: np.ndarray, B: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +174,7 @@ def condensed_to_qp(A_qp, B_qp, x0, x_ref, state_weights, force_weight,
 class MpcResult:
     forces: np.ndarray  # (4, 3) first-step ground reaction forces
     fault: bool = False
-    linearization_warning: bool = False
+    linearization_warning: bool = False  # roll or pitch past ANGLE_WARN
 
 
 class ForceMpc:
@@ -231,9 +225,10 @@ class ForceMpc:
              t: float) -> MpcResult:
         cfg = self.config
         k = cfg.horizon
-        lin = linearize_srb(state, foot_positions, self.mass, self.inertia, self.dt)
+        A, B = linearize_srb(state, foot_positions, self.mass, self.inertia, self.dt)
+        warning = abs(state.rpy[0]) > ANGLE_WARN or abs(state.rpy[1]) > ANGLE_WARN
         flags = np.array([gait.stance(t + i * self.dt) for i in range(k)])
-        A_qp, B_qp = condense(lin.A, lin.B, k)
+        A_qp, B_qp = condense(A, B, k)
         B_qp = B_qp[:, np.repeat(flags.ravel(), 3)]  # stance force columns only
         C, lo, hi = self.constraints(int(flags.sum()))
         qp = condensed_to_qp(A_qp, B_qp, np.append(state.as_vector(), self.gravity),
@@ -241,11 +236,10 @@ class ForceMpc:
                              cfg.state_weights, cfg.force_weight, C, lo, hi)
         sol = self.solver.solve(qp)
         if sol.status != "optimal":
-            return MpcResult(np.zeros((N_LEGS, 3)), fault=True,
-                             linearization_warning=lin.validity_warning)
+            return MpcResult(np.zeros((N_LEGS, 3)), True, warning)
         forces = np.zeros((N_LEGS, 3))
         forces[flags[0]] = sol.primal[:3 * int(flags[0].sum())].reshape(-1, 3)
-        return MpcResult(forces, False, lin.validity_warning)
+        return MpcResult(forces, False, warning)
 
 
 def stance_torques(robot: RobotState, forces, stance) -> list:

@@ -35,7 +35,7 @@ import numpy as np
 from .config import StackConfig
 from .geom import PointCloud, RigidTransform, compose, rot_z, threshold_norm
 from .mpc import ForceMpc, GaitSchedule, raibert_foothold, stance_torques
-from .policy import GoalSpec, NoPlanError, ObjectCentricAction, Observation
+from .policy import NoPlanError, ObjectCentricAction, Observation
 from .register import register_with_augmentation
 from .sensing import EmptyObservationError, full_scan, render_object_cloud
 from .simworld import (
@@ -58,7 +58,7 @@ from .swingctl import (
 )
 
 TRACE_SCHEMA = "legpress-trace-v1"
-SUCCESS_THRESHOLD = 0.03  # m of mean goal flow; a task's default threshold
+SUCCESS_THRESHOLD = 0.03  # m of mean goal flow; every task's threshold
 # the header keys a trace file must have; success_threshold may be absent
 TRACE_HEADER_KEYS = ("schema", "task", "seed", "outcome", "steps_used", "final_mean_flow")
 METRIC_POINTS = 400  # object surface samples behind the goal-flow metric
@@ -110,7 +110,7 @@ class TaskInstance:
     obj: SimObject
     goal_pose: RigidTransform  # absolute world pose of the object at the goal
     seed: int
-    success_threshold: float = SUCCESS_THRESHOLD
+    success_threshold: ClassVar[float] = SUCCESS_THRESHOLD  # the same for every task
 
 
 @dataclass
@@ -259,15 +259,14 @@ class _OrchestratorCore:
 
     # -- posture helpers ----------------------------------------------------
 
-    def nominal_com_xy(self) -> tuple:
-        """Mean xy of the four feet as a float pair, summed in row order as
-        numpy's `np.array(feet_pos)[:, :2].mean(axis=0)` sums them."""
-        (x0, y0, _), (x1, y1, _), (x2, y2, _), (x3, y3, _) = self.world.robot.feet_pos
-        return (x0 + x1 + x2 + x3) / 4.0, (y0 + y1 + y2 + y3) / 4.0
-
-    def support_centroid_xy(self, lifted: int) -> np.ndarray:
-        idx = [i for i in range(4) if i != lifted]
-        return np.array(self.world.robot.feet_pos)[idx, :2].mean(axis=0)
+    def feet_centroid_xy(self, lifted: int | None = None) -> tuple:
+        """Mean xy of the feet other than `lifted` as a float pair, added in
+        row order as numpy's `mean(axis=0)` adds the rows."""
+        rows = [p for i, p in enumerate(self.world.robot.feet_pos) if i != lifted]
+        x, y, _ = rows[0]
+        for px, py, _ in rows[1:]:
+            x, y = x + px, y + py
+        return x / len(rows), y / len(rows)
 
     def drive_towards(self, target_xy, yaw_target, gain, v_max):
         """Command gain times the position error, capped at v_max, and twice
@@ -467,7 +466,7 @@ def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = Non
 
     world = standing_world(config, objects=[task.obj.copy()])
     obj = world.objects[0]
-    trace = EpisodeTrace(task.name, seed, success_threshold=task.success_threshold)
+    trace = EpisodeTrace(task.name, seed)
     core = _OrchestratorCore(world, options, rng, trace)
 
     metric_rng = np.random.default_rng(seed ^ 0x5EED)
@@ -510,8 +509,7 @@ def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = Non
 
             goal_pose = schedule.sub_goal(obj)
             rel = estimate_relative_goal(core, goal_pose, observed, obs_seed)
-            obs = Observation(observed, GoalSpec.from_cloud(rel, observed), obj,
-                              int(rng.integers(2 ** 31)))
+            obs = Observation(observed, rel, obj, int(rng.integers(2 ** 31)))
             trace.steps_used += 1
             try:
                 action = policy(obs)
@@ -560,9 +558,9 @@ def _execute_action(core: _OrchestratorCore, observed: PointCloud,
 
     # COM shift into the remaining support triangle
     core.transition(COM_SHIFT)
-    com0 = core.nominal_com_xy()
-    tri = core.support_centroid_xy(leg_index)
-    com_target = com0 + ocfg.com_shift_factor * (tri - com0)
+    com0 = core.feet_centroid_xy()
+    tri = core.feet_centroid_xy(leg_index)
+    com_target = [c + ocfg.com_shift_factor * (t - c) for c, t in zip(com0, tri)]
     while core.time_in_state() < ocfg.com_shift_duration:
         core.drive_towards(com_target, None, gain=2.0, v_max=0.08)
         core.control_step()
@@ -583,7 +581,7 @@ def _execute_action(core: _OrchestratorCore, observed: PointCloud,
     nominal = core.nominal_foothold(leg_index)
     t0 = world.time
     while world.time - t0 < 2.0 * ocfg.com_shift_duration:
-        core.drive_towards(core.nominal_com_xy(), None, gain=2.0, v_max=0.08)
+        core.drive_towards(core.feet_centroid_xy(), None, gain=2.0, v_max=0.08)
         core.control_step()
         if world.time - t0 > 0.3 and threshold_norm(
                 [a - b for a, b in zip(world.robot.feet_pos[leg_index], nominal)],
@@ -592,4 +590,4 @@ def _execute_action(core: _OrchestratorCore, observed: PointCloud,
     core.gait = GaitSchedule.stand()
     core.hold_station()
     core.transition(QP_STAND)
-    core.run_for(0.3)
+    core.run_for(SETTLE_TIME)

@@ -1,14 +1,16 @@
 """The policy seam and the deterministic baseline policies.
 
 A policy is a function of an `Observation`. It returns an object-centric
-action, or raises `NoPlanError` when it has none. An action is a contact
-index into the observed object cloud, a 3D motion vector executed after
-contact, and the leg that executes it. The action is the one place the
-manipulation leg is decided; the baselines use the front-left leg. Learned
-policies are out of scope here, but their artifacts plug in: per-point
-critic maps (Q-values) and actor maps (motion parameters) with one or two
-leg channels can be loaded from the columnar interchange format and pushed
-through the same greedy selection, which picks the leg too.
+action, or raises `NoPlanError` when it has none. The observation's goal is
+the goal pose relative to the object's, a transform; the goal cloud is read
+from it and the observed cloud. An action is a contact index into the
+observed object cloud, a 3D motion vector executed after contact, and the
+leg that executes it. The action is the one place the manipulation leg is
+decided; the baselines use the front-left leg. Learned policies are out of
+scope here, but their artifacts plug in: per-point critic maps (Q-values)
+and actor maps (motion parameters) with one or two leg channels can be
+loaded from the columnar interchange format and pushed through the same
+greedy selection, which picks the leg too.
 """
 from __future__ import annotations
 
@@ -75,24 +77,16 @@ class ActorMap:
 
 
 @dataclass
-class GoalSpec:
-    """Target pose relative to the current object pose, plus the observed
-    cloud mapped by it (index-correspondent)."""
-
-    relative_transform: RigidTransform
-    goal_cloud: PointCloud
-
-    @staticmethod
-    def from_cloud(relative_transform: RigidTransform, observed: PointCloud) -> "GoalSpec":
-        return GoalSpec(relative_transform, apply_transform(relative_transform, observed))
-
-
-@dataclass
 class Observation:
     cloud: PointCloud  # camera-visible object points, world frame
-    goal: GoalSpec
+    goal: RigidTransform  # the goal pose relative to the current object pose
     obj: SimObject  # shape/pose access for the geometric baselines
     seed: int  # per-call policy seed
+
+    @property
+    def goal_cloud(self) -> PointCloud:
+        """The observed cloud mapped by the goal transform (index-correspondent)."""
+        return apply_transform(self.goal, self.cloud)
 
 
 def select_greedy(actor: ActorMap, critic: CriticMap) -> ObjectCentricAction:
@@ -158,13 +152,13 @@ def _top_edge_midpoint(obj, push_dir: np.ndarray) -> np.ndarray:
     return R @ p + t
 
 
-def _goal_decomposition(goal: GoalSpec, obj):
+def _goal_decomposition(goal: RigidTransform, obj):
     """Split a relative goal into an optional flip part and a translation.
 
     A rotation that carries the object's up axis far from vertical is a
     flip; its direction is where the top face normal travels (projected to
     the ground plane)."""
-    R = goal.relative_transform.rotation
+    R = goal.rotation
     up_moves_to = R @ np.array([0.0, 0.0, 1.0])
     flip_needed = up_moves_to[2] < math.cos(math.radians(45.0))
     flip_dir = None
@@ -176,7 +170,7 @@ def _goal_decomposition(goal: GoalSpec, obj):
             raise NoPlanError("flip goal with degenerate direction")
         flip_dir = horiz / n
     centroid = obj.pose.translation
-    displacement = goal.relative_transform.apply(centroid) - centroid
+    displacement = goal.apply(centroid) - centroid
     return flip_needed, flip_dir, displacement
 
 
@@ -217,7 +211,7 @@ def flow_baseline(obs: Observation) -> ObjectCentricAction:
     """Same contact and leg as the planner; motion replaced by the flow
     between the observed and goal clouds at the contact point."""
     base = planning_baseline(obs)
-    flow, _ = goal_flow(obs.cloud, obs.goal.goal_cloud)
+    flow, _ = goal_flow(obs.cloud, obs.goal_cloud)
     return ObjectCentricAction(base.contact_index, flow[base.contact_index], base.leg)
 
 
@@ -227,7 +221,7 @@ def random_location_baseline(obs: Observation) -> ObjectCentricAction:
     if len(obs.cloud) == 0:
         raise ValueError("empty cloud")
     idx = int(np.random.default_rng(obs.seed).integers(len(obs.cloud)))
-    flow, _ = goal_flow(obs.cloud, obs.goal.goal_cloud)
+    flow, _ = goal_flow(obs.cloud, obs.goal_cloud)
     return ObjectCentricAction(idx, flow[idx], "front_left")
 
 

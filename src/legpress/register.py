@@ -8,7 +8,8 @@ prefers candidates that impute the smallest motion to the object, and
 Chamfer distance, which measures alignment quality), candidates are ranked
 per metric, and the lowest weighted rank sum wins. The known augmentation
 rotation is composed back so the returned transform always maps the
-original source onto the target.
+original source onto the target. A result is its candidates and the
+winner's index: its transform and degraded flag are read from them.
 
 The target must carry normals, since point-to-plane ICP reads only the
 target's; a full scan (`sensing.full_scan`) carries its analytic ones. All
@@ -269,19 +270,28 @@ class RegistrationCandidate:
     iterations: int = 0  # the ICP iterations this start ran
     rank_flow: int = 0
     rank_chamfer: int = 0
-    weighted_rank_sum: float = 0.0
 
     @property
     def converged(self) -> bool:
         return self.exit != "patience"
 
+    @property
+    def weighted_rank_sum(self) -> float:
+        return self.rank_flow + CHAMFER_RANK_WEIGHT * self.rank_chamfer
+
 
 @dataclass
 class RegistrationResult:
-    transform: RigidTransform
     candidates: list
     winner_index: int
-    degraded: bool  # no candidate converged
+
+    @property
+    def transform(self) -> RigidTransform:  # the winner's: original source -> target
+        return self.candidates[self.winner_index].combined_transform
+
+    @property
+    def degraded(self) -> bool:  # no candidate converged
+        return not any(c.converged for c in self.candidates)
 
 
 def _ranks(values) -> np.ndarray:
@@ -333,13 +343,8 @@ def register_with_augmentation(source: PointCloud, target: PointCloud,
         RegistrationCandidate(c, _mean_displacement(m, points), _chamfer(d, m, target.points),
                               est.exit, est.iterations)
         for c, m, d, est in zip(combined, moved, d_ab, starts)]
-
-    flows = [c.flow_distance for c in candidates]
-    chams = [c.chamfer_distance for c in candidates]
-    win, rf, rc, sums = select_by_rank_sum(flows, chams)
-    for i, c in enumerate(candidates):
-        c.rank_flow = int(rf[i])
-        c.rank_chamfer = int(rc[i])
-        c.weighted_rank_sum = float(sums[i])
-    degraded = not any(c.converged for c in candidates)
-    return RegistrationResult(candidates[win].combined_transform, candidates, win, degraded)
+    win, rf, rc, _ = select_by_rank_sum([c.flow_distance for c in candidates],
+                                        [c.chamfer_distance for c in candidates])
+    for c, rank_flow, rank_chamfer in zip(candidates, rf.tolist(), rc.tolist()):
+        c.rank_flow, c.rank_chamfer = rank_flow, rank_chamfer
+    return RegistrationResult(candidates, win)

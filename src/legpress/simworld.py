@@ -42,10 +42,12 @@ A state value changes by an assignment of the whole field or as a new state
 tick and then the leg sync on float lists, computing on float rows what is
 fixed within a tick once per tick, and writes each trunk, feet and
 object-velocity field back once; an object gets a new `RigidTransform`. A
-leg at its joint stops (`_sync_legs`) edits only the tick's lists. Derived
-rows are written with their source, and each source is a tuple of floats:
-no reader can change it apart from its rows, and a deep copy or a pickle
-keeps the two together. `SrbState.rotation_rows` is the trunk rotation: the
+leg at its joint stops (`_sync_legs`) edits only the tick's lists: its foot
+rides with the trunk, whose velocity and spin take the foot's changes of
+linear and angular momentum, so the stop conserves both. Derived rows are
+written with their source, and each source is a tuple of floats: no reader
+can change it apart from its rows, and a deep copy or a pickle keeps the
+two together. `SrbState.rotation_rows` is the trunk rotation: the
 constructor builds it from `rpy`, and `step` writes the rotation it
 integrated together with the rpy chart of it.
 `LegModel.jacobian_rows` is the trunk-frame Jacobian of `joint_angles`,
@@ -66,8 +68,8 @@ and a change to the tick is judged by what the simulation does:
     outcome, action count and fault class, and the final flow or lateral
     error moves only by rounding (episodes whose outcome rounding alone
     decides are named in the change log);
-  - `cli.SIM_CHECKS` (`legpress simcheck`): determinism, momentum, friction
-    cone and stand force within their bounds;
+  - `cli.SIM_CHECKS` (`legpress simcheck`): determinism, momentum, momentum
+    at the joint stop, friction cone and stand force within their bounds;
   - the pinned end states in `tests/test_simworld.py` at rtol 1e-9 and atol
     1e-12. A scene that moves past them is re-recorded, with every moved
     value listed in the change log.
@@ -750,8 +752,8 @@ def standing_world(config: StackConfig | None = None, objects=()) -> WorldState:
 def seat_feet(world: WorldState) -> None:
     """Put every foot at rest on the ground under its shoulder, for the
     current trunk pose, and solve the joint angles to match. The leg sync
-    runs on float lists, and the trunk velocity and the feet are written back
-    once after it, as in `step`."""
+    runs on float lists, and the trunk velocities and the feet are written
+    back once after it, as in `step`."""
     robot = world.robot
     srb = robot.srb
     feet_p = []
@@ -759,9 +761,9 @@ def seat_feet(world: WorldState) -> None:
         x, y, _ = shoulder_point(leg, srb).tolist()
         feet_p.append([x, y, world.config.robot.foot_radius])
     feet_v = [[0.0, 0.0, 0.0] for _ in feet_p]
-    v = list(srb.linear_velocity)
-    _sync_legs(world, srb.rotation_rows, srb.position, v, srb.angular_velocity, feet_p, feet_v)
-    srb.linear_velocity = tuple(v)
+    v, w = list(srb.linear_velocity), list(srb.angular_velocity)
+    _sync_legs(world, srb.rotation_rows, srb.position, v, w, feet_p, feet_v)
+    srb.linear_velocity, srb.angular_velocity = tuple(v), tuple(w)
     robot.feet_pos, robot.feet_vel = tuple(map(tuple, feet_p)), tuple(map(tuple, feet_v))
 
 
@@ -771,12 +773,15 @@ def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
     ride with the trunk at their joint stops.
 
     The trunk and feet come in as the caller's floats: the rows of the trunk
-    rotation, the trunk position, the velocity list v, the angular velocity,
-    and the lists of the feet's point and velocity rows. A leg at its joint
-    stops moves its foot in feet_p and feet_v and, on a free trunk, corrects
-    v; the caller writes them back. Of the robot, only each leg's joint
-    angles and their Jacobian rows are written here."""
-    mf = world.config.robot.foot_mass
+    rotation, the trunk position, the velocity lists v and w, and the lists
+    of the feet's point and velocity rows. A leg at its joint stops moves its
+    foot in feet_p and feet_v and, on a free trunk, corrects v and w so that
+    the robot's linear and angular momentum are kept; the caller writes them
+    back. Of the robot, only each leg's joint angles and their Jacobian rows
+    are written here."""
+    rc = world.config.robot
+    mf = rc.foot_mass
+    I0, I1, I2 = rc.trunk_inertia
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
     p0, p1, p2 = pos
     for i, leg in enumerate(world.robot.legs):
@@ -800,7 +805,14 @@ def _sync_legs(world: WorldState, R, pos, v, w, feet_p, feet_v) -> None:
             v_new = [v[k] + c[k] for k in range(3)]
             if not world.fixed_base:
                 dv = [v_new[k] - feet_v[i][k] for k in range(3)]
-                v[:] = [v[k] - dv[k] * mf / world.config.robot.trunk_mass for k in range(3)]
+                v[:] = [v[k] - dv[k] * mf / rc.trunk_mass for k in range(3)]
+                # the spin takes the rest of the foot's change of angular
+                # momentum, -mf (p_new x v_new - p_old x v_old) + mf pos x dv,
+                # through the world inverse inertia R diag(I)^-1 R'
+                a, o, t = cross3(p_new, v_new), cross3(fp, feet_v[i]), cross3(pos, dv)
+                Lb = matvec3_t(R, [mf * (t[k] - (a[k] - o[k])) for k in range(3)])
+                dw = matvec3(R, (Lb[0] / I0, Lb[1] / I1, Lb[2] / I2))
+                w[:] = [w[k] + dw[k] for k in range(3)]
             feet_p[i] = p_new
             feet_v[i] = v_new
             continue
@@ -967,7 +979,7 @@ def step(world: WorldState, joint_torques) -> WorldState:
     R = srb.rotation_rows
     pos = srb.position
     v = list(srb.linear_velocity)
-    w = srb.angular_velocity
+    w = list(srb.angular_velocity)
     feet_p = robot.feet_pos
     feet_v = [list(fv) for fv in robot.feet_vel]
     m_trunk = rc.trunk_mass

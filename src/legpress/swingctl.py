@@ -10,11 +10,11 @@ Force modulation during pushing is emergent: the commanded post-contact
 displacement may exceed what the object allows, and the tracking error times
 kp is what the foot presses with.
 
-A swing plan is its waypoints, its contact point and its gate time. Each
-waypoint is a time and a position of three floats, and the contact point is
-the contact waypoint's triple. `plan_swing` computes them with numpy (norms,
-workspace clips, reach tests) and stores floats, so `target_at` and the
-executor's tick interpolate and compare floats without a conversion.
+A swing plan is its waypoints. Each waypoint is a time and a position of
+three floats; the contact point and the gate time are read from them.
+`plan_swing` computes them with numpy (norms, workspace clips, reach tests)
+and stores floats, so `target_at` and the executor's tick interpolate and
+compare floats without a conversion.
 """
 from __future__ import annotations
 
@@ -106,15 +106,20 @@ class Waypoint:
 
 @dataclass
 class SwingPlan:
-    """Six timed waypoints (the foot's start, the apex, the pre-contact
-    point, the contact, the push end and the retract point), the contact
-    point (the triple of `waypoints[3].position`) and the gate time: the
-    executor's tick that would pass it waits for the foot at the contact
-    point (see `SwingExecutor`). `plan_swing` sets it to the push end's
-    time."""
+    """Six timed waypoints: the foot's start, the apex, the pre-contact
+    point, the contact, the push end and the retract point. The executor's
+    tick that would pass the gate time waits for the foot at the contact
+    point (see `SwingExecutor`). The gate time is the push end's, so the gate
+    holds after the push, not at contact."""
     waypoints: list
-    contact_point: tuple
-    gate_time: float
+
+    @property
+    def contact_point(self) -> tuple:
+        return self.waypoints[3].position
+
+    @property
+    def gate_time(self) -> float:
+        return self.waypoints[4].time
 
     @property
     def duration(self) -> float:
@@ -208,5 +213,4 @@ def plan_swing(contact_point, motion_vector, leg: LegModel, trunk: SrbState,
     for a, b, speed in zip(points[:-1], points[1:], speeds):
         t += _segment_time(a, b, speed)
         wps.append(Waypoint(t, tuple(map(float, b))))
-    # the gate is the push end's time, so it holds after the push, not at contact
-    return SwingPlan(wps, wps[3].position, wps[4].time)
+    return SwingPlan(wps)

@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from legpress.harness import (
 )
 from legpress.orchestrator import EpisodeOptions, EpisodeTrace
 from legpress.policy import (
-    GoalSpec,
     NoPlanError,
     Observation,
     flow_baseline,
@@ -130,16 +129,15 @@ def test_eval_writes_the_summary_csv_byte_for_byte(tmp_path, capsys):
 
 
 def test_replay_checks_against_the_stored_success_threshold(tmp_path, capsys):
-    """A task with a non-default threshold replays as consistent: the check
-    reads the threshold from the trace header."""
-    cfg = StackConfig()
-    task = replace(sample_task(TaskSpec("box_push_fixed"), 0, cfg), success_threshold=0.5)
-    trace = orchestrator.run_episode(task, lambda obs: None, EpisodeOptions(), cfg)
-    assert trace.outcome == "success"
-    assert 0.03 < -trace.rewards[-1] < 0.5  # a success only under the stored threshold
+    """A trace whose header stores a non-default threshold replays as
+    consistent: the check reads the threshold from the header."""
     path = tmp_path / "trace.jsonl"
-    trace.write_jsonl(str(path))
-    assert cli.main(["replay", "--trace", str(path)]) == 0
+    head = {"schema": "legpress-trace-v1", "task": "box_push_fixed", "seed": 0,
+            "outcome": "success", "steps_used": 1, "final_mean_flow": 0.2,
+            "success_threshold": 0.5}
+    check = {"type": "check", "t": 9.0, "mean_flow": 0.2, "reward": -0.2}
+    path.write_text(json.dumps(head) + "\n" + json.dumps(check) + "\n")
+    assert cli.main(["replay", "--trace", str(path)]) == 0  # a success only under 0.5
     out = capsys.readouterr().out
     assert "success_threshold=0.5\n" in out
     assert "success_consistency=ok" in out
@@ -192,9 +190,10 @@ def test_replay_of_a_record_without_its_keys_exits_2(record, tmp_path, capsys):
 def test_simcheck_passes_its_four_invariants(capsys):
     assert cli.main(["simcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["PASS"] * 5 + ["OK"]
-    assert [line.split(" ", 1)[1].split(":")[0] for line in lines[:5]] == [
-        "determinism", "momentum", "friction cone", "stand force z", "stand force xy"]
+    assert [line.split()[0] for line in lines] == ["PASS"] * 6 + ["OK"]
+    assert [line.split(" ", 1)[1].split(":")[0] for line in lines[:6]] == [
+        "determinism", "momentum", "joint stop momentum", "friction cone", "stand force z",
+        "stand force xy"]
 
 
 def test_sweep_prints_each_episode_and_the_outcome_counts(capsys, monkeypatch):
@@ -485,6 +484,24 @@ def test_a_config_path_that_cannot_be_read_exits_2(name, error, tmp_path, capsys
     assert json.loads(capsys.readouterr().err)["error"] == error.__name__
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("dt = 0.002\n", r"File contains no section headers\. file: '{path}', line: 1 "),
+    ("[sim]\ndt = 0.002\ndt = 0.001\n",
+     r"While reading from '{path}' \[line 3\]: option 'dt' in section 'sim' already exists$"),
+], ids=["key_before_any_section", "key_given_twice"])
+def test_a_config_file_that_cannot_be_parsed_exits_2(text, reason, tmp_path, capsys):
+    """A parse error is bad input: a ValueError naming the file and the line,
+    which the CLI prints as a JSON record and exits 2 on."""
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    pattern = reason.format(path=re.escape(str(path)))
+    with pytest.raises(ValueError, match=pattern):
+        load_config(str(path))
+    assert cli.main(["--config", str(path), "simcheck"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and re.match(pattern, err["message"])
+
+
 def test_a_config_built_in_code_is_checked_before_the_first_tick():
     """A config made or edited in code meets the check a loaded file meets:
     an episode with a zero-width camera raises ValueError naming the key when
@@ -653,7 +670,7 @@ def push_observation():
     task = sample_task(TaskSpec("box_push_fixed"), 0)
     cloud = full_scan(task.obj.shape, task.obj.pose, 400, seed=0)
     rel = compose(task.goal_pose, task.obj.pose.inverse())
-    return Observation(cloud, GoalSpec.from_cloud(rel, cloud), task.obj, 0)
+    return Observation(cloud, rel, task.obj, 0)
 
 
 @pytest.mark.parametrize("name, direct", [
@@ -679,8 +696,7 @@ def test_null_and_oracle_policies(push_observation):
 
 def test_planning_has_no_action_for_a_zero_displacement_goal(push_observation):
     obs = push_observation
-    still = Observation(obs.cloud, GoalSpec.from_cloud(RigidTransform.identity(), obs.cloud),
-                        obs.obj, obs.seed)
+    still = Observation(obs.cloud, RigidTransform.identity(), obs.obj, obs.seed)
     with pytest.raises(NoPlanError):
         harness.make_provider("planning")(still)
 

@@ -1,9 +1,9 @@
 """No legpress module imports, or reads as an attribute, another legpress
 module's `_`-prefixed name: modules talk through public names only. And
 every config key is read by the program outside the config module, and is
-named in the config module's schema. Every expected failure in the tests is
-a strict xfail that names the ROADMAP item whose fix removes its mark. The
-package's settable values do not grow."""
+named in the config module's schema. Every stored field has a reader. Every
+expected failure in the tests is a strict xfail that names the ROADMAP item
+whose fix removes its mark. The package's settable values do not grow."""
 import ast
 import re
 from dataclasses import fields
@@ -17,6 +17,7 @@ from legpress.config import StackConfig
 
 SRC = Path(legpress.__file__).parent
 TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 MODULES = frozenset(p.stem for p in SRC.glob("*.py")) - {"__init__"}
 
 
@@ -150,6 +151,66 @@ def test_the_config_docstring_names_every_section_and_key():
     assert documented_schema(config.__doc__) == want
 
 
+def dataclass_fields(source: str) -> list:
+    """`Class.field` for each field of each dataclass in the source: its
+    annotated class attributes that are not a `ClassVar`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(_named(d, "dataclass")
+                                                  for d in node.decorator_list):
+            found += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                      and "ClassVar" not in ast.unparse(stmt.annotation)]
+    return found
+
+
+def unread_fields(defining: str, readers) -> list:
+    """The dataclass fields of `defining` that no source of `readers` reads
+    as an attribute."""
+    read = set().union(*map(attribute_reads, readers))
+    return [name for name in dataclass_fields(defining) if name.split(".")[1] not in read]
+
+
+def test_the_checker_finds_fields_nobody_reads():
+    source = ("@dataclass(slots=True)\n"
+              "class A:\n"
+              "    x: float\n"
+              "    y: tuple = ()\n"
+              "    schema: ClassVar[str] = 'v1'\n"
+              "    @property\n"
+              "    def twice(self):\n"
+              "        return 2 * self.x\n"
+              "class B:\n"
+              "    u: int = 0\n")
+    assert dataclass_fields(source) == ["A.x", "A.y"]
+    assert unread_fields(source, [source]) == ["A.y"]
+    assert unread_fields(source, [source, "a.y = 1", "print(b.y)"]) == []
+
+
+# stored fields with no reader yet, each kept for the ROADMAP item that reads it
+UNREAD_FIELDS = {
+    "MpcResult.linearization_warning": "ROADMAP item 5: the telemetry records it per solve",
+    "IcpResult.residual": "ROADMAP item 5: the registration telemetry records it per ICP "
+                          "start, beside its exit rule and iterations",
+    "ContactRecord.penetration": "ROADMAP item 5: the contact telemetry records the depth "
+                                 "beside the peak foot–object normal force",
+    "ContactRecord.bodies": "ROADMAP item 5: the peak foot–object normal force is found by "
+                            "the contact's bodies",
+}
+
+
+def test_every_stored_field_has_a_reader():
+    """A computed value is read or deleted: each field of each dataclass in
+    the package is read as an attribute by some module of the package or of
+    the benchmark, or waits in UNREAD_FIELDS for the ROADMAP item that reads
+    it."""
+    readers = [p.read_text() for p in (*SRC.glob("*.py"), *PERFBENCH.glob("*.py"))]
+    found = [name for p in sorted(SRC.glob("*.py"))
+             for name in unread_fields(p.read_text(), readers)]
+    assert sorted(found) == sorted(UNREAD_FIELDS)
+    assert all(re.match(r"ROADMAP item \d+", reason) for reason in UNREAD_FIELDS.values())
+
+
 def unread_parameters(source: str) -> list:
     """`line: name(parameter)` for each parameter that a module-level
     function, or a method of a module-level class, never reads. A read in a
@@ -260,7 +321,7 @@ def test_the_settable_values_scan_counts_parameters_fields_and_options():
 
 # the count of `src/legpress` today: a change that adds a settable value
 # raises it in its own diff
-SETTABLE_VALUES = 722
+SETTABLE_VALUES = 717
 
 
 def test_settable_values_do_not_grow():

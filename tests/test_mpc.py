@@ -43,9 +43,9 @@ def stand_feet(h=0.28):
 
 def test_linearize_gravity_only_ballistic():
     dt = 0.03
-    lin = linearize_srb(stand_state(), stand_feet(), MASS, INERTIA, dt)
+    A, B = linearize_srb(stand_state(), stand_feet(), MASS, INERTIA, dt)
     x = np.append(stand_state().as_vector(), GRAVITY)
-    x_next = lin.A @ x  # zero forces
+    x_next = A @ x  # zero forces
     assert abs(x_next[11] - (-9.81 * dt)) < 1e-9
     assert abs(x_next[5] - x[5]) < 1e-12  # position updates with old velocity
 
@@ -55,10 +55,10 @@ def test_linearize_static_balance_single_foot():
     state = stand_state()
     feet = stand_feet()
     feet[0] = [0.0, 0.0, 0.0]  # directly under the COM
-    lin = linearize_srb(state, feet, MASS, INERTIA, dt)
+    A, B = linearize_srb(state, feet, MASS, INERTIA, dt)
     u = np.zeros(12)
     u[2] = MASS * 9.81
-    x_next = lin.A @ np.append(state.as_vector(), GRAVITY) + lin.B @ u
+    x_next = A @ np.append(state.as_vector(), GRAVITY) + B @ u
     assert np.max(np.abs(x_next[9:12])) < 1e-9  # no linear acceleration
     assert np.max(np.abs(x_next[6:9])) < 1e-9  # no angular acceleration
 
@@ -111,8 +111,8 @@ def test_linearization_error_second_order_in_dt():
         forces = rng.normal(scale=5.0, size=12)
         x = np.append(state.as_vector(), GRAVITY)
         for dt in errs:
-            lin = linearize_srb(state, feet, MASS, INERTIA, dt)
-            pred = lin.A @ x + lin.B @ forces
+            A, B = linearize_srb(state, feet, MASS, INERTIA, dt)
+            pred = A @ x + B @ forces
             exact = _nonlinear_rk4(x, forces, feet, MASS, INERTIA, dt)
             errs[dt].append(np.max(np.abs(pred - exact)))
     # absolute scale: 0.5 * dt^2 * curvature, curvature here is tens of rad/s^2
@@ -123,9 +123,13 @@ def test_linearization_error_second_order_in_dt():
 
 
 def test_linearization_warning_flag():
-    state = posed(stand_state(), (0.0, 0.5, 0.0))
-    lin = linearize_srb(state, stand_feet(), MASS, INERTIA, 0.03)
-    assert lin.validity_warning
+    """A solve from a state pitched past ANGLE_WARN carries the warning; one
+    from the level stance does not."""
+    mpc = ForceMpc(StackConfig())
+    command = (0.0, 0.0, 0.0, 0.28)
+    for rpy, warned in (((0.0, 0.5, 0.0), True), ((0.0, 0.0, 0.0), False)):
+        res = mpc.step(posed(stand_state(), rpy), command, stand_feet(), GaitSchedule.stand(), 0.0)
+        assert res.linearization_warning is warned
 
 
 # -- condensation --------------------------------------------------------------
@@ -145,10 +149,10 @@ def rollout(A_list, B_list, x0, U) -> np.ndarray:
 
 
 def test_condense_k1_passthrough():
-    lin = linearize_srb(stand_state(), stand_feet(), MASS, INERTIA, 0.03)
-    A_qp, B_qp = condense(lin.A, lin.B, 1)
-    assert np.array_equal(A_qp, lin.A)
-    assert np.array_equal(B_qp, lin.B)
+    A, B = linearize_srb(stand_state(), stand_feet(), MASS, INERTIA, 0.03)
+    A_qp, B_qp = condense(A, B, 1)
+    assert np.array_equal(A_qp, A)
+    assert np.array_equal(B_qp, B)
 
 
 def test_condense_zero_forces_free_dynamics():
@@ -304,8 +308,8 @@ def _all_feet_forces(mpc, state, command, feet, gait, t):
     with lo == hi == 0."""
     cfg = mpc.config
     k = cfg.horizon
-    lin = linearize_srb(state, feet, mpc.mass, mpc.inertia, mpc.dt)
-    A_qp, B_qp = condense(lin.A, lin.B, k)
+    A, B = linearize_srb(state, feet, mpc.mass, mpc.inertia, mpc.dt)
+    A_qp, B_qp = condense(A, B, k)
     L = np.tile(np.asarray(cfg.state_weights), k)
     H = 2.0 * ((B_qp.T * L) @ B_qp + cfg.force_weight * np.eye(12 * k))
     H = 0.5 * (H + H.T)

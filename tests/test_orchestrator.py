@@ -231,9 +231,9 @@ def test_drive_towards_equals_the_numpy_form():
 
 
 def test_nominal_com_equals_the_numpy_mean():
-    """The float COM target of the post-action shift is numpy's
-    `feet[:, :2].mean(axis=0)` of the feet array bit for bit, and the shift's
-    target built from it is too."""
+    """The float mean of the feet rows, of all four or of the three that a
+    lifted leg leaves, is numpy's `mean(axis=0)` of those rows of the feet
+    array bit for bit, and the COM shift's target built from the two is too."""
     world = standing_world()
     core = orchestrator._OrchestratorCore(world, EpisodeOptions(), np.random.default_rng(0),
                                           EpisodeTrace("core", 0))
@@ -241,11 +241,15 @@ def test_nominal_com_equals_the_numpy_mean():
     for _ in range(10000):
         feet = rng.normal(scale=0.3, size=(4, 3)) * 10.0 ** rng.integers(-3, 3)
         world.robot.feet_pos = tuple(map(tuple, feet.tolist()))
-        com = core.nominal_com_xy()
+        com = core.feet_centroid_xy()
         mean = feet[:, :2].mean(axis=0)
         assert all(type(x) is float for x in com) and com == tuple(mean.tolist())
-        tri = core.support_centroid_xy(int(rng.integers(4)))
-        assert np.array_equal(com + 0.7 * (tri - com), mean + 0.7 * (tri - mean))
+        lifted = int(rng.integers(4))
+        tri = core.feet_centroid_xy(lifted)
+        support = np.array(world.robot.feet_pos)[[i for i in range(4) if i != lifted], :2]
+        assert tri == tuple(support.mean(axis=0).tolist())
+        target = [c + 0.7 * (t - c) for c, t in zip(com, tri)]
+        assert np.array_equal(target, com + 0.7 * (support.mean(axis=0) - com))
 
 
 @pytest.mark.parametrize("field, value", [("reposition", "teleprot"),

@@ -9,7 +9,6 @@ from legpress.geom import PointCloud, RigidTransform, apply_transform, rot_z, ro
 from legpress.policy import (
     ActorMap,
     CriticMap,
-    GoalSpec,
     NoPlanError,
     Observation,
     flow_baseline,
@@ -146,7 +145,7 @@ def test_success_threshold_iff_reward():
 
 def push_goal(obj, dxy):
     d = np.array([dxy[0], dxy[1], 0.0])
-    return GoalSpec.from_cloud(RigidTransform(np.eye(3), d), observed(obj))
+    return RigidTransform(np.eye(3), d)
 
 
 def flip_goal(obj, direction_y=-1.0):
@@ -155,8 +154,7 @@ def flip_goal(obj, direction_y=-1.0):
     R = np.array([[1.0, 0, 0],
                   [0, math.cos(angle), -math.sin(angle)],
                   [0, math.sin(angle), math.cos(angle)]])
-    t = RigidTransform.rotation_about(R, obj.pose.translation)
-    return GoalSpec.from_cloud(t, observed(obj))
+    return RigidTransform.rotation_about(R, obj.pose.translation)
 
 
 def test_planning_push_contact_on_back_face():
@@ -201,8 +199,7 @@ def test_planning_flip_then_push_decomposition():
                   [0, math.cos(angle), -math.sin(angle)],
                   [0, math.sin(angle), math.cos(angle)]])
     rel = RigidTransform(R, d - R @ obj.pose.translation + obj.pose.translation)
-    goal = GoalSpec.from_cloud(rel, cloud)
-    act = planning_baseline(Observation(cloud, goal, obj, 0))
+    act = planning_baseline(Observation(cloud, rel, obj, 0))
     # flip executes first: horizontal motion, top-edge contact
     assert abs(act.motion_params[2]) < 1e-9
     assert cloud.points[act.contact_index][2] > obj.pose.translation[2] + 0.03
@@ -211,16 +208,24 @@ def test_planning_flip_then_push_decomposition():
 def test_planning_no_plan_for_zero_goal():
     obj = make_box_obj()
     cloud = observed(obj)
-    goal = GoalSpec.from_cloud(RigidTransform.identity(), cloud)
     with pytest.raises(NoPlanError):
-        planning_baseline(Observation(cloud, goal, obj, 0))
+        planning_baseline(Observation(cloud, RigidTransform.identity(), obj, 0))
+
+
+def test_the_goal_cloud_is_the_observed_cloud_mapped_by_the_goal():
+    obj = make_box_obj()
+    cloud = observed(obj)
+    goal = flip_goal(obj)
+    obs = Observation(cloud, goal, obj, 0)
+    assert np.array_equal(obs.goal_cloud.points, apply_transform(goal, cloud).points)
+    assert np.array_equal(obs.goal_cloud.normals, apply_transform(goal, cloud).normals)
 
 
 def test_flow_baseline_pure_translation_everywhere():
     obj = make_box_obj()
     cloud = observed(obj)
     goal = push_goal(obj, (0.15, 0.0))
-    flow, _ = goal_flow(cloud, goal.goal_cloud)
+    flow, _ = goal_flow(cloud, apply_transform(goal, cloud))
     assert np.allclose(flow, [0.15, 0.0, 0.0])
     act = flow_baseline(Observation(cloud, goal, obj, 0))
     assert np.allclose(act.motion_params, [0.15, 0.0, 0.0])
@@ -232,7 +237,7 @@ def test_flow_baseline_flip_matches_rigid_motion():
     goal = flip_goal(obj)
     act = flow_baseline(Observation(cloud, goal, obj, 0))
     i = act.contact_index
-    expect = goal.goal_cloud.points[i] - cloud.points[i]
+    expect = apply_transform(goal, cloud).points[i] - cloud.points[i]
     assert np.max(np.abs(act.motion_params - expect)) < 1e-9
 
 
@@ -246,16 +251,14 @@ def test_flow_baseline_rotation_equivariance():
     obj2 = make_box_obj()
     obj2.pose = RigidTransform(R @ obj.pose.rotation, R @ obj.pose.translation)
     cloud2 = apply_transform(w, cloud)
-    rel2 = RigidTransform(R @ goal.relative_transform.rotation @ R.T,
-                          R @ goal.relative_transform.translation)
-    goal2 = GoalSpec.from_cloud(rel2, cloud2)
-    act2 = flow_baseline(Observation(cloud2, goal2, obj2, 0))
+    rel2 = RigidTransform(R @ goal.rotation @ R.T, R @ goal.translation)
+    act2 = flow_baseline(Observation(cloud2, rel2, obj2, 0))
     assert np.max(np.abs(act2.motion_params - R @ act.motion_params)) < 1e-9
 
 
 def test_random_location_single_point():
     cloud = PointCloud([[0.1, 0.2, 0.3]])
-    goal = GoalSpec.from_cloud(RigidTransform(np.eye(3), [0.1, 0, 0]), cloud)
+    goal = RigidTransform(np.eye(3), [0.1, 0, 0])
     act = random_location_baseline(Observation(cloud, goal, None, 1))
     assert act.contact_index == 0
 

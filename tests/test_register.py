@@ -330,9 +330,13 @@ def reference_registration(source, target, seed=0):
     win, rf, rc, sums = select_by_rank_sum([c.flow_distance for c in candidates],
                                            [c.chamfer_distance for c in candidates])
     for i, c in enumerate(candidates):
-        c.rank_flow, c.rank_chamfer, c.weighted_rank_sum = int(rf[i]), int(rc[i]), float(sums[i])
-    degraded = not any(c.converged for c in candidates)
-    return RegistrationResult(candidates[win].combined_transform, candidates, win, degraded), starts
+        c.rank_flow, c.rank_chamfer = int(rf[i]), int(rc[i])
+    result = RegistrationResult(candidates, win)
+    # what the result reads from its candidates and winner
+    assert [c.weighted_rank_sum for c in candidates] == sums.tolist()
+    assert result.transform is candidates[win].combined_transform
+    assert result.degraded == (not any(c.converged for c in candidates))
+    return result, starts
 
 
 def assert_same_transform(got, want):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import operator
 import pickle
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from legpress import harness, orchestrator, simworld
-from legpress.cli import SIM_CHECKS
+from legpress.cli import SIM_CHECKS, _joint_stop_violation, _robot_momentum, _stop_scene
 from legpress.config import StackConfig
 from legpress.geom import (
     GIMBAL_MARGIN,
@@ -309,8 +310,8 @@ def test_sliding_box_loses_energy_monotonically():
                          ids=[name.replace(" ", "_") for name, _, _ in SIM_CHECKS])
 def test_simulator_invariant(name, check, bound):
     """The rows `legpress simcheck` prints: determinism, momentum without
-    gravity or ground, the friction cone at every contact and the stand
-    force split."""
+    gravity or ground, momentum at the joint stop, the friction cone at every
+    contact and the stand force split."""
     assert check(StackConfig()) <= bound
 
 
@@ -336,85 +337,52 @@ def test_joint_stop_leaves_a_fixed_base_at_rest():
     assert np.array_equal(srb.linear_velocity, np.zeros(3))
 
 
-def _stop_scene(ticks: int):
-    """The joint-stop scene: the standing robot with gravity and ground off,
-    its rear-right foot driven each tick by the world force (0, -6, 6) N
-    through the joint torques Jl' R' f, the other legs at zero torque. The
-    foot reaches its joint stops after 68 ticks. Yields the world before the
-    first tick and after each tick."""
-    world = standing_world()
-    world.gravity_enabled = world.ground_enabled = False
-    rb = world.robot
-    f = np.array([0.0, -6.0, 6.0])
-    yield world
-    for _ in range(ticks):
-        tau = np.zeros(12)
-        Jl = np.array(rb.legs[simworld.REAR_RIGHT].jacobian_rows)
-        tau[9:12] = Jl.T @ (rb.srb.rotation().T @ f)
-        step(world, tau)
-        yield world
-
-
-def _robot_momentum(world) -> np.ndarray:
-    """The robot's linear and angular momentum, feet included (as `legpress
-    simcheck`'s momentum row counts it)."""
-    rc, rb = world.config.robot, world.robot
-    m, mf, srb = rc.trunk_mass, rc.foot_mass, rb.srb
-    R = srb.rotation()
-    v, feet_v = np.array(srb.linear_velocity), np.array(rb.feet_vel)
-    lin = m * v + mf * feet_v.sum(axis=0)
-    ang = (R @ np.diag(rc.trunk_inertia) @ R.T @ np.array(srb.angular_velocity)
-           + m * np.cross(srb.position, v)
-           + mf * np.cross(rb.feet_pos, feet_v).sum(axis=0))
-    return np.concatenate([lin, ang])
-
-
-def _stop_scene_drift(ticks: int) -> list:
-    """The drift of the robot's momentum after each tick of the stop scene."""
-    worlds = _stop_scene(ticks)
-    p0 = _robot_momentum(next(worlds))
-    return [float(np.max(np.abs(_robot_momentum(w) - p0))) for w in worlds]
-
-
 def test_the_stop_scene_conserves_momentum_until_the_stop():
     """Before the foot reaches its joint stops, the tip force and its
     reaction on the trunk cancel: the drift stays at rounding."""
-    assert max(_stop_scene_drift(68)) < 1e-12
+    worlds = _stop_scene(StackConfig())
+    p0 = _robot_momentum(next(worlds))
+    drift = [np.max(np.abs(_robot_momentum(w) - p0)) for w in itertools.islice(worlds, 68)]
+    assert max(drift) < 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_the_stop_scene_conserves_momentum_at_the_stop():
     """At the stops the leg sync snaps the foot onto the trunk and pairs its
-    velocity change with a trunk linear velocity change only; the foot's
-    change of angular momentum is paired with nothing. Measured: the drift
-    reaches 0.998 after 300 ticks, and the trunk spins at 9.8 rad/s."""
-    assert max(_stop_scene_drift(300)) < 1e-6
+    change of linear momentum with the trunk's velocity and its change of
+    angular momentum with the trunk's spin. Measured: the drift stays at
+    7.9e-15 over 300 ticks (0.998 without the spin term)."""
+    assert _joint_stop_violation(StackConfig()) < 1e-6
 
 
 def test_the_stop_corrections_of_the_leg_sync_are_what_step_writes_back(monkeypatch):
     """In the stop scene the leg sync moves the stopped foot and corrects the
-    free trunk's velocity in the tick's float lists; `step` then writes
-    exactly those values back."""
+    free trunk's velocity and angular velocity in the tick's float lists;
+    `step` then writes exactly those values back."""
     synced = []
     real_sync = simworld._sync_legs
 
     def recording(world, R, pos, v, w, feet_p, feet_v):
-        before = list(v), [list(p) for p in feet_p]
+        assert type(v) is list and type(w) is list
+        before = list(v), list(w), [list(p) for p in feet_p]
         real_sync(world, R, pos, v, w, feet_p, feet_v)
-        synced.append(((list(v), [list(p) for p in feet_p]) != before,
-                       tuple(v), tuple(map(tuple, feet_p)), tuple(map(tuple, feet_v))))
+        synced.append(((list(v), list(w), [list(p) for p in feet_p]) != before,
+                       list(w) != before[1], tuple(v), tuple(w), tuple(map(tuple, feet_p)),
+                       tuple(map(tuple, feet_v))))
 
     monkeypatch.setattr(simworld, "_sync_legs", recording)
-    worlds = _stop_scene(300)
+    worlds = _stop_scene(StackConfig())
     next(worlds)
-    stopped = 0
+    stopped = spun = 0
     for world in worlds:
-        corrected, v, feet_p, feet_v = synced[-1]
+        corrected, turned, v, w, feet_p, feet_v = synced[-1]
         rb = world.robot
-        assert (rb.srb.linear_velocity, rb.feet_pos, rb.feet_vel) == (v, feet_p, feet_v)
+        assert (rb.srb.linear_velocity, rb.srb.angular_velocity, rb.feet_pos,
+                rb.feet_vel) == (v, w, feet_p, feet_v)
         stopped += corrected
+        spun += turned
     assert len(synced) == 1 + 300  # `standing_world` seats the feet through the sync
-    assert stopped > 200  # measured: 229 of the 300 ticks
+    assert stopped > 200  # measured: 212 of the 300 ticks
+    assert spun == stopped  # each stop tick corrects the spin too
 
 
 def _foot_box_scene_drift(velocity, friction: float = 0.5):
@@ -942,23 +910,23 @@ PINNED_END_STATES = {
         -1.9386626317338116,
     ],
     "straight_leg": [
-        -0.03183027297401108, 0.028640707503903802, 0.006045331504465277,
-        0.00018715188461113563, 0.0001528811346037368, 0.2842476751886797,
-        -0.6068299677196991, 0.849521908475389, 0.19975957597313454,
-        0.01163720433973734, 0.008367967651987072, -0.0004216320038788928,
-        9.81, 0.17711174203199312, 0.11460279643212588,
-        -0.1508430122427693, 0.1867400916076739, -0.13121658782591158,
-        -0.14433686469980495, -0.19444378196520776, 0.13121288742947157,
-        -0.13661175117755242, -0.19341100160806124, -0.13295927313700212,
-        -0.1335939333014119, -0.3811040314466565, -0.22021130624892787,
-        -0.21368526147122235, -0.3263846391732926, -0.2143155064176707,
-        -0.07265416050321524, -0.37218528446049876, -0.28610459324857557,
-        0.0900205064139466, -0.31679056568803293, -0.2835247123232741,
-        0.24691475602595894, 0.0, 0.0,
-        0.0, 0.01884914658862402, 0.016679493487775646,
-        -0.0707200462768379, 0.04419457586823272, 0.007548890933469599,
-        -0.05406508393957894, 0.02015824214860573, 0.015301195623280608,
-        -0.06652114309347006,
+        -0.025343309677519053, 0.011722690404262194, 0.0011863935318319086,
+        -2.2911205534542583e-05, 3.223825852668876e-05, 0.28424874197621236,
+        0.005769235577813886, -0.005004725455091657, 4.1319383147534264e-05,
+        0.00022988732945550508, 8.543397136035461e-05, -0.0002236164911518226,
+        9.81, 0.18479621353433237, 0.11641571126715092,
+        -0.1470304927903604, 0.1932381315172981, -0.1272849251557207,
+        -0.1425246002921865, -0.18799476825545075, 0.13669255899001614,
+        -0.13854321286693222, -0.1874341081982961, -0.128395287811891,
+        -0.13785485942543757, -0.004815403085927476, -0.00441496995278077,
+        0.0032236906537344433, -0.003377096038785293, -0.004775888602843354,
+        0.006630329328696941, -0.013816382464631497, 0.002905709225920896,
+        0.011263006008778893, -0.005577597945316335, -0.0039669272335393635,
+        0.00571695294701389, 0.0, 0.0,
+        0.0, 0.024024497839222336, 0.007142066790739698,
+        -0.05232483004211713, 0.048645413951440286, 0.012796321963332805,
+        -0.05922144926966806, 0.022476199582576628, 0.016214508850412014,
+        -0.06718057217793688,
     ],
     "fixed_base": [
         0.0, 0.0, 0.0,

@@ -347,9 +347,9 @@ def test_full_plan_passes_near_contact_point_on_box():
     assert world.objects[0].pose.translation[0] > 0.32 + 0.01
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: plan_swing sets the plan's gate_time "
-                   "to the push end's time (waypoints[4]), so the gate holds after the push "
-                   "instead of at contact")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the plan's gate_time is the push end's "
+                   "time (waypoints[4].time), so the gate holds after the push instead of at "
+                   "contact")
 def test_the_contact_gate_holds_at_the_contact_waypoint():
     """A foot that never reaches the contact point is held there, from the
     contact waypoint's time on (waypoints[3], the end of the approach)."""
