@@ -8,7 +8,8 @@ Subcommands:
   regbench  registration synthetic suite (rotation/translation MAE, ICP exits
             and iterations, degraded cases and cases won by a rotated start)
   simcheck  simulator invariant suite: one line per row of SIM_CHECKS, the
-            table the Tier-1 tests assert too
+            table the Tier-1 tests assert too; the momentum rows read
+            `simworld.momentum`
   sweep     seeded outcome sweep: every task with the planning policy, the
             multi-step protocol in walk and teleport mode; the gate for any
             change that moves a trajectory. With --against FILE (a table sweep
@@ -56,7 +57,8 @@ from .harness import (
 )
 from .mpc import ForceMpc, GaitSchedule
 from .orchestrator import EpisodeOptions, EpisodeTrace
-from .simworld import REAR_RIGHT, Box, SimObject, rest_pose_on_ground, standing_world, step
+from .simworld import (REAR_RIGHT, Box, SimObject, momentum, rest_pose_on_ground,
+                       standing_world, step)
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -108,7 +110,7 @@ def cmd_multistep(args) -> int:
               f"outcome={res.outcome}")
     ok = [r for r in rows if r.outcome == "success"]
     print(f"success {len(ok)}/{len(rows)}"
-          + (f" median_steps={int(np.median([r.steps for r in ok]))}"
+          + (f" median_steps={np.median([r.steps for r in ok]):g}"
              f" mean_y_error_cm={float(np.mean([r.y_error_cm for r in ok]))!r}"
              if ok else ""))
     return 0
@@ -278,37 +280,10 @@ def _momentum_violation(cfg: StackConfig) -> float:
     srb.linear_velocity = (0.02, 0.01, -0.01)
     srb.angular_velocity = (0.05, -0.02, 0.1)
     rb.feet_vel = (srb.linear_velocity,) * 4
-    m, mf = cfg.robot.trunk_mass, cfg.robot.foot_mass
-
-    def momentum():
-        R, Ro = srb.rotation(), obj.pose.rotation
-        v, feet_v, v_o = map(np.array, (srb.linear_velocity, rb.feet_vel, obj.linear_velocity))
-        lin = m * v + mf * feet_v.sum(axis=0) + obj.mass * v_o
-        ang = (R @ np.diag(cfg.robot.trunk_inertia) @ R.T @ srb.angular_velocity
-               + m * np.cross(srb.position, v)
-               + mf * np.cross(rb.feet_pos, feet_v).sum(axis=0)
-               + Ro @ np.array(obj.inertia) @ Ro.T @ obj.angular_velocity
-               + obj.mass * np.cross(obj.pose.translation, v_o))
-        return np.concatenate([lin, ang])
-
-    p0 = momentum()
+    p0 = momentum(world)
     for _ in range(1000):
         step(world, np.zeros(12))
-    return float(np.max(np.abs(momentum() - p0)))
-
-
-def _robot_momentum(world) -> np.ndarray:
-    """The robot's linear and angular momentum about the origin, feet
-    included."""
-    rc, rb = world.config.robot, world.robot
-    m, mf, srb = rc.trunk_mass, rc.foot_mass, rb.srb
-    R = srb.rotation()
-    v, feet_v = np.array(srb.linear_velocity), np.array(rb.feet_vel)
-    lin = m * v + mf * feet_v.sum(axis=0)
-    ang = (R @ np.diag(rc.trunk_inertia) @ R.T @ np.array(srb.angular_velocity)
-           + m * np.cross(srb.position, v)
-           + mf * np.cross(rb.feet_pos, feet_v).sum(axis=0))
-    return np.concatenate([lin, ang])
+    return float(np.max(np.abs(momentum(world) - p0)))
 
 
 def _stop_scene(cfg: StackConfig):
@@ -333,8 +308,8 @@ def _stop_scene(cfg: StackConfig):
 def _joint_stop_violation(cfg: StackConfig) -> float:
     """Largest drift of the robot's momentum over the stop scene."""
     worlds = _stop_scene(cfg)
-    p0 = _robot_momentum(next(worlds))
-    return float(max(np.max(np.abs(_robot_momentum(w) - p0)) for w in worlds))
+    p0 = momentum(next(worlds))
+    return float(max(np.max(np.abs(momentum(w) - p0)) for w in worlds))
 
 
 def _friction_cone_violation(cfg: StackConfig) -> float:

@@ -235,6 +235,11 @@ class PointCloud:
         return self.points.mean(axis=0)
 
 
+def mean_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean distance of corresponding points: the mean row norm of a - b."""
+    return float(np.mean(np.linalg.norm(a - b, axis=1)))
+
+
 def apply_transform(t: RigidTransform, cloud: PointCloud) -> PointCloud:
     """Map every point by R x + t and every normal by R; order preserved."""
     if len(cloud) == 0:

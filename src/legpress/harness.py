@@ -27,7 +27,6 @@ import pickle
 import signal
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -304,10 +303,6 @@ def multi_step_protocol(policy_name: str, seed: int = 0,
     def y_err_cm(pose: RigidTransform) -> float:
         return abs(float(pose.translation[1]) - y_start) * 100.0
 
-    def sub_goal(obj: SimObject) -> RigidTransform:
-        return RigidTransform(obj.pose.rotation,
-                              obj.pose.translation + np.array([SUB_GOAL_DISTANCE, 0.0, 0.0]))
-
     def verdict(obj: SimObject, mean_flow: float, steps_used: int) -> str | None:
         if float(obj.pose.translation[0]) - x_start >= target_distance:
             return "success"
@@ -317,8 +312,8 @@ def multi_step_protocol(policy_name: str, seed: int = 0,
             return "fail_y"
         return None
 
-    trace = run_episode(task, make_provider(policy_name), options, config,
-                        schedule=GoalSchedule(sub_goal, verdict))
+    schedule = GoalSchedule(lambda obj: _push_goal_pose(obj, (SUB_GOAL_DISTANCE, 0.0)), verdict)
+    trace = run_episode(task, make_provider(policy_name), options, config, schedule=schedule)
     return MultiStepResult(trace.steps_used, y_err_cm(trace.final_pose), trace.outcome)
 
 
@@ -418,7 +413,8 @@ def map_shares(share, parts: int):
 # process. A crop's draws depend on its scan, so every source scan is made; a
 # target scan draws only its seed, so only a share's own cases make theirs.
 # Replaying holds one case's inputs at a time, where building every case
-# before the fork would hold them all.
+# before the fork would hold them all. `_suite_cases` draws the cases of both
+# suites; a suite gives it its object and perturbation draws.
 
 
 def _asymmetric_shape(rng):
@@ -461,38 +457,46 @@ class RegBenchResult:
     augmented_winners: int = 0  # cases won by a rotated start
 
 
-def _registration_share(n_cases: int, seed: int, part: int, parts: int) -> list:
-    """Rows of cases part, part + parts, ... of the suite: rotation error
-    (deg), translation error at the scan centroid (m), the exit rule of each
-    ICP start, the starts' iterations, degraded, won by a rotated start."""
+def _suite_cases(seed: int, n_cases: int, part: int, parts: int, draw_object,
+                 draw_perturbation):
+    """Cases part, part + parts, ... of a registration suite's seeded stream,
+    as (source scan, cropped source, target, true transform, register seed).
+    Each case draws its shape and pose (`draw_object(rng)`), the source
+    scan's seed, the crop, the true transform's rotation about the scan
+    centroid and then its shift (`draw_perturbation(rng)`), and the target
+    and register seeds; only a share's own cases make their target scan."""
     rng = np.random.default_rng(seed)
-    rows = []
     for case in range(n_cases):
-        shape = _asymmetric_shape(rng)
-        pose = rest_pose_on_ground(shape, yaw=float(rng.uniform(-math.pi, math.pi)))
+        shape, pose = draw_object(rng)
         scan = _scan(shape, pose, int(rng.integers(2 ** 31)))
         source = _crop_visibility(scan, rng)
-
-        angle = math.radians(rng.uniform(0.0, REG_MAX_ROTATION_DEG))
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        true = RigidTransform.rotation_about(rotation_exp(axis * angle), scan.centroid)
-        true = compose(RigidTransform(np.eye(3), rng.uniform(-0.05, 0.05, size=3)), true)
+        rotation, shift = draw_perturbation(rng)
+        true = compose(RigidTransform(np.eye(3), shift),
+                       RigidTransform.rotation_about(rotation, scan.centroid))
         target_seed, register_seed = int(rng.integers(2 ** 31)), int(rng.integers(2 ** 31))
-        if case % parts != part:
-            continue
+        if case % parts == part:
+            target = apply_transform(true, _scan(shape, pose, target_seed))
+            yield scan, source, target, true, register_seed
 
-        target = apply_transform(true, _scan(shape, pose, target_seed))
-        result = register_with_augmentation(source, target, seed=register_seed)
-        est = result.transform
-        err = compose(est, true.inverse())
-        c = scan.centroid
-        rows.append((math.degrees(err.rotation_angle()),
-                     float(np.linalg.norm(est.apply(c) - true.apply(c))),
-                     [cand.exit for cand in result.candidates],
-                     sum(cand.iterations for cand in result.candidates),
-                     result.degraded, result.winner_index != 0))
-    return rows
+
+def _rotation_error_deg(est: RigidTransform, true: RigidTransform) -> float:
+    """The rotation angle between the estimate and the truth, in degrees."""
+    return math.degrees(compose(est, true.inverse()).rotation_angle())
+
+
+def _asymmetric_object(rng) -> tuple:
+    """An asymmetric shape resting at a random yaw, and its pose."""
+    shape = _asymmetric_shape(rng)
+    return shape, rest_pose_on_ground(shape, yaw=float(rng.uniform(-math.pi, math.pi)))
+
+
+def _bounded_perturbation(rng) -> tuple:
+    """A rotation of up to REG_MAX_ROTATION_DEG about a random axis, and a
+    shift of up to 5 cm per axis."""
+    angle = math.radians(rng.uniform(0.0, REG_MAX_ROTATION_DEG))
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    return rotation_exp(axis * angle), rng.uniform(-0.05, 0.05, size=3)
 
 
 def registration_benchmark(n_cases: int = 200, seed: int = 0) -> RegBenchResult:
@@ -508,7 +512,25 @@ def registration_benchmark(n_cases: int = 200, seed: int = 0) -> RegBenchResult:
     for bit."""
     if n_cases < 1:
         raise ValueError("need at least one registration case")
-    rows = map_shares(partial(_registration_share, n_cases, seed), usable_cores())
+
+    def share(part: int, parts: int) -> list:
+        """Per case: rotation error (deg), translation error at the scan
+        centroid (m), the exit rule of each ICP start, the starts'
+        iterations, degraded, won by a rotated start."""
+        rows = []
+        for scan, source, target, true, register_seed in _suite_cases(
+                seed, n_cases, part, parts, _asymmetric_object, _bounded_perturbation):
+            result = register_with_augmentation(source, target, seed=register_seed)
+            est = result.transform
+            c = scan.centroid
+            rows.append((_rotation_error_deg(est, true),
+                         float(np.linalg.norm(est.apply(c) - true.apply(c))),
+                         [cand.exit for cand in result.candidates],
+                         sum(cand.iterations for cand in result.candidates),
+                         result.degraded, result.winner_index != 0))
+        return rows
+
+    rows = map_shares(share, usable_cores())
     rot_errs, trans_errs, exits, iterations, degraded, augmented = zip(*rows)
     return RegBenchResult(float(np.mean(rot_errs)), float(np.mean(trans_errs)), n_cases,
                           {rule: sum(case.count(rule) for case in exits) for rule in EXITS},
@@ -522,35 +544,13 @@ class AmbiguityBenchResult:
     trials: int
 
 
-def _recovered(est: RigidTransform, true: RigidTransform) -> bool:
-    """An ambiguity success: within AMBIGUITY_SUCCESS_ROT_DEG of the truth."""
-    err = compose(est, true.inverse())
-    return math.degrees(err.rotation_angle()) < AMBIGUITY_SUCCESS_ROT_DEG
 
 
-def _ambiguity_share(n_trials: int, seed: int, part: int, parts: int) -> list:
-    """(augmented success, single-shot success) of trials part, part + parts,
-    ... of the suite."""
-    rng = np.random.default_rng(seed)
-    shape = Compound(((Box((0.08, 0.08, 0.05)), (0.0, 0.0, 0.0)),
-                      (Box((0.02, 0.02, 0.03)), (0.03, 0.03, 0.04))))
-    pose = rest_pose_on_ground(shape)
-    rows = []
-    for trial in range(n_trials):
-        scan = _scan(shape, pose, int(rng.integers(2 ** 31)))
-        source = _crop_visibility(scan, rng)
-        yaw = math.radians(rng.uniform(45.0, 135.0)) * (1 if rng.uniform() < 0.5 else -1)
-        true = RigidTransform.rotation_about(rot_z(yaw), scan.centroid)
-        true = compose(RigidTransform(np.eye(3), rng.uniform(-0.03, 0.03, size=3)), true)
-        target_seed, register_seed = int(rng.integers(2 ** 31)), int(rng.integers(2 ** 31))
-        if trial % parts != part:
-            continue
-
-        target = apply_transform(true, _scan(shape, pose, target_seed))
-        single = icp_register(source, target)
-        augmented = register_with_augmentation(source, target, seed=register_seed)
-        rows.append((_recovered(augmented.transform, true), _recovered(single.transform, true)))
-    return rows
+def _large_yaw_perturbation(rng) -> tuple:
+    """A yaw of 45 to 135 degrees either way, and a shift of up to 3 cm per
+    axis."""
+    yaw = math.radians(rng.uniform(45.0, 135.0)) * (1 if rng.uniform() < 0.5 else -1)
+    return rot_z(yaw), rng.uniform(-0.03, 0.03, size=3)
 
 
 def ambiguity_benchmark(n_trials: int = 40, seed: int = 0) -> AmbiguityBenchResult:
@@ -563,6 +563,22 @@ def ambiguity_benchmark(n_trials: int = 40, seed: int = 0) -> AmbiguityBenchResu
     one-process rates exactly."""
     if n_trials < 1:
         raise ValueError("need at least one ambiguity trial")
-    rows = map_shares(partial(_ambiguity_share, n_trials, seed), usable_cores())
+    shape = Compound(((Box((0.08, 0.08, 0.05)), (0.0, 0.0, 0.0)),
+                      (Box((0.02, 0.02, 0.03)), (0.03, 0.03, 0.04))))
+    pose = rest_pose_on_ground(shape)
+
+    def share(part: int, parts: int) -> list:
+        """Per trial: augmented success, single-shot success (within
+        AMBIGUITY_SUCCESS_ROT_DEG of the truth)."""
+        rows = []
+        for _, source, target, true, register_seed in _suite_cases(
+                seed, n_trials, part, parts, lambda rng: (shape, pose), _large_yaw_perturbation):
+            single = icp_register(source, target)
+            augmented = register_with_augmentation(source, target, seed=register_seed)
+            rows.append(tuple(_rotation_error_deg(est.transform, true) < AMBIGUITY_SUCCESS_ROT_DEG
+                              for est in (augmented, single)))
+        return rows
+
+    rows = map_shares(share, usable_cores())
     aug_ok, single_ok = (sum(column) for column in zip(*rows))
     return AmbiguityBenchResult(aug_ok / n_trials, single_ok / n_trials, n_trials)

@@ -33,7 +33,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .config import StackConfig
-from .geom import PointCloud, RigidTransform, compose, rot_z, threshold_norm
+from .geom import PointCloud, RigidTransform, compose, mean_distance, rot_z, threshold_norm
 from .mpc import ForceMpc, GaitSchedule, raibert_foothold, stance_torques
 from .policy import NoPlanError, ObjectCentricAction, Observation
 from .register import register_with_augmentation
@@ -229,7 +229,6 @@ class _OrchestratorCore:
         self.options = options
         self.rng = rng
         self.mpc = ForceMpc(self.cfg)
-        self.kp, self.kd = float(self.cfg.swing.kp), float(self.cfg.swing.kd)
         self.state = QP_STAND
         self.state_entry_time = world.time
         self.gait = GaitSchedule.stand()
@@ -325,7 +324,7 @@ class _OrchestratorCore:
             p_des, v_des = self._swing_target(i, dt)
             cmd = impedance_torque_tracking(
                 robot.legs[i], srb, robot.feet_pos[i], robot.feet_vel[i], p_des, v_des,
-                self.kp, self.kd)
+                self.cfg.swing.kp, self.cfg.swing.kd)
             tau[3 * i], tau[3 * i + 1], tau[3 * i + 2] = cmd.torques
 
         try:
@@ -342,7 +341,7 @@ class _OrchestratorCore:
     def _swing_target(self, leg_index: int, dt: float):
         """Desired foot point and velocity of a swing leg, as float lists."""
         # in MANIPULATION the action's leg is the only one in swing
-        if self.state == MANIPULATION and self.executor is not None:
+        if self.state == MANIPULATION:
             return self.executor.tick(self.world.robot.feet_pos[leg_index], dt)
         if self.state == WALKING:
             return self._trot_swing_target(leg_index)
@@ -439,12 +438,6 @@ def estimate_relative_goal(core: _OrchestratorCore, goal_pose: RigidTransform,
     return compose(goal_pose, obj.pose.inverse())
 
 
-def metric_mean_flow(task: TaskInstance, obj: SimObject, local_cloud: np.ndarray) -> float:
-    current = local_cloud @ obj.pose.rotation.T + obj.pose.translation
-    goal = local_cloud @ task.goal_pose.rotation.T + task.goal_pose.translation
-    return float(np.mean(np.linalg.norm(goal - current, axis=1)))
-
-
 def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = None,
                 config: StackConfig | None = None,
                 schedule: GoalSchedule | None = None) -> EpisodeTrace:
@@ -472,8 +465,11 @@ def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = Non
     metric_rng = np.random.default_rng(seed ^ 0x5EED)
     local_pts, _ = obj.shape.sample_surface(metric_rng, METRIC_POINTS)
 
+    def goal_flow() -> float:  # the metric: mean distance of the samples to their goal points
+        return mean_distance(task.goal_pose.apply(local_pts), obj.pose.apply(local_pts))
+
     def check_success() -> float:
-        mean = metric_mean_flow(task, obj, local_pts)
+        mean = goal_flow()
         trace.records.append({"type": "check", "t": round(world.time, 6),
                               "mean_flow": round(mean, 9), "reward": round(-mean, 9)})
         trace.rewards.append(round(-mean, 9))
@@ -481,8 +477,7 @@ def run_episode(task: TaskInstance, policy, options: EpisodeOptions | None = Non
 
     def finish(outcome: str, mean: float | None = None) -> EpisodeTrace:
         trace.outcome = outcome
-        trace.final_mean_flow = mean if mean is not None else \
-            metric_mean_flow(task, obj, local_pts)
+        trace.final_mean_flow = mean if mean is not None else goal_flow()
         trace.final_pose = obj.pose
         return trace
 
@@ -579,11 +574,10 @@ def _execute_action(core: _OrchestratorCore, observed: PointCloud,
     # lower the leg and restore the stance
     core.transition(POST_ACT_COM_SHIFT)
     nominal = core.nominal_foothold(leg_index)
-    t0 = world.time
-    while world.time - t0 < 2.0 * ocfg.com_shift_duration:
+    while core.time_in_state() < 2.0 * ocfg.com_shift_duration:
         core.drive_towards(core.feet_centroid_xy(), None, gain=2.0, v_max=0.08)
         core.control_step()
-        if world.time - t0 > 0.3 and threshold_norm(
+        if core.time_in_state() > 0.3 and threshold_norm(
                 [a - b for a, b in zip(world.robot.feet_pos[leg_index], nominal)],
                 0.02) < 0.02:
             break

@@ -3,9 +3,10 @@
 A policy is a function of an `Observation`. It returns an object-centric
 action, or raises `NoPlanError` when it has none. The observation's goal is
 the goal pose relative to the object's, a transform; the goal cloud is read
-from it and the observed cloud. An action is a contact index into the
-observed object cloud, a 3D motion vector executed after contact, and the
-leg that executes it. The action is the one place the manipulation leg is
+from it and the observed cloud, and the goal flow (each observed point's
+vector to its goal point) from the two clouds. An action is a contact index
+into the observed object cloud, a 3D motion vector executed after contact,
+and the leg that executes it. The action is the one place the manipulation leg is
 decided; the baselines use the front-left leg. Learned policies are out of
 scope here, but their artifacts plug in: per-point critic maps (Q-values)
 and actor maps (motion parameters) with one or two leg channels can be
@@ -88,6 +89,11 @@ class Observation:
         """The observed cloud mapped by the goal transform (index-correspondent)."""
         return apply_transform(self.goal, self.cloud)
 
+    @property
+    def flow(self) -> np.ndarray:
+        """The goal flow: each observed point's vector to its goal point."""
+        return self.goal_cloud.points - self.cloud.points
+
 
 def select_greedy(actor: ActorMap, critic: CriticMap) -> ObjectCentricAction:
     """Argmax over (point, leg) pairs; ties break to the lowest point index,
@@ -100,14 +106,6 @@ def select_greedy(actor: ActorMap, critic: CriticMap) -> ObjectCentricAction:
     flat = int(np.argmax(q))  # row-major: index-major then channel, ties resolve correctly
     idx, ch = divmod(flat, q.shape[1])
     return ObjectCentricAction(idx, actor.motion_params[idx, ch], LEG_CHANNELS[ch])
-
-
-def goal_flow(current: PointCloud, goal: PointCloud) -> tuple[np.ndarray, float]:
-    """Per-point flow vectors goal_i - current_i and their mean magnitude."""
-    if len(current) != len(goal):
-        raise ValueError("clouds must have equal sizes (index correspondence)")
-    flow = goal.points - current.points
-    return flow, float(np.mean(np.linalg.norm(flow, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +209,7 @@ def flow_baseline(obs: Observation) -> ObjectCentricAction:
     """Same contact and leg as the planner; motion replaced by the flow
     between the observed and goal clouds at the contact point."""
     base = planning_baseline(obs)
-    flow, _ = goal_flow(obs.cloud, obs.goal_cloud)
-    return ObjectCentricAction(base.contact_index, flow[base.contact_index], base.leg)
+    return ObjectCentricAction(base.contact_index, obs.flow[base.contact_index], base.leg)
 
 
 def random_location_baseline(obs: Observation) -> ObjectCentricAction:
@@ -221,8 +218,7 @@ def random_location_baseline(obs: Observation) -> ObjectCentricAction:
     if len(obs.cloud) == 0:
         raise ValueError("empty cloud")
     idx = int(np.random.default_rng(obs.seed).integers(len(obs.cloud)))
-    flow, _ = goal_flow(obs.cloud, obs.goal_cloud)
-    return ObjectCentricAction(idx, flow[idx], "front_left")
+    return ObjectCentricAction(idx, obs.flow[idx], "front_left")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ Chamfer distance, which measures alignment quality), candidates are ranked
 per metric, and the lowest weighted rank sum wins. The known augmentation
 rotation is composed back so the returned transform always maps the
 original source onto the target. A result is its candidates and the
-winner's index: its transform and degraded flag are read from them.
+winner's index: its transform and degraded flag are read from them. The
+selection writes each candidate's two ranks, and a candidate's weighted rank
+sum is read from them; the flow distance is `geom.mean_distance`, the mean
+distance of corresponding points that the goal-flow metric reads too.
 
 The target must carry normals, since point-to-plane ICP reads only the
 target's; a full scan (`sensing.full_scan`) carries its analytic ones. All
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import PointCloud, RigidTransform, compose, rot_z
+from .geom import PointCloud, RigidTransform, compose, mean_distance, rot_z
 
 CHAMFER_RANK_WEIGHT = 1.5  # preference weighting on the Chamfer ranking
 REJECT_MEDIAN_FACTOR = 3.0
@@ -88,11 +91,7 @@ def flow_distance(source: PointCloud, t: RigidTransform) -> float:
     """Mean displacement the transform imputes to the source points."""
     if len(source) == 0:
         raise ValueError("empty cloud")
-    return _mean_displacement(t.apply(source.points), source.points)
-
-
-def _mean_displacement(moved: np.ndarray, points: np.ndarray) -> float:
-    return float(np.mean(np.linalg.norm(moved - points, axis=1)))
+    return mean_distance(t.apply(source.points), source.points)
 
 
 def chamfer_distance(a: PointCloud, b: PointCloud) -> float:
@@ -301,18 +300,18 @@ def _ranks(values) -> np.ndarray:
     return ranks
 
 
-def select_by_rank_sum(flows, chamfers):
-    """Winner index + per-candidate (rank_flow, rank_chamfer, weighted sum),
-    the sum being rank_flow + CHAMFER_RANK_WEIGHT * rank_chamfer.
+def select_by_rank_sum(candidates: list) -> int:
+    """Rank the candidates by flow and by Chamfer distance (rank 1 the
+    lowest, ties in index order), write each candidate's two ranks, and
+    return the index of the lowest weighted rank sum.
 
     Ties break toward lower Chamfer distance, then lower index."""
-    flows = np.asarray(flows, dtype=float)
-    chamfers = np.asarray(chamfers, dtype=float)
-    rf = _ranks(flows)
-    rc = _ranks(chamfers)
-    sums = rf + CHAMFER_RANK_WEIGHT * rc
-    order = sorted(range(len(flows)), key=lambda i: (sums[i], chamfers[i], i))
-    return order[0], rf, rc, sums
+    rf = _ranks([c.flow_distance for c in candidates])
+    rc = _ranks([c.chamfer_distance for c in candidates])
+    for c, rank_flow, rank_chamfer in zip(candidates, rf.tolist(), rc.tolist()):
+        c.rank_flow, c.rank_chamfer = rank_flow, rank_chamfer
+    return min(range(len(candidates)), key=lambda i: (
+        candidates[i].weighted_rank_sum, candidates[i].chamfer_distance, i))
 
 
 def register_with_augmentation(source: PointCloud, target: PointCloud,
@@ -340,11 +339,7 @@ def register_with_augmentation(source: PointCloud, target: PointCloud,
     d_ab, _ = tree.query(moved.reshape(-1, 3))
     d_ab = d_ab.reshape(len(combined), len(points))
     candidates = [
-        RegistrationCandidate(c, _mean_displacement(m, points), _chamfer(d, m, target.points),
+        RegistrationCandidate(c, mean_distance(m, points), _chamfer(d, m, target.points),
                               est.exit, est.iterations)
         for c, m, d, est in zip(combined, moved, d_ab, starts)]
-    win, rf, rc, _ = select_by_rank_sum([c.flow_distance for c in candidates],
-                                        [c.chamfer_distance for c in candidates])
-    for c, rank_flow, rank_chamfer in zip(candidates, rf.tolist(), rc.tolist()):
-        c.rank_flow, c.rank_chamfer = rank_flow, rank_chamfer
-    return RegistrationResult(candidates, win)
+    return RegistrationResult(candidates, select_by_rank_sum(candidates))

@@ -70,6 +70,8 @@ and a change to the tick is judged by what the simulation does:
     decides are named in the change log);
   - `cli.SIM_CHECKS` (`legpress simcheck`): determinism, momentum, momentum
     at the joint stop, friction cone and stand force within their bounds;
+    the momentum rows read `momentum`, the one sum of the world's linear and
+    angular momentum;
   - the pinned end states in `tests/test_simworld.py` at rtol 1e-9 and atol
     1e-12. A scene that moves past them is re-recorded, with every moved
     value listed in the change log.
@@ -1025,12 +1027,11 @@ def step(world: WorldState, joint_torques) -> WorldState:
     sleep_ticks = max(1, round(SLEEP_TIME / dt))
     may_sleep = world.ground_enabled and world.gravity_enabled
     awake = []
-    # per awake object, float state: rotation rows, translation, velocities,
-    # force, torque and, when the tick may count
-    # toward its sleep, (first and end index of its ground contacts, quiet
-    # ticks so far), else None
-    obj_R, obj_t, obj_v, obj_w, obj_force, obj_torque = [], [], [], [], [], []
-    obj_calm = []
+    # per awake object, float state: rotation rows, translation, velocity,
+    # angular velocity and momentum, world inverse inertia rows and, when the
+    # tick may count toward its sleep, (first and end index of its ground
+    # contacts, quiet ticks so far), else None
+    obj_R, obj_t, obj_v, obj_w, obj_L, obj_I_inv, obj_calm = [], [], [], [], [], [], []
     for obj in world.objects:
         far = obj.shape._radius + rf
         asleep = obj._sleep
@@ -1112,15 +1113,22 @@ def step(world: WorldState, joint_torques) -> WorldState:
             rec = ContactRecord(pen, fn, 0.0, (_FOOT_NAMES[i], obj.name))
             contacts.append(rec)
             fric.append((_FOOT_OBJ, i, oi, (r0, r1, r2), n, mu * fn * dt, rec))
+        # velocity integration (the pose updates after the friction pass); the
+        # world inertia and its inverse are Ro I^(+-1) Ro' of the body rows
+        Lw = matvec3(Ro, matvec3(obj.inertia, matvec3_t(Ro, w_o)))
+        L = [Lw[0] + torque[0] * dt, Lw[1] + torque[1] * dt, Lw[2] + torque[2] * dt]
+        I_inv = _sandwich(Ro, obj.inverse_inertia_rows)
+        v_o[0] += force[0] / m * dt
+        v_o[1] += force[1] / m * dt
+        v_o[2] += force[2] / m * dt
         obj_R.append(Ro)
         obj_t.append(t)
         obj_v.append(v_o)
-        obj_w.append(w_o)
-        obj_force.append(force)
-        obj_torque.append(torque)
+        obj_w.append(matvec3(I_inv, L))
+        obj_L.append(L)
+        obj_I_inv.append(I_inv)
 
-    # velocity integration (positions update after the friction pass); the
-    # world inertia and its inverse are Ro I^(+-1) Ro' of the object's body rows
+    # the trunk's and the feet's velocity integration
     I0, I1, I2 = rc.trunk_inertia
     if not world.fixed_base:
         wb = matvec3_t(R, w)
@@ -1129,22 +1137,6 @@ def step(world: WorldState, joint_torques) -> WorldState:
                    Lw[2] + trunk_torque[2] * dt]
         v = [v[0] + trunk_force[0] / m_trunk * dt, v[1] + trunk_force[1] / m_trunk * dt,
              v[2] + trunk_force[2] / m_trunk * dt]
-    obj_L = []
-    obj_I_inv = []  # world inverse inertia per object, as float rows
-    for oi, obj in enumerate(awake):
-        Ro = obj_R[oi]
-        Lw = matvec3(Ro, matvec3(obj.inertia, matvec3_t(Ro, obj_w[oi])))
-        tq = obj_torque[oi]
-        L = [Lw[0] + tq[0] * dt, Lw[1] + tq[1] * dt, Lw[2] + tq[2] * dt]
-        obj_L.append(L)
-        I_inv = _sandwich(Ro, obj.inverse_inertia_rows)
-        obj_I_inv.append(I_inv)
-        v_o, force = obj_v[oi], obj_force[oi]
-        m = obj.mass
-        v_o[0] += force[0] / m * dt
-        v_o[1] += force[1] / m * dt
-        v_o[2] += force[2] / m * dt
-        obj_w[oi] = matvec3(I_inv, L)
     for fv, ff in zip(feet_v, feet_force):
         fv[0] += ff[0] / mf * dt
         fv[1] += ff[1] / mf * dt
@@ -1212,6 +1204,27 @@ def step(world: WorldState, joint_torques) -> WorldState:
         speeds += v_o
     _check_speeds(speeds)
     return world
+
+
+def momentum(world: WorldState) -> np.ndarray:
+    """The linear and angular momentum about the origin of the trunk, the
+    feet and each object, as six values. Each object's terms are added after
+    the robot's, one at a time: m_o v_o to the linear, then its spin
+    Ro I Ro' w_o and then m_o t x v_o to the angular momentum."""
+    rc, rb = world.config.robot, world.robot
+    m, mf, srb = rc.trunk_mass, rc.foot_mass, rb.srb
+    R = srb.rotation()
+    v, feet_v = np.array(srb.linear_velocity), np.array(rb.feet_vel)
+    lin = m * v + mf * feet_v.sum(axis=0)
+    ang = (R @ np.diag(rc.trunk_inertia) @ R.T @ np.array(srb.angular_velocity)
+           + m * np.cross(srb.position, v)
+           + mf * np.cross(rb.feet_pos, feet_v).sum(axis=0))
+    for obj in world.objects:
+        Ro, v_o = obj.pose.rotation, np.array(obj.linear_velocity)
+        lin = lin + obj.mass * v_o
+        ang = ang + Ro @ np.array(obj.inertia) @ Ro.T @ np.array(obj.angular_velocity)
+        ang = ang + obj.mass * np.cross(obj.pose.translation, v_o)
+    return np.concatenate([lin, ang])
 
 
 # ---------------------------------------------------------------------------

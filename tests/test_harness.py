@@ -187,13 +187,23 @@ def test_replay_of_a_record_without_its_keys_exits_2(record, tmp_path, capsys):
     assert err["error"] == "ValueError" and err["message"].startswith(f"{path} line 3: ")
 
 
-def test_simcheck_passes_its_four_invariants(capsys):
+def test_simcheck_passes_every_invariant(capsys):
     assert cli.main(["simcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["PASS"] * 6 + ["OK"]
-    assert [line.split(" ", 1)[1].split(":")[0] for line in lines[:6]] == [
-        "determinism", "momentum", "joint stop momentum", "friction cone", "stand force z",
-        "stand force xy"]
+    rows = len(cli.SIM_CHECKS)
+    assert [line.split()[0] for line in lines] == ["PASS"] * rows + ["OK"]
+    assert [line.split(" ", 1)[1].split(":")[0] for line in lines[:rows]] == [
+        name for name, _, _ in cli.SIM_CHECKS]
+
+
+def test_multistep_prints_a_half_integer_median(capsys, monkeypatch):
+    """Successes in 9 and 12 steps have the median 10.5, printed as it is."""
+    results = iter([harness.MultiStepResult(9, 1.5, "success"),
+                    harness.MultiStepResult(12, 2.5, "success")])
+    monkeypatch.setattr(cli, "multi_step_protocol", lambda *a, **k: next(results))
+    assert cli.main(["multistep", "--runs", "2"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "success 2/2 median_steps=10.5 mean_y_error_cm=2.0"
 
 
 def test_sweep_prints_each_episode_and_the_outcome_counts(capsys, monkeypatch):

@@ -1,10 +1,12 @@
 """No legpress module imports, or reads as an attribute, another legpress
 module's `_`-prefixed name: modules talk through public names only. And
 every config key is read by the program outside the config module, and is
-named in the config module's schema. Every stored field has a reader. Every
-expected failure in the tests is a strict xfail that names the ROADMAP item
-whose fix removes its mark. The package's settable values do not grow."""
+named in the config module's schema. Every stored field and every unpacked
+returned value has a reader. Every expected failure in the tests is a strict
+xfail that names the ROADMAP item whose fix removes its mark. The package's
+settable values do not grow."""
 import ast
+import itertools
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -262,6 +264,89 @@ def test_no_function_has_a_parameter_it_never_reads():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+_LIBRARIES = frozenset({"np", "numpy", "scipy"})
+
+
+def _root_name(node):
+    """The name a call chain such as `a.b(x).c` starts from, or None."""
+    while isinstance(node, (ast.Attribute, ast.Call)):
+        node = node.value if isinstance(node, ast.Attribute) else node.func
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def unpacked_results(source: str) -> list:
+    """(callee, [position bound to a name other than `_`]) for each
+    assignment in the source that unpacks the result of a call into a tuple
+    or list of targets. The callee is the called name or attribute; calls
+    through numpy or scipy, and unpackings with a starred target, are
+    skipped."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
+            continue
+        func = node.value.func
+        if not isinstance(func, (ast.Name, ast.Attribute)) or _root_name(func) in _LIBRARIES:
+            continue
+        for target in node.targets:
+            if isinstance(target, (ast.Tuple, ast.List)) and not any(
+                    isinstance(e, ast.Starred) for e in target.elts):
+                found.append((func.id if isinstance(func, ast.Name) else func.attr,
+                              [not (isinstance(e, ast.Name) and e.id == "_")
+                               for e in target.elts]))
+    return found
+
+
+def unread_returns(defining, callers) -> list:
+    """`name[i]` for each position i of the result of a function or method
+    defined at module or class level in the `defining` sources that some
+    source of `callers` unpacks, while none binds position i to a name."""
+    defined = set()
+    for source in defining:
+        for node in ast.parse(source).body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined.update(fn.name for fn in body
+                           if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    bound = {}
+    for source in callers:
+        for name, positions in unpacked_results(source):
+            if name in defined:
+                bound[name] = [a or b for a, b in itertools.zip_longest(
+                    bound.get(name, ()), positions, fillvalue=False)]
+    return [f"{name}[{i}]" for name, have in sorted(bound.items())
+            for i, read in enumerate(have) if not read]
+
+
+def test_the_checker_finds_returned_values_nobody_reads():
+    source = ("import numpy as np\n"
+              "def f():\n"
+              "    return 1, 2, 3\n"
+              "def g():\n"
+              "    return 1, 2\n"
+              "class K:\n"
+              "    def m(self):\n"
+              "        return 1, 2\n"
+              "a, _, c = f()\n"
+              "_, b, _ = f()\n"
+              "x, _ = g()\n"
+              "u, v = K().m()\n"
+              "_, w = np.linalg.eigh(x)\n"
+              "_, y = h()\n"
+              "first, *_ = g()\n")
+    assert unpacked_results(source) == [("f", [True, False, True]), ("f", [False, True, False]),
+                                        ("g", [True, False]), ("m", [True, True]),
+                                        ("h", [False, True])]
+    assert unread_returns([source], [source]) == ["g[1]"]
+    assert unread_returns([source], [source, "p, q = g()"]) == []
+
+
+def test_every_returned_value_has_a_reader():
+    """A computed value is read or deleted: when a program caller unpacks
+    the result of a function or method of the package, each position is
+    bound to a name by some caller in the package or the benchmark."""
+    callers = [p.read_text() for p in (*SRC.glob("*.py"), *PERFBENCH.glob("*.py"))]
+    assert unread_returns([p.read_text() for p in SRC.glob("*.py")], callers) == []
+
+
 def _named(node, name: str) -> bool:
     """node is `name` or `x.name`, called or not."""
     node = node.func if isinstance(node, ast.Call) else node
@@ -321,7 +406,7 @@ def test_the_settable_values_scan_counts_parameters_fields_and_options():
 
 # the count of `src/legpress` today: a change that adds a settable value
 # raises it in its own diff
-SETTABLE_VALUES = 717
+SETTABLE_VALUES = 716
 
 
 def test_settable_values_do_not_grow():

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from legpress.geom import PointCloud, RigidTransform, apply_transform, rot_z, rotation_exp
+from legpress.geom import (PointCloud, RigidTransform, apply_transform, mean_distance, rot_z,
+                           rotation_exp)
 from legpress.policy import (
     ActorMap,
     CriticMap,
     NoPlanError,
     Observation,
     flow_baseline,
-    goal_flow,
     load_maps,
     planning_baseline,
     random_location_baseline,
@@ -95,16 +95,24 @@ def test_greedy_invariant_to_constant_q_shift():
 # -- goal flow ----------------------------------------------------------------
 
 
+def flow_of(cloud, goal):
+    """The observation's goal flow and its mean magnitude."""
+    obs = Observation(cloud, goal, make_box_obj(), 0)
+    return obs.flow, mean_distance(obs.goal_cloud.points, cloud.points)
+
+
 def test_goal_flow_identity_zero():
     cloud = PointCloud(np.random.default_rng(84).normal(size=(50, 3)))
-    _, mean = goal_flow(cloud, cloud)
+    flow, mean = flow_of(cloud, RigidTransform.identity())
+    assert not flow.any()
     assert mean == 0.0
 
 
 def test_goal_flow_translation_exact():
     cloud = PointCloud(np.random.default_rng(85).normal(size=(50, 3)))
     t = RigidTransform(np.eye(3), [0.15, 0.0, 0.0])
-    _, mean = goal_flow(cloud, apply_transform(t, cloud))
+    flow, mean = flow_of(cloud, t)
+    assert np.allclose(flow, [0.15, 0.0, 0.0], rtol=0.0, atol=1e-12)
     assert abs(mean - 0.15) < 1e-12
 
 
@@ -116,17 +124,11 @@ def test_goal_flow_rotation_matches_brute_force_and_closed_form():
     cloud = PointCloud(pts + np.array([0.4, -0.2, 0.1]))
     t = RigidTransform.rotation_about(rot_z(theta), cloud.centroid)
     goal = apply_transform(t, cloud)
-    flow, mean = goal_flow(cloud, goal)
+    flow, mean = flow_of(cloud, t)
+    assert np.array_equal(flow, goal.points - cloud.points)
     brute = np.mean([np.linalg.norm(goal.points[i] - cloud.points[i]) for i in range(n)])
     assert abs(mean - brute) < 1e-15
     assert abs(mean - 2.0 * math.sin(theta / 2.0) * r) < 1e-9
-
-
-def test_goal_flow_size_mismatch_rejected():
-    a = PointCloud(np.zeros((5, 3)))
-    b = PointCloud(np.zeros((6, 3)))
-    with pytest.raises(ValueError):
-        goal_flow(a, b)
 
 
 def test_success_threshold_iff_reward():
@@ -136,7 +138,7 @@ def test_success_threshold_iff_reward():
     for _ in range(50):
         t = RigidTransform(rotation_exp(rng.normal(scale=0.1, size=3)),
                            rng.normal(scale=0.03, size=3))
-        _, mean = goal_flow(cloud, apply_transform(t, cloud))
+        _, mean = flow_of(cloud, t)
         assert (mean < 0.03) == (-mean > -0.03)
 
 
@@ -225,8 +227,7 @@ def test_flow_baseline_pure_translation_everywhere():
     obj = make_box_obj()
     cloud = observed(obj)
     goal = push_goal(obj, (0.15, 0.0))
-    flow, _ = goal_flow(cloud, apply_transform(goal, cloud))
-    assert np.allclose(flow, [0.15, 0.0, 0.0])
+    assert np.allclose(Observation(cloud, goal, obj, 0).flow, [0.15, 0.0, 0.0])
     act = flow_baseline(Observation(cloud, goal, obj, 0))
     assert np.allclose(act.motion_params, [0.15, 0.0, 0.0])
 

@@ -198,38 +198,47 @@ def test_a_target_without_normals_is_rejected(register_fn, monkeypatch):
 # -- rank-sum selection ------------------------------------------------------------
 
 
+def ranked(flows, chams):
+    """Candidates of the given flow and Chamfer distances, and the winner
+    that select_by_rank_sum picks after writing their ranks."""
+    candidates = [RegistrationCandidate(RigidTransform.identity(), float(f), float(c), "step_tol")
+                  for f, c in zip(flows, chams)]
+    return candidates, select_by_rank_sum(candidates)
+
+
 def test_rank_sum_arithmetic_rule():
     # candidate 0 ranks (flow 2, chamfer 1): 2 + 1.5*1 = 3.5
     # candidate 1 ranks (flow 1, chamfer 3): 1 + 1.5*3 = 5.5
     # candidate 2 ranks (flow 3, chamfer 2): 3 + 1.5*2 = 6.0
-    flows = [0.2, 0.1, 0.3]
-    chams = [0.01, 0.03, 0.02]
-    win, rf, rc, sums = select_by_rank_sum(flows, chams)
-    assert list(rf) == [2, 1, 3]
-    assert list(rc) == [1, 3, 2]
-    assert sums[0] == 3.5 and sums[1] == 5.5
+    candidates, win = ranked([0.2, 0.1, 0.3], [0.01, 0.03, 0.02])
+    assert [c.rank_flow for c in candidates] == [2, 1, 3]
+    assert [c.rank_chamfer for c in candidates] == [1, 3, 2]
+    assert [c.weighted_rank_sum for c in candidates] == [3.5, 5.5, 6.0]
     assert win == 0
 
 
 def test_rank_sum_tie_breaks_on_chamfer_then_index():
     # candidates 0 (flow 1, chamfer 3) and 1 (flow 4, chamfer 1) tie at
     # 1 + 1.5*3 = 4 + 1.5*1 = 5.5; candidate 1 has the lower chamfer
-    flows = [0.1, 0.4, 0.2, 0.3]
-    chams = [0.03, 0.01, 0.04, 0.02]
-    win, rf, rc, sums = select_by_rank_sum(flows, chams)
+    candidates, win = ranked([0.1, 0.4, 0.2, 0.3], [0.03, 0.01, 0.04, 0.02])
+    sums = [c.weighted_rank_sum for c in candidates]
     assert sums[0] == sums[1] == 5.5 and min(sums[2:]) > 5.5
     assert win == 1
+    # equal distances rank in index order, and the lower index wins the tie
+    candidates, win = ranked([0.1, 0.1], [0.02, 0.02])
+    assert [(c.rank_flow, c.rank_chamfer) for c in candidates] == [(1, 1), (2, 2)]
+    assert win == 0
 
 
 def test_rank_sum_invariant_to_monotone_rescaling():
     rng = np.random.default_rng(72)
     flows = rng.uniform(0.01, 1.0, 7)
     chams = rng.uniform(0.001, 0.1, 7)
-    w1 = select_by_rank_sum(flows, chams)
-    w2 = select_by_rank_sum(np.sqrt(flows) * 3.0, chams ** 2 * 100.0)
-    assert w1[0] == w2[0]
-    assert np.array_equal(w1[1], w2[1])
-    assert np.array_equal(w1[2], w2[2])
+    c1, w1 = ranked(flows, chams)
+    c2, w2 = ranked(np.sqrt(flows) * 3.0, chams ** 2 * 100.0)
+    assert w1 == w2
+    ranks = [[(c.rank_flow, c.rank_chamfer) for c in cands] for cands in (c1, c2)]
+    assert ranks[0] == ranks[1]
 
 
 # -- augmented registration ----------------------------------------------------------
@@ -327,13 +336,9 @@ def reference_registration(source, target, seed=0):
         cham = chamfer_distance(apply_transform(combined, source), target)
         starts.append(est)
         candidates.append(RegistrationCandidate(combined, flow, cham, est.exit))
-    win, rf, rc, sums = select_by_rank_sum([c.flow_distance for c in candidates],
-                                           [c.chamfer_distance for c in candidates])
-    for i, c in enumerate(candidates):
-        c.rank_flow, c.rank_chamfer = int(rf[i]), int(rc[i])
+    win = select_by_rank_sum(candidates)
     result = RegistrationResult(candidates, win)
     # what the result reads from its candidates and winner
-    assert [c.weighted_rank_sum for c in candidates] == sums.tolist()
     assert result.transform is candidates[win].combined_transform
     assert result.degraded == (not any(c.converged for c in candidates))
     return result, starts

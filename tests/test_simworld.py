@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from legpress import harness, orchestrator, simworld
-from legpress.cli import SIM_CHECKS, _joint_stop_violation, _robot_momentum, _stop_scene
+from legpress.cli import SIM_CHECKS, _stop_scene
 from legpress.config import StackConfig
 from legpress.geom import (
     GIMBAL_MARGIN,
@@ -341,17 +341,9 @@ def test_the_stop_scene_conserves_momentum_until_the_stop():
     """Before the foot reaches its joint stops, the tip force and its
     reaction on the trunk cancel: the drift stays at rounding."""
     worlds = _stop_scene(StackConfig())
-    p0 = _robot_momentum(next(worlds))
-    drift = [np.max(np.abs(_robot_momentum(w) - p0)) for w in itertools.islice(worlds, 68)]
+    p0 = simworld.momentum(next(worlds))
+    drift = [np.max(np.abs(simworld.momentum(w) - p0)) for w in itertools.islice(worlds, 68)]
     assert max(drift) < 1e-12
-
-
-def test_the_stop_scene_conserves_momentum_at_the_stop():
-    """At the stops the leg sync snaps the foot onto the trunk and pairs its
-    change of linear momentum with the trunk's velocity and its change of
-    angular momentum with the trunk's spin. Measured: the drift stays at
-    7.9e-15 over 300 ticks (0.998 without the spin term)."""
-    assert _joint_stop_violation(StackConfig()) < 1e-6
 
 
 def test_the_stop_corrections_of_the_leg_sync_are_what_step_writes_back(monkeypatch):
@@ -401,18 +393,10 @@ def _foot_box_scene_drift(velocity, friction: float = 0.5):
                                RigidTransform(np.eye(3), [x + 0.062, y, z]))
     obj.linear_velocity = velocity
     world.objects.append(obj)
-
-    def momentum():
-        Ro, v_o = obj.pose.rotation, np.array(obj.linear_velocity)
-        box = np.concatenate([obj.mass * v_o,
-                              Ro @ np.array(obj.inertia) @ Ro.T @ np.array(obj.angular_velocity)
-                              + obj.mass * np.cross(obj.pose.translation, v_o)])
-        return _robot_momentum(world) + box
-
-    p0, drift, rubbed = momentum(), np.zeros(2), 0
+    p0, drift, rubbed = simworld.momentum(world), np.zeros(2), 0
     for _ in range(400):
         step(world, np.zeros(12))
-        d = np.abs(momentum() - p0)
+        d = np.abs(simworld.momentum(world) - p0)
         drift = np.maximum(drift, [d[:3].max(), d[3:].max()])
         rubbed += any(c.tangential_force != 0.0 for c in world.contact_set
                       if c.bodies == ("foot_0", obj.name))
